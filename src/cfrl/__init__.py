@@ -6,7 +6,7 @@ Q-network over it, compared against random, popularity, impact, online-MF,
 LinUCB and raw-state DQN policies under a shared offline protocol.
 """
 
-from .agent import ReplayMemory, TrainConfig, Transition, run_episode_greedy, train_cfrl
+from .agent import ReplayMemory, TrainConfig, Transition, train_cfrl
 from .dataset import RatingDataset, Split, dataset_stats, load_ratings, make_splits
 from .env import InteractiveEnv, TaskMode
 from .evaluate import benchmark, evaluate_policy, paired_t_test
@@ -31,7 +31,6 @@ __all__ = [
     "paired_t_test",
     "predict",
     "pretrain",
-    "run_episode_greedy",
     "train_cfrl",
 ]
 

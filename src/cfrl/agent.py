@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import qnet
-from .env import InteractiveEnv, TaskMode
+from .env import InteractiveEnv, TaskMode, run_episode
 from .mf import MfModel
 from .seeding import rng_for
 
@@ -182,17 +182,16 @@ class QTrainer:
         while self.episode < stop:
             ep = self.episode
             user = self.users[int(self.user_rng.integers(len(self.users)))]
-            state = self.env.reset(user)
             eps = epsilon_at(cfg, ep)
-            reward_sum = 0.0
             losses = []
-            for t in range(cfg.horizon):
-                features = self.state_fn(state)
-                action = select_action(self.net, features, state.avail, eps, self.action_rng)
-                reward, next_state, done = self.env.step(state, action)
+
+            def act(state):
+                return select_action(self.net, self.state_fn(state), state.avail, eps, self.action_rng)
+
+            def learn(t, state, action, reward, next_state, done):
                 self.memory.push(
                     Transition(
-                        s=features,
+                        s=self.state_fn(state),
                         a=action,
                         r=reward,
                         s_next=self.state_fn(next_state),
@@ -206,12 +205,10 @@ class QTrainer:
                 if self.train_steps % cfg.sync_period == 0:
                     qnet.sync_target(self.net, self.target)
                     self.sync_count += 1
-                reward_sum += reward
                 if trace is not None:
                     trace.append((ep, user, t, action, reward, done))
-                state = next_state
-                if done:
-                    break
+
+            reward_sum = run_episode(self.env, user, cfg.horizon, act, learn)
             self.logs.append(
                 EpisodeLog(
                     episode=ep,
@@ -316,22 +313,6 @@ def train_cfrl(ds, split, mf_model: MfModel, cfg: TrainConfig, trace: list | Non
     trainer = make_trainer(ds, split, mf_model, cfg)
     logs = trainer.run(trace=trace)
     return trainer.net, logs
-
-
-def run_episode_greedy(net, ds, mf_model: MfModel, user: int, task: TaskMode, horizon: int,
-                       raw_state: bool = False) -> list:
-    """Greedy rollout of a trained network for one user; returns the rewards."""
-    environment = InteractiveEnv(ds, mf_model, task, horizon)
-    state = environment.reset(user)
-    state_fn = (lambda st: st.raw_state) if raw_state else (lambda st: st.cf_state)
-    rewards = []
-    for _ in range(horizon):
-        action = qnet.masked_argmax(qnet.forward(net, state_fn(state)), state.avail)
-        reward, state, done = environment.step(state, action)
-        rewards.append(reward)
-        if done:
-            break
-    return rewards
 
 
 def write_training_log(path, logs) -> None:

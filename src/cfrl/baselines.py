@@ -15,7 +15,7 @@ import scipy.sparse as sp
 
 from . import mf, qnet
 from .agent import TrainConfig, eligible_train_users, make_trainer
-from .env import InteractiveEnv
+from .env import InteractiveEnv, run_episode
 from .seeding import rng_for
 
 
@@ -182,14 +182,9 @@ def train_linucb(ds, split, mf_model: mf.MfModel, cfg: TrainConfig,
     user_rng = rng_for(cfg.seed, "episode-users")
     for _ in range(cfg.episodes):
         user = users[int(user_rng.integers(len(users)))]
-        state = environment.reset(user)
         policy.begin_episode(user)
-        for _ in range(cfg.horizon):
-            action = policy.act(state.avail)
-            reward, state, done = environment.step(state, action)
-            policy.observe(action, reward)
-            if done:
-                break
+        run_episode(environment, user, cfg.horizon, lambda state: policy.act(state.avail),
+                    lambda t, state, action, reward, *_: policy.observe(action, reward))
     return model
 
 

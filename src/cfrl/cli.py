@@ -14,10 +14,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import agent, baselines, dataset, evaluate, mf, qnet
+from . import agent, dataset, evaluate, mf
 from .config import RunConfig, load_config, task_mode, write_resolved
 from .env import write_trace
 from .errors import CfrlError, DivergenceError, ParseError, ValidationError
+from .methods import METHODS, SplitContext
 from .seeding import derive_seed
 
 EXIT_OK = 0
@@ -110,13 +111,18 @@ def cmd_pretrain(args) -> int:
     return EXIT_OK
 
 
-def _require_mf(out: Path, split_index: int) -> mf.MfModel:
-    path = _mf_ckpt_path(out, split_index)
-    if not path.exists():
-        raise FileNotFoundError(
-            f"MF checkpoint {path} not found; run `cfrl pretrain --split {split_index}` first"
-        )
-    return mf.load_mf(path)
+def _context(cfg: RunConfig, ds, split, split_index: int, out: Path, method: str) -> SplitContext:
+    """The split's inputs, with the pretrained factor model if the method needs it."""
+    model = None
+    if METHODS[method].needs_mf:
+        path = _mf_ckpt_path(out, split_index)
+        if not path.exists():
+            raise FileNotFoundError(
+                f"MF checkpoint {path} not found; run `cfrl pretrain --split {split_index}` first"
+            )
+        model = mf.load_mf(path)
+    return SplitContext(ds=ds, split=split, index=split_index, seed=cfg.seed, mf_model=model,
+                        linucb_alpha=cfg.linucb_alpha)
 
 
 def cmd_train(args) -> int:
@@ -126,27 +132,19 @@ def cmd_train(args) -> int:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     write_resolved(cfg, out)
-    method = args.method
+    spec = METHODS[args.method]
+    ctx = _context(cfg, ds, split, args.split, out, args.method)
     train_cfg = cfg.train_config()
     # one agent per task; the task tag keeps the two from overwriting each other
-    stem = f"{method}_{train_cfg.task.value}_split{args.split}"
+    stem = f"{args.method}_{train_cfg.task.value}_split{args.split}"
+    ckpt = out / f"{stem}{spec.suffix}"
 
-    if method == "linucb":
-        model = _require_mf(out, args.split)
-        ucb = baselines.train_linucb(ds, split, model, train_cfg, alpha_ucb=cfg.linucb_alpha)
-        path = out / f"{stem}.npz"
-        np.savez(path, A=ucb.A, b=ucb.b, alpha_ucb=np.array([ucb.alpha_ucb]))
-        print(f"checkpoint written to {path}")
+    if spec.trainer is None:
+        spec.save(spec.fit(ctx, train_cfg), ckpt)
+        print(f"checkpoint written to {ckpt}")
         return EXIT_OK
 
-    if method == "cfrl":
-        model = _require_mf(out, args.split)
-        trainer = agent.make_trainer(ds, split, model, train_cfg)
-    elif method == "dqn":
-        trainer = agent.make_trainer(ds, split, baselines.null_mf_model(ds), train_cfg, raw_state=True)
-    else:
-        raise ValueError(f"unknown trainable method {method!r}")
-
+    trainer = spec.trainer(ctx, train_cfg)
     state_path = out / f"{stem}_state.npz"
     if args.resume:
         if not state_path.exists():
@@ -175,8 +173,7 @@ def cmd_train(args) -> int:
     agent.write_training_log(log_path, trainer.logs)
     if trace_rows is not None:
         write_trace(out / f"{stem}_trace.csv", trace_rows)
-    ckpt = out / f"{stem}.ckpt"
-    qnet.save_qnet(
+    spec.save(
         trainer.net, ckpt,
         manifest={
             "seed": train_cfg.seed,
@@ -194,37 +191,6 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _policy_for_eval(method: str, cfg: RunConfig, ds, split, split_index: int,
-                     task, out: Path):
-    """Returns (policy, env model) for one configured method."""
-    null_model = baselines.null_mf_model(ds)
-    if method == "random":
-        return baselines.RandomPolicy(seed=derive_seed(cfg.seed, f"random:{split_index}")), null_model
-    if method == "popular":
-        return baselines.popular_policy(ds, split.train_users), null_model
-    if method == "impact":
-        return baselines.impact_policy(ds, split.train_users), null_model
-    if method == "mf":
-        model = _require_mf(out, split_index)
-        return baselines.OnlineMfPolicy(model), model
-    if method == "linucb":
-        model = _require_mf(out, split_index)
-        path = out / f"linucb_{task.value}_split{split_index}.npz"
-        if not path.exists():
-            raise FileNotFoundError(f"LinUCB checkpoint {path} not found; run `cfrl train` first")
-        with np.load(path) as data:
-            ucb = baselines.LinUcbModel(A=data["A"], b=data["b"], alpha_ucb=float(data["alpha_ucb"][0]))
-        return baselines.LinUcbPolicy(ucb, model, frozen=True), model
-    if method == "cfrl":
-        model = _require_mf(out, split_index)
-        net = qnet.load_qnet(out / f"cfrl_{task.value}_split{split_index}.ckpt")
-        return baselines.GreedyQPolicy(net, mf_model=model), model
-    if method == "dqn":
-        net = qnet.load_qnet(out / f"dqn_{task.value}_split{split_index}.ckpt")
-        return baselines.GreedyQPolicy(net, raw_state=True), null_model
-    raise ValueError(f"unknown method {method!r}")
-
-
 def cmd_eval(args) -> int:
     cfg = _resolve_config(args)
     ds = _load_dataset(cfg)
@@ -232,13 +198,17 @@ def cmd_eval(args) -> int:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     task = task_mode(args.task)
-    policy, env_model = _policy_for_eval(args.method, cfg, ds, split, args.split, task, out)
+    spec = METHODS[args.method]
+    ctx = _context(cfg, ds, split, args.split, out, args.method)
+    ckpt = out / f"{args.method}_{task.value}_split{args.split}{spec.suffix}"
+    artifact = spec.load(ctx, ckpt) if spec.trains else None
+    policy, env_model = spec.policy(ctx, artifact)
     scores = evaluate.evaluate_policy(policy, ds, env_model, split, task, cfg.horizon)
     path = out / f"eval_{args.method}_{task.value}_split{args.split}.csv"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("user,score\n")
         for user, score in zip(sorted(split.test_users), scores):
-            fh.write(f"{user},{score!r}\n")
+            fh.write(f"{user},{float(score)!r}\n")
     print(f"{args.method} {task.value} split {args.split}: "
           f"mean reward {float(np.mean(scores)):.4f} over {scores.size} users")
     print(f"per-user scores written to {path}")
@@ -255,7 +225,9 @@ def cmd_benchmark(args) -> int:
     ds = _load_dataset(cfg)
     splits = _splits(cfg, ds)
     tasks = tuple(task_mode(t) for t in cfg.eval_tasks)
-    train_cfg = cfg.train_config() if set(cfg.methods) & evaluate.TRAINED_METHODS else None
+    # an unknown name is left for evaluate.benchmark to report
+    trains = any(METHODS[m].trains for m in cfg.methods if m in METHODS)
+    train_cfg = cfg.train_config() if trains else None
     report = evaluate.benchmark(
         ds, splits, cfg.methods, tasks,
         dataset_name=cfg.dataset_name,
@@ -302,11 +274,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_pre.add_argument("--split", type=int, default=0)
     p_pre.set_defaults(func=cmd_pretrain)
 
-    p_train = sub.add_parser("train", help="train cfrl, dqn or linucb on one split")
+    p_train = sub.add_parser("train", help="train one learning method on one split")
     common(p_train)
     p_train.add_argument("--data", help="ratings file or snapshot path")
     p_train.add_argument("--format", choices=sorted(dataset.FORMAT_SEPARATORS))
-    p_train.add_argument("--method", choices=("cfrl", "dqn", "linucb"), default="cfrl")
+    p_train.add_argument("--method", choices=[m for m, spec in METHODS.items() if spec.trains],
+                         default="cfrl")
     p_train.add_argument("--split", type=int, default=0)
     p_train.add_argument("--resume", action="store_true", help="continue from the saved state")
     p_train.add_argument("--trace", action="store_true", help="write the per-step episode trace")
@@ -316,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_eval)
     p_eval.add_argument("--data", help="ratings file or snapshot path")
     p_eval.add_argument("--format", choices=sorted(dataset.FORMAT_SEPARATORS))
-    p_eval.add_argument("--method", required=True, choices=evaluate.KNOWN_METHODS)
+    p_eval.add_argument("--method", required=True, choices=tuple(METHODS))
     p_eval.add_argument("--task", default="task1")
     p_eval.add_argument("--split", type=int, default=0)
     p_eval.set_defaults(func=cmd_eval)

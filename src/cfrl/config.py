@@ -14,8 +14,7 @@ from pathlib import Path
 
 from .agent import TrainConfig
 from .env import TaskMode
-
-DEFAULT_METHODS = ("random", "popular", "impact", "mf", "linucb", "dqn", "cfrl")
+from .methods import METHODS
 
 _TASK_NAMES = {
     "task1": TaskMode.TASK_I,
@@ -63,7 +62,7 @@ class RunConfig:
     checkpoint_every: int = 0
     # [eval]
     eval_tasks: tuple = ("task1", "task2")
-    methods: tuple = DEFAULT_METHODS
+    methods: tuple = tuple(METHODS)
     linucb_alpha: float = 1.0
     jobs: int = 1
 

@@ -92,10 +92,6 @@ class RatingDataset:
         """Logged rating for (user index, item index), or None if unobserved."""
         return self.user_ratings[user].get(item)
 
-    def rated_items(self, user: int) -> np.ndarray:
-        """Sorted item indices the user has rated."""
-        return np.array(sorted(self.user_ratings[user]), dtype=np.int64)
-
     def mean_rating(self) -> float:
         total = sum(sum(d.values()) for d in self.user_ratings)
         return total / self.rating_count

@@ -109,9 +109,26 @@ class InteractiveEnv:
         )
         return reward, next_state, t == state.horizon
 
-    def available_actions(self, state: EnvState) -> np.ndarray:
-        """Ascending item indices still available in this state."""
-        return np.flatnonzero(state.avail)
+
+def run_episode(environment, user: int, horizon: int, act, on_step=None) -> float:
+    """Roll one episode for a user; returns the summed reward.
+
+    act(state) picks each action. on_step(t, state, action, reward,
+    next_state, done), when given, sees every transition right after the
+    environment step, before the next action is picked.
+    """
+    state = environment.reset(user)
+    total = 0.0
+    for t in range(horizon):
+        action = act(state)
+        reward, next_state, done = environment.step(state, action)
+        if on_step is not None:
+            on_step(t, state, action, reward, next_state, done)
+        total += reward
+        state = next_state
+        if done:
+            break
+    return total
 
 
 def write_trace(path, rows) -> None:

@@ -11,21 +11,16 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
-from . import baselines, mf
-from .agent import TrainConfig, make_trainer
-from .env import InteractiveEnv, TaskMode
+from . import mf
+from .agent import TrainConfig
+from .env import InteractiveEnv, TaskMode, run_episode
 from .errors import ValidationError
+from .methods import METHODS, SplitContext
 from .seeding import derive_seed
-
-KNOWN_METHODS = ("random", "popular", "impact", "mf", "linucb", "dqn", "cfrl")
-
-# Methods that need a pretrained factor model before they can act.
-_NEEDS_MF = frozenset({"mf", "linucb", "cfrl"})
-# Methods that need a training budget (TrainConfig) per split and task.
-TRAINED_METHODS = frozenset({"linucb", "dqn", "cfrl"})
 
 
 def evaluate_policy(policy, ds, mf_model, split, task: TaskMode, horizon: int,
@@ -38,18 +33,14 @@ def evaluate_policy(policy, ds, mf_model, split, task: TaskMode, horizon: int,
     environment = InteractiveEnv(ds, mf_model, task, horizon)
     means = []
     for idx, user in enumerate(sorted(split.test_users)):
-        state = environment.reset(user)
         policy.begin_episode(user)
-        total = 0.0
-        for t in range(horizon):
-            action = policy.act(state.avail)
-            reward, state, done = environment.step(state, action)
+
+        def observe(t, state, action, reward, next_state, done):
             policy.observe(action, reward)
-            total += reward
             if trace is not None:
                 trace.append((idx, user, t, action, reward, done))
-            if done:
-                break
+
+        total = run_episode(environment, user, horizon, lambda st: policy.act(st.avail), observe)
         means.append(total / horizon if horizon else 0.0)
     return np.array(means)
 
@@ -267,85 +258,38 @@ class ComparisonReport:
         return rows
 
 
-@dataclass
-class BenchmarkPlan:
-    """Everything one split needs to produce its column of scores."""
-
-    ds: object
-    split: object
-    split_index: int
-    methods: tuple
-    tasks: tuple
-    dataset_name: str
-    seed: int
-    horizon: int
-    mf_dim: int
-    mf_reg: float
-    mf_lr: float
-    mf_epochs: int
-    train_cfg: TrainConfig | None
-    linucb_alpha: float
-
-
-def _run_split(plan: BenchmarkPlan) -> dict:
+def _run_split(ctx: SplitContext, methods: tuple, tasks: tuple, horizon: int, mf_params: dict,
+               train_cfg: TrainConfig | None) -> dict:
     """Scores (or error strings) for every (method, task) cell of one split."""
-    ds, split, s = plan.ds, plan.split, plan.split_index
     out = {}
-    mf_model = None
-    if _NEEDS_MF & set(plan.methods):
-        mf_model = mf.pretrain(
-            ds, split.train_users, d=plan.mf_dim, reg=plan.mf_reg, lr=plan.mf_lr,
-            epochs=plan.mf_epochs, seed=derive_seed(plan.seed, f"mf:{s}"),
-        )
-    null_model = baselines.null_mf_model(ds)
-    for task in plan.tasks:
-        for method in plan.methods:
+    if any(METHODS[m].needs_mf for m in methods):
+        seed = derive_seed(ctx.seed, f"mf:{ctx.index}")
+        ctx = replace(ctx, mf_model=mf.pretrain(ctx.ds, ctx.split.train_users, seed=seed, **mf_params))
+    for task in tasks:
+        for method in methods:
             try:
-                policy, env_model = _build_policy(
-                    method, ds, split, s, task, mf_model, null_model, plan
-                )
-                scores = evaluate_policy(policy, ds, env_model, split, task, plan.horizon)
+                spec = METHODS[method]
+                artifact = None
+                if spec.trains:
+                    artifact = spec.fit(ctx, _train_cfg_for(ctx, train_cfg, horizon, method, task))
+                policy, env_model = spec.policy(ctx, artifact)
+                scores = evaluate_policy(policy, ctx.ds, env_model, ctx.split, task, horizon)
                 out[(method, task.value)] = float(np.mean(scores))
             except Exception as exc:  # cell failures must not kill the grid
                 out[(method, task.value)] = f"error: {exc}"
     return out
 
 
-def _train_cfg_for(plan: BenchmarkPlan, method: str, task: TaskMode) -> TrainConfig:
-    if plan.train_cfg is None:
+def _train_cfg_for(ctx: SplitContext, train_cfg: TrainConfig | None, horizon: int, method: str,
+                   task: TaskMode) -> TrainConfig:
+    if train_cfg is None:
         raise ValidationError(f"method {method!r} needs a training budget (train config)")
     return replace(
-        plan.train_cfg,
+        train_cfg,
         task=task,
-        horizon=plan.horizon,
-        seed=derive_seed(plan.seed, f"{method}:{task.value}:{plan.split_index}"),
+        horizon=horizon,
+        seed=derive_seed(ctx.seed, f"{method}:{task.value}:{ctx.index}"),
     )
-
-
-def _build_policy(method, ds, split, s, task, mf_model, null_model, plan: BenchmarkPlan):
-    """Instantiate (and if needed train) one method; returns (policy, env model)."""
-    if method == "random":
-        return baselines.RandomPolicy(seed=derive_seed(plan.seed, f"random:{s}")), null_model
-    if method == "popular":
-        return baselines.popular_policy(ds, split.train_users), null_model
-    if method == "impact":
-        return baselines.impact_policy(ds, split.train_users), null_model
-    if method == "mf":
-        return baselines.OnlineMfPolicy(mf_model), mf_model
-    if method == "linucb":
-        cfg = _train_cfg_for(plan, method, task)
-        model = baselines.train_linucb(ds, split, mf_model, cfg, alpha_ucb=plan.linucb_alpha)
-        return baselines.LinUcbPolicy(model, mf_model, frozen=True), mf_model
-    if method == "dqn":
-        cfg = _train_cfg_for(plan, method, task)
-        net, _ = baselines.raw_dqn_agent(ds, split, cfg)
-        return baselines.GreedyQPolicy(net, raw_state=True), null_model
-    if method == "cfrl":
-        cfg = _train_cfg_for(plan, method, task)
-        trainer = make_trainer(ds, split, mf_model, cfg)
-        trainer.run()
-        return baselines.GreedyQPolicy(trainer.net, mf_model=mf_model), mf_model
-    raise ValidationError(f"unknown method {method!r}; known: {KNOWN_METHODS}")
 
 
 def benchmark(
@@ -374,23 +318,22 @@ def benchmark(
     tasks = tuple(tasks)
     if not methods:
         raise ValueError("no methods requested")
-    unknown = [m for m in methods if m not in KNOWN_METHODS]
+    unknown = [m for m in methods if m not in METHODS]
     if unknown:
-        raise ValidationError(f"unknown methods {unknown}; known: {KNOWN_METHODS}")
-    plans = [
-        BenchmarkPlan(
-            ds=ds, split=split, split_index=s, methods=methods, tasks=tasks,
-            dataset_name=dataset_name, seed=seed, horizon=horizon, mf_dim=mf_dim,
-            mf_reg=mf_reg, mf_lr=mf_lr, mf_epochs=mf_epochs, train_cfg=train_cfg,
-            linucb_alpha=linucb_alpha,
-        )
+        raise ValidationError(f"unknown methods {unknown}; known: {tuple(METHODS)}")
+    run_split = partial(
+        _run_split, methods=methods, tasks=tasks, horizon=horizon, train_cfg=train_cfg,
+        mf_params=dict(d=mf_dim, reg=mf_reg, lr=mf_lr, epochs=mf_epochs),
+    )
+    contexts = [
+        SplitContext(ds=ds, split=split, index=s, seed=seed, linucb_alpha=linucb_alpha)
         for s, split in enumerate(splits)
     ]
-    if jobs > 1 and len(plans) > 1:
+    if jobs > 1 and len(contexts) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            split_results = list(pool.map(_run_split, plans))
+            split_results = list(pool.map(run_split, contexts))
     else:
-        split_results = [_run_split(plan) for plan in plans]
+        split_results = [run_split(ctx) for ctx in contexts]
 
     cells = {}
     for method in methods:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivergenceError, ValidationError
-from .persist import write_manifest
+from .persist import expect_end, read_exact, write_manifest
 from .seeding import rng_for
 
 _MF_MAGIC = b"CFRLMF\x00\x01"
@@ -151,13 +151,11 @@ def init_user_state(d: int) -> np.ndarray:
     return np.zeros(d, dtype=np.float64)
 
 
-def online_update(model: MfModel, state, item: int, rating: float, update_item: bool = False):
+def online_update(model: MfModel, state, item: int, rating: float):
     """One SGD iteration of the active user's vector on a single rating.
 
-    The pretrained item vector is frozen by default; one iteration is enough
-    in practice. With update_item=True the item column is also stepped, in
-    sequence after the user vector, mutating the shared model (not used by
-    the evaluation protocol).
+    The pretrained item vector stays frozen; one iteration is enough in
+    practice.
 
     Returns:
         The updated user state as a new array; `state` is left untouched.
@@ -170,9 +168,6 @@ def online_update(model: MfModel, state, item: int, rating: float, update_item: 
             f"user state became non-finite updating item {item}; "
             f"learning rate {model.lr} is too large for this data"
         )
-    if update_item:
-        err2 = float(new_state @ v_vec) - rating
-        model.V[:, item] = v_vec - 2.0 * model.lr * (err2 * new_state + model.reg * v_vec)
     return new_state
 
 
@@ -199,14 +194,16 @@ def save_mf(model: MfModel, path, manifest: dict | None = None) -> None:
 
 
 def load_mf(path) -> MfModel:
+    """Read a save_mf checkpoint; any other length or header raises ValidationError."""
     with open(path, "rb") as fh:
         magic = fh.read(len(_MF_MAGIC))
         if magic != _MF_MAGIC:
             raise ValidationError(f"{path}: not an MF checkpoint")
-        version, d, m, n = struct.unpack("<IIII", fh.read(16))
+        version, d, m, n = struct.unpack("<IIII", read_exact(fh, 16, path))
         if version != _MF_VERSION:
             raise ValidationError(f"{path}: unsupported MF checkpoint version {version}")
-        reg, lr = struct.unpack("<dd", fh.read(16))
-        U = np.frombuffer(fh.read(d * m * 8), dtype=np.float64).reshape(d, m).copy()
-        V = np.frombuffer(fh.read(d * n * 8), dtype=np.float64).reshape(d, n).copy()
+        reg, lr = struct.unpack("<dd", read_exact(fh, 16, path))
+        U = np.frombuffer(read_exact(fh, d * m * 8, path), dtype=np.float64).reshape(d, m).copy()
+        V = np.frombuffer(read_exact(fh, d * n * 8, path), dtype=np.float64).reshape(d, n).copy()
+        expect_end(fh, path)
     return MfModel(U=U, V=V, d=d, reg=reg, lr=lr)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, ValidationError
-from .persist import write_manifest
+from .persist import expect_end, read_exact, write_manifest
 from .seeding import rng_for
 
 _QN_MAGIC = b"CFRLQN\x00\x01"
@@ -285,20 +285,26 @@ def save_qnet(net: QNetwork, path, manifest: dict | None = None) -> None:
 
 
 def load_qnet(path) -> QNetwork:
+    """Read a save_qnet checkpoint; any other length or header raises ValidationError."""
     with open(path, "rb") as fh:
         magic = fh.read(len(_QN_MAGIC))
         if magic != _QN_MAGIC:
             raise ValidationError(f"{path}: not a Q-network checkpoint")
-        version, n_layers = struct.unpack("<II", fh.read(8))
+        version, n_layers = struct.unpack("<II", read_exact(fh, 8, path))
         if version != _QN_VERSION:
             raise ValidationError(f"{path}: unsupported checkpoint version {version}")
-        sizes = struct.unpack(f"<{n_layers}I", fh.read(4 * n_layers))
-        code = struct.unpack("<B", fh.read(1))[0]
-        activation = {v: k for k, v in _ACTIVATION_CODES.items()}[code]
+        sizes = struct.unpack(f"<{n_layers}I", read_exact(fh, 4 * n_layers, path))
+        if len(sizes) < 2 or min(sizes) < 1:
+            raise ValidationError(f"{path}: invalid layer sizes {sizes}")
+        code = read_exact(fh, 1, path)[0]
+        activation = {v: k for k, v in _ACTIVATION_CODES.items()}.get(code)
+        if activation is None:
+            raise ValidationError(f"{path}: unknown activation code {code}")
         weights, biases = [], []
         for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-            w = np.frombuffer(fh.read(fan_out * fan_in * 8), dtype=np.float64)
+            w = np.frombuffer(read_exact(fh, fan_out * fan_in * 8, path), dtype=np.float64)
             weights.append(w.reshape(fan_out, fan_in).copy())
-            b = np.frombuffer(fh.read(fan_out * 8), dtype=np.float64)
+            b = np.frombuffer(read_exact(fh, fan_out * 8, path), dtype=np.float64)
             biases.append(b.copy())
+        expect_end(fh, path)
     return QNetwork(layer_sizes=tuple(sizes), weights=weights, biases=biases, activation=activation)

@@ -13,13 +13,14 @@ from cfrl.agent import (
     eligible_train_users,
     make_trainer,
     read_training_log,
-    run_episode_greedy,
     select_action,
     train_cfrl,
     write_training_log,
 )
+from cfrl.baselines import GreedyQPolicy
 from cfrl.dataset import Split
 from cfrl.env import TaskMode
+from cfrl.evaluate import evaluate_policy
 from cfrl.seeding import rng_for
 
 from conftest import PLANTED_ITEM, make_dataset, planted_profiles, synthetic_profiles
@@ -256,18 +257,28 @@ def test_eligible_train_users_filters_short_profiles():
     assert eligible_train_users(ds, {0, 1}, TaskMode.TASK_II, horizon=4) == [0, 1]
 
 
+def _greedy_rollout(net, ds, model, user, horizon):
+    """(score, rewards, actions) of one frozen latent-state Q-network episode."""
+    split = Split(train_users=frozenset(), test_users=frozenset({user}), seed=0)
+    trace = []
+    scores = evaluate_policy(GreedyQPolicy(net, mf_model=model), ds, model, split,
+                             TaskMode.TASK_II, horizon, trace=trace)
+    return float(scores[0]), [row[4] for row in trace], [row[3] for row in trace]
+
+
 def test_run_episode_greedy_contracts(small_setup):
     ds, split, model = small_setup
     net = qnet.qnet_init((model.d, ds.n), seed=0)
-    assert run_episode_greedy(net, ds, model, 8, TaskMode.TASK_II, 0) == []
+    assert _greedy_rollout(net, ds, model, 8, 0) == (0.0, [], [])
     # all-zero network: every Q value ties at 0, so the rollout walks the
     # lowest available index at each step
     qnet.assign_params(net, np.zeros(net.param_count))
-    rewards = run_episode_greedy(net, ds, model, 8, TaskMode.TASK_II, 4)
+    score, rewards, actions = _greedy_rollout(net, ds, model, 8, 4)
+    assert actions == [0, 1, 2, 3]
     expected = [float(ds.user_ratings[8].get(i, 0)) for i in range(4)]
     assert rewards == expected
-    again = run_episode_greedy(net, ds, model, 8, TaskMode.TASK_II, 4)
-    assert rewards == again
+    assert score == sum(expected) / 4
+    assert _greedy_rollout(net, ds, model, 8, 4) == (score, rewards, actions)
 
 
 def test_training_log_round_trip(tmp_path):
@@ -294,7 +305,7 @@ def test_planted_optimum_learned_by_cfrl():
     state = np.zeros(model.d)
     first_pick = int(np.argmax(qnet.forward(net, state)))
     assert first_pick == PLANTED_ITEM
-    rewards = run_episode_greedy(net, ds, model, 4, TaskMode.TASK_II, 4)
+    _, rewards, _ = _greedy_rollout(net, ds, model, 4, 4)
     assert rewards[0] == 5.0
 
 

@@ -21,6 +21,8 @@ from cfrl.baselines import (
 )
 from cfrl.dataset import Split
 from cfrl.env import TaskMode
+from cfrl.errors import ValidationError
+from cfrl.methods import METHODS, SplitContext
 from cfrl.evaluate import evaluate_policy
 
 from conftest import PLANTED_ITEM, make_dataset, planted_profiles, synthetic_profiles
@@ -187,6 +189,24 @@ class TestLinUcb:
             ucb.A += np.outer(x, x)
             ucb.b += 3.0 * x
         assert all(b < a for a, b in zip(widths, widths[1:]))
+
+    def test_checkpoint_round_trip_checks_width(self, ds, model, tmp_path):
+        spec = METHODS["linucb"]
+        ucb = LinUcbModel.fresh(model.d, alpha_ucb=0.5)
+        ucb.A += 1.0
+        path = tmp_path / "ucb.npz"
+        spec.save(ucb, path)
+        ctx = SplitContext(ds=ds, split=None, index=0, seed=0, mf_model=model)
+        back = spec.load(ctx, path)
+        np.testing.assert_array_equal(back.A, ucb.A)
+        np.testing.assert_array_equal(back.b, ucb.b)
+        assert back.alpha_ucb == 0.5
+        narrow = mf.MfModel(U=model.U[:-1], V=model.V[:-1], d=model.d - 1, reg=0.0, lr=0.0)
+        with pytest.raises(ValidationError, match="factor width"):
+            spec.load(SplitContext(ds=ds, split=None, index=0, seed=0, mf_model=narrow), path)
+        path.write_bytes(path.read_bytes()[:-9])
+        with pytest.raises(ValidationError):
+            spec.load(ctx, path)
 
     def test_matrix_stays_symmetric_positive_definite(self, ds, model):
         split = Split(train_users=frozenset(range(10)), test_users=frozenset({10, 11}), seed=0)

@@ -1,3 +1,6 @@
+import csv
+
+import numpy as np
 import pytest
 
 from cfrl import mf
@@ -216,6 +219,41 @@ def test_eval_random_writes_scores(workspace, capsys):
     assert "random task1 split 1" in out
     scores = (tmp_path / "out" / "eval_random_task1_split1.csv").read_text()
     assert scores.startswith("user,score")
+    for line in scores.splitlines()[1:]:
+        float(line.split(",")[1])
+
+
+def test_eval_truncated_checkpoint_exits_2(workspace, capsys):
+    tmp_path, data, cfg_path = workspace
+    assert main(["pretrain", "--config", str(cfg_path)]) == 0
+    assert main(["train", "--config", str(cfg_path), "--method", "cfrl"]) == 0
+    ckpt = tmp_path / "out" / "cfrl_task2_split0.ckpt"
+    ckpt.write_bytes(ckpt.read_bytes()[:-8])
+    capsys.readouterr()
+    assert main(["eval", "--config", str(cfg_path), "--method", "cfrl", "--task", "task2"]) == 2
+    assert "truncated" in capsys.readouterr().err
+
+
+def test_eval_matches_benchmark_cells(workspace):
+    """`cfrl eval` and `cfrl benchmark` build every method the same way."""
+    tmp_path, data, cfg_path = workspace
+    both = tmp_path / "both.ini"
+    both.write_text(cfg_path.read_text().replace("tasks = task1", "tasks = task1,task2"),
+                    encoding="utf-8")
+    methods = ("random", "popular", "impact", "mf")
+    assert main(["benchmark", "--config", str(both), "--methods", ",".join(methods),
+                 "--out", str(tmp_path / "grid")]) == 0
+    rows = csv.reader((tmp_path / "grid" / "report.csv").read_text().splitlines())
+    report = {(method, task, split): score for method, task, _, split, score in rows}
+    assert main(["pretrain", "--config", str(both), "--split", "1"]) == 0
+    for method in methods:
+        for task in ("task1", "task2"):
+            assert main(["eval", "--config", str(both), "--method", method,
+                         "--task", task, "--split", "1"]) == 0
+            path = tmp_path / "out" / f"eval_{method}_{task}_split1.csv"
+            rows = list(csv.reader(path.read_text().splitlines()))[1:]
+            mean = float(np.mean([float(score) for _, score in rows]))
+            assert repr(mean) == report[(method, task, "1")], (method, task)
 
 
 def test_benchmark_single_cell_and_determinism(workspace, capsys):

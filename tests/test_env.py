@@ -186,15 +186,6 @@ def test_no_repeat_property(user, pyrandom):
     assert set(taken).isdisjoint(np.flatnonzero(state.avail).tolist())
 
 
-def test_available_actions_listing(ds):
-    env = InteractiveEnv(ds, toy_model(ds), TaskMode.TASK_II, horizon=2)
-    state = env.reset(0)
-    actions = env.available_actions(state)
-    assert actions.tolist() == list(range(ds.n))
-    _, state, _ = env.step(state, 4)
-    assert 4 not in env.available_actions(state).tolist()
-
-
 def test_trace_round_trip(tmp_path):
     rows = [(0, 3, 0, 7, 4.0, False), (0, 3, 1, 2, 0.0, True)]
     path = tmp_path / "trace.csv"

@@ -3,7 +3,7 @@ import pytest
 
 from cfrl import mf
 from cfrl.dataset import RatingDataset, RatingRecord, make_splits
-from cfrl.errors import DivergenceError
+from cfrl.errors import DivergenceError, ValidationError
 from cfrl.persist import read_manifest
 
 from conftest import make_dataset, needs_ml100k
@@ -124,16 +124,7 @@ def test_online_update_is_pure():
     first = mf.online_update(model, state, 2, 4.0)
     second = mf.online_update(model, state, 2, 4.0)
     np.testing.assert_array_equal(first, second)
-    np.testing.assert_array_equal(model.V, v_before)  # V frozen by default
-
-
-def test_online_update_item_flag_steps_item_vector():
-    rng = np.random.default_rng(2)
-    V = rng.normal(size=(3, 4))
-    model = mf.MfModel(U=np.zeros((3, 1)), V=V.copy(), d=3, reg=0.0, lr=0.01)
-    mf.online_update(model, rng.normal(size=3), 1, 3.0, update_item=True)
-    assert not np.array_equal(model.V[:, 1], V[:, 1])
-    np.testing.assert_array_equal(model.V[:, 0], V[:, 0])
+    np.testing.assert_array_equal(model.V, v_before)  # V stays frozen
 
 
 def _central_difference(f, x, h=1e-6):
@@ -273,3 +264,19 @@ def test_checkpoint_round_trip(tmp_path):
     assert (back.d, back.reg, back.lr) == (model.d, model.reg, model.lr)
     manifest = read_manifest(path)
     assert manifest["train_rmse"] == model.epoch_rmse[-1]
+
+
+def test_checkpoint_load_is_exact(tmp_path):
+    ds = make_dataset({0: {0: 5, 1: 1}, 1: {0: 4, 1: 2}, 2: {2: 3}})
+    model = mf.pretrain(ds, {0, 1}, d=2, reg=0.01, lr=0.01, epochs=1, seed=9)
+    path = tmp_path / "mf.ckpt"
+    mf.save_mf(model, path)
+    good = path.read_bytes()
+    bad = tmp_path / "bad.ckpt"
+    for cut in range(len(good)):
+        bad.write_bytes(good[:cut])
+        with pytest.raises(ValidationError):
+            mf.load_mf(bad)
+    bad.write_bytes(good + b"\x00")
+    with pytest.raises(ValidationError, match="trailing"):
+        mf.load_mf(bad)

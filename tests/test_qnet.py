@@ -306,3 +306,27 @@ def test_checkpoint_round_trip(tmp_path):
     assert read_manifest(path)["seed"] == 13
     with pytest.raises(ValidationError, match="not a Q-network"):
         qnet.load_qnet(tmp_path / "net.ckpt.manifest.json")
+
+
+def test_checkpoint_load_is_exact(tmp_path):
+    net = qnet.qnet_init([3, 4, 5], seed=2)
+    path = tmp_path / "net.ckpt"
+    qnet.save_qnet(net, path)
+    good = path.read_bytes()
+    bad = tmp_path / "bad.ckpt"
+    for cut in range(len(good)):
+        bad.write_bytes(good[:cut])
+        with pytest.raises(ValidationError):
+            qnet.load_qnet(bad)
+    bad.write_bytes(good + b"\x00")
+    with pytest.raises(ValidationError, match="trailing"):
+        qnet.load_qnet(bad)
+    # the activation code is the byte after magic, version, layer count and sizes
+    code_at = 8 + 8 + 4 * 3
+    bad.write_bytes(good[:code_at] + bytes([7]) + good[code_at + 1:])
+    with pytest.raises(ValidationError, match="activation"):
+        qnet.load_qnet(bad)
+    # a corrupt layer count must not make the loader allocate what it claims
+    bad.write_bytes(good[:12] + b"\xff\xff\xff\xff" + good[16:])
+    with pytest.raises(ValidationError, match="truncated"):
+        qnet.load_qnet(bad)
