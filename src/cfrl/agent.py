@@ -2,7 +2,8 @@
 
 One training run repeatedly samples a training user, rolls an episode against
 the environment under epsilon-greedy control, stores transitions in a bounded
-replay memory, and applies one minibatch TD update per environment step, with
+replay memory (arrays, one column per transition field, sampled as one
+qnet.Batch), and applies one minibatch TD update per environment step, with
 the target network re-synced every fixed number of updates. The same loop
 trains both the latent-state agent and the raw-rating-vector variant; the
 state extractor is a parameter.
@@ -12,77 +13,143 @@ from __future__ import annotations
 
 import csv
 import json
+import zipfile
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import qnet
 from .env import InteractiveEnv, TaskMode, run_episode
+from .errors import ValidationError
 from .mf import MfModel
+from .persist import atomic_write
 from .seeding import rng_for
 
 
 @dataclass(frozen=True, eq=False)
-class PackedMask:
-    """Bit-packed availability mask; keeps replay memory small."""
-
-    bits: np.ndarray
-    n: int
-
-    @classmethod
-    def from_bool(cls, mask: np.ndarray) -> "PackedMask":
-        return cls(bits=np.packbits(mask), n=mask.shape[0])
-
-    def to_bool(self) -> np.ndarray:
-        return np.unpackbits(self.bits, count=self.n).astype(bool)
-
-
-@dataclass(frozen=True, eq=False)
 class Transition:
-    """One environment step as stored in replay memory (identity equality)."""
+    """One environment step as an object (identity equality); train_step
+    stacks a sequence of these into a qnet.Batch."""
 
     s: np.ndarray
     a: int
     r: float
     s_next: np.ndarray
     done: bool
-    mask_next: object    # bool vector, index collection, or PackedMask
+    mask_next: object    # bool vector or index collection
 
 
 class ReplayMemory:
-    """Bounded FIFO buffer of transitions; oldest entries are evicted first."""
+    """Bounded FIFO buffer of transitions; oldest entries are evicted first.
 
-    def __init__(self, capacity: int):
+    Transitions are stored column by column in arrays (struct of arrays):
+    states, actions, rewards, successor states, terminal flags and the
+    successor availability masks packed eight actions to a byte. Slot k holds
+    the k-th pushed transition until the buffer is full; after that each push
+    overwrites the oldest slot. The arrays grow geometrically with the rows
+    filled, up to the capacity, so a large capacity costs nothing until used.
+    """
+
+    _MIN_ROWS = 64
+
+    def __init__(self, capacity: int, state_dim: int, n_actions: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._buf = []
+        self.n_actions = n_actions
+        self._shapes = {
+            "s": ((state_dim,), np.float64),
+            "a": ((), np.int64),
+            "r": ((), np.float64),
+            "s_next": ((state_dim,), np.float64),
+            "done": ((), bool),
+            "mask_bits": (((n_actions + 7) // 8,), np.uint8),
+        }
+        self._cols = {k: np.empty((0, *shape), dtype) for k, (shape, dtype) in self._shapes.items()}
+        self._size = 0
         self._next = 0
 
     def __len__(self) -> int:
-        return len(self._buf)
+        return self._size
 
-    def push(self, tr: Transition) -> None:
-        if len(self._buf) < self.capacity:
-            self._buf.append(tr)
+    def _grow(self) -> None:
+        rows = min(self.capacity, max(self._MIN_ROWS, 2 * self._size))
+        for key, col in self._cols.items():
+            grown = np.empty((rows, *col.shape[1:]), col.dtype)
+            grown[: self._size] = col[: self._size]
+            self._cols[key] = grown
+
+    def push(self, s, a: int, r: float, s_next, done: bool, mask_next) -> None:
+        """Store one transition; mask_next is the successor's bool availability."""
+        if self._size < self.capacity:
+            slot = self._size
+            if slot == self._cols["a"].shape[0]:
+                self._grow()
+            self._size += 1
         else:
-            self._buf[self._next] = tr
+            slot = self._next
             self._next = (self._next + 1) % self.capacity
+        cols = self._cols
+        cols["s"][slot] = s
+        cols["a"][slot] = a
+        cols["r"][slot] = r
+        cols["s_next"][slot] = s_next
+        cols["done"][slot] = done
+        cols["mask_bits"][slot] = np.packbits(mask_next)
 
-    def sample(self, batch: int, rng: np.random.Generator) -> list:
+    def sample(self, batch: int, rng: np.random.Generator) -> qnet.Batch:
         """Uniform minibatch; with replacement only while the buffer is smaller
         than the batch."""
-        if not self._buf:
+        if not self._size:
             raise ValueError("cannot sample from an empty replay memory")
-        size = len(self._buf)
-        if size < batch:
-            idx = rng.integers(0, size, size=batch)
+        if self._size < batch:
+            idx = rng.integers(0, self._size, size=batch)
         else:
-            idx = rng.choice(size, size=batch, replace=False)
-        return [self._buf[int(k)] for k in idx]
+            idx = rng.choice(self._size, size=batch, replace=False)
+        cols = self._cols
+        masks = np.unpackbits(cols["mask_bits"][idx], axis=1, count=self.n_actions)
+        return qnet.Batch(s=cols["s"][idx], a=cols["a"][idx], r=cols["r"][idx],
+                          s_next=cols["s_next"][idx], done=cols["done"][idx],
+                          mask_next=masks.view(bool))
 
-    def items(self) -> list:
-        return list(self._buf)
+    def state(self) -> dict:
+        """The filled rows of every column (views, not copies), plus "next":
+        the slot the next push overwrites once the buffer is full."""
+        state = {key: col[: self._size] for key, col in self._cols.items()}
+        state["next"] = np.array([self._next], dtype=np.int64)
+        return state
+
+    def load(self, state: dict) -> None:
+        """Replace the contents with a state() as saved.
+
+        Raises:
+            ValidationError: an array is missing or does not fit this memory's
+                widths, dtypes, capacity or action count.
+        """
+        columns = dict(state)
+        next_slot = columns.pop("next", None)
+        if set(columns) != set(self._shapes):
+            raise ValidationError(f"replay columns {sorted(columns)} != {sorted(self._shapes)}")
+        rows = columns["a"].shape[0] if columns["a"].ndim == 1 else -1
+        for key, (shape, dtype) in self._shapes.items():
+            col = columns[key]
+            if col.dtype != dtype or col.shape != (rows, *shape):
+                raise ValidationError(
+                    f"replay column {key!r} is {col.dtype}{col.shape}, "
+                    f"expected {np.dtype(dtype)}{(rows, *shape)}"
+                )
+        if rows > self.capacity:
+            raise ValidationError(f"replay holds {rows} rows, over the capacity {self.capacity}")
+        if (
+            next_slot is None or next_slot.dtype != np.int64 or next_slot.shape != (1,)
+            or not 0 <= next_slot[0] < (self.capacity if rows == self.capacity else 1)
+        ):
+            raise ValidationError(f"replay next slot {next_slot} is invalid for {rows} rows")
+        if rows and not ((columns["a"] >= 0) & (columns["a"] < self.n_actions)).all():
+            raise ValidationError(f"replay action outside 0..{self.n_actions - 1}")
+        self._cols = {key: np.require(col, requirements="CW") for key, col in columns.items()}
+        self._size = rows
+        self._next = int(next_slot[0])
 
 
 @dataclass
@@ -163,7 +230,7 @@ class QTrainer:
         sizes = (input_dim, *cfg.hidden_sizes, env.n)
         self.net = qnet.qnet_init(sizes, seed=cfg.seed, activation=cfg.activation)
         self.target = qnet.make_target(self.net)
-        self.memory = ReplayMemory(cfg.replay_capacity)
+        self.memory = ReplayMemory(cfg.replay_capacity, input_dim, env.n)
         self.user_rng = rng_for(cfg.seed, "episode-users")
         self.action_rng = rng_for(cfg.seed, "epsilon-greedy")
         self.replay_rng = rng_for(cfg.seed, "replay-sample")
@@ -189,16 +256,8 @@ class QTrainer:
                 return select_action(self.net, self.state_fn(state), state.avail, eps, self.action_rng)
 
             def learn(t, state, action, reward, next_state, done):
-                self.memory.push(
-                    Transition(
-                        s=self.state_fn(state),
-                        a=action,
-                        r=reward,
-                        s_next=self.state_fn(next_state),
-                        done=done,
-                        mask_next=PackedMask.from_bool(next_state.avail),
-                    )
-                )
+                self.memory.push(self.state_fn(state), action, reward,
+                                 self.state_fn(next_state), done, next_state.avail)
                 batch = self.memory.sample(cfg.batch_size, self.replay_rng)
                 losses.append(qnet.train_step(self.net, self.target, batch, cfg.gamma, cfg.q_lr))
                 self.train_steps += 1
@@ -223,7 +282,11 @@ class QTrainer:
         return self.logs
 
     def save(self, path) -> None:
-        """Full-state checkpoint: exact continuation on load."""
+        """Full-state checkpoint: exact continuation on load.
+
+        The state is written to a temporary file beside `path` that then
+        replaces it, so a save that fails part-way leaves the previous state.
+        """
         meta = {
             "episode": self.episode,
             "train_steps": self.train_steps,
@@ -234,52 +297,53 @@ class QTrainer:
             "replay_rng": self.replay_rng.bit_generator.state,
             "logs": [vars(log) for log in self.logs],
         }
-        transitions = self.memory.items()
         arrays = {
             "net": qnet.flatten_params(self.net),
             "target": qnet.flatten_params(self.target.net),
             "meta": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
         }
-        if transitions:
-            arrays["tr_s"] = np.stack([tr.s for tr in transitions])
-            arrays["tr_a"] = np.array([tr.a for tr in transitions], dtype=np.int64)
-            arrays["tr_r"] = np.array([tr.r for tr in transitions], dtype=np.float64)
-            arrays["tr_s_next"] = np.stack([tr.s_next for tr in transitions])
-            arrays["tr_done"] = np.array([tr.done for tr in transitions], dtype=bool)
-            arrays["tr_mask"] = np.stack(
-                [qnet.as_bool_mask(tr.mask_next, self.env.n) for tr in transitions]
-            )
-            arrays["replay_next"] = np.array([self.memory._next], dtype=np.int64)
-        with open(path, "wb") as fh:
+        for key, array in self.memory.state().items():
+            arrays[f"replay_{key}"] = array
+        with atomic_write(path) as fh:
             np.savez(fh, **arrays)
 
     def restore(self, path) -> None:
-        with np.load(path) as data:
-            qnet.assign_params(self.net, data["net"])
-            qnet.assign_params(self.target.net, data["target"])
-            meta = json.loads(bytes(data["meta"].tobytes()).decode())
-            if "tr_a" in data:
-                masks = data["tr_mask"]
-                self.memory._buf = [
-                    Transition(
-                        s=data["tr_s"][k],
-                        a=int(data["tr_a"][k]),
-                        r=float(data["tr_r"][k]),
-                        s_next=data["tr_s_next"][k],
-                        done=bool(data["tr_done"][k]),
-                        mask_next=PackedMask.from_bool(masks[k]),
-                    )
-                    for k in range(data["tr_a"].shape[0])
-                ]
-                self.memory._next = int(data["replay_next"][0])
-        self.episode = meta["episode"]
-        self.train_steps = meta["train_steps"]
-        self.sync_count = meta["sync_count"]
-        self.target.staleness = meta["staleness"]
-        self.user_rng.bit_generator.state = meta["user_rng"]
-        self.action_rng.bit_generator.state = meta["action_rng"]
-        self.replay_rng.bit_generator.state = meta["replay_rng"]
-        self.logs = [EpisodeLog(**row) for row in meta["logs"]]
+        """Continue from a save(). A file that cannot be read or does not fit
+        this trainer (network, action count, replay capacity) raises
+        ValidationError."""
+        try:
+            with np.load(path) as data:
+                arrays = {key: data[key] for key in data.files}
+            params = [arrays.pop(key) for key in ("net", "target")]
+            meta = json.loads(arrays.pop("meta").tobytes().decode())
+            logs = [EpisodeLog(**row) for row in meta["logs"]]
+            counters = [int(meta[key]) for key in ("episode", "train_steps", "sync_count", "staleness")]
+            rng_states = [meta[key] for key in ("user_rng", "action_rng", "replay_rng")]
+        except (OSError, EOFError, ValueError, KeyError, TypeError, zipfile.BadZipFile) as exc:
+            raise ValidationError(f"{path}: unreadable trainer state ({exc})") from None
+        for flat in params:
+            if flat.dtype != np.float64 or flat.shape != (self.net.param_count,):
+                raise ValidationError(
+                    f"{path}: network parameters are {flat.dtype}{flat.shape}, "
+                    f"expected float64{(self.net.param_count,)}"
+                )
+        if any(not key.startswith("replay_") for key in arrays):
+            raise ValidationError(f"{path}: unexpected arrays {sorted(arrays)}")
+        memory = ReplayMemory(self.cfg.replay_capacity, self.net.input_dim, self.env.n)
+        try:
+            memory.load({key[len("replay_"):]: array for key, array in arrays.items()})
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {exc}") from None
+        try:
+            for rng, state in zip((self.user_rng, self.action_rng, self.replay_rng), rng_states):
+                rng.bit_generator.state = state
+        except (ValueError, TypeError, KeyError) as exc:
+            raise ValidationError(f"{path}: invalid RNG state ({exc})") from None
+        qnet.assign_params(self.net, params[0])
+        qnet.assign_params(self.target.net, params[1])
+        self.memory = memory
+        self.episode, self.train_steps, self.sync_count, self.target.staleness = counters
+        self.logs = logs
 
 
 def _effective_model(mf_model: MfModel, cfg: TrainConfig) -> MfModel:

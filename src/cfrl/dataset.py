@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParseError, ValidationError
+from .persist import expect_end, read_exact
 from .seeding import rng_for
 
 # Line formats: MovieLens u.data is tab-separated, ratings.dat uses "::".
@@ -248,21 +249,53 @@ def save_snapshot(ds: RatingDataset, path) -> None:
 
 
 def load_snapshot(path) -> RatingDataset:
-    """Load a snapshot written by save_snapshot."""
+    """Load a snapshot written by save_snapshot.
+
+    Raises:
+        ValidationError: the file is not a snapshot, is truncated or has
+            trailing bytes, or its records are not what save_snapshot writes
+            (ratings in 1..5, (user, item) pairs strictly ascending, m and n
+            equal to the distinct ids).
+    """
     with open(path, "rb") as fh:
         magic = fh.read(len(_SNAPSHOT_MAGIC))
         if magic != _SNAPSHOT_MAGIC:
             raise ValidationError(f"{path}: not a dataset snapshot")
-        version, m, n, count = struct.unpack("<IIIQ", fh.read(20))
+        version, m, n, count = struct.unpack("<IIIQ", read_exact(fh, 20, path))
         if version != _SNAPSHOT_VERSION:
             raise ValidationError(f"{path}: unsupported snapshot version {version}")
-        raw = fh.read(count * 3 * 8)
-    rec = np.frombuffer(raw, dtype=np.int64).reshape(count, 3)
-    records = [
-        RatingRecord(user=int(u), item=int(i), rating=int(r))
-        for u, i, r in rec
-    ]
-    ds = RatingDataset.from_records(records)
-    if (ds.m, ds.n) != (m, n):
+        raw = read_exact(fh, count * 3 * 8, path)
+        expect_end(fh, path)
+    if count == 0:
+        raise ValidationError(f"{path}: no records")
+    users, items, ratings = np.frombuffer(raw, dtype="<i8").reshape(count, 3).T
+    if ((ratings < 1) | (ratings > 5)).any():
+        raise ValidationError(f"{path}: rating outside 1..5")
+    du, di = np.diff(users), np.diff(items)
+    if ((du == 0) & (di == 0)).any():
+        raise ValidationError(f"{path}: duplicate (user, item) record")
+    if ((du < 0) | ((du == 0) & (di < 0))).any():
+        raise ValidationError(f"{path}: records are not in ascending (user, item) order")
+    user_ids, per_user = np.unique(users, return_counts=True)
+    item_ids, item_idx = np.unique(items, return_inverse=True)
+    if (len(user_ids), len(item_ids)) != (m, n):
         raise ValidationError(f"{path}: snapshot header does not match records")
-    return ds
+    ends = np.cumsum(per_user).tolist()
+    # one int object per item index, shared by every user's dict (as from_records does)
+    item_objs = list(range(n))
+    item_list = [item_objs[k] for k in item_idx.tolist()]
+    rating_list = ratings.tolist()
+    user_ratings = [
+        dict(zip(item_list[start:end], rating_list[start:end]))
+        for start, end in zip([0, *ends[:-1]], ends)
+    ]
+    return RatingDataset(
+        m=m,
+        n=n,
+        user_ids=user_ids,
+        item_ids=item_ids,
+        user_index={ext: k for k, ext in enumerate(user_ids.tolist())},
+        item_index={ext: k for k, ext in enumerate(item_ids.tolist())},
+        user_ratings=user_ratings,
+        rating_count=count,
+    )

@@ -1,7 +1,9 @@
-"""Manifest sidecars and exact-length reads shared by the binary checkpoints."""
+"""Manifest sidecars, atomic writes and exact-length reads shared by the
+binary checkpoints."""
 
 import json
 import os
+from contextlib import contextmanager
 
 from .errors import ValidationError
 
@@ -36,3 +38,21 @@ def expect_end(fh, path) -> None:
     """Refuse a checkpoint with bytes past what its header describes."""
     if fh.read(1):
         raise ValidationError(f"{path}: trailing bytes after the checkpoint")
+
+
+@contextmanager
+def atomic_write(path):
+    """Binary file handle whose contents replace `path` only once the block
+    completes and they are on disk; on an exception the previous file at
+    `path` stays as it was."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise

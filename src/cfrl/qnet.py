@@ -5,6 +5,13 @@ semi-gradient rule w += lr * mean[(y - Q(s,a)) * grad Q(s,a)] over a
 minibatch, where the bootstrap target y comes from a periodically synced
 frozen copy and its max ranges over the actions still available in the
 successor state.
+
+The error reaches only the output unit of each taken action, so train_step
+updates just those B rows of the output layer; the hidden layers feed every
+output and are updated densely. Two forward passes stay n-wide: the target's,
+for the max over available successor actions, and the online one, whose
+Q(s, a) must round exactly as forward_batch does (a gathered product over the
+taken rows rounds differently, so a zero residual would not stay zero).
 """
 
 from __future__ import annotations
@@ -120,25 +127,8 @@ def _forward_cached(net: QNetwork, states: np.ndarray):
     return activations
 
 
-def _backprop(net: QNetwork, activations, delta_out):
-    """Parameter gradients given the gradient at the (identity) output layer."""
-    grads_w = [None] * len(net.weights)
-    grads_b = [None] * len(net.biases)
-    delta = delta_out
-    for l in range(len(net.weights) - 1, -1, -1):
-        grads_w[l] = delta.T @ activations[l]
-        grads_b[l] = delta.sum(axis=0)
-        if l > 0:
-            delta = (delta @ net.weights[l]) * _act_deriv_from_output(
-                net.activation, activations[l]
-            )
-    return grads_w, grads_b
-
-
 def as_bool_mask(mask, n: int) -> np.ndarray:
-    """Normalize an availability mask (bool vector, index collection, or packed)."""
-    if hasattr(mask, "to_bool"):
-        return mask.to_bool()
+    """Normalize an availability mask (bool vector or index collection)."""
     arr = np.asarray(mask)
     if arr.dtype == bool:
         if arr.shape != (n,):
@@ -177,11 +167,43 @@ def td_target(transition, target: TargetNetwork, gamma: float, mask_next) -> flo
     return float(transition.r + gamma * np.max(q_next[mask]))
 
 
+@dataclass(frozen=True)
+class Batch:
+    """A minibatch of transitions as arrays, one row per transition."""
+
+    s: np.ndarray           # (B, input_dim) states
+    a: np.ndarray           # (B,) int64 taken actions
+    r: np.ndarray           # (B,) float64 rewards
+    s_next: np.ndarray      # (B, input_dim) successor states
+    done: np.ndarray        # (B,) bool terminal flags
+    mask_next: np.ndarray   # (B, n) bool availability at the successor state
+
+    @classmethod
+    def stack(cls, transitions, n: int) -> "Batch":
+        """Stack objects exposing s, a, r, s_next, done and mask_next."""
+        if not transitions:
+            raise ValueError("empty batch")
+        return cls(
+            s=np.stack([tr.s for tr in transitions]),
+            a=np.array([tr.a for tr in transitions], dtype=np.int64),
+            r=np.array([tr.r for tr in transitions], dtype=np.float64),
+            s_next=np.stack([tr.s_next for tr in transitions]),
+            done=np.array([tr.done for tr in transitions], dtype=bool),
+            mask_next=np.stack([as_bool_mask(tr.mask_next, n) for tr in transitions]),
+        )
+
+
 def train_step(net: QNetwork, target: TargetNetwork, batch, gamma: float, lr: float) -> float:
     """One averaged semi-gradient step on a minibatch of transitions.
 
-    Only the output unit of each taken action receives an error signal. The
-    target network's staleness counter advances by one.
+    Args:
+        batch: a Batch, or a sequence of transitions, which is stacked into one.
+
+    Only the output unit of each taken action receives an error signal, so
+    the output layer is updated on the B taken rows alone (a scatter-subtract;
+    rows taken twice accumulate both updates). The hidden layers, which every
+    output depends on, are updated densely. The target network's staleness
+    counter advances by one.
 
     Returns:
         Mean squared TD error of the batch before the parameter update.
@@ -191,43 +213,47 @@ def train_step(net: QNetwork, target: TargetNetwork, batch, gamma: float, lr: fl
         ValueError: empty batch, or a non-terminal transition with no
             available successor actions.
     """
-    if not batch:
+    if not isinstance(batch, Batch):
+        batch = Batch.stack(batch, net.output_dim)
+    batch_size = batch.a.shape[0]
+    if batch_size == 0:
         raise ValueError("empty batch")
-    n = net.output_dim
-    batch_size = len(batch)
-    states = np.stack([tr.s for tr in batch])
-    actions = np.array([tr.a for tr in batch], dtype=np.int64)
-    rewards = np.array([tr.r for tr in batch], dtype=np.float64)
-    done = np.array([tr.done for tr in batch], dtype=bool)
+    actions = batch.a
 
     # overflow here is the divergence signal, caught by the finiteness check
     with np.errstate(over="ignore", invalid="ignore"):
-        y = rewards.copy()
-        live = np.flatnonzero(~done)
+        y = batch.r.copy()
+        live = np.flatnonzero(~batch.done)
         if live.size:
-            next_states = np.stack([batch[k].s_next for k in live])
-            q_next = forward_batch(target.net, next_states)
-            masks = np.stack([as_bool_mask(batch[k].mask_next, n) for k in live])
+            q_next = forward_batch(target.net, batch.s_next[live])
+            masks = batch.mask_next[live]
             if not masks.any(axis=1).all():
                 raise ValueError("non-terminal transition with no available next actions")
             best = np.where(masks, q_next, -np.inf).max(axis=1)
             y[live] += gamma * best
 
-        activations = _forward_cached(net, states)
-        q = activations[-1]
-        rows = np.arange(batch_size)
-        residual = y - q[rows, actions]
+        activations = _forward_cached(net, batch.s)
+        residual = y - activations[-1][np.arange(batch_size), actions]
         loss = float(np.mean(residual**2))
         if not np.isfinite(loss):
             raise DivergenceError("TD loss became non-finite; lower the learning rate")
 
-        delta_out = np.zeros_like(q)
-        delta_out[rows, actions] = -residual / batch_size
-        grads_w, grads_b = _backprop(net, activations, delta_out)
-        for w, gw in zip(net.weights, grads_w):
-            w -= lr * gw
-        for b, gb in zip(net.biases, grads_b):
-            b -= lr * gb
+        # error at each taken output unit; every other output's error is zero
+        d = -residual / batch_size
+        last = len(net.weights) - 1
+        w_out = net.weights[last]
+        # gradient at the last hidden layer's output, from the weights before the update
+        delta = d[:, None] * w_out[actions]
+        np.subtract.at(w_out, actions, lr * (d[:, None] * activations[last]))
+        np.subtract.at(net.biases[last], actions, lr * d)
+        for l in range(last - 1, -1, -1):
+            delta = delta * _act_deriv_from_output(net.activation, activations[l + 1])
+            grad_w = delta.T @ activations[l]
+            grad_b = delta.sum(axis=0)
+            if l > 0:
+                delta = delta @ net.weights[l]
+            net.weights[l] -= lr * grad_w
+            net.biases[l] -= lr * grad_b
     target.staleness += 1
     return loss
 

@@ -1,14 +1,15 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from cfrl import mf, qnet
 from cfrl.agent import (
     EpisodeLog,
-    PackedMask,
     QTrainer,
     ReplayMemory,
     TrainConfig,
-    Transition,
     epsilon_at,
     eligible_train_users,
     make_trainer,
@@ -20,6 +21,7 @@ from cfrl.agent import (
 from cfrl.baselines import GreedyQPolicy
 from cfrl.dataset import Split
 from cfrl.env import TaskMode
+from cfrl.errors import ValidationError
 from cfrl.evaluate import evaluate_policy
 from cfrl.seeding import rng_for
 
@@ -27,18 +29,12 @@ from conftest import PLANTED_ITEM, make_dataset, planted_profiles, synthetic_pro
 from toy_mdp import ChainEnv, LIVE_STATES, value_iteration
 
 
-def _dummy_transition(n=4):
-    return Transition(
-        s=np.zeros(2), a=0, r=1.0, s_next=np.zeros(2), done=True,
-        mask_next=PackedMask.from_bool(np.ones(n, dtype=bool)),
-    )
-
-
-def test_packed_mask_round_trip():
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        mask = rng.random(int(rng.integers(1, 40))) < 0.5
-        np.testing.assert_array_equal(PackedMask.from_bool(mask).to_bool(), mask)
+def _push_rows(mem, count, start=0):
+    """Push transitions whose reward is their push number, so a row names itself."""
+    for k in range(start, start + count):
+        mask = np.arange(mem.n_actions) != k % mem.n_actions
+        mem.push(np.full(2, float(k)), k % mem.n_actions, float(k), np.full(2, k + 0.5),
+                 k % 2 == 0, mask)
 
 
 class TestSelectAction:
@@ -82,62 +78,85 @@ class TestSelectAction:
 
 class TestReplayMemory:
     def test_fifo_eviction(self):
-        mem = ReplayMemory(capacity=2)
-        trs = [_dummy_transition() for _ in range(3)]
-        for tr in trs:
-            mem.push(tr)
+        mem = ReplayMemory(capacity=2, state_dim=2, n_actions=4)
+        _push_rows(mem, 3)
         assert len(mem) == 2
-        kept = mem.items()
-        assert trs[0] not in kept
-        assert trs[1] in kept and trs[2] in kept
+        # the third push overwrote slot 0, the oldest transition
+        assert mem.state()["r"].tolist() == [2.0, 1.0]
+        _push_rows(mem, 1, start=3)
+        assert mem.state()["r"].tolist() == [2.0, 3.0]
+
+    def test_sample_returns_the_pushed_rows(self):
+        mem = ReplayMemory(capacity=10, state_dim=2, n_actions=11)
+        _push_rows(mem, 10)
+        batch = mem.sample(10, rng_for(0, "r"))
+        k = batch.r.astype(np.int64)
+        np.testing.assert_array_equal(batch.s, np.repeat(k[:, None], 2, axis=1).astype(float))
+        np.testing.assert_array_equal(batch.s_next, batch.s + 0.5)
+        np.testing.assert_array_equal(batch.a, k % 11)
+        np.testing.assert_array_equal(batch.done, k % 2 == 0)
+        assert batch.mask_next.dtype == bool and batch.mask_next.shape == (10, 11)
+        np.testing.assert_array_equal(batch.mask_next, np.arange(11)[None, :] != (k % 11)[:, None])
 
     def test_sample_forced_duplicates_below_batch(self):
-        mem = ReplayMemory(capacity=10)
-        tr = _dummy_transition()
-        mem.push(tr)
+        mem = ReplayMemory(capacity=10, state_dim=2, n_actions=4)
+        _push_rows(mem, 1)
         batch = mem.sample(4, rng_for(0, "r"))
-        assert batch == [tr, tr, tr, tr]
+        assert batch.r.tolist() == [0.0] * 4
 
     def test_sample_without_replacement_at_capacity(self):
-        mem = ReplayMemory(capacity=10)
-        trs = [_dummy_transition() for _ in range(6)]
-        for tr in trs:
-            mem.push(tr)
+        mem = ReplayMemory(capacity=10, state_dim=2, n_actions=4)
+        _push_rows(mem, 6)
         batch = mem.sample(6, rng_for(0, "r"))
-        assert len({id(tr) for tr in batch}) == 6
+        assert sorted(batch.r.tolist()) == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
 
     def test_sample_uniformity(self):
-        mem = ReplayMemory(capacity=10)
-        trs = [_dummy_transition() for _ in range(10)]
-        for tr in trs:
-            mem.push(tr)
-        index = {id(tr): k for k, tr in enumerate(trs)}
+        mem = ReplayMemory(capacity=10, state_dim=2, n_actions=4)
+        _push_rows(mem, 10)
         rng = rng_for(1, "uniform")
         counts = np.zeros(10)
         draws = 100_000
         for _ in range(draws):
-            counts[index[id(mem.sample(1, rng)[0])]] += 1
+            counts[int(mem.sample(1, rng).r[0])] += 1
         np.testing.assert_allclose(counts / draws, 0.1, atol=0.01)
 
     def test_sample_reproducible_and_empty_error(self):
-        mem = ReplayMemory(capacity=5)
+        mem = ReplayMemory(capacity=5, state_dim=2, n_actions=4)
         with pytest.raises(ValueError, match="empty"):
             mem.sample(1, rng_for(0, "x"))
-        for _ in range(5):
-            mem.push(_dummy_transition())
-        a = [id(t) for t in mem.sample(3, rng_for(7, "s"))]
-        b = [id(t) for t in mem.sample(3, rng_for(7, "s"))]
+        _push_rows(mem, 5)
+        a = mem.sample(3, rng_for(7, "s")).r.tolist()
+        b = mem.sample(3, rng_for(7, "s")).r.tolist()
         assert a == b
 
     def test_stress_size_never_exceeds_capacity(self):
-        mem = ReplayMemory(capacity=1000)
-        tr = _dummy_transition()
-        rng = rng_for(2, "stress")
+        mem = ReplayMemory(capacity=1000, state_dim=2, n_actions=4)
+        s, mask = np.zeros(2), np.ones(4, dtype=bool)
         for k in range(1_000_000):
-            mem.push(tr)
+            mem.push(s, 0, 1.0, s, True, mask)
             if k % 100_000 == 0:
                 assert len(mem) <= 1000
         assert len(mem) == 1000
+        assert all(col.shape[0] == 1000 for key, col in mem.state().items() if key != "next")
+
+    def test_memory_grows_with_rows_filled_not_capacity(self):
+        # raw-state rows: two 1,586-wide float64 states each, at the default
+        # capacity of 100,000 (2.5 GB if the capacity were allocated up front)
+        n = 1586
+        mem = ReplayMemory(TrainConfig(episodes=1).replay_capacity, state_dim=n, n_actions=n)
+        rng = np.random.default_rng(0)
+        s, mask = rng.normal(size=n), rng.random(n) < 0.5
+        tracemalloc.start()
+        try:
+            for k in range(1000):
+                mem.push(s, k, 1.0, s, False, mask)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        row_bytes = sum(col[0].nbytes for key, col in mem.state().items() if key != "next")
+        assert row_bytes == 2 * n * 8 + 8 + 8 + 1 + (n + 7) // 8
+        assert held <= 1.1 * 1000 * row_bytes
+        np.testing.assert_array_equal(mem.sample(1, rng).mask_next[0], mask)
 
 
 def test_epsilon_schedule():
@@ -225,6 +244,117 @@ def test_trainer_save_restore_continues_exactly(tmp_path, small_setup):
     )
     assert resumed.logs == straight.logs
     assert resumed.train_steps == straight.train_steps
+
+
+def test_failed_save_keeps_previous_state(tmp_path, monkeypatch, small_setup):
+    ds, split, model = small_setup
+    cfg = TrainConfig(episodes=6, horizon=3, hidden_sizes=(8,), task=TaskMode.TASK_II, seed=2)
+    straight = make_trainer(ds, split, model, cfg)
+    straight.run()
+
+    first = make_trainer(ds, split, model, cfg)
+    first.run(until_episode=3)
+    path = tmp_path / "state.npz"
+    first.save(path)
+    first.run(until_episode=4)
+
+    def crash(fh, **arrays):
+        fh.write(b"PK\x03\x04 partial archive")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "savez", crash)
+    with pytest.raises(OSError, match="disk full"):
+        first.save(path)
+    monkeypatch.undo()
+    assert [p.name for p in tmp_path.iterdir()] == ["state.npz"]
+
+    resumed = make_trainer(ds, split, model, cfg)
+    resumed.restore(path)
+    assert resumed.episode == 3
+    resumed.run()
+    assert (
+        qnet.flatten_params(resumed.net).tobytes()
+        == qnet.flatten_params(straight.net).tobytes()
+    )
+    assert resumed.logs == straight.logs
+
+
+def _rewrite_state(src, dst, **changes):
+    """Copy a trainer state archive with arrays replaced (None drops one)."""
+    with np.load(src) as data:
+        arrays = {key: data[key] for key in data.files}
+    for key, value in changes.items():
+        if value is None:
+            del arrays[key]
+        else:
+            arrays[key] = value
+    with open(dst, "wb") as fh:
+        np.savez(fh, **arrays)
+    return dst
+
+
+def test_restore_rejects_states_that_do_not_fit(tmp_path, small_setup):
+    ds, split, model = small_setup
+    cfg = TrainConfig(episodes=2, horizon=3, hidden_sizes=(8,), task=TaskMode.TASK_II,
+                      batch_size=4, seed=2)
+    trainer = make_trainer(ds, split, model, cfg)
+    trainer.run()
+    good = tmp_path / "state.npz"
+    trainer.save(good)
+    with np.load(good) as data:
+        s, a, bits = data["replay_s"], data["replay_a"], data["replay_mask_bits"]
+        net = data["net"]
+    bad = tmp_path / "bad.npz"
+    cases = [  # (changed arrays, None for the file cut 40 bytes short; message)
+        (None, "not a zip"),
+        ({"net": None}, "unreadable"),
+        ({"replay_done": None}, "replay columns"),
+        ({"net": net[:-1]}, "parameters"),
+        ({"net": net.astype(np.float32)}, "parameters"),
+        ({"replay_s": s[:, :-1]}, "'s'"),
+        ({"replay_mask_bits": bits[:, :-1]}, "'mask_bits'"),
+        ({"replay_a": a[:-1]}, "replay column"),
+        ({"replay_a": a + ds.n}, "action outside"),
+        ({"replay_next": np.array([1], dtype=np.int64)}, "next slot"),
+        ({"meta": np.frombuffer(b"{not json", dtype=np.uint8)}, "unreadable"),
+    ]
+    for changes, message in cases:
+        if changes is None:
+            bad.write_bytes(good.read_bytes()[:-40])
+        else:
+            _rewrite_state(good, bad, **changes)
+        fresh = make_trainer(ds, split, model, cfg)
+        with pytest.raises(ValidationError, match=message):
+            fresh.restore(bad)
+    # a smaller replay capacity cannot hold the saved rows
+    small = make_trainer(ds, split, model, replace(cfg, replay_capacity=len(a) - 1))
+    with pytest.raises(ValidationError, match="capacity"):
+        small.restore(good)
+    wider = make_trainer(ds, split, model, replace(cfg, hidden_sizes=(9,)))
+    with pytest.raises(ValidationError, match="parameters"):
+        wider.restore(good)
+
+
+def test_restore_of_a_full_ring_keeps_evicting_in_order(tmp_path, small_setup):
+    ds, split, model = small_setup
+    cfg = TrainConfig(episodes=4, horizon=3, hidden_sizes=(8,), task=TaskMode.TASK_II,
+                      batch_size=4, replay_capacity=5, seed=2)
+    straight = make_trainer(ds, split, model, cfg)
+    straight.run()
+    first = make_trainer(ds, split, model, cfg)
+    first.run(until_episode=2)
+    path = tmp_path / "state.npz"
+    first.save(path)
+    resumed = make_trainer(ds, split, model, cfg)
+    resumed.restore(path)
+    assert len(resumed.memory) == 5 and resumed.memory.state()["next"].tolist() == [1]
+    resumed.run()
+    for key, col in straight.memory.state().items():
+        np.testing.assert_array_equal(resumed.memory.state()[key], col)
+    assert (
+        qnet.flatten_params(resumed.net).tobytes()
+        == qnet.flatten_params(straight.net).tobytes()
+    )
 
 
 def test_state_update_hyperparameter_overrides(small_setup):

@@ -179,6 +179,17 @@ def test_train_resume_matches_uninterrupted_run(workspace):
     assert [log.episode for log in logs] == list(range(5))
 
 
+def test_train_resume_from_truncated_state_exits_2(workspace, capsys):
+    tmp_path, data, cfg_path = workspace
+    assert main(["pretrain", "--config", str(cfg_path)]) == 0
+    assert main(["train", "--config", str(cfg_path), "--method", "cfrl"]) == 0
+    state = tmp_path / "out" / "cfrl_task2_split0_state.npz"
+    state.write_bytes(state.read_bytes()[:-40])
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg_path), "--method", "cfrl", "--resume"]) == 2
+    assert str(state) in capsys.readouterr().err
+
+
 def test_train_divergence_exits_1(workspace, capsys):
     tmp_path, data, cfg_path = workspace
     bad = tmp_path / "bad.ini"

@@ -175,6 +175,64 @@ def test_snapshot_round_trip(tmp_path, synth_ds):
     assert np.array_equal(back.user_ids, synth_ds.user_ids)
 
 
+def test_snapshot_round_trip_equals_load_ratings(tmp_path, synth_file):
+    ds = load_ratings(synth_file, "tab")
+    path = tmp_path / "ds.snap"
+    save_snapshot(ds, path)
+    back = load_snapshot(path)
+    assert (back.m, back.n, back.rating_count) == (ds.m, ds.n, ds.rating_count)
+    for got, want in ((back.user_ids, ds.user_ids), (back.item_ids, ds.item_ids)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert back.user_index == ds.user_index and back.item_index == ds.item_index
+    assert [list(d.items()) for d in back.user_ratings] == [
+        list(d.items()) for d in ds.user_ratings
+    ]
+    for got, want in zip(back.triples(), ds.triples()):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_snapshot_load_is_exact(tmp_path, synth_ds):
+    path = tmp_path / "ds.snap"
+    save_snapshot(synth_ds, path)
+    good = path.read_bytes()
+    bad = tmp_path / "bad.snap"
+    bad.write_bytes(good + bytes(24))
+    with pytest.raises(ValidationError, match="trailing"):
+        load_snapshot(bad)
+    bad.write_bytes(good[:-8])
+    with pytest.raises(ValidationError, match="truncated"):
+        load_snapshot(bad)
+
+
+def _edited_snapshot(tmp_path, ds, edit):
+    """Snapshot of ds whose (count, 3) record array was changed in place by edit."""
+    path = tmp_path / "ds.snap"
+    save_snapshot(ds, path)
+    raw = path.read_bytes()
+    header = 8 + 20
+    rec = np.frombuffer(raw[header:], dtype="<i8").reshape(-1, 3).copy()
+    edit(rec)
+    path.write_bytes(raw[:header] + rec.tobytes())
+    return path
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda rec: rec.__setitem__([0, 1], rec[[1, 0]]), "order"),
+        (lambda rec: rec.__setitem__(-1, rec[0]), "order"),
+        (lambda rec: rec.__setitem__(1, rec[0]), "duplicate"),
+        (lambda rec: rec.__setitem__((2, 2), 6), "outside 1..5"),
+        (lambda rec: rec.__setitem__((3, 2), 0), "outside 1..5"),
+        (lambda rec: rec.__setitem__((-1, 1), rec[:, 1].max() + 1), "header"),
+    ],
+)
+def test_snapshot_rejects_records_save_snapshot_cannot_write(tmp_path, synth_ds, edit, message):
+    path = _edited_snapshot(tmp_path, synth_ds, edit)
+    with pytest.raises(ValidationError, match=message):
+        load_snapshot(path)
+
+
 def test_snapshot_rejects_other_files(tmp_path, synth_file):
     with pytest.raises(ValidationError, match="not a dataset snapshot"):
         load_snapshot(synth_file)

@@ -176,6 +176,65 @@ def test_train_step_gradient_matches_finite_differences(activation, seed):
     assert rel.max() < 1e-4
 
 
+def _dense_reference_step(net, target, batch, gamma, lr):
+    """The TD update written densely: a (B, n) output error that is zero off
+    the taken actions, backpropagated through every layer."""
+    n = net.output_dim
+    states = np.stack([tr.s for tr in batch])
+    rows = np.arange(len(batch))
+    actions = np.array([tr.a for tr in batch])
+    y = np.array([qnet.td_target(tr, target, gamma, tr.mask_next) for tr in batch])
+    acts = [states]
+    for l, (w, b) in enumerate(zip(net.weights, net.biases)):
+        z = acts[-1] @ w.T + b
+        acts.append(z if l == len(net.weights) - 1 else qnet._act(net.activation, z))
+    residual = y - acts[-1][rows, actions]
+    delta = np.zeros((len(batch), n))
+    delta[rows, actions] = -residual / len(batch)
+    grads = []
+    for l in range(len(net.weights) - 1, -1, -1):
+        grads.append((l, delta.T @ acts[l], delta.sum(axis=0)))
+        if l > 0:
+            delta = (delta @ net.weights[l]) * qnet._act_deriv_from_output(net.activation, acts[l])
+    for l, gw, gb in grads:
+        net.weights[l] -= lr * gw
+        net.biases[l] -= lr * gb
+    return float(np.mean(residual**2))
+
+
+@pytest.mark.parametrize("hidden", [(), (6,), (6, 5)])
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_train_step_matches_dense_reference(hidden, activation):
+    rng = np.random.default_rng(len(hidden))
+    net = qnet.qnet_init([4, *hidden, 5], seed=3, activation=activation)
+    target = qnet.make_target(qnet.qnet_init([4, *hidden, 5], seed=4, activation=activation))
+    reference = net.copy()
+    for step in range(20):
+        batch = _random_batch(rng, net, size=8)  # 8 actions over 5 outputs: repeats
+        assert len({tr.a for tr in batch}) < len(batch)
+        loss = qnet.train_step(net, target, batch, gamma=0.9, lr=0.05)
+        ref_loss = _dense_reference_step(reference, target, batch, gamma=0.9, lr=0.05)
+        assert loss == pytest.approx(ref_loss, rel=1e-12)
+        np.testing.assert_allclose(
+            qnet.flatten_params(net), qnet.flatten_params(reference), rtol=1e-12, atol=0
+        )
+
+
+def test_train_step_takes_a_stacked_batch():
+    rng = np.random.default_rng(3)
+    net = qnet.qnet_init([3, 4, 5], seed=1)
+    target = qnet.make_target(net)
+    batch = _random_batch(rng, net, size=6)
+    stacked = qnet.Batch.stack(batch, net.output_dim)
+    other = net.copy()
+    assert qnet.train_step(net, target, batch, 0.9, 0.1) == qnet.train_step(
+        other, qnet.make_target(other), stacked, 0.9, 0.1
+    )
+    assert qnet.flatten_params(net).tobytes() == qnet.flatten_params(other).tobytes()
+    with pytest.raises(ValueError, match="empty"):
+        qnet.train_step(net, target, [], 0.9, 0.1)
+
+
 def test_train_step_zero_residual_leaves_parameters_unchanged():
     rng = np.random.default_rng(5)
     net = qnet.qnet_init([3, 6, 4], seed=5)
