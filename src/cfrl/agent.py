@@ -22,7 +22,7 @@ from . import qnet
 from .env import InteractiveEnv, TaskMode, run_episode
 from .errors import ValidationError
 from .mf import MfModel
-from .persist import atomic_write
+from .persist import save_npz
 from .seeding import rng_for
 
 
@@ -304,8 +304,7 @@ class QTrainer:
         }
         for key, array in self.memory.state().items():
             arrays[f"replay_{key}"] = array
-        with atomic_write(path) as fh:
-            np.savez(fh, **arrays)
+        save_npz(path, arrays)
 
     def restore(self, path) -> None:
         """Continue from a save(). A file that cannot be read or does not fit

@@ -133,8 +133,17 @@ class LinUcbModel:
 class LinUcbPolicy(Policy):
     """Upper-confidence-bound scorer on concatenated state/item contexts.
 
-    The ridge statistics update online while frozen=False (training) and stay
-    fixed during evaluation; the user state always updates from feedback.
+    A context x = [s; v_i] joins the user state s and the item vector v_i
+    and scores x.theta + alpha * sqrt(x' M x), with M = A^-1 and theta = M b.
+    The policy inverts A and solves for theta once, and keeps the per-item
+    terms q_i = v_i' M22 v_i (M22 is the item block of M), so an act costs
+    O(n * d) and runs no solver.
+
+    While frozen=False (training) the policy owns model.A and model.b:
+    observe adds the rank-one term x x' to A and r x to b, and updates M,
+    theta and q to match by Sherman-Morrison (Li et al. 2010), so nothing
+    else may change them while the policy is in use. Frozen, they stay fixed
+    during evaluation. The user state always updates from feedback.
     """
 
     def __init__(self, model: LinUcbModel, mf_model: mf.MfModel, frozen: bool = True):
@@ -142,29 +151,39 @@ class LinUcbPolicy(Policy):
         self.mf_model = mf_model
         self.frozen = frozen
         self.state = mf.init_user_state(mf_model.d)
+        V, d = mf_model.V, mf_model.d
+        self._inv = np.linalg.inv(model.A)
+        self._theta = np.linalg.solve(model.A, model.b)
+        self._q = np.einsum("ij,ij->j", V, self._inv[d:, d:] @ V)
 
     def begin_episode(self, user: int) -> None:
         self.state = mf.init_user_state(self.mf_model.d)
+
+    def scores(self, items: np.ndarray) -> np.ndarray:
+        """Upper confidence bound of each listed item under the current state."""
+        d, s, inv, theta = self.mf_model.d, self.state, self._inv, self._theta
+        # v_i.theta2 and 2 (M21 s).v_i for every item; one (2, d) @ (d, n) product
+        linear, cross = np.stack([theta[d:], 2.0 * (inv[d:, :d] @ s)]) @ self.mf_model.V
+        spread = s @ inv[:d, :d] @ s + cross[items] + self._q[items]
+        return s @ theta[:d] + linear[items] + self.model.alpha_ucb * np.sqrt(spread)
 
     def act(self, avail: np.ndarray) -> int:
         choices = np.flatnonzero(avail)
         if choices.size == 0:
             raise ValueError("empty availability mask")
-        contexts = np.concatenate(
-            [np.tile(self.state, (choices.size, 1)), self.mf_model.V[:, choices].T],
-            axis=1,
-        )
-        theta = np.linalg.solve(self.model.A, self.model.b)
-        spread = np.linalg.solve(self.model.A, contexts.T)
-        bonus = np.sqrt(np.sum(contexts.T * spread, axis=0))
-        scores = contexts @ theta + self.model.alpha_ucb * bonus
-        return int(choices[int(np.argmax(scores))])
+        return int(choices[int(np.argmax(self.scores(choices)))])
 
     def observe(self, item: int, reward: float) -> None:
         if not self.frozen:
+            d = self.mf_model.d
             x = np.concatenate([self.state, self.mf_model.V[:, item]])
             self.model.A += np.outer(x, x)
             self.model.b += reward * x
+            u = self._inv @ x
+            scale = 1.0 + x @ u
+            self._theta += u * ((reward - x @ self._theta) / scale)
+            self._inv -= np.outer(u, u) / scale
+            self._q -= (u[d:] @ self.mf_model.V) ** 2 / scale
         self.state = mf.online_update(self.mf_model, self.state, item, reward)
 
 

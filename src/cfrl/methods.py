@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import agent, baselines, qnet
+from . import agent, baselines, persist, qnet
 from .errors import ValidationError
 from .seeding import derive_seed
 
@@ -62,6 +62,17 @@ def _load_linucb(ctx, path) -> baselines.LinUcbModel:
     shapes, width = (A.shape, b.shape, alpha.shape), 2 * ctx.mf_model.d
     if shapes != ((width, width), (width,), (1,)):
         raise ValidationError(f"{path}: LinUCB shapes {shapes} do not fit factor width {width // 2}")
+    if any(x.dtype != np.float64 or not np.isfinite(x).all() for x in (A, b, alpha)):
+        raise ValidationError(f"{path}: LinUCB statistics are not finite float64")
+    # The policy inverts A once and scores with the blocks of A^-1 as a
+    # symmetric matrix, so A must be symmetric positive definite.
+    try:
+        np.linalg.cholesky(A)
+        spd = np.array_equal(A, A.T)
+    except np.linalg.LinAlgError:
+        spd = False
+    if not spd:
+        raise ValidationError(f"{path}: LinUCB matrix A is not symmetric positive definite")
     return baselines.LinUcbModel(A=A, b=b, alpha_ucb=float(alpha[0]))
 
 
@@ -97,8 +108,8 @@ METHODS = {
         lambda ctx, ucb: (baselines.LinUcbPolicy(ucb, ctx.mf_model, frozen=True), ctx.mf_model),
         fit=lambda ctx, cfg: baselines.train_linucb(
             ctx.ds, ctx.split, ctx.mf_model, cfg, alpha_ucb=ctx.linucb_alpha),
-        save=lambda ucb, path, manifest=None: np.savez(
-            path, A=ucb.A, b=ucb.b, alpha_ucb=np.array([ucb.alpha_ucb])),
+        save=lambda ucb, path, manifest=None: persist.save_npz(
+            path, {"A": ucb.A, "b": ucb.b, "alpha_ucb": np.array([ucb.alpha_ucb])}),
         load=_load_linucb,
         suffix=".npz",
     ),

@@ -26,6 +26,9 @@ _MF_VERSION = 1
 # Symmetric small init is the usual convention for SGD matrix factorization.
 _INIT_SCALE = 0.01
 
+# Ratings per block when _rmse gathers factors (16 x 8192 float64 is 1 MiB).
+_RMSE_BLOCK = 8192
+
 
 @dataclass
 class MfModel:
@@ -133,7 +136,12 @@ def pretrain(
 
 
 def _rmse(U, V, users, items, ratings) -> float:
-    pred = np.sum(U[:, users] * V[:, items], axis=0)
+    """Predictions go into one (ratings,) array, block by block, so the d x
+    ratings gathers of U, V and their product never exist whole."""
+    pred = np.empty(ratings.size)
+    for start in range(0, ratings.size, _RMSE_BLOCK):
+        block = slice(start, start + _RMSE_BLOCK)
+        pred[block] = np.sum(U[:, users[block]] * V[:, items[block]], axis=0)
     return float(np.sqrt(np.mean((pred - ratings) ** 2)))
 
 

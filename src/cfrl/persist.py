@@ -3,7 +3,10 @@ binary checkpoints."""
 
 import json
 import os
+import zipfile
 from contextlib import contextmanager
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -56,3 +59,20 @@ def atomic_write(path):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def save_npz(path, arrays: dict) -> None:
+    """Write `arrays` atomically to `path` as an uncompressed archive that
+    np.load reads.
+
+    Each array goes into its zip member in one write from its own buffer;
+    np.savez would copy it out in 16 MiB chunks first, because a zip member
+    is not a real file.
+    """
+    with atomic_write(path) as fh, zipfile.ZipFile(fh, "w", zipfile.ZIP_STORED, allowZip64=True) as zf:
+        for name, array in arrays.items():
+            array = np.asarray(array, order="C")
+            with zf.open(f"{name}.npy", "w", force_zip64=True) as member:
+                np.lib.format.write_array_header_1_0(
+                    member, np.lib.format.header_data_from_array_1_0(array))
+                member.write(array.reshape(-1).view(np.uint8))

@@ -258,11 +258,16 @@ def test_failed_save_keeps_previous_state(tmp_path, monkeypatch, small_setup):
     first.save(path)
     first.run(until_episode=4)
 
-    def crash(fh, **arrays):
-        fh.write(b"PK\x03\x04 partial archive")
-        raise OSError("disk full")
+    real_header = np.lib.format.write_array_header_1_0
+    headers = []
 
-    monkeypatch.setattr(np, "savez", crash)
+    def crash_on_third_array(fh, header):
+        headers.append(header)
+        if len(headers) == 3:
+            raise OSError("disk full")
+        real_header(fh, header)
+
+    monkeypatch.setattr(np.lib.format, "write_array_header_1_0", crash_on_third_array)
     with pytest.raises(OSError, match="disk full"):
         first.save(path)
     monkeypatch.undo()

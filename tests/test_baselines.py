@@ -3,7 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from cfrl import mf, qnet
+from cfrl import baselines, mf, qnet
 from cfrl.agent import TrainConfig
 from cfrl.baselines import (
     GreedyQPolicy,
@@ -154,6 +154,39 @@ class TestOnlineMf:
         assert not policy.state.any()
 
 
+def reference_ucb_scores(ucb, mf_model, state, choices):
+    """LinUCB scores by two dense solves against A per call, as the policy
+    once computed them."""
+    contexts = np.concatenate(
+        [np.tile(state, (choices.size, 1)), mf_model.V[:, choices].T], axis=1)
+    theta = np.linalg.solve(ucb.A, ucb.b)
+    spread = np.linalg.solve(ucb.A, contexts.T)
+    return contexts @ theta + ucb.alpha_ucb * np.sqrt(np.sum(contexts.T * spread, axis=0))
+
+
+class ReferenceLinUcbPolicy(baselines.Policy):
+    """The two-solve LinUCB policy, kept as the oracle for the cached one."""
+
+    def __init__(self, model, mf_model, frozen=True):
+        self.model, self.mf_model, self.frozen = model, mf_model, frozen
+        self.state = mf.init_user_state(mf_model.d)
+
+    def begin_episode(self, user):
+        self.state = mf.init_user_state(self.mf_model.d)
+
+    def act(self, avail):
+        choices = np.flatnonzero(avail)
+        scores = reference_ucb_scores(self.model, self.mf_model, self.state, choices)
+        return int(choices[int(np.argmax(scores))])
+
+    def observe(self, item, reward):
+        if not self.frozen:
+            x = np.concatenate([self.state, self.mf_model.V[:, item]])
+            self.model.A += np.outer(x, x)
+            self.model.b += reward * x
+        self.state = mf.online_update(self.mf_model, self.state, item, reward)
+
+
 class TestLinUcb:
     def test_fresh_model_maximizes_context_norm(self, model):
         ucb = LinUcbModel.fresh(model.d, alpha_ucb=1.0)
@@ -216,6 +249,91 @@ class TestLinUcb:
         eigenvalues = np.linalg.eigvalsh(ucb.A)
         assert eigenvalues.min() >= 1.0 - 1e-9
         assert not np.allclose(ucb.A, np.eye(2 * model.d))  # training actually updated it
+
+    def test_frozen_scores_match_two_solve_reference(self, ds, model):
+        split = Split(train_users=frozenset(range(10)), test_users=frozenset({10, 11}), seed=0)
+        cfg = TrainConfig(episodes=30, horizon=5, task=TaskMode.TASK_II, seed=0)
+        ucb = train_linucb(ds, split, model, cfg, alpha_ucb=0.7)
+        policy = LinUcbPolicy(ucb, model, frozen=True)
+        rng = np.random.default_rng(3)
+        for _ in range(500):
+            policy.state = rng.normal(0.0, 1.0, model.d)
+            mask = rng.random(model.n) < rng.uniform(0.1, 1.0)
+            mask[int(rng.integers(model.n))] = True
+            choices = np.flatnonzero(mask)
+            expected = reference_ucb_scores(ucb, model, policy.state, choices)
+            np.testing.assert_allclose(policy.scores(choices), expected, rtol=1e-12, atol=0)
+            assert policy.act(mask) == choices[int(np.argmax(expected))]
+
+    def test_training_matches_two_solve_reference(self, ds, model, monkeypatch):
+        split = Split(train_users=frozenset(range(10)), test_users=frozenset({10, 11}), seed=0)
+        cfg = TrainConfig(episodes=40, horizon=6, task=TaskMode.TASK_II, seed=1)
+        cached = train_linucb(ds, split, model, cfg, alpha_ucb=1.0)
+        monkeypatch.setattr(baselines, "LinUcbPolicy", ReferenceLinUcbPolicy)
+        reference = train_linucb(ds, split, model, cfg, alpha_ucb=1.0)
+        np.testing.assert_array_equal(cached.A, reference.A)
+        np.testing.assert_array_equal(cached.b, reference.b)
+
+    def test_sherman_morrison_inverse_tracks_the_matrix(self, model):
+        ucb = LinUcbModel.fresh(model.d, alpha_ucb=1.0)
+        policy = LinUcbPolicy(ucb, model, frozen=False)
+        rng = np.random.default_rng(4)
+        for t in range(5000):
+            if t % 40 == 0:
+                policy.begin_episode(0)
+            policy.observe(int(rng.integers(model.n)), float(rng.integers(0, 6)))
+        exact = np.linalg.inv(ucb.A)
+        assert np.linalg.norm(policy._inv - exact) <= 1e-9 * np.linalg.norm(exact)
+        choices = np.arange(model.n)
+        np.testing.assert_allclose(
+            policy.scores(choices), reference_ucb_scores(ucb, model, policy.state, choices),
+            rtol=1e-9, atol=0)
+
+    def test_failed_save_keeps_previous_archive(self, ds, model, tmp_path, monkeypatch):
+        spec = METHODS["linucb"]
+        ucb = LinUcbModel.fresh(model.d, alpha_ucb=0.5)
+        path = tmp_path / "ucb.npz"
+        spec.save(ucb, path)
+        before = path.read_bytes()
+        real_header = np.lib.format.write_array_header_1_0
+        headers = []
+
+        def crash_on_second_array(fh, header):
+            headers.append(header)
+            if len(headers) == 2:
+                raise OSError("disk full")
+            real_header(fh, header)
+
+        monkeypatch.setattr(np.lib.format, "write_array_header_1_0", crash_on_second_array)
+        changed = LinUcbModel(A=ucb.A + 1.0, b=ucb.b + 1.0, alpha_ucb=2.0)
+        with pytest.raises(OSError, match="disk full"):
+            spec.save(changed, path)
+        monkeypatch.undo()
+        assert [p.name for p in tmp_path.iterdir()] == ["ucb.npz"]
+        assert path.read_bytes() == before
+        back = spec.load(SplitContext(ds=ds, split=None, index=0, seed=0, mf_model=model), path)
+        np.testing.assert_array_equal(back.A, ucb.A)
+        assert back.alpha_ucb == 0.5
+
+    @pytest.mark.parametrize("corrupt", ["nan_A", "inf_b", "nan_alpha", "not_spd", "asymmetric"])
+    def test_load_refuses_statistics_it_cannot_invert(self, ds, model, tmp_path, corrupt):
+        width = 2 * model.d
+        A, b, alpha = np.eye(width) + 0.5, np.ones(width), np.array([1.0])
+        if corrupt == "nan_A":
+            A[1, 2] = A[2, 1] = np.nan
+        elif corrupt == "inf_b":
+            b[0] = np.inf
+        elif corrupt == "nan_alpha":
+            alpha[0] = np.nan
+        elif corrupt == "not_spd":
+            A[3, 3] = -1.0
+        else:
+            A[0, 1] += 1e-3  # Cholesky reads one triangle only
+        path = tmp_path / "ucb.npz"
+        np.savez(path, A=A, b=b, alpha_ucb=alpha)
+        ctx = SplitContext(ds=ds, split=None, index=0, seed=0, mf_model=model)
+        with pytest.raises(ValidationError, match="not finite|positive definite"):
+            METHODS["linucb"].load(ctx, path)
 
 
 class TestGreedyQPolicy:

@@ -130,3 +130,11 @@ def test_short_budget_cfrl_beats_random_at_scale(big_ds, big_splits, big_mf):
         RandomPolicy(seed=5), big_ds, null_mf_model(big_ds), split, TaskMode.TASK_II, 10
     )))
     assert cfrl_score > rand_score + 0.8
+
+
+def test_epoch_rmse_equals_the_one_shot_formula(big_ds, big_splits, big_mf):
+    users, items, ratings = big_ds.triples()
+    keep = np.isin(users, np.fromiter(big_splits[0].train_users, dtype=np.int64))
+    users, items, ratings = users[keep], items[keep], ratings[keep]
+    pred = np.sum(big_mf.U[:, users] * big_mf.V[:, items], axis=0)
+    assert big_mf.epoch_rmse[-1] == float(np.sqrt(np.mean((pred - ratings) ** 2)))
