@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
-import zipfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +21,7 @@ from . import qnet
 from .env import InteractiveEnv, TaskMode, run_episode
 from .errors import ValidationError
 from .mf import MfModel
-from .persist import save_npz
+from .persist import load_npz, save_npz
 from .seeding import rng_for
 
 
@@ -160,10 +159,7 @@ class TrainConfig:
     horizon: int = 40
     gamma: float = 0.9
     epsilon: float = 0.1
-    epsilon_final: float | None = None   # linear decay target; None = constant
     q_lr: float = 0.001
-    mf_lr: float | None = None           # override the model's online step size
-    mf_reg: float | None = None          # override the model's ridge weight
     sync_period: int = 500
     batch_size: int = 32
     replay_capacity: int = 100_000
@@ -195,14 +191,6 @@ class EpisodeLog:
     mean_td_loss: float
     epsilon: float
     sync_count: int
-
-
-def epsilon_at(cfg: TrainConfig, episode: int) -> float:
-    """Exploration rate for one episode: constant, or linearly decayed."""
-    if cfg.epsilon_final is None or cfg.episodes <= 1:
-        return cfg.epsilon
-    frac = episode / (cfg.episodes - 1)
-    return cfg.epsilon + frac * (cfg.epsilon_final - cfg.epsilon)
 
 
 def select_action(net, state, mask, epsilon: float, rng) -> int:
@@ -249,11 +237,11 @@ class QTrainer:
         while self.episode < stop:
             ep = self.episode
             user = self.users[int(self.user_rng.integers(len(self.users)))]
-            eps = epsilon_at(cfg, ep)
             losses = []
 
             def act(state):
-                return select_action(self.net, self.state_fn(state), state.avail, eps, self.action_rng)
+                return select_action(self.net, self.state_fn(state), state.avail, cfg.epsilon,
+                                     self.action_rng)
 
             def learn(t, state, action, reward, next_state, done):
                 self.memory.push(self.state_fn(state), action, reward,
@@ -274,7 +262,7 @@ class QTrainer:
                     user=user,
                     reward_sum=reward_sum,
                     mean_td_loss=float(np.mean(losses)) if losses else 0.0,
-                    epsilon=eps,
+                    epsilon=cfg.epsilon,
                     sync_count=self.sync_count,
                 )
             )
@@ -310,15 +298,15 @@ class QTrainer:
         """Continue from a save(). A file that cannot be read or does not fit
         this trainer (network, action count, replay capacity) raises
         ValidationError."""
+        replay = [f"replay_{key}" for key in self.memory.state()]
+        arrays = load_npz(path, "trainer state", ("net", "target", "meta", *replay))
         try:
-            with np.load(path) as data:
-                arrays = {key: data[key] for key in data.files}
             params = [arrays.pop(key) for key in ("net", "target")]
             meta = json.loads(arrays.pop("meta").tobytes().decode())
             logs = [EpisodeLog(**row) for row in meta["logs"]]
             counters = [int(meta[key]) for key in ("episode", "train_steps", "sync_count", "staleness")]
             rng_states = [meta[key] for key in ("user_rng", "action_rng", "replay_rng")]
-        except (OSError, EOFError, ValueError, KeyError, TypeError, zipfile.BadZipFile) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             raise ValidationError(f"{path}: unreadable trainer state ({exc})") from None
         for flat in params:
             if flat.dtype != np.float64 or flat.shape != (self.net.param_count,):
@@ -326,8 +314,6 @@ class QTrainer:
                     f"{path}: network parameters are {flat.dtype}{flat.shape}, "
                     f"expected float64{(self.net.param_count,)}"
                 )
-        if any(not key.startswith("replay_") for key in arrays):
-            raise ValidationError(f"{path}: unexpected arrays {sorted(arrays)}")
         memory = ReplayMemory(self.cfg.replay_capacity, self.net.input_dim, self.env.n)
         try:
             memory.load({key[len("replay_"):]: array for key, array in arrays.items()})
@@ -345,15 +331,6 @@ class QTrainer:
         self.logs = logs
 
 
-def _effective_model(mf_model: MfModel, cfg: TrainConfig) -> MfModel:
-    """Apply any online-update hyperparameter overrides without copying factors."""
-    lr = cfg.mf_lr if cfg.mf_lr is not None else mf_model.lr
-    reg = cfg.mf_reg if cfg.mf_reg is not None else mf_model.reg
-    if lr == mf_model.lr and reg == mf_model.reg:
-        return mf_model
-    return replace(mf_model, lr=lr, reg=reg)
-
-
 def eligible_train_users(ds, users, task: TaskMode, horizon: int) -> list:
     """Users whose episodes can run the full horizon under the task's catalog."""
     if task is TaskMode.TASK_II:
@@ -363,12 +340,11 @@ def eligible_train_users(ds, users, task: TaskMode, horizon: int) -> list:
 
 def make_trainer(ds, split, mf_model: MfModel, cfg: TrainConfig, raw_state: bool = False) -> QTrainer:
     """Wire a trainer for the latent-state agent or the raw-vector variant."""
-    model = _effective_model(mf_model, cfg)
-    environment = InteractiveEnv(ds, model, cfg.task, cfg.horizon)
+    environment = InteractiveEnv(ds, mf_model, cfg.task, cfg.horizon)
     users = eligible_train_users(ds, split.train_users, cfg.task, cfg.horizon)
     if raw_state:
         return QTrainer(environment, users, ds.n, lambda st: st.raw_state, cfg)
-    return QTrainer(environment, users, model.d, lambda st: st.cf_state, cfg)
+    return QTrainer(environment, users, mf_model.d, lambda st: st.cf_state, cfg)
 
 
 def train_cfrl(ds, split, mf_model: MfModel, cfg: TrainConfig, trace: list | None = None):

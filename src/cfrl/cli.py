@@ -310,7 +310,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, ParseError, ValidationError, ValueError) as exc:
+    except (OSError, ParseError, ValidationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CfrlError as exc:

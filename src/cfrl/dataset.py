@@ -8,13 +8,12 @@ reloads of the same file.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .persist import expect_end, read_exact
+from .persist import is_npz, load_npz, save_npz
 from .seeding import rng_for
 
 # Line formats: MovieLens u.data is tab-separated, ratings.dat uses "::".
@@ -22,9 +21,6 @@ FORMAT_SEPARATORS = {"tab": "\t", "double-colon": "::"}
 
 # Every MovieLens user has at least 20 ratings; asserted at file ingestion.
 MIN_RATINGS_PER_USER = 20
-
-_SNAPSHOT_MAGIC = b"CFRLDS\x00\x01"
-_SNAPSHOT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -225,50 +221,37 @@ def make_splits(
 
 
 def is_snapshot(path) -> bool:
-    """True when the file starts with the snapshot magic bytes."""
-    try:
-        with open(path, "rb") as fh:
-            return fh.read(len(_SNAPSHOT_MAGIC)) == _SNAPSHOT_MAGIC
-    except OSError:
-        return False
+    """True when the file starts as a zip archive, as every snapshot does."""
+    return is_npz(path)
 
 
 def save_snapshot(ds: RatingDataset, path) -> None:
-    """Write a normalized binary snapshot that re-loads without re-parsing."""
-    with open(path, "wb") as fh:
-        fh.write(_SNAPSHOT_MAGIC)
-        fh.write(struct.pack("<IIIQ", _SNAPSHOT_VERSION, ds.m, ds.n, ds.rating_count))
-        users, items, ratings = ds.triples()
-        ext_u = ds.user_ids[users]
-        ext_i = ds.item_ids[items]
-        rec = np.empty((ds.rating_count, 3), dtype=np.int64)
-        rec[:, 0] = ext_u
-        rec[:, 1] = ext_i
-        rec[:, 2] = ratings.astype(np.int64)
-        fh.write(rec.tobytes())
+    """Write a normalized snapshot that re-loads without re-parsing: one
+    (rating_count, 3) int64 array of (user id, item id, rating) records in
+    ascending (user, item) order, written atomically."""
+    users, items, ratings = ds.triples()
+    rec = np.empty((ds.rating_count, 3), dtype=np.int64)
+    rec[:, 0] = ds.user_ids[users]
+    rec[:, 1] = ds.item_ids[items]
+    rec[:, 2] = ratings
+    save_npz(path, {"records": rec})
 
 
 def load_snapshot(path) -> RatingDataset:
     """Load a snapshot written by save_snapshot.
 
     Raises:
-        ValidationError: the file is not a snapshot, is truncated or has
-            trailing bytes, or its records are not what save_snapshot writes
-            (ratings in 1..5, (user, item) pairs strictly ascending, m and n
-            equal to the distinct ids).
+        ValidationError: the file is not a snapshot, is truncated, damaged or
+            has trailing bytes, or its records are not what save_snapshot
+            writes (ratings in 1..5, (user, item) pairs strictly ascending).
     """
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_SNAPSHOT_MAGIC))
-        if magic != _SNAPSHOT_MAGIC:
-            raise ValidationError(f"{path}: not a dataset snapshot")
-        version, m, n, count = struct.unpack("<IIIQ", read_exact(fh, 20, path))
-        if version != _SNAPSHOT_VERSION:
-            raise ValidationError(f"{path}: unsupported snapshot version {version}")
-        raw = read_exact(fh, count * 3 * 8, path)
-        expect_end(fh, path)
+    rec = load_npz(path, "dataset snapshot", ("records",))["records"]
+    if rec.dtype != np.int64 or rec.ndim != 2 or rec.shape[1] != 3:
+        raise ValidationError(f"{path}: records are {rec.dtype}{rec.shape}, expected int64 (count, 3)")
+    count = rec.shape[0]
     if count == 0:
         raise ValidationError(f"{path}: no records")
-    users, items, ratings = np.frombuffer(raw, dtype="<i8").reshape(count, 3).T
+    users, items, ratings = rec.T
     if ((ratings < 1) | (ratings > 5)).any():
         raise ValidationError(f"{path}: rating outside 1..5")
     du, di = np.diff(users), np.diff(items)
@@ -278,8 +261,7 @@ def load_snapshot(path) -> RatingDataset:
         raise ValidationError(f"{path}: records are not in ascending (user, item) order")
     user_ids, per_user = np.unique(users, return_counts=True)
     item_ids, item_idx = np.unique(items, return_inverse=True)
-    if (len(user_ids), len(item_ids)) != (m, n):
-        raise ValidationError(f"{path}: snapshot header does not match records")
+    m, n = len(user_ids), len(item_ids)
     ends = np.cumsum(per_user).tolist()
     # one int object per item index, shared by every user's dict (as from_records does)
     item_objs = list(range(n))

@@ -8,7 +8,6 @@ every path calls.
 
 from __future__ import annotations
 
-import zipfile
 from dataclasses import dataclass
 from typing import Callable
 
@@ -54,11 +53,7 @@ class MethodSpec:
 
 def _load_linucb(ctx, path) -> baselines.LinUcbModel:
     """Ridge statistics whose shapes fit the split's factor model."""
-    try:
-        with np.load(path) as data:
-            A, b, alpha = data["A"], data["b"], data["alpha_ucb"]
-    except (EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
-        raise ValidationError(f"{path}: not a LinUCB checkpoint ({exc})") from None
+    A, b, alpha = persist.load_npz(path, "LinUCB checkpoint", ("A", "b", "alpha_ucb")).values()
     shapes, width = (A.shape, b.shape, alpha.shape), 2 * ctx.mf_model.d
     if shapes != ((width, width), (width,), (1,)):
         raise ValidationError(f"{path}: LinUCB shapes {shapes} do not fit factor width {width // 2}")

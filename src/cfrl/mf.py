@@ -11,17 +11,13 @@ observed rating, against the frozen pretrained item vectors.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DivergenceError, ValidationError
-from .persist import expect_end, read_exact, write_manifest
+from .persist import load_npz, save_npz, write_manifest
 from .seeding import rng_for
-
-_MF_MAGIC = b"CFRLMF\x00\x01"
-_MF_VERSION = 1
 
 # Symmetric small init is the usual convention for SGD matrix factorization.
 _INIT_SCALE = 0.01
@@ -190,28 +186,21 @@ def predict_all(model: MfModel, state) -> np.ndarray:
 
 
 def save_mf(model: MfModel, path, manifest: dict | None = None) -> None:
-    """Write the binary checkpoint and, if given, a JSON manifest sidecar."""
-    with open(path, "wb") as fh:
-        fh.write(_MF_MAGIC)
-        fh.write(struct.pack("<IIII", _MF_VERSION, model.d, model.m, model.n))
-        fh.write(struct.pack("<dd", model.reg, model.lr))
-        fh.write(np.ascontiguousarray(model.U, dtype=np.float64).tobytes())
-        fh.write(np.ascontiguousarray(model.V, dtype=np.float64).tobytes())
+    """Write the checkpoint atomically and, if given, a JSON manifest sidecar."""
+    save_npz(path, {"U": model.U, "V": model.V,
+                    "reg": np.array(model.reg, dtype=np.float64),
+                    "lr": np.array(model.lr, dtype=np.float64)})
     if manifest is not None:
         write_manifest(path, manifest)
 
 
 def load_mf(path) -> MfModel:
-    """Read a save_mf checkpoint; any other length or header raises ValidationError."""
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_MF_MAGIC))
-        if magic != _MF_MAGIC:
-            raise ValidationError(f"{path}: not an MF checkpoint")
-        version, d, m, n = struct.unpack("<IIII", read_exact(fh, 16, path))
-        if version != _MF_VERSION:
-            raise ValidationError(f"{path}: unsupported MF checkpoint version {version}")
-        reg, lr = struct.unpack("<dd", read_exact(fh, 16, path))
-        U = np.frombuffer(read_exact(fh, d * m * 8, path), dtype=np.float64).reshape(d, m).copy()
-        V = np.frombuffer(read_exact(fh, d * n * 8, path), dtype=np.float64).reshape(d, n).copy()
-        expect_end(fh, path)
-    return MfModel(U=U, V=V, d=d, reg=reg, lr=lr)
+    """Read a save_mf checkpoint; anything else raises ValidationError."""
+    arrays = load_npz(path, "factor-model checkpoint", ("U", "V", "reg", "lr"))
+    U, V, reg, lr = (arrays[key] for key in ("U", "V", "reg", "lr"))
+    if any(x.dtype != np.float64 for x in (U, V, reg, lr)) or not (
+            U.ndim == V.ndim == 2 and U.shape[0] == V.shape[0] >= 1 and reg.shape == lr.shape == ()):
+        shapes = [f"{x.dtype}{x.shape}" for x in (U, V, reg, lr)]
+        raise ValidationError(f"{path}: U, V, reg, lr are {shapes}, "
+                              f"expected float64 (d, m), (d, n), (), ()")
+    return MfModel(U=U, V=V, d=U.shape[0], reg=float(reg), lr=float(lr))

@@ -16,17 +16,13 @@ taken rows rounds differently, so a zero residual would not stay zero).
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DivergenceError, ValidationError
-from .persist import expect_end, read_exact, write_manifest
+from .persist import load_npz, save_npz, write_manifest
 from .seeding import rng_for
-
-_QN_MAGIC = b"CFRLQN\x00\x01"
-_QN_VERSION = 1
 
 _ACTIVATION_CODES = {"tanh": 0, "relu": 1}
 
@@ -297,40 +293,38 @@ def assign_params(net: QNetwork, flat: np.ndarray) -> None:
 
 
 def save_qnet(net: QNetwork, path, manifest: dict | None = None) -> None:
-    """Write the binary checkpoint and, if given, a JSON manifest sidecar."""
-    with open(path, "wb") as fh:
-        fh.write(_QN_MAGIC)
-        fh.write(struct.pack("<II", _QN_VERSION, len(net.layer_sizes)))
-        fh.write(struct.pack(f"<{len(net.layer_sizes)}I", *net.layer_sizes))
-        fh.write(struct.pack("<B", _ACTIVATION_CODES[net.activation]))
-        for w, b in zip(net.weights, net.biases):
-            fh.write(np.ascontiguousarray(w, dtype=np.float64).tobytes())
-            fh.write(np.ascontiguousarray(b, dtype=np.float64).tobytes())
+    """Write the checkpoint atomically and, if given, a JSON manifest sidecar."""
+    save_npz(path, {
+        "layer_sizes": np.array(net.layer_sizes, dtype=np.int64),
+        "activation": np.array(_ACTIVATION_CODES[net.activation], dtype=np.int64),
+        "params": flatten_params(net),
+    })
     if manifest is not None:
         write_manifest(path, manifest)
 
 
 def load_qnet(path) -> QNetwork:
-    """Read a save_qnet checkpoint; any other length or header raises ValidationError."""
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_QN_MAGIC))
-        if magic != _QN_MAGIC:
-            raise ValidationError(f"{path}: not a Q-network checkpoint")
-        version, n_layers = struct.unpack("<II", read_exact(fh, 8, path))
-        if version != _QN_VERSION:
-            raise ValidationError(f"{path}: unsupported checkpoint version {version}")
-        sizes = struct.unpack(f"<{n_layers}I", read_exact(fh, 4 * n_layers, path))
-        if len(sizes) < 2 or min(sizes) < 1:
-            raise ValidationError(f"{path}: invalid layer sizes {sizes}")
-        code = read_exact(fh, 1, path)[0]
-        activation = {v: k for k, v in _ACTIVATION_CODES.items()}.get(code)
-        if activation is None:
-            raise ValidationError(f"{path}: unknown activation code {code}")
-        weights, biases = [], []
-        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-            w = np.frombuffer(read_exact(fh, fan_out * fan_in * 8, path), dtype=np.float64)
-            weights.append(w.reshape(fan_out, fan_in).copy())
-            b = np.frombuffer(read_exact(fh, fan_out * 8, path), dtype=np.float64)
-            biases.append(b.copy())
-        expect_end(fh, path)
-    return QNetwork(layer_sizes=tuple(sizes), weights=weights, biases=biases, activation=activation)
+    """Read a save_qnet checkpoint; anything else raises ValidationError."""
+    arrays = load_npz(path, "Q-network checkpoint", ("layer_sizes", "activation", "params"))
+    sizes, code, flat = arrays["layer_sizes"], arrays["activation"], arrays["params"]
+    if sizes.dtype != np.int64 or sizes.ndim != 1 or sizes.size < 2 or sizes.min() < 1:
+        raise ValidationError(f"{path}: invalid layer sizes {sizes}")
+    activation = None
+    if code.dtype == np.int64 and code.shape == ():
+        activation = {v: k for k, v in _ACTIVATION_CODES.items()}.get(int(code))
+    if activation is None:
+        raise ValidationError(f"{path}: unknown activation code {code}")
+    sizes = tuple(sizes.tolist())
+    count = sum(fan_out * (fan_in + 1) for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
+    if flat.dtype != np.float64 or flat.shape != (count,):
+        raise ValidationError(
+            f"{path}: parameters are {flat.dtype}{flat.shape}, layer sizes {sizes} "
+            f"need float64{(count,)}")
+    net = QNetwork(
+        layer_sizes=sizes,
+        weights=[np.empty((fan_out, fan_in)) for fan_in, fan_out in zip(sizes[:-1], sizes[1:])],
+        biases=[np.empty(fan_out) for fan_out in sizes[1:]],
+        activation=activation,
+    )
+    assign_params(net, flat)
+    return net

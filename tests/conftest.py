@@ -1,10 +1,20 @@
 import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from cfrl.dataset import RatingDataset, RatingRecord, load_ratings
+
+# Loads can outlast the default 200 ms deadline on a loaded 2-CPU machine, and
+# the suite should leave no .hypothesis/ directory in the checkout: no example
+# database, and the constants cache Hypothesis keeps goes to the temp dir.
+settings.register_profile("cfrl", deadline=None, database=None)
+settings.load_profile("cfrl")
+os.environ.setdefault("HYPOTHESIS_STORAGE_DIRECTORY",
+                      os.path.join(tempfile.gettempdir(), "cfrl-hypothesis"))
 
 
 def make_dataset(profiles):

@@ -10,7 +10,6 @@ from cfrl.agent import (
     QTrainer,
     ReplayMemory,
     TrainConfig,
-    epsilon_at,
     eligible_train_users,
     make_trainer,
     read_training_log,
@@ -159,15 +158,6 @@ class TestReplayMemory:
         np.testing.assert_array_equal(mem.sample(1, rng).mask_next[0], mask)
 
 
-def test_epsilon_schedule():
-    constant = TrainConfig(episodes=10, epsilon=0.2)
-    assert epsilon_at(constant, 0) == epsilon_at(constant, 9) == 0.2
-    decayed = TrainConfig(episodes=11, epsilon=1.0, epsilon_final=0.0)
-    assert epsilon_at(decayed, 0) == 1.0
-    assert epsilon_at(decayed, 10) == 0.0
-    assert epsilon_at(decayed, 5) == pytest.approx(0.5)
-
-
 @pytest.fixture
 def small_setup():
     ds = make_dataset(synthetic_profiles(n_users=10, n_items=15, per_user=8, seed=4))
@@ -313,7 +303,7 @@ def test_restore_rejects_states_that_do_not_fit(tmp_path, small_setup):
     cases = [  # (changed arrays, None for the file cut 40 bytes short; message)
         (None, "not a zip"),
         ({"net": None}, "unreadable"),
-        ({"replay_done": None}, "replay columns"),
+        ({"replay_done": None}, "unreadable"),
         ({"net": net[:-1]}, "parameters"),
         ({"net": net.astype(np.float32)}, "parameters"),
         ({"replay_s": s[:, :-1]}, "'s'"),
@@ -360,18 +350,6 @@ def test_restore_of_a_full_ring_keeps_evicting_in_order(tmp_path, small_setup):
         qnet.flatten_params(resumed.net).tobytes()
         == qnet.flatten_params(straight.net).tobytes()
     )
-
-
-def test_state_update_hyperparameter_overrides(small_setup):
-    ds, split, model = small_setup
-    base = TrainConfig(episodes=2, horizon=3, hidden_sizes=(8,), task=TaskMode.TASK_II, seed=4)
-    overridden = TrainConfig(episodes=2, horizon=3, hidden_sizes=(8,), task=TaskMode.TASK_II,
-                             seed=4, mf_lr=0.2, mf_reg=0.0)
-    net_a, _ = train_cfrl(ds, split, model, base)
-    net_b, _ = train_cfrl(ds, split, model, overridden)
-    # a different online step size changes the visited latent states
-    assert qnet.flatten_params(net_a).tobytes() != qnet.flatten_params(net_b).tobytes()
-    assert model.lr != 0.2  # the shared model is not mutated by the override
 
 
 def test_target_staleness_never_exceeds_sync_period(small_setup):

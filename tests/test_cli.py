@@ -92,6 +92,12 @@ def test_missing_data_file_exits_2(tmp_path, capsys):
     assert str(missing) in capsys.readouterr().err
 
 
+def test_unreadable_data_path_exits_2(tmp_path, capsys):
+    code = main(["pretrain", "--data", str(tmp_path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert str(tmp_path) in capsys.readouterr().err
+
+
 def test_pretrain_writes_deterministic_checkpoint(workspace, capsys):
     tmp_path, data, cfg = workspace
     out_a = tmp_path / "a"
@@ -220,6 +226,21 @@ def test_train_and_eval_linucb(workspace, capsys):
     assert main(["eval", "--config", str(cfg_path), "--method", "linucb",
                  "--task", "task2"]) == 0
     assert "mean reward" in capsys.readouterr().out
+
+
+def test_eval_refuses_linucb_archive_with_unknown_compression(workspace, capsys):
+    tmp_path, data, cfg_path = workspace
+    assert main(["pretrain", "--config", str(cfg_path)]) == 0
+    assert main(["train", "--config", str(cfg_path), "--method", "linucb"]) == 0
+    ckpt = tmp_path / "out" / "linucb_task2_split0.npz"
+    raw = bytearray(ckpt.read_bytes())
+    central = int.from_bytes(raw[-6:-2], "little")   # the end record's central directory offset
+    raw[central + 10] ^= 1   # the first member's compression method: stored (0) becomes 1
+    ckpt.write_bytes(raw)
+    capsys.readouterr()
+    assert main(["eval", "--config", str(cfg_path), "--method", "linucb",
+                 "--task", "task2"]) == 2
+    assert str(ckpt) in capsys.readouterr().err
 
 
 def test_eval_random_writes_scores(workspace, capsys):

@@ -14,7 +14,6 @@ from cfrl.evaluate import (
     benchmark,
     evaluate_policy,
     paired_t_test,
-    regularized_incomplete_beta,
     t_two_sided_p,
     write_report,
 )
@@ -90,16 +89,6 @@ def test_t_tail_matches_quadrature_oracle():
         df = int(rng.integers(2, 31))
         assert t_two_sided_p(t, df) == pytest.approx(
             t_two_sided_quadrature(t, df), abs=1e-8
-        )
-
-
-def test_incomplete_beta_edges():
-    assert regularized_incomplete_beta(2.0, 3.0, 0.0) == 0.0
-    assert regularized_incomplete_beta(2.0, 3.0, 1.0) == 1.0
-    # symmetry: I_x(a, b) = 1 - I_{1-x}(b, a)
-    for x in (0.1, 0.37, 0.8):
-        assert regularized_incomplete_beta(1.7, 4.2, x) == pytest.approx(
-            1.0 - regularized_incomplete_beta(4.2, 1.7, 1.0 - x), abs=1e-12
         )
 
 

@@ -1,4 +1,5 @@
 import math
+import zipfile
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from cfrl import qnet
 from cfrl.agent import Transition
 from cfrl.errors import DivergenceError, ValidationError
-from cfrl.persist import read_manifest
+from cfrl.persist import read_manifest, save_npz
 
 
 def test_parameter_count_closed_form():
@@ -380,12 +381,21 @@ def test_checkpoint_load_is_exact(tmp_path):
     bad.write_bytes(good + b"\x00")
     with pytest.raises(ValidationError, match="trailing"):
         qnet.load_qnet(bad)
-    # the activation code is the byte after magic, version, layer count and sizes
-    code_at = 8 + 8 + 4 * 3
-    bad.write_bytes(good[:code_at] + bytes([7]) + good[code_at + 1:])
+    # the activation code is its own member
+    with np.load(path) as data:
+        arrays = {key: data[key] for key in data.files}
+    save_npz(bad, {**arrays, "activation": np.array(7)})
     with pytest.raises(ValidationError, match="activation"):
         qnet.load_qnet(bad)
-    # a corrupt layer count must not make the loader allocate what it claims
-    bad.write_bytes(good[:12] + b"\xff\xff\xff\xff" + good[16:])
+    # a corrupt array shape must not make the loader allocate what it claims
+    count = arrays["params"].size
+    with zipfile.ZipFile(path) as src, zipfile.ZipFile(bad, "w") as dst:
+        for name in src.namelist():
+            raw = src.read(name)
+            if name == "params.npy":
+                # the header's space padding absorbs the nine extra digits
+                raw = raw.replace(b"(%d,), }" % count + b" " * 9, b"(%d,), }" % (count * 10**9))
+                assert str(count * 10**9).encode() in raw
+            dst.writestr(name, raw)
     with pytest.raises(ValidationError, match="truncated"):
         qnet.load_qnet(bad)

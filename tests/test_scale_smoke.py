@@ -99,10 +99,9 @@ def test_latent_state_enables_personalization():
         episodes=2000, horizon=10, gamma=0.9, epsilon=0.2, q_lr=0.002,
         sync_period=500, batch_size=32, replay_capacity=100_000,
         hidden_sizes=(64,), task=TaskMode.TASK_I, seed=derive_seed(0, "cfrl"),
-        mf_lr=0.1,
     )
-    net, _ = train_cfrl(ds, split, model, cfg)
     eval_model = replace(model, lr=0.1)
+    net, _ = train_cfrl(ds, split, eval_model, cfg)
     cfrl_score = float(np.mean(evaluate_policy(
         GreedyQPolicy(net, mf_model=eval_model), ds, eval_model, split, TaskMode.TASK_I, 10
     )))
