@@ -12,8 +12,10 @@ state extractor is a parameter.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -284,6 +286,7 @@ class QTrainer:
             "action_rng": self.action_rng.bit_generator.state,
             "replay_rng": self.replay_rng.bit_generator.state,
             "logs": [vars(log) for log in self.logs],
+            "run": self.run_record,
         }
         arrays = {
             "net": qnet.flatten_params(self.net),
@@ -294,10 +297,22 @@ class QTrainer:
             arrays[f"replay_{key}"] = array
         save_npz(path, arrays)
 
+    @cached_property
+    def run_record(self) -> dict:
+        """What a saved state must match to be resumed: the TrainConfig except
+        its episode count, the dataset's (m, n) and digest, and a digest of
+        the training users, which stands in for the split."""
+        ds = self.env.ds
+        record = {**vars(self.cfg), "hidden_sizes": list(self.cfg.hidden_sizes),
+                  "task": self.cfg.task.value, "dataset": [ds.m, ds.n, ds.digest()],
+                  "train_users": hashlib.sha256(np.array(self.users, dtype=np.int64)).hexdigest()}
+        del record["episodes"]
+        return record
+
     def restore(self, path) -> None:
-        """Continue from a save(). A file that cannot be read or does not fit
-        this trainer (network, action count, replay capacity) raises
-        ValidationError."""
+        """Continue from a save(). A file that cannot be read, does not fit
+        this trainer (network, action count, replay capacity) or was saved by
+        a different run (see run_record) raises ValidationError."""
         replay = [f"replay_{key}" for key in self.memory.state()]
         arrays = load_npz(path, "trainer state", ("net", "target", "meta", *replay))
         try:
@@ -319,6 +334,13 @@ class QTrainer:
             memory.load({key[len("replay_"):]: array for key, array in arrays.items()})
         except ValidationError as exc:
             raise ValidationError(f"{path}: {exc}") from None
+        saved = meta.get("run")
+        if not isinstance(saved, dict):
+            raise ValidationError(f"{path}: no run record; the state was saved by an earlier version")
+        differ = sorted(k for k in saved.keys() | self.run_record.keys()
+                        if saved.get(k) != self.run_record.get(k))
+        if differ:
+            raise ValidationError(f"{path}: saved by a different run: {', '.join(differ)} differ")
         try:
             for rng, state in zip((self.user_rng, self.action_rng, self.replay_rng), rng_states):
                 rng.bit_generator.state = state
@@ -335,7 +357,8 @@ def eligible_train_users(ds, users, task: TaskMode, horizon: int) -> list:
     """Users whose episodes can run the full horizon under the task's catalog."""
     if task is TaskMode.TASK_II:
         return sorted(users)
-    return sorted(u for u in users if len(ds.user_ratings[u]) >= horizon)
+    counts = np.diff(ds.indptr)
+    return sorted(u for u in users if counts[u] >= horizon)
 
 
 def make_trainer(ds, split, mf_model: MfModel, cfg: TrainConfig, raw_state: bool = False) -> QTrainer:

@@ -59,13 +59,15 @@ class ScorePolicy(Policy):
         return qnet.masked_argmax(self.scores, avail)
 
 
+def _train_incidence(ds, train_users) -> sp.csr_matrix:
+    """Binary incidence matrix of the training users' ratings, a row per user."""
+    rated = sp.csr_matrix((np.ones(ds.rating_count), ds.items, ds.indptr), shape=(ds.m, ds.n))
+    return rated[np.fromiter(train_users, dtype=np.int64)]
+
+
 def popularity_counts(ds, train_users) -> np.ndarray:
     """Per-item rating counts over the training users."""
-    counts = np.zeros(ds.n, dtype=np.float64)
-    for u in train_users:
-        for i in ds.user_ratings[u]:
-            counts[i] += 1.0
-    return counts
+    return np.bincount(_train_incidence(ds, train_users).indices, minlength=ds.n).astype(np.float64)
 
 
 def popular_policy(ds, train_users) -> ScorePolicy:
@@ -79,17 +81,7 @@ def impact_scores(ds, train_users) -> np.ndarray:
     with i. Computed from the binary user-item incidence matrix: the sparsity
     pattern of B^T B gives exactly the co-rated pairs.
     """
-    train = sorted(train_users)
-    rows, cols = [], []
-    for r, u in enumerate(train):
-        for i in ds.user_ratings[u]:
-            rows.append(r)
-            cols.append(i)
-    if not rows:
-        return np.zeros(ds.n, dtype=np.float64)
-    incidence = sp.csr_matrix(
-        (np.ones(len(rows)), (rows, cols)), shape=(len(train), ds.n), dtype=np.float64
-    )
+    incidence = _train_incidence(ds, train_users)
     co = (incidence.T @ incidence).tocsr()
     neighbors = np.diff(co.indptr)
     has_self = co.diagonal() > 0

@@ -1,14 +1,17 @@
-"""MovieLens-format explicit ratings: ingestion, train/test splits, snapshots.
+"""MovieLens-format explicit ratings: ingestion, the CSR rating matrix,
+train/test splits, snapshots.
 
 External user/item ids are densified to 0-based indices by sorting the ids
-ascending, so index maps (and everything seeded downstream) are stable across
+ascending, so indices (and everything seeded downstream) are stable across
 reloads of the same file.
 """
 
 from __future__ import annotations
 
+import hashlib
+import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,94 +26,79 @@ FORMAT_SEPARATORS = {"tab": "\t", "double-colon": "::"}
 MIN_RATINGS_PER_USER = 20
 
 
-@dataclass(frozen=True)
-class RatingRecord:
-    """One observed explicit rating. Timestamps are parsed but never used."""
-
-    user: int
-    item: int
-    rating: int
-    timestamp: int = 0
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class RatingDataset:
-    """Sparse user-item rating matrix with dense 0-based index maps."""
+    """Sparse user-item rating matrix in CSR form, with sorted external ids.
 
-    m: int
-    n: int
-    user_ids: np.ndarray          # dense user index -> external id, sorted ascending
-    item_ids: np.ndarray          # dense item index -> external id, sorted ascending
-    user_index: dict              # external id -> dense user index
-    item_index: dict              # external id -> dense item index
-    user_ratings: list            # per user index: {item index: rating}
-    rating_count: int
-    _triples: tuple | None = field(default=None, repr=False, compare=False)
+    Row u (dense user index) holds items[indptr[u]:indptr[u + 1]], its dense
+    item indices in ascending order, and the matching ratings in 1..5. The
+    arrays are read-only.
+    """
+
+    user_ids: np.ndarray     # dense user index -> external id, sorted ascending
+    item_ids: np.ndarray     # dense item index -> external id, sorted ascending
+    indptr: np.ndarray       # (m + 1,) int64 row starts
+    items: np.ndarray        # (rating_count,) int64 item index per rating
+    ratings: np.ndarray      # (rating_count,) int64 rating, 1..5
 
     @classmethod
-    def from_records(cls, records) -> "RatingDataset":
-        """Build a dataset from RatingRecords, validating ratings and duplicates."""
-        records = list(records)
-        if not records:
-            raise ValidationError("no records")
-        for rec in records:
-            if rec.rating not in (1, 2, 3, 4, 5):
-                raise ValidationError(
-                    f"rating {rec.rating!r} for user {rec.user}, item {rec.item} "
-                    f"outside 1..5"
-                )
-        user_ids = np.array(sorted({r.user for r in records}), dtype=np.int64)
-        item_ids = np.array(sorted({r.item for r in records}), dtype=np.int64)
-        user_index = {ext: i for i, ext in enumerate(user_ids.tolist())}
-        item_index = {ext: i for i, ext in enumerate(item_ids.tolist())}
-        user_ratings = [dict() for _ in range(len(user_ids))]
-        count = 0
-        for rec in records:
-            u = user_index[rec.user]
-            i = item_index[rec.item]
-            if i in user_ratings[u]:
-                raise ValidationError(
-                    f"duplicate rating for user {rec.user}, item {rec.item}"
-                )
-            user_ratings[u][i] = rec.rating
-            count += 1
-        return cls(
-            m=len(user_ids),
-            n=len(item_ids),
-            user_ids=user_ids,
-            item_ids=item_ids,
-            user_index=user_index,
-            item_index=item_index,
-            user_ratings=user_ratings,
-            rating_count=count,
-        )
+    def from_arrays(cls, users, items, ratings) -> "RatingDataset":
+        """The matrix of (user id, item id, rating) triples, given in any order.
 
-    def rating(self, user: int, item: int):
-        """Logged rating for (user index, item index), or None if unobserved."""
-        return self.user_ratings[user].get(item)
+        Raises:
+            ValidationError: no triples, a rating outside 1..5 or a repeated
+                (user, item) pair.
+        """
+        users, items, ratings = (np.asarray(a, dtype=np.int64) for a in (users, items, ratings))
+        if not users.size:
+            raise ValidationError("no records")
+        bad = np.flatnonzero((ratings < 1) | (ratings > 5))
+        if bad.size:
+            k = bad[0]
+            raise ValidationError(
+                f"rating {ratings[k]} for user {users[k]}, item {items[k]} outside 1..5"
+            )
+        user_ids, rows = np.unique(users, return_inverse=True)
+        item_ids, cols = np.unique(items, return_inverse=True)
+        order = np.lexsort((cols, rows))
+        rows, cols, ratings = rows[order], cols[order], ratings[order]
+        dup = np.flatnonzero((np.diff(rows) == 0) & (np.diff(cols) == 0))
+        if dup.size:
+            k = dup[0]
+            raise ValidationError(
+                f"duplicate rating for user {user_ids[rows[k]]}, item {item_ids[cols[k]]}"
+            )
+        indptr = np.searchsorted(rows, np.arange(user_ids.size + 1))
+        arrays = (user_ids, item_ids, indptr, cols, ratings)
+        for array in arrays:
+            array.flags.writeable = False
+        return cls(*arrays)
+
+    @property
+    def m(self) -> int:
+        return self.user_ids.size
+
+    @property
+    def n(self) -> int:
+        return self.item_ids.size
+
+    @property
+    def rating_count(self) -> int:
+        return self.items.size
 
     def mean_rating(self) -> float:
-        total = sum(sum(d.values()) for d in self.user_ratings)
-        return total / self.rating_count
+        return int(self.ratings.sum()) / self.rating_count
 
     def triples(self):
-        """(users, items, ratings) index arrays over all observed entries.
+        """(users, items, ratings) index arrays over all observed entries, in
+        (user index, item index) order; ratings as float64."""
+        users = np.repeat(np.arange(self.m, dtype=np.int64), np.diff(self.indptr))
+        return users, self.items, self.ratings.astype(np.float64)
 
-        Row order follows (user index, item index) ascending; cached.
-        """
-        if self._triples is None:
-            us, its, rs = [], [], []
-            for u, d in enumerate(self.user_ratings):
-                for i in sorted(d):
-                    us.append(u)
-                    its.append(i)
-                    rs.append(d[i])
-            self._triples = (
-                np.array(us, dtype=np.int64),
-                np.array(its, dtype=np.int64),
-                np.array(rs, dtype=np.float64),
-            )
-        return self._triples
+    def digest(self) -> str:
+        """SHA-256 of the five arrays: equal for equal matrices."""
+        arrays = (self.user_ids, self.item_ids, self.indptr, self.items, self.ratings)
+        return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -122,15 +110,17 @@ class Split:
     seed: int
 
 
-def parse_rating_line(line: str, sep: str) -> RatingRecord:
+def parse_rating_line(line: str, sep: str) -> tuple:
+    """(user id, item id, rating) of one line of 4 integer fields; the fourth,
+    a timestamp, is checked and dropped."""
     parts = line.split(sep)
     if len(parts) != 4:
         raise ValueError(f"expected 4 fields, got {len(parts)}")
     try:
-        user, item, rating, ts = (int(p) for p in parts)
+        user, item, rating, _ = map(int, parts)
     except ValueError:
         raise ValueError(f"non-integer field in {parts!r}") from None
-    return RatingRecord(user=user, item=item, rating=rating, timestamp=ts)
+    return user, item, rating
 
 
 def load_ratings(path, fmt: str = "tab") -> RatingDataset:
@@ -141,31 +131,44 @@ def load_ratings(path, fmt: str = "tab") -> RatingDataset:
         fmt: "tab" or "double-colon" field separator.
 
     Raises:
-        ParseError: a line does not split into 4 integer fields.
+        ParseError: the file is not UTF-8 text, or a line does not split
+            into 4 integer fields.
         ValidationError: rating outside 1..5, duplicate (user, item) pair,
             empty file, or a user with fewer than 20 ratings.
     """
     if fmt not in FORMAT_SEPARATORS:
         raise ValueError(f"unknown format {fmt!r}; expected one of {sorted(FORMAT_SEPARATORS)}")
     sep = FORMAT_SEPARATORS[fmt]
-    records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(parse_rating_line(line, sep))
-            except ValueError as exc:
-                raise ParseError(path, lineno, str(exc)) from None
-    if not records:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            path, data.count(b"\n", 0, exc.start) + 1,
+            "not UTF-8 ratings text; a dataset snapshot written by an earlier "
+            "`cfrl ingest` is no longer read, so run `cfrl ingest` on the ratings file again",
+        ) from None
+    users, items, ratings = [], [], []
+    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            user, item, rating = parse_rating_line(line, sep)
+        except ValueError as exc:
+            raise ParseError(path, lineno, str(exc)) from None
+        users.append(user)
+        items.append(item)
+        ratings.append(rating)
+    if not users:
         raise ValidationError(f"no records in {path}")
-    ds = RatingDataset.from_records(records)
-    short = [u for u, d in enumerate(ds.user_ratings) if len(d) < MIN_RATINGS_PER_USER]
-    if short:
-        ext = ds.user_ids[short[0]]
+    ds = RatingDataset.from_arrays(users, items, ratings)
+    counts = np.diff(ds.indptr)
+    short = np.flatnonzero(counts < MIN_RATINGS_PER_USER)
+    if short.size:
         raise ValidationError(
-            f"user {ext} has {len(ds.user_ratings[short[0]])} ratings; "
+            f"user {ds.user_ids[short[0]]} has {counts[short[0]]} ratings; "
             f"MovieLens files guarantee at least {MIN_RATINGS_PER_USER}"
         )
     return ds
@@ -173,8 +176,6 @@ def load_ratings(path, fmt: str = "tab") -> RatingDataset:
 
 def dataset_stats(ds: RatingDataset) -> dict:
     """Basic corpus statistics: m, n, rating_count, mean_rating, density."""
-    if ds.rating_count == 0:
-        raise ValidationError("empty dataset")
     return {
         "m": ds.m,
         "n": ds.n,
@@ -186,7 +187,7 @@ def dataset_stats(ds: RatingDataset) -> dict:
 
 def split_candidates(ds: RatingDataset, min_ratings: int) -> list:
     """User indices with strictly more than min_ratings observed ratings."""
-    return [u for u, d in enumerate(ds.user_ratings) if len(d) > min_ratings]
+    return np.flatnonzero(np.diff(ds.indptr) > min_ratings).tolist()
 
 
 def make_splits(
@@ -229,12 +230,8 @@ def save_snapshot(ds: RatingDataset, path) -> None:
     """Write a normalized snapshot that re-loads without re-parsing: one
     (rating_count, 3) int64 array of (user id, item id, rating) records in
     ascending (user, item) order, written atomically."""
-    users, items, ratings = ds.triples()
-    rec = np.empty((ds.rating_count, 3), dtype=np.int64)
-    rec[:, 0] = ds.user_ids[users]
-    rec[:, 1] = ds.item_ids[items]
-    rec[:, 2] = ratings
-    save_npz(path, {"records": rec})
+    users = np.repeat(ds.user_ids, np.diff(ds.indptr))
+    save_npz(path, {"records": np.column_stack((users, ds.item_ids[ds.items], ds.ratings))})
 
 
 def load_snapshot(path) -> RatingDataset:
@@ -248,36 +245,11 @@ def load_snapshot(path) -> RatingDataset:
     rec = load_npz(path, "dataset snapshot", ("records",))["records"]
     if rec.dtype != np.int64 or rec.ndim != 2 or rec.shape[1] != 3:
         raise ValidationError(f"{path}: records are {rec.dtype}{rec.shape}, expected int64 (count, 3)")
-    count = rec.shape[0]
-    if count == 0:
-        raise ValidationError(f"{path}: no records")
     users, items, ratings = rec.T
-    if ((ratings < 1) | (ratings > 5)).any():
-        raise ValidationError(f"{path}: rating outside 1..5")
     du, di = np.diff(users), np.diff(items)
-    if ((du == 0) & (di == 0)).any():
-        raise ValidationError(f"{path}: duplicate (user, item) record")
     if ((du < 0) | ((du == 0) & (di < 0))).any():
         raise ValidationError(f"{path}: records are not in ascending (user, item) order")
-    user_ids, per_user = np.unique(users, return_counts=True)
-    item_ids, item_idx = np.unique(items, return_inverse=True)
-    m, n = len(user_ids), len(item_ids)
-    ends = np.cumsum(per_user).tolist()
-    # one int object per item index, shared by every user's dict (as from_records does)
-    item_objs = list(range(n))
-    item_list = [item_objs[k] for k in item_idx.tolist()]
-    rating_list = ratings.tolist()
-    user_ratings = [
-        dict(zip(item_list[start:end], rating_list[start:end]))
-        for start, end in zip([0, *ends[:-1]], ends)
-    ]
-    return RatingDataset(
-        m=m,
-        n=n,
-        user_ids=user_ids,
-        item_ids=item_ids,
-        user_index={ext: k for k, ext in enumerate(user_ids.tolist())},
-        item_index={ext: k for k, ext in enumerate(item_ids.tolist())},
-        user_ratings=user_ratings,
-        rating_count=count,
-    )
+    try:
+        return RatingDataset.from_arrays(users, items, ratings)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None

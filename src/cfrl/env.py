@@ -35,6 +35,7 @@ class EnvState:
     avail: np.ndarray         # (n,) bool, True where the item may still be taken
     asked: tuple              # items recommended so far, in order
     horizon: int
+    ratings: np.ndarray       # (n,) the user's logged ratings, 0 where unrated; shared, read-only
 
 
 class InteractiveEnv:
@@ -54,16 +55,18 @@ class InteractiveEnv:
         """Fresh t=0 state: zero vectors, full availability for the task."""
         if not (0 <= user < self.ds.m):
             raise ValidationError(f"user index {user} out of range")
+        start, end = self.ds.indptr[user], self.ds.indptr[user + 1]
+        ratings = np.zeros(self.n, dtype=np.float64)
+        ratings[self.ds.items[start:end]] = self.ds.ratings[start:end]
+        ratings.flags.writeable = False
         if self.task is TaskMode.TASK_I:
-            rated = self.ds.user_ratings[user]
-            if len(rated) < self.horizon:
+            if end - start < self.horizon:
                 raise ValidationError(
-                    f"user {user} has {len(rated)} rated items, fewer than the "
+                    f"user {user} has {end - start} rated items, fewer than the "
                     f"horizon {self.horizon}; the restricted-catalog episode "
                     f"cannot complete"
                 )
-            avail = np.zeros(self.n, dtype=bool)
-            avail[list(rated)] = True
+            avail = ratings > 0
         else:
             avail = np.ones(self.n, dtype=bool)
         return EnvState(
@@ -74,6 +77,7 @@ class InteractiveEnv:
             avail=avail,
             asked=(),
             horizon=self.horizon,
+            ratings=ratings,
         )
 
     def step(self, state: EnvState, action: int):
@@ -89,8 +93,7 @@ class InteractiveEnv:
             raise IllegalActionError(
                 f"item {action} is not available at step {state.t} for user {state.user}"
             )
-        rating = self.ds.rating(state.user, action)
-        reward = float(rating) if rating is not None else 0.0
+        reward = float(state.ratings[action])
 
         raw = state.raw_state.copy()
         raw[action] = reward
@@ -106,6 +109,7 @@ class InteractiveEnv:
             avail=avail,
             asked=state.asked + (action,),
             horizon=state.horizon,
+            ratings=state.ratings,
         )
         return reward, next_state, t == state.horizon
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from cfrl.dataset import RatingDataset, RatingRecord, load_ratings
+from cfrl.dataset import RatingDataset, load_ratings
 
 # Loads can outlast the default 200 ms deadline on a loaded 2-CPU machine, and
 # the suite should leave no .hypothesis/ directory in the checkout: no example
@@ -19,12 +19,16 @@ os.environ.setdefault("HYPOTHESIS_STORAGE_DIRECTORY",
 
 def make_dataset(profiles):
     """Dataset from {user id: {item id: rating}} (ids become dense indices)."""
-    records = [
-        RatingRecord(user=u, item=i, rating=r)
-        for u, prof in profiles.items()
-        for i, r in prof.items()
-    ]
-    return RatingDataset.from_records(records)
+    users, items, ratings = zip(
+        *[(u, i, r) for u, prof in profiles.items() for i, r in prof.items()]
+    )
+    return RatingDataset.from_arrays(users, items, ratings)
+
+
+def profile(ds, user):
+    """{item index: rating} of one user's row, read off the CSR arrays."""
+    start, end = ds.indptr[user], ds.indptr[user + 1]
+    return dict(zip(ds.items[start:end].tolist(), ds.ratings[start:end].tolist()))
 
 
 def synthetic_profiles(n_users=30, n_items=40, per_user=25, seed=7):

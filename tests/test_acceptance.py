@@ -281,7 +281,7 @@ def test_criterion_08_environment_invariants():
             reward, state, done = env.step(state, action)
             taken.append(action)
             assert int(state.avail.sum()) == initial - (step + 1)  # exact decrement
-            if action not in ds.user_ratings[user]:
+            if action not in ds.items[ds.indptr[user]:ds.indptr[user + 1]]:
                 assert reward == 0.0  # unrated items pay zero
         assert len(set(taken)) == len(taken)  # no repeated actions
     # bit-exact replay under a fixed seed

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 from dataclasses import replace
 
@@ -18,13 +19,13 @@ from cfrl.agent import (
     write_training_log,
 )
 from cfrl.baselines import GreedyQPolicy
-from cfrl.dataset import Split
+from cfrl.dataset import RatingDataset, Split
 from cfrl.env import TaskMode
 from cfrl.errors import ValidationError
 from cfrl.evaluate import evaluate_policy
 from cfrl.seeding import rng_for
 
-from conftest import PLANTED_ITEM, make_dataset, planted_profiles, synthetic_profiles
+from conftest import PLANTED_ITEM, make_dataset, planted_profiles, profile, synthetic_profiles
 from toy_mdp import ChainEnv, LIVE_STATES, value_iteration
 
 
@@ -352,6 +353,42 @@ def test_restore_of_a_full_ring_keeps_evicting_in_order(tmp_path, small_setup):
     )
 
 
+
+def test_restore_refuses_a_state_saved_by_a_different_run(tmp_path, small_setup):
+    ds, split, model = small_setup
+    cfg = TrainConfig(episodes=2, horizon=3, hidden_sizes=(8,), task=TaskMode.TASK_II,
+                      batch_size=4, seed=2)
+    trainer = make_trainer(ds, split, model, cfg)
+    trainer.run()
+    good = tmp_path / "state.npz"
+    trainer.save(good)
+    # only the episode count may change between a save and its resume
+    longer = make_trainer(ds, split, model, replace(cfg, episodes=5))
+    longer.restore(good)
+    assert longer.episode == 2
+    users, items, _ = ds.triples()
+    ratings = ds.ratings.copy()
+    ratings[0] = ratings[0] % 5 + 1
+    other_ds = RatingDataset.from_arrays(ds.user_ids[users], ds.item_ids[items], ratings)
+    other_split = replace(split, train_users=frozenset(range(7)))
+    cases = [
+        (make_trainer(ds, split, model, replace(cfg, gamma=0.5)), "gamma differ"),
+        (make_trainer(ds, split, model, replace(cfg, sync_period=9)), "sync_period differ"),
+        (make_trainer(other_ds, split, model, cfg), "dataset differ"),
+        (make_trainer(ds, other_split, model, cfg), "train_users differ"),
+    ]
+    for fresh, message in cases:
+        with pytest.raises(ValidationError, match=message):
+            fresh.restore(good)
+    # a state saved before the run record existed
+    with np.load(good) as data:
+        meta = json.loads(data["meta"].tobytes())
+    del meta["run"]
+    bad = _rewrite_state(good, tmp_path / "old.npz",
+                         meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8))
+    with pytest.raises(ValidationError, match="no run record"):
+        make_trainer(ds, split, model, cfg).restore(bad)
+
 def test_target_staleness_never_exceeds_sync_period(small_setup):
     ds, split, model = small_setup
     cfg = TrainConfig(episodes=5, horizon=4, hidden_sizes=(8,), task=TaskMode.TASK_II,
@@ -388,7 +425,7 @@ def test_run_episode_greedy_contracts(small_setup):
     qnet.assign_params(net, np.zeros(net.param_count))
     score, rewards, actions = _greedy_rollout(net, ds, model, 8, 4)
     assert actions == [0, 1, 2, 3]
-    expected = [float(ds.user_ratings[8].get(i, 0)) for i in range(4)]
+    expected = [float(profile(ds, 8).get(i, 0)) for i in range(4)]
     assert rewards == expected
     assert score == sum(expected) / 4
     assert _greedy_rollout(net, ds, model, 8, 4) == (score, rewards, actions)

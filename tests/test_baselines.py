@@ -25,7 +25,7 @@ from cfrl.errors import ValidationError
 from cfrl.methods import METHODS, SplitContext
 from cfrl.evaluate import evaluate_policy
 
-from conftest import PLANTED_ITEM, make_dataset, planted_profiles, synthetic_profiles
+from conftest import PLANTED_ITEM, make_dataset, planted_profiles, profile, synthetic_profiles
 
 
 @pytest.fixture
@@ -67,7 +67,7 @@ class TestRandomPolicy:
             RandomPolicy(seed=3), ds, null_mf_model(ds), split, TaskMode.TASK_I, horizon=8
         )
         expected = [
-            np.mean(list(ds.user_ratings[u].values())) for u in sorted(split.test_users)
+            np.mean(list(profile(ds, u).values())) for u in sorted(split.test_users)
         ]
         np.testing.assert_allclose(scores, expected, atol=1e-12)
 
@@ -82,7 +82,7 @@ class TestPopular:
     def test_counts_match_brute_force(self, ds):
         train = set(range(9))
         counts = popularity_counts(ds, train)
-        brute = Counter(i for u in train for i in ds.user_ratings[u])
+        brute = Counter(i for u in train for i in profile(ds, u))
         for item in range(ds.n):
             assert counts[item] == brute.get(item, 0)
 
@@ -118,9 +118,9 @@ class TestImpact:
         for i in range(ds.n):
             neighbors = set()
             for u in train:
-                profile = ds.user_ratings[u]
-                if i in profile:
-                    neighbors |= set(profile)
+                rated = profile(ds, u)
+                if i in rated:
+                    neighbors |= set(rated)
             neighbors.discard(i)
             assert scores[i] == len(neighbors)
 

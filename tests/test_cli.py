@@ -1,4 +1,5 @@
 import csv
+import struct
 
 import numpy as np
 import pytest
@@ -195,6 +196,42 @@ def test_train_resume_from_truncated_state_exits_2(workspace, capsys):
     assert main(["train", "--config", str(cfg_path), "--method", "cfrl", "--resume"]) == 2
     assert str(state) in capsys.readouterr().err
 
+
+
+
+def test_old_binary_snapshot_as_data_exits_2(workspace, capsys):
+    tmp_path, data, cfg_path = workspace
+    old = tmp_path / "dataset.snap"
+    # the head of a snapshot in the earlier binary format: magic, then m, n, count
+    old.write_bytes(b"CFRLDS\x00\x01" + struct.pack("<3q", 943, 1586, 99518))
+    assert main(["pretrain", "--config", str(cfg_path), "--data", str(old)]) == 2
+    err = capsys.readouterr().err
+    assert str(old) in err and "not UTF-8" in err and "cfrl ingest" in err
+
+@pytest.mark.parametrize(
+    "old, new, key",
+    [
+        ("[agent]\n", "[agent]\ngamma = 0.5\n", "gamma"),
+        ("q_lr = 0.01", "q_lr = 0.02", "q_lr"),
+        ("epsilon = 0.2", "epsilon = 0.3", "epsilon"),
+        ("seed = 3", "seed = 4", "seed"),
+        ("test_fraction = 0.2", "test_fraction = 0.3", "train_users"),
+    ],
+    ids=["gamma", "q_lr", "epsilon", "seed", "split"],
+)
+def test_train_resume_of_a_changed_run_exits_2(workspace, capsys, old, new, key):
+    tmp_path, data, cfg_path = workspace
+    assert main(["pretrain", "--config", str(cfg_path)]) == 0
+    assert main(["train", "--config", str(cfg_path), "--method", "cfrl"]) == 0
+    text = cfg_path.read_text()
+    assert old in text
+    changed = tmp_path / "changed.ini"
+    changed.write_text(text.replace(old, new).replace("episodes = 3", "episodes = 5"),
+                       encoding="utf-8")
+    capsys.readouterr()
+    assert main(["train", "--config", str(changed), "--method", "cfrl", "--resume"]) == 2
+    err = capsys.readouterr().err
+    assert "cfrl_task2_split0_state.npz" in err and f"{key}" in err and "differ" in err
 
 def test_train_divergence_exits_1(workspace, capsys):
     tmp_path, data, cfg_path = workspace

@@ -1,12 +1,16 @@
 import math
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from cfrl.baselines import popularity_counts
 from cfrl.dataset import (
     RatingDataset,
-    RatingRecord,
     dataset_stats,
     load_ratings,
     load_snapshot,
@@ -28,14 +32,19 @@ from conftest import (
 )
 
 
+def assert_same_matrix(got, want):
+    """The five CSR arrays are equal, dtypes included."""
+    for name in ("user_ids", "item_ids", "indptr", "items", "ratings"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
 def test_parse_line_tab():
-    rec = parse_rating_line("196\t242\t3\t881250949", "\t")
-    assert rec == RatingRecord(user=196, item=242, rating=3, timestamp=881250949)
+    assert parse_rating_line("196\t242\t3\t881250949", "\t") == (196, 242, 3)
 
 
 def test_parse_line_double_colon():
-    rec = parse_rating_line("1::1193::5::978300760", "::")
-    assert rec.user == 1 and rec.item == 1193 and rec.rating == 5
+    assert parse_rating_line("1::1193::5::978300760", "::") == (1, 1193, 5)
 
 
 def test_empty_file_is_an_error(tmp_path):
@@ -52,18 +61,21 @@ def test_malformed_line_reports_line_number(tmp_path):
         load_ratings(path, "tab")
 
 
+
+def test_non_utf8_file_is_a_parse_error_on_its_line(tmp_path):
+    path = tmp_path / "latin1.tsv"
+    path.write_bytes(b"1\t2\t3\t4\n1\t3\t3\t4\n1\t4\t\xaf\t4\n")
+    with pytest.raises(ParseError, match=":3: not UTF-8"):
+        load_ratings(path, "tab")
+
 def test_rating_out_of_range_rejected():
     with pytest.raises(ValidationError, match="outside 1..5"):
-        RatingDataset.from_records([RatingRecord(user=1, item=1, rating=6)])
+        RatingDataset.from_arrays([1], [1], [6])
 
 
 def test_duplicate_pair_rejected():
-    records = [
-        RatingRecord(user=1, item=1, rating=3),
-        RatingRecord(user=1, item=1, rating=4),
-    ]
     with pytest.raises(ValidationError, match="duplicate"):
-        RatingDataset.from_records(records)
+        RatingDataset.from_arrays([1, 1], [1, 1], [3, 4])
 
 
 def test_load_asserts_movielens_min_ratings(tmp_path):
@@ -74,14 +86,13 @@ def test_load_asserts_movielens_min_ratings(tmp_path):
 
 
 def test_indices_are_sorted_bijections(synth_ds):
-    assert list(synth_ds.user_ids) == sorted(synth_ds.user_ids)
-    assert list(synth_ds.item_ids) == sorted(synth_ds.item_ids)
-    for ext in synth_ds.user_ids.tolist():
-        assert synth_ds.user_ids[synth_ds.user_index[ext]] == ext
-    for ext in synth_ds.item_ids.tolist():
-        assert synth_ds.item_ids[synth_ds.item_index[ext]] == ext
-    assert 0 <= min(synth_ds.user_index.values())
-    assert max(synth_ds.user_index.values()) == synth_ds.m - 1
+    # strictly ascending ids: searchsorted maps each external id to its index
+    for ids in (synth_ds.user_ids, synth_ds.item_ids):
+        assert (np.diff(ids) > 0).all()
+        assert np.array_equal(np.searchsorted(ids, ids), np.arange(ids.size))
+    # every index is used: each user has a row, each item a rating
+    assert synth_ds.indptr[0] == 0 and (np.diff(synth_ds.indptr) > 0).all()
+    assert np.array_equal(np.unique(synth_ds.items), np.arange(synth_ds.n))
 
 
 def test_reload_is_stable(tmp_path):
@@ -91,7 +102,7 @@ def test_reload_is_stable(tmp_path):
     second = load_ratings(path, "tab")
     assert np.array_equal(first.user_ids, second.user_ids)
     assert np.array_equal(first.item_ids, second.item_ids)
-    assert first.user_ratings == second.user_ratings
+    assert_same_matrix(first, second)
 
 
 def test_double_colon_format_round_trip(tmp_path):
@@ -151,7 +162,7 @@ def test_make_splits_strict_threshold():
     profiles[4] = {i: 3 for i in range(11)}
     ds = make_dataset(profiles)
     # exactly 10 ratings does not qualify when min_ratings=10
-    assert split_candidates(ds, 10) == [ds.user_index[4]]
+    assert split_candidates(ds, 10) == [int(np.searchsorted(ds.user_ids, 4))]
 
 
 def test_make_splits_no_candidates():
@@ -172,8 +183,7 @@ def test_snapshot_round_trip(tmp_path, synth_ds):
     save_snapshot(synth_ds, path)
     back = load_snapshot(path)
     assert back.m == synth_ds.m and back.n == synth_ds.n
-    assert back.user_ratings == synth_ds.user_ratings
-    assert np.array_equal(back.user_ids, synth_ds.user_ids)
+    assert_same_matrix(back, synth_ds)
 
 
 def test_snapshot_round_trip_equals_load_ratings(tmp_path, synth_file):
@@ -182,15 +192,97 @@ def test_snapshot_round_trip_equals_load_ratings(tmp_path, synth_file):
     save_snapshot(ds, path)
     back = load_snapshot(path)
     assert (back.m, back.n, back.rating_count) == (ds.m, ds.n, ds.rating_count)
-    for got, want in ((back.user_ids, ds.user_ids), (back.item_ids, ds.item_ids)):
-        assert got.dtype == want.dtype and np.array_equal(got, want)
-    assert back.user_index == ds.user_index and back.item_index == ds.item_index
-    assert [list(d.items()) for d in back.user_ratings] == [
-        list(d.items()) for d in ds.user_ratings
-    ]
+    assert_same_matrix(back, ds)
     for got, want in zip(back.triples(), ds.triples()):
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
+
+
+def _reference_rows(records):
+    """The dict-of-dicts build this package used to keep: (user ids, item ids,
+    one {item index: rating} dict per user index), or None where it refused
+    the (user id, item id, rating) records."""
+    if not records or any(r not in (1, 2, 3, 4, 5) for _, _, r in records):
+        return None
+    user_ids = sorted({u for u, _, _ in records})
+    item_ids = sorted({i for _, i, _ in records})
+    dense_user = {ext: k for k, ext in enumerate(user_ids)}
+    dense_item = {ext: k for k, ext in enumerate(item_ids)}
+    rows = [{} for _ in user_ids]
+    for u, i, r in records:
+        row, item = rows[dense_user[u]], dense_item[i]
+        if item in row:
+            return None
+        row[item] = r
+    return user_ids, item_ids, rows
+
+
+def _from_records(records):
+    return RatingDataset.from_arrays(*np.array(records, dtype=np.int64).reshape(-1, 3).T)
+
+
+@st.composite
+def rating_records(draw, faults=True):
+    """(user id, item id, rating) records in random order; with faults, some
+    draws repeat a (user, item) pair or hold a rating of 0 or 6."""
+    pairs = draw(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 2**40)),
+                          min_size=0 if faults else 1, max_size=60, unique=True))
+    ratings = draw(st.lists(st.integers(1, 5), min_size=len(pairs), max_size=len(pairs)))
+    records = [(u, i, r) for (u, i), r in zip(pairs, ratings)]
+    if faults and records and draw(st.booleans()):
+        k = draw(st.integers(0, len(records) - 1))
+        u, i, _ = records[k]
+        fault = draw(st.sampled_from(["duplicate", "rating 0", "rating 6"]))
+        if fault == "duplicate":
+            records.append((u, i, draw(st.integers(1, 5))))
+        else:
+            records[k] = (u, i, int(fault[-1]))
+    return draw(st.permutations(records))
+
+
+@given(rating_records())
+def test_from_arrays_refuses_exactly_what_the_reference_refuses(records):
+    if _reference_rows(records) is None:
+        with pytest.raises(ValidationError):
+            _from_records(records)
+    else:
+        _from_records(records)
+
+
+@given(rating_records(faults=False))
+def test_from_arrays_rows_match_the_reference(records):
+    user_ids, item_ids, rows = _reference_rows(records)
+    ds = _from_records(records)
+    assert (ds.m, ds.n, ds.rating_count) == (len(user_ids), len(item_ids), len(records))
+    assert ds.user_ids.tolist() == user_ids and ds.item_ids.tolist() == item_ids
+    for u, row in enumerate(rows):
+        start, end = ds.indptr[u], ds.indptr[u + 1]
+        assert ds.items[start:end].tolist() == sorted(row)
+        assert ds.ratings[start:end].tolist() == [row[i] for i in sorted(row)]
+
+
+@given(rating_records(faults=False), st.integers(0, 5), st.data())
+def test_from_arrays_summaries_match_the_reference(records, min_ratings, data):
+    _, _, rows = _reference_rows(records)
+    ds = _from_records(records)
+    assert ds.mean_rating() == sum(sum(row.values()) for row in rows) / len(records)
+    got = list(zip(*(a.tolist() for a in ds.triples())))
+    assert got == [(u, i, float(row[i])) for u, row in enumerate(rows) for i in sorted(row)]
+    assert split_candidates(ds, min_ratings) == [
+        u for u, row in enumerate(rows) if len(row) > min_ratings
+    ]
+    train = data.draw(st.sets(st.integers(0, ds.m - 1)), label="train")
+    counts = Counter(i for u in train for i in rows[u])
+    assert popularity_counts(ds, train).tolist() == [float(counts[i]) for i in range(ds.n)]
+
+
+@given(rating_records(faults=False))
+def test_snapshot_round_trip_gives_equal_arrays(records):
+    ds = _from_records(records)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ds.snap"
+        save_snapshot(ds, path)
+        assert_same_matrix(load_snapshot(path), ds)
 
 def test_snapshot_load_is_exact(tmp_path, synth_ds):
     path = tmp_path / "ds.snap"

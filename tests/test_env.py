@@ -7,7 +7,7 @@ from cfrl import mf
 from cfrl.env import InteractiveEnv, TaskMode, read_trace, write_trace
 from cfrl.errors import IllegalActionError, ValidationError
 
-from conftest import make_dataset, synthetic_profiles
+from conftest import make_dataset, profile, synthetic_profiles
 
 
 def toy_model(ds, d=4, seed=0, lr=0.01, reg=0.01):
@@ -34,7 +34,7 @@ def test_reset_task2_exposes_all_items(ds):
 def test_reset_task1_restricts_to_rated(ds):
     env = InteractiveEnv(ds, toy_model(ds), TaskMode.TASK_I, horizon=4)
     state = env.reset(2)
-    rated = set(ds.user_ratings[2])
+    rated = set(profile(ds, 2))
     assert set(np.flatnonzero(state.avail).tolist()) == rated
 
 
@@ -55,9 +55,9 @@ def test_step_pays_logged_rating(ds):
     env = InteractiveEnv(ds, model, TaskMode.TASK_I, horizon=3)
     user = 1
     state = env.reset(user)
-    item = next(iter(ds.user_ratings[user]))
+    item = next(iter(profile(ds, user)))
     reward, nxt, done = env.step(state, item)
-    assert reward == float(ds.user_ratings[user][item])
+    assert reward == float(profile(ds, user)[item])
     assert nxt.raw_state[item] == reward
     assert not nxt.avail[item]
     assert nxt.t == 1 and not done
@@ -69,7 +69,7 @@ def test_step_pays_logged_rating(ds):
 def test_step_task2_unrated_pays_zero(ds):
     env = InteractiveEnv(ds, toy_model(ds), TaskMode.TASK_II, horizon=3)
     user = 0
-    unrated = [i for i in range(ds.n) if i not in ds.user_ratings[user]]
+    unrated = [i for i in range(ds.n) if i not in profile(ds, user)]
     state = env.reset(user)
     reward, nxt, _ = env.step(state, unrated[0])
     assert reward == 0.0
@@ -157,9 +157,9 @@ def test_reward_ranges(ds):
 def test_task1_enumeration_total_is_order_independent(ds):
     model = toy_model(ds)
     user = 2
-    rated = sorted(ds.user_ratings[user])
+    rated = sorted(profile(ds, user))
     env = InteractiveEnv(ds, model, TaskMode.TASK_I, horizon=len(rated))
-    total_expected = float(sum(ds.user_ratings[user].values()))
+    total_expected = float(sum(profile(ds, user).values()))
     for seed in range(3):
         order = np.random.default_rng(seed).permutation(rated)
         state = env.reset(user)

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from cfrl import mf
-from cfrl.dataset import RatingDataset, RatingRecord, make_splits
+from cfrl.dataset import RatingDataset, make_splits
 from cfrl.errors import DivergenceError, ValidationError
 from cfrl.persist import read_manifest
 
-from conftest import make_dataset, needs_ml100k
+from conftest import make_dataset, needs_ml100k, profile
 
 
 def full_loss(U, V, entries, reg):
@@ -193,10 +193,10 @@ def _als_reference(fit_ds, d, reg, sweeps, seed):
     rng = np.random.default_rng(seed)
     U = rng.uniform(-0.01, 0.01, size=(d, fit_ds.m))
     V = rng.uniform(-0.01, 0.01, size=(d, fit_ds.n))
-    by_user = [sorted(prof.items()) for prof in fit_ds.user_ratings]
+    by_user = [sorted(profile(fit_ds, u).items()) for u in range(fit_ds.m)]
     by_item = [[] for _ in range(fit_ds.n)]
-    for u, prof in enumerate(fit_ds.user_ratings):
-        for i, r in prof.items():
+    for u, entries in enumerate(by_user):
+        for i, r in entries:
             by_item[i].append((u, r))
     eye = reg * np.eye(d)
     for _ in range(sweeps):
@@ -221,7 +221,7 @@ def test_held_out_rmse_close_to_batch_reference(ml100k_ds):
     rng = np.random.default_rng(123)
     fit_records, held = [], []
     for u in sorted(split.train_users):
-        items = sorted(ml100k_ds.user_ratings[u].items())
+        items = sorted(profile(ml100k_ds, u).items())
         k = max(1, len(items) // 10)
         held_idx = set(rng.choice(len(items), size=k, replace=False).tolist())
         for pos, (i, r) in enumerate(items):
@@ -229,8 +229,8 @@ def test_held_out_rmse_close_to_batch_reference(ml100k_ds):
             if pos in held_idx:
                 held.append(ext)
             else:
-                fit_records.append(RatingRecord(user=ext[0], item=ext[1], rating=ext[2]))
-    fit_ds = RatingDataset.from_records(fit_records)
+                fit_records.append(ext)
+    fit_ds = RatingDataset.from_arrays(*zip(*fit_records))
 
     model = mf.pretrain(fit_ds, set(range(fit_ds.m)), d=16, reg=0.01, lr=0.01,
                         epochs=30, seed=0)
@@ -239,10 +239,10 @@ def test_held_out_rmse_close_to_batch_reference(ml100k_ds):
     def held_rmse(U, V):
         errs = []
         for ext_u, ext_i, r in held:
-            u = fit_ds.user_index.get(ext_u)
-            i = fit_ds.item_index.get(ext_i)
-            if u is None or i is None:
+            if ext_u not in fit_ds.user_ids or ext_i not in fit_ds.item_ids:
                 continue
+            u = int(np.searchsorted(fit_ds.user_ids, ext_u))
+            i = int(np.searchsorted(fit_ds.item_ids, ext_i))
             errs.append(float(U[:, u] @ V[:, i]) - r)
         return float(np.sqrt(np.mean(np.square(errs))))
 

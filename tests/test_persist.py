@@ -26,7 +26,8 @@ def _snapshot(tmp):
     path = tmp / "ds.snap"
     dataset.save_snapshot(ds, path)
     return path, dataset.load_snapshot, lambda d: (
-        d.m, d.n, d.rating_count, d.user_ids.tobytes(), d.item_ids.tobytes(), d.user_ratings)
+        d.m, d.n, d.rating_count,
+        *(a.tobytes() for a in (d.user_ids, d.item_ids, d.indptr, d.items, d.ratings)))
 
 
 def _factors(tmp):

@@ -5,6 +5,7 @@ quality structure; they make no claims about scores on the real dataset.
 """
 
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -137,3 +138,17 @@ def test_epoch_rmse_equals_the_one_shot_formula(big_ds, big_splits, big_mf):
     users, items, ratings = users[keep], items[keep], ratings[keep]
     pred = np.sum(big_mf.U[:, users] * big_mf.V[:, items], axis=0)
     assert big_mf.epoch_rmse[-1] == float(np.sqrt(np.mean((pred - ratings) ** 2)))
+
+
+def test_dataset_holds_at_most_two_megabytes():
+    # 99,518 ratings: the CSR arrays take about 1.6 MB; per-user Python
+    # objects (one dict per user, one entry per rating) took 4.2 MB
+    profiles = ml100k_like_profiles(seed=0)
+    tracemalloc.start()
+    try:
+        ds = make_dataset(profiles)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ds.rating_count == 99_518
+    assert held <= 2.0 * 2**20

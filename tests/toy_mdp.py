@@ -34,6 +34,7 @@ class ChainEnv:
         return EnvState(
             user=0, t=t, raw_state=onehot.copy(), cf_state=onehot,
             avail=np.ones(N_ACTIONS, dtype=bool), asked=(), horizon=self.horizon,
+            ratings=np.zeros(N_ACTIONS),
         )
 
     def reset(self, user: int) -> EnvState:
