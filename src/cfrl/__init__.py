@@ -10,7 +10,7 @@ from .agent import ReplayMemory, TrainConfig, Transition, train_cfrl
 from .dataset import RatingDataset, Split, dataset_stats, load_ratings, make_splits
 from .env import InteractiveEnv, TaskMode
 from .evaluate import benchmark, evaluate_policy, paired_t_test
-from .mf import MfModel, init_user_state, online_update, predict, pretrain
+from .mf import MfModel, online_update, predict, pretrain
 
 __all__ = [
     "InteractiveEnv",
@@ -24,7 +24,6 @@ __all__ = [
     "benchmark",
     "dataset_stats",
     "evaluate_policy",
-    "init_user_state",
     "load_ratings",
     "make_splits",
     "online_update",

@@ -6,7 +6,8 @@ replay memory (arrays, one column per transition field, sampled as one
 qnet.Batch), and applies one minibatch TD update per environment step, with
 the target network re-synced every fixed number of updates. The same loop
 trains both the latent-state agent and the raw-rating-vector variant; the
-state extractor is a parameter.
+state update, which advances the agent's own state from each (item, reward),
+is a parameter, and state_update gives each variant's.
 """
 
 from __future__ import annotations
@@ -19,10 +20,9 @@ from functools import cached_property
 
 import numpy as np
 
-from . import qnet
+from . import mf, qnet
 from .env import InteractiveEnv, TaskMode, run_episode
 from .errors import ValidationError
-from .mf import MfModel
 from .persist import load_npz, save_npz
 from .seeding import rng_for
 
@@ -206,16 +206,34 @@ def select_action(net, state, mask, epsilon: float, rng) -> int:
     return qnet.masked_argmax(qnet.forward(net, state), mask_b)
 
 
-class QTrainer:
-    """Resumable state of one training run (network, target, replay, RNGs)."""
+def raw_update(state, item: int, reward: float) -> np.ndarray:
+    """The raw-vector state: the reward observed at each asked item, 0 elsewhere."""
+    state = state.copy()
+    state[item] = reward
+    return state
 
-    def __init__(self, env, users, input_dim: int, state_fn, cfg: TrainConfig):
+
+def state_update(mf_model: mf.MfModel | None):
+    """The state update (state, item, reward) -> next state of a Q-learner:
+    one online MF step of the latent user vector under `mf_model`, or, with
+    no model, raw_update. Either returns a new array."""
+    if mf_model is None:
+        return raw_update
+    return lambda state, item, reward: mf.online_update(mf_model, state, item, reward)
+
+
+class QTrainer:
+    """Resumable state of one training run (network, target, replay, RNGs).
+    Each episode's state starts at zeros(input_dim); update(state, item, reward)
+    advances it after each step."""
+
+    def __init__(self, env, users, input_dim: int, update, cfg: TrainConfig):
         cfg.validate()
         self.env = env
         self.users = sorted(users)
         if not self.users and cfg.episodes > 0:
             raise ValueError("no training users")
-        self.state_fn = state_fn
+        self.update = update
         self.cfg = cfg
         sizes = (input_dim, *cfg.hidden_sizes, env.n)
         self.net = qnet.qnet_init(sizes, seed=cfg.seed, activation=cfg.activation)
@@ -240,14 +258,16 @@ class QTrainer:
             ep = self.episode
             user = self.users[int(self.user_rng.integers(len(self.users)))]
             losses = []
+            s = np.zeros(self.net.input_dim)
 
             def act(state):
-                return select_action(self.net, self.state_fn(state), state.avail, cfg.epsilon,
-                                     self.action_rng)
+                return select_action(self.net, s, state.avail, cfg.epsilon, self.action_rng)
 
             def learn(t, state, action, reward, next_state, done):
-                self.memory.push(self.state_fn(state), action, reward,
-                                 self.state_fn(next_state), done, next_state.avail)
+                nonlocal s
+                s_next = self.update(s, action, reward)
+                self.memory.push(s, action, reward, s_next, done, next_state.avail)
+                s = s_next
                 batch = self.memory.sample(cfg.batch_size, self.replay_rng)
                 losses.append(qnet.train_step(self.net, self.target, batch, cfg.gamma, cfg.q_lr))
                 self.train_steps += 1
@@ -361,16 +381,16 @@ def eligible_train_users(ds, users, task: TaskMode, horizon: int) -> list:
     return sorted(u for u in users if counts[u] >= horizon)
 
 
-def make_trainer(ds, split, mf_model: MfModel, cfg: TrainConfig, raw_state: bool = False) -> QTrainer:
-    """Wire a trainer for the latent-state agent or the raw-vector variant."""
-    environment = InteractiveEnv(ds, mf_model, cfg.task, cfg.horizon)
+def make_trainer(ds, split, mf_model: mf.MfModel | None, cfg: TrainConfig) -> QTrainer:
+    """Wire a trainer for the latent-state agent, or for the raw-vector
+    variant when there is no factor model."""
+    environment = InteractiveEnv(ds, cfg.task, cfg.horizon)
     users = eligible_train_users(ds, split.train_users, cfg.task, cfg.horizon)
-    if raw_state:
-        return QTrainer(environment, users, ds.n, lambda st: st.raw_state, cfg)
-    return QTrainer(environment, users, mf_model.d, lambda st: st.cf_state, cfg)
+    width = ds.n if mf_model is None else mf_model.d
+    return QTrainer(environment, users, width, state_update(mf_model), cfg)
 
 
-def train_cfrl(ds, split, mf_model: MfModel, cfg: TrainConfig, trace: list | None = None):
+def train_cfrl(ds, split, mf_model: mf.MfModel, cfg: TrainConfig, trace: list | None = None):
     """Train the latent-state agent; returns (network, per-episode logs)."""
     trainer = make_trainer(ds, split, mf_model, cfg)
     logs = trainer.run(trace=trace)

@@ -1,9 +1,9 @@
 """Comparison policies behind one episodic interface.
 
 Every policy sees only what a live recommender would: the availability mask
-when acting, and the (item, reward) feedback afterwards. Stateful policies
-rebuild their per-user knowledge from that feedback alone, so evaluation
-cannot leak logged ratings.
+when acting, and the (item, reward) feedback afterwards. The latent policies
+keep their per-user state through StatePolicy, which advances it from that
+feedback alone by agent.state_update, so evaluation cannot leak logged ratings.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import mf, qnet
-from .agent import TrainConfig, eligible_train_users, make_trainer
+from .agent import TrainConfig, eligible_train_users, make_trainer, state_update
 from .env import InteractiveEnv, run_episode
 from .seeding import rng_for
 
@@ -92,21 +92,30 @@ def impact_policy(ds, train_users) -> ScorePolicy:
     return ScorePolicy(impact_scores(ds, train_users))
 
 
-class OnlineMfPolicy(Policy):
+class StatePolicy(Policy):
+    """A policy whose state starts at zeros(width) every episode and advances
+    by update(state, item, reward) on feedback."""
+
+    def __init__(self, width: int, update):
+        self.update = update
+        self.state = np.zeros(width)
+
+    def begin_episode(self, user: int) -> None:
+        self.state = np.zeros(self.state.size)
+
+    def observe(self, item: int, reward: float) -> None:
+        self.state = self.update(self.state, item, reward)
+
+
+class OnlineMfPolicy(StatePolicy):
     """Greedy latent-factor scorer with per-feedback SGD state updates."""
 
     def __init__(self, model: mf.MfModel):
+        super().__init__(model.d, state_update(model))
         self.model = model
-        self.state = mf.init_user_state(model.d)
-
-    def begin_episode(self, user: int) -> None:
-        self.state = mf.init_user_state(self.model.d)
 
     def act(self, avail: np.ndarray) -> int:
         return qnet.masked_argmax(mf.predict_all(self.model, self.state), avail)
-
-    def observe(self, item: int, reward: float) -> None:
-        self.state = mf.online_update(self.model, self.state, item, reward)
 
 
 @dataclass
@@ -122,7 +131,7 @@ class LinUcbModel:
         return cls(A=np.eye(2 * d), b=np.zeros(2 * d), alpha_ucb=alpha_ucb)
 
 
-class LinUcbPolicy(Policy):
+class LinUcbPolicy(StatePolicy):
     """Upper-confidence-bound scorer on concatenated state/item contexts.
 
     A context x = [s; v_i] joins the user state s and the item vector v_i
@@ -139,17 +148,14 @@ class LinUcbPolicy(Policy):
     """
 
     def __init__(self, model: LinUcbModel, mf_model: mf.MfModel, frozen: bool = True):
+        super().__init__(mf_model.d, state_update(mf_model))
         self.model = model
         self.mf_model = mf_model
         self.frozen = frozen
-        self.state = mf.init_user_state(mf_model.d)
         V, d = mf_model.V, mf_model.d
         self._inv = np.linalg.inv(model.A)
         self._theta = np.linalg.solve(model.A, model.b)
         self._q = np.einsum("ij,ij->j", V, self._inv[d:, d:] @ V)
-
-    def begin_episode(self, user: int) -> None:
-        self.state = mf.init_user_state(self.mf_model.d)
 
     def scores(self, items: np.ndarray) -> np.ndarray:
         """Upper confidence bound of each listed item under the current state."""
@@ -176,7 +182,7 @@ class LinUcbPolicy(Policy):
             self._theta += u * ((reward - x @ self._theta) / scale)
             self._inv -= np.outer(u, u) / scale
             self._q -= (u[d:] @ self.mf_model.V) ** 2 / scale
-        self.state = mf.online_update(self.mf_model, self.state, item, reward)
+        super().observe(item, reward)
 
 
 def train_linucb(ds, split, mf_model: mf.MfModel, cfg: TrainConfig,
@@ -186,7 +192,7 @@ def train_linucb(ds, split, mf_model: mf.MfModel, cfg: TrainConfig,
     cfg.validate()
     model = LinUcbModel.fresh(mf_model.d, alpha_ucb)
     policy = LinUcbPolicy(model, mf_model, frozen=False)
-    environment = InteractiveEnv(ds, mf_model, cfg.task, cfg.horizon)
+    environment = InteractiveEnv(ds, cfg.task, cfg.horizon)
     users = eligible_train_users(ds, split.train_users, cfg.task, cfg.horizon)
     if not users and cfg.episodes > 0:
         raise ValueError("no training users")
@@ -199,41 +205,23 @@ def train_linucb(ds, split, mf_model: mf.MfModel, cfg: TrainConfig,
     return model
 
 
-class GreedyQPolicy(Policy):
-    """Frozen Q-network acting greedily, tracking its own input state."""
+class GreedyQPolicy(StatePolicy):
+    """Frozen Q-network acting greedily on the state it was trained on."""
 
     def __init__(self, net: qnet.QNetwork, mf_model: mf.MfModel | None = None,
                  raw_state: bool = False):
-        self.net = net
-        self.mf_model = mf_model
-        self.raw_state = raw_state
         if not raw_state and mf_model is None:
             raise ValueError("latent-state policy needs the MF model")
-        self.state = np.zeros(net.input_dim)
-
-    def begin_episode(self, user: int) -> None:
-        self.state = np.zeros(self.net.input_dim)
+        super().__init__(net.input_dim, state_update(None if raw_state else mf_model))
+        self.net = net
+        self.raw_state = raw_state
 
     def act(self, avail: np.ndarray) -> int:
         return qnet.masked_argmax(qnet.forward(self.net, self.state), avail)
 
-    def observe(self, item: int, reward: float) -> None:
-        if self.raw_state:
-            self.state = self.state.copy()
-            self.state[item] = reward
-        else:
-            self.state = mf.online_update(self.mf_model, self.state, item, reward)
-
-
-def null_mf_model(ds) -> mf.MfModel:
-    """Zero-factor stand-in for agents that ignore the latent state."""
-    return mf.MfModel(
-        U=np.zeros((1, ds.m)), V=np.zeros((1, ds.n)), d=1, reg=0.0, lr=0.0
-    )
-
 
 def raw_dqn_agent(ds, split, cfg: TrainConfig, trace: list | None = None):
     """Train the raw-rating-vector Q-network; returns (network, logs)."""
-    trainer = make_trainer(ds, split, null_mf_model(ds), cfg, raw_state=True)
+    trainer = make_trainer(ds, split, None, cfg)
     logs = trainer.run(trace=trace)
     return trainer.net, logs

@@ -202,8 +202,7 @@ def cmd_eval(args) -> int:
     ctx = _context(cfg, ds, split, args.split, out, args.method)
     ckpt = out / f"{args.method}_{task.value}_split{args.split}{spec.suffix}"
     artifact = spec.load(ctx, ckpt) if spec.trains else None
-    policy, env_model = spec.policy(ctx, artifact)
-    scores = evaluate.evaluate_policy(policy, ds, env_model, split, task, cfg.horizon)
+    scores = evaluate.evaluate_policy(spec.policy(ctx, artifact), ds, split, task, cfg.horizon)
     path = out / f"eval_{args.method}_{task.value}_split{args.split}.csv"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("user,score\n")

@@ -46,10 +46,18 @@ class RatingDataset:
         """The matrix of (user id, item id, rating) triples, given in any order.
 
         Raises:
-            ValidationError: no triples, a rating outside 1..5 or a repeated
-                (user, item) pair.
+            ValidationError: no triples, a value that is not an integer, a
+                rating outside 1..5 or a repeated (user, item) pair.
         """
-        users, items, ratings = (np.asarray(a, dtype=np.int64) for a in (users, items, ratings))
+        users, items, ratings = (np.asarray(a) for a in (users, items, ratings))
+        for values, what in ((users, "user id"), (items, "item id"), (ratings, "rating")):
+            with np.errstate(invalid="ignore"):  # a NaN or 1e30 cast warns; refused below
+                changed = np.flatnonzero(values.astype(np.int64) != values)
+            if changed.size:
+                k = changed[0]
+                raise ValidationError(f"{what} {values[k].item()!r} at position {k} "
+                                      f"is not a 64-bit integer")
+        users, items, ratings = (a.astype(np.int64, copy=False) for a in (users, items, ratings))
         if not users.size:
             raise ValidationError("no records")
         bad = np.flatnonzero((ratings < 1) | (ratings > 5))

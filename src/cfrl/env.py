@@ -2,9 +2,10 @@
 
 Each episode replays a single user: the agent recommends an item per step,
 the logged rating (or 0 for an unrated item in the full-catalog task) is paid
-as reward, recommended items become unavailable, and the user's latent state
-advances by one online MF step on the observed value. States are plain values;
-every step returns a fresh state so mid-episode snapshots can be replayed.
+as reward, and recommended items become unavailable. The environment holds no
+model of the user: each method keeps its own state from the (item, reward)
+feedback. States are plain values; every step returns a fresh state so
+mid-episode snapshots can be replayed.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from enum import Enum
 
 import numpy as np
 
-from . import mf
 from .errors import IllegalActionError, ValidationError
 
 
@@ -30,8 +30,6 @@ class TaskMode(Enum):
 class EnvState:
     user: int
     t: int
-    raw_state: np.ndarray     # (n,) observed reward at each asked position
-    cf_state: np.ndarray      # (d,) online latent user state
     avail: np.ndarray         # (n,) bool, True where the item may still be taken
     asked: tuple              # items recommended so far, in order
     horizon: int
@@ -41,18 +39,16 @@ class EnvState:
 class InteractiveEnv:
     """Factory and transition function for per-user episodes."""
 
-    def __init__(self, ds, model: mf.MfModel, task: TaskMode, horizon: int):
+    def __init__(self, ds, task: TaskMode, horizon: int):
         if horizon < 0:
             raise ValueError("horizon must be >= 0")
         self.ds = ds
-        self.model = model
         self.task = task
         self.horizon = horizon
         self.n = ds.n
-        self.d = model.d
 
     def reset(self, user: int) -> EnvState:
-        """Fresh t=0 state: zero vectors, full availability for the task."""
+        """Fresh t=0 state: nothing asked, full availability for the task."""
         if not (0 <= user < self.ds.m):
             raise ValidationError(f"user index {user} out of range")
         start, end = self.ds.indptr[user], self.ds.indptr[user + 1]
@@ -72,8 +68,6 @@ class InteractiveEnv:
         return EnvState(
             user=user,
             t=0,
-            raw_state=np.zeros(self.n, dtype=np.float64),
-            cf_state=mf.init_user_state(self.d),
             avail=avail,
             asked=(),
             horizon=self.horizon,
@@ -84,8 +78,8 @@ class InteractiveEnv:
         """Take one action; returns (reward, next state, done).
 
         Reward is the logged rating, or 0 when the full-catalog task hits an
-        unrated item; that observed value also drives the raw-state write and
-        the online latent update, so a miss acts as negative feedback.
+        unrated item; a method that keeps a state sees that 0 as its
+        feedback, so a miss acts as negative feedback.
         """
         if state.t >= state.horizon:
             raise IllegalActionError(f"episode for user {state.user} is already done")
@@ -94,18 +88,12 @@ class InteractiveEnv:
                 f"item {action} is not available at step {state.t} for user {state.user}"
             )
         reward = float(state.ratings[action])
-
-        raw = state.raw_state.copy()
-        raw[action] = reward
         avail = state.avail.copy()
         avail[action] = False
-        cf = mf.online_update(self.model, state.cf_state, action, reward)
         t = state.t + 1
         next_state = EnvState(
             user=state.user,
             t=t,
-            raw_state=raw,
-            cf_state=cf,
             avail=avail,
             asked=state.asked + (action,),
             horizon=state.horizon,

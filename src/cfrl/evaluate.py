@@ -23,14 +23,14 @@ from .methods import METHODS, SplitContext
 from .seeding import derive_seed
 
 
-def evaluate_policy(policy, ds, mf_model, split, task: TaskMode, horizon: int,
+def evaluate_policy(policy, ds, split, task: TaskMode, horizon: int,
                     trace: list | None = None) -> np.ndarray:
     """One greedy episode per test user; returns each user's mean reward.
 
     Users run in ascending index order; the policy is reset per episode via
     begin_episode, so shared models are never mutated.
     """
-    environment = InteractiveEnv(ds, mf_model, task, horizon)
+    environment = InteractiveEnv(ds, task, horizon)
     means = []
     for idx, user in enumerate(sorted(split.test_users)):
         policy.begin_episode(user)
@@ -207,18 +207,22 @@ def _run_split(ctx: SplitContext, methods: tuple, tasks: tuple, horizon: int, mf
     if any(METHODS[m].needs_mf for m in methods):
         seed = derive_seed(ctx.seed, f"mf:{ctx.index}")
         ctx = replace(ctx, mf_model=mf.pretrain(ctx.ds, ctx.split.train_users, seed=seed, **mf_params))
+    untrained = {}  # an untrained method's policy ignores the task and resets per episode
     for task in tasks:
         for method in methods:
             try:
                 spec = METHODS[method]
-                artifact = None
                 if spec.trains:
-                    artifact = spec.fit(ctx, _train_cfg_for(ctx, train_cfg, horizon, method, task))
-                policy, env_model = spec.policy(ctx, artifact)
-                scores = evaluate_policy(policy, ctx.ds, env_model, ctx.split, task, horizon)
+                    cfg = _train_cfg_for(ctx, train_cfg, horizon, method, task)
+                    policy = spec.policy(ctx, spec.fit(ctx, cfg))
+                elif method in untrained:
+                    policy = untrained[method]
+                else:
+                    policy = untrained[method] = spec.policy(ctx, None)
+                scores = evaluate_policy(policy, ctx.ds, ctx.split, task, horizon)
                 out[(method, task.value)] = float(np.mean(scores))
             except Exception as exc:  # cell failures must not kill the grid
-                out[(method, task.value)] = f"error: {exc}"
+                out[(method, task.value)] = f"error: {type(exc).__name__}: {exc}"
     return out
 
 

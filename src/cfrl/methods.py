@@ -1,7 +1,9 @@
 """The compared methods, in report order, and how each one is built.
 
 The benchmark grid, `cfrl train` and `cfrl eval` all go through one entry
-per method. Entries look their builders up on the `agent`, `baselines` and
+per method. An entry turns the split (and its trained artifact) into a
+policy, which keeps its own state; the environment it is evaluated in needs
+no model. Entries look their builders up on the `agent`, `baselines` and
 `qnet` modules each time they run, so a builder rebound there is the one
 every path calls.
 """
@@ -29,17 +31,13 @@ class SplitContext:
     mf_model: object = None      # pretrained factors, when some method needs them
     linucb_alpha: float = 1.0
 
-    @property
-    def null_model(self):
-        return baselines.null_mf_model(self.ds)
-
 
 @dataclass(frozen=True)
 class MethodSpec:
     """How one method is trained, stored and turned into a policy."""
 
     needs_mf: bool
-    policy: Callable                  # (ctx, artifact) -> (policy, environment model)
+    policy: Callable                  # (ctx, artifact) -> policy
     fit: Callable | None = None       # (ctx, cfg) -> artifact, trained in memory
     save: Callable | None = None      # (artifact, path, manifest=None); LinUCB keeps no manifest
     load: Callable | None = None      # (ctx, path) -> artifact
@@ -73,34 +71,29 @@ def _load_linucb(ctx, path) -> baselines.LinUcbModel:
 
 def _q_learner(raw_state: bool, fit: Callable) -> MethodSpec:
     """A greedy Q-network over the raw rating vector (dqn) or the latent state (cfrl)."""
-
-    def model(ctx):
-        return ctx.null_model if raw_state else ctx.mf_model
-
     return MethodSpec(
         needs_mf=not raw_state,
-        policy=lambda ctx, net: (
-            baselines.GreedyQPolicy(net, mf_model=model(ctx), raw_state=raw_state), model(ctx)),
+        policy=lambda ctx, net: baselines.GreedyQPolicy(net, ctx.mf_model, raw_state=raw_state),
         fit=fit,
         save=lambda net, path, manifest=None: qnet.save_qnet(net, path, manifest=manifest),
         load=lambda ctx, path: qnet.load_qnet(path),
         suffix=".ckpt",
         trainer=lambda ctx, cfg: agent.make_trainer(
-            ctx.ds, ctx.split, model(ctx), cfg, raw_state=raw_state),
+            ctx.ds, ctx.split, None if raw_state else ctx.mf_model, cfg),
     )
 
 
 METHODS = {
-    "random": MethodSpec(False, lambda ctx, _: (
-        baselines.RandomPolicy(seed=derive_seed(ctx.seed, f"random:{ctx.index}")), ctx.null_model)),
-    "popular": MethodSpec(False, lambda ctx, _: (
-        baselines.popular_policy(ctx.ds, ctx.split.train_users), ctx.null_model)),
-    "impact": MethodSpec(False, lambda ctx, _: (
-        baselines.impact_policy(ctx.ds, ctx.split.train_users), ctx.null_model)),
-    "mf": MethodSpec(True, lambda ctx, _: (baselines.OnlineMfPolicy(ctx.mf_model), ctx.mf_model)),
+    "random": MethodSpec(False, lambda ctx, _: baselines.RandomPolicy(
+        seed=derive_seed(ctx.seed, f"random:{ctx.index}"))),
+    "popular": MethodSpec(False, lambda ctx, _: baselines.popular_policy(
+        ctx.ds, ctx.split.train_users)),
+    "impact": MethodSpec(False, lambda ctx, _: baselines.impact_policy(
+        ctx.ds, ctx.split.train_users)),
+    "mf": MethodSpec(True, lambda ctx, _: baselines.OnlineMfPolicy(ctx.mf_model)),
     "linucb": MethodSpec(
         True,
-        lambda ctx, ucb: (baselines.LinUcbPolicy(ucb, ctx.mf_model, frozen=True), ctx.mf_model),
+        lambda ctx, ucb: baselines.LinUcbPolicy(ucb, ctx.mf_model, frozen=True),
         fit=lambda ctx, cfg: baselines.train_linucb(
             ctx.ds, ctx.split, ctx.mf_model, cfg, alpha_ucb=ctx.linucb_alpha),
         save=lambda ucb, path, manifest=None: persist.save_npz(

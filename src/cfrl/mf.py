@@ -148,13 +148,6 @@ def training_rmse(model: MfModel, ds, train_users) -> float:
     return _rmse(model.U, model.V, users[keep], items[keep], ratings[keep])
 
 
-def init_user_state(d: int) -> np.ndarray:
-    """Zero latent vector every interaction episode starts from."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    return np.zeros(d, dtype=np.float64)
-
-
 def online_update(model: MfModel, state, item: int, rating: float):
     """One SGD iteration of the active user's vector on a single rating.
 

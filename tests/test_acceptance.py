@@ -13,12 +13,11 @@ import numpy as np
 import pytest
 
 from cfrl import mf, qnet
-from cfrl.agent import QTrainer, TrainConfig, Transition, train_cfrl
+from cfrl.agent import QTrainer, TrainConfig, Transition, state_update, train_cfrl
 from cfrl.baselines import (
     GreedyQPolicy,
     OnlineMfPolicy,
     RandomPolicy,
-    null_mf_model,
     popular_policy,
     raw_dqn_agent,
 )
@@ -34,7 +33,7 @@ from conftest import (
     planted_profiles,
     synthetic_profiles,
 )
-from toy_mdp import ChainEnv, LIVE_STATES, value_iteration
+from toy_mdp import ChainEnv, LIVE_STATES, encode, update, value_iteration
 
 HORIZON = 40
 SEED = 0
@@ -49,12 +48,10 @@ def ml100k_splits(ml100k_ds):
     return make_splits(ml100k_ds, n_splits=10, test_fraction=0.10, min_ratings=100, seed=SEED)
 
 
-def _split_means(policy_factory, ds, splits, task, env_model_factory=None):
+def _split_means(policy_factory, ds, splits, task):
     scores = []
     for s, split in enumerate(splits):
-        policy = policy_factory(s, split)
-        model = env_model_factory(s, split) if env_model_factory else null_mf_model(ds)
-        per_user = evaluate_policy(policy, ds, model, split, task, HORIZON)
+        per_user = evaluate_policy(policy_factory(s, split), ds, split, task, HORIZON)
         scores.append(float(np.mean(per_user)))
     return scores
 
@@ -95,12 +92,10 @@ def test_criterion_03_popular_task2(ml100k_ds, ml100k_splits):
     # determinism per split
     split = ml100k_splits[0]
     again = evaluate_policy(
-        popular_policy(ml100k_ds, split.train_users), ml100k_ds,
-        null_mf_model(ml100k_ds), split, TaskMode.TASK_II, HORIZON,
+        popular_policy(ml100k_ds, split.train_users), ml100k_ds, split, TaskMode.TASK_II, HORIZON,
     )
     first = evaluate_policy(
-        popular_policy(ml100k_ds, split.train_users), ml100k_ds,
-        null_mf_model(ml100k_ds), split, TaskMode.TASK_II, HORIZON,
+        popular_policy(ml100k_ds, split.train_users), ml100k_ds, split, TaskMode.TASK_II, HORIZON,
     )
     np.testing.assert_array_equal(first, again)
     _report(3, f"popular task2 mean {mean:.4f} in 2.404+-0.15, deterministic")
@@ -122,7 +117,6 @@ def test_criterion_04_online_mf_task1(ml100k_ds, ml100k_splits, ml100k_mf_models
     scores = _split_means(
         lambda s, split: OnlineMfPolicy(ml100k_mf_models[s]),
         ml100k_ds, ml100k_splits, TaskMode.TASK_I,
-        env_model_factory=lambda s, split: ml100k_mf_models[s],
     )
     mean = float(np.mean(scores))
     assert mean >= 3.95, f"online MF task1 mean {mean:.4f} below 3.95"
@@ -151,12 +145,10 @@ def test_criterion_05_cfrl_beats_raw_dqn_at_desk_scale(ml100k_ds, ml100k_splits)
     dqn_net, _ = raw_dqn_agent(ml100k_ds, split, dqn_cfg)
 
     cfrl_scores = evaluate_policy(
-        GreedyQPolicy(cfrl_net, mf_model=model), ml100k_ds, model, split,
-        TaskMode.TASK_II, HORIZON,
+        GreedyQPolicy(cfrl_net, mf_model=model), ml100k_ds, split, TaskMode.TASK_II, HORIZON,
     )
     dqn_scores = evaluate_policy(
-        GreedyQPolicy(dqn_net, raw_state=True), ml100k_ds, null_mf_model(ml100k_ds),
-        split, TaskMode.TASK_II, HORIZON,
+        GreedyQPolicy(dqn_net, raw_state=True), ml100k_ds, split, TaskMode.TASK_II, HORIZON,
     )
     cfrl_mean = float(np.mean(cfrl_scores))
     dqn_mean = float(np.mean(dqn_scores))
@@ -247,14 +239,12 @@ def test_criterion_07_tabular_oracle():
         sync_period=25, batch_size=16, replay_capacity=5000,
         hidden_sizes=(), seed=SEED,
     )
-    trainer = QTrainer(env, [0], input_dim=3, state_fn=lambda st: st.cf_state, cfg=cfg)
+    trainer = QTrainer(env, [0], input_dim=3, update=update, cfg=cfg)
     trainer.run()
     q_star = value_iteration(0.9)
     worst = 0.0
     for s in LIVE_STATES:
-        onehot = np.zeros(3)
-        onehot[s] = 1.0
-        learned = qnet.forward(trainer.net, onehot)
+        learned = qnet.forward(trainer.net, encode(s))
         worst = max(worst, float(np.abs(learned - q_star[s]).max()))
         assert int(np.argmax(learned)) == int(np.argmax(q_star[s])), (
             f"greedy action mismatch in state {s}"
@@ -270,7 +260,7 @@ def test_criterion_08_environment_invariants():
     rng = np.random.default_rng(0)
     model = mf.MfModel(U=np.zeros((4, ds.m)), V=rng.normal(size=(4, ds.n)), d=4,
                        reg=0.01, lr=0.02)
-    env = InteractiveEnv(ds, model, TaskMode.TASK_II, horizon=10)
+    env = InteractiveEnv(ds, TaskMode.TASK_II, horizon=10)
     for user in range(ds.m):
         action_rng = np.random.default_rng(1000 + user)
         state = env.reset(user)
@@ -284,16 +274,20 @@ def test_criterion_08_environment_invariants():
             if action not in ds.items[ds.indptr[user]:ds.indptr[user + 1]]:
                 assert reward == 0.0  # unrated items pay zero
         assert len(set(taken)) == len(taken)  # no repeated actions
-    # bit-exact replay under a fixed seed
+    # bit-exact replay under a fixed seed, of the rewards and the latent
+    # state the agents advance on them
+    advance = state_update(model)
+
     def rollout(seed):
         action_rng = np.random.default_rng(seed)
-        state = env.reset(3)
+        state, latent = env.reset(3), np.zeros(model.d)
         rewards, cf = [], []
         for _ in range(10):
             action = int(action_rng.choice(np.flatnonzero(state.avail)))
             reward, state, _ = env.step(state, action)
+            latent = advance(latent, action, reward)
             rewards.append(reward)
-            cf.append(state.cf_state.tobytes())
+            cf.append(latent.tobytes())
         return rewards, cf
 
     first, second = rollout(77), rollout(77)

@@ -26,7 +26,7 @@ from cfrl.evaluate import evaluate_policy
 from cfrl.seeding import rng_for
 
 from conftest import PLANTED_ITEM, make_dataset, planted_profiles, profile, synthetic_profiles
-from toy_mdp import ChainEnv, LIVE_STATES, value_iteration
+from toy_mdp import ChainEnv, LIVE_STATES, encode, update, value_iteration
 
 
 def _push_rows(mem, count, start=0):
@@ -203,6 +203,30 @@ def test_training_trace_has_no_repeats_within_episode(small_setup):
     assert len(by_episode) == 5
     for actions in by_episode.values():
         assert len(actions) == len(set(actions)) == 6
+
+
+@pytest.mark.parametrize("raw_state", [False, True])
+def test_trainer_and_greedy_policy_share_one_state(small_setup, raw_state):
+    # the rows the trainer learns from are, bit for bit, the states the
+    # evaluated policy holds before and after each observe of the same steps
+    ds, split, model = small_setup
+    cfg = TrainConfig(episodes=3, horizon=5, hidden_sizes=(8,), task=TaskMode.TASK_II,
+                      epsilon=0.5, seed=4)
+    trainer = make_trainer(ds, split, None if raw_state else model, cfg)
+    trace = []
+    trainer.run(trace=trace)
+    rows = trainer.memory.state()
+    policy = GreedyQPolicy(trainer.net, mf_model=model, raw_state=raw_state)
+    assert rows["s"].shape == (len(trace), ds.n if raw_state else model.d)
+    for k, (_, user, t, action, reward, _) in enumerate(trace):
+        if t == 0:
+            policy.begin_episode(user)
+            assert not rows["s"][k].any()  # every episode starts from the zero vector
+        assert rows["a"][k] == action and rows["r"][k] == reward
+        assert rows["s"][k].tobytes() == policy.state.tobytes()
+        policy.observe(action, reward)
+        assert rows["s_next"][k].tobytes() == policy.state.tobytes()
+    assert len(trace) == 3 * 5
 
 
 def test_training_is_deterministic(small_setup):
@@ -411,8 +435,8 @@ def _greedy_rollout(net, ds, model, user, horizon):
     """(score, rewards, actions) of one frozen latent-state Q-network episode."""
     split = Split(train_users=frozenset(), test_users=frozenset({user}), seed=0)
     trace = []
-    scores = evaluate_policy(GreedyQPolicy(net, mf_model=model), ds, model, split,
-                             TaskMode.TASK_II, horizon, trace=trace)
+    scores = evaluate_policy(GreedyQPolicy(net, mf_model=model), ds, split, TaskMode.TASK_II,
+                             horizon, trace=trace)
     return float(scores[0]), [row[4] for row in trace], [row[3] for row in trace]
 
 
@@ -466,12 +490,10 @@ def test_tabular_oracle_convergence():
         sync_period=25, batch_size=16, replay_capacity=5000,
         hidden_sizes=(), seed=0,
     )
-    trainer = QTrainer(env, [0], input_dim=3, state_fn=lambda st: st.cf_state, cfg=cfg)
+    trainer = QTrainer(env, [0], input_dim=3, update=update, cfg=cfg)
     trainer.run()
     q_star = value_iteration(0.9)
     for s in LIVE_STATES:
-        onehot = np.zeros(3)
-        onehot[s] = 1.0
-        learned = qnet.forward(trainer.net, onehot)
+        learned = qnet.forward(trainer.net, encode(s))
         np.testing.assert_allclose(learned, q_star[s], atol=1e-2)
         assert int(np.argmax(learned)) == int(np.argmax(q_star[s]))

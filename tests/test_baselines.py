@@ -13,7 +13,6 @@ from cfrl.baselines import (
     RandomPolicy,
     impact_policy,
     impact_scores,
-    null_mf_model,
     popular_policy,
     popularity_counts,
     raw_dqn_agent,
@@ -64,7 +63,7 @@ class TestRandomPolicy:
         # consuming every rated item makes the mean reward order-independent
         split = Split(train_users=frozenset(range(10)), test_users=frozenset({10, 11}), seed=0)
         scores = evaluate_policy(
-            RandomPolicy(seed=3), ds, null_mf_model(ds), split, TaskMode.TASK_I, horizon=8
+            RandomPolicy(seed=3), ds, split, TaskMode.TASK_I, horizon=8
         )
         expected = [
             np.mean(list(profile(ds, u).values())) for u in sorted(split.test_users)
@@ -169,10 +168,10 @@ class ReferenceLinUcbPolicy(baselines.Policy):
 
     def __init__(self, model, mf_model, frozen=True):
         self.model, self.mf_model, self.frozen = model, mf_model, frozen
-        self.state = mf.init_user_state(mf_model.d)
+        self.state = np.zeros(mf_model.d)
 
     def begin_episode(self, user):
-        self.state = mf.init_user_state(self.mf_model.d)
+        self.state = np.zeros(self.mf_model.d)
 
     def act(self, avail):
         choices = np.flatnonzero(avail)

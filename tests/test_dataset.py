@@ -1,4 +1,5 @@
 import math
+import re
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -71,6 +72,28 @@ def test_non_utf8_file_is_a_parse_error_on_its_line(tmp_path):
 def test_rating_out_of_range_rejected():
     with pytest.raises(ValidationError, match="outside 1..5"):
         RatingDataset.from_arrays([1], [1], [6])
+
+
+@pytest.mark.parametrize("ratings, shown", [
+    ([3.5, 2.0, 5.9], "rating 3.5 at position 0"),
+    ([3.0, float("nan"), 2.0], "rating nan at position 1"),
+    ([3.0, 2.0, 1e30], "rating 1e+30 at position 2"),
+])
+def test_non_integer_input_rejected(ratings, shown):
+    with pytest.raises(ValidationError, match=re.escape(f"{shown} is not a 64-bit integer")):
+        RatingDataset.from_arrays([1, 2, 3], [1, 2, 3], ratings)
+    with pytest.raises(ValidationError, match="item id 2.5 at position 1"):
+        RatingDataset.from_arrays([1, 2, 3], [1.0, 2.5, 3.0], [3, 4, 5])
+
+
+def test_from_arrays_round_trips_triples(synth_ds):
+    # triples() gives float64 ratings; integral floats load exactly
+    again = RatingDataset.from_arrays(*synth_ds.triples())
+    for key in ("indptr", "items", "ratings"):
+        assert getattr(again, key).dtype == np.int64
+        np.testing.assert_array_equal(getattr(again, key), getattr(synth_ds, key))
+    np.testing.assert_array_equal(again.user_ids, np.arange(synth_ds.m))
+    np.testing.assert_array_equal(again.item_ids, np.arange(synth_ds.n))
 
 
 def test_duplicate_pair_rejected():

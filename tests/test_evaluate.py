@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from cfrl import mf
-from cfrl.baselines import OnlineMfPolicy, RandomPolicy, null_mf_model
+from cfrl import baselines, mf
+from cfrl.baselines import OnlineMfPolicy, RandomPolicy
 from cfrl.dataset import Split, make_splits
 from cfrl.env import TaskMode
 from cfrl.errors import ValidationError
@@ -26,7 +26,7 @@ def test_constant_reward_environment_scores_exactly():
     ds = make_dataset({u: {i: 2 for i in range(6)} for u in range(3)})
     split = Split(train_users=frozenset({0, 1}), test_users=frozenset({2}), seed=0)
     scores = evaluate_policy(
-        RandomPolicy(seed=0), ds, null_mf_model(ds), split, TaskMode.TASK_I, horizon=6
+        RandomPolicy(seed=0), ds, split, TaskMode.TASK_I, horizon=6
     )
     assert scores.tolist() == [2.0]
 
@@ -36,8 +36,8 @@ def test_evaluation_is_repeatable_and_does_not_mutate_models():
     split = Split(train_users=frozenset(range(8)), test_users=frozenset({8, 9}), seed=0)
     model = mf.pretrain(ds, split.train_users, d=3, reg=0.01, lr=0.02, epochs=5, seed=0)
     before_u, before_v = model.U.copy(), model.V.copy()
-    first = evaluate_policy(OnlineMfPolicy(model), ds, model, split, TaskMode.TASK_I, 8)
-    second = evaluate_policy(OnlineMfPolicy(model), ds, model, split, TaskMode.TASK_I, 8)
+    first = evaluate_policy(OnlineMfPolicy(model), ds, split, TaskMode.TASK_I, 8)
+    second = evaluate_policy(OnlineMfPolicy(model), ds, split, TaskMode.TASK_I, 8)
     np.testing.assert_array_equal(first, second)
     np.testing.assert_array_equal(model.U, before_u)
     np.testing.assert_array_equal(model.V, before_v)
@@ -48,8 +48,7 @@ def test_aggregation_identity_from_raw_trace():
     split = Split(train_users=frozenset(range(6)), test_users=frozenset({6, 7}), seed=0)
     trace = []
     scores = evaluate_policy(
-        RandomPolicy(seed=1), ds, null_mf_model(ds), split, TaskMode.TASK_II,
-        horizon=5, trace=trace,
+        RandomPolicy(seed=1), ds, split, TaskMode.TASK_II, horizon=5, trace=trace,
     )
     by_user = {}
     for _, user, _, _, reward, _ in trace:
@@ -217,7 +216,7 @@ def test_benchmark_parallel_equals_serial(bench_ds):
     assert serial.csv_rows() == parallel.csv_rows()
 
 
-def test_benchmark_records_cell_failures_without_aborting(bench_ds):
+def test_benchmark_records_cell_failures_without_aborting(bench_ds, tmp_path):
     splits = make_splits(bench_ds, n_splits=2, test_fraction=0.2, min_ratings=10, seed=5)
     # linucb without a training budget must fail per-cell, not globally
     report = benchmark(
@@ -229,6 +228,19 @@ def test_benchmark_records_cell_failures_without_aborting(bench_ds):
     assert failed == [("linucb", TaskMode.TASK_I)]
     assert "training budget" in report.cells[("linucb", TaskMode.TASK_I)]
     assert "FAILED" in report.render_text()
+    write_report(report, tmp_path)
+    assert "ValidationError: " in (tmp_path / "report.csv").read_text()
+
+
+def test_benchmark_builds_untrained_policies_once_per_split(bench_ds, monkeypatch):
+    splits = make_splits(bench_ds, n_splits=2, test_fraction=0.2, min_ratings=10, seed=5)
+    calls = []
+    scores = baselines.impact_scores
+    monkeypatch.setattr(baselines, "impact_scores", lambda *a: calls.append(a) or scores(*a))
+    report = benchmark(bench_ds, splits, ("impact",), (TaskMode.TASK_I, TaskMode.TASK_II),
+                       seed=2, horizon=5)
+    assert not report.failed_cells()
+    assert len(calls) == len(splits)
 
 
 def test_benchmark_rejects_empty_or_unknown_methods(bench_ds):

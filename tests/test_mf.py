@@ -75,18 +75,10 @@ def test_pretrain_divergence_raises():
         mf.pretrain(ds, {0, 1}, d=2, reg=0.0, lr=50.0, epochs=50, seed=0)
 
 
-def test_init_user_state():
-    state = mf.init_user_state(8)
-    assert state.shape == (8,)
-    assert not state.any()
-    with pytest.raises(ValueError):
-        mf.init_user_state(0)
-
-
 def test_zero_state_predicts_zero_everywhere():
     ds = make_dataset({0: {0: 5, 1: 1}, 1: {0: 4, 1: 2}})
     model = mf.pretrain(ds, {0, 1}, d=3, reg=0.01, lr=0.01, epochs=3, seed=0)
-    state = mf.init_user_state(3)
+    state = np.zeros(3)
     for item in range(model.n):
         assert mf.predict(model, state, item) == 0.0
 
@@ -95,7 +87,7 @@ def test_online_update_from_zero_state_closed_form():
     rng = np.random.default_rng(0)
     V = rng.normal(size=(4, 3))
     model = mf.MfModel(U=np.zeros((4, 1)), V=V, d=4, reg=0.3, lr=0.01)
-    state = mf.init_user_state(4)
+    state = np.zeros(4)
     for item, rating in [(0, 5.0), (2, 1.0)]:
         new = mf.online_update(model, state, item, rating)
         np.testing.assert_allclose(new, 2 * model.lr * rating * V[:, item], atol=1e-15)

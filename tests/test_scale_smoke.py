@@ -18,7 +18,6 @@ from cfrl.baselines import (
     OnlineMfPolicy,
     RandomPolicy,
     impact_policy,
-    null_mf_model,
     popular_policy,
 )
 from cfrl.dataset import Split, make_splits
@@ -48,11 +47,10 @@ def big_mf(big_ds, big_splits):
 
 def test_random_ten_split_protocol_fits_time_budget(big_ds, big_splits):
     start = time.perf_counter()
-    null = null_mf_model(big_ds)
     scores = []
     for s, split in enumerate(big_splits):
         per_user = evaluate_policy(
-            RandomPolicy(seed=derive_seed(0, f"random:{s}")), big_ds, null, split,
+            RandomPolicy(seed=derive_seed(0, f"random:{s}")), big_ds, split,
             TaskMode.TASK_I, 40,
         )
         scores.append(float(np.mean(per_user)))
@@ -65,10 +63,9 @@ def test_random_ten_split_protocol_fits_time_budget(big_ds, big_splits):
 
 def test_nonpersonalized_orderings_at_scale(big_ds, big_splits):
     split = big_splits[0]
-    null = null_mf_model(big_ds)
 
     def score(policy, task):
-        return float(np.mean(evaluate_policy(policy, big_ds, null, split, task, 40)))
+        return float(np.mean(evaluate_policy(policy, big_ds, split, task, 40)))
 
     rand2 = score(RandomPolicy(seed=1), TaskMode.TASK_II)
     pop2 = score(popular_policy(big_ds, split.train_users), TaskMode.TASK_II)
@@ -80,10 +77,10 @@ def test_nonpersonalized_orderings_at_scale(big_ds, big_splits):
 def test_online_mf_beats_random_at_scale(big_ds, big_splits, big_mf):
     split = big_splits[0]
     mf_score = float(np.mean(evaluate_policy(
-        OnlineMfPolicy(big_mf), big_ds, big_mf, split, TaskMode.TASK_I, 40
+        OnlineMfPolicy(big_mf), big_ds, split, TaskMode.TASK_I, 40
     )))
     rand_score = float(np.mean(evaluate_policy(
-        RandomPolicy(seed=2), big_ds, null_mf_model(big_ds), split, TaskMode.TASK_I, 40
+        RandomPolicy(seed=2), big_ds, split, TaskMode.TASK_I, 40
     )))
     assert mf_score > rand_score + 0.3
 
@@ -104,10 +101,10 @@ def test_latent_state_enables_personalization():
     eval_model = replace(model, lr=0.1)
     net, _ = train_cfrl(ds, split, eval_model, cfg)
     cfrl_score = float(np.mean(evaluate_policy(
-        GreedyQPolicy(net, mf_model=eval_model), ds, eval_model, split, TaskMode.TASK_I, 10
+        GreedyQPolicy(net, mf_model=eval_model), ds, split, TaskMode.TASK_I, 10
     )))
     rand_score = float(np.mean(evaluate_policy(
-        RandomPolicy(seed=9), ds, null_mf_model(ds), split, TaskMode.TASK_I, 10
+        RandomPolicy(seed=9), ds, split, TaskMode.TASK_I, 10
     )))
     assert rand_score < 3.0
     assert cfrl_score > rand_score + 0.5
@@ -124,10 +121,10 @@ def test_short_budget_cfrl_beats_random_at_scale(big_ds, big_splits, big_mf):
     net, logs = train_cfrl(big_ds, split, big_mf, cfg)
     assert len(logs) == 400
     cfrl_score = float(np.mean(evaluate_policy(
-        GreedyQPolicy(net, mf_model=big_mf), big_ds, big_mf, split, TaskMode.TASK_II, 10
+        GreedyQPolicy(net, mf_model=big_mf), big_ds, split, TaskMode.TASK_II, 10
     )))
     rand_score = float(np.mean(evaluate_policy(
-        RandomPolicy(seed=5), big_ds, null_mf_model(big_ds), split, TaskMode.TASK_II, 10
+        RandomPolicy(seed=5), big_ds, split, TaskMode.TASK_II, 10
     )))
     assert cfrl_score > rand_score + 0.8
 

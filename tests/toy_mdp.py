@@ -3,11 +3,15 @@
 Three states (state 2 absorbing), three actions, rewards chosen so the
 optimal policy is unique. Used as the convergence oracle for the Q-learning
 loop: value iteration on the explicit tables gives the exact targets.
+
+Like the recommendation environment, ChainEnv only pays rewards; the agent's
+state comes from `update`, the toy's own state update, starting from the zero
+vector every episode begins with.
 """
 
-import numpy as np
+from dataclasses import dataclass
 
-from cfrl.env import EnvState
+import numpy as np
 
 # state -> action -> (next state, reward, terminal)
 TRANSITIONS = {
@@ -19,6 +23,31 @@ N_ACTIONS = 3
 LIVE_STATES = (0, 1)
 
 
+def encode(s: int) -> np.ndarray:
+    """State s as the agent sees it. The start state is the zero vector every
+    episode begins from; any other state sets component 0 (the episode has
+    started) and component s. Under a plain one-hot code for the other states
+    the linear network's bias alone would carry the start state's values,
+    shared with every other state, and Q-learning would converge about three
+    times slower."""
+    vec = np.zeros(N_STATES)
+    if s:
+        vec[[0, s]] = 1.0
+    return vec
+
+
+def update(state, action: int, reward: float) -> np.ndarray:
+    """The toy's state update: the encoding of the state `action` leads to."""
+    s = 1 + int(np.argmax(state[1:])) if state.any() else 0
+    return encode(TRANSITIONS[s][int(action)][0])
+
+
+@dataclass
+class ChainState:
+    s: int
+    avail: np.ndarray
+
+
 class ChainEnv:
     """Duck-typed stand-in for the recommendation environment."""
 
@@ -26,24 +55,13 @@ class ChainEnv:
 
     def __init__(self, horizon: int = 10):
         self.horizon = horizon
-        self.d = N_STATES
 
-    def _state(self, s: int, t: int) -> EnvState:
-        onehot = np.zeros(N_STATES)
-        onehot[s] = 1.0
-        return EnvState(
-            user=0, t=t, raw_state=onehot.copy(), cf_state=onehot,
-            avail=np.ones(N_ACTIONS, dtype=bool), asked=(), horizon=self.horizon,
-            ratings=np.zeros(N_ACTIONS),
-        )
+    def reset(self, user: int) -> ChainState:
+        return ChainState(0, np.ones(N_ACTIONS, dtype=bool))
 
-    def reset(self, user: int) -> EnvState:
-        return self._state(0, 0)
-
-    def step(self, state: EnvState, action: int):
-        s = int(np.argmax(state.cf_state))
-        s2, reward, terminal = TRANSITIONS[s][int(action)]
-        return reward, self._state(s2, state.t + 1), bool(terminal)
+    def step(self, state: ChainState, action: int):
+        s2, reward, terminal = TRANSITIONS[state.s][int(action)]
+        return reward, ChainState(s2, np.ones(N_ACTIONS, dtype=bool)), bool(terminal)
 
 
 def value_iteration(gamma: float, sweeps: int = 500) -> np.ndarray:
