@@ -103,7 +103,7 @@ def cmd_pretrain(args) -> int:
             "reg": cfg.mf_reg,
             "lr": cfg.mf_lr,
             "split": args.split,
-            "train_rmse": model.epoch_rmse[-1] if model.epoch_rmse else None,
+            "train_rmse": model.epoch_rmse[-1],
         },
     )
     print(f"checkpoint written to {path}")

@@ -112,6 +112,27 @@ def test_pretrain_writes_deterministic_checkpoint(workspace, capsys):
     assert bytes_a == bytes_b
 
 
+@pytest.mark.parametrize(
+    "old, new, key",
+    [
+        ("epochs = 4", "epochs = -3", "epochs"),
+        ("lr = 0.02", "lr = -0.01", "lr"),
+        ("lr = 0.02", "lr = 0", "lr"),
+        ("reg = 0.01", "reg = -5", "reg"),
+    ],
+    ids=["epochs-3", "lr-0.01", "lr0", "reg-5"],
+)
+def test_pretrain_out_of_range_mf_setting_exits_2(workspace, capsys, old, new, key):
+    tmp_path, data, cfg_path = workspace
+    text = cfg_path.read_text()
+    assert text.count(old) == 1
+    bad = tmp_path / "bad.ini"
+    bad.write_text(text.replace(old, new), encoding="utf-8")
+    assert main(["pretrain", "--config", str(bad)]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out" / "mf_split0.ckpt").exists()
+
+
 def test_pretrain_manifest_rmse_matches_recomputation(workspace):
     tmp_path, data, cfg_path = workspace
     out = tmp_path / "out"

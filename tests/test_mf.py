@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfrl import mf
 from cfrl.dataset import RatingDataset, make_splits
 from cfrl.errors import DivergenceError, ValidationError
 from cfrl.persist import read_manifest
+from cfrl.seeding import rng_for
 
-from conftest import make_dataset, needs_ml100k, profile
+from conftest import make_dataset, needs_ml100k, profile, synthetic_profiles
 
 
 def full_loss(U, V, entries, reg):
@@ -32,6 +35,100 @@ def dense_gd_oracle(m, n, entries, d, reg, lr, iters, seed):
         U = U - lr * gU
         V = V - lr * gV
     return full_loss(U, V, entries, reg)
+
+
+def sequential_pretrain(ds, train_users, d, reg, lr, epochs, seed):
+    """Reference: the rating-by-rating SGD loop that pretrain runs in rounds,
+    with the same init, shuffle and per-rating ridge weights.
+
+    Returns:
+        (U, V, epoch_rmse).
+    """
+    users, items, ratings = ds.triples()
+    keep = np.isin(users, np.fromiter(train_users, dtype=np.int64))
+    users, items, ratings = users[keep], items[keep], ratings[keep]
+    rng = rng_for(seed, "mf-init")
+    U = rng.uniform(-0.01, 0.01, size=(d, ds.m))
+    V = rng.uniform(-0.01, 0.01, size=(d, ds.n))
+    shuffle_rng = rng_for(seed, "mf-shuffle")
+    user_count = np.bincount(users, minlength=ds.m).astype(np.float64)
+    item_count = np.bincount(items, minlength=ds.n).astype(np.float64)
+    reg_u = np.divide(reg, user_count, out=np.zeros(ds.m), where=user_count > 0)
+    reg_i = np.divide(reg, item_count, out=np.zeros(ds.n), where=item_count > 0)
+    two_lr = 2.0 * lr
+    epoch_rmse = []
+    for _ in range(epochs):
+        for k in shuffle_rng.permutation(users.size):
+            u = users[k]
+            i = items[k]
+            u_vec = U[:, u]
+            v_vec = V[:, i]
+            err = float(u_vec @ v_vec) - ratings[k]
+            u_old = u_vec.copy()
+            U[:, u] = u_vec - two_lr * (err * v_vec + reg_u[u] * u_vec)
+            V[:, i] = v_vec - two_lr * (err * u_old + reg_i[i] * v_vec)
+        pred = np.sum(U[:, users] * V[:, items], axis=0)
+        epoch_rmse.append(float(np.sqrt(np.mean((pred - ratings) ** 2))))
+    return U, V, epoch_rmse
+
+
+def assert_matches_sequential(model, reference):
+    """Factors and epoch RMSEs equal the reference loop's to 1e-12 relative."""
+    U, V, epoch_rmse = reference
+    for got, want in ((model.U, U), (model.V, V)):
+        assert got.flags.c_contiguous and got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(model.epoch_rmse, epoch_rmse, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("d", [2, 5, 16])
+@pytest.mark.parametrize("seed, epochs", [(0, 1), (1, 3), (2, 6)])
+def test_pretrain_equals_the_sequential_loop(d, seed, epochs):
+    ds = make_dataset(synthetic_profiles(n_users=30, n_items=40, per_user=25, seed=seed))
+    train_users = set(range(0, 30, 3)) | set(range(1, 30, 3))
+    model = mf.pretrain(ds, train_users, d=d, reg=0.05, lr=0.02, epochs=epochs, seed=seed)
+    reference = sequential_pretrain(ds, train_users, d=d, reg=0.05, lr=0.02, epochs=epochs,
+                                    seed=seed)
+    assert_matches_sequential(model, reference)
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 5), st.integers(1, 5), st.data())
+def test_schedule_rounds_are_conflict_free_and_keep_each_rows_order(m, n, data):
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, n - 1)),
+                               min_size=1, max_size=40))
+    users = np.array([u for u, _ in pairs], dtype=np.int64)
+    items = np.array([i for _, i in pairs], dtype=np.int64)
+    by_round, ends = mf._schedule(users, items, m, n)
+    # every rating exactly once, no empty round
+    assert sorted(by_round.tolist()) == list(range(len(pairs)))
+    assert ends[-1] == len(pairs) and np.all(np.diff(ends) > 0)
+    start = 0
+    for end in ends.tolist():
+        held = by_round[start:end]
+        assert len(set(users[held].tolist())) == held.size
+        assert len(set(items[held].tolist())) == held.size
+        start = end
+    # each user's and each item's ratings are applied in the given order
+    for ids in (users, items):
+        for row in set(ids.tolist()):
+            applied = [k for k in by_round.tolist() if ids[k] == row]
+            assert applied == sorted(applied)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [dict(epochs=0), dict(epochs=-3), dict(lr=0.0), dict(lr=-0.01), dict(lr=float("nan")),
+     dict(lr=float("inf")), dict(reg=-5.0), dict(reg=float("nan")), dict(reg=float("inf"))],
+    ids=["epochs0", "epochs-3", "lr0", "lr-0.01", "lr-nan", "lr-inf", "reg-5", "reg-nan",
+         "reg-inf"],
+)
+def test_pretrain_rejects_out_of_range_hyperparameters(bad):
+    ds = make_dataset({0: {0: 5, 1: 1}, 1: {0: 4, 1: 2}})
+    params = dict(d=2, reg=0.01, lr=0.01, epochs=2, seed=0) | bad
+    (key,) = bad
+    with pytest.raises(ValueError, match=key):
+        mf.pretrain(ds, {0, 1}, **params)
 
 
 def test_pretrain_fits_single_rating_exactly():
