@@ -1,13 +1,11 @@
-"""Q-learning over per-user episodes.
+"""The policy interface that env.run_episode plays, and Q-learning as a policy.
 
-One training run repeatedly samples a training user, rolls an episode against
-the environment under epsilon-greedy control, stores transitions in a bounded
+The Q-learner acts epsilon-greedily on its own state, which state_update
+advances from each (item, reward); every observed step goes into a bounded
 replay memory (arrays, one column per transition field, sampled as one
-qnet.Batch), and applies one minibatch TD update per environment step, with
-the target network re-synced every fixed number of updates. The same loop
-trains both the latent-state agent and the raw-rating-vector variant; the
-state update, which advances the agent's own state from each (item, reward),
-is a parameter, and state_update gives each variant's.
+qnet.Batch) and is followed by one minibatch TD update, with the target
+network re-synced every fixed number of updates. The same policy trains both
+the latent-state agent and the raw-rating-vector variant.
 """
 
 from __future__ import annotations
@@ -222,18 +220,45 @@ def state_update(mf_model: mf.MfModel | None):
     return lambda state, item, reward: mf.online_update(mf_model, state, item, reward)
 
 
-class QTrainer:
-    """Resumable state of one training run (network, target, replay, RNGs).
-    Each episode's state starts at zeros(input_dim); update(state, item, reward)
-    advances it after each step."""
+class Policy:
+    """Episodic policy: begin_episode, then act and observe(item, reward, avail, done) per step."""
+
+    def begin_episode(self, user: int) -> None:
+        pass
+
+    def act(self, avail: np.ndarray) -> int:
+        raise NotImplementedError
+
+    def observe(self, item: int, reward: float, avail=None, done: bool = False) -> None:
+        pass
+
+
+class StatePolicy(Policy):
+    """A policy whose state starts at zeros(width) every episode and advances
+    by update(state, item, reward) on feedback."""
+
+    def __init__(self, width: int, update):
+        self.update = update
+        self.state = np.zeros(width)
+
+    def begin_episode(self, user: int) -> None:
+        self.state = np.zeros(self.state.size)
+
+    def observe(self, item: int, reward: float, avail=None, done: bool = False) -> None:
+        self.state = self.update(self.state, item, reward)
+
+
+class QTrainer(StatePolicy):
+    """The learning Q-policy and the resumable state of its training run
+    (network, target, replay, RNGs); its state starts at zeros(input_dim)."""
 
     def __init__(self, env, users, input_dim: int, update, cfg: TrainConfig):
         cfg.validate()
+        super().__init__(input_dim, update)
         self.env = env
         self.users = sorted(users)
         if not self.users and cfg.episodes > 0:
             raise ValueError("no training users")
-        self.update = update
         self.cfg = cfg
         sizes = (input_dim, *cfg.hidden_sizes, env.n)
         self.net = qnet.qnet_init(sizes, seed=cfg.seed, activation=cfg.activation)
@@ -246,6 +271,25 @@ class QTrainer:
         self.train_steps = 0
         self.sync_count = 0
         self.logs = []
+        self.losses = []    # TD losses of the current episode
+
+    def begin_episode(self, user: int) -> None:
+        super().begin_episode(user)
+        self.losses = []
+
+    def act(self, avail: np.ndarray) -> int:
+        return select_action(self.net, self.state, avail, self.cfg.epsilon, self.action_rng)
+
+    def observe(self, item: int, reward: float, avail=None, done: bool = False) -> None:
+        cfg, s = self.cfg, self.state
+        super().observe(item, reward)
+        self.memory.push(s, item, reward, self.state, done, avail)
+        batch = self.memory.sample(cfg.batch_size, self.replay_rng)
+        self.losses.append(qnet.train_step(self.net, self.target, batch, cfg.gamma, cfg.q_lr))
+        self.train_steps += 1
+        if self.train_steps % cfg.sync_period == 0:
+            qnet.sync_target(self.net, self.target)
+            self.sync_count += 1
 
     def run(self, until_episode: int | None = None, trace: list | None = None) -> list:
         """Advance training to the requested episode count (default: all).
@@ -253,38 +297,18 @@ class QTrainer:
         Returns the full per-episode log list accumulated so far.
         """
         stop = self.cfg.episodes if until_episode is None else min(until_episode, self.cfg.episodes)
-        cfg = self.cfg
         while self.episode < stop:
-            ep = self.episode
             user = self.users[int(self.user_rng.integers(len(self.users)))]
-            losses = []
-            s = np.zeros(self.net.input_dim)
-
-            def act(state):
-                return select_action(self.net, s, state.avail, cfg.epsilon, self.action_rng)
-
-            def learn(t, state, action, reward, next_state, done):
-                nonlocal s
-                s_next = self.update(s, action, reward)
-                self.memory.push(s, action, reward, s_next, done, next_state.avail)
-                s = s_next
-                batch = self.memory.sample(cfg.batch_size, self.replay_rng)
-                losses.append(qnet.train_step(self.net, self.target, batch, cfg.gamma, cfg.q_lr))
-                self.train_steps += 1
-                if self.train_steps % cfg.sync_period == 0:
-                    qnet.sync_target(self.net, self.target)
-                    self.sync_count += 1
-                if trace is not None:
-                    trace.append((ep, user, t, action, reward, done))
-
-            reward_sum = run_episode(self.env, user, cfg.horizon, act, learn)
+            steps = run_episode(self.env, user, self)
+            if trace is not None:
+                trace.extend((self.episode, user, t, *step) for t, step in enumerate(steps))
             self.logs.append(
                 EpisodeLog(
-                    episode=ep,
+                    episode=self.episode,
                     user=user,
-                    reward_sum=reward_sum,
-                    mean_td_loss=float(np.mean(losses)) if losses else 0.0,
-                    epsilon=cfg.epsilon,
+                    reward_sum=sum((reward for _, reward, _ in steps), 0.0),
+                    mean_td_loss=float(np.mean(self.losses)) if self.losses else 0.0,
+                    epsilon=self.cfg.epsilon,
                     sync_count=self.sync_count,
                 )
             )

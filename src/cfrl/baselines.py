@@ -1,9 +1,9 @@
-"""Comparison policies behind one episodic interface.
+"""The comparison policies, on agent.Policy's interface, played by env.run_episode.
 
 Every policy sees only what a live recommender would: the availability mask
 when acting, and the (item, reward) feedback afterwards. The latent policies
-keep their per-user state through StatePolicy, which advances it from that
-feedback alone by agent.state_update, so evaluation cannot leak logged ratings.
+keep their per-user state through agent.StatePolicy, which advances it from
+that feedback alone by agent.state_update, so evaluation cannot leak ratings.
 """
 
 from __future__ import annotations
@@ -14,22 +14,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import mf, qnet
-from .agent import TrainConfig, eligible_train_users, make_trainer, state_update
+from .agent import (Policy, StatePolicy, TrainConfig, eligible_train_users, make_trainer,
+                    state_update)
 from .env import InteractiveEnv, run_episode
 from .seeding import rng_for
-
-
-class Policy:
-    """Minimal episodic policy interface."""
-
-    def begin_episode(self, user: int) -> None:
-        pass
-
-    def act(self, avail: np.ndarray) -> int:
-        raise NotImplementedError
-
-    def observe(self, item: int, reward: float) -> None:
-        pass
 
 
 class RandomPolicy(Policy):
@@ -90,21 +78,6 @@ def impact_scores(ds, train_users) -> np.ndarray:
 
 def impact_policy(ds, train_users) -> ScorePolicy:
     return ScorePolicy(impact_scores(ds, train_users))
-
-
-class StatePolicy(Policy):
-    """A policy whose state starts at zeros(width) every episode and advances
-    by update(state, item, reward) on feedback."""
-
-    def __init__(self, width: int, update):
-        self.update = update
-        self.state = np.zeros(width)
-
-    def begin_episode(self, user: int) -> None:
-        self.state = np.zeros(self.state.size)
-
-    def observe(self, item: int, reward: float) -> None:
-        self.state = self.update(self.state, item, reward)
 
 
 class OnlineMfPolicy(StatePolicy):
@@ -171,7 +144,7 @@ class LinUcbPolicy(StatePolicy):
             raise ValueError("empty availability mask")
         return int(choices[int(np.argmax(self.scores(choices)))])
 
-    def observe(self, item: int, reward: float) -> None:
+    def observe(self, item: int, reward: float, avail=None, done: bool = False) -> None:
         if not self.frozen:
             d = self.mf_model.d
             x = np.concatenate([self.state, self.mf_model.V[:, item]])
@@ -198,10 +171,7 @@ def train_linucb(ds, split, mf_model: mf.MfModel, cfg: TrainConfig,
         raise ValueError("no training users")
     user_rng = rng_for(cfg.seed, "episode-users")
     for _ in range(cfg.episodes):
-        user = users[int(user_rng.integers(len(users)))]
-        policy.begin_episode(user)
-        run_episode(environment, user, cfg.horizon, lambda state: policy.act(state.avail),
-                    lambda t, state, action, reward, *_: policy.observe(action, reward))
+        run_episode(environment, users[int(user_rng.integers(len(users)))], policy)
     return model
 
 

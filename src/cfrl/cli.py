@@ -59,8 +59,20 @@ def _splits(cfg: RunConfig, ds):
     )
 
 
+def _split(cfg: RunConfig, ds, index: int):
+    """Split `index`; an index outside 0..[split] count - 1 is a usage error."""
+    if not 0 <= index < cfg.split_count:
+        raise ValidationError(f"--split {index} is outside 0..{cfg.split_count - 1} ([split] count)")
+    return _splits(cfg, ds)[index]
+
+
 def _mf_ckpt_path(out: Path, split_index: int) -> Path:
     return out / f"mf_split{split_index}.ckpt"
+
+
+def _artifact_stem(method: str, task, split_index: int) -> str:
+    """One stem per method, task and split, so no two agents overwrite each other."""
+    return f"{method}_{task.value}_split{split_index}"
 
 
 def cmd_ingest(args) -> int:
@@ -83,7 +95,7 @@ def cmd_ingest(args) -> int:
 def cmd_pretrain(args) -> int:
     cfg = _resolve_config(args)
     ds = _load_dataset(cfg)
-    split = _splits(cfg, ds)[args.split]
+    split = _split(cfg, ds, args.split)
     seed = derive_seed(cfg.seed, f"mf:{args.split}")
     model = mf.pretrain(
         ds, split.train_users, d=cfg.mf_dim, reg=cfg.mf_reg, lr=cfg.mf_lr,
@@ -127,16 +139,17 @@ def _context(cfg: RunConfig, ds, split, split_index: int, out: Path, method: str
 
 def cmd_train(args) -> int:
     cfg = _resolve_config(args)
+    spec = METHODS[args.method]
+    if spec.trainer is None and (args.resume or args.trace):
+        raise ValidationError(f"--resume and --trace need a trainer; {args.method} has none")
     ds = _load_dataset(cfg)
-    split = _splits(cfg, ds)[args.split]
+    split = _split(cfg, ds, args.split)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     write_resolved(cfg, out)
-    spec = METHODS[args.method]
     ctx = _context(cfg, ds, split, args.split, out, args.method)
     train_cfg = cfg.train_config()
-    # one agent per task; the task tag keeps the two from overwriting each other
-    stem = f"{args.method}_{train_cfg.task.value}_split{args.split}"
+    stem = _artifact_stem(args.method, train_cfg.task, args.split)
     ckpt = out / f"{stem}{spec.suffix}"
 
     if spec.trainer is None:
@@ -194,16 +207,16 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _resolve_config(args)
     ds = _load_dataset(cfg)
-    split = _splits(cfg, ds)[args.split]
+    split = _split(cfg, ds, args.split)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     task = task_mode(args.task)
     spec = METHODS[args.method]
     ctx = _context(cfg, ds, split, args.split, out, args.method)
-    ckpt = out / f"{args.method}_{task.value}_split{args.split}{spec.suffix}"
-    artifact = spec.load(ctx, ckpt) if spec.trains else None
+    stem = _artifact_stem(args.method, task, args.split)
+    artifact = spec.load(ctx, out / f"{stem}{spec.suffix}") if spec.trains else None
     scores = evaluate.evaluate_policy(spec.policy(ctx, artifact), ds, split, task, cfg.horizon)
-    path = out / f"eval_{args.method}_{task.value}_split{args.split}.csv"
+    path = out / f"eval_{stem}.csv"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("user,score\n")
         for user, score in zip(sorted(split.test_users), scores):

@@ -3,9 +3,10 @@
 Each episode replays a single user: the agent recommends an item per step,
 the logged rating (or 0 for an unrated item in the full-catalog task) is paid
 as reward, and recommended items become unavailable. The environment holds no
-model of the user: each method keeps its own state from the (item, reward)
+model of the user: each policy keeps its own state from the (item, reward)
 feedback. States are plain values; every step returns a fresh state so
-mid-episode snapshots can be replayed.
+mid-episode snapshots can be replayed. run_episode plays every rollout of a
+policy, in training as in evaluation, for the environment's horizon.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ class EnvState:
     t: int
     avail: np.ndarray         # (n,) bool, True where the item may still be taken
     asked: tuple              # items recommended so far, in order
-    horizon: int
     ratings: np.ndarray       # (n,) the user's logged ratings, 0 where unrated; shared, read-only
 
 
@@ -70,7 +70,6 @@ class InteractiveEnv:
             t=0,
             avail=avail,
             asked=(),
-            horizon=self.horizon,
             ratings=ratings,
         )
 
@@ -81,7 +80,7 @@ class InteractiveEnv:
         unrated item; a method that keeps a state sees that 0 as its
         feedback, so a miss acts as negative feedback.
         """
-        if state.t >= state.horizon:
+        if state.t >= self.horizon:
             raise IllegalActionError(f"episode for user {state.user} is already done")
         if not (0 <= action < self.n) or not state.avail[action]:
             raise IllegalActionError(
@@ -96,31 +95,31 @@ class InteractiveEnv:
             t=t,
             avail=avail,
             asked=state.asked + (action,),
-            horizon=state.horizon,
             ratings=state.ratings,
         )
-        return reward, next_state, t == state.horizon
+        return reward, next_state, t == self.horizon
 
 
-def run_episode(environment, user: int, horizon: int, act, on_step=None) -> float:
-    """Roll one episode for a user; returns the summed reward.
+def run_episode(environment, user: int, policy) -> list:
+    """Play one episode of `policy` for a user; returns its (action, reward,
+    done) steps in order.
 
-    act(state) picks each action. on_step(t, state, action, reward,
-    next_state, done), when given, sees every transition right after the
-    environment step, before the next action is picked.
+    After the reset and policy.begin_episode(user), each step policy.act(avail)
+    picks an item, the environment pays its reward, and policy.observe(item,
+    reward, avail after the step, done) sees it before the next act. The
+    episode ends at done or after environment.horizon steps.
     """
     state = environment.reset(user)
-    total = 0.0
-    for t in range(horizon):
-        action = act(state)
-        reward, next_state, done = environment.step(state, action)
-        if on_step is not None:
-            on_step(t, state, action, reward, next_state, done)
-        total += reward
-        state = next_state
+    policy.begin_episode(user)
+    steps = []
+    for _ in range(environment.horizon):
+        action = policy.act(state.avail)
+        reward, state, done = environment.step(state, action)
+        policy.observe(action, reward, state.avail, done)
+        steps.append((action, reward, done))
         if done:
             break
-    return total
+    return steps
 
 
 def write_trace(path, rows) -> None:

@@ -27,21 +27,16 @@ def evaluate_policy(policy, ds, split, task: TaskMode, horizon: int,
                     trace: list | None = None) -> np.ndarray:
     """One greedy episode per test user; returns each user's mean reward.
 
-    Users run in ascending index order; the policy is reset per episode via
-    begin_episode, so shared models are never mutated.
+    Users run in ascending index order; run_episode resets the policy per
+    episode via begin_episode, so shared models are never mutated.
     """
     environment = InteractiveEnv(ds, task, horizon)
     means = []
     for idx, user in enumerate(sorted(split.test_users)):
-        policy.begin_episode(user)
-
-        def observe(t, state, action, reward, next_state, done):
-            policy.observe(action, reward)
-            if trace is not None:
-                trace.append((idx, user, t, action, reward, done))
-
-        total = run_episode(environment, user, horizon, lambda st: policy.act(st.avail), observe)
-        means.append(total / horizon if horizon else 0.0)
+        steps = run_episode(environment, user, policy)
+        if trace is not None:
+            trace.extend((idx, user, t, *step) for t, step in enumerate(steps))
+        means.append(sum((reward for _, reward, _ in steps), 0.0) / horizon if horizon else 0.0)
     return np.array(means)
 
 

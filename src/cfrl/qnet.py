@@ -106,15 +106,12 @@ def forward_batch(net: QNetwork, states: np.ndarray) -> np.ndarray:
     a = np.asarray(states, dtype=np.float64)
     if a.ndim != 2 or a.shape[1] != net.input_dim:
         raise ValueError(f"batch shape {a.shape} does not match input width {net.input_dim}")
-    last = len(net.weights) - 1
-    for l, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = a @ w.T + b
-        a = z if l == last else _act(net.activation, z)
-    return a
+    return _forward_cached(net, a)[-1]
 
 
 def _forward_cached(net: QNetwork, states: np.ndarray):
-    """Forward pass keeping per-layer outputs for backprop."""
+    """Forward pass keeping every layer's output, the input first and the
+    action values last, for backprop; forward_batch returns the last."""
     activations = [np.asarray(states, dtype=np.float64)]
     last = len(net.weights) - 1
     for l, (w, b) in enumerate(zip(net.weights, net.biases)):

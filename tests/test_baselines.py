@@ -178,7 +178,7 @@ class ReferenceLinUcbPolicy(baselines.Policy):
         scores = reference_ucb_scores(self.model, self.mf_model, self.state, choices)
         return int(choices[int(np.argmax(scores))])
 
-    def observe(self, item, reward):
+    def observe(self, item, reward, avail=None, done=False):
         if not self.frozen:
             x = np.concatenate([self.state, self.mf_model.V[:, item]])
             self.model.A += np.outer(x, x)

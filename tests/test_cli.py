@@ -301,6 +301,33 @@ def test_eval_refuses_linucb_archive_with_unknown_compression(workspace, capsys)
     assert str(ckpt) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("split", ["2", "-1"], ids=["count", "negative"])
+@pytest.mark.parametrize(
+    "command",
+    [["pretrain"], ["train", "--method", "cfrl"], ["eval", "--method", "random"]],
+    ids=["pretrain", "train", "eval"],
+)
+def test_split_outside_the_configured_count_exits_2(workspace, capsys, command, split):
+    tmp_path, data, cfg_path = workspace
+    # [split] count = 2: only splits 0 and 1 exist
+    assert main([*command, "--config", str(cfg_path), "--split", split]) == 2
+    assert f"--split {split}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag", ["--resume", "--trace"])
+def test_train_linucb_refuses_trainer_flags(workspace, capsys, flag):
+    tmp_path, data, cfg_path = workspace
+    assert main(["pretrain", "--config", str(cfg_path)]) == 0
+    ckpt = tmp_path / "out" / "linucb_task2_split0.npz"
+    ckpt.write_bytes(b"the previous checkpoint")
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg_path), "--method", "linucb", flag]) == 2
+    assert flag in capsys.readouterr().err
+    assert ckpt.read_bytes() == b"the previous checkpoint"
+    assert not (tmp_path / "out" / "linucb_task2_split0_trace.csv").exists()
+
+
 def test_eval_random_writes_scores(workspace, capsys):
     tmp_path, data, cfg_path = workspace
     assert main(["eval", "--config", str(cfg_path), "--method", "random",

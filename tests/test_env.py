@@ -4,11 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfrl import mf
-from cfrl.agent import raw_update, state_update
-from cfrl.env import InteractiveEnv, TaskMode, read_trace, write_trace
+from cfrl.agent import Policy, raw_update, state_update
+from cfrl.env import InteractiveEnv, TaskMode, read_trace, run_episode, write_trace
 from cfrl.errors import IllegalActionError, ValidationError
 
 from conftest import make_dataset, profile, synthetic_profiles
+from toy_mdp import ChainEnv
 
 
 def toy_model(ds, d=4, seed=0, lr=0.01, reg=0.01):
@@ -198,3 +199,60 @@ def test_trace_round_trip(tmp_path):
     path = tmp_path / "trace.csv"
     write_trace(path, rows)
     assert read_trace(path) == rows
+
+
+class RecordingPolicy(Policy):
+    """Takes the lowest available item and records every call it gets."""
+
+    def __init__(self):
+        self.calls = []
+
+    def begin_episode(self, user):
+        self.calls.append(("begin", user))
+
+    def act(self, avail):
+        self.calls.append(("act", avail.tolist()))
+        return int(np.flatnonzero(avail)[0])
+
+    def observe(self, item, reward, avail=None, done=False):
+        self.calls.append(("observe", item, reward, avail.tolist(), done))
+
+
+def test_run_episode_stops_at_done_before_the_horizon():
+    policy = RecordingPolicy()
+    steps = run_episode(ChainEnv(horizon=10), 0, policy)
+    # action 0 leads from state 0 to state 1 (reward 1), then ends (reward 3)
+    assert steps == [(0, 1.0, False), (0, 3.0, True)]
+    ones = [True] * 3
+    assert policy.calls == [
+        ("begin", 0),
+        ("act", ones), ("observe", 0, 1.0, ones, False),
+        ("act", ones), ("observe", 0, 3.0, ones, True),
+    ]
+
+
+def test_run_episode_stops_at_the_horizon_without_done():
+    policy = RecordingPolicy()
+    assert run_episode(ChainEnv(horizon=1), 0, policy) == [(0, 1.0, False)]
+    assert [call[0] for call in policy.calls] == ["begin", "act", "observe"]
+
+
+def test_run_episode_drives_the_policy_through_the_environment(ds):
+    policy = RecordingPolicy()
+    user = 1
+    steps = run_episode(InteractiveEnv(ds, TaskMode.TASK_II, horizon=3), user, policy)
+    rewards = [float(profile(ds, user).get(item, 0)) for item in range(3)]
+    assert steps == [(0, rewards[0], False), (1, rewards[1], False), (2, rewards[2], True)]
+    avail = [True] * ds.n
+    expected = [("begin", user)]
+    for item in range(3):
+        expected.append(("act", list(avail)))
+        avail[item] = False
+        expected.append(("observe", item, rewards[item], list(avail), item == 2))
+    assert policy.calls == expected
+
+
+def test_run_episode_at_horizon_zero_plays_no_step(ds):
+    policy = RecordingPolicy()
+    assert run_episode(InteractiveEnv(ds, TaskMode.TASK_II, horizon=0), 2, policy) == []
+    assert policy.calls == [("begin", 2)]
