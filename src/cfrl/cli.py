@@ -166,6 +166,7 @@ def cmd_train(args) -> int:
         print(f"resumed at episode {trainer.episode}")
     trace_rows: list | None = [] if args.trace else None
     log_path = out / f"{stem}_train_log.csv"
+    diverged = None
     try:
         while trainer.episode < train_cfg.episodes:
             if cfg.checkpoint_every > 0:
@@ -175,17 +176,19 @@ def cmd_train(args) -> int:
             trainer.run(until_episode=target, trace=trace_rows)
             trainer.save(state_path)
     except DivergenceError as exc:
-        agent.write_training_log(log_path, trainer.logs)
+        diverged = exc
+    # the log and trace hold every completed episode, also those before a divergence
+    agent.write_training_log(log_path, trainer.logs)
+    if trace_rows is not None:
+        write_trace(out / f"{stem}_trace.csv", trace_rows)
+    if diverged is not None:
         kept = (
             f"last-good state kept at {state_path}"
             if state_path.exists()
             else "no checkpoint had been written yet"
         )
-        print(f"training diverged: {exc}; {kept}", file=sys.stderr)
+        print(f"training diverged: {diverged}; {kept}", file=sys.stderr)
         return EXIT_FAILURE
-    agent.write_training_log(log_path, trainer.logs)
-    if trace_rows is not None:
-        write_trace(out / f"{stem}_trace.csv", trace_rows)
     spec.save(
         trainer.net, ckpt,
         manifest={

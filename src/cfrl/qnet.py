@@ -7,11 +7,11 @@ frozen copy and its max ranges over the actions still available in the
 successor state.
 
 The error reaches only the output unit of each taken action, so train_step
-updates just those B rows of the output layer; the hidden layers feed every
-output and are updated densely. Two forward passes stay n-wide: the target's,
-for the max over available successor actions, and the online one, whose
-Q(s, a) must round exactly as forward_batch does (a gathered product over the
-taken rows rounds differently, so a zero residual would not stay zero).
+takes Q(s, a) as q_taken's row dot over the B taken rows of the output layer
+and updates just those rows; the hidden layers feed every output and are
+updated densely. Only the target's forward pass stays n-wide, for the max over
+available successor actions. q_taken rounds differently from the same entry
+of forward_batch's matrix product, by about an ulp.
 """
 
 from __future__ import annotations
@@ -103,21 +103,28 @@ def forward(net: QNetwork, state: np.ndarray) -> np.ndarray:
 
 def forward_batch(net: QNetwork, states: np.ndarray) -> np.ndarray:
     """Action values for a (batch, input_dim) matrix of states."""
-    a = np.asarray(states, dtype=np.float64)
-    if a.ndim != 2 or a.shape[1] != net.input_dim:
-        raise ValueError(f"batch shape {a.shape} does not match input width {net.input_dim}")
-    return _forward_cached(net, a)[-1]
+    return _hidden_layers(net, states)[-1] @ net.weights[-1].T + net.biases[-1]
 
 
-def _forward_cached(net: QNetwork, states: np.ndarray):
-    """Forward pass keeping every layer's output, the input first and the
-    action values last, for backprop; forward_batch returns the last."""
-    activations = [np.asarray(states, dtype=np.float64)]
-    last = len(net.weights) - 1
-    for l, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = activations[-1] @ w.T + b
-        activations.append(z if l == last else _act(net.activation, z))
-    return activations
+def q_taken(net: QNetwork, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
+    """Q(s, a) of each state's taken action as train_step computes it: B*H
+    multiply-adds on the taken output rows in place of forward_batch's B*H*n."""
+    return _gathered_q(net, _hidden_layers(net, states)[-1], actions)
+
+
+def _hidden_layers(net: QNetwork, states: np.ndarray) -> list:
+    """The input and every hidden layer's output; the last feeds the action values."""
+    x = np.asarray(states, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != net.input_dim:
+        raise ValueError(f"batch shape {x.shape} does not match input width {net.input_dim}")
+    outputs = [x]
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        outputs.append(_act(net.activation, outputs[-1] @ w.T + b))
+    return outputs
+
+
+def _gathered_q(net: QNetwork, last_hidden: np.ndarray, actions) -> np.ndarray:
+    return np.einsum("ij,ij->i", last_hidden, net.weights[-1][actions]) + net.biases[-1][actions]
 
 
 def as_bool_mask(mask, n: int) -> np.ndarray:
@@ -193,10 +200,10 @@ def train_step(net: QNetwork, target: TargetNetwork, batch, gamma: float, lr: fl
         batch: a Batch, or a sequence of transitions, which is stacked into one.
 
     Only the output unit of each taken action receives an error signal, so
-    the output layer is updated on the B taken rows alone (a scatter-subtract;
-    rows taken twice accumulate both updates). The hidden layers, which every
-    output depends on, are updated densely. The target network's staleness
-    counter advances by one.
+    Q(s, a) is q_taken's and the output layer is updated on the B taken rows
+    alone (a scatter-subtract; rows taken twice accumulate both updates). The
+    hidden layers, which every output depends on, are updated densely; only
+    the target's forward pass is n-wide. Target staleness advances by one.
 
     Returns:
         Mean squared TD error of the batch before the parameter update.
@@ -222,11 +229,11 @@ def train_step(net: QNetwork, target: TargetNetwork, batch, gamma: float, lr: fl
             masks = batch.mask_next[live]
             if not masks.any(axis=1).all():
                 raise ValueError("non-terminal transition with no available next actions")
-            best = np.where(masks, q_next, -np.inf).max(axis=1)
-            y[live] += gamma * best
+            np.copyto(q_next, -np.inf, where=~masks)
+            y[live] += gamma * q_next.max(axis=1)
 
-        activations = _forward_cached(net, batch.s)
-        residual = y - activations[-1][np.arange(batch_size), actions]
+        hidden = _hidden_layers(net, batch.s)
+        residual = y - _gathered_q(net, hidden[-1], actions)
         loss = float(np.mean(residual**2))
         if not np.isfinite(loss):
             raise DivergenceError("TD loss became non-finite; lower the learning rate")
@@ -237,11 +244,11 @@ def train_step(net: QNetwork, target: TargetNetwork, batch, gamma: float, lr: fl
         w_out = net.weights[last]
         # gradient at the last hidden layer's output, from the weights before the update
         delta = d[:, None] * w_out[actions]
-        np.subtract.at(w_out, actions, lr * (d[:, None] * activations[last]))
+        np.subtract.at(w_out, actions, lr * (d[:, None] * hidden[last]))
         np.subtract.at(net.biases[last], actions, lr * d)
         for l in range(last - 1, -1, -1):
-            delta = delta * _act_deriv_from_output(net.activation, activations[l + 1])
-            grad_w = delta.T @ activations[l]
+            delta = delta * _act_deriv_from_output(net.activation, hidden[l + 1])
+            grad_w = delta.T @ hidden[l]
             grad_b = delta.sum(axis=0)
             if l > 0:
                 delta = delta @ net.weights[l]

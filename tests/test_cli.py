@@ -268,6 +268,27 @@ def test_train_divergence_exits_1(workspace, capsys):
     assert "diverged" in capsys.readouterr().err
 
 
+def test_train_divergence_keeps_the_trace_of_completed_episodes(workspace, capsys):
+    tmp_path, data, cfg_path = workspace
+    bad = tmp_path / "bad.ini"
+    bad.write_text(
+        cfg_path.read_text()
+        .replace("q_lr = 0.01", "q_lr = 1e9")
+        .replace("episodes = 3", "episodes = 30"),
+        encoding="utf-8",
+    )
+    assert main(["pretrain", "--config", str(bad)]) == 0
+    assert main(["train", "--config", str(bad), "--method", "cfrl", "--trace"]) == 1
+    assert "diverged" in capsys.readouterr().err
+    logs = read_training_log(tmp_path / "out" / "cfrl_task2_split0_train_log.csv")
+    trace = read_trace(tmp_path / "out" / "cfrl_task2_split0_trace.csv")
+    assert 0 < len(logs) < 30
+    horizon = 4   # the workspace config's [agent] horizon
+    assert [(ep, t) for ep, _, t, *_ in trace] == [
+        (log.episode, t) for log in logs for t in range(horizon)
+    ]
+
+
 def test_train_requires_pretrained_model(workspace, capsys):
     tmp_path, data, cfg_path = workspace
     code = main(["train", "--config", str(cfg_path), "--method", "cfrl",

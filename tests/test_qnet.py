@@ -242,11 +242,11 @@ def test_train_step_zero_residual_leaves_parameters_unchanged():
     target = qnet.make_target(net)
     states = rng.normal(size=(4, 3))
     actions = rng.integers(4, size=4)
-    # terminal transitions whose r equals the current batched prediction,
+    # terminal transitions whose r equals the Q(s, a) that training computes,
     # so every residual is exactly zero
-    q = qnet.forward_batch(net, states)
+    q = qnet.q_taken(net, states, actions)
     batch = [
-        Transition(s=states[k], a=int(actions[k]), r=float(q[k, actions[k]]),
+        Transition(s=states[k], a=int(actions[k]), r=float(q[k]),
                    s_next=states[k], done=True, mask_next=np.ones(4, dtype=bool))
         for k in range(4)
     ]
@@ -286,6 +286,31 @@ def test_train_step_divergence_error():
                     mask_next=np.ones(3, dtype=bool))
     with pytest.raises(DivergenceError):
         qnet.train_step(net, target, [tr], gamma=0.9, lr=0.1)
+
+
+def test_train_step_divergence_error_from_a_taken_output_row():
+    net = qnet.qnet_init([2, 4, 3], seed=0)
+    target = qnet.make_target(net)
+    net.weights[-1][1] = np.inf
+    # terminal transitions skip the target forward, so only Q(s, a) sees the inf
+    batch = [
+        Transition(s=np.array([0.5, -1.0]), a=a, r=1.0, s_next=np.zeros(2), done=True,
+                   mask_next=np.ones(3, dtype=bool))
+        for a in (0, 1)
+    ]
+    with pytest.raises(DivergenceError):
+        qnet.train_step(net, target, batch, gamma=0.9, lr=0.1)
+
+
+@pytest.mark.parametrize("hidden", [(), (6,), (6, 5)])
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_q_taken_agrees_with_forward_batch(hidden, activation):
+    rng = np.random.default_rng(len(hidden))
+    net = qnet.qnet_init([4, *hidden, 7], seed=2, activation=activation)
+    states = rng.normal(size=(9, 4))
+    actions = rng.integers(7, size=9)
+    expected = qnet.forward_batch(net, states)[np.arange(9), actions]
+    np.testing.assert_allclose(qnet.q_taken(net, states, actions), expected, rtol=1e-13)
 
 
 def test_sync_target_copies_and_resets_staleness():
