@@ -1,5 +1,9 @@
 """The policy interface that env.run_episode plays, and Q-learning as a policy.
 
+A policy plays a block of users in lockstep: it acts with one item per user
+and observes one (item, reward) per user. Evaluation plays a split's test
+users as one block; the Q-learner trains on blocks of one user.
+
 The Q-learner acts epsilon-greedily on its own state, which state_update
 advances from each (item, reward); every observed step goes into a bounded
 replay memory (arrays, one column per transition field, sampled as one
@@ -19,9 +23,9 @@ from functools import cached_property
 import numpy as np
 
 from . import mf, qnet
-from .env import InteractiveEnv, TaskMode, run_episode
+from .env import InteractiveEnv, TaskMode, run_episode, user_steps
 from .errors import ValidationError
-from .persist import load_npz, save_npz
+from .persist import atomic_text, load_npz, save_npz
 from .seeding import rng_for
 
 
@@ -201,56 +205,60 @@ def select_action(net, state, mask, epsilon: float, rng) -> int:
     if epsilon > 0 and rng.random() < epsilon:
         avail = np.flatnonzero(mask_b)
         return int(avail[rng.integers(avail.size)])
-    return qnet.masked_argmax(qnet.forward(net, state), mask_b)
+    return int(qnet.masked_argmax(qnet.forward(net, state), mask_b))
 
 
-def raw_update(state, item: int, reward: float) -> np.ndarray:
-    """The raw-vector state: the reward observed at each asked item, 0 elsewhere."""
-    state = state.copy()
-    state[item] = reward
-    return state
+def raw_update(states, items, rewards) -> np.ndarray:
+    """The raw-vector states of a (U, n) block: each row holds the reward
+    observed at each item its user was asked, 0 elsewhere."""
+    states = states.copy()
+    states[np.arange(len(states)), items] = rewards
+    return states
 
 
 def state_update(mf_model: mf.MfModel | None):
-    """The state update (state, item, reward) -> next state of a Q-learner:
-    one online MF step of the latent user vector under `mf_model`, or, with
-    no model, raw_update. Either returns a new array."""
+    """The state update (states, items, rewards) -> next states of a
+    Q-learner: one online MF step of each latent user vector under
+    `mf_model`, or, with no model, raw_update. Either returns a new array."""
     if mf_model is None:
         return raw_update
-    return lambda state, item, reward: mf.online_update(mf_model, state, item, reward)
+    return lambda states, items, rewards: mf.online_update(mf_model, states, items, rewards)
 
 
 class Policy:
-    """Episodic policy: begin_episode, then act and observe(item, reward, avail, done) per step."""
+    """Episodic policy over a block of U users: begin_episode(users), then per
+    step act((U, n) avail) -> (U,) items and observe((U,) items, (U,) rewards,
+    (U, n) avail, done)."""
 
-    def begin_episode(self, user: int) -> None:
+    def begin_episode(self, users) -> None:
         pass
 
-    def act(self, avail: np.ndarray) -> int:
+    def act(self, avail: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def observe(self, item: int, reward: float, avail=None, done: bool = False) -> None:
+    def observe(self, items, rewards, avail=None, done: bool = False) -> None:
         pass
 
 
 class StatePolicy(Policy):
-    """A policy whose state starts at zeros(width) every episode and advances
-    by update(state, item, reward) on feedback."""
+    """A policy whose (U, width) state starts at zeros every episode and
+    advances by update(states, items, rewards) on feedback."""
 
     def __init__(self, width: int, update):
         self.update = update
-        self.state = np.zeros(width)
+        self.state = np.zeros((0, width))
 
-    def begin_episode(self, user: int) -> None:
-        self.state = np.zeros(self.state.size)
+    def begin_episode(self, users) -> None:
+        self.state = np.zeros((len(users), self.state.shape[1]))
 
-    def observe(self, item: int, reward: float, avail=None, done: bool = False) -> None:
-        self.state = self.update(self.state, item, reward)
+    def observe(self, items, rewards, avail=None, done: bool = False) -> None:
+        self.state = self.update(self.state, items, rewards)
 
 
 class QTrainer(StatePolicy):
     """The learning Q-policy and the resumable state of its training run
-    (network, target, replay, RNGs); its state starts at zeros(input_dim)."""
+    (network, target, replay, RNGs). It plays one user at a time, a block of
+    one, and its state starts at zeros(input_dim)."""
 
     def __init__(self, env, users, input_dim: int, update, cfg: TrainConfig):
         cfg.validate()
@@ -273,17 +281,20 @@ class QTrainer(StatePolicy):
         self.logs = []
         self.losses = []    # TD losses of the current episode
 
-    def begin_episode(self, user: int) -> None:
-        super().begin_episode(user)
+    def begin_episode(self, users) -> None:
+        if len(users) != 1:
+            raise ValueError(f"a Q-learner trains on one user at a time, not {len(users)}")
+        super().begin_episode(users)
         self.losses = []
 
-    def act(self, avail: np.ndarray) -> int:
-        return select_action(self.net, self.state, avail, self.cfg.epsilon, self.action_rng)
+    def act(self, avail: np.ndarray) -> np.ndarray:
+        return np.array([select_action(self.net, self.state[0], avail[0], self.cfg.epsilon,
+                                       self.action_rng)])
 
-    def observe(self, item: int, reward: float, avail=None, done: bool = False) -> None:
-        cfg, s = self.cfg, self.state
-        super().observe(item, reward)
-        self.memory.push(s, item, reward, self.state, done, avail)
+    def observe(self, items, rewards, avail=None, done: bool = False) -> None:
+        cfg, s = self.cfg, self.state[0]
+        super().observe(items, rewards)
+        self.memory.push(s, items[0], rewards[0], self.state[0], done, avail[0])
         batch = self.memory.sample(cfg.batch_size, self.replay_rng)
         self.losses.append(qnet.train_step(self.net, self.target, batch, cfg.gamma, cfg.q_lr))
         self.train_steps += 1
@@ -299,7 +310,7 @@ class QTrainer(StatePolicy):
         stop = self.cfg.episodes if until_episode is None else min(until_episode, self.cfg.episodes)
         while self.episode < stop:
             user = self.users[int(self.user_rng.integers(len(self.users)))]
-            steps = run_episode(self.env, user, self)
+            steps = user_steps(run_episode(self.env, [user], self), 0)
             if trace is not None:
                 trace.extend((self.episode, user, t, *step) for t, step in enumerate(steps))
             self.logs.append(
@@ -422,7 +433,7 @@ def train_cfrl(ds, split, mf_model: mf.MfModel, cfg: TrainConfig, trace: list | 
 
 
 def write_training_log(path, logs) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_text(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["episode", "user", "reward_sum", "mean_td_loss", "epsilon", "sync_count"])
         for log in logs:

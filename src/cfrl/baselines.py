@@ -4,6 +4,11 @@ Every policy sees only what a live recommender would: the availability mask
 when acting, and the (item, reward) feedback afterwards. The latent policies
 keep their per-user state through agent.StatePolicy, which advances it from
 that feedback alone by agent.state_update, so evaluation cannot leak ratings.
+
+Each policy acts for a whole block of users per step, with one product per
+step for the block. The products are numpy's stacked matmul, which calls BLAS
+once per row, so every user's scores and picks are bit for bit those of the
+user played alone; LinUCB while it learns plays one user at a time.
 """
 
 from __future__ import annotations
@@ -11,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import mf, qnet
 from .agent import (Policy, StatePolicy, TrainConfig, eligible_train_users, make_trainer,
@@ -21,20 +25,26 @@ from .seeding import rng_for
 
 
 class RandomPolicy(Policy):
-    """Uniform choice among available items, seeded per user."""
+    """Uniform choice among available items, with one RNG per user, seeded by
+    the user."""
 
     def __init__(self, seed: int = 0):
         self.seed = seed
-        self._rng = rng_for(seed, "episode")
+        self._rngs = []
 
-    def begin_episode(self, user: int) -> None:
-        self._rng = rng_for(self.seed, f"user:{user}")
+    def begin_episode(self, users) -> None:
+        self._rngs = [rng_for(self.seed, f"user:{user}") for user in users]
 
-    def act(self, avail: np.ndarray) -> int:
-        choices = np.flatnonzero(avail)
-        if choices.size == 0:
-            raise ValueError("empty availability mask")
-        return int(choices[self._rng.integers(choices.size)])
+    def act(self, avail: np.ndarray) -> np.ndarray:
+        if len(avail) != len(self._rngs):
+            raise ValueError(f"{len(avail)} masks for the {len(self._rngs)} users of the episode")
+        picks = np.empty(len(avail), dtype=np.int64)
+        for row, (rng, mask) in enumerate(zip(self._rngs, avail)):
+            choices = np.flatnonzero(mask)
+            if choices.size == 0:
+                raise ValueError("empty availability mask")
+            picks[row] = choices[rng.integers(choices.size)]
+        return picks
 
 
 class ScorePolicy(Policy):
@@ -43,12 +53,16 @@ class ScorePolicy(Policy):
     def __init__(self, scores: np.ndarray):
         self.scores = np.asarray(scores, dtype=np.float64)
 
-    def act(self, avail: np.ndarray) -> int:
+    def act(self, avail: np.ndarray) -> np.ndarray:
         return qnet.masked_argmax(self.scores, avail)
 
 
-def _train_incidence(ds, train_users) -> sp.csr_matrix:
+def _train_incidence(ds, train_users):
     """Binary incidence matrix of the training users' ratings, a row per user."""
+    # imported here: scipy.sparse costs every command about 0.2 s to import,
+    # and only the popular and impact baselines use it
+    import scipy.sparse as sp
+
     rated = sp.csr_matrix((np.ones(ds.rating_count), ds.items, ds.indptr), shape=(ds.m, ds.n))
     return rated[np.fromiter(train_users, dtype=np.int64)]
 
@@ -87,7 +101,7 @@ class OnlineMfPolicy(StatePolicy):
         super().__init__(model.d, state_update(model))
         self.model = model
 
-    def act(self, avail: np.ndarray) -> int:
+    def act(self, avail: np.ndarray) -> np.ndarray:
         return qnet.masked_argmax(mf.predict_all(self.model, self.state), avail)
 
 
@@ -111,13 +125,14 @@ class LinUcbPolicy(StatePolicy):
     and scores x.theta + alpha * sqrt(x' M x), with M = A^-1 and theta = M b.
     The policy inverts A and solves for theta once, and keeps the per-item
     terms q_i = v_i' M22 v_i (M22 is the item block of M), so an act costs
-    O(n * d) and runs no solver.
+    O(n * d) per user and runs no solver.
 
     While frozen=False (training) the policy owns model.A and model.b:
     observe adds the rank-one term x x' to A and r x to b, and updates M,
     theta and q to match by Sherman-Morrison (Li et al. 2010), so nothing
-    else may change them while the policy is in use. Frozen, they stay fixed
-    during evaluation. The user state always updates from feedback.
+    else may change them while the policy is in use; it then plays one user
+    at a time. Frozen, they stay fixed during evaluation, and a block of
+    users is scored together. The user state always updates from feedback.
     """
 
     def __init__(self, model: LinUcbModel, mf_model: mf.MfModel, frozen: bool = True):
@@ -130,24 +145,31 @@ class LinUcbPolicy(StatePolicy):
         self._theta = np.linalg.solve(model.A, model.b)
         self._q = np.einsum("ij,ij->j", V, self._inv[d:, d:] @ V)
 
-    def scores(self, items: np.ndarray) -> np.ndarray:
-        """Upper confidence bound of each listed item under the current state."""
-        d, s, inv, theta = self.mf_model.d, self.state, self._inv, self._theta
-        # v_i.theta2 and 2 (M21 s).v_i for every item; one (2, d) @ (d, n) product
-        linear, cross = np.stack([theta[d:], 2.0 * (inv[d:, :d] @ s)]) @ self.mf_model.V
-        spread = s @ inv[:d, :d] @ s + cross[items] + self._q[items]
-        return s @ theta[:d] + linear[items] + self.model.alpha_ucb * np.sqrt(spread)
+    def begin_episode(self, users) -> None:
+        if not self.frozen and len(users) != 1:
+            raise ValueError(f"a learning LinUCB plays one user at a time, not {len(users)}")
+        super().begin_episode(users)
 
-    def act(self, avail: np.ndarray) -> int:
-        choices = np.flatnonzero(avail)
-        if choices.size == 0:
-            raise ValueError("empty availability mask")
-        return int(choices[int(np.argmax(self.scores(choices)))])
+    def scores(self) -> np.ndarray:
+        """(U, n) upper confidence bound of every item under each row's state."""
+        d, inv, theta = self.mf_model.d, self._inv, self._theta
+        s = self.state[:, None, :]                     # (U, 1, d): a 1-row product per user
+        # v_i.theta2 and 2 (M21 s).v_i for every item; one (2, d) @ (d, n) product per user
+        rows = np.empty((len(s), 2, d))
+        rows[:, 0] = theta[d:]
+        rows[:, 1] = 2.0 * (inv[d:, :d] @ s.transpose(0, 2, 1))[:, :, 0]
+        linear, cross = (rows @ self.mf_model.V).transpose(1, 0, 2)
+        spread = (s @ inv[:d, :d] @ s.transpose(0, 2, 1))[:, 0] + cross + self._q
+        return (s @ theta[:d, None])[:, 0] + linear + self.model.alpha_ucb * np.sqrt(spread)
 
-    def observe(self, item: int, reward: float, avail=None, done: bool = False) -> None:
+    def act(self, avail: np.ndarray) -> np.ndarray:
+        return qnet.masked_argmax(self.scores(), avail)
+
+    def observe(self, items, rewards, avail=None, done: bool = False) -> None:
         if not self.frozen:
+            (item,), (reward,), (state,) = items, rewards, self.state
             d = self.mf_model.d
-            x = np.concatenate([self.state, self.mf_model.V[:, item]])
+            x = np.concatenate([state, self.mf_model.V[:, item]])
             self.model.A += np.outer(x, x)
             self.model.b += reward * x
             u = self._inv @ x
@@ -155,7 +177,7 @@ class LinUcbPolicy(StatePolicy):
             self._theta += u * ((reward - x @ self._theta) / scale)
             self._inv -= np.outer(u, u) / scale
             self._q -= (u[d:] @ self.mf_model.V) ** 2 / scale
-        super().observe(item, reward)
+        super().observe(items, rewards)
 
 
 def train_linucb(ds, split, mf_model: mf.MfModel, cfg: TrainConfig,
@@ -171,7 +193,7 @@ def train_linucb(ds, split, mf_model: mf.MfModel, cfg: TrainConfig,
         raise ValueError("no training users")
     user_rng = rng_for(cfg.seed, "episode-users")
     for _ in range(cfg.episodes):
-        run_episode(environment, users[int(user_rng.integers(len(users)))], policy)
+        run_episode(environment, [users[int(user_rng.integers(len(users)))]], policy)
     return model
 
 
@@ -186,7 +208,7 @@ class GreedyQPolicy(StatePolicy):
         self.net = net
         self.raw_state = raw_state
 
-    def act(self, avail: np.ndarray) -> int:
+    def act(self, avail: np.ndarray) -> np.ndarray:
         return qnet.masked_argmax(qnet.forward(self.net, self.state), avail)
 
 

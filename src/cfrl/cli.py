@@ -19,6 +19,7 @@ from .config import RunConfig, load_config, task_mode, write_resolved
 from .env import write_trace
 from .errors import CfrlError, DivergenceError, ParseError, ValidationError
 from .methods import METHODS, SplitContext
+from .persist import atomic_text
 from .seeding import derive_seed
 
 EXIT_OK = 0
@@ -220,7 +221,7 @@ def cmd_eval(args) -> int:
     artifact = spec.load(ctx, out / f"{stem}{spec.suffix}") if spec.trains else None
     scores = evaluate.evaluate_policy(spec.policy(ctx, artifact), ds, split, task, cfg.horizon)
     path = out / f"eval_{stem}.csv"
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_text(path) as fh:
         fh.write("user,score\n")
         for user, score in zip(sorted(split.test_users), scores):
             fh.write(f"{user},{float(score)!r}\n")

@@ -15,6 +15,7 @@ from pathlib import Path
 from .agent import TrainConfig
 from .env import TaskMode
 from .methods import METHODS
+from .persist import atomic_text
 
 _TASK_NAMES = {
     "task1": TaskMode.TASK_I,
@@ -167,5 +168,6 @@ def write_resolved(cfg: RunConfig, out_dir) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "config.resolved.ini"
-    path.write_text(dump_config(cfg), encoding="utf-8")
+    with atomic_text(path) as fh:
+        fh.write(dump_config(cfg))
     return path

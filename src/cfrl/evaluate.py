@@ -2,6 +2,8 @@
 aggregation across splits, paired significance testing, and the comparison
 report.
 
+A split's test users play one lockstep episode as one block, so each step is
+one act for all of them; every user's rollout is the one it has played alone.
 Scores average over users first, then over splits, so every test user weighs
 the same within a split regardless of profile size.
 """
@@ -17,9 +19,10 @@ import numpy as np
 
 from . import mf
 from .agent import TrainConfig
-from .env import InteractiveEnv, TaskMode, run_episode
+from .env import InteractiveEnv, TaskMode, run_episode, user_steps
 from .errors import ValidationError
 from .methods import METHODS, SplitContext
+from .persist import atomic_text
 from .seeding import derive_seed
 
 
@@ -27,17 +30,19 @@ def evaluate_policy(policy, ds, split, task: TaskMode, horizon: int,
                     trace: list | None = None) -> np.ndarray:
     """One greedy episode per test user; returns each user's mean reward.
 
-    Users run in ascending index order; run_episode resets the policy per
-    episode via begin_episode, so shared models are never mutated.
+    The test users, in ascending index order, play one episode as one block;
+    run_episode resets the policy for it via begin_episode, so shared models
+    are never mutated. Trace rows run user by user.
     """
-    environment = InteractiveEnv(ds, task, horizon)
-    means = []
-    for idx, user in enumerate(sorted(split.test_users)):
-        steps = run_episode(environment, user, policy)
-        if trace is not None:
-            trace.extend((idx, user, t, *step) for t, step in enumerate(steps))
-        means.append(sum((reward for _, reward, _ in steps), 0.0) / horizon if horizon else 0.0)
-    return np.array(means)
+    users = sorted(split.test_users)
+    steps = run_episode(InteractiveEnv(ds, task, horizon), users, policy)
+    if trace is not None:
+        for idx, user in enumerate(users):
+            trace.extend((idx, user, t, *step) for t, step in enumerate(user_steps(steps, idx)))
+    totals = np.zeros(len(users))
+    for _, rewards, _ in steps:
+        totals += rewards
+    return totals / horizon if horizon else totals
 
 
 def t_two_sided_p(t: float, df: int) -> float:
@@ -305,6 +310,7 @@ def write_report(report: ComparisonReport, out_dir) -> None:
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "report.txt").write_text(report.render_text(), encoding="utf-8")
-    with open(out / "report.csv", "w", newline="", encoding="utf-8") as fh:
+    with atomic_text(out / "report.txt") as fh:
+        fh.write(report.render_text())
+    with atomic_text(out / "report.csv", newline="") as fh:
         csv.writer(fh).writerows(report.csv_rows())

@@ -12,9 +12,9 @@ within a round touch disjoint rows, so each row still sees its updates in
 shuffled order and from the same values as the rating-by-rating loop; the
 factors equal that loop's bit for bit (for d a multiple of 4, see _row_dot).
 
-During an interaction episode only the active user's vector is maintained,
+During an interaction episode only the active users' vectors are maintained,
 one SGD iteration per observed rating, against the frozen pretrained item
-vectors.
+vectors; a block of users updates in one call, each row as it would alone.
 """
 
 from __future__ import annotations
@@ -248,24 +248,40 @@ def training_rmse(model: MfModel, ds, train_users) -> float:
     return _rmse(model.U, model.V, *_training_ratings(ds, train_users))
 
 
-def online_update(model: MfModel, state, item: int, rating: float):
-    """One SGD iteration of the active user's vector on a single rating.
+def online_update(model: MfModel, states, items, ratings):
+    """One SGD iteration of an active user's vector on a single rating: of
+    one (d,) state on one item and rating, or of each row of a (U, d) block
+    of states on its own item and rating.
 
-    The pretrained item vector stays frozen; one iteration is enough in
-    practice.
+    The pretrained item vectors stay frozen; one iteration is enough in
+    practice. Each row rounds as a lone state's update does, whatever the
+    block around it (see _item_rows).
 
     Returns:
-        The updated user state as a new array; `state` is left untouched.
+        The updated states as a new array; `states` is left untouched.
     """
-    v_vec = model.V[:, item]
-    err = float(state @ v_vec) - rating
-    new_state = state - 2.0 * model.lr * (err * v_vec + model.reg * state)
-    if not np.all(np.isfinite(new_state)):
+    v = _item_rows(model.V, items)
+    err = (states[..., None, :] @ v[..., :, None])[..., 0, 0] - ratings
+    new_states = states - 2.0 * model.lr * (err[..., None] * v + model.reg * states)
+    if not np.isfinite(new_states).all():
+        diverged = ~np.isfinite(new_states).all(axis=-1)
+        item = np.broadcast_to(items, diverged.shape)[diverged].flat[0]
         raise DivergenceError(
             f"user state became non-finite updating item {item}; "
             f"learning rate {model.lr} is too large for this data"
         )
-    return new_state
+    return new_states
+
+
+def _item_rows(V, items) -> np.ndarray:
+    """The item vectors V[:, i] of `items` as rows (..., d) with a stride of
+    two elements. BLAS sums a dot product whose operands are not both
+    contiguous in another order than a contiguous one; the column V[:, i] is
+    strided, so this keeps each state's dot with its item vector on the
+    strided path, bit for bit as `state @ V[:, i]`, for a block of one too."""
+    rows = np.empty((*np.shape(items), V.shape[0], 2))[..., 0]
+    rows[...] = V.T[items]
+    return rows
 
 
 def predict(model: MfModel, state, item: int) -> float:
@@ -273,9 +289,10 @@ def predict(model: MfModel, state, item: int) -> float:
     return float(state @ model.V[:, item])
 
 
-def predict_all(model: MfModel, state) -> np.ndarray:
-    """Scores of every item under the given user state."""
-    return model.V.T @ state
+def predict_all(model: MfModel, states) -> np.ndarray:
+    """Scores of every item under one (d,) user state, or under each row of a
+    (U, d) block, each row by its own matrix-vector product."""
+    return (model.V.T @ states[..., None])[..., 0]
 
 
 def save_mf(model: MfModel, path, manifest: dict | None = None) -> None:

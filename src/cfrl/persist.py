@@ -3,9 +3,12 @@
 Snapshots, checkpoints and archives are uncompressed .npz files of named
 arrays. save_npz writes them atomically; load_npz reads them back exactly or
 raises ValidationError: the zip CRC-32 of each member catches a damaged
-payload, and the checks below catch everything else.
+payload, and the checks below catch everything else. The text outputs
+(reports, logs, traces, resolved configs) are written atomically too, through
+atomic_text.
 """
 
+import io
 import json
 import math
 import os
@@ -57,6 +60,18 @@ def atomic_write(path):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+@contextmanager
+def atomic_text(path, newline=None):
+    """UTF-8 text handle on atomic_write, translating newlines as
+    open(path, "w", newline=newline) does."""
+    with atomic_write(path) as fh:
+        text = io.TextIOWrapper(fh, encoding="utf-8", newline=newline)
+        try:
+            yield text
+        finally:
+            text.detach()  # flushes; atomic_write closes the file
 
 
 def save_npz(path, arrays: dict) -> None:

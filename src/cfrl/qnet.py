@@ -93,12 +93,22 @@ def qnet_init(layer_sizes, seed: int = 0, activation: str = "tanh") -> QNetwork:
     return QNetwork(layer_sizes=sizes, weights=weights, biases=biases, activation=activation)
 
 
-def forward(net: QNetwork, state: np.ndarray) -> np.ndarray:
-    """Action values for a single state vector."""
-    state = np.asarray(state, dtype=np.float64)
-    if state.shape != (net.input_dim,):
-        raise ValueError(f"state shape {state.shape} does not match input width {net.input_dim}")
-    return forward_batch(net, state[None, :])[0]
+def forward(net: QNetwork, states: np.ndarray) -> np.ndarray:
+    """Action values for one (input_dim,) state, or for each row of a
+    (U, input_dim) block of states.
+
+    Every row goes through its own 1-row product (numpy's stacked matmul
+    calls BLAS once per row), so a row's values are bit for bit those of the
+    row alone, whatever the block around it; forward_batch's matrix product
+    rounds differently.
+    """
+    x = np.asarray(states, dtype=np.float64)
+    if x.ndim not in (1, 2) or x.shape[-1] != net.input_dim:
+        raise ValueError(f"state shape {x.shape} does not match input width {net.input_dim}")
+    h = x[..., None, :]
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        h = _act(net.activation, h @ w.T + b)
+    return (h @ net.weights[-1].T + net.biases[-1])[..., 0, :]
 
 
 def forward_batch(net: QNetwork, states: np.ndarray) -> np.ndarray:
@@ -139,12 +149,13 @@ def as_bool_mask(mask, n: int) -> np.ndarray:
     return out
 
 
-def masked_argmax(values: np.ndarray, mask: np.ndarray) -> int:
-    """Index of the largest value among available actions, lowest index on ties."""
-    if not mask.any():
+def masked_argmax(values: np.ndarray, mask: np.ndarray):
+    """Index of the largest value among available actions, lowest index on
+    ties, along the last axis: one index for an (n,) mask, one per row for a
+    (U, n) mask (values of shape (n,) are shared by every row)."""
+    if not mask.any(axis=-1).all():
         raise ValueError("empty availability mask")
-    masked = np.where(mask, values, -np.inf)
-    return int(np.argmax(masked))
+    return np.argmax(np.where(mask, values, -np.inf), axis=-1)
 
 
 def td_target(transition, target: TargetNetwork, gamma: float, mask_next) -> float:

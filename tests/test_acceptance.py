@@ -261,32 +261,37 @@ def test_criterion_08_environment_invariants():
     model = mf.MfModel(U=np.zeros((4, ds.m)), V=rng.normal(size=(4, ds.n)), d=4,
                        reg=0.01, lr=0.02)
     env = InteractiveEnv(ds, TaskMode.TASK_II, horizon=10)
-    for user in range(ds.m):
-        action_rng = np.random.default_rng(1000 + user)
-        state = env.reset(user)
-        taken = []
-        initial = int(state.avail.sum())
-        for step in range(10):
-            action = int(action_rng.choice(np.flatnonzero(state.avail)))
-            reward, state, done = env.step(state, action)
-            taken.append(action)
-            assert int(state.avail.sum()) == initial - (step + 1)  # exact decrement
+    # every user in one lockstep block, each row with its own action stream
+    users = list(range(ds.m))
+    action_rngs = [np.random.default_rng(1000 + user) for user in users]
+    state = env.reset(users)
+    taken = [[] for _ in users]
+    initial = state.avail.sum(axis=1)
+    for step in range(10):
+        actions = np.array([int(rng_u.choice(np.flatnonzero(mask)))
+                            for rng_u, mask in zip(action_rngs, state.avail)])
+        rewards, state, done = env.step(state, actions)
+        for row, user in enumerate(users):
+            action, reward = int(actions[row]), rewards[row]
+            taken[row].append(action)
+            assert int(state.avail[row].sum()) == initial[row] - (step + 1)  # exact decrement
             if action not in ds.items[ds.indptr[user]:ds.indptr[user + 1]]:
                 assert reward == 0.0  # unrated items pay zero
-        assert len(set(taken)) == len(taken)  # no repeated actions
+    for row_taken in taken:
+        assert len(set(row_taken)) == len(row_taken)  # no repeated actions
     # bit-exact replay under a fixed seed, of the rewards and the latent
     # state the agents advance on them
     advance = state_update(model)
 
     def rollout(seed):
         action_rng = np.random.default_rng(seed)
-        state, latent = env.reset(3), np.zeros(model.d)
+        state, latent = env.reset([3]), np.zeros((1, model.d))
         rewards, cf = [], []
         for _ in range(10):
-            action = int(action_rng.choice(np.flatnonzero(state.avail)))
+            action = np.array([int(action_rng.choice(np.flatnonzero(state.avail[0])))])
             reward, state, _ = env.step(state, action)
             latent = advance(latent, action, reward)
-            rewards.append(reward)
+            rewards.append(float(reward[0]))
             cf.append(latent.tobytes())
         return rewards, cf
 

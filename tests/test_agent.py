@@ -220,12 +220,12 @@ def test_trainer_and_greedy_policy_share_one_state(small_setup, raw_state):
     assert rows["s"].shape == (len(trace), ds.n if raw_state else model.d)
     for k, (_, user, t, action, reward, _) in enumerate(trace):
         if t == 0:
-            policy.begin_episode(user)
+            policy.begin_episode([user])
             assert not rows["s"][k].any()  # every episode starts from the zero vector
         assert rows["a"][k] == action and rows["r"][k] == reward
-        assert rows["s"][k].tobytes() == policy.state.tobytes()
-        policy.observe(action, reward)
-        assert rows["s_next"][k].tobytes() == policy.state.tobytes()
+        assert rows["s"][k].tobytes() == policy.state[0].tobytes()
+        policy.observe(np.array([action]), np.array([reward]))
+        assert rows["s_next"][k].tobytes() == policy.state[0].tobytes()
     assert len(trace) == 3 * 5
 
 
@@ -481,6 +481,16 @@ def test_planted_optimum_learned_by_cfrl():
     assert first_pick == PLANTED_ITEM
     _, rewards, _ = _greedy_rollout(net, ds, model, 4, 4)
     assert rewards[0] == 5.0
+
+
+def test_trainer_plays_one_user_at_a_time(small_setup):
+    ds, split, model = small_setup
+    cfg = TrainConfig(episodes=1, horizon=3, hidden_sizes=(8,), task=TaskMode.TASK_II, seed=0)
+    trainer = make_trainer(ds, split, model, cfg)
+    with pytest.raises(ValueError, match="one user at a time, not 2"):
+        trainer.begin_episode([0, 1])
+    trainer.begin_episode([0])
+    assert trainer.state.shape == (1, model.d)
 
 
 def test_tabular_oracle_convergence():

@@ -40,21 +40,24 @@ def model(ds):
 class TestRandomPolicy:
     def test_singleton_mask(self):
         policy = RandomPolicy(seed=0)
-        policy.begin_episode(3)
-        mask = np.zeros(6, dtype=bool)
-        mask[4] = True
-        assert all(policy.act(mask) == 4 for _ in range(10))
+        policy.begin_episode([3])
+        mask = np.zeros((1, 6), dtype=bool)
+        mask[0, 4] = True
+        assert all(policy.act(mask).tolist() == [4] for _ in range(10))
 
     def test_empty_mask(self):
         policy = RandomPolicy(seed=0)
+        policy.begin_episode([0])
         with pytest.raises(ValueError, match="empty"):
-            policy.act(np.zeros(3, dtype=bool))
+            policy.act(np.zeros((1, 3), dtype=bool))
+        with pytest.raises(ValueError, match="2 masks for the 1 users"):
+            policy.act(np.ones((2, 3), dtype=bool))
 
     def test_uniform_frequencies(self):
         policy = RandomPolicy(seed=1)
-        policy.begin_episode(0)
-        mask = np.array([True, False, True, True, True])
-        counts = Counter(policy.act(mask) for _ in range(100_000))
+        policy.begin_episode([0])
+        mask = np.array([[True, False, True, True, True]])
+        counts = Counter(int(policy.act(mask)[0]) for _ in range(100_000))
         assert counts[1] == 0
         for item in (0, 2, 3, 4):
             assert abs(counts[item] / 100_000 - 0.25) < 0.01
@@ -127,29 +130,29 @@ class TestImpact:
 class TestOnlineMf:
     def test_zero_state_tie_breaks_to_lowest_index(self, model):
         policy = OnlineMfPolicy(model)
-        policy.begin_episode(0)
-        assert policy.act(np.ones(model.n, dtype=bool)) == 0
-        mask = np.ones(model.n, dtype=bool)
-        mask[:3] = False
-        assert policy.act(mask) == 3
+        policy.begin_episode([0])
+        assert policy.act(np.ones((1, model.n), dtype=bool)).tolist() == [0]
+        mask = np.ones((1, model.n), dtype=bool)
+        mask[0, :3] = False
+        assert policy.act(mask).tolist() == [3]
 
     def test_positive_feedback_raises_similar_item_scores(self):
         # item 1 is nearly parallel to item 0; item 2 is orthogonal
         V = np.array([[1.0, 0.95, 0.0], [0.0, 0.05, 1.0]])
         m = mf.MfModel(U=np.zeros((2, 1)), V=V, d=2, reg=0.0, lr=0.05)
         policy = OnlineMfPolicy(m)
-        policy.begin_episode(0)
-        before = mf.predict(m, policy.state, 1)
-        policy.observe(0, 5.0)
-        after = mf.predict(m, policy.state, 1)
+        policy.begin_episode([0])
+        before = mf.predict(m, policy.state[0], 1)
+        policy.observe(np.array([0]), np.array([5.0]))
+        after = mf.predict(m, policy.state[0], 1)
         assert after > before
 
     def test_state_resets_per_episode(self, model):
         policy = OnlineMfPolicy(model)
-        policy.begin_episode(0)
-        policy.observe(2, 5.0)
+        policy.begin_episode([0])
+        policy.observe(np.array([2]), np.array([5.0]))
         assert policy.state.any()
-        policy.begin_episode(1)
+        policy.begin_episode([1])
         assert not policy.state.any()
 
 
@@ -164,44 +167,46 @@ def reference_ucb_scores(ucb, mf_model, state, choices):
 
 
 class ReferenceLinUcbPolicy(baselines.Policy):
-    """The two-solve LinUCB policy, kept as the oracle for the cached one."""
+    """The two-solve LinUCB policy, kept as the oracle for the cached one;
+    it plays a block of one user."""
 
     def __init__(self, model, mf_model, frozen=True):
         self.model, self.mf_model, self.frozen = model, mf_model, frozen
-        self.state = np.zeros(mf_model.d)
+        self.state = np.zeros((1, mf_model.d))
 
-    def begin_episode(self, user):
-        self.state = np.zeros(self.mf_model.d)
+    def begin_episode(self, users):
+        assert len(users) == 1
+        self.state = np.zeros((1, self.mf_model.d))
 
     def act(self, avail):
-        choices = np.flatnonzero(avail)
-        scores = reference_ucb_scores(self.model, self.mf_model, self.state, choices)
-        return int(choices[int(np.argmax(scores))])
+        choices = np.flatnonzero(avail[0])
+        scores = reference_ucb_scores(self.model, self.mf_model, self.state[0], choices)
+        return np.array([choices[int(np.argmax(scores))]])
 
-    def observe(self, item, reward, avail=None, done=False):
+    def observe(self, items, rewards, avail=None, done=False):
         if not self.frozen:
-            x = np.concatenate([self.state, self.mf_model.V[:, item]])
+            x = np.concatenate([self.state[0], self.mf_model.V[:, items[0]]])
             self.model.A += np.outer(x, x)
-            self.model.b += reward * x
-        self.state = mf.online_update(self.mf_model, self.state, item, reward)
+            self.model.b += rewards[0] * x
+        self.state = mf.online_update(self.mf_model, self.state, items, rewards)
 
 
 class TestLinUcb:
     def test_fresh_model_maximizes_context_norm(self, model):
         ucb = LinUcbModel.fresh(model.d, alpha_ucb=1.0)
         policy = LinUcbPolicy(ucb, model, frozen=True)
-        policy.begin_episode(0)
-        mask = np.ones(model.n, dtype=bool)
-        pick = policy.act(mask)
+        policy.begin_episode([0])
+        mask = np.ones((1, model.n), dtype=bool)
+        (pick,) = policy.act(mask)
         norms = np.linalg.norm(model.V, axis=0)  # state is zero, so |x| = |V_i|
         assert pick == int(np.argmax(norms))
 
     def test_single_observation_matches_closed_form(self, model):
         ucb = LinUcbModel.fresh(model.d, alpha_ucb=1.0)
         policy = LinUcbPolicy(ucb, model, frozen=False)
-        policy.begin_episode(0)
-        x = np.concatenate([policy.state, model.V[:, 5]])
-        policy.observe(5, 4.0)
+        policy.begin_episode([0])
+        x = np.concatenate([policy.state[0], model.V[:, 5]])
+        policy.observe(np.array([5]), np.array([4.0]))
         np.testing.assert_allclose(ucb.A, np.eye(2 * model.d) + np.outer(x, x), atol=1e-12)
         np.testing.assert_allclose(ucb.b, 4.0 * x, atol=1e-12)
         theta = np.linalg.solve(ucb.A, ucb.b)
@@ -212,7 +217,7 @@ class TestLinUcb:
     def test_ucb_width_shrinks_under_repeated_context(self, model):
         ucb = LinUcbModel.fresh(model.d, alpha_ucb=1.0)
         policy = LinUcbPolicy(ucb, model, frozen=False)
-        policy.begin_episode(0)
+        policy.begin_episode([0])
         x = np.concatenate([np.zeros(model.d), model.V[:, 2]])
         widths = []
         for _ in range(6):
@@ -256,13 +261,28 @@ class TestLinUcb:
         policy = LinUcbPolicy(ucb, model, frozen=True)
         rng = np.random.default_rng(3)
         for _ in range(500):
-            policy.state = rng.normal(0.0, 1.0, model.d)
+            policy.state = rng.normal(0.0, 1.0, (1, model.d))
             mask = rng.random(model.n) < rng.uniform(0.1, 1.0)
             mask[int(rng.integers(model.n))] = True
             choices = np.flatnonzero(mask)
-            expected = reference_ucb_scores(ucb, model, policy.state, choices)
-            np.testing.assert_allclose(policy.scores(choices), expected, rtol=1e-12, atol=0)
-            assert policy.act(mask) == choices[int(np.argmax(expected))]
+            expected = reference_ucb_scores(ucb, model, policy.state[0], choices)
+            np.testing.assert_allclose(policy.scores()[0, choices], expected, rtol=1e-12, atol=0)
+            assert policy.act(mask[None]).tolist() == [choices[int(np.argmax(expected))]]
+        # a block's rows score bit for bit as each state alone
+        block = rng.normal(0.0, 1.0, (20, model.d))
+        policy.state = block
+        together = policy.scores()
+        for row, state in enumerate(block):
+            policy.state = state[None]
+            np.testing.assert_array_equal(together[row], policy.scores()[0])
+
+    def test_learning_policy_plays_one_user_at_a_time(self, model):
+        policy = LinUcbPolicy(LinUcbModel.fresh(model.d), model, frozen=False)
+        with pytest.raises(ValueError, match="one user at a time, not 2"):
+            policy.begin_episode([0, 1])
+        frozen = LinUcbPolicy(LinUcbModel.fresh(model.d), model, frozen=True)
+        frozen.begin_episode([0, 1])
+        assert frozen.state.shape == (2, model.d)
 
     def test_training_matches_two_solve_reference(self, ds, model, monkeypatch):
         split = Split(train_users=frozenset(range(10)), test_users=frozenset({10, 11}), seed=0)
@@ -279,13 +299,13 @@ class TestLinUcb:
         rng = np.random.default_rng(4)
         for t in range(5000):
             if t % 40 == 0:
-                policy.begin_episode(0)
-            policy.observe(int(rng.integers(model.n)), float(rng.integers(0, 6)))
+                policy.begin_episode([0])
+            policy.observe(rng.integers(model.n, size=1), rng.integers(0, 6, size=1).astype(float))
         exact = np.linalg.inv(ucb.A)
         assert np.linalg.norm(policy._inv - exact) <= 1e-9 * np.linalg.norm(exact)
         choices = np.arange(model.n)
         np.testing.assert_allclose(
-            policy.scores(choices), reference_ucb_scores(ucb, model, policy.state, choices),
+            policy.scores()[0], reference_ucb_scores(ucb, model, policy.state[0], choices),
             rtol=1e-9, atol=0)
 
     def test_failed_save_keeps_previous_archive(self, ds, model, tmp_path, monkeypatch):
@@ -339,10 +359,10 @@ class TestGreedyQPolicy:
     def test_raw_state_tracking(self):
         net = qnet.qnet_init([6, 6], seed=0)
         policy = GreedyQPolicy(net, raw_state=True)
-        policy.begin_episode(0)
-        policy.observe(2, 4.0)
-        assert policy.state[2] == 4.0
-        policy.begin_episode(1)
+        policy.begin_episode([0])
+        policy.observe(np.array([2]), np.array([4.0]))
+        assert policy.state[0, 2] == 4.0
+        policy.begin_episode([1])
         assert not policy.state.any()
 
     def test_cf_policy_needs_model(self):
@@ -385,12 +405,12 @@ def test_every_policy_acts_inside_the_mask(ds, model):
         GreedyQPolicy(net_cf, mf_model=model),
         GreedyQPolicy(net_raw, raw_state=True),
     ]
+    rows = np.arange(3)
     for policy in policies:
-        policy.begin_episode(0)
+        policy.begin_episode([0, 1, 2])
         for _ in range(40):
-            mask = rng.random(ds.n) < 0.4
-            if not mask.any():
-                mask[int(rng.integers(ds.n))] = True
-            pick = policy.act(mask)
-            assert mask[pick]
-            policy.observe(pick, float(rng.integers(0, 6)))
+            mask = rng.random((3, ds.n)) < 0.4
+            mask[rows, rng.integers(ds.n, size=3)] = True
+            picks = policy.act(mask)
+            assert picks.shape == (3,) and mask[rows, picks].all()
+            policy.observe(picks, rng.integers(0, 6, size=3).astype(float))

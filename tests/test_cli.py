@@ -1,5 +1,9 @@
 import csv
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -433,3 +437,14 @@ def test_benchmark_runs_from_snapshot(workspace):
     snap = tmp_path / "out" / "dataset.snap"
     assert main(["benchmark", "--config", str(cfg_path), "--data", str(snap),
                  "--methods", "random,popular", "--out", str(tmp_path / "snapbench")]) == 0
+
+
+def test_importing_the_cli_leaves_scipy_sparse_unloaded():
+    # scipy.sparse is imported only where popular and impact need it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, cfrl.cli; print('scipy.sparse' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert out.stdout.strip() == "False"

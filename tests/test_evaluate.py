@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cfrl import baselines, mf
+from cfrl.agent import TrainConfig
 from cfrl.baselines import OnlineMfPolicy, RandomPolicy
 from cfrl.dataset import Split, make_splits
 from cfrl.env import TaskMode
@@ -17,6 +18,7 @@ from cfrl.evaluate import (
     t_two_sided_p,
     write_report,
 )
+from cfrl.methods import METHODS, SplitContext
 
 from conftest import make_dataset, synthetic_profiles
 
@@ -207,6 +209,22 @@ def test_benchmark_grid_structure_and_determinism(bench_ds, tmp_path):
     assert len(rows) == 1 + len(methods) * len(tasks) * 3
 
 
+def test_failed_report_write_keeps_the_previous_csv(tmp_path):
+    report = _stub_report({"a": [1.0, 2.0], "b": [0.5, 1.5]})
+    write_report(report, tmp_path)
+    before = (tmp_path / "report.csv").read_bytes()
+
+    def rows_then_disk_full():
+        yield ("method", "task", "dataset", "split", "score")
+        raise OSError("disk full")
+
+    report.csv_rows = rows_then_disk_full
+    with pytest.raises(OSError, match="disk full"):
+        write_report(report, tmp_path)
+    assert (tmp_path / "report.csv").read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.csv", "report.txt"]
+
+
 def test_benchmark_parallel_equals_serial(bench_ds):
     splits = make_splits(bench_ds, n_splits=3, test_fraction=0.2, min_ratings=10, seed=5)
     methods = ("random", "popular")
@@ -249,3 +267,49 @@ def test_benchmark_rejects_empty_or_unknown_methods(bench_ds):
         benchmark(bench_ds, splits, (), (TaskMode.TASK_I,))
     with pytest.raises(ValidationError, match="unknown methods"):
         benchmark(bench_ds, splits, ("poppular",), (TaskMode.TASK_I,))
+
+
+# ---------------------------------------------------------------------------
+# lockstep evaluation
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def lockstep_setup():
+    """A split, its factor model and every trained method's artifact per task."""
+    ds = make_dataset(synthetic_profiles(n_users=18, n_items=24, per_user=10, seed=4))
+    split = Split(train_users=frozenset(range(10)), test_users=frozenset(range(10, 18)), seed=0)
+    model = mf.pretrain(ds, split.train_users, d=4, reg=0.01, lr=0.02, epochs=5, seed=1)
+    ctx = SplitContext(ds=ds, split=split, index=0, seed=3, mf_model=model)
+    artifacts = {}
+    for task in (TaskMode.TASK_I, TaskMode.TASK_II):
+        for method, spec in METHODS.items():
+            if spec.trains:
+                cfg = TrainConfig(episodes=6, horizon=8, q_lr=0.01, hidden_sizes=(8,),
+                                  batch_size=8, task=task, seed=2)
+                artifacts[(method, task)] = spec.fit(ctx, cfg)
+    return ctx, artifacts
+
+
+@pytest.mark.parametrize("task", [TaskMode.TASK_I, TaskMode.TASK_II], ids=lambda t: t.value)
+@pytest.mark.parametrize("method", list(METHODS))
+def test_lockstep_evaluation_matches_each_user_alone(lockstep_setup, method, task):
+    # the test users play one block; each user played as a block of one
+    # must give the same score and trace rows, byte for byte
+    ctx, artifacts = lockstep_setup
+    spec = METHODS[method]
+    policy = spec.policy(ctx, artifacts.get((method, task)))
+    horizon = 8
+    trace = []
+    scores = evaluate_policy(policy, ctx.ds, ctx.split, task, horizon, trace=trace)
+    users = sorted(ctx.split.test_users)
+    assert scores.shape == (len(users),) and len(trace) == len(users) * horizon
+    for idx, user in enumerate(users):
+        alone = Split(train_users=ctx.split.train_users, test_users=frozenset({user}), seed=0)
+        alone_trace = []
+        (alone_score,) = evaluate_policy(policy, ctx.ds, alone, task, horizon, trace=alone_trace)
+        assert scores[idx].tobytes() == alone_score.tobytes()
+        rows = [row for row in trace if row[1] == user]
+        assert [row[0] for row in rows] == [idx] * horizon
+        assert [row[1:] for row in rows] == [row[1:] for row in alone_trace]
+        assert [type(v) for v in rows[0]] == [int, int, int, int, float, bool]

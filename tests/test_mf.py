@@ -216,6 +216,36 @@ def test_online_update_is_pure():
     np.testing.assert_array_equal(model.V, v_before)  # V stays frozen
 
 
+@pytest.mark.parametrize("d", [3, 4, 16])
+def test_online_update_and_predict_all_block_rows_are_bit_identical(d):
+    rng = np.random.default_rng(d)
+    model = mf.MfModel(U=np.zeros((d, 1)), V=rng.normal(size=(d, 50)), d=d, reg=0.01, lr=0.05)
+    for rows in (1, 2, 23):
+        states = rng.normal(size=(rows, d))
+        items = rng.integers(50, size=rows)
+        ratings = rng.integers(0, 6, size=rows).astype(float)
+        updated = mf.online_update(model, states, items, ratings)
+        scores = mf.predict_all(model, states)
+        for row in range(rows):
+            alone = mf.online_update(model, states[row], int(items[row]), float(ratings[row]))
+            assert updated[row].tobytes() == alone.tobytes()
+            assert scores[row].tobytes() == mf.predict_all(model, states[row]).tobytes()
+            # the lone update's error term is the plain dot with the item's column
+            err = float(states[row] @ model.V[:, items[row]]) - ratings[row]
+            expected = states[row] - 2.0 * model.lr * (err * model.V[:, items[row]]
+                                                       + model.reg * states[row])
+            assert alone.tobytes() == expected.tobytes()
+
+
+def test_online_update_divergence_names_the_item():
+    model = mf.MfModel(U=np.zeros((2, 1)), V=np.full((2, 4), 1e200), d=2, reg=0.0, lr=1e300)
+    states = np.zeros((3, 2))
+    with np.errstate(over="ignore"), pytest.raises(DivergenceError, match="updating item 2;"):
+        mf.online_update(model, states, np.array([1, 2, 3]), np.array([0.0, 5.0, 0.0]))
+    with np.errstate(over="ignore"), pytest.raises(DivergenceError, match="updating item 3;"):
+        mf.online_update(model, states[0], 3, 5.0)
+
+
 def _central_difference(f, x, h=1e-6):
     grad = np.zeros_like(x)
     for k in range(x.size):

@@ -11,10 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfrl import dataset, mf, persist, qnet
-from cfrl.agent import TrainConfig, make_trainer
+from cfrl.agent import EpisodeLog, TrainConfig, make_trainer, write_training_log
 from cfrl.baselines import LinUcbModel
 from cfrl.dataset import Split
-from cfrl.env import TaskMode
+from cfrl.env import TaskMode, write_trace
 from cfrl.errors import ValidationError
 from cfrl.methods import METHODS, SplitContext
 
@@ -156,3 +156,28 @@ def test_failed_manifest_write_keeps_previous_sidecar(tmp_path, monkeypatch):
     monkeypatch.undo()
     assert persist.read_manifest(ckpt) == {"seed": 1}
     assert [p.name for p in tmp_path.iterdir()] == ["net.ckpt.manifest.json"]
+
+
+@pytest.mark.parametrize("writer", ["trace", "training_log"])
+def test_failed_text_write_keeps_the_previous_file(tmp_path, writer):
+    rows = {
+        "trace": [(0, 3, 0, 7, 4.0, False), (0, 3, 1, 2, 0.0, True)],
+        "training_log": [EpisodeLog(episode=0, user=3, reward_sum=4.0, mean_td_loss=0.5,
+                                    epsilon=0.1, sync_count=0)],
+    }[writer]
+    write = {"trace": write_trace, "training_log": write_training_log}[writer]
+    path = tmp_path / f"{writer}.csv"
+    write(path, rows)
+    before = path.read_bytes()
+
+    def rows_then_disk_full():
+        yield rows[0]
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        write(path, rows_then_disk_full())
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+    with persist.atomic_text(path, newline="") as fh:
+        fh.write("a\r\nb\n")
+    assert path.read_bytes() == b"a\r\nb\n"

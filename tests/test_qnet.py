@@ -58,6 +58,25 @@ def test_forward_shape_contract():
     assert qnet.forward(net, np.zeros(6)).shape == (11,)
     with pytest.raises(ValueError, match="input width"):
         qnet.forward(net, np.zeros(7))
+    assert qnet.forward(net, np.zeros((4, 6))).shape == (4, 11)
+    with pytest.raises(ValueError, match="input width"):
+        qnet.forward(net, np.zeros((4, 7)))
+    with pytest.raises(ValueError, match="input width"):
+        qnet.forward(net, np.zeros((2, 4, 6)))
+
+
+@pytest.mark.parametrize("hidden", [(), (8,), (8, 5)])
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_forward_block_rows_are_bit_identical_to_single_states(hidden, activation):
+    rng = np.random.default_rng(len(hidden))
+    net = qnet.qnet_init((7, *hidden, 40), seed=2, activation=activation)
+    for rows in (1, 3, 17):
+        block = rng.normal(size=(rows, 7))
+        together = qnet.forward(net, block)
+        for row, state in enumerate(block):
+            assert together[row].tobytes() == qnet.forward(net, state).tobytes()
+            # a single state goes through the same 1-row product as a batch of one
+            assert qnet.forward(net, state).tobytes() == qnet.forward_batch(net, state[None])[0].tobytes()
 
 
 def _value_iteration(transitions, gamma, n_states, n_actions, sweeps=200):
@@ -350,6 +369,16 @@ def test_masked_argmax_respects_mask_and_ties():
         if not mask.any():
             mask[int(rng.integers(9))] = True
         assert mask[qnet.masked_argmax(vals, mask)]
+    # a (U, n) mask picks per row, as each row alone; values may be shared or per row
+    vals = rng.normal(size=(6, 9))
+    masks = rng.random((6, 9)) < 0.5
+    masks[np.arange(6), rng.integers(9, size=6)] = True
+    picks = qnet.masked_argmax(vals, masks)
+    assert picks.tolist() == [qnet.masked_argmax(v, m) for v, m in zip(vals, masks)]
+    assert qnet.masked_argmax(values, np.ones((2, 4), dtype=bool)).tolist() == [1, 1]
+    masks[4] = False
+    with pytest.raises(ValueError, match="empty"):
+        qnet.masked_argmax(vals, masks)
 
 
 def test_batched_targets_agree_with_single_path():

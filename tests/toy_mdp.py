@@ -4,9 +4,10 @@ Three states (state 2 absorbing), three actions, rewards chosen so the
 optimal policy is unique. Used as the convergence oracle for the Q-learning
 loop: value iteration on the explicit tables gives the exact targets.
 
-Like the recommendation environment, ChainEnv only pays rewards; the agent's
-state comes from `update`, the toy's own state update, starting from the zero
-vector every episode begins with.
+Like the recommendation environment, ChainEnv only pays rewards, on the same
+block interface (here a block of one user); the agent's state comes from
+`update`, the toy's own state update, starting from the zero vector every
+episode begins with.
 """
 
 from dataclasses import dataclass
@@ -36,32 +37,39 @@ def encode(s: int) -> np.ndarray:
     return vec
 
 
-def update(state, action: int, reward: float) -> np.ndarray:
-    """The toy's state update: the encoding of the state `action` leads to."""
-    s = 1 + int(np.argmax(state[1:])) if state.any() else 0
-    return encode(TRANSITIONS[s][int(action)][0])
+def update(states, actions, rewards) -> np.ndarray:
+    """The toy's state update, row by row: the encoding of the state each
+    action leads to."""
+    return np.stack([encode(TRANSITIONS[decode(state)][int(action)][0])
+                     for state, action in zip(states, actions)])
+
+
+def decode(state) -> int:
+    return 1 + int(np.argmax(state[1:])) if state.any() else 0
 
 
 @dataclass
 class ChainState:
     s: int
-    avail: np.ndarray
+    avail: np.ndarray     # (1, N_ACTIONS)
 
 
 class ChainEnv:
-    """Duck-typed stand-in for the recommendation environment."""
+    """Duck-typed stand-in for the recommendation environment, for a block
+    of one user."""
 
     n = N_ACTIONS
 
     def __init__(self, horizon: int = 10):
         self.horizon = horizon
 
-    def reset(self, user: int) -> ChainState:
-        return ChainState(0, np.ones(N_ACTIONS, dtype=bool))
+    def reset(self, users) -> ChainState:
+        assert len(users) == 1
+        return ChainState(0, np.ones((1, N_ACTIONS), dtype=bool))
 
-    def step(self, state: ChainState, action: int):
-        s2, reward, terminal = TRANSITIONS[state.s][int(action)]
-        return reward, ChainState(s2, np.ones(N_ACTIONS, dtype=bool)), bool(terminal)
+    def step(self, state: ChainState, actions):
+        s2, reward, terminal = TRANSITIONS[state.s][int(actions[0])]
+        return np.array([reward]), ChainState(s2, np.ones((1, N_ACTIONS), dtype=bool)), bool(terminal)
 
 
 def value_iteration(gamma: float, sweeps: int = 500) -> np.ndarray:
