@@ -7,11 +7,11 @@ compared against random, popularity, impact, online-MF, LinUCB and raw-state
 DQN policies under a shared offline protocol.
 """
 
-from .agent import ReplayMemory, TrainConfig, Transition, train_cfrl
+from .agent import ReplayMemory, TrainConfig
 from .dataset import RatingDataset, Split, dataset_stats, load_ratings, make_splits
 from .env import InteractiveEnv, TaskMode
 from .evaluate import benchmark, evaluate_policy, paired_t_test
-from .mf import MfModel, online_update, predict, pretrain
+from .mf import MfModel, online_update, pretrain
 
 __all__ = [
     "InteractiveEnv",
@@ -21,7 +21,6 @@ __all__ = [
     "Split",
     "TaskMode",
     "TrainConfig",
-    "Transition",
     "benchmark",
     "dataset_stats",
     "evaluate_policy",
@@ -29,9 +28,7 @@ __all__ = [
     "make_splits",
     "online_update",
     "paired_t_test",
-    "predict",
     "pretrain",
-    "train_cfrl",
 ]
 
 __version__ = "0.1.0"

@@ -29,19 +29,6 @@ from .persist import atomic_text, load_npz, save_npz
 from .seeding import rng_for
 
 
-@dataclass(frozen=True, eq=False)
-class Transition:
-    """One environment step as an object (identity equality); train_step
-    stacks a sequence of these into a qnet.Batch."""
-
-    s: np.ndarray
-    a: int
-    r: float
-    s_next: np.ndarray
-    done: bool
-    mask_next: object    # bool vector or index collection
-
-
 class ReplayMemory:
     """Bounded FIFO buffer of transitions; oldest entries are evicted first.
 
@@ -198,14 +185,17 @@ class EpisodeLog:
 
 
 def select_action(net, state, mask, epsilon: float, rng) -> int:
-    """Epsilon-greedy pick over available actions, lowest index breaking ties."""
-    mask_b = qnet.as_bool_mask(mask, net.output_dim)
-    if not mask_b.any():
+    """Epsilon-greedy pick over the actions a bool mask makes available,
+    lowest index breaking ties."""
+    if mask.dtype != bool or mask.shape != (net.output_dim,):
+        raise ValueError(f"mask {mask.dtype}{mask.shape} is not a bool vector over "
+                         f"{net.output_dim} actions")
+    if not mask.any():
         raise ValueError("empty availability mask")
     if epsilon > 0 and rng.random() < epsilon:
-        avail = np.flatnonzero(mask_b)
+        avail = np.flatnonzero(mask)
         return int(avail[rng.integers(avail.size)])
-    return int(qnet.masked_argmax(qnet.forward(net, state), mask_b))
+    return int(qnet.masked_argmax(qnet.forward(net, state), mask))
 
 
 def raw_update(states, items, rewards) -> np.ndarray:
@@ -425,13 +415,6 @@ def make_trainer(ds, split, mf_model: mf.MfModel | None, cfg: TrainConfig) -> QT
     return QTrainer(environment, users, width, state_update(mf_model), cfg)
 
 
-def train_cfrl(ds, split, mf_model: mf.MfModel, cfg: TrainConfig, trace: list | None = None):
-    """Train the latent-state agent; returns (network, per-episode logs)."""
-    trainer = make_trainer(ds, split, mf_model, cfg)
-    logs = trainer.run(trace=trace)
-    return trainer.net, logs
-
-
 def write_training_log(path, logs) -> None:
     with atomic_text(path, newline="") as fh:
         writer = csv.writer(fh)
@@ -441,22 +424,3 @@ def write_training_log(path, logs) -> None:
                 [log.episode, log.user, repr(log.reward_sum), repr(log.mean_td_loss),
                  repr(log.epsilon), log.sync_count]
             )
-
-
-def read_training_log(path) -> list:
-    out = []
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for episode, user, reward_sum, loss, eps, syncs in reader:
-            out.append(
-                EpisodeLog(
-                    episode=int(episode),
-                    user=int(user),
-                    reward_sum=float(reward_sum),
-                    mean_td_loss=float(loss),
-                    epsilon=float(eps),
-                    sync_count=int(syncs),
-                )
-            )
-    return out

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mf, qnet
-from .agent import (Policy, StatePolicy, TrainConfig, eligible_train_users, make_trainer,
-                    state_update)
+from .agent import Policy, StatePolicy, TrainConfig, eligible_train_users, state_update
 from .env import InteractiveEnv, run_episode
 from .seeding import rng_for
 
@@ -210,10 +209,3 @@ class GreedyQPolicy(StatePolicy):
 
     def act(self, avail: np.ndarray) -> np.ndarray:
         return qnet.masked_argmax(qnet.forward(self.net, self.state), avail)
-
-
-def raw_dqn_agent(ds, split, cfg: TrainConfig, trace: list | None = None):
-    """Train the raw-rating-vector Q-network; returns (network, logs)."""
-    trainer = make_trainer(ds, split, None, cfg)
-    logs = trainer.run(trace=trace)
-    return trainer.net, logs

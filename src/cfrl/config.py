@@ -133,10 +133,16 @@ def _parse_value(field_name: str, text: str, py_type):
 
 
 def load_config(path) -> RunConfig:
-    """Read an INI config; unknown keys are an error, missing keys default."""
+    """Read an INI config; unknown keys are an error, missing keys default.
+    A file that is not valid INI, or a value that does not parse, raises a
+    ValueError naming the file (and the key)."""
     parser = configparser.ConfigParser(interpolation=None)
     with open(path, "r", encoding="utf-8") as fh:
-        parser.read_file(fh)
+        try:
+            parser.read_file(fh)
+        except configparser.Error as exc:
+            message = " ".join(str(exc).split())   # configparser's spans several lines
+            raise ValueError(f"{path}: not a valid INI config: {message}") from None
     cfg = RunConfig()
     types = {f.name: type(getattr(cfg, f.name)) for f in fields(cfg)}
     for section in parser.sections():
@@ -146,7 +152,10 @@ def load_config(path) -> RunConfig:
             if key not in _LAYOUT[section]:
                 raise ValueError(f"{path}: unknown key {key!r} in section [{section}]")
             field_name = _LAYOUT[section][key]
-            setattr(cfg, field_name, _parse_value(field_name, text, types[field_name]))
+            try:
+                setattr(cfg, field_name, _parse_value(field_name, text, types[field_name]))
+            except ValueError as exc:
+                raise ValueError(f"{path}: [{section}] {key}: {exc}") from None
     return cfg
 
 

@@ -148,14 +148,3 @@ def write_trace(path, rows) -> None:
         writer.writerow(["episode", "user", "t", "action", "reward", "done"])
         for row in rows:
             writer.writerow(row)
-
-
-def read_trace(path) -> list:
-    """Parse rows written by write_trace back into typed tuples."""
-    out = []
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for ep, user, t, action, reward, done in reader:
-            out.append((int(ep), int(user), int(t), int(action), float(reward), done == "True"))
-    return out

@@ -3,9 +3,11 @@
 The benchmark grid, `cfrl train` and `cfrl eval` all go through one entry
 per method. An entry turns the split (and its trained artifact) into a
 policy, which keeps its own state; the environment it is evaluated in needs
-no model. Entries look their builders up on the `agent`, `baselines` and
-`qnet` modules each time they run, so a builder rebound there is the one
-every path calls.
+no model. A Q-learner's fit is its trainer run to the end, so `cfrl train`
+(with or without `--resume`) and the grid train it through one
+agent.make_trainer. Entries look their builders up on the `agent`,
+`baselines` and `qnet` modules each time they run, so a builder rebound there
+is the one every path calls.
 """
 
 from __future__ import annotations
@@ -69,17 +71,36 @@ def _load_linucb(ctx, path) -> baselines.LinUcbModel:
     return baselines.LinUcbModel(A=A, b=b, alpha_ucb=float(alpha[0]))
 
 
-def _q_learner(raw_state: bool, fit: Callable) -> MethodSpec:
-    """A greedy Q-network over the raw rating vector (dqn) or the latent state (cfrl)."""
+def _q_learner(raw_state: bool) -> MethodSpec:
+    """A greedy Q-network over the raw rating vector (dqn) or the latent state
+    (cfrl); fit is its trainer run to the end."""
+
+    def trainer(ctx, cfg) -> agent.QTrainer:
+        return agent.make_trainer(ctx.ds, ctx.split, None if raw_state else ctx.mf_model, cfg)
+
+    def fit(ctx, cfg) -> qnet.QNetwork:
+        learner = trainer(ctx, cfg)
+        learner.run()
+        return learner.net
+
+    def load(ctx, path) -> qnet.QNetwork:
+        """A network whose input and action widths fit the data and state."""
+        net = qnet.load_qnet(path)
+        width = ctx.ds.n if raw_state else ctx.mf_model.d
+        if (net.input_dim, net.output_dim) != (width, ctx.ds.n):
+            raise ValidationError(
+                f"{path}: Q-network maps {net.input_dim} inputs to {net.output_dim} actions, "
+                f"but this data and state need {width} inputs and {ctx.ds.n} actions")
+        return net
+
     return MethodSpec(
         needs_mf=not raw_state,
         policy=lambda ctx, net: baselines.GreedyQPolicy(net, ctx.mf_model, raw_state=raw_state),
         fit=fit,
         save=lambda net, path, manifest=None: qnet.save_qnet(net, path, manifest=manifest),
-        load=lambda ctx, path: qnet.load_qnet(path),
+        load=load,
         suffix=".ckpt",
-        trainer=lambda ctx, cfg: agent.make_trainer(
-            ctx.ds, ctx.split, None if raw_state else ctx.mf_model, cfg),
+        trainer=trainer,
     )
 
 
@@ -101,7 +122,6 @@ METHODS = {
         load=_load_linucb,
         suffix=".npz",
     ),
-    "dqn": _q_learner(True, lambda ctx, cfg: baselines.raw_dqn_agent(ctx.ds, ctx.split, cfg)[0]),
-    "cfrl": _q_learner(
-        False, lambda ctx, cfg: agent.train_cfrl(ctx.ds, ctx.split, ctx.mf_model, cfg)[0]),
+    "dqn": _q_learner(raw_state=True),
+    "cfrl": _q_learner(raw_state=False),
 }

@@ -57,14 +57,6 @@ class MfModel:
         return self.V.shape[1]
 
 
-def rating_grads(u_vec, v_vec, rating, reg):
-    """Gradients of (u.v - r)^2 + reg*(|u|^2 + |v|^2) w.r.t. u and v."""
-    err = float(u_vec @ v_vec) - rating
-    grad_u = 2.0 * (err * v_vec + reg * u_vec)
-    grad_v = 2.0 * (err * u_vec + reg * v_vec)
-    return grad_u, grad_v
-
-
 def pretrain(
     ds,
     train_users,
@@ -243,11 +235,6 @@ def _training_ratings(ds, train_users):
     return users[keep], items[keep], ratings[keep]
 
 
-def training_rmse(model: MfModel, ds, train_users) -> float:
-    """RMSE of the model over the training users' ratings (recomputed)."""
-    return _rmse(model.U, model.V, *_training_ratings(ds, train_users))
-
-
 def online_update(model: MfModel, states, items, ratings):
     """One SGD iteration of an active user's vector on a single rating: of
     one (d,) state on one item and rating, or of each row of a (U, d) block
@@ -282,11 +269,6 @@ def _item_rows(V, items) -> np.ndarray:
     rows = np.empty((*np.shape(items), V.shape[0], 2))[..., 0]
     rows[...] = V.T[items]
     return rows
-
-
-def predict(model: MfModel, state, item: int) -> float:
-    """Score of one item under the given user state."""
-    return float(state @ model.V[:, item])
 
 
 def predict_all(model: MfModel, states) -> np.ndarray:

@@ -39,11 +39,6 @@ def write_manifest(checkpoint_path, manifest: dict) -> None:
         fh.write(text.encode("utf-8"))
 
 
-def read_manifest(checkpoint_path) -> dict:
-    with open(manifest_path(checkpoint_path), "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 @contextmanager
 def atomic_write(path):
     """Binary file handle whose contents replace `path` only once the block

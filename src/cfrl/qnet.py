@@ -7,11 +7,12 @@ frozen copy and its max ranges over the actions still available in the
 successor state.
 
 The error reaches only the output unit of each taken action, so train_step
-takes Q(s, a) as q_taken's row dot over the B taken rows of the output layer
-and updates just those rows; the hidden layers feed every output and are
-updated densely. Only the target's forward pass stays n-wide, for the max over
-available successor actions. q_taken rounds differently from the same entry
-of forward_batch's matrix product, by about an ulp.
+takes Q(s, a) as a row dot with each of the B taken rows of the output layer
+(B*H multiply-adds in place of forward_batch's B*H*n) and updates just those
+rows; the hidden layers feed every output and are updated densely. Only the
+target's forward pass stays n-wide, for the max over available successor
+actions. The row dot rounds differently from the same entry of
+forward_batch's matrix product, by about an ulp.
 """
 
 from __future__ import annotations
@@ -116,12 +117,6 @@ def forward_batch(net: QNetwork, states: np.ndarray) -> np.ndarray:
     return _hidden_layers(net, states)[-1] @ net.weights[-1].T + net.biases[-1]
 
 
-def q_taken(net: QNetwork, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
-    """Q(s, a) of each state's taken action as train_step computes it: B*H
-    multiply-adds on the taken output rows in place of forward_batch's B*H*n."""
-    return _gathered_q(net, _hidden_layers(net, states)[-1], actions)
-
-
 def _hidden_layers(net: QNetwork, states: np.ndarray) -> list:
     """The input and every hidden layer's output; the last feeds the action values."""
     x = np.asarray(states, dtype=np.float64)
@@ -137,18 +132,6 @@ def _gathered_q(net: QNetwork, last_hidden: np.ndarray, actions) -> np.ndarray:
     return np.einsum("ij,ij->i", last_hidden, net.weights[-1][actions]) + net.biases[-1][actions]
 
 
-def as_bool_mask(mask, n: int) -> np.ndarray:
-    """Normalize an availability mask (bool vector or index collection)."""
-    arr = np.asarray(mask)
-    if arr.dtype == bool:
-        if arr.shape != (n,):
-            raise ValueError(f"mask length {arr.shape} does not match {n} actions")
-        return arr
-    out = np.zeros(n, dtype=bool)
-    out[arr.astype(np.int64)] = True
-    return out
-
-
 def masked_argmax(values: np.ndarray, mask: np.ndarray):
     """Index of the largest value among available actions, lowest index on
     ties, along the last axis: one index for an (n,) mask, one per row for a
@@ -156,26 +139,6 @@ def masked_argmax(values: np.ndarray, mask: np.ndarray):
     if not mask.any(axis=-1).all():
         raise ValueError("empty availability mask")
     return np.argmax(np.where(mask, values, -np.inf), axis=-1)
-
-
-def td_target(transition, target: TargetNetwork, gamma: float, mask_next) -> float:
-    """Bootstrap target y = r + gamma * max over available actions, or r at end.
-
-    Args:
-        transition: anything exposing r, s_next and done.
-        target: frozen network evaluated at the successor state.
-        gamma: discount in [0, 1].
-        mask_next: availability at the successor state (bool vector or indices).
-    """
-    if not (0.0 <= gamma <= 1.0):
-        raise ValueError("gamma must be in [0, 1]")
-    if transition.done:
-        return float(transition.r)
-    mask = as_bool_mask(mask_next, target.net.output_dim)
-    if not mask.any():
-        raise ValueError("non-terminal transition with no available next actions")
-    q_next = forward(target.net, transition.s_next)
-    return float(transition.r + gamma * np.max(q_next[mask]))
 
 
 @dataclass(frozen=True)
@@ -189,29 +152,13 @@ class Batch:
     done: np.ndarray        # (B,) bool terminal flags
     mask_next: np.ndarray   # (B, n) bool availability at the successor state
 
-    @classmethod
-    def stack(cls, transitions, n: int) -> "Batch":
-        """Stack objects exposing s, a, r, s_next, done and mask_next."""
-        if not transitions:
-            raise ValueError("empty batch")
-        return cls(
-            s=np.stack([tr.s for tr in transitions]),
-            a=np.array([tr.a for tr in transitions], dtype=np.int64),
-            r=np.array([tr.r for tr in transitions], dtype=np.float64),
-            s_next=np.stack([tr.s_next for tr in transitions]),
-            done=np.array([tr.done for tr in transitions], dtype=bool),
-            mask_next=np.stack([as_bool_mask(tr.mask_next, n) for tr in transitions]),
-        )
 
-
-def train_step(net: QNetwork, target: TargetNetwork, batch, gamma: float, lr: float) -> float:
-    """One averaged semi-gradient step on a minibatch of transitions.
-
-    Args:
-        batch: a Batch, or a sequence of transitions, which is stacked into one.
+def train_step(net: QNetwork, target: TargetNetwork, batch: Batch, gamma: float,
+               lr: float) -> float:
+    """One averaged semi-gradient step on a Batch of transitions.
 
     Only the output unit of each taken action receives an error signal, so
-    Q(s, a) is q_taken's and the output layer is updated on the B taken rows
+    Q(s, a) is the row dot of _gathered_q and the output layer is updated on the B taken rows
     alone (a scatter-subtract; rows taken twice accumulate both updates). The
     hidden layers, which every output depends on, are updated densely; only
     the target's forward pass is n-wide. Target staleness advances by one.
@@ -224,8 +171,6 @@ def train_step(net: QNetwork, target: TargetNetwork, batch, gamma: float, lr: fl
         ValueError: empty batch, or a non-terminal transition with no
             available successor actions.
     """
-    if not isinstance(batch, Batch):
-        batch = Batch.stack(batch, net.output_dim)
     batch_size = batch.a.shape[0]
     if batch_size == 0:
         raise ValueError("empty batch")

@@ -13,13 +13,12 @@ import numpy as np
 import pytest
 
 from cfrl import mf, qnet
-from cfrl.agent import QTrainer, TrainConfig, Transition, state_update, train_cfrl
+from cfrl.agent import QTrainer, TrainConfig, make_trainer, state_update
 from cfrl.baselines import (
     GreedyQPolicy,
     OnlineMfPolicy,
     RandomPolicy,
     popular_policy,
-    raw_dqn_agent,
 )
 from cfrl.dataset import Split, make_splits
 from cfrl.env import InteractiveEnv, TaskMode
@@ -33,6 +32,7 @@ from conftest import (
     planted_profiles,
     synthetic_profiles,
 )
+from oracles import Transition, rating_grads, stack, td_target
 from toy_mdp import ChainEnv, LIVE_STATES, encode, update, value_iteration
 
 HORIZON = 40
@@ -41,6 +41,12 @@ SEED = 0
 
 def _report(criterion: int, message: str) -> None:
     print(f"\nACCEPTANCE criterion {criterion:02d}: PASS  ({message})")
+
+
+def _trained(trainer) -> qnet.QNetwork:
+    """The trainer's network once it has run every episode."""
+    trainer.run()
+    return trainer.net
 
 
 @pytest.fixture(scope="module")
@@ -136,13 +142,13 @@ def test_criterion_05_cfrl_beats_raw_dqn_at_desk_scale(ml100k_ds, ml100k_splits)
         sync_period=500, batch_size=32, replay_capacity=100_000,
         hidden_sizes=(64,), task=TaskMode.TASK_II, seed=derive_seed(SEED, "cfrl"),
     )
-    cfrl_net, _ = train_cfrl(ml100k_ds, split, model, cfg)
+    cfrl_net = _trained(make_trainer(ml100k_ds, split, model, cfg))
     dqn_cfg = TrainConfig(
         episodes=episodes, horizon=HORIZON, gamma=0.9, epsilon=0.1, q_lr=0.001,
         sync_period=500, batch_size=32, replay_capacity=100_000,
         hidden_sizes=(64,), task=TaskMode.TASK_II, seed=derive_seed(SEED, "dqn"),
     )
-    dqn_net, _ = raw_dqn_agent(ml100k_ds, split, dqn_cfg)
+    dqn_net = _trained(make_trainer(ml100k_ds, split, None, dqn_cfg))
 
     cfrl_scores = evaluate_policy(
         GreedyQPolicy(cfrl_net, mf_model=model), ml100k_ds, split, TaskMode.TASK_II, HORIZON,
@@ -174,7 +180,7 @@ def test_criterion_06_gradient_suite():
         v = rng.normal(size=d)
         r = float(rng.integers(1, 6))
         reg = float(rng.choice([0.0, 0.01, 0.1]))
-        gu, gv = mf.rating_grads(u, v, r, reg)
+        gu, gv = rating_grads(u, v, r, reg)
         h = 1e-6
         fd_u = np.zeros(d)
         fd_v = np.zeros(d)
@@ -204,10 +210,10 @@ def test_criterion_06_gradient_suite():
                 r=float(rng.uniform(0, 5)), s_next=rng.normal(size=net.input_dim),
                 done=bool(rng.random() < 0.4), mask_next=mask,
             ))
-        y = np.array([qnet.td_target(tr, target, 0.9, tr.mask_next) for tr in batch])
+        y = np.array([td_target(tr, target, 0.9) for tr in batch])
         before = qnet.flatten_params(net)
         lr = 1e-3
-        qnet.train_step(net, target, batch, gamma=0.9, lr=lr)
+        qnet.train_step(net, target, stack(batch), gamma=0.9, lr=lr)
         applied = (before - qnet.flatten_params(net)) / lr
 
         probe = net.copy()
@@ -311,8 +317,8 @@ def test_criterion_09_planted_optimum_both_agents():
         sync_period=100, batch_size=16, replay_capacity=5000,
         hidden_sizes=(16,), task=TaskMode.TASK_II, seed=SEED,
     )
-    cfrl_net, _ = train_cfrl(ds, split, model, cfg)
-    dqn_net, _ = raw_dqn_agent(ds, split, cfg)
+    cfrl_net = _trained(make_trainer(ds, split, model, cfg))
+    dqn_net = _trained(make_trainer(ds, split, None, cfg))
     cfrl_pick = int(np.argmax(qnet.forward(cfrl_net, np.zeros(model.d))))
     dqn_pick = int(np.argmax(qnet.forward(dqn_net, np.zeros(ds.n))))
     assert cfrl_pick == PLANTED_ITEM, f"cfrl first pick {cfrl_pick} != {PLANTED_ITEM}"
@@ -332,6 +338,7 @@ def _median_step_time(hidden: int, d: int, n: int, steps: int = 120, rounds: int
             s=rng.normal(size=d), a=int(rng.integers(n)), r=float(rng.uniform(0, 5)),
             s_next=rng.normal(size=d), done=False, mask_next=np.ones(n, dtype=bool),
         ))
+    batch = stack(batch)
     for _ in range(30):  # warmup
         qnet.train_step(net, target, batch, gamma=0.9, lr=1e-4)
     times = []

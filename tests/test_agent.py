@@ -1,3 +1,4 @@
+import csv
 import json
 import tracemalloc
 from dataclasses import replace
@@ -13,9 +14,7 @@ from cfrl.agent import (
     TrainConfig,
     eligible_train_users,
     make_trainer,
-    read_training_log,
     select_action,
-    train_cfrl,
     write_training_log,
 )
 from cfrl.baselines import GreedyQPolicy
@@ -170,9 +169,10 @@ def small_setup():
 def test_train_cfrl_zero_episodes_returns_untouched_net(small_setup):
     ds, split, model = small_setup
     cfg = TrainConfig(episodes=0, horizon=3, hidden_sizes=(8,), task=TaskMode.TASK_II, seed=5)
-    net, logs = train_cfrl(ds, split, model, cfg)
+    trainer = make_trainer(ds, split, model, cfg)
+    logs = trainer.run()
     fresh = qnet.qnet_init((model.d, 8, ds.n), seed=5)
-    np.testing.assert_array_equal(qnet.flatten_params(net), qnet.flatten_params(fresh))
+    np.testing.assert_array_equal(qnet.flatten_params(trainer.net), qnet.flatten_params(fresh))
     assert logs == []
 
 
@@ -182,7 +182,7 @@ def test_training_log_shape_and_sync_cadence(small_setup):
         episodes=6, horizon=4, hidden_sizes=(8,), task=TaskMode.TASK_II,
         sync_period=5, batch_size=4, seed=1,
     )
-    net, logs = train_cfrl(ds, split, model, cfg)
+    logs = make_trainer(ds, split, model, cfg).run()
     assert len(logs) == 6
     assert [log.episode for log in logs] == list(range(6))
     # 24 train steps at L=5 -> floor(24/5) syncs, recorded cumulatively
@@ -196,7 +196,7 @@ def test_training_trace_has_no_repeats_within_episode(small_setup):
     ds, split, model = small_setup
     cfg = TrainConfig(episodes=5, horizon=6, hidden_sizes=(8,), task=TaskMode.TASK_II, seed=3)
     trace = []
-    train_cfrl(ds, split, model, cfg, trace=trace)
+    make_trainer(ds, split, model, cfg).run(trace=trace)
     by_episode = {}
     for ep, user, t, action, reward, done in trace:
         by_episode.setdefault(ep, []).append(action)
@@ -232,9 +232,9 @@ def test_trainer_and_greedy_policy_share_one_state(small_setup, raw_state):
 def test_training_is_deterministic(small_setup):
     ds, split, model = small_setup
     cfg = TrainConfig(episodes=4, horizon=3, hidden_sizes=(8,), task=TaskMode.TASK_II, seed=9)
-    net1, logs1 = train_cfrl(ds, split, model, cfg)
-    net2, logs2 = train_cfrl(ds, split, model, cfg)
-    assert qnet.flatten_params(net1).tobytes() == qnet.flatten_params(net2).tobytes()
+    first, second = make_trainer(ds, split, model, cfg), make_trainer(ds, split, model, cfg)
+    logs1, logs2 = first.run(), second.run()
+    assert qnet.flatten_params(first.net).tobytes() == qnet.flatten_params(second.net).tobytes()
     assert logs1 == logs2
 
 
@@ -462,7 +462,9 @@ def test_training_log_round_trip(tmp_path):
     ]
     path = tmp_path / "log.csv"
     write_training_log(path, logs)
-    assert read_training_log(path) == logs
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows == [{key: str(value) for key, value in vars(log).items()} for log in logs]
 
 
 def test_planted_optimum_learned_by_cfrl():
@@ -474,12 +476,13 @@ def test_planted_optimum_learned_by_cfrl():
         sync_period=100, batch_size=16, replay_capacity=5000,
         hidden_sizes=(16,), task=TaskMode.TASK_II, seed=0,
     )
-    net, logs = train_cfrl(ds, split, model, cfg)
+    trainer = make_trainer(ds, split, model, cfg)
+    logs = trainer.run()
     assert len(logs) == 400
     state = np.zeros(model.d)
-    first_pick = int(np.argmax(qnet.forward(net, state)))
+    first_pick = int(np.argmax(qnet.forward(trainer.net, state)))
     assert first_pick == PLANTED_ITEM
-    _, rewards, _ = _greedy_rollout(net, ds, model, 4, 4)
+    _, rewards, _ = _greedy_rollout(trainer.net, ds, model, 4, 4)
     assert rewards[0] == 5.0
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cfrl import baselines, mf, qnet
-from cfrl.agent import TrainConfig
+from cfrl.agent import TrainConfig, make_trainer
 from cfrl.baselines import (
     GreedyQPolicy,
     LinUcbModel,
@@ -15,7 +15,6 @@ from cfrl.baselines import (
     impact_scores,
     popular_policy,
     popularity_counts,
-    raw_dqn_agent,
     train_linucb,
 )
 from cfrl.dataset import Split
@@ -142,9 +141,9 @@ class TestOnlineMf:
         m = mf.MfModel(U=np.zeros((2, 1)), V=V, d=2, reg=0.0, lr=0.05)
         policy = OnlineMfPolicy(m)
         policy.begin_episode([0])
-        before = mf.predict(m, policy.state[0], 1)
+        before = mf.predict_all(m, policy.state[0])[1]
         policy.observe(np.array([0]), np.array([5.0]))
-        after = mf.predict(m, policy.state[0], 1)
+        after = mf.predict_all(m, policy.state[0])[1]
         assert after > before
 
     def test_state_resets_per_episode(self, model):
@@ -374,8 +373,9 @@ class TestGreedyQPolicy:
 def test_raw_dqn_input_width_is_item_count(ds):
     split = Split(train_users=frozenset(range(10)), test_users=frozenset({10, 11}), seed=0)
     cfg = TrainConfig(episodes=2, horizon=3, hidden_sizes=(8,), task=TaskMode.TASK_II, seed=0)
-    net, logs = raw_dqn_agent(ds, split, cfg)
-    assert net.input_dim == ds.n
+    trainer = make_trainer(ds, split, None, cfg)
+    logs = trainer.run()
+    assert trainer.net.input_dim == ds.n
     assert len(logs) == 2
 
 
@@ -387,8 +387,9 @@ def test_raw_dqn_learns_planted_optimum():
         sync_period=100, batch_size=16, hidden_sizes=(16,),
         task=TaskMode.TASK_II, seed=0,
     )
-    net, _ = raw_dqn_agent(ds, split, cfg)
-    first_pick = int(np.argmax(qnet.forward(net, np.zeros(ds.n))))
+    trainer = make_trainer(ds, split, None, cfg)
+    trainer.run()
+    first_pick = int(np.argmax(qnet.forward(trainer.net, np.zeros(ds.n))))
     assert first_pick == PLANTED_ITEM
 
 

@@ -1,4 +1,5 @@
 import csv
+import json
 import os
 import struct
 import subprocess
@@ -9,13 +10,25 @@ import numpy as np
 import pytest
 
 from cfrl import mf
-from cfrl.agent import read_training_log
 from cfrl.cli import main
 from cfrl.config import RunConfig, dump_config, load_config
 from cfrl.dataset import load_ratings, make_splits
-from cfrl.env import read_trace
 
 from conftest import synthetic_profiles, write_ratings_file
+
+
+def _python(*args) -> subprocess.CompletedProcess:
+    """Run a fresh Python interpreter on this checkout's `src`."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=60)
+
+
+def _read_csv(path) -> list:
+    """The rows of a CSV file the program wrote, as dicts keyed by its header."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
 
 
 @pytest.fixture
@@ -81,6 +94,25 @@ def test_config_rejects_unknown_keys(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        ("seed = 3\n[run]\nout = o\n", "no section headers"),
+        ("[run]\nseed = 3\nseed = 4\n", "'seed'"),
+        ("[run]\nseed = 3\n[run]\nout = o\n", "'run'"),
+        ("[run]\nseed = abc\n", "[run] seed"),
+    ],
+    ids=["no-section-header", "repeated-key", "repeated-section", "unparsable-value"],
+)
+def test_malformed_config_exits_2_without_a_traceback(tmp_path, text, named):
+    path = tmp_path / "bad.ini"
+    path.write_text(text, encoding="utf-8")
+    out = _python("-m", "cfrl.cli", "ingest", "--config", str(path))
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    assert out.stderr.startswith(f"error: {path}:") and named in out.stderr
+
+
 def test_ingest_prints_stats_and_writes_snapshot(workspace, capsys):
     tmp_path, data, cfg = workspace
     assert main(["ingest", "--config", str(cfg)]) == 0
@@ -141,15 +173,16 @@ def test_pretrain_manifest_rmse_matches_recomputation(workspace):
     tmp_path, data, cfg_path = workspace
     out = tmp_path / "out"
     assert main(["pretrain", "--config", str(cfg_path)]) == 0
-    from cfrl.persist import read_manifest
-
     ckpt = out / "mf_split0.ckpt"
-    manifest = read_manifest(ckpt)
+    manifest = json.loads((out / "mf_split0.ckpt.manifest.json").read_text(encoding="utf-8"))
     model = mf.load_mf(ckpt)
     cfg = load_config(cfg_path)
     ds = load_ratings(cfg.data_path, cfg.data_format)
     splits = make_splits(ds, cfg.split_count, cfg.test_fraction, cfg.min_ratings, cfg.seed)
-    recomputed = mf.training_rmse(model, ds, splits[0].train_users)
+    users, items, ratings = ds.triples()
+    train = np.isin(users, list(splits[0].train_users))
+    pred = np.sum(model.U[:, users[train]] * model.V[:, items[train]], axis=0)
+    recomputed = float(np.sqrt(np.mean((pred - ratings[train]) ** 2)))
     assert manifest["train_rmse"] == pytest.approx(recomputed, abs=1e-12)
 
 
@@ -161,7 +194,7 @@ def test_train_smoke_one_episode_row(workspace):
     single.write_text(text, encoding="utf-8")
     assert main(["pretrain", "--config", str(single)]) == 0
     assert main(["train", "--config", str(single), "--method", "cfrl"]) == 0
-    logs = read_training_log(tmp_path / "out" / "cfrl_task2_split0_train_log.csv")
+    logs = _read_csv(tmp_path / "out" / "cfrl_task2_split0_train_log.csv")
     assert len(logs) == 1
     assert (tmp_path / "out" / "cfrl_task2_split0.ckpt").exists()
 
@@ -170,17 +203,18 @@ def test_train_log_rewards_replayable_from_trace(workspace):
     tmp_path, data, cfg_path = workspace
     assert main(["pretrain", "--config", str(cfg_path)]) == 0
     assert main(["train", "--config", str(cfg_path), "--method", "cfrl", "--trace"]) == 0
-    logs = read_training_log(tmp_path / "out" / "cfrl_task2_split0_train_log.csv")
-    trace = read_trace(tmp_path / "out" / "cfrl_task2_split0_trace.csv")
+    logs = _read_csv(tmp_path / "out" / "cfrl_task2_split0_train_log.csv")
+    trace = _read_csv(tmp_path / "out" / "cfrl_task2_split0_trace.csv")
     sums = {}
     users = {}
-    for ep, user, t, action, reward, done in trace:
-        sums[ep] = sums.get(ep, 0.0) + reward
-        users[ep] = user
+    for row in trace:
+        ep = int(row["episode"])
+        sums[ep] = sums.get(ep, 0.0) + float(row["reward"])
+        users[ep] = int(row["user"])
     assert len(logs) == len(sums) == 3
     for log in logs:
-        assert abs(log.reward_sum - sums[log.episode]) < 1e-9
-        assert log.user == users[log.episode]
+        assert abs(float(log["reward_sum"]) - sums[int(log["episode"])]) < 1e-9
+        assert int(log["user"]) == users[int(log["episode"])]
 
 
 def test_train_resume_matches_uninterrupted_run(workspace):
@@ -207,8 +241,8 @@ def test_train_resume_matches_uninterrupted_run(workspace):
     straight = (tmp_path / "straight" / "cfrl_task2_split0.ckpt").read_bytes()
     resumed = (tmp_path / "out" / "cfrl_task2_split0.ckpt").read_bytes()
     assert straight == resumed
-    logs = read_training_log(tmp_path / "out" / "cfrl_task2_split0_train_log.csv")
-    assert [log.episode for log in logs] == list(range(5))
+    logs = _read_csv(tmp_path / "out" / "cfrl_task2_split0_train_log.csv")
+    assert [int(log["episode"]) for log in logs] == list(range(5))
 
 
 def test_train_resume_from_truncated_state_exits_2(workspace, capsys):
@@ -284,12 +318,12 @@ def test_train_divergence_keeps_the_trace_of_completed_episodes(workspace, capsy
     assert main(["pretrain", "--config", str(bad)]) == 0
     assert main(["train", "--config", str(bad), "--method", "cfrl", "--trace"]) == 1
     assert "diverged" in capsys.readouterr().err
-    logs = read_training_log(tmp_path / "out" / "cfrl_task2_split0_train_log.csv")
-    trace = read_trace(tmp_path / "out" / "cfrl_task2_split0_trace.csv")
+    logs = _read_csv(tmp_path / "out" / "cfrl_task2_split0_train_log.csv")
+    trace = _read_csv(tmp_path / "out" / "cfrl_task2_split0_trace.csv")
     assert 0 < len(logs) < 30
     horizon = 4   # the workspace config's [agent] horizon
-    assert [(ep, t) for ep, _, t, *_ in trace] == [
-        (log.episode, t) for log in logs for t in range(horizon)
+    assert [(int(row["episode"]), int(row["t"])) for row in trace] == [
+        (int(log["episode"]), t) for log in logs for t in range(horizon)
     ]
 
 
@@ -376,6 +410,31 @@ def test_eval_truncated_checkpoint_exits_2(workspace, capsys):
     assert "truncated" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "method, wider",
+    [("dqn", "items"), ("cfrl", "items"), ("cfrl", "factors")],
+)
+def test_eval_refuses_a_q_network_that_does_not_fit(workspace, capsys, method, wider):
+    tmp_path, data, cfg_path = workspace
+    assert main(["pretrain", "--config", str(cfg_path)]) == 0
+    assert main(["train", "--config", str(cfg_path), "--method", method]) == 0
+    if wider == "items":
+        # the network has 30 actions; this file has 40 items
+        data = tmp_path / "wider.tsv"
+        write_ratings_file(data, synthetic_profiles(n_users=14, n_items=40, per_user=22, seed=8))
+        needs = "40 actions"
+    else:
+        # the network takes the 3 factors it was trained on; the new model has 4
+        cfg_path.write_text(cfg_path.read_text().replace("dim = 3", "dim = 4"), encoding="utf-8")
+        assert main(["pretrain", "--config", str(cfg_path)]) == 0
+        needs = "4 inputs"
+    capsys.readouterr()
+    assert main(["eval", "--config", str(cfg_path), "--method", method, "--task", "task2",
+                 "--data", str(data)]) == 2
+    err = capsys.readouterr().err
+    assert str(tmp_path / "out" / f"{method}_task2_split0.ckpt") in err and needs in err
+
+
 def test_eval_matches_benchmark_cells(workspace):
     """`cfrl eval` and `cfrl benchmark` build every method the same way."""
     tmp_path, data, cfg_path = workspace
@@ -441,10 +500,6 @@ def test_benchmark_runs_from_snapshot(workspace):
 
 def test_importing_the_cli_leaves_scipy_sparse_unloaded():
     # scipy.sparse is imported only where popular and impact need it
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, cfrl.cli; print('scipy.sparse' in sys.modules)"],
-        env=env, capture_output=True, text=True, timeout=60, check=True,
-    )
+    out = _python("-c", "import sys, cfrl.cli; print('scipy.sparse' in sys.modules)")
+    out.check_returncode()
     assert out.stdout.strip() == "False"

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +7,7 @@ from hypothesis import strategies as st
 
 from cfrl import mf
 from cfrl.agent import Policy, raw_update, state_update
-from cfrl.env import (InteractiveEnv, TaskMode, read_trace, run_episode, user_steps,
-                      write_trace)
+from cfrl.env import InteractiveEnv, TaskMode, run_episode, user_steps, write_trace
 from cfrl.errors import IllegalActionError, ValidationError
 
 from conftest import make_dataset, profile, synthetic_profiles
@@ -288,7 +289,10 @@ def test_trace_round_trip(tmp_path):
     rows = [(0, 3, 0, 7, 4.0, False), (0, 3, 1, 2, 0.0, True)]
     path = tmp_path / "trace.csv"
     write_trace(path, rows)
-    assert read_trace(path) == rows
+    with open(path, newline="", encoding="utf-8") as fh:
+        lines = list(csv.reader(fh))
+    assert lines == [["episode", "user", "t", "action", "reward", "done"],
+                     *[[str(value) for value in row] for row in rows]]
 
 
 class RecordingPolicy(Policy):

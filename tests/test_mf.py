@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,10 +8,11 @@ from hypothesis import strategies as st
 from cfrl import mf
 from cfrl.dataset import RatingDataset, make_splits
 from cfrl.errors import DivergenceError, ValidationError
-from cfrl.persist import read_manifest
+from cfrl.persist import manifest_path
 from cfrl.seeding import rng_for
 
 from conftest import make_dataset, needs_ml100k, profile, synthetic_profiles
+from oracles import rating_grads
 
 
 def full_loss(U, V, entries, reg):
@@ -134,7 +137,7 @@ def test_pretrain_rejects_out_of_range_hyperparameters(bad):
 def test_pretrain_fits_single_rating_exactly():
     ds = make_dataset({0: {0: 4}})
     model = mf.pretrain(ds, {0}, d=2, reg=0.0, lr=0.05, epochs=400, seed=1)
-    assert mf.predict(model, model.U[:, 0], 0) == pytest.approx(4.0, abs=1e-3)
+    assert mf.predict_all(model, model.U[:, 0])[0] == pytest.approx(4.0, abs=1e-3)
 
 
 def test_pretrain_matches_dense_gradient_descent_oracle():
@@ -175,9 +178,10 @@ def test_pretrain_divergence_raises():
 def test_zero_state_predicts_zero_everywhere():
     ds = make_dataset({0: {0: 5, 1: 1}, 1: {0: 4, 1: 2}})
     model = mf.pretrain(ds, {0, 1}, d=3, reg=0.01, lr=0.01, epochs=3, seed=0)
-    state = np.zeros(3)
+    scores = mf.predict_all(model, np.zeros(3))
+    assert scores.shape == (model.n,)
     for item in range(model.n):
-        assert mf.predict(model, state, item) == 0.0
+        assert scores[item] == 0.0
 
 
 def test_online_update_from_zero_state_closed_form():
@@ -263,7 +267,7 @@ def test_rating_gradients_match_finite_differences(seed):
     v = rng.normal(size=d)
     rating = float(rng.integers(1, 6))
     reg = float(rng.choice([0.0, 0.01, 0.1]))
-    grad_u, grad_v = mf.rating_grads(u, v, rating, reg)
+    grad_u, grad_v = rating_grads(u, v, rating, reg)
     fd_u = _central_difference(
         lambda x: (float(x @ v) - rating) ** 2 + reg * (float(x @ x) + float(v @ v)), u
     )
@@ -281,20 +285,21 @@ def test_online_update_is_gradient_step():
     model = mf.MfModel(U=np.zeros((5, 1)), V=V, d=5, reg=0.01, lr=1e-3)
     state = rng.normal(size=5)
     new = mf.online_update(model, state, 1, 4.0)
-    grad_u, _ = mf.rating_grads(state, V[:, 1], 4.0, 0.01)
+    grad_u, _ = rating_grads(state, V[:, 1], 4.0, 0.01)
     np.testing.assert_allclose(new, state - model.lr * grad_u, atol=1e-12)
 
 
 def test_predict_scalar_and_oracle():
     model = mf.MfModel(U=np.zeros((1, 1)), V=np.array([[1.5]]), d=1, reg=0.0, lr=0.01)
-    assert mf.predict(model, np.array([2.0]), 0) == pytest.approx(3.0)
+    assert mf.predict_all(model, np.array([2.0])).tolist() == [pytest.approx(3.0)]
     rng = np.random.default_rng(3)
     V = rng.normal(size=(6, 10))
     model = mf.MfModel(U=np.zeros((6, 1)), V=V, d=6, reg=0.0, lr=0.01)
     state = rng.normal(size=6)
+    scores = mf.predict_all(model, state)
     for item in range(10):
         naive = sum(state[k] * V[k, item] for k in range(6))
-        assert abs(mf.predict(model, state, item) - naive) < 1e-12
+        assert abs(scores[item] - naive) < 1e-12
 
 
 def test_prediction_ranking_is_scale_invariant():
@@ -381,7 +386,8 @@ def test_checkpoint_round_trip(tmp_path):
     np.testing.assert_array_equal(back.U, model.U)
     np.testing.assert_array_equal(back.V, model.V)
     assert (back.d, back.reg, back.lr) == (model.d, model.reg, model.lr)
-    manifest = read_manifest(path)
+    with open(manifest_path(path), encoding="utf-8") as fh:
+        manifest = json.load(fh)
     assert manifest["train_rmse"] == model.epoch_rmse[-1]
 
 

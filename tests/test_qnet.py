@@ -1,3 +1,4 @@
+import json
 import math
 import zipfile
 
@@ -5,9 +6,10 @@ import numpy as np
 import pytest
 
 from cfrl import qnet
-from cfrl.agent import Transition
 from cfrl.errors import DivergenceError, ValidationError
-from cfrl.persist import read_manifest, save_npz
+from cfrl.persist import manifest_path, save_npz
+
+from oracles import Transition, q_taken, stack, td_target
 
 
 def test_parameter_count_closed_form():
@@ -97,10 +99,10 @@ def test_td_target_terminal_and_zero_gamma():
     target = qnet.make_target(net)
     done_tr = Transition(s=np.zeros(2), a=0, r=3.0, s_next=np.zeros(2), done=True,
                          mask_next=np.ones(2, dtype=bool))
-    assert qnet.td_target(done_tr, target, 0.9, done_tr.mask_next) == 3.0
+    assert td_target(done_tr, target, 0.9) == 3.0
     live_tr = Transition(s=np.zeros(2), a=0, r=2.0, s_next=np.ones(2), done=False,
                          mask_next=np.ones(2, dtype=bool))
-    assert qnet.td_target(live_tr, target, 0.0, live_tr.mask_next) == 2.0
+    assert td_target(live_tr, target, 0.0) == 2.0
 
 
 def test_td_target_empty_mask_is_an_error():
@@ -109,7 +111,10 @@ def test_td_target_empty_mask_is_an_error():
     tr = Transition(s=np.zeros(2), a=0, r=1.0, s_next=np.zeros(2), done=False,
                     mask_next=np.zeros(2, dtype=bool))
     with pytest.raises(ValueError, match="no available"):
-        qnet.td_target(tr, target, 0.9, tr.mask_next)
+        td_target(tr, target, 0.9)
+    # train_step refuses the same transition
+    with pytest.raises(ValueError, match="no available"):
+        qnet.train_step(net, target, stack([tr]), 0.9, 0.1)
 
 
 def test_td_target_matches_value_iteration_backups():
@@ -131,7 +136,7 @@ def test_td_target_matches_value_iteration_backups():
             onehot = np.eye(2)[s2]
             tr = Transition(s=np.eye(2)[s], a=a, r=r, s_next=onehot, done=terminal,
                             mask_next=np.ones(2, dtype=bool))
-            y = qnet.td_target(tr, target, gamma, tr.mask_next)
+            y = td_target(tr, target, gamma)
             assert y == pytest.approx(r + (0.0 if terminal else gamma * values[s2]), abs=1e-12)
 
 
@@ -157,7 +162,7 @@ def _random_batch(rng, net, size=6):
 
 def _batch_targets(net, target, batch, gamma):
     return np.array(
-        [qnet.td_target(tr, target, gamma, tr.mask_next) for tr in batch]
+        [td_target(tr, target, gamma) for tr in batch]
     )
 
 
@@ -178,7 +183,7 @@ def test_train_step_gradient_matches_finite_differences(activation, seed):
 
     before = qnet.flatten_params(net)
     lr = 1e-3
-    qnet.train_step(net, target, batch, gamma=0.9, lr=lr)
+    qnet.train_step(net, target, stack(batch), gamma=0.9, lr=lr)
     applied = (before - qnet.flatten_params(net)) / lr
 
     probe = net.copy()
@@ -203,7 +208,7 @@ def _dense_reference_step(net, target, batch, gamma, lr):
     states = np.stack([tr.s for tr in batch])
     rows = np.arange(len(batch))
     actions = np.array([tr.a for tr in batch])
-    y = np.array([qnet.td_target(tr, target, gamma, tr.mask_next) for tr in batch])
+    y = np.array([td_target(tr, target, gamma) for tr in batch])
     acts = [states]
     for l, (w, b) in enumerate(zip(net.weights, net.biases)):
         z = acts[-1] @ w.T + b
@@ -232,7 +237,7 @@ def test_train_step_matches_dense_reference(hidden, activation):
     for step in range(20):
         batch = _random_batch(rng, net, size=8)  # 8 actions over 5 outputs: repeats
         assert len({tr.a for tr in batch}) < len(batch)
-        loss = qnet.train_step(net, target, batch, gamma=0.9, lr=0.05)
+        loss = qnet.train_step(net, target, stack(batch), gamma=0.9, lr=0.05)
         ref_loss = _dense_reference_step(reference, target, batch, gamma=0.9, lr=0.05)
         assert loss == pytest.approx(ref_loss, rel=1e-12)
         np.testing.assert_allclose(
@@ -240,19 +245,14 @@ def test_train_step_matches_dense_reference(hidden, activation):
         )
 
 
-def test_train_step_takes_a_stacked_batch():
-    rng = np.random.default_rng(3)
+def test_train_step_rejects_an_empty_batch():
     net = qnet.qnet_init([3, 4, 5], seed=1)
     target = qnet.make_target(net)
-    batch = _random_batch(rng, net, size=6)
-    stacked = qnet.Batch.stack(batch, net.output_dim)
-    other = net.copy()
-    assert qnet.train_step(net, target, batch, 0.9, 0.1) == qnet.train_step(
-        other, qnet.make_target(other), stacked, 0.9, 0.1
-    )
-    assert qnet.flatten_params(net).tobytes() == qnet.flatten_params(other).tobytes()
+    empty = qnet.Batch(s=np.zeros((0, 3)), a=np.zeros(0, dtype=np.int64), r=np.zeros(0),
+                       s_next=np.zeros((0, 3)), done=np.zeros(0, dtype=bool),
+                       mask_next=np.zeros((0, 5), dtype=bool))
     with pytest.raises(ValueError, match="empty"):
-        qnet.train_step(net, target, [], 0.9, 0.1)
+        qnet.train_step(net, target, empty, 0.9, 0.1)
 
 
 def test_train_step_zero_residual_leaves_parameters_unchanged():
@@ -263,14 +263,14 @@ def test_train_step_zero_residual_leaves_parameters_unchanged():
     actions = rng.integers(4, size=4)
     # terminal transitions whose r equals the Q(s, a) that training computes,
     # so every residual is exactly zero
-    q = qnet.q_taken(net, states, actions)
+    q = q_taken(net, states, actions)
     batch = [
         Transition(s=states[k], a=int(actions[k]), r=float(q[k]),
                    s_next=states[k], done=True, mask_next=np.ones(4, dtype=bool))
         for k in range(4)
     ]
     before = qnet.flatten_params(net)
-    loss = qnet.train_step(net, target, batch, gamma=0.9, lr=0.1)
+    loss = qnet.train_step(net, target, stack(batch), gamma=0.9, lr=0.1)
     assert loss == pytest.approx(0.0, abs=1e-25)
     np.testing.assert_array_equal(before, qnet.flatten_params(net))
 
@@ -281,7 +281,7 @@ def test_train_step_converges_on_fixed_transition():
     tr = Transition(s=np.array([0.3, -1.2]), a=1, r=4.0, s_next=np.zeros(2), done=True,
                     mask_next=np.ones(3, dtype=bool))
     for _ in range(3000):
-        qnet.train_step(net, target, [tr], gamma=0.9, lr=0.05)
+        qnet.train_step(net, target, stack([tr]), gamma=0.9, lr=0.05)
     assert abs(4.0 - qnet.forward(net, tr.s)[1]) < 1e-3
 
 
@@ -292,7 +292,7 @@ def test_train_step_only_touches_taken_action_outputs():
                     mask_next=np.ones(3, dtype=bool))
     before_w = net.weights[0].copy()
     before_b = net.biases[0].copy()
-    qnet.train_step(net, target, [tr], gamma=0.9, lr=0.01)
+    qnet.train_step(net, target, stack([tr]), gamma=0.9, lr=0.01)
     assert not np.array_equal(net.weights[0][0], before_w[0])
     np.testing.assert_array_equal(net.weights[0][1:], before_w[1:])
     np.testing.assert_array_equal(net.biases[0][1:], before_b[1:])
@@ -304,7 +304,7 @@ def test_train_step_divergence_error():
     tr = Transition(s=np.array([1.0, 1.0]), a=0, r=np.inf, s_next=np.zeros(2), done=True,
                     mask_next=np.ones(3, dtype=bool))
     with pytest.raises(DivergenceError):
-        qnet.train_step(net, target, [tr], gamma=0.9, lr=0.1)
+        qnet.train_step(net, target, stack([tr]), gamma=0.9, lr=0.1)
 
 
 def test_train_step_divergence_error_from_a_taken_output_row():
@@ -318,7 +318,7 @@ def test_train_step_divergence_error_from_a_taken_output_row():
         for a in (0, 1)
     ]
     with pytest.raises(DivergenceError):
-        qnet.train_step(net, target, batch, gamma=0.9, lr=0.1)
+        qnet.train_step(net, target, stack(batch), gamma=0.9, lr=0.1)
 
 
 @pytest.mark.parametrize("hidden", [(), (6,), (6, 5)])
@@ -329,7 +329,7 @@ def test_q_taken_agrees_with_forward_batch(hidden, activation):
     states = rng.normal(size=(9, 4))
     actions = rng.integers(7, size=9)
     expected = qnet.forward_batch(net, states)[np.arange(9), actions]
-    np.testing.assert_allclose(qnet.q_taken(net, states, actions), expected, rtol=1e-13)
+    np.testing.assert_allclose(q_taken(net, states, actions), expected, rtol=1e-13)
 
 
 def test_sync_target_copies_and_resets_staleness():
@@ -339,7 +339,7 @@ def test_sync_target_copies_and_resets_staleness():
     tr = Transition(s=rng.normal(size=3), a=1, r=2.0, s_next=rng.normal(size=3), done=False,
                     mask_next=np.ones(4, dtype=bool))
     for _ in range(5):
-        qnet.train_step(net, target, [tr], gamma=0.9, lr=0.01)
+        qnet.train_step(net, target, stack([tr]), gamma=0.9, lr=0.01)
     assert target.staleness == 5
     s = rng.normal(size=3)
     assert not np.array_equal(qnet.forward(net, s), qnet.forward(target.net, s))
@@ -390,7 +390,7 @@ def test_batched_targets_agree_with_single_path():
     # recover the batched-path targets from the loss identity
     q = qnet.forward_batch(net, np.stack([tr.s for tr in batch]))
     qa = q[np.arange(len(batch)), [tr.a for tr in batch]]
-    loss = qnet.train_step(net.copy(), qnet.make_target(net), batch, gamma=0.7, lr=0.0)
+    loss = qnet.train_step(net.copy(), qnet.make_target(net), stack(batch), gamma=0.7, lr=0.0)
     assert loss == pytest.approx(float(np.mean((y_single - qa) ** 2)), abs=1e-12)
 
 
@@ -401,7 +401,7 @@ def test_training_trajectory_is_deterministic():
         target = qnet.make_target(net)
         for step in range(50):
             batch = _random_batch(rng, net, size=4)
-            qnet.train_step(net, target, batch, gamma=0.9, lr=0.01)
+            qnet.train_step(net, target, stack(batch), gamma=0.9, lr=0.01)
             if (step + 1) % 10 == 0:
                 qnet.sync_target(net, target)
         return qnet.flatten_params(net)
@@ -417,7 +417,8 @@ def test_checkpoint_round_trip(tmp_path):
     assert back.layer_sizes == net.layer_sizes
     assert back.activation == "relu"
     np.testing.assert_array_equal(qnet.flatten_params(back), qnet.flatten_params(net))
-    assert read_manifest(path)["seed"] == 13
+    with open(manifest_path(path), encoding="utf-8") as fh:
+        assert json.load(fh)["seed"] == 13
     with pytest.raises(ValidationError, match="not a Q-network"):
         qnet.load_qnet(tmp_path / "net.ckpt.manifest.json")
 

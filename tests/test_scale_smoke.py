@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from cfrl import mf
-from cfrl.agent import TrainConfig, train_cfrl
+from cfrl.agent import TrainConfig, make_trainer
 from cfrl.baselines import (
     GreedyQPolicy,
     OnlineMfPolicy,
@@ -100,9 +100,10 @@ def test_latent_state_enables_personalization():
         hidden_sizes=(64,), task=TaskMode.TASK_I, seed=derive_seed(0, "cfrl"),
     )
     eval_model = replace(model, lr=0.1)
-    net, _ = train_cfrl(ds, split, eval_model, cfg)
+    trainer = make_trainer(ds, split, eval_model, cfg)
+    trainer.run()
     cfrl_score = float(np.mean(evaluate_policy(
-        GreedyQPolicy(net, mf_model=eval_model), ds, split, TaskMode.TASK_I, 10
+        GreedyQPolicy(trainer.net, mf_model=eval_model), ds, split, TaskMode.TASK_I, 10
     )))
     rand_score = float(np.mean(evaluate_policy(
         RandomPolicy(seed=9), ds, split, TaskMode.TASK_I, 10
@@ -119,10 +120,11 @@ def test_short_budget_cfrl_beats_random_at_scale(big_ds, big_splits, big_mf):
         sync_period=200, batch_size=32, replay_capacity=50_000,
         hidden_sizes=(64,), task=TaskMode.TASK_II, seed=0,
     )
-    net, logs = train_cfrl(big_ds, split, big_mf, cfg)
+    trainer = make_trainer(big_ds, split, big_mf, cfg)
+    logs = trainer.run()
     assert len(logs) == 400
     cfrl_score = float(np.mean(evaluate_policy(
-        GreedyQPolicy(net, mf_model=big_mf), big_ds, split, TaskMode.TASK_II, 10
+        GreedyQPolicy(trainer.net, mf_model=big_mf), big_ds, split, TaskMode.TASK_II, 10
     )))
     rand_score = float(np.mean(evaluate_policy(
         RandomPolicy(seed=5), big_ds, split, TaskMode.TASK_II, 10
