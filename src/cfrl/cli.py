@@ -125,7 +125,8 @@ def cmd_pretrain(args) -> int:
 
 
 def _context(cfg: RunConfig, ds, split, split_index: int, out: Path, method: str) -> SplitContext:
-    """The split's inputs, with the pretrained factor model if the method needs it."""
+    """The split's inputs, with the pretrained factor model if the method needs
+    it; factors whose (m, n) is not the data's raise ValidationError."""
     model = None
     if METHODS[method].needs_mf:
         path = _mf_ckpt_path(out, split_index)
@@ -134,6 +135,11 @@ def _context(cfg: RunConfig, ds, split, split_index: int, out: Path, method: str
                 f"MF checkpoint {path} not found; run `cfrl pretrain --split {split_index}` first"
             )
         model = mf.load_mf(path)
+        if (model.m, model.n) != (ds.m, ds.n):
+            raise ValidationError(
+                f"{path}: factors for {model.m} x {model.n} users x items do not fit the "
+                f"data's {ds.m} x {ds.n}; run `cfrl pretrain --split {split_index}` on this data"
+            )
     return SplitContext(ds=ds, split=split, index=split_index, seed=cfg.seed, mf_model=model,
                         linucb_alpha=cfg.linucb_alpha)
 

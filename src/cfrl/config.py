@@ -135,8 +135,10 @@ def _parse_value(field_name: str, text: str, py_type):
 def load_config(path) -> RunConfig:
     """Read an INI config; unknown keys are an error, missing keys default.
     A file that is not valid INI, or a value that does not parse, raises a
-    ValueError naming the file (and the key)."""
-    parser = configparser.ConfigParser(interpolation=None)
+    ValueError naming the file (and the key), and so does a [DEFAULT]
+    section, which configparser would otherwise merge into every section."""
+    # no header names the empty section, so [DEFAULT] reads as an unknown section
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     with open(path, "r", encoding="utf-8") as fh:
         try:
             parser.read_file(fh)

@@ -95,11 +95,13 @@ def is_npz(path) -> bool:
         return False
 
 
-def load_npz(path, kind: str, names) -> dict:
+def load_npz(path, kind: str, names, retired: dict | None = None) -> dict:
     """The arrays of a save_npz archive holding exactly the members `names`.
 
     `kind` names the artifact in error messages. Object arrays are refused,
-    so no pickle is ever loaded.
+    so no pickle is ever loaded. `retired` maps a member that only an
+    earlier layout of the artifact held to the reason such a file is
+    refused.
 
     Raises:
         ValidationError: naming the file, when it is not a zip archive, is
@@ -113,6 +115,9 @@ def load_npz(path, kind: str, names) -> dict:
                 found = sorted(zf.namelist())
                 expected = sorted(f"{name}.npy" for name in names)
                 if found != expected:
+                    for name, reason in (retired or {}).items():
+                        if f"{name}.npy" in found:
+                            raise ValidationError(f"{path}: {reason}")
                     raise ValidationError(
                         f"{path}: unreadable {kind}: members {found}, expected {expected}")
                 return {name: _read_array(zf, zf.getinfo(f"{name}.npy")) for name in names}

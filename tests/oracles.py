@@ -37,6 +37,26 @@ def stack(transitions) -> qnet.Batch:
     )
 
 
+def replay_rows(memory) -> dict:
+    """memory.state() with dense "s" and "s_next" columns in either layout.
+
+    A raw-layout memory keeps each state as (item, reward) pairs; here each
+    row is rebuilt pair by pair, and its successor is the state with the
+    taken action's reward written in."""
+    rows = dict(memory.state())
+    if memory.raw_horizon is None:
+        return rows
+    n = memory.state_dim
+    s = np.zeros((len(rows["a"]), n))
+    for k, (items, rewards) in enumerate(zip(rows.pop("s_items"), rows.pop("s_rewards"))):
+        for item, reward in zip(items, rewards):
+            if item < n:
+                s[k, item] = reward
+    s_next = s.copy()
+    s_next[np.arange(len(s)), rows["a"]] = rows["r"]
+    return {**rows, "s": s, "s_next": s_next}
+
+
 def td_target(transition: Transition, target: qnet.TargetNetwork, gamma: float) -> float:
     """Bootstrap target y = r + gamma * max over the successor's available
     actions of the frozen network, or r at the end of an episode."""

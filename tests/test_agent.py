@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfrl import mf, qnet
 from cfrl.agent import (
@@ -25,6 +27,7 @@ from cfrl.evaluate import evaluate_policy
 from cfrl.seeding import rng_for
 
 from conftest import PLANTED_ITEM, make_dataset, planted_profiles, profile, synthetic_profiles
+from oracles import replay_rows
 from toy_mdp import ChainEnv, LIVE_STATES, encode, update, value_iteration
 
 
@@ -139,12 +142,14 @@ class TestReplayMemory:
         assert all(col.shape[0] == 1000 for key, col in mem.state().items() if key != "next")
 
     def test_memory_grows_with_rows_filled_not_capacity(self):
-        # raw-state rows: two 1,586-wide float64 states each, at the default
-        # capacity of 100,000 (2.5 GB if the capacity were allocated up front)
-        n = 1586
-        mem = ReplayMemory(TrainConfig(episodes=1).replay_capacity, state_dim=n, n_actions=n)
+        # raw-state rows at the default capacity of 100,000 and horizon of 40:
+        # (item, reward) pairs in place of two 1,586-wide float64 states
+        n, cfg = 1586, TrainConfig(episodes=1)
+        mem = ReplayMemory(cfg.replay_capacity, state_dim=n, n_actions=n,
+                           raw_horizon=cfg.horizon)
         rng = np.random.default_rng(0)
-        s, mask = rng.normal(size=n), rng.random(n) < 0.5
+        s, mask = np.zeros(n), rng.random(n) < 0.5
+        s[rng.choice(n, cfg.horizon, replace=False)] = rng.integers(1, 6, cfg.horizon)
         tracemalloc.start()
         try:
             for k in range(1000):
@@ -153,9 +158,51 @@ class TestReplayMemory:
         finally:
             tracemalloc.stop()
         row_bytes = sum(col[0].nbytes for key, col in mem.state().items() if key != "next")
-        assert row_bytes == 2 * n * 8 + 8 + 8 + 1 + (n + 7) // 8
+        assert row_bytes == cfg.horizon * (4 + 8) + 8 + 8 + 1 + (n + 7) // 8
+        assert row_bytes <= 1536
         assert held <= 1.1 * 1000 * row_bytes
-        np.testing.assert_array_equal(mem.sample(1, rng).mask_next[0], mask)
+        batch = mem.sample(1, rng)
+        np.testing.assert_array_equal(batch.mask_next[0], mask)
+        np.testing.assert_array_equal(batch.s[0], s)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_raw_rows_rebuild_exactly(data):
+    # every state a raw learner can hold: at most T nonzeros from a zero start,
+    # items at both ends of the catalogue, rewards of 0 among them
+    n = data.draw(st.integers(1, 40), label="n")
+    horizon = data.draw(st.integers(0, n), label="horizon")
+    rows = data.draw(st.integers(1, 6), label="rows")
+    mem = ReplayMemory(rows, state_dim=n, n_actions=n, raw_horizon=horizon)
+    states, actions = np.zeros((rows, n)), []
+    for k in range(rows):
+        items = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=horizon))
+        states[k, items] = data.draw(st.lists(st.sampled_from([0.0, 1.0, 2.5, 5.0]),
+                                              min_size=len(items), max_size=len(items)))
+        actions.append(data.draw(st.integers(0, n - 1)))
+        mem.push(states[k], actions[k], float(k), None, False, np.ones(n, dtype=bool))
+    batch = mem.sample(rows, rng_for(0, "rebuild"))
+    k = batch.r.astype(np.int64)
+    assert batch.s.shape == batch.s_next.shape == (rows, n)
+    assert np.array_equal(batch.s, states[k])
+    expected_next = states[k]
+    expected_next[np.arange(rows), np.array(actions)[k]] = batch.r
+    assert np.array_equal(batch.s_next, expected_next)
+    assert np.array_equal(batch.a, np.array(actions)[k])
+
+
+def test_raw_rows_at_the_catalog_ends_and_over_the_horizon():
+    mem = ReplayMemory(4, state_dim=5, n_actions=5, raw_horizon=2)
+    with pytest.raises(ValueError, match="3 nonzeros, over the horizon 2"):
+        mem.push(np.array([1.0, 0.0, 2.0, 0.0, 3.0]), 1, 4.0, None, False, np.ones(5, bool))
+    assert len(mem) == 0
+    # items 0 and n - 1 fill the row; a zero reward at item 2 needs no pair
+    s = np.array([5.0, 0.0, 0.0, 0.0, 1.0])
+    mem.push(s, 2, 0.0, None, True, np.ones(5, bool))
+    assert mem.state()["s_items"].tolist() == [[0, 4]]
+    batch = mem.sample(1, rng_for(0, "ends"))
+    assert np.array_equal(batch.s[0], s) and np.array_equal(batch.s_next[0], s)
 
 
 @pytest.fixture
@@ -215,7 +262,7 @@ def test_trainer_and_greedy_policy_share_one_state(small_setup, raw_state):
     trainer = make_trainer(ds, split, None if raw_state else model, cfg)
     trace = []
     trainer.run(trace=trace)
-    rows = trainer.memory.state()
+    rows = replay_rows(trainer.memory)
     policy = GreedyQPolicy(trainer.net, mf_model=model, raw_state=raw_state)
     assert rows["s"].shape == (len(trace), ds.n if raw_state else model.d)
     for k, (_, user, t, action, reward, _) in enumerate(trace):
@@ -241,24 +288,25 @@ def test_training_is_deterministic(small_setup):
 def test_trainer_save_restore_continues_exactly(tmp_path, small_setup):
     ds, split, model = small_setup
     cfg = TrainConfig(episodes=6, horizon=3, hidden_sizes=(8,), task=TaskMode.TASK_II, seed=2)
-    straight = make_trainer(ds, split, model, cfg)
-    straight.run()
+    for mf_model in (model, None):  # the latent and the raw replay layout
+        straight = make_trainer(ds, split, mf_model, cfg)
+        straight.run()
 
-    first = make_trainer(ds, split, model, cfg)
-    first.run(until_episode=3)
-    path = tmp_path / "state.npz"
-    first.save(path)
-    resumed = make_trainer(ds, split, model, cfg)
-    resumed.restore(path)
-    assert resumed.episode == 3
-    resumed.run()
+        first = make_trainer(ds, split, mf_model, cfg)
+        first.run(until_episode=3)
+        path = tmp_path / "state.npz"
+        first.save(path)
+        resumed = make_trainer(ds, split, mf_model, cfg)
+        resumed.restore(path)
+        assert resumed.episode == 3
+        resumed.run()
 
-    assert (
-        qnet.flatten_params(resumed.net).tobytes()
-        == qnet.flatten_params(straight.net).tobytes()
-    )
-    assert resumed.logs == straight.logs
-    assert resumed.train_steps == straight.train_steps
+        assert (
+            qnet.flatten_params(resumed.net).tobytes()
+            == qnet.flatten_params(straight.net).tobytes()
+        )
+        assert resumed.logs == straight.logs
+        assert resumed.train_steps == straight.train_steps
 
 
 def test_failed_save_keeps_previous_state(tmp_path, monkeypatch, small_setup):
@@ -353,6 +401,54 @@ def test_restore_rejects_states_that_do_not_fit(tmp_path, small_setup):
     wider = make_trainer(ds, split, model, replace(cfg, hidden_sizes=(9,)))
     with pytest.raises(ValidationError, match="parameters"):
         wider.restore(good)
+
+
+def test_restore_rejects_malformed_raw_pairs(tmp_path, small_setup):
+    ds, split, _ = small_setup
+    n = ds.n
+    # task1 pays a rating at every step, so every step adds a pair
+    cfg = TrainConfig(episodes=2, horizon=3, hidden_sizes=(8,), task=TaskMode.TASK_I,
+                      batch_size=4, seed=2)
+    trainer = make_trainer(ds, split, None, cfg)
+    trainer.run()
+    good = tmp_path / "state.npz"
+    trainer.save(good)
+    with np.load(good) as data:
+        items, rewards = data["replay_s_items"], data["replay_s_rewards"]
+    assert items.shape == rewards.shape == (6, 3) and items.dtype == np.int32
+    # the third step of the first episode starts from two pairs and one pad
+    assert (items[2] < n).sum() == 2 and items[2, 2] == n and rewards[2, 2] == 0.0
+
+    def changed(array, row, col, value):
+        array = array.copy()
+        array[row, col] = value
+        return array
+
+    dense = replay_rows(trainer.memory)
+    bad = tmp_path / "bad.npz"
+    cases = [
+        ({"replay_s_items": changed(items, 2, 0, n + 1)}, f"item outside 0..{n}"),
+        ({"replay_s_items": changed(items, 2, 0, -1)}, "item outside"),
+        ({"replay_s_items": changed(items, 2, 1, items[2, 0])}, "repeats an item"),
+        ({"replay_s_rewards": changed(rewards, 2, 2, 1.0)}, "padding"),
+        ({"replay_s_items": np.pad(items, ((0, 0), (0, 1)), constant_values=n),
+          "replay_s_rewards": np.pad(rewards, ((0, 0), (0, 1)))}, "'s_items'"),
+        ({"replay_s_items": items.astype(np.int64)}, "'s_items'"),
+        # a raw state saved before the replay kept (item, reward) pairs
+        ({"replay_s_items": None, "replay_s_rewards": None,
+          "replay_s": dense["s"], "replay_s_next": dense["s_next"]}, "replay format changed"),
+    ]
+    for changes, message in cases:
+        _rewrite_state(good, bad, **changes)
+        with pytest.raises(ValidationError, match=message) as err:
+            make_trainer(ds, split, None, cfg).restore(bad)
+        assert str(bad) in str(err.value)
+    # the same pairs in another order load, and rebuild the same rows
+    _rewrite_state(good, bad, replay_s_items=items[:, ::-1], replay_s_rewards=rewards[:, ::-1])
+    shuffled = make_trainer(ds, split, None, cfg)
+    shuffled.restore(bad)
+    for key in ("s", "s_next"):
+        np.testing.assert_array_equal(replay_rows(shuffled.memory)[key], dense[key])
 
 
 def test_restore_of_a_full_ring_keeps_evicting_in_order(tmp_path, small_setup):

@@ -101,8 +101,11 @@ def test_config_rejects_unknown_keys(tmp_path):
         ("[run]\nseed = 3\nseed = 4\n", "'seed'"),
         ("[run]\nseed = 3\n[run]\nout = o\n", "'run'"),
         ("[run]\nseed = abc\n", "[run] seed"),
+        ("[DEFAULT]\nseed = 7\n", "[DEFAULT]"),
+        ("[DEFAULT]\nseed = 7\n[run]\nout = o\n", "[DEFAULT]"),
     ],
-    ids=["no-section-header", "repeated-key", "repeated-section", "unparsable-value"],
+    ids=["no-section-header", "repeated-key", "repeated-section", "unparsable-value",
+         "default-section-alone", "default-section-beside-others"],
 )
 def test_malformed_config_exits_2_without_a_traceback(tmp_path, text, named):
     path = tmp_path / "bad.ini"
@@ -256,6 +259,23 @@ def test_train_resume_from_truncated_state_exits_2(workspace, capsys):
     assert str(state) in capsys.readouterr().err
 
 
+
+def test_train_resume_of_a_dqn_state_with_dense_replay_exits_2(workspace, capsys):
+    # earlier versions kept each raw replay row as two dense n-wide states
+    tmp_path, data, cfg_path = workspace
+    assert main(["train", "--config", str(cfg_path), "--method", "dqn"]) == 0
+    state = tmp_path / "out" / "dqn_task2_split0_state.npz"
+    with np.load(state) as saved:
+        arrays = {key: saved[key] for key in saved.files}
+    rows = len(arrays["replay_a"])
+    del arrays["replay_s_items"], arrays["replay_s_rewards"]
+    arrays["replay_s"] = arrays["replay_s_next"] = np.zeros((rows, 30))
+    with open(state, "wb") as fh:
+        np.savez(fh, **arrays)
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg_path), "--method", "dqn", "--resume"]) == 2
+    err = capsys.readouterr().err
+    assert str(state) in err and "replay format changed" in err
 
 
 def test_old_binary_snapshot_as_data_exits_2(workspace, capsys):
@@ -422,6 +442,8 @@ def test_eval_refuses_a_q_network_that_does_not_fit(workspace, capsys, method, w
         # the network has 30 actions; this file has 40 items
         data = tmp_path / "wider.tsv"
         write_ratings_file(data, synthetic_profiles(n_users=14, n_items=40, per_user=22, seed=8))
+        # factors that fit the file, so the network is the one artifact that does not
+        assert main(["pretrain", "--config", str(cfg_path), "--data", str(data)]) == 0
         needs = "40 actions"
     else:
         # the network takes the 3 factors it was trained on; the new model has 4
@@ -433,6 +455,21 @@ def test_eval_refuses_a_q_network_that_does_not_fit(workspace, capsys, method, w
                  "--data", str(data)]) == 2
     err = capsys.readouterr().err
     assert str(tmp_path / "out" / f"{method}_task2_split0.ckpt") in err and needs in err
+
+
+@pytest.mark.parametrize("method", ["mf", "linucb"])
+def test_eval_refuses_factors_that_do_not_fit_the_data(workspace, capsys, method):
+    tmp_path, data, cfg_path = workspace
+    assert main(["pretrain", "--config", str(cfg_path)]) == 0
+    # the factors were pretrained on 30 items; this file has 40
+    wider = tmp_path / "wider.tsv"
+    write_ratings_file(wider, synthetic_profiles(n_users=14, n_items=40, per_user=22, seed=8))
+    capsys.readouterr()
+    assert main(["eval", "--config", str(cfg_path), "--method", method, "--task", "task2",
+                 "--data", str(wider)]) == 2
+    err = capsys.readouterr().err
+    assert str(tmp_path / "out" / "mf_split0.ckpt") in err and "14 x 30" in err
+    assert "14 x 40" in err
 
 
 def test_eval_matches_benchmark_cells(workspace):

@@ -60,15 +60,18 @@ def _linucb(tmp):
         u.A.tobytes(), u.b.tobytes(), u.alpha_ucb)
 
 
-def _trainer_state(tmp):
+def _trainer_state(tmp, raw=False):
+    """A latent-state trainer's state or, with `raw`, a raw-vector trainer's,
+    whose replay keeps (item, reward) pairs; task1 pays a rating every step."""
     ds = make_dataset(synthetic_profiles(n_users=6, n_items=5, per_user=4, seed=3))
     split = Split(train_users=frozenset(range(5)), test_users=frozenset({5}), seed=0)
-    model = mf.pretrain(ds, split.train_users, d=2, epochs=1, seed=0)
-    cfg = TrainConfig(episodes=2, horizon=2, hidden_sizes=(2,), task=TaskMode.TASK_II,
+    model = None if raw else mf.pretrain(ds, split.train_users, d=2, epochs=1, seed=0)
+    cfg = TrainConfig(episodes=2, horizon=2, hidden_sizes=(2,),
+                      task=TaskMode.TASK_I if raw else TaskMode.TASK_II,
                       batch_size=2, replay_capacity=8, seed=1)
     trainer = make_trainer(ds, split, model, cfg)
     trainer.run()
-    path = tmp / "state.npz"
+    path = tmp / f"state{'_raw' if raw else ''}.npz"
     trainer.save(path)
 
     def load(p):
@@ -86,7 +89,8 @@ def _trainer_state(tmp):
 
 
 ARTIFACTS = {"snapshot": _snapshot, "factors": _factors, "qnet": _qnetwork,
-             "linucb": _linucb, "trainer": _trainer_state}
+             "linucb": _linucb, "trainer": _trainer_state,
+             "raw-trainer": lambda tmp: _trainer_state(tmp, raw=True)}
 
 
 @pytest.fixture(scope="module")
