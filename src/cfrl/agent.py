@@ -41,11 +41,12 @@ class ReplayMemory:
 
     With `raw_horizon` set, states are raw rating vectors, which raw_update
     fills from zeros with at most that many nonzeros. A row then keeps its
-    state as its nonzero (item, reward) pairs, padded to the horizon with
-    item n and reward 0 in the columns s_items and s_rewards, and no
-    successor: sample rebuilds the states with raw_states and each successor
-    as raw_update(s, a, r), the update that made it. At n = 1,586 items and
-    T = 40 that is 696 bytes a row in place of 25.6 KB.
+    state as its nonzero (item, reward) pairs, items ascending and padded to
+    the horizon with item n and reward 0, in the columns s_items and
+    s_rewards, and no successor. sample returns the states and successors as
+    qnet.Pairs, as wide as raw_pairs makes them: each successor is its state's
+    pairs with (a, r) put in, the sparse form of raw_update(s, a, r). At
+    n = 1,586 items and T = 40 a row takes 696 bytes in place of 25.6 KB.
     """
 
     _MIN_ROWS = 64
@@ -135,11 +136,30 @@ class ReplayMemory:
         if self.raw_horizon is None:
             s, s_next = cols["s"][idx], cols["s_next"][idx]
         else:
-            s = raw_states(cols["s_items"][idx], cols["s_rewards"][idx], self.state_dim)
-            s_next = raw_update(s, a, r)
+            s, s_next = self._raw_pairs(idx, a, r)
         masks = np.unpackbits(cols["mask_bits"][idx], axis=1, count=self.n_actions)
         return qnet.Batch(s=s, a=a, r=r, s_next=s_next, done=cols["done"][idx],
                           mask_next=masks.view(bool))
+
+    def _raw_pairs(self, idx, a, r) -> tuple:
+        """The (state, successor) Pairs of the raw rows idx, raw_horizon + 1
+        wide. The successor drops a's pair, if the state has one, puts (a, r)
+        into the spare last slot unless r is 0, and sorts the row by item, so
+        that the padding (item n) goes to the end."""
+        n, width = self.state_dim, self.raw_horizon + 1
+        items = np.full((len(idx), width), n, dtype=np.int64)
+        rewards = np.zeros((len(idx), width))
+        items[:, :-1] = self._cols["s_items"][idx]
+        rewards[:, :-1] = self._cols["s_rewards"][idx]
+        held = items == a[:, None]
+        next_items = np.where(held, n, items)
+        next_rewards = np.where(held, 0.0, rewards)
+        next_items[:, -1] = np.where(r != 0, a, n)
+        next_rewards[:, -1] = r
+        order = np.argsort(next_items, axis=1, kind="stable")
+        order += np.arange(0, order.size, width)[:, None]     # flat indices, row by row
+        successor = qnet.Pairs(next_items.ravel()[order], next_rewards.ravel()[order])
+        return qnet.Pairs(items, rewards), successor
 
     def state(self) -> dict:
         """The filled rows of every column (views, not copies), plus "next":
@@ -154,8 +174,11 @@ class ReplayMemory:
         Raises:
             ValidationError: an array is missing or does not fit this memory's
                 widths, dtypes, capacity or action count, or a raw row's
-                pairs have an item outside 0..n, a repeated item, or a
-                nonzero reward in their padding.
+                pairs are not in the form push writes: items inside 0..n,
+                those below n (the state's items) strictly ascending, each
+                with a nonzero reward, and after them only padding (item n,
+                reward 0). The pairs' order sets the rounding of the first
+                layer, so another order of the same pairs is refused too.
         """
         columns = dict(state)
         next_slot = columns.pop("next", None)
@@ -179,13 +202,18 @@ class ReplayMemory:
         if rows and not ((columns["a"] >= 0) & (columns["a"] < self.n_actions)).all():
             raise ValidationError(f"replay action outside 0..{self.n_actions - 1}")
         if self.raw_horizon is not None:
-            items, n = columns["s_items"], self.state_dim
+            items, rewards, n = columns["s_items"], columns["s_rewards"], self.state_dim
+            pad = items == n
             if ((items < 0) | (items > n)).any():
                 raise ValidationError(f"replay state item outside 0..{n} ({n} pads a row)")
-            ranked = np.sort(items, axis=1)
-            if ((ranked[:, 1:] == ranked[:, :-1]) & (ranked[:, 1:] < n)).any():
-                raise ValidationError("replay state repeats an item within a row")
-            if (columns["s_rewards"][items == n] != 0).any():
+            if (pad[:, :-1] & ~pad[:, 1:]).any():
+                raise ValidationError(f"replay state has an item after its padding (item {n})")
+            if ((items[:, 1:] <= items[:, :-1]) & ~pad[:, 1:]).any():
+                raise ValidationError("replay state items are not strictly ascending: "
+                                      "a row repeats an item or lists its items out of order")
+            if (rewards[~pad] == 0).any():
+                raise ValidationError("replay state holds an item with reward 0")
+            if (rewards[pad] != 0).any():
                 raise ValidationError(f"replay state padding (item {n}) holds a nonzero reward")
         self._cols = {key: np.require(col, requirements="CW") for key, col in columns.items()}
         self._size = rows
@@ -248,21 +276,39 @@ def select_action(net, state, mask, epsilon: float, rng) -> int:
     return int(qnet.masked_argmax(qnet.forward(net, state), mask))
 
 
-def raw_states(items, rewards, n: int) -> np.ndarray:
-    """The (B, n) raw states of (B, T) (item, reward) rows padded with item
-    n: a view of the first n columns of a zeroed (B, n + 1) buffer, whose
-    last column takes the padding."""
-    dense = np.zeros((len(items), n + 1))
-    dense[np.arange(len(items))[:, None], items] = rewards
-    return dense[:, :n]
-
-
 def raw_update(states, items, rewards) -> np.ndarray:
     """The raw-vector states of a (U, n) block: each row holds the reward
     observed at each item its user was asked, 0 elsewhere."""
     states = states.copy()
     states[np.arange(len(states)), items] = rewards
     return states
+
+
+def raw_pairs(states, horizon: int) -> qnet.Pairs:
+    """The qnet.Pairs of one (n,) raw state or a (U, n) block: each row's
+    nonzero (item, reward) pairs, items ascending, padded with item n and
+    reward 0 to horizon + 1 pairs, room for a state of T rewards and the one
+    its successor adds. Acting, the replay's minibatches and evaluation all
+    read a raw state at this one width, so they compute one function of it.
+
+    Raises:
+        ValueError: a row holds more than horizon + 1 nonzeros.
+    """
+    x = np.asarray(states, dtype=np.float64)
+    block = x.reshape(-1, x.shape[-1])
+    # the flat nonzeros of a bool mask: several times faster than np.nonzero of the block
+    rows, cols = np.divmod(np.flatnonzero(block != 0), block.shape[1])
+    counts = np.bincount(rows, minlength=len(block))
+    width = horizon + 1
+    if counts.size and counts.max() > width:
+        raise ValueError(f"raw state holds {counts.max()} nonzeros, over the {width} "
+                         f"pairs of the horizon {horizon}")
+    items = np.full((len(block), width), block.shape[1], dtype=np.int64)
+    rewards = np.zeros((len(block), width))
+    slots = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    items[rows, slots] = cols
+    rewards[rows, slots] = block[rows, cols]
+    return qnet.Pairs(items.reshape(*x.shape[:-1], width), rewards.reshape(*x.shape[:-1], width))
 
 
 def state_update(mf_model: mf.MfModel | None):
@@ -319,9 +365,11 @@ class QTrainer(StatePolicy):
         self.cfg = cfg
         sizes = (input_dim, *cfg.hidden_sizes, env.n)
         self.net = qnet.qnet_init(sizes, seed=cfg.seed, activation=cfg.activation)
-        self.target = qnet.make_target(self.net)
         # raw_update's states are their <= horizon (item, reward) pairs
         raw_horizon = cfg.horizon if update is raw_update else None
+        if raw_horizon is not None:
+            self.net = qnet.input_major(self.net)
+        self.target = qnet.make_target(self.net)
         self.memory = ReplayMemory(cfg.replay_capacity, input_dim, env.n, raw_horizon)
         self.user_rng = rng_for(cfg.seed, "episode-users")
         self.action_rng = rng_for(cfg.seed, "epsilon-greedy")
@@ -339,7 +387,10 @@ class QTrainer(StatePolicy):
         self.losses = []
 
     def act(self, avail: np.ndarray) -> np.ndarray:
-        return np.array([select_action(self.net, self.state[0], avail[0], self.cfg.epsilon,
+        state = self.state[0]
+        if self.memory.raw_horizon is not None:
+            state = raw_pairs(state, self.memory.raw_horizon)
+        return np.array([select_action(self.net, state, avail[0], self.cfg.epsilon,
                                        self.action_rng)])
 
     def observe(self, items, rewards, avail=None, done: bool = False) -> None:

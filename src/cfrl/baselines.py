@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mf, qnet
-from .agent import Policy, StatePolicy, TrainConfig, eligible_train_users, state_update
+from .agent import (Policy, StatePolicy, TrainConfig, eligible_train_users, raw_pairs,
+                    state_update)
 from .env import InteractiveEnv, run_episode
 from .seeding import rng_for
 
@@ -197,15 +198,21 @@ def train_linucb(ds, split, mf_model: mf.MfModel, cfg: TrainConfig,
 
 
 class GreedyQPolicy(StatePolicy):
-    """Frozen Q-network acting greedily on the state it was trained on."""
+    """Frozen Q-network acting greedily on the state it was trained on. A raw
+    state is read as agent.raw_pairs for the episodes' horizon, the pairs
+    the network was trained on."""
 
     def __init__(self, net: qnet.QNetwork, mf_model: mf.MfModel | None = None,
-                 raw_state: bool = False):
+                 raw_state: bool = False, horizon: int | None = None):
         if not raw_state and mf_model is None:
             raise ValueError("latent-state policy needs the MF model")
+        if raw_state and horizon is None:
+            raise ValueError("raw-state policy needs the horizon, which sets its pairs' width")
         super().__init__(net.input_dim, state_update(None if raw_state else mf_model))
-        self.net = net
+        self.net = qnet.input_major(net) if raw_state else net
         self.raw_state = raw_state
+        self.horizon = horizon
 
     def act(self, avail: np.ndarray) -> np.ndarray:
-        return qnet.masked_argmax(qnet.forward(self.net, self.state), avail)
+        state = raw_pairs(self.state, self.horizon) if self.raw_state else self.state
+        return qnet.masked_argmax(qnet.forward(self.net, state), avail)

@@ -141,7 +141,7 @@ def _context(cfg: RunConfig, ds, split, split_index: int, out: Path, method: str
                 f"data's {ds.m} x {ds.n}; run `cfrl pretrain --split {split_index}` on this data"
             )
     return SplitContext(ds=ds, split=split, index=split_index, seed=cfg.seed, mf_model=model,
-                        linucb_alpha=cfg.linucb_alpha)
+                        linucb_alpha=cfg.linucb_alpha, horizon=cfg.horizon)
 
 
 def cmd_train(args) -> int:

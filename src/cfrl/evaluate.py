@@ -272,7 +272,8 @@ def benchmark(
         mf_params=dict(d=mf_dim, reg=mf_reg, lr=mf_lr, epochs=mf_epochs),
     )
     contexts = [
-        SplitContext(ds=ds, split=split, index=s, seed=seed, linucb_alpha=linucb_alpha)
+        SplitContext(ds=ds, split=split, index=s, seed=seed, linucb_alpha=linucb_alpha,
+                     horizon=horizon)
         for s, split in enumerate(splits)
     ]
     if jobs > 1 and len(contexts) > 1:

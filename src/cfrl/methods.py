@@ -32,6 +32,7 @@ class SplitContext:
     seed: int                    # the run's top-level seed
     mf_model: object = None      # pretrained factors, when some method needs them
     linucb_alpha: float = 1.0
+    horizon: int | None = None   # episode length, when the raw-state dqn policy is built
 
 
 @dataclass(frozen=True)
@@ -95,7 +96,8 @@ def _q_learner(raw_state: bool) -> MethodSpec:
 
     return MethodSpec(
         needs_mf=not raw_state,
-        policy=lambda ctx, net: baselines.GreedyQPolicy(net, ctx.mf_model, raw_state=raw_state),
+        policy=lambda ctx, net: baselines.GreedyQPolicy(net, ctx.mf_model, raw_state=raw_state,
+                                                        horizon=ctx.horizon),
         fit=fit,
         save=lambda net, path, manifest=None: qnet.save_qnet(net, path, manifest=manifest),
         load=load,

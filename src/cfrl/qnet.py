@@ -13,6 +13,15 @@ rows; the hidden layers feed every output and are updated densely. Only the
 target's forward pass stays n-wide, for the max over available successor
 actions. The row dot rounds differently from the same entry of
 forward_batch's matrix product, by about an ulp.
+
+A sparse input, such as the raw rating vector with at most T nonzeros among
+n inputs, can be given as Pairs: each row's nonzero (item, value) pairs,
+padded to a common width of about T. Its first layer is one 1-row product
+per row over the gathered columns of W0 (T of n), and train_step updates
+only the columns of W0 that the batch touches, with the dense update's
+values. The product's rounding depends on the pairs' order and width, so a
+caller keeps every row in one canonical form (items ascending, padding at
+the end) at one width; it differs from the dense product by about an ulp.
 """
 
 from __future__ import annotations
@@ -62,7 +71,7 @@ class QNetwork:
     def copy(self) -> "QNetwork":
         return QNetwork(
             layer_sizes=self.layer_sizes,
-            weights=[w.copy() for w in self.weights],
+            weights=[w.copy(order="K") for w in self.weights],
             biases=[b.copy() for b in self.biases],
             activation=self.activation,
         )
@@ -94,38 +103,112 @@ def qnet_init(layer_sizes, seed: int = 0, activation: str = "tanh") -> QNetwork:
     return QNetwork(layer_sizes=sizes, weights=weights, biases=biases, activation=activation)
 
 
-def forward(net: QNetwork, states: np.ndarray) -> np.ndarray:
+@dataclass(frozen=True)
+class Pairs:
+    """Sparse input rows: each row's nonzero inputs as (item, value) pairs,
+    items ascending, then padding (item input_dim, value 0) up to the common
+    width. One row is a (T,) pair of arrays, a block of rows (U, T)."""
+
+    items: np.ndarray       # (..., T) int input indices
+    values: np.ndarray      # (..., T) float64 input values
+
+    def __getitem__(self, rows) -> "Pairs":
+        return Pairs(self.items[rows], self.values[rows])
+
+    def dense(self, input_dim: int) -> np.ndarray:
+        """The rows as (..., input_dim) vectors; the padding lands in a
+        dropped last column."""
+        x = np.zeros((*self.items.shape[:-1], input_dim + 1))
+        np.put_along_axis(x, self.items, self.values, axis=-1)
+        return x[..., :input_dim]
+
+
+def input_major(net: QNetwork) -> QNetwork:
+    """The network with its first layer stored column-major (Fortran order;
+    its shape stays (H, n)), sharing every other array. One input's weights
+    are then a contiguous row of W0.T, which is what a Pairs row gathers and
+    what train_step updates for each input a batch touches. Every value, and
+    so every output and checkpoint, is the same as the given network's."""
+    return QNetwork(layer_sizes=net.layer_sizes,
+                    weights=[np.asfortranarray(net.weights[0]), *net.weights[1:]],
+                    biases=list(net.biases), activation=net.activation)
+
+
+def _first_layer(net: QNetwork, states: Pairs) -> np.ndarray:
+    """The first layer's (..., 1, H) pre-activation of pairs: per row one
+    (1, T) @ (T, H) product over the gathered columns of W0, called once per
+    row, so a row's values do not depend on its block. A padding item gathers
+    the last column (clipped) and adds 0 times it."""
+    w, b = net.weights[0], net.biases[0]
+    z = states.values[..., None, :] @ np.take(w.T, states.items, axis=0, mode="clip")
+    z += b
+    return z
+
+
+def forward(net: QNetwork, states) -> np.ndarray:
     """Action values for one (input_dim,) state, or for each row of a
-    (U, input_dim) block of states.
+    (U, input_dim) block of states; either may be given as Pairs.
 
     Every row goes through its own 1-row product (numpy's stacked matmul
     calls BLAS once per row), so a row's values are bit for bit those of the
     row alone, whatever the block around it; forward_batch's matrix product
     rounds differently.
     """
-    x = np.asarray(states, dtype=np.float64)
-    if x.ndim not in (1, 2) or x.shape[-1] != net.input_dim:
-        raise ValueError(f"state shape {x.shape} does not match input width {net.input_dim}")
-    h = x[..., None, :]
-    for w, b in zip(net.weights[:-1], net.biases[:-1]):
-        h = _act(net.activation, h @ w.T + b)
-    return (h @ net.weights[-1].T + net.biases[-1])[..., 0, :]
+    if isinstance(states, Pairs):
+        z = _first_layer(net, states)
+    else:
+        x = np.asarray(states, dtype=np.float64)
+        if x.ndim not in (1, 2) or x.shape[-1] != net.input_dim:
+            raise ValueError(f"state shape {x.shape} does not match input width {net.input_dim}")
+        z = x[..., None, :] @ net.weights[0].T
+        z += net.biases[0]
+    for w, b in zip(net.weights[1:], net.biases[1:]):
+        z = _act(net.activation, z) @ w.T
+        z += b
+    return z[..., 0, :]
 
 
-def forward_batch(net: QNetwork, states: np.ndarray) -> np.ndarray:
-    """Action values for a (batch, input_dim) matrix of states."""
-    return _hidden_layers(net, states)[-1] @ net.weights[-1].T + net.biases[-1]
+def forward_batch(net: QNetwork, states) -> np.ndarray:
+    """Action values for a (batch, input_dim) matrix of states, or for a
+    (batch, T) Pairs."""
+    q = _hidden_layers(net, states)[-1] @ net.weights[-1].T
+    q += net.biases[-1]
+    return q
 
 
-def _hidden_layers(net: QNetwork, states: np.ndarray) -> list:
-    """The input and every hidden layer's output; the last feeds the action values."""
-    x = np.asarray(states, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != net.input_dim:
-        raise ValueError(f"batch shape {x.shape} does not match input width {net.input_dim}")
-    outputs = [x]
-    for w, b in zip(net.weights[:-1], net.biases[:-1]):
-        outputs.append(_act(net.activation, outputs[-1] @ w.T + b))
+def _hidden_layers(net: QNetwork, states) -> list:
+    """The input and every hidden layer's output; the last feeds the action
+    values. Pairs stay the input of a first hidden layer; a network with no
+    hidden layer reads them as dense rows."""
+    if isinstance(states, Pairs) and len(net.weights) == 1:
+        states = states.dense(net.input_dim)
+    if isinstance(states, Pairs):
+        outputs = [states, _act(net.activation, _first_layer(net, states)[:, 0, :])]
+    else:
+        x = np.asarray(states, dtype=np.float64)
+        if x.ndim != 2 or x.shape[1] != net.input_dim:
+            raise ValueError(f"batch shape {x.shape} does not match input width {net.input_dim}")
+        outputs = [x]
+    for w, b in zip(net.weights[len(outputs) - 1:-1], net.biases[len(outputs) - 1:-1]):
+        z = outputs[-1] @ w.T
+        z += b
+        outputs.append(_act(net.activation, z))
     return outputs
+
+
+def _descend_touched(w: np.ndarray, lr: float, delta: np.ndarray, x: Pairs) -> None:
+    """w -= lr * delta.T @ X for the dense rows X of the pairs x, over the
+    input columns x touches: the gradient of every other column is zero. The
+    touched columns' gradient is the same matrix product on X's touched
+    columns alone, so they get the dense update's values bit for bit."""
+    n = w.shape[1]
+    touched = np.zeros(n + 1, dtype=bool)
+    touched[x.items] = True
+    touched[n] = True                       # the padding's column, dropped below
+    cols = np.flatnonzero(touched)
+    x_touched = np.zeros((len(x.items), cols.size))
+    x_touched[np.arange(len(x.items))[:, None], (np.cumsum(touched) - 1)[x.items]] = x.values
+    w.T[cols[:-1]] -= (lr * (delta.T @ x_touched[:, :-1])).T
 
 
 def _gathered_q(net: QNetwork, last_hidden: np.ndarray, actions) -> np.ndarray:
@@ -145,12 +228,12 @@ def masked_argmax(values: np.ndarray, mask: np.ndarray):
 class Batch:
     """A minibatch of transitions as arrays, one row per transition."""
 
-    s: np.ndarray           # (B, input_dim) states
-    a: np.ndarray           # (B,) int64 taken actions
-    r: np.ndarray           # (B,) float64 rewards
-    s_next: np.ndarray      # (B, input_dim) successor states
-    done: np.ndarray        # (B,) bool terminal flags
-    mask_next: np.ndarray   # (B, n) bool availability at the successor state
+    s: np.ndarray | Pairs           # (B, input_dim) states, or (B, T) Pairs
+    a: np.ndarray                   # (B,) int64 taken actions
+    r: np.ndarray                   # (B,) float64 rewards
+    s_next: np.ndarray | Pairs      # (B, input_dim) successor states, or (B, T) Pairs
+    done: np.ndarray                # (B,) bool terminal flags
+    mask_next: np.ndarray           # (B, n) bool availability at the successor state
 
 
 def train_step(net: QNetwork, target: TargetNetwork, batch: Batch, gamma: float,
@@ -160,8 +243,10 @@ def train_step(net: QNetwork, target: TargetNetwork, batch: Batch, gamma: float,
     Only the output unit of each taken action receives an error signal, so
     Q(s, a) is the row dot of _gathered_q and the output layer is updated on the B taken rows
     alone (a scatter-subtract; rows taken twice accumulate both updates). The
-    hidden layers, which every output depends on, are updated densely; only
-    the target's forward pass is n-wide. Target staleness advances by one.
+    hidden layers, which every output depends on, are updated densely, except
+    that a first layer reading Pairs is updated on the input columns the
+    batch touches; only the target's forward pass is n-wide. Target staleness
+    advances by one.
 
     Returns:
         Mean squared TD error of the batch before the parameter update.
@@ -204,11 +289,14 @@ def train_step(net: QNetwork, target: TargetNetwork, batch: Batch, gamma: float,
         np.subtract.at(net.biases[last], actions, lr * d)
         for l in range(last - 1, -1, -1):
             delta = delta * _act_deriv_from_output(net.activation, hidden[l + 1])
-            grad_w = delta.T @ hidden[l]
             grad_b = delta.sum(axis=0)
-            if l > 0:
-                delta = delta @ net.weights[l]
-            net.weights[l] -= lr * grad_w
+            if isinstance(hidden[l], Pairs):
+                _descend_touched(net.weights[l], lr, delta, hidden[l])
+            else:
+                grad_w = delta.T @ hidden[l]
+                if l > 0:
+                    delta = delta @ net.weights[l]
+                net.weights[l] -= lr * grad_w
             net.biases[l] -= lr * grad_b
     target.staleness += 1
     return loss

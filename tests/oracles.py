@@ -1,9 +1,10 @@
 """Reference computations that the tests hold the program against.
 
 Nothing in `cfrl` calls these: each restates, one transition or one rating
-at a time, what a vectorized routine of the package computes, so a test can
-compare the two. Transition and stack write minibatches down row by row for
-qnet.train_step, which takes one qnet.Batch.
+at a time or over every input densely, what a vectorized or sparse routine
+of the package computes, so a test can compare the two. Transition and stack
+write minibatches down row by row for qnet.train_step, which takes one
+qnet.Batch; dense_train_step is that update over dense states.
 """
 
 from typing import NamedTuple
@@ -68,6 +69,33 @@ def td_target(transition: Transition, target: qnet.TargetNetwork, gamma: float) 
         raise ValueError("non-terminal transition with no available next actions")
     q_next = qnet.forward(target.net, transition.s_next)
     return float(transition.r + gamma * np.max(q_next[transition.mask_next]))
+
+
+def dense_train_step(net, target, batch, gamma, lr):
+    """qnet.train_step on a list of Transitions, written densely: every
+    layer's forward and update over all of its inputs and outputs, with a
+    (B, n) output error that is zero off the taken actions."""
+    n = net.output_dim
+    states = np.stack([tr.s for tr in batch])
+    rows = np.arange(len(batch))
+    actions = np.array([tr.a for tr in batch])
+    y = np.array([td_target(tr, target, gamma) for tr in batch])
+    acts = [states]
+    for l, (w, b) in enumerate(zip(net.weights, net.biases)):
+        z = acts[-1] @ w.T + b
+        acts.append(z if l == len(net.weights) - 1 else qnet._act(net.activation, z))
+    residual = y - acts[-1][rows, actions]
+    delta = np.zeros((len(batch), n))
+    delta[rows, actions] = -residual / len(batch)
+    grads = []
+    for l in range(len(net.weights) - 1, -1, -1):
+        grads.append((l, delta.T @ acts[l], delta.sum(axis=0)))
+        if l > 0:
+            delta = (delta @ net.weights[l]) * qnet._act_deriv_from_output(net.activation, acts[l])
+    for l, gw, gb in grads:
+        net.weights[l] -= lr * gw
+        net.biases[l] -= lr * gb
+    return float(np.mean(residual**2))
 
 
 def q_taken(net: qnet.QNetwork, states: np.ndarray, actions: np.ndarray) -> np.ndarray:

@@ -154,7 +154,8 @@ def test_criterion_05_cfrl_beats_raw_dqn_at_desk_scale(ml100k_ds, ml100k_splits)
         GreedyQPolicy(cfrl_net, mf_model=model), ml100k_ds, split, TaskMode.TASK_II, HORIZON,
     )
     dqn_scores = evaluate_policy(
-        GreedyQPolicy(dqn_net, raw_state=True), ml100k_ds, split, TaskMode.TASK_II, HORIZON,
+        GreedyQPolicy(dqn_net, raw_state=True, horizon=HORIZON), ml100k_ds, split,
+        TaskMode.TASK_II, HORIZON,
     )
     cfrl_mean = float(np.mean(cfrl_scores))
     dqn_mean = float(np.mean(dqn_scores))

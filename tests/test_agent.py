@@ -16,6 +16,7 @@ from cfrl.agent import (
     TrainConfig,
     eligible_train_users,
     make_trainer,
+    raw_pairs,
     select_action,
     write_training_log,
 )
@@ -163,7 +164,7 @@ class TestReplayMemory:
         assert held <= 1.1 * 1000 * row_bytes
         batch = mem.sample(1, rng)
         np.testing.assert_array_equal(batch.mask_next[0], mask)
-        np.testing.assert_array_equal(batch.s[0], s)
+        np.testing.assert_array_equal(batch.s.dense(n)[0], s)
 
 
 @settings(max_examples=200, deadline=None)
@@ -184,12 +185,17 @@ def test_raw_rows_rebuild_exactly(data):
         mem.push(states[k], actions[k], float(k), None, False, np.ones(n, dtype=bool))
     batch = mem.sample(rows, rng_for(0, "rebuild"))
     k = batch.r.astype(np.int64)
-    assert batch.s.shape == batch.s_next.shape == (rows, n)
-    assert np.array_equal(batch.s, states[k])
+    assert batch.s.items.shape == batch.s_next.items.shape == (rows, horizon + 1)
+    assert np.array_equal(batch.s.dense(n), states[k])
     expected_next = states[k]
     expected_next[np.arange(rows), np.array(actions)[k]] = batch.r
-    assert np.array_equal(batch.s_next, expected_next)
+    assert np.array_equal(batch.s_next.dense(n), expected_next)
     assert np.array_equal(batch.a, np.array(actions)[k])
+    # both are in the one canonical form that acting reads a raw state in
+    for pairs, dense in ((batch.s, states[k]), (batch.s_next, expected_next)):
+        canonical = raw_pairs(dense, horizon)
+        assert np.array_equal(pairs.items, canonical.items)
+        assert np.array_equal(pairs.values, canonical.values)
 
 
 def test_raw_rows_at_the_catalog_ends_and_over_the_horizon():
@@ -202,7 +208,7 @@ def test_raw_rows_at_the_catalog_ends_and_over_the_horizon():
     mem.push(s, 2, 0.0, None, True, np.ones(5, bool))
     assert mem.state()["s_items"].tolist() == [[0, 4]]
     batch = mem.sample(1, rng_for(0, "ends"))
-    assert np.array_equal(batch.s[0], s) and np.array_equal(batch.s_next[0], s)
+    assert np.array_equal(batch.s.dense(5)[0], s) and np.array_equal(batch.s_next.dense(5)[0], s)
 
 
 @pytest.fixture
@@ -252,28 +258,47 @@ def test_training_trace_has_no_repeats_within_episode(small_setup):
         assert len(actions) == len(set(actions)) == 6
 
 
+class _InOrder:
+    """Stands in for the replay's sampling RNG: draws every row once, in slot order."""
+
+    def choice(self, rows, size, replace):
+        return np.arange(rows)[:size]
+
+
 @pytest.mark.parametrize("raw_state", [False, True])
 def test_trainer_and_greedy_policy_share_one_state(small_setup, raw_state):
-    # the rows the trainer learns from are, bit for bit, the states the
-    # evaluated policy holds before and after each observe of the same steps
+    # the minibatch rows the trainer learns from are, bit for bit, what the
+    # evaluated policy reads before and after each observe of the same steps:
+    # its latent state, or its raw state as the pairs it acts on
     ds, split, model = small_setup
     cfg = TrainConfig(episodes=3, horizon=5, hidden_sizes=(8,), task=TaskMode.TASK_II,
                       epsilon=0.5, seed=4)
     trainer = make_trainer(ds, split, None if raw_state else model, cfg)
     trace = []
     trainer.run(trace=trace)
-    rows = replay_rows(trainer.memory)
-    policy = GreedyQPolicy(trainer.net, mf_model=model, raw_state=raw_state)
-    assert rows["s"].shape == (len(trace), ds.n if raw_state else model.d)
+    batch = trainer.memory.sample(len(trace), _InOrder())
+    policy = GreedyQPolicy(trainer.net, mf_model=model, raw_state=raw_state, horizon=cfg.horizon)
+
+    def read(state):
+        if not raw_state:
+            return state.tobytes()
+        pairs = raw_pairs(state, cfg.horizon)
+        return pairs.items.tobytes() + pairs.values.tobytes()
+
+    def row(states, k):
+        if not raw_state:
+            return states[k].tobytes()
+        return states.items[k].tobytes() + states.values[k].tobytes()
+
+    assert len(trace) == 3 * 5
     for k, (_, user, t, action, reward, _) in enumerate(trace):
         if t == 0:
             policy.begin_episode([user])
-            assert not rows["s"][k].any()  # every episode starts from the zero vector
-        assert rows["a"][k] == action and rows["r"][k] == reward
-        assert rows["s"][k].tobytes() == policy.state[0].tobytes()
+            assert not policy.state.any()  # every episode starts from the zero vector
+        assert batch.a[k] == action and batch.r[k] == reward
+        assert row(batch.s, k) == read(policy.state[0])
         policy.observe(np.array([action]), np.array([reward]))
-        assert rows["s_next"][k].tobytes() == policy.state[0].tobytes()
-    assert len(trace) == 3 * 5
+        assert row(batch.s_next, k) == read(policy.state[0])
 
 
 def test_training_is_deterministic(small_setup):
@@ -430,6 +455,14 @@ def test_restore_rejects_malformed_raw_pairs(tmp_path, small_setup):
         ({"replay_s_items": changed(items, 2, 0, n + 1)}, f"item outside 0..{n}"),
         ({"replay_s_items": changed(items, 2, 0, -1)}, "item outside"),
         ({"replay_s_items": changed(items, 2, 1, items[2, 0])}, "repeats an item"),
+        # the pairs' order sets the rounding: one form only, as push writes it
+        ({"replay_s_items": changed(changed(items, 2, 0, items[2, 1]), 2, 1, items[2, 0]),
+          "replay_s_rewards": changed(changed(rewards, 2, 0, rewards[2, 1]), 2, 1, rewards[2, 0])},
+         "out of order"),
+        ({"replay_s_items": changed(changed(items, 2, 1, n), 2, 2, items[2, 1]),
+          "replay_s_rewards": changed(changed(rewards, 2, 1, 0.0), 2, 2, rewards[2, 1])},
+         "after its padding"),
+        ({"replay_s_rewards": changed(rewards, 2, 0, 0.0)}, "item with reward 0"),
         ({"replay_s_rewards": changed(rewards, 2, 2, 1.0)}, "padding"),
         ({"replay_s_items": np.pad(items, ((0, 0), (0, 1)), constant_values=n),
           "replay_s_rewards": np.pad(rewards, ((0, 0), (0, 1)))}, "'s_items'"),
@@ -443,12 +476,14 @@ def test_restore_rejects_malformed_raw_pairs(tmp_path, small_setup):
         with pytest.raises(ValidationError, match=message) as err:
             make_trainer(ds, split, None, cfg).restore(bad)
         assert str(bad) in str(err.value)
-    # the same pairs in another order load, and rebuild the same rows
+    # the same pairs in another order are refused; the state as saved loads
     _rewrite_state(good, bad, replay_s_items=items[:, ::-1], replay_s_rewards=rewards[:, ::-1])
-    shuffled = make_trainer(ds, split, None, cfg)
-    shuffled.restore(bad)
+    with pytest.raises(ValidationError, match="after its padding"):
+        make_trainer(ds, split, None, cfg).restore(bad)
+    restored = make_trainer(ds, split, None, cfg)
+    restored.restore(good)
     for key in ("s", "s_next"):
-        np.testing.assert_array_equal(replay_rows(shuffled.memory)[key], dense[key])
+        np.testing.assert_array_equal(replay_rows(restored.memory)[key], dense[key])
 
 
 def test_restore_of_a_full_ring_keeps_evicting_in_order(tmp_path, small_setup):

@@ -2,9 +2,11 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfrl import baselines, mf, qnet
-from cfrl.agent import TrainConfig, make_trainer
+from cfrl.agent import TrainConfig, make_trainer, raw_pairs
 from cfrl.baselines import (
     GreedyQPolicy,
     LinUcbModel,
@@ -357,7 +359,7 @@ class TestLinUcb:
 class TestGreedyQPolicy:
     def test_raw_state_tracking(self):
         net = qnet.qnet_init([6, 6], seed=0)
-        policy = GreedyQPolicy(net, raw_state=True)
+        policy = GreedyQPolicy(net, raw_state=True, horizon=3)
         policy.begin_episode([0])
         policy.observe(np.array([2]), np.array([4.0]))
         assert policy.state[0, 2] == 4.0
@@ -368,6 +370,59 @@ class TestGreedyQPolicy:
         net = qnet.qnet_init([4, 6], seed=0)
         with pytest.raises(ValueError, match="MF model"):
             GreedyQPolicy(net, mf_model=None, raw_state=False)
+        with pytest.raises(ValueError, match="horizon"):
+            GreedyQPolicy(net, raw_state=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_raw_state_values_do_not_depend_on_the_block(data):
+    # a raw state's Q-values are bit for bit the same alone and in a block of
+    # U, whatever the other rows hold: in qnet.forward on its pairs, and in
+    # the values GreedyQPolicy acts on while it plays the block
+    n = data.draw(st.integers(2, 120), label="n")
+    horizon = data.draw(st.integers(1, 40), label="horizon")
+    users = data.draw(st.integers(2, 9), label="block")
+    hidden = data.draw(st.sampled_from([(4,), (64,), (8, 5)]), label="hidden")
+    net = qnet.qnet_init([n, *hidden, n], seed=data.draw(st.integers(0, 99)))
+    if data.draw(st.booleans(), label="input-major W0"):
+        net = qnet.input_major(net)
+    ratings = st.sampled_from([0.0, 1.0, 2.0, 3.5, 5.0])
+    block = np.zeros((users, n))
+    for row in block:
+        for item in data.draw(st.lists(st.integers(0, n - 1), max_size=horizon)):
+            row[item] = data.draw(ratings)
+    together = qnet.forward(net, raw_pairs(block, horizon))
+    for row, state in enumerate(block):
+        assert together[row].tobytes() == qnet.forward(net, raw_pairs(state, horizon)).tobytes()
+
+    steps = data.draw(st.integers(1, min(horizon, n)), label="steps")
+    rng = np.random.default_rng(data.draw(st.integers(0, 99)))
+    masks = rng.random((steps, users, n)) < 0.5
+    masks[:, :, 0] = True
+    rewards = rng.choice([0.0, 1.0, 4.0], size=(steps, users))
+
+    def play(rows):
+        """The values the policy acts on at each step for the given rows."""
+        seen = []
+
+        def spy(net, states):
+            seen.append(forward(net, states))
+            return seen[-1]
+
+        policy = GreedyQPolicy(net, raw_state=True, horizon=horizon)
+        forward = qnet.forward
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(qnet, "forward", spy)
+            policy.begin_episode(rows)
+            for t in range(steps):
+                policy.observe(policy.act(masks[t, rows]), rewards[t, rows])
+        return seen
+
+    in_block = play(list(range(users)))
+    for row in range(users):
+        alone = play([row])
+        assert [q[row].tobytes() for q in in_block] == [q[0].tobytes() for q in alone]
 
 
 def test_raw_dqn_input_width_is_item_count(ds):
@@ -404,7 +459,7 @@ def test_every_policy_acts_inside_the_mask(ds, model):
         OnlineMfPolicy(model),
         LinUcbPolicy(LinUcbModel.fresh(model.d), model, frozen=True),
         GreedyQPolicy(net_cf, mf_model=model),
-        GreedyQPolicy(net_raw, raw_state=True),
+        GreedyQPolicy(net_raw, raw_state=True, horizon=40),
     ]
     rows = np.arange(3)
     for policy in policies:

@@ -280,7 +280,7 @@ def lockstep_setup():
     ds = make_dataset(synthetic_profiles(n_users=18, n_items=24, per_user=10, seed=4))
     split = Split(train_users=frozenset(range(10)), test_users=frozenset(range(10, 18)), seed=0)
     model = mf.pretrain(ds, split.train_users, d=4, reg=0.01, lr=0.02, epochs=5, seed=1)
-    ctx = SplitContext(ds=ds, split=split, index=0, seed=3, mf_model=model)
+    ctx = SplitContext(ds=ds, split=split, index=0, seed=3, mf_model=model, horizon=8)
     artifacts = {}
     for task in (TaskMode.TASK_I, TaskMode.TASK_II):
         for method, spec in METHODS.items():

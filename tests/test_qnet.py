@@ -4,12 +4,15 @@ import zipfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfrl import qnet
+from cfrl.agent import raw_pairs
 from cfrl.errors import DivergenceError, ValidationError
 from cfrl.persist import manifest_path, save_npz
 
-from oracles import Transition, q_taken, stack, td_target
+from oracles import Transition, dense_train_step, q_taken, stack, td_target
 
 
 def test_parameter_count_closed_form():
@@ -201,32 +204,6 @@ def test_train_step_gradient_matches_finite_differences(activation, seed):
     assert rel.max() < 1e-4
 
 
-def _dense_reference_step(net, target, batch, gamma, lr):
-    """The TD update written densely: a (B, n) output error that is zero off
-    the taken actions, backpropagated through every layer."""
-    n = net.output_dim
-    states = np.stack([tr.s for tr in batch])
-    rows = np.arange(len(batch))
-    actions = np.array([tr.a for tr in batch])
-    y = np.array([td_target(tr, target, gamma) for tr in batch])
-    acts = [states]
-    for l, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = acts[-1] @ w.T + b
-        acts.append(z if l == len(net.weights) - 1 else qnet._act(net.activation, z))
-    residual = y - acts[-1][rows, actions]
-    delta = np.zeros((len(batch), n))
-    delta[rows, actions] = -residual / len(batch)
-    grads = []
-    for l in range(len(net.weights) - 1, -1, -1):
-        grads.append((l, delta.T @ acts[l], delta.sum(axis=0)))
-        if l > 0:
-            delta = (delta @ net.weights[l]) * qnet._act_deriv_from_output(net.activation, acts[l])
-    for l, gw, gb in grads:
-        net.weights[l] -= lr * gw
-        net.biases[l] -= lr * gb
-    return float(np.mean(residual**2))
-
-
 @pytest.mark.parametrize("hidden", [(), (6,), (6, 5)])
 @pytest.mark.parametrize("activation", ["tanh", "relu"])
 def test_train_step_matches_dense_reference(hidden, activation):
@@ -238,11 +215,69 @@ def test_train_step_matches_dense_reference(hidden, activation):
         batch = _random_batch(rng, net, size=8)  # 8 actions over 5 outputs: repeats
         assert len({tr.a for tr in batch}) < len(batch)
         loss = qnet.train_step(net, target, stack(batch), gamma=0.9, lr=0.05)
-        ref_loss = _dense_reference_step(reference, target, batch, gamma=0.9, lr=0.05)
+        ref_loss = dense_train_step(reference, target, batch, gamma=0.9, lr=0.05)
         assert loss == pytest.approx(ref_loss, rel=1e-12)
         np.testing.assert_allclose(
             qnet.flatten_params(net), qnet.flatten_params(reference), rtol=1e-12, atol=0
         )
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_pairs_forward_and_update_match_the_dense_reference(data):
+    # raw states as Pairs: the first layer gathers the pairs' columns and the
+    # update touches only those columns; item 0 and item n - 1 are genuine
+    # items of rows that also hold padding, and rows share items
+    n = data.draw(st.integers(2, 24), label="n")
+    horizon = data.draw(st.integers(2, 6), label="horizon")
+    hidden = data.draw(st.sampled_from([(3,), (6,), (5, 4)]), label="hidden")
+    activation = data.draw(st.sampled_from(["tanh", "relu"]), label="activation")
+    size = data.draw(st.integers(2, 6), label="batch")
+    net = qnet.qnet_init([n, *hidden, n], seed=data.draw(st.integers(0, 99)), activation=activation)
+    if data.draw(st.booleans(), label="input-major W0"):
+        net = qnet.input_major(net)
+    target = qnet.make_target(qnet.qnet_init([n, *hidden, n], seed=100, activation=activation))
+    rewards = st.sampled_from([1.0, 2.0, 5.0, 0.25, -1.5])
+    batch = []
+    for row in range(size):
+        items = set(data.draw(st.lists(st.integers(0, n - 1), max_size=horizon), label="items"))
+        if row == 0:
+            items = {0, n - 1}
+        elif row == 1:
+            items = set(sorted(items)[: horizon - 1]) | {0}
+        s = np.zeros(n)
+        for item in items:
+            s[item] = data.draw(rewards)
+        a = data.draw(st.integers(0, n - 1), label="a")
+        r = data.draw(st.sampled_from([0.0, 3.0]), label="r")
+        s_next = s.copy()
+        s_next[a] = r
+        mask = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        mask[a] = True
+        batch.append(Transition(s, a, r, s_next, data.draw(st.booleans()), mask))
+    dense = stack(batch)
+    pairs = qnet.Batch(raw_pairs(dense.s, horizon), dense.a, dense.r,
+                       raw_pairs(dense.s_next, horizon), dense.done, dense.mask_next)
+    assert pairs.s.items[0, :2].tolist() == [0, n - 1] and pairs.s.items[0, -1] == n
+
+    for sparse, states in ((pairs.s, dense.s), (pairs.s_next, dense.s_next)):
+        np.testing.assert_allclose(qnet.forward_batch(net, sparse),
+                                   qnet.forward_batch(net, states), rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(qnet.forward(net, sparse), qnet.forward(net, states),
+                                   rtol=1e-12, atol=1e-15)
+        # W0's memory order does not change a value
+        assert (qnet.forward(net, sparse).tobytes()
+                == qnet.forward(qnet.input_major(net), sparse).tobytes())
+
+    reference, before = net.copy(), net.weights[0].copy()
+    loss = qnet.train_step(net, target, pairs, gamma=0.9, lr=0.05)
+    ref_loss = dense_train_step(reference, target, batch, gamma=0.9, lr=0.05)
+    assert loss == pytest.approx(ref_loss, rel=1e-12, abs=1e-15)
+    untouched = ~dense.s.any(axis=0)
+    assert (net.weights[0][:, untouched].tobytes() == before[:, untouched].tobytes()
+            == reference.weights[0][:, untouched].tobytes())
+    np.testing.assert_allclose(qnet.flatten_params(net), qnet.flatten_params(reference),
+                               rtol=1e-12, atol=1e-15)
 
 
 def test_train_step_rejects_an_empty_batch():
