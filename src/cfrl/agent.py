@@ -4,10 +4,11 @@ A policy plays a block of users in lockstep: it acts with one item per user
 and observes one (item, reward) per user. Evaluation plays a split's test
 users as one block; the Q-learner trains on blocks of one user.
 
-The Q-learner acts epsilon-greedily on its own state, which state_update
-advances from each (item, reward); every observed step goes into a bounded
-replay memory (arrays, one column per transition field, sampled as one
-qnet.Batch) and is followed by one minibatch TD update, with the target
+The Q-learner acts epsilon-greedily on its own state, which state_kind
+starts and advances from each (item, reward): the latent user vector, or the
+raw state as its canonical qnet.Pairs, which put_pairs advances in play and
+in the replay alike. Every observed step goes into a bounded replay memory
+(arrays, one column per transition field, sampled as one qnet.Batch) and is followed by one minibatch TD update, with the target
 network re-synced every fixed number of updates. The same policy trains both
 the latent-state agent and the raw-rating-vector variant.
 """
@@ -39,14 +40,14 @@ class ReplayMemory:
     overwrites the oldest slot. The arrays grow geometrically with the rows
     filled, up to the capacity, so a large capacity costs nothing until used.
 
-    With `raw_horizon` set, states are raw rating vectors, which raw_update
-    fills from zeros with at most that many nonzeros. A row then keeps its
-    state as its nonzero (item, reward) pairs, items ascending and padded to
-    the horizon with item n and reward 0, in the columns s_items and
+    With `raw_horizon` set, states are raw states: canonical qnet.Pairs
+    (see put_pairs), raw_horizon + 1 wide, of which at most raw_horizon are
+    pairs. A row then keeps its state's first raw_horizon pairs, items
+    ascending and padded with item n and reward 0, in the columns s_items and
     s_rewards, and no successor. sample returns the states and successors as
-    qnet.Pairs, as wide as raw_pairs makes them: each successor is its state's
-    pairs with (a, r) put in, the sparse form of raw_update(s, a, r). At
-    n = 1,586 items and T = 40 a row takes 696 bytes in place of 25.6 KB.
+    qnet.Pairs at the width of play, raw_horizon + 1: each successor is
+    put_pairs of its state with (a, r). At n = 1,586 items and T = 40 a row
+    takes 696 bytes in place of 25.6 KB.
     """
 
     _MIN_ROWS = 64
@@ -89,17 +90,16 @@ class ReplayMemory:
     def push(self, s, a: int, r: float, s_next, done: bool, mask_next) -> None:
         """Store one transition; mask_next is the successor's bool availability.
 
-        A raw-layout memory keeps s as its nonzero (item, reward) pairs and
-        does not read s_next, which sample rebuilds.
+        A raw-layout memory keeps the pairs of s as given and does not read
+        s_next, which sample rebuilds.
 
         Raises:
-            ValueError: a raw state holds more nonzeros than the horizon.
+            ValueError: a raw state's last pair is not padding: it holds more
+                pairs than the horizon.
         """
-        if self.raw_horizon is not None:
-            items = s.nonzero()[0]
-            if items.size > self.raw_horizon:
-                raise ValueError(f"raw state holds {items.size} nonzeros, "
-                                 f"over the horizon {self.raw_horizon}")
+        if self.raw_horizon is not None and s.items[-1] != self.state_dim:
+            raise ValueError(f"raw state holds {int((s.items < self.state_dim).sum())} pairs, "
+                             f"over the horizon {self.raw_horizon}")
         if self._size < self.capacity:
             slot = self._size
             if slot == self._cols["a"].shape[0]:
@@ -113,10 +113,8 @@ class ReplayMemory:
             cols["s"][slot] = s
             cols["s_next"][slot] = s_next
         else:
-            cols["s_items"][slot, : items.size] = items
-            cols["s_items"][slot, items.size:] = self.state_dim
-            cols["s_rewards"][slot, : items.size] = s[items]
-            cols["s_rewards"][slot, items.size:] = 0.0
+            cols["s_items"][slot] = s.items[: self.raw_horizon]
+            cols["s_rewards"][slot] = s.values[: self.raw_horizon]
         cols["a"][slot] = a
         cols["r"][slot] = r
         cols["done"][slot] = done
@@ -136,30 +134,21 @@ class ReplayMemory:
         if self.raw_horizon is None:
             s, s_next = cols["s"][idx], cols["s_next"][idx]
         else:
-            s, s_next = self._raw_pairs(idx, a, r)
+            s, s_next = self._rows_as_pairs(idx, a, r)
         masks = np.unpackbits(cols["mask_bits"][idx], axis=1, count=self.n_actions)
         return qnet.Batch(s=s, a=a, r=r, s_next=s_next, done=cols["done"][idx],
                           mask_next=masks.view(bool))
 
-    def _raw_pairs(self, idx, a, r) -> tuple:
+    def _rows_as_pairs(self, idx, a, r) -> tuple:
         """The (state, successor) Pairs of the raw rows idx, raw_horizon + 1
-        wide. The successor drops a's pair, if the state has one, puts (a, r)
-        into the spare last slot unless r is 0, and sorts the row by item, so
-        that the padding (item n) goes to the end."""
+        wide, the successor being put_pairs of the state with (a, r)."""
         n, width = self.state_dim, self.raw_horizon + 1
         items = np.full((len(idx), width), n, dtype=np.int64)
         rewards = np.zeros((len(idx), width))
         items[:, :-1] = self._cols["s_items"][idx]
         rewards[:, :-1] = self._cols["s_rewards"][idx]
-        held = items == a[:, None]
-        next_items = np.where(held, n, items)
-        next_rewards = np.where(held, 0.0, rewards)
-        next_items[:, -1] = np.where(r != 0, a, n)
-        next_rewards[:, -1] = r
-        order = np.argsort(next_items, axis=1, kind="stable")
-        order += np.arange(0, order.size, width)[:, None]     # flat indices, row by row
-        successor = qnet.Pairs(next_items.ravel()[order], next_rewards.ravel()[order])
-        return qnet.Pairs(items, rewards), successor
+        states = qnet.Pairs(items, rewards)
+        return states, put_pairs(states, a, r, n)
 
     def state(self) -> dict:
         """The filled rows of every column (views, not copies), plus "next":
@@ -276,48 +265,44 @@ def select_action(net, state, mask, epsilon: float, rng) -> int:
     return int(qnet.masked_argmax(qnet.forward(net, state), mask))
 
 
-def raw_update(states, items, rewards) -> np.ndarray:
-    """The raw-vector states of a (U, n) block: each row holds the reward
-    observed at each item its user was asked, 0 elsewhere."""
-    states = states.copy()
-    states[np.arange(len(states)), items] = rewards
-    return states
+def put_pairs(states: qnet.Pairs, items, rewards, n: int) -> qnet.Pairs:
+    """The raw states of a (U, width) block after each row's user gave
+    rewards[u] for items[u]. A raw state is kept canonical: its nonzero
+    (item, reward) pairs, items ascending, then padding (item n, reward 0)
+    to the width; the first layer's rounding depends on the pairs' order.
+    Each row drops its item's pair, if it has one, puts (item, reward) into
+    its last slot, which must be padding, unless the reward is 0, and is
+    sorted stably by item, so that the padding goes back to the end.
+    Returns new arrays."""
+    width = states.items.shape[1]
+    held = states.items == items[:, None]
+    next_items = np.where(held, n, states.items)
+    next_rewards = np.where(held, 0.0, states.values)
+    next_items[:, -1] = np.where(rewards != 0, items, n)
+    next_rewards[:, -1] = rewards
+    order = np.argsort(next_items, axis=1, kind="stable")
+    order += np.arange(0, order.size, width)[:, None]     # flat indices, row by row
+    return qnet.Pairs(next_items.ravel()[order], next_rewards.ravel()[order])
 
 
-def raw_pairs(states, horizon: int) -> qnet.Pairs:
-    """The qnet.Pairs of one (n,) raw state or a (U, n) block: each row's
-    nonzero (item, reward) pairs, items ascending, padded with item n and
-    reward 0 to horizon + 1 pairs, room for a state of T rewards and the one
-    its successor adds. Acting, the replay's minibatches and evaluation all
-    read a raw state at this one width, so they compute one function of it.
-
-    Raises:
-        ValueError: a row holds more than horizon + 1 nonzeros.
-    """
-    x = np.asarray(states, dtype=np.float64)
-    block = x.reshape(-1, x.shape[-1])
-    # the flat nonzeros of a bool mask: several times faster than np.nonzero of the block
-    rows, cols = np.divmod(np.flatnonzero(block != 0), block.shape[1])
-    counts = np.bincount(rows, minlength=len(block))
-    width = horizon + 1
-    if counts.size and counts.max() > width:
-        raise ValueError(f"raw state holds {counts.max()} nonzeros, over the {width} "
-                         f"pairs of the horizon {horizon}")
-    items = np.full((len(block), width), block.shape[1], dtype=np.int64)
-    rewards = np.zeros((len(block), width))
-    slots = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    items[rows, slots] = cols
-    rewards[rows, slots] = block[rows, cols]
-    return qnet.Pairs(items.reshape(*x.shape[:-1], width), rewards.reshape(*x.shape[:-1], width))
-
-
-def state_update(mf_model: mf.MfModel | None):
-    """The state update (states, items, rewards) -> next states of a
-    Q-learner: one online MF step of each latent user vector under
-    `mf_model`, or, with no model, raw_update. Either returns a new array."""
-    if mf_model is None:
-        return raw_update
+def state_update(mf_model: mf.MfModel):
+    """The latent state update (states, items, rewards) -> next states: one
+    online MF step of each user vector under `mf_model`, as a new array."""
     return lambda states, items, rewards: mf.online_update(mf_model, states, items, rewards)
+
+
+def state_kind(mf_model: mf.MfModel | None, n: int, horizon: int) -> tuple:
+    """A Q-learner's state as StatePolicy's (start, update). With a factor
+    model it is the latent user vector, zeros at the start and advanced by
+    state_update. With none it is the raw state: the canonical qnet.Pairs of
+    the rewards observed so far, horizon + 1 wide (a state of T rewards and
+    the one its successor adds), all padding at the start and advanced by
+    put_pairs. Acting, the replay and evaluation all read a raw state in
+    this one form, so they compute one function of it."""
+    if mf_model is None:
+        start = qnet.Pairs(np.full((1, horizon + 1), n, dtype=np.int64), np.zeros((1, horizon + 1)))
+        return start, lambda states, items, rewards: put_pairs(states, items, rewards, n)
+    return np.zeros((1, mf_model.d)), state_update(mf_model)
 
 
 class Policy:
@@ -336,15 +321,17 @@ class Policy:
 
 
 class StatePolicy(Policy):
-    """A policy whose (U, width) state starts at zeros every episode and
-    advances by update(states, items, rewards) on feedback."""
+    """A policy whose state of a block of U users starts every episode as U
+    copies of `start`, one user's state as a block of one row (an array or
+    qnet.Pairs), and advances by update(states, items, rewards) on feedback."""
 
-    def __init__(self, width: int, update):
+    def __init__(self, start, update):
+        self.start = start
         self.update = update
-        self.state = np.zeros((0, width))
+        self.state = start[:0]
 
     def begin_episode(self, users) -> None:
-        self.state = np.zeros((len(users), self.state.shape[1]))
+        self.state = self.start[[0] * len(users)]
 
     def observe(self, items, rewards, avail=None, done: bool = False) -> None:
         self.state = self.update(self.state, items, rewards)
@@ -353,11 +340,14 @@ class StatePolicy(Policy):
 class QTrainer(StatePolicy):
     """The learning Q-policy and the resumable state of its training run
     (network, target, replay, RNGs). It plays one user at a time, a block of
-    one, and its state starts at zeros(input_dim)."""
+    one. A qnet.Pairs start is the raw state of state_kind, which the replay
+    keeps as pairs; an array start is a dense state of its width."""
 
-    def __init__(self, env, users, input_dim: int, update, cfg: TrainConfig):
+    def __init__(self, env, users, start, update, cfg: TrainConfig):
         cfg.validate()
-        super().__init__(input_dim, update)
+        super().__init__(start, update)
+        raw = isinstance(start, qnet.Pairs)
+        input_dim = env.n if raw else start.shape[1]
         self.env = env
         self.users = sorted(users)
         if not self.users and cfg.episodes > 0:
@@ -365,12 +355,11 @@ class QTrainer(StatePolicy):
         self.cfg = cfg
         sizes = (input_dim, *cfg.hidden_sizes, env.n)
         self.net = qnet.qnet_init(sizes, seed=cfg.seed, activation=cfg.activation)
-        # raw_update's states are their <= horizon (item, reward) pairs
-        raw_horizon = cfg.horizon if update is raw_update else None
-        if raw_horizon is not None:
+        if raw:
             self.net = qnet.input_major(self.net)
         self.target = qnet.make_target(self.net)
-        self.memory = ReplayMemory(cfg.replay_capacity, input_dim, env.n, raw_horizon)
+        self.memory = ReplayMemory(cfg.replay_capacity, input_dim, env.n,
+                                   cfg.horizon if raw else None)
         self.user_rng = rng_for(cfg.seed, "episode-users")
         self.action_rng = rng_for(cfg.seed, "epsilon-greedy")
         self.replay_rng = rng_for(cfg.seed, "replay-sample")
@@ -387,10 +376,7 @@ class QTrainer(StatePolicy):
         self.losses = []
 
     def act(self, avail: np.ndarray) -> np.ndarray:
-        state = self.state[0]
-        if self.memory.raw_horizon is not None:
-            state = raw_pairs(state, self.memory.raw_horizon)
-        return np.array([select_action(self.net, state, avail[0], self.cfg.epsilon,
+        return np.array([select_action(self.net, self.state[0], avail[0], self.cfg.epsilon,
                                        self.action_rng)])
 
     def observe(self, items, rewards, avail=None, done: bool = False) -> None:
@@ -527,8 +513,7 @@ def make_trainer(ds, split, mf_model: mf.MfModel | None, cfg: TrainConfig) -> QT
     variant when there is no factor model."""
     environment = InteractiveEnv(ds, cfg.task, cfg.horizon)
     users = eligible_train_users(ds, split.train_users, cfg.task, cfg.horizon)
-    width = ds.n if mf_model is None else mf_model.d
-    return QTrainer(environment, users, width, state_update(mf_model), cfg)
+    return QTrainer(environment, users, *state_kind(mf_model, ds.n, cfg.horizon), cfg)
 
 
 def write_training_log(path, logs) -> None:

@@ -3,7 +3,7 @@
 Every policy sees only what a live recommender would: the availability mask
 when acting, and the (item, reward) feedback afterwards. The latent policies
 keep their per-user state through agent.StatePolicy, which advances it from
-that feedback alone by agent.state_update, so evaluation cannot leak ratings.
+that feedback alone, so evaluation cannot leak ratings.
 
 Each policy acts for a whole block of users per step, with one product per
 step for the block. The products are numpy's stacked matmul, which calls BLAS
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mf, qnet
-from .agent import (Policy, StatePolicy, TrainConfig, eligible_train_users, raw_pairs,
+from .agent import (Policy, StatePolicy, TrainConfig, eligible_train_users, state_kind,
                     state_update)
 from .env import InteractiveEnv, run_episode
 from .seeding import rng_for
@@ -98,7 +98,7 @@ class OnlineMfPolicy(StatePolicy):
     """Greedy latent-factor scorer with per-feedback SGD state updates."""
 
     def __init__(self, model: mf.MfModel):
-        super().__init__(model.d, state_update(model))
+        super().__init__(np.zeros((1, model.d)), state_update(model))
         self.model = model
 
     def act(self, avail: np.ndarray) -> np.ndarray:
@@ -136,7 +136,7 @@ class LinUcbPolicy(StatePolicy):
     """
 
     def __init__(self, model: LinUcbModel, mf_model: mf.MfModel, frozen: bool = True):
-        super().__init__(mf_model.d, state_update(mf_model))
+        super().__init__(np.zeros((1, mf_model.d)), state_update(mf_model))
         self.model = model
         self.mf_model = mf_model
         self.frozen = frozen
@@ -198,9 +198,9 @@ def train_linucb(ds, split, mf_model: mf.MfModel, cfg: TrainConfig,
 
 
 class GreedyQPolicy(StatePolicy):
-    """Frozen Q-network acting greedily on the state it was trained on. A raw
-    state is read as agent.raw_pairs for the episodes' horizon, the pairs
-    the network was trained on."""
+    """Frozen Q-network acting greedily on the state kind it was trained on
+    (agent.state_kind): the latent user vector, or the raw state's canonical
+    pairs at the episodes' horizon."""
 
     def __init__(self, net: qnet.QNetwork, mf_model: mf.MfModel | None = None,
                  raw_state: bool = False, horizon: int | None = None):
@@ -208,11 +208,9 @@ class GreedyQPolicy(StatePolicy):
             raise ValueError("latent-state policy needs the MF model")
         if raw_state and horizon is None:
             raise ValueError("raw-state policy needs the horizon, which sets its pairs' width")
-        super().__init__(net.input_dim, state_update(None if raw_state else mf_model))
+        super().__init__(*state_kind(None if raw_state else mf_model, net.input_dim, horizon))
         self.net = qnet.input_major(net) if raw_state else net
         self.raw_state = raw_state
-        self.horizon = horizon
 
     def act(self, avail: np.ndarray) -> np.ndarray:
-        state = raw_pairs(self.state, self.horizon) if self.raw_state else self.state
-        return qnet.masked_argmax(qnet.forward(self.net, state), avail)
+        return qnet.masked_argmax(qnet.forward(self.net, self.state), avail)

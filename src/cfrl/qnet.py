@@ -21,7 +21,8 @@ per row over the gathered columns of W0 (T of n), and train_step updates
 only the columns of W0 that the batch touches, with the dense update's
 values. The product's rounding depends on the pairs' order and width, so a
 caller keeps every row in one canonical form (items ascending, padding at
-the end) at one width; it differs from the dense product by about an ulp.
+the end) at one width, as agent.put_pairs keeps the raw state; it differs
+from the dense product by about an ulp.
 """
 
 from __future__ import annotations

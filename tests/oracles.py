@@ -2,7 +2,9 @@
 
 Nothing in `cfrl` calls these: each restates, one transition or one rating
 at a time or over every input densely, what a vectorized or sparse routine
-of the package computes, so a test can compare the two. Transition and stack
+of the package computes, so a test can compare the two. raw_update and
+raw_pairs are the raw (dqn) state written densely, as an (n,) vector of the
+rewards observed so far, and its canonical pairs. Transition and stack
 write minibatches down row by row for qnet.train_step, which takes one
 qnet.Batch; dense_train_step is that update over dense states.
 """
@@ -56,6 +58,39 @@ def replay_rows(memory) -> dict:
     s_next = s.copy()
     s_next[np.arange(len(s)), rows["a"]] = rows["r"]
     return {**rows, "s": s, "s_next": s_next}
+
+
+def raw_update(states, items, rewards) -> np.ndarray:
+    """The dense raw states of a (U, n) block after each row's user gave
+    rewards[u] for items[u]: each row holds the reward observed at each item
+    its user was asked, 0 elsewhere."""
+    states = states.copy()
+    states[np.arange(len(states)), items] = rewards
+    return states
+
+
+def raw_pairs(states, horizon: int) -> qnet.Pairs:
+    """The canonical qnet.Pairs of one (n,) dense raw state or a (U, n)
+    block: each row's nonzero (item, reward) pairs, items ascending, padded
+    with item n and reward 0 to horizon + 1 pairs, the form agent.put_pairs
+    keeps a raw state in.
+
+    Raises:
+        ValueError: a row holds more than horizon + 1 nonzeros.
+    """
+    x = np.asarray(states, dtype=np.float64)
+    block = x.reshape(-1, x.shape[-1])
+    width, n = horizon + 1, block.shape[1]
+    items = np.full((len(block), width), n, dtype=np.int64)
+    rewards = np.zeros((len(block), width))
+    for row, dense in enumerate(block):
+        nonzero = np.flatnonzero(dense)
+        if nonzero.size > width:
+            raise ValueError(f"raw state holds {nonzero.size} nonzeros, over the {width} "
+                             f"pairs of the horizon {horizon}")
+        items[row, : nonzero.size] = nonzero
+        rewards[row, : nonzero.size] = dense[nonzero]
+    return qnet.Pairs(items.reshape(*x.shape[:-1], width), rewards.reshape(*x.shape[:-1], width))
 
 
 def td_target(transition: Transition, target: qnet.TargetNetwork, gamma: float) -> float:

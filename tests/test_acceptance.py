@@ -246,7 +246,7 @@ def test_criterion_07_tabular_oracle():
         sync_period=25, batch_size=16, replay_capacity=5000,
         hidden_sizes=(), seed=SEED,
     )
-    trainer = QTrainer(env, [0], input_dim=3, update=update, cfg=cfg)
+    trainer = QTrainer(env, [0], start=np.zeros((1, 3)), update=update, cfg=cfg)
     trainer.run()
     q_star = value_iteration(0.9)
     worst = 0.0
@@ -329,7 +329,9 @@ def test_criterion_09_planted_optimum_both_agents():
     _report(9, f"both agents pick item {PLANTED_ITEM} first, {elapsed:.1f}s")
 
 
-def _median_step_time(hidden: int, d: int, n: int, steps: int = 120, rounds: int = 5):
+def _warm_step_setup(hidden: int, d: int, n: int):
+    """A [d, hidden, n] network, its target and a 32-transition batch, after
+    30 warm-up train steps."""
     rng = np.random.default_rng(55)
     net = qnet.qnet_init([d, hidden, n], seed=1)
     target = qnet.make_target(net)
@@ -342,21 +344,29 @@ def _median_step_time(hidden: int, d: int, n: int, steps: int = 120, rounds: int
     batch = stack(batch)
     for _ in range(30):  # warmup
         qnet.train_step(net, target, batch, gamma=0.9, lr=1e-4)
-    times = []
+    return net, target, batch
+
+
+def _median_step_times(widths, d: int, n: int, steps: int = 120, rounds: int = 5):
+    """(parameter count, median time per train_step) of a network of each
+    hidden width. The widths take turns, one timed round of `steps` each, so
+    load on the machine lands on every width alike."""
+    setups = [_warm_step_setup(hidden, d, n) for hidden in widths]
+    times = [[] for _ in widths]
     for _ in range(rounds):
-        t0 = time.perf_counter()
-        for _ in range(steps):
-            qnet.train_step(net, target, batch, gamma=0.9, lr=1e-4)
-        times.append((time.perf_counter() - t0) / steps)
-    return net.param_count, float(np.median(times))
+        for (net, target, batch), width_times in zip(setups, times):
+            t0 = time.perf_counter()
+            for _ in range(steps):
+                qnet.train_step(net, target, batch, gamma=0.9, lr=1e-4)
+            width_times.append((time.perf_counter() - t0) / steps)
+    return [(net.param_count, float(np.median(t))) for (net, _, _), t in zip(setups, times)]
 
 
 def test_criterion_10_complexity_contract():
     # power-of-two widths keep the BLAS kernel choice comparable between the
     # two measurements; 64 -> 128 multiplies the parameter count by 1.985
     d, n = 16, 512
-    count1, t1 = _median_step_time(64, d, n)
-    count2, t2 = _median_step_time(128, d, n)
+    (count1, t1), (count2, t2) = _median_step_times((64, 128), d, n)
     assert 1.9 <= count2 / count1 <= 2.1, "network sizing did not double the parameters"
     ratio = t2 / t1
     assert ratio <= 2.5, (

@@ -16,8 +16,9 @@ from cfrl.agent import (
     TrainConfig,
     eligible_train_users,
     make_trainer,
-    raw_pairs,
+    put_pairs,
     select_action,
+    state_kind,
     write_training_log,
 )
 from cfrl.baselines import GreedyQPolicy
@@ -28,7 +29,7 @@ from cfrl.evaluate import evaluate_policy
 from cfrl.seeding import rng_for
 
 from conftest import PLANTED_ITEM, make_dataset, planted_profiles, profile, synthetic_profiles
-from oracles import replay_rows
+from oracles import raw_pairs, raw_update, replay_rows
 from toy_mdp import ChainEnv, LIVE_STATES, encode, update, value_iteration
 
 
@@ -151,10 +152,11 @@ class TestReplayMemory:
         rng = np.random.default_rng(0)
         s, mask = np.zeros(n), rng.random(n) < 0.5
         s[rng.choice(n, cfg.horizon, replace=False)] = rng.integers(1, 6, cfg.horizon)
+        pairs = raw_pairs(s, cfg.horizon)
         tracemalloc.start()
         try:
             for k in range(1000):
-                mem.push(s, k, 1.0, s, False, mask)
+                mem.push(pairs, k, 1.0, None, False, mask)
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -182,7 +184,8 @@ def test_raw_rows_rebuild_exactly(data):
         states[k, items] = data.draw(st.lists(st.sampled_from([0.0, 1.0, 2.5, 5.0]),
                                               min_size=len(items), max_size=len(items)))
         actions.append(data.draw(st.integers(0, n - 1)))
-        mem.push(states[k], actions[k], float(k), None, False, np.ones(n, dtype=bool))
+        mem.push(raw_pairs(states[k], horizon), actions[k], float(k), None, False,
+                 np.ones(n, dtype=bool))
     batch = mem.sample(rows, rng_for(0, "rebuild"))
     k = batch.r.astype(np.int64)
     assert batch.s.items.shape == batch.s_next.items.shape == (rows, horizon + 1)
@@ -196,16 +199,53 @@ def test_raw_rows_rebuild_exactly(data):
         canonical = raw_pairs(dense, horizon)
         assert np.array_equal(pairs.items, canonical.items)
         assert np.array_equal(pairs.values, canonical.values)
+    # each successor is the one put of its stored state that play makes
+    assert _bits(batch.s_next) == _bits(put_pairs(batch.s, batch.a, batch.r, n))
+
+
+def _bits(pairs):
+    """A Pairs block's dtypes and bytes: equal only if bit for bit the same."""
+    return (pairs.items.dtype, pairs.items.tobytes(), pairs.values.dtype, pairs.values.tobytes())
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_put_pairs_is_the_dense_raw_state_bit_for_bit(data):
+    # from the all-padding start, putting any (item, reward) sequence gives
+    # the oracle's canonical pairs of the dense state: zero rewards, repeated
+    # items, items 0 and n - 1 and horizon 0 included, and U rows advanced
+    # together give each row's pairs advanced alone
+    n = data.draw(st.integers(1, 30), label="n")
+    horizon = data.draw(st.integers(0, 8), label="horizon")
+    users = data.draw(st.integers(1, 4), label="users")
+    items = st.lists(st.one_of(st.sampled_from([0, n - 1]), st.integers(0, n - 1)),
+                     min_size=users, max_size=users)
+    rewards = st.lists(st.sampled_from([0.0, 1.0, 2.5, 5.0, -1.5]),
+                       min_size=users, max_size=users)
+    start, put = state_kind(None, n, horizon)
+    block, dense, alone = start[[0] * users], np.zeros((users, n)), [start] * users
+    assert _bits(block) == _bits(raw_pairs(dense, horizon))
+    # up to horizon puts in play, then the one a replay successor adds
+    for _ in range(data.draw(st.integers(0, horizon + 1), label="steps")):
+        step_items = np.array(data.draw(items, label="items"))
+        step_rewards = np.array(data.draw(rewards, label="rewards"))
+        block = put(block, step_items, step_rewards)
+        dense = raw_update(dense, step_items, step_rewards)
+        assert _bits(block) == _bits(raw_pairs(dense, horizon))
+        alone = [put_pairs(row, step_items[[u]], step_rewards[[u]], n)
+                 for u, row in enumerate(alone)]
+        assert [_bits(row) for row in alone] == [_bits(block[[u]]) for u in range(users)]
 
 
 def test_raw_rows_at_the_catalog_ends_and_over_the_horizon():
     mem = ReplayMemory(4, state_dim=5, n_actions=5, raw_horizon=2)
-    with pytest.raises(ValueError, match="3 nonzeros, over the horizon 2"):
-        mem.push(np.array([1.0, 0.0, 2.0, 0.0, 3.0]), 1, 4.0, None, False, np.ones(5, bool))
+    over = qnet.Pairs(np.array([0, 2, 4]), np.array([1.0, 2.0, 3.0]))   # horizon + 1 pairs
+    with pytest.raises(ValueError, match="3 pairs, over the horizon 2"):
+        mem.push(over, 1, 4.0, None, False, np.ones(5, bool))
     assert len(mem) == 0
     # items 0 and n - 1 fill the row; a zero reward at item 2 needs no pair
     s = np.array([5.0, 0.0, 0.0, 0.0, 1.0])
-    mem.push(s, 2, 0.0, None, True, np.ones(5, bool))
+    mem.push(raw_pairs(s, 2), 2, 0.0, None, True, np.ones(5, bool))
     assert mem.state()["s_items"].tolist() == [[0, 4]]
     batch = mem.sample(1, rng_for(0, "ends"))
     assert np.array_equal(batch.s.dense(5)[0], s) and np.array_equal(batch.s_next.dense(5)[0], s)
@@ -279,12 +319,6 @@ def test_trainer_and_greedy_policy_share_one_state(small_setup, raw_state):
     batch = trainer.memory.sample(len(trace), _InOrder())
     policy = GreedyQPolicy(trainer.net, mf_model=model, raw_state=raw_state, horizon=cfg.horizon)
 
-    def read(state):
-        if not raw_state:
-            return state.tobytes()
-        pairs = raw_pairs(state, cfg.horizon)
-        return pairs.items.tobytes() + pairs.values.tobytes()
-
     def row(states, k):
         if not raw_state:
             return states[k].tobytes()
@@ -294,11 +328,14 @@ def test_trainer_and_greedy_policy_share_one_state(small_setup, raw_state):
     for k, (_, user, t, action, reward, _) in enumerate(trace):
         if t == 0:
             policy.begin_episode([user])
-            assert not policy.state.any()  # every episode starts from the zero vector
+            if raw_state:  # every episode starts from no pairs, all padding
+                assert (policy.state.items == ds.n).all() and not policy.state.values.any()
+            else:  # or from the zero vector
+                assert not policy.state.any()
         assert batch.a[k] == action and batch.r[k] == reward
-        assert row(batch.s, k) == read(policy.state[0])
+        assert row(batch.s, k) == row(policy.state, 0)
         policy.observe(np.array([action]), np.array([reward]))
-        assert row(batch.s_next, k) == read(policy.state[0])
+        assert row(batch.s_next, k) == row(policy.state, 0)
 
 
 def test_training_is_deterministic(small_setup):
@@ -634,7 +671,7 @@ def test_tabular_oracle_convergence():
         sync_period=25, batch_size=16, replay_capacity=5000,
         hidden_sizes=(), seed=0,
     )
-    trainer = QTrainer(env, [0], input_dim=3, update=update, cfg=cfg)
+    trainer = QTrainer(env, [0], start=np.zeros((1, 3)), update=update, cfg=cfg)
     trainer.run()
     q_star = value_iteration(0.9)
     for s in LIVE_STATES:

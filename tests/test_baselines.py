@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfrl import baselines, mf, qnet
-from cfrl.agent import TrainConfig, make_trainer, raw_pairs
+from cfrl.agent import TrainConfig, make_trainer
 from cfrl.baselines import (
     GreedyQPolicy,
     LinUcbModel,
@@ -26,6 +26,7 @@ from cfrl.methods import METHODS, SplitContext
 from cfrl.evaluate import evaluate_policy
 
 from conftest import PLANTED_ITEM, make_dataset, planted_profiles, profile, synthetic_profiles
+from oracles import raw_pairs
 
 
 @pytest.fixture
@@ -362,9 +363,9 @@ class TestGreedyQPolicy:
         policy = GreedyQPolicy(net, raw_state=True, horizon=3)
         policy.begin_episode([0])
         policy.observe(np.array([2]), np.array([4.0]))
-        assert policy.state[0, 2] == 4.0
+        assert policy.state.dense(6)[0, 2] == 4.0
         policy.begin_episode([1])
-        assert not policy.state.any()
+        assert (policy.state.items == 6).all() and not policy.state.values.any()
 
     def test_cf_policy_needs_model(self):
         net = qnet.qnet_init([4, 6], seed=0)

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfrl import mf
-from cfrl.agent import Policy, raw_update, state_update
+from cfrl import mf, qnet
+from cfrl.agent import Policy, put_pairs, state_kind, state_update
 from cfrl.env import InteractiveEnv, TaskMode, run_episode, user_steps, write_trace
 from cfrl.errors import IllegalActionError, ValidationError
 
@@ -105,7 +105,8 @@ def test_step_pays_logged_rating(ds):
     assert not nxt.avail[0, item]
     assert nxt.t == 1 and not done
     # the paid reward is what the agents' states advance on
-    raw = state_update(None)(np.zeros((1, ds.n)), np.array([item]), rewards)
+    start, put = state_kind(None, ds.n, 3)
+    raw = put(start, np.array([item]), rewards).dense(ds.n)
     assert raw[0, item] == reward and np.count_nonzero(raw) == 1
     latent = np.zeros((1, model.d))
     np.testing.assert_array_equal(
@@ -121,7 +122,9 @@ def test_step_task2_unrated_pays_zero(ds):
     state = env.reset([user])
     rewards, nxt, _ = env.step(state, np.array([unrated[0]]))
     assert rewards[0] == 0.0
-    assert raw_update(np.ones((1, ds.n)), np.array([unrated[0]]), rewards)[0, unrated[0]] == 0.0
+    # a raw state that held the item holds no pair for it after the 0
+    held = qnet.Pairs(np.array([[unrated[0], ds.n]]), np.array([[1.0, 0.0]]))
+    assert put_pairs(held, np.array([unrated[0]]), rewards, ds.n).dense(ds.n)[0, unrated[0]] == 0.0
     # a genuine zero is distinguishable from never-asked: the episode's
     # actions hold the item, and it is no longer available
     steps = run_episode(env, [user], ScriptedPolicy([[unrated[0]], [unrated[1]], [unrated[2]]]))

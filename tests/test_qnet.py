@@ -8,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfrl import qnet
-from cfrl.agent import raw_pairs
 from cfrl.errors import DivergenceError, ValidationError
 from cfrl.persist import manifest_path, save_npz
 
-from oracles import Transition, dense_train_step, q_taken, stack, td_target
+from oracles import Transition, dense_train_step, q_taken, raw_pairs, stack, td_target
 
 
 def test_parameter_count_closed_form():
