@@ -47,14 +47,45 @@ def evaluate_policy(policy, ds, split, task: TaskMode, horizon: int,
 
 def t_two_sided_p(t: float, df: int) -> float:
     """P(|T_df| >= |t|) via the tail identity with the regularized incomplete
-    beta function, I_{df/(df+t^2)}(df/2, 1/2)."""
-    # imported here: scipy.special costs every command about 0.1 s to import,
-    # and only the benchmark report runs the test
-    from scipy.special import betainc
+    beta function, I_{df/(df+t^2)}(df/2, 1/2).
 
+    I_x(a, b) is evaluated by its continued fraction with the modified Lentz
+    method (Press et al., Numerical Recipes, section 6.4): directly for
+    x < (a + 1)/(a + b + 2), where it converges quickly, and through
+    I_x(a, b) = 1 - I_{1-x}(b, a) otherwise.
+    """
     if df < 1:
         raise ValueError("degrees of freedom must be >= 1")
-    return float(betainc(df / 2.0, 0.5, df / (df + t * t)))
+    if math.isnan(t):
+        return math.nan
+    x, y = df / (df + t * t), t * t / (df + t * t)   # x and 1 - x, each without cancellation
+    if x == 0.0 or y == 0.0:   # |t| beyond double range, or so small that t^2 vanishes
+        return 0.0 if x == 0.0 else 1.0
+    a, b = df / 2.0, 0.5
+    front = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+                     + a * math.log(x) + b * math.log(y))
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _beta_fraction(a, b, x) / a
+    return 1.0 - front * _beta_fraction(b, a, y) / b
+
+
+def _beta_fraction(a: float, b: float, x: float) -> float:
+    """The continued fraction of I_x(a, b) by the modified Lentz method."""
+    tiny = 1e-300
+    c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > tiny else tiny)
+    h = d
+    for m in range(1, 1000):
+        for numerator in (m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+                          -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))):
+            d = 1.0 + numerator * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + numerator / c
+            c = c if abs(c) > tiny else tiny
+            h *= d * c
+        if abs(d * c - 1.0) <= math.ulp(1.0):
+            break
+    return h
 
 
 def paired_t_test(a, b) -> float:

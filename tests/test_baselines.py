@@ -76,6 +76,21 @@ class TestRandomPolicy:
         np.testing.assert_allclose(scores, expected, atol=1e-12)
 
 
+@st.composite
+def datasets_and_training_users(draw):
+    """A small dataset, at times wider than one impact chunk of items, and a
+    subset of its users to train on; the empty subset among them."""
+    m, width = draw(st.integers(1, 12)), draw(st.integers(1, 600))
+    density = draw(st.floats(0.0, 0.25))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rated = rng.random((m, width)) < density
+    rated[np.arange(m), rng.integers(width, size=m)] = True    # every user rates an item
+    rated[rng.integers(m, size=width), np.arange(width)] = True    # every item has a rater
+    ds = make_dataset({u: {int(i): int(rng.integers(1, 6)) for i in np.flatnonzero(row)}
+                       for u, row in enumerate(rated)})
+    return ds, draw(st.sets(st.integers(0, m - 1)))
+
+
 class TestPopular:
     def test_argmax_of_counts(self):
         ds = make_dataset({0: {0: 3, 1: 4}, 1: {0: 2}, 2: {0: 5, 1: 1}})
@@ -83,8 +98,10 @@ class TestPopular:
         assert policy.act(np.ones(2, dtype=bool)) == 0  # counts (3, 2)
         assert policy.act(np.array([False, True])) == 1
 
-    def test_counts_match_brute_force(self, ds):
-        train = set(range(9))
+    @settings(max_examples=40, deadline=None)
+    @given(case=datasets_and_training_users())
+    def test_counts_match_brute_force(self, case):
+        ds, train = case
         counts = popularity_counts(ds, train)
         brute = Counter(i for u in train for i in profile(ds, u))
         for item in range(ds.n):
@@ -116,13 +133,15 @@ class TestImpact:
         assert scores[b] == 2.0
         assert scores[a] == 1.0 and scores[c] == 1.0
 
-    def test_matches_brute_force_double_loop(self, ds):
-        train = sorted(range(10))
+    @settings(max_examples=40, deadline=None)
+    @given(case=datasets_and_training_users())
+    def test_matches_brute_force_double_loop(self, case):
+        ds, train = case
         scores = impact_scores(ds, train)
+        profiles = [profile(ds, u) for u in train]
         for i in range(ds.n):
             neighbors = set()
-            for u in train:
-                rated = profile(ds, u)
+            for rated in profiles:
                 if i in rated:
                     neighbors |= set(rated)
             neighbors.discard(i)

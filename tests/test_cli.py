@@ -535,8 +535,20 @@ def test_benchmark_runs_from_snapshot(workspace):
                  "--methods", "random,popular", "--out", str(tmp_path / "snapbench")]) == 0
 
 
-def test_importing_the_cli_leaves_scipy_sparse_unloaded():
-    # scipy.sparse is imported only where popular and impact need it
-    out = _python("-c", "import sys, cfrl.cli; print('scipy.sparse' in sys.modules)")
+def test_a_benchmark_with_popular_impact_and_p_values_loads_no_scipy(workspace):
+    # the program depends on numpy alone, also where it ranks items by the
+    # training graph and tests the two leading methods
+    tmp_path, data, cfg_path = workspace
+    out_dir = tmp_path / "noscipy"
+    code = (
+        "import sys; from cfrl import cli; "
+        f"code = cli.main(['benchmark', '--config', {str(cfg_path)!r}, "
+        f"'--methods', 'random,popular,impact', '--out', {str(out_dir)!r}]); "
+        "print(code, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    out = _python("-c", code)
     out.check_returncode()
-    assert out.stdout.strip() == "False"
+    assert out.stdout.splitlines()[-1] == "0 []"
+    (p_row,) = [line for line in (out_dir / "report.txt").read_text().splitlines()
+                if line.startswith("p-value")]
+    assert 0.0 <= float(p_row.split()[1]) <= 1.0
