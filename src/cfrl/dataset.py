@@ -25,6 +25,11 @@ FORMAT_SEPARATORS = {"tab": "\t", "double-colon": "::"}
 # Every MovieLens user has at least 20 ratings; asserted at file ingestion.
 MIN_RATINGS_PER_USER = 20
 
+# A plain ratings file is parsed in blocks of at most this many bytes.
+_BLOCK_BYTES = 1 << 20
+# Longest field of a plain file: 18 digits always fit int64.
+_PLAIN_DIGITS = 18
+
 
 @dataclass(frozen=True, eq=False)
 class RatingDataset:
@@ -134,6 +139,9 @@ def parse_rating_line(line: str, sep: str) -> tuple:
 def load_ratings(path, fmt: str = "tab") -> RatingDataset:
     """Read a MovieLens ratings file into a RatingDataset.
 
+    A plain file (see _parse_plain) is parsed by whole-array passes; any
+    other is read line by line. Both give the same triples for a plain file.
+
     Args:
         path: ratings file (u.data or ratings.dat layout).
         fmt: "tab" or "double-colon" field separator.
@@ -149,6 +157,29 @@ def load_ratings(path, fmt: str = "tab") -> RatingDataset:
     sep = FORMAT_SEPARATORS[fmt]
     with open(path, "rb") as fh:
         data = fh.read()
+    records = _parse_plain(data, sep.encode("ascii"))
+    users, items, ratings = records if records is not None else _parse_lines(path, data, sep)
+    if not len(users):
+        raise ValidationError(f"no records in {path}")
+    ds = RatingDataset.from_arrays(users, items, ratings)
+    counts = np.diff(ds.indptr)
+    short = np.flatnonzero(counts < MIN_RATINGS_PER_USER)
+    if short.size:
+        raise ValidationError(
+            f"user {ds.user_ids[short[0]]} has {counts[short[0]]} ratings; "
+            f"MovieLens files guarantee at least {MIN_RATINGS_PER_USER}"
+        )
+    return ds
+
+
+def _parse_lines(path, data: bytes, sep: str) -> tuple:
+    """(users, items, ratings) lists of a ratings file, read one line at a
+    time: UTF-8 text, any line ends, blank lines skipped, each line stripped
+    and split into 4 fields that int() accepts.
+
+    Raises:
+        ParseError: the file is not UTF-8, or a line is not 4 integer fields.
+    """
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -169,17 +200,60 @@ def load_ratings(path, fmt: str = "tab") -> RatingDataset:
         users.append(user)
         items.append(item)
         ratings.append(rating)
-    if not users:
-        raise ValidationError(f"no records in {path}")
-    ds = RatingDataset.from_arrays(users, items, ratings)
-    counts = np.diff(ds.indptr)
-    short = np.flatnonzero(counts < MIN_RATINGS_PER_USER)
-    if short.size:
-        raise ValidationError(
-            f"user {ds.user_ids[short[0]]} has {counts[short[0]]} ratings; "
-            f"MovieLens files guarantee at least {MIN_RATINGS_PER_USER}"
-        )
-    return ds
+    return users, items, ratings
+
+
+def _parse_plain(data: bytes, sep: bytes):
+    """(users, items, ratings) int64 arrays of a plain ratings file, or None
+    for any other file.
+
+    A plain file holds only ASCII digits, the separator's bytes and "\n",
+    and each of its non-blank lines is 4 digit runs of at most
+    _PLAIN_DIGITS digits joined by single separators. The file is parsed in
+    blocks of at most _BLOCK_BYTES, each ending after a newline or at the end
+    of the file, so the temporaries do not grow with the file.
+    """
+    blocks, start = [], 0
+    while start < len(data):
+        end = len(data)
+        if end - start > _BLOCK_BYTES:
+            end = data.rfind(b"\n", start, start + _BLOCK_BYTES) + 1
+            if end <= start:   # no newline in a whole block: a line no plain file has
+                return None
+        fields = _plain_fields(data[start:end], sep)
+        if fields is None:
+            return None
+        blocks.append(fields[:, :3].copy())   # the timestamp is dropped
+        start = end
+    records = np.concatenate(blocks) if blocks else np.empty((0, 3), dtype=np.int64)
+    return records[:, 0], records[:, 1], records[:, 2]
+
+
+def _plain_fields(block: bytes, sep: bytes):
+    """The (lines, 4) int64 fields of a block of plain lines, or None when a
+    byte or a line of the block is not plain.
+
+    The separators are checked on the block's own bytes: every run of
+    non-digits inside a line must be exactly sep, and no separator byte may
+    stand anywhere else (a lone ":", a ":::" or a blank line of separators).
+    """
+    a = np.frombuffer(block, dtype=np.uint8)
+    digit = (a - np.uint8(ord("0"))) < 10   # wraps below "0", so one compare
+    sep_bytes = np.count_nonzero(a == sep[0])   # both separators repeat one byte
+    if np.count_nonzero(digit) + sep_bytes + np.count_nonzero(a == ord("\n")) != a.size:
+        return None
+    edges = np.flatnonzero(np.diff(digit, prepend=False, append=False))
+    starts, ends = edges[0::2], edges[1::2]   # digit runs as [start, end)
+    if starts.size % 4 or (starts.size and (ends - starts).max() > _PLAIN_DIGITS):
+        return None
+    gaps = ends.reshape(-1, 4)[:, :3]   # the in-line gaps, one after each of fields 0-2
+    if (starts.reshape(-1, 4)[:, 1:] - gaps != len(sep)).any():
+        return None
+    if any((a[gaps + k] != byte).any() for k, byte in enumerate(sep)):
+        return None
+    if sep_bytes != gaps.size * len(sep):   # a separator byte outside the in-line gaps
+        return None
+    return np.fromstring(block.replace(sep, b" "), dtype=np.int64, sep=" ").reshape(-1, 4)
 
 
 def dataset_stats(ds: RatingDataset) -> dict:

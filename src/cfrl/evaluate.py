@@ -52,7 +52,9 @@ def t_two_sided_p(t: float, df: int) -> float:
     I_x(a, b) is evaluated by its continued fraction with the modified Lentz
     method (Press et al., Numerical Recipes, section 6.4): directly for
     x < (a + 1)/(a + b + 2), where it converges quickly, and through
-    I_x(a, b) = 1 - I_{1-x}(b, a) otherwise.
+    I_x(a, b) = 1 - I_{1-x}(b, a) otherwise. Near x = 1 the fraction's
+    recurrences cancel, losing about a / t^2 ulps, so for a >= 20 and
+    x >= 1/2 the expansion in 1/a of _beta_half_near_one is used instead.
     """
     if df < 1:
         raise ValueError("degrees of freedom must be >= 1")
@@ -62,11 +64,49 @@ def t_two_sided_p(t: float, df: int) -> float:
     if x == 0.0 or y == 0.0:   # |t| beyond double range, or so small that t^2 vanishes
         return 0.0 if x == 0.0 else 1.0
     a, b = df / 2.0, 0.5
+    if a >= _EXPANSION_FROM and y <= 0.5:
+        return _beta_half_near_one(a, y)
     front = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
                      + a * math.log(x) + b * math.log(y))
     if x < (a + 1.0) / (a + b + 2.0):
         return front * _beta_fraction(a, b, x) / a
     return 1.0 - front * _beta_fraction(b, a, y) / b
+
+
+# Smallest a for which _beta_half_near_one holds to about 1e-14 relative.
+_EXPANSION_FROM = 20.0
+# log Gamma(a + 1/2) - log Gamma(a) - log(a)/2 is the sum of c / a^k over
+# these (c, k): (2^(1-k) - 2) B_k / (k (k - 1)) for the Bernoulli numbers
+# B_k, k = 2, 4, ..., 10. The first term left out is under 4e-3 / a^11.
+_GAMMA_HALF_SERIES = ((-1 / 8, 1), (1 / 192, 3), (-1 / 640, 5), (17 / 14336, 7), (-31 / 18432, 9))
+
+
+def _beta_half_near_one(a: float, y: float) -> float:
+    """I_{1-y}(a, 1/2) for large a, by the asymptotic expansion of DiDonato
+    and Morris (ACM TOMS 18, 1992, eq. 9; BGRAT in their algorithm 708).
+
+    With T = a - 1/4 and u = -T log(1 - y), the result is
+    Gamma(a + 1/2) / (Gamma(a) sqrt(T)) times the sum of p_n J_n over n, a
+    series in 1/T^2 that starts from J_0 = Q(1/2, u) = erfc(sqrt(u)). The
+    gamma ratio comes from its asymptotic series: lgamma(a + 1/2) - lgamma(a)
+    would cancel about a log a ulps, and log(1 - y) is taken by log1p.
+    """
+    b, big_t = 0.5, a - 0.25
+    log_x = math.log1p(-y)
+    u = -big_t * log_x
+    h = math.sqrt(u / math.pi) * math.exp(-u)   # u^b e^-u / Gamma(b)
+    j = math.erfc(math.sqrt(u))   # J_n scaled by h, so that h may underflow
+    total, p, power = j, [1.0], 1.0
+    for n in range(1, 30):
+        p.append((b - 1.0) / math.factorial(2 * n + 1)
+                 + sum((m * b - n) * p[n - m] / math.factorial(2 * m + 1) for m in range(1, n)) / n)
+        j = ((b + 2 * n - 2) * (b + 2 * n - 1) * j + (u + b + 2 * n - 1) * h * power) / (4 * big_t**2)
+        power *= (log_x / 2.0) ** 2
+        total += p[n] * j
+        if abs(p[n] * j) <= math.ulp(1.0) * abs(total):
+            break
+    log_ratio = 0.5 * math.log(a) + sum(c / a**k for c, k in _GAMMA_HALF_SERIES)
+    return math.exp(log_ratio) / math.sqrt(big_t) * total
 
 
 def _beta_fraction(a: float, b: float, x: float) -> float:

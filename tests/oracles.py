@@ -7,13 +7,17 @@ raw_pairs are the raw (dqn) state written densely, as an (n,) vector of the
 rewards observed so far, and its canonical pairs. Transition and stack
 write minibatches down row by row for qnet.train_step, which takes one
 qnet.Batch; dense_train_step is that update over dense states.
+load_ratings is the ratings reader as one loop over the file's lines.
 """
 
+import io
 from typing import NamedTuple
 
 import numpy as np
 
 from cfrl import qnet
+from cfrl.dataset import FORMAT_SEPARATORS, MIN_RATINGS_PER_USER, RatingDataset
+from cfrl.errors import ParseError, ValidationError
 
 
 class Transition(NamedTuple):
@@ -145,3 +149,48 @@ def rating_grads(u_vec, v_vec, rating, reg):
     grad_u = 2.0 * (err * v_vec + reg * u_vec)
     grad_v = 2.0 * (err * u_vec + reg * v_vec)
     return grad_u, grad_v
+
+
+def load_ratings(path, fmt: str = "tab") -> RatingDataset:
+    """dataset.load_ratings read one line at a time, whatever the file holds:
+    UTF-8 text, any line ends, blank lines skipped, each line stripped and
+    split into 4 fields that int() accepts, the fourth dropped."""
+    if fmt not in FORMAT_SEPARATORS:
+        raise ValueError(f"unknown format {fmt!r}; expected one of {sorted(FORMAT_SEPARATORS)}")
+    sep = FORMAT_SEPARATORS[fmt]
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            path, data.count(b"\n", 0, exc.start) + 1,
+            "not UTF-8 ratings text; a dataset snapshot written by an earlier "
+            "`cfrl ingest` is no longer read, so run `cfrl ingest` on the ratings file again",
+        ) from None
+    users, items, ratings = [], [], []
+    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(sep)
+        if len(parts) != 4:
+            raise ParseError(path, lineno, f"expected 4 fields, got {len(parts)}")
+        try:
+            user, item, rating, _ = map(int, parts)
+        except ValueError:
+            raise ParseError(path, lineno, f"non-integer field in {parts!r}") from None
+        users.append(user)
+        items.append(item)
+        ratings.append(rating)
+    if not users:
+        raise ValidationError(f"no records in {path}")
+    ds = RatingDataset.from_arrays(users, items, ratings)
+    counts = np.diff(ds.indptr)
+    short = np.flatnonzero(counts < MIN_RATINGS_PER_USER)
+    if short.size:
+        raise ValidationError(
+            f"user {ds.user_ids[short[0]]} has {counts[short[0]]} ratings; "
+            f"MovieLens files guarantee at least {MIN_RATINGS_PER_USER}"
+        )
+    return ds

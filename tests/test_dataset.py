@@ -3,14 +3,18 @@ import re
 import tempfile
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from cfrl import dataset
 from cfrl.baselines import popularity_counts
 from cfrl.dataset import (
+    FORMAT_SEPARATORS,
     RatingDataset,
     dataset_stats,
     load_ratings,
@@ -306,6 +310,127 @@ def test_snapshot_round_trip_gives_equal_arrays(records):
         path = Path(tmp) / "ds.snap"
         save_snapshot(ds, path)
         assert_same_matrix(load_snapshot(path), ds)
+
+# Field texts other than a plain digit run: some int() reads (spaces, signs,
+# underscores, non-ASCII digits), some it refuses.
+_ODD_FIELDS = ["", " 7", "7 ", "+7", "-7", "1_0", "_1", "\u0663", "\uff17", "7.0", "x"]
+_ODD_SEPARATORS = ["\t", ":", "::", ":::", " ", "\t::", "::\t"]
+_ODD_ENDS = ["\r\n", "\r", "\n\n", " \n", "\t\n"]
+# Inserted lines; "{}" is the format's separator. A line that ends in a
+# separator and a line of one field make four digit runs together.
+_ODD_LINES = ["", " ", "\t", ":", "::", "\t\t\t", "1\t2::3::4", "1:::2::3::4", "1::2:3::4",
+              "{}1{}2{}3{}4", "1{}2{}3{}\n4", "1{}\n2{}3{}4"]
+_ODD_BYTES = [b"\xff", b"\xaf", b"\xc3", "\u00e9".encode(), b"\r"]
+_FAULTS = ["field", "digits", "separator", "end", "count", "line", "byte", "drop"]
+
+
+@st.composite
+def ratings_files(draw):
+    """(format, bytes) of a ratings file: 1-3 users with 20-23 ratings each,
+    lines in random order, with up to three faults among odd fields, digit
+    runs of 1, 18, 19 and 25 digits (a one-digit rating may be 0 or 6-9),
+    separators, line ends, field counts, inserted lines and bytes and a
+    dropped line, and sometimes no final newline."""
+    fmt = draw(st.sampled_from(sorted(FORMAT_SEPARATORS)))
+    sep = FORMAT_SEPARATORS[fmt]
+    ids = st.one_of(st.integers(0, 5000), st.integers(10**17, 10**18 - 1))
+    lines = []
+    for user in draw(st.lists(ids, min_size=1, max_size=3, unique=True)):
+        k = draw(st.integers(20, 23))
+        items = draw(st.lists(ids, min_size=k, max_size=k, unique=True))
+        ratings = draw(st.lists(st.integers(1, 5), min_size=k, max_size=k))
+        stamps = draw(st.lists(st.integers(0, 10**18 - 1), min_size=k, max_size=k))
+        lines += [[str(user), str(i), str(r), str(ts)] for i, r, ts in zip(items, ratings, stamps)]
+    lines = [(fields, [sep] * 3, "\n") for fields in draw(st.permutations(lines))]
+    inserted, dropped = {}, set()
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(_FAULTS))
+        at = draw(st.integers(0, len(lines) - 1))
+        fields, seps, end = lines[at]
+        if kind == "field":
+            fields[draw(st.integers(0, 3))] = draw(st.sampled_from(_ODD_FIELDS))
+        elif kind == "digits":
+            width = draw(st.sampled_from([1, 18, 19, 25]))
+            digits = st.text("0123456789", min_size=width, max_size=width)
+            fields[draw(st.integers(0, 3))] = draw(digits)
+        elif kind == "separator":
+            seps[draw(st.integers(0, 2))] = draw(st.sampled_from(_ODD_SEPARATORS))
+        elif kind == "end":
+            lines[at] = (fields, seps, draw(st.sampled_from(_ODD_ENDS)))
+        elif kind == "count":   # 3 or 5 fields
+            if draw(st.booleans()):
+                del fields[draw(st.integers(0, 3))]
+            else:
+                fields.append(fields[-1])
+            seps[:] = [sep] * (len(fields) - 1)
+        elif kind == "line":
+            inserted[at] = draw(st.sampled_from(_ODD_LINES)).replace("{}", sep) + "\n"
+        elif kind == "byte":
+            inserted[at] = draw(st.sampled_from(_ODD_BYTES))
+        else:
+            dropped.add(at)
+    data = b""
+    for k, (fields, seps, end) in enumerate(lines):
+        before = inserted.get(k, b"")
+        data += before if isinstance(before, bytes) else before.encode()
+        if k in dropped:
+            continue
+        text = fields[0] + "".join(s + f for s, f in zip(seps, fields[1:])) + end
+        data += text.encode()
+    if draw(st.booleans()):
+        data = data[:-1]
+    return fmt, data
+
+
+def _outcome(load, path, fmt):
+    """The loaded matrix's digest, or the type and message of what it raised."""
+    try:
+        return load(path, fmt).digest()
+    except Exception as exc:   # compared as type and message
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300)
+@given(ratings_files(), st.sampled_from([16, 64, 200, dataset._BLOCK_BYTES]))
+def test_load_ratings_matches_the_per_line_reference(file, block_bytes):
+    fmt, data = file
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ratings"
+        path.write_bytes(data)
+        want = _outcome(oracles.load_ratings, path, fmt)
+        with mock.patch.object(dataset, "_BLOCK_BYTES", block_bytes):
+            assert _outcome(load_ratings, path, fmt) == want
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMAT_SEPARATORS))
+@pytest.mark.parametrize("block_bytes", [100, dataset._BLOCK_BYTES])
+def test_plain_files_are_parsed_without_the_line_reader(tmp_path, monkeypatch, fmt, block_bytes):
+    path = tmp_path / "ratings"
+    write_ratings_file(path, synthetic_profiles(), sep=FORMAT_SEPARATORS[fmt])
+    path.write_bytes(b"\n" + path.read_bytes()[:-1].replace(b"\n", b"\n\n", 3))
+    want = oracles.load_ratings(path, fmt).digest()
+
+    def refuse(*args):
+        raise AssertionError("a plain file went to the line reader")
+
+    monkeypatch.setattr(dataset, "_parse_lines", refuse)
+    monkeypatch.setattr(dataset, "_BLOCK_BYTES", block_bytes)
+    assert load_ratings(path, fmt).digest() == want
+
+
+@pytest.mark.parametrize("line, fields", [
+    ("1\t2::3::4", 3), ("1:::2::3::4", 4), ("1::2:3::4", 3), ("1::2::3::4:", 4),
+    ("1::2::3::::4", 5), ("::1::2::3", 4),
+])
+def test_double_colon_lines_the_array_parse_must_refuse(tmp_path, line, fields):
+    path = tmp_path / "ratings.dat"
+    path.write_text("1::2::3::4\n1::3::3::4\n" + line + "\n")
+    with pytest.raises(ParseError, match=":3: ") as exc:
+        load_ratings(path, "double-colon")
+    assert _outcome(oracles.load_ratings, path, "double-colon") == (ParseError, str(exc.value))
+    if fields != 4:
+        assert f"expected 4 fields, got {fields}" in str(exc.value)
+
 
 def test_snapshot_load_is_exact(tmp_path, synth_ds):
     path = tmp_path / "ds.snap"

@@ -163,6 +163,44 @@ def test_t_tail_matches_frozen_reference_values():
     assert misses == []
 
 
+# (df, t, P(|T_df| >= t)) at large df, from mpmath at 400 digits as
+# 1 - betainc(1/2, df/2, 0, t^2/(df + t^2)), which agrees with the
+# betainc(df/2, 1/2, 0, df/(df + t^2)) of the definition to 1e-53 relative
+T_TAIL_LARGE_DF_REFERENCE = [
+    (10_000, 0.01, 0.9920214868493558),
+    (10_000, 0.5, 0.6170860793232334),
+    (10_000, 1.0, 0.31733470433042915),
+    (10_000, 2.5, 0.012435219550583698),
+    (10_000, 10.0, 1.9632807428663828e-23),
+    (10_000, 20.0, 2.7646525865407734e-87),
+    (100_000, 0.01, 0.9920213073188232),
+    (100_000, 0.5, 0.617076177654418),
+    (100_000, 1.0, 0.31731292756411),
+    (100_000, 2.5, 0.012420919192559046),
+    (100_000, 10.0, 1.5633015300207278e-23),
+    (100_000, 20.0, 8.223493910654362e-89),
+    (1_000_000, 0.01, 0.9920212893655477),
+    (1_000_000, 0.5, 0.6170751874723713),
+    (1_000_000, 1.0, 0.31731074983357815),
+    (1_000_000, 2.5, 0.012419489502163246),
+    (1_000_000, 10.0, 1.527861076817825e-23),
+    (1_000_000, 20.0, 5.733087047390372e-89),
+    (100_000_000, 0.01, 0.992021287390685),
+    (100_000_000, 0.5, 0.6170750785521779),
+    (100_000_000, 1.0, 0.31731051028262136),
+    (100_000_000, 2.5, 0.012419332240054542),
+    (100_000_000, 10.0, 1.5240094630247841e-23),
+    (100_000_000, 20.0, 5.5094625766577934e-89),
+]
+
+
+def test_t_tail_keeps_its_precision_at_large_df():
+    misses = [(df, signed, t_two_sided_p(signed, df), expected)
+              for df, t, expected in T_TAIL_LARGE_DF_REFERENCE for signed in (t, -t)
+              if not math.isclose(t_two_sided_p(signed, df), expected, rel_tol=1e-13)]
+    assert misses == []
+
+
 def test_t_tail_of_nan_is_nan_and_df_below_one_is_refused():
     assert math.isnan(t_two_sided_p(math.nan, 3))
     for df in (0, -1):
