@@ -8,9 +8,14 @@ The Q-learner acts epsilon-greedily on its own state, which state_kind
 starts and advances from each (item, reward): the latent user vector, or the
 raw state as its canonical qnet.Pairs, which put_pairs advances in play and
 in the replay alike. Every observed step goes into a bounded replay memory
-(arrays, one column per transition field, sampled as one qnet.Batch) and is followed by one minibatch TD update, with the target
-network re-synced every fixed number of updates. The same policy trains both
-the latent-state agent and the raw-rating-vector variant.
+(arrays, one column per transition field) and is followed by one minibatch
+TD update, with the target network re-synced every fixed number of updates.
+The replay samples a minibatch as one qnet.Batch of (s, a, y): each row
+keeps its bootstrap value, the target's max over the successor's available
+actions, and computes it (the TD update's one n-wide product) only when
+the row is sampled for the first time after its push or after a target
+sync. The same policy trains both the latent-state agent and the
+raw-rating-vector variant.
 """
 
 from __future__ import annotations
@@ -34,20 +39,30 @@ class ReplayMemory:
     """Bounded FIFO buffer of transitions; oldest entries are evicted first.
 
     Transitions are stored column by column in arrays (struct of arrays):
-    states, actions, rewards, successor states, terminal flags and the
-    successor availability masks packed eight actions to a byte. Slot k holds
-    the k-th pushed transition until the buffer is full; after that each push
-    overwrites the oldest slot. The arrays grow geometrically with the rows
-    filled, up to the capacity, so a large capacity costs nothing until used.
+    states, actions, rewards, successor states, terminal flags, the
+    successor availability masks packed eight actions to a byte, and each
+    row's bootstrap value with the target sync it was computed under. Slot k
+    holds the k-th pushed transition until the buffer is full; after that
+    each push overwrites the oldest slot. The arrays grow geometrically with
+    the rows filled, up to the capacity, so a large capacity costs nothing
+    until used.
+
+    The bootstrap value v(s') of a non-terminal row, the max of the target
+    network over the successor's available actions, only changes when the
+    target is synced. So a row keeps it in next_value, stamped with the
+    trainer's sync count at the time (push writes -1: not yet computed), and
+    sample computes it only for the sampled rows whose stamp is not the
+    current sync count, in one forward_batch of the target over those rows,
+    each row once. A terminal row's value is never computed: it stays the 0
+    that push writes.
 
     With `raw_horizon` set, states are raw states: canonical qnet.Pairs
     (see put_pairs), raw_horizon + 1 wide, of which at most raw_horizon are
     pairs. A row then keeps its state's first raw_horizon pairs, items
     ascending and padded with item n and reward 0, in the columns s_items and
-    s_rewards, and no successor. sample returns the states and successors as
-    qnet.Pairs at the width of play, raw_horizon + 1: each successor is
-    put_pairs of its state with (a, r). At n = 1,586 items and T = 40 a row
-    takes 696 bytes in place of 25.6 KB.
+    s_rewards, and no successor: successors rebuilds it as put_pairs of its
+    state with (a, r). At n = 1,586 items and T = 40 a row takes 708 bytes
+    in place of 25.6 KB.
     """
 
     _MIN_ROWS = 64
@@ -68,6 +83,8 @@ class ReplayMemory:
             "s_next": dense,
             "done": ((), bool),
             "mask_bits": (((n_actions + 7) // 8,), np.uint8),
+            "next_value": ((), np.float64),
+            "stamp": ((), np.int32),
         }
         if raw_horizon is not None:
             del self._shapes["s"], self._shapes["s_next"]
@@ -91,7 +108,7 @@ class ReplayMemory:
         """Store one transition; mask_next is the successor's bool availability.
 
         A raw-layout memory keeps the pairs of s as given and does not read
-        s_next, which sample rebuilds.
+        s_next, which successors rebuilds.
 
         Raises:
             ValueError: a raw state's last pair is not padding: it holds more
@@ -119,36 +136,63 @@ class ReplayMemory:
         cols["r"][slot] = r
         cols["done"][slot] = done
         cols["mask_bits"][slot] = np.packbits(mask_next)
+        cols["next_value"][slot] = 0.0
+        cols["stamp"][slot] = -1
 
-    def sample(self, batch: int, rng: np.random.Generator) -> qnet.Batch:
-        """Uniform minibatch; with replacement only while the buffer is smaller
-        than the batch."""
+    def draw(self, batch: int, rng: np.random.Generator) -> np.ndarray:
+        """The slots of a uniform minibatch; with replacement only while the
+        buffer is smaller than the batch."""
         if not self._size:
             raise ValueError("cannot sample from an empty replay memory")
         if self._size < batch:
-            idx = rng.integers(0, self._size, size=batch)
-        else:
-            idx = rng.choice(self._size, size=batch, replace=False)
-        cols = self._cols
-        a, r = cols["a"][idx], cols["r"][idx]
-        if self.raw_horizon is None:
-            s, s_next = cols["s"][idx], cols["s_next"][idx]
-        else:
-            s, s_next = self._rows_as_pairs(idx, a, r)
-        masks = np.unpackbits(cols["mask_bits"][idx], axis=1, count=self.n_actions)
-        return qnet.Batch(s=s, a=a, r=r, s_next=s_next, done=cols["done"][idx],
-                          mask_next=masks.view(bool))
+            return rng.integers(0, self._size, size=batch)
+        return rng.choice(self._size, size=batch, replace=False)
 
-    def _rows_as_pairs(self, idx, a, r) -> tuple:
-        """The (state, successor) Pairs of the raw rows idx, raw_horizon + 1
-        wide, the successor being put_pairs of the state with (a, r)."""
+    def sample(self, batch: int, rng: np.random.Generator, target: qnet.QNetwork,
+               sync: int, gamma: float) -> qnet.Batch:
+        """A uniform minibatch (see draw) as states, actions and TD targets
+        y = r + gamma * v(s'), or r at the end of an episode. The bootstrap
+        values v(s') are those of the frozen `target`, synced `sync` times;
+        the rows that do not hold theirs under that sync get it first.
+
+        Raises:
+            ValueError: a non-terminal row's successor has no available action.
+        """
+        idx = self.draw(batch, rng)
+        cols = self._cols
+        stale = idx[(cols["stamp"][idx] != sync) & ~cols["done"][idx]]
+        if self._size < batch:      # drawn with replacement: a row may repeat
+            stale = np.unique(stale)
+        if stale.size:
+            masks = np.unpackbits(cols["mask_bits"][stale], axis=1, count=self.n_actions)
+            cols["next_value"][stale] = qnet.bootstrap_values(target, self.successors(stale),
+                                                              masks.view(bool))
+            cols["stamp"][stale] = sync
+        # a terminal row keeps the 0.0 that push wrote, so its y is r + 0.0 = r;
+        # overflow here is the divergence signal, caught by train_step
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = cols["r"][idx] + gamma * cols["next_value"][idx]
+        return qnet.Batch(s=self.states(idx), a=cols["a"][idx], y=y)
+
+    def states(self, idx):
+        """The states of rows idx: an array, or qnet.Pairs raw_horizon + 1
+        wide."""
+        if self.raw_horizon is None:
+            return self._cols["s"][idx]
         n, width = self.state_dim, self.raw_horizon + 1
         items = np.full((len(idx), width), n, dtype=np.int64)
         rewards = np.zeros((len(idx), width))
         items[:, :-1] = self._cols["s_items"][idx]
         rewards[:, :-1] = self._cols["s_rewards"][idx]
-        states = qnet.Pairs(items, rewards)
-        return states, put_pairs(states, a, r, n)
+        return qnet.Pairs(items, rewards)
+
+    def successors(self, idx):
+        """The successor states of rows idx, in the form of states: a raw
+        successor is put_pairs of its state with (a, r)."""
+        if self.raw_horizon is None:
+            return self._cols["s_next"][idx]
+        return put_pairs(self.states(idx), self._cols["a"][idx], self._cols["r"][idx],
+                         self.state_dim)
 
     def state(self) -> dict:
         """The filled rows of every column (views, not copies), plus "next":
@@ -157,13 +201,16 @@ class ReplayMemory:
         state["next"] = np.array([self._next], dtype=np.int64)
         return state
 
-    def load(self, state: dict) -> None:
-        """Replace the contents with a state() as saved.
+    def load(self, state: dict, sync: int) -> None:
+        """Replace the contents with a state() as saved by a trainer that had
+        synced its target `sync` times.
 
         Raises:
             ValidationError: an array is missing or does not fit this memory's
-                widths, dtypes, capacity or action count, or a raw row's
-                pairs are not in the form push writes: items inside 0..n,
+                widths, dtypes, capacity or action count, a stamp is outside
+                -1..sync, a non-terminal row with a stamp holds a bootstrap
+                value that is not finite, a terminal row's is not 0, or a raw
+                row's pairs are not in the form push writes: items inside 0..n,
                 those below n (the state's items) strictly ascending, each
                 with a nonzero reward, and after them only padding (item n,
                 reward 0). The pairs' order sets the rounding of the first
@@ -190,6 +237,14 @@ class ReplayMemory:
             raise ValidationError(f"replay next slot {next_slot} is invalid for {rows} rows")
         if rows and not ((columns["a"] >= 0) & (columns["a"] < self.n_actions)).all():
             raise ValidationError(f"replay action outside 0..{self.n_actions - 1}")
+        stamp, values, done = columns["stamp"], columns["next_value"], columns["done"]
+        if ((stamp < -1) | (stamp > sync)).any():
+            raise ValidationError(f"replay stamp outside -1..{sync} (the target's sync count)")
+        if not np.isfinite(values[(stamp >= 0) & ~done]).all():
+            raise ValidationError("replay bootstrap value is not finite on a stamped, "
+                                  "non-terminal row")
+        if (values[done] != 0).any():
+            raise ValidationError("replay bootstrap value is not 0 on a terminal row")
         if self.raw_horizon is not None:
             items, rewards, n = columns["s_items"], columns["s_rewards"], self.state_dim
             pad = items == n
@@ -383,8 +438,10 @@ class QTrainer(StatePolicy):
         cfg, s = self.cfg, self.state[0]
         super().observe(items, rewards)
         self.memory.push(s, items[0], rewards[0], self.state[0], done, avail[0])
-        batch = self.memory.sample(cfg.batch_size, self.replay_rng)
-        self.losses.append(qnet.train_step(self.net, self.target, batch, cfg.gamma, cfg.q_lr))
+        batch = self.memory.sample(cfg.batch_size, self.replay_rng, self.target.net,
+                                   self.sync_count, cfg.gamma)
+        self.losses.append(qnet.train_step(self.net, batch, cfg.q_lr))
+        self.target.staleness += 1
         self.train_steps += 1
         if self.train_steps % cfg.sync_period == 0:
             qnet.sync_target(self.net, self.target)
@@ -454,13 +511,17 @@ class QTrainer(StatePolicy):
 
     def restore(self, path) -> None:
         """Continue from a save(). A file that cannot be read, does not fit
-        this trainer (network, action count, replay capacity) or was saved by
-        a different run (see run_record) raises ValidationError."""
+        this trainer (network, action count, replay capacity), was saved by
+        a different run (see run_record) or whose sync count and target
+        staleness do not follow from its train steps raises ValidationError."""
         replay = [f"replay_{key}" for key in self.memory.state()]
-        retired = {} if self.memory.raw_horizon is None else {"replay_s": (
+        earlier = {} if self.memory.raw_horizon is None else {"replay_s": (
             "the replay format changed: raw-state replay rows are now (item, reward) pairs, "
             "and a dqn trainer state saved by an earlier version is not read; train afresh")}
-        arrays = load_npz(path, "trainer state", ("net", "target", "meta", *replay), retired)
+        earlier["replay_stamp"] = (
+            "the replay format changed: replay rows now keep their bootstrap value, "
+            "and a trainer state saved by an earlier version is not read; train afresh")
+        arrays = load_npz(path, "trainer state", ("net", "target", "meta", *replay), earlier)
         try:
             params = [arrays.pop(key) for key in ("net", "target")]
             meta = json.loads(arrays.pop("meta").tobytes().decode())
@@ -475,12 +536,6 @@ class QTrainer(StatePolicy):
                     f"{path}: network parameters are {flat.dtype}{flat.shape}, "
                     f"expected float64{(self.net.param_count,)}"
                 )
-        memory = ReplayMemory(self.cfg.replay_capacity, self.net.input_dim, self.env.n,
-                              self.memory.raw_horizon)
-        try:
-            memory.load({key[len("replay_"):]: array for key, array in arrays.items()})
-        except ValidationError as exc:
-            raise ValidationError(f"{path}: {exc}") from None
         saved = meta.get("run")
         if not isinstance(saved, dict):
             raise ValidationError(f"{path}: no run record; the state was saved by an earlier version")
@@ -488,6 +543,17 @@ class QTrainer(StatePolicy):
                         if saved.get(k) != self.run_record.get(k))
         if differ:
             raise ValidationError(f"{path}: saved by a different run: {', '.join(differ)} differ")
+        train_steps, sync_count, staleness = counters[1:]
+        if train_steps < 0 or (sync_count, staleness) != divmod(train_steps, self.cfg.sync_period):
+            raise ValidationError(
+                f"{path}: sync count {sync_count} and staleness {staleness} do not follow from "
+                f"{train_steps} train steps at sync_period {self.cfg.sync_period}")
+        memory = ReplayMemory(self.cfg.replay_capacity, self.net.input_dim, self.env.n,
+                              self.memory.raw_horizon)
+        try:
+            memory.load({key[len("replay_"):]: array for key, array in arrays.items()}, sync_count)
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {exc}") from None
         try:
             for rng, state in zip((self.user_rng, self.action_rng, self.replay_rng), rng_states):
                 rng.bit_generator.state = state

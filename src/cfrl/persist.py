@@ -95,13 +95,13 @@ def is_npz(path) -> bool:
         return False
 
 
-def load_npz(path, kind: str, names, retired: dict | None = None) -> dict:
+def load_npz(path, kind: str, names, earlier: dict | None = None) -> dict:
     """The arrays of a save_npz archive holding exactly the members `names`.
 
     `kind` names the artifact in error messages. Object arrays are refused,
-    so no pickle is ever loaded. `retired` maps a member that only an
-    earlier layout of the artifact held to the reason such a file is
-    refused.
+    so no pickle is ever loaded. `earlier` maps a member that an earlier
+    layout of the artifact held and this one does not, or that this layout
+    added, to the reason a file in that earlier layout is refused.
 
     Raises:
         ValidationError: naming the file, when it is not a zip archive, is
@@ -115,8 +115,8 @@ def load_npz(path, kind: str, names, retired: dict | None = None) -> dict:
                 found = sorted(zf.namelist())
                 expected = sorted(f"{name}.npy" for name in names)
                 if found != expected:
-                    for name, reason in (retired or {}).items():
-                        if f"{name}.npy" in found:
+                    for name, reason in (earlier or {}).items():
+                        if (f"{name}.npy" in found) != (name in names):
                             raise ValidationError(f"{path}: {reason}")
                     raise ValidationError(
                         f"{path}: unreadable {kind}: members {found}, expected {expected}")

@@ -2,17 +2,19 @@
 
 The network maps a state vector to one value per action. Updates follow the
 semi-gradient rule w += lr * mean[(y - Q(s,a)) * grad Q(s,a)] over a
-minibatch, where the bootstrap target y comes from a periodically synced
-frozen copy and its max ranges over the actions still available in the
-successor state.
+minibatch of (s, a, y). The caller builds each target y = r + gamma * v(s'),
+or r at the end of an episode, where the bootstrap value v(s') is the max of
+a periodically synced frozen copy's values over the actions still available
+in the successor state (bootstrap_values, over a block of successors).
 
 The error reaches only the output unit of each taken action, so train_step
 takes Q(s, a) as a row dot with each of the B taken rows of the output layer
 (B*H multiply-adds in place of forward_batch's B*H*n) and updates just those
-rows; the hidden layers feed every output and are updated densely. Only the
-target's forward pass stays n-wide, for the max over available successor
-actions. The row dot rounds differently from the same entry of
-forward_batch's matrix product, by about an ulp.
+rows; the hidden layers feed every output and are updated densely. train_step
+has no n-wide product; bootstrap_values is the one that remains, and the
+replay runs it only when a row's value is missing or predates the last
+target sync (see agent.ReplayMemory). The row dot rounds differently from the
+same entry of forward_batch's matrix product, by about an ulp.
 
 A sparse input, such as the raw rating vector with at most T nonzeros among
 n inputs, can be given as Pairs: each row's nonzero (item, value) pairs,
@@ -225,37 +227,51 @@ def masked_argmax(values: np.ndarray, mask: np.ndarray):
     return np.argmax(np.where(mask, values, -np.inf), axis=-1)
 
 
+def bootstrap_values(net: QNetwork, states, masks: np.ndarray) -> np.ndarray:
+    """The (k,) max of net's values over each row's available actions, for a
+    (k, input_dim) block of successor states or a (k, T) Pairs and their
+    (k, n) bool availability: the bootstrap values of k non-terminal
+    transitions under a frozen target network.
+
+    Raises:
+        ValueError: a row has no available action, that is a non-terminal
+            transition with no available next actions.
+    """
+    if not masks.any(axis=1).all():
+        raise ValueError("non-terminal transition with no available next actions")
+    # overflow here is the divergence signal: the value goes into a TD
+    # target, and train_step's finiteness check catches it
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = forward_batch(net, states)
+        np.copyto(q, -np.inf, where=~masks)
+        return q.max(axis=1)
+
+
 @dataclass(frozen=True)
 class Batch:
     """A minibatch of transitions as arrays, one row per transition."""
 
     s: np.ndarray | Pairs           # (B, input_dim) states, or (B, T) Pairs
     a: np.ndarray                   # (B,) int64 taken actions
-    r: np.ndarray                   # (B,) float64 rewards
-    s_next: np.ndarray | Pairs      # (B, input_dim) successor states, or (B, T) Pairs
-    done: np.ndarray                # (B,) bool terminal flags
-    mask_next: np.ndarray           # (B, n) bool availability at the successor state
+    y: np.ndarray                   # (B,) float64 TD targets
 
 
-def train_step(net: QNetwork, target: TargetNetwork, batch: Batch, gamma: float,
-               lr: float) -> float:
-    """One averaged semi-gradient step on a Batch of transitions.
+def train_step(net: QNetwork, batch: Batch, lr: float) -> float:
+    """One averaged semi-gradient step towards the targets of a Batch.
 
     Only the output unit of each taken action receives an error signal, so
-    Q(s, a) is the row dot of _gathered_q and the output layer is updated on the B taken rows
-    alone (a scatter-subtract; rows taken twice accumulate both updates). The
-    hidden layers, which every output depends on, are updated densely, except
-    that a first layer reading Pairs is updated on the input columns the
-    batch touches; only the target's forward pass is n-wide. Target staleness
-    advances by one.
+    Q(s, a) is the row dot of _gathered_q and the output layer is updated on
+    the B taken rows alone (a scatter-subtract; rows taken twice accumulate
+    both updates). The hidden layers, which every output depends on, are
+    updated densely, except that a first layer reading Pairs is updated on
+    the input columns the batch touches; no product is n-wide.
 
     Returns:
         Mean squared TD error of the batch before the parameter update.
 
     Raises:
         DivergenceError: the TD loss is no longer finite.
-        ValueError: empty batch, or a non-terminal transition with no
-            available successor actions.
+        ValueError: empty batch.
     """
     batch_size = batch.a.shape[0]
     if batch_size == 0:
@@ -264,18 +280,8 @@ def train_step(net: QNetwork, target: TargetNetwork, batch: Batch, gamma: float,
 
     # overflow here is the divergence signal, caught by the finiteness check
     with np.errstate(over="ignore", invalid="ignore"):
-        y = batch.r.copy()
-        live = np.flatnonzero(~batch.done)
-        if live.size:
-            q_next = forward_batch(target.net, batch.s_next[live])
-            masks = batch.mask_next[live]
-            if not masks.any(axis=1).all():
-                raise ValueError("non-terminal transition with no available next actions")
-            np.copyto(q_next, -np.inf, where=~masks)
-            y[live] += gamma * q_next.max(axis=1)
-
         hidden = _hidden_layers(net, batch.s)
-        residual = y - _gathered_q(net, hidden[-1], actions)
+        residual = batch.y - _gathered_q(net, hidden[-1], actions)
         loss = float(np.mean(residual**2))
         if not np.isfinite(loss):
             raise DivergenceError("TD loss became non-finite; lower the learning rate")
@@ -299,7 +305,6 @@ def train_step(net: QNetwork, target: TargetNetwork, batch: Batch, gamma: float,
                     delta = delta @ net.weights[l]
                 net.weights[l] -= lr * grad_w
             net.biases[l] -= lr * grad_b
-    target.staleness += 1
     return loss
 
 

@@ -6,7 +6,8 @@ of the package computes, so a test can compare the two. raw_update and
 raw_pairs are the raw (dqn) state written densely, as an (n,) vector of the
 rewards observed so far, and its canonical pairs. Transition and stack
 write minibatches down row by row for qnet.train_step, which takes one
-qnet.Batch; dense_train_step is that update over dense states.
+qnet.Batch; td_target is each row's target, one transition at a time, and
+dense_train_step is that update over dense states.
 load_ratings is the ratings reader as one loop over the file's lines.
 """
 
@@ -32,15 +33,13 @@ class Transition(NamedTuple):
     mask_next: np.ndarray
 
 
-def stack(transitions) -> qnet.Batch:
-    """The transitions as one qnet.Batch, a row each."""
+def stack(transitions, target: qnet.TargetNetwork, gamma: float) -> qnet.Batch:
+    """The transitions as one qnet.Batch, a row each, with each target y
+    the td_target of its transition."""
     return qnet.Batch(
         s=np.stack([tr.s for tr in transitions]),
         a=np.array([tr.a for tr in transitions], dtype=np.int64),
-        r=np.array([tr.r for tr in transitions], dtype=np.float64),
-        s_next=np.stack([tr.s_next for tr in transitions]),
-        done=np.array([tr.done for tr in transitions], dtype=bool),
-        mask_next=np.stack([tr.mask_next for tr in transitions]),
+        y=np.array([td_target(tr, target, gamma) for tr in transitions]),
     )
 
 

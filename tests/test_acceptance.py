@@ -214,7 +214,7 @@ def test_criterion_06_gradient_suite():
         y = np.array([td_target(tr, target, 0.9) for tr in batch])
         before = qnet.flatten_params(net)
         lr = 1e-3
-        qnet.train_step(net, target, stack(batch), gamma=0.9, lr=lr)
+        qnet.train_step(net, stack(batch, target, 0.9), lr=lr)
         applied = (before - qnet.flatten_params(net)) / lr
 
         probe = net.copy()
@@ -330,34 +330,38 @@ def test_criterion_09_planted_optimum_both_agents():
 
 
 def _warm_step_setup(hidden: int, d: int, n: int):
-    """A [d, hidden, n] network, its target and a 32-transition batch, after
-    30 warm-up train steps."""
+    """A [d, hidden, n] network, its target and the arrays of a 32-transition
+    batch, after 30 warm-up TD steps."""
     rng = np.random.default_rng(55)
     net = qnet.qnet_init([d, hidden, n], seed=1)
     target = qnet.make_target(net)
-    batch = []
-    for _ in range(32):
-        batch.append(Transition(
-            s=rng.normal(size=d), a=int(rng.integers(n)), r=float(rng.uniform(0, 5)),
-            s_next=rng.normal(size=d), done=False, mask_next=np.ones(n, dtype=bool),
-        ))
-    batch = stack(batch)
+    rows = (rng.normal(size=(32, d)), rng.integers(n, size=32), rng.uniform(0, 5, size=32),
+            rng.normal(size=(32, d)), np.ones((32, n), dtype=bool))
     for _ in range(30):  # warmup
-        qnet.train_step(net, target, batch, gamma=0.9, lr=1e-4)
-    return net, target, batch
+        _td_step(net, target, rows)
+    return net, target, rows
+
+
+def _td_step(net, target, rows):
+    """One TD step as training takes it when no row of the minibatch holds
+    its bootstrap value: the target's n-wide values over the successors,
+    then train_step."""
+    s, a, r, s_next, masks = rows
+    y = r + 0.9 * qnet.bootstrap_values(target.net, s_next, masks)
+    qnet.train_step(net, qnet.Batch(s, a, y), lr=1e-4)
 
 
 def _median_step_times(widths, d: int, n: int, steps: int = 120, rounds: int = 5):
-    """(parameter count, median time per train_step) of a network of each
+    """(parameter count, median time per TD step) of a network of each
     hidden width. The widths take turns, one timed round of `steps` each, so
     load on the machine lands on every width alike."""
     setups = [_warm_step_setup(hidden, d, n) for hidden in widths]
     times = [[] for _ in widths]
     for _ in range(rounds):
-        for (net, target, batch), width_times in zip(setups, times):
+        for (net, target, rows), width_times in zip(setups, times):
             t0 = time.perf_counter()
             for _ in range(steps):
-                qnet.train_step(net, target, batch, gamma=0.9, lr=1e-4)
+                _td_step(net, target, rows)
             width_times.append((time.perf_counter() - t0) / steps)
     return [(net.param_count, float(np.median(t))) for (net, _, _), t in zip(setups, times)]
 

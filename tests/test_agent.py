@@ -29,7 +29,7 @@ from cfrl.evaluate import evaluate_policy
 from cfrl.seeding import rng_for
 
 from conftest import PLANTED_ITEM, make_dataset, planted_profiles, profile, synthetic_profiles
-from oracles import raw_pairs, raw_update, replay_rows
+from oracles import Transition, raw_pairs, raw_update, replay_rows, td_target
 from toy_mdp import ChainEnv, LIVE_STATES, encode, update, value_iteration
 
 
@@ -93,26 +93,30 @@ class TestReplayMemory:
     def test_sample_returns_the_pushed_rows(self):
         mem = ReplayMemory(capacity=10, state_dim=2, n_actions=11)
         _push_rows(mem, 10)
-        batch = mem.sample(10, rng_for(0, "r"))
-        k = batch.r.astype(np.int64)
+        target = qnet.make_target(qnet.qnet_init([2, 5, 11], seed=3))
+        batch = mem.sample(10, rng_for(0, "r"), target.net, 0, 0.9)
+        k = batch.s[:, 0].astype(np.int64)
+        assert sorted(k.tolist()) == list(range(10))
         np.testing.assert_array_equal(batch.s, np.repeat(k[:, None], 2, axis=1).astype(float))
-        np.testing.assert_array_equal(batch.s_next, batch.s + 0.5)
         np.testing.assert_array_equal(batch.a, k % 11)
-        np.testing.assert_array_equal(batch.done, k % 2 == 0)
-        assert batch.mask_next.dtype == bool and batch.mask_next.shape == (10, 11)
-        np.testing.assert_array_equal(batch.mask_next, np.arange(11)[None, :] != (k % 11)[:, None])
+        np.testing.assert_array_equal(mem.successors(k), batch.s + 0.5)
+        # y is the pushed transition's target: r at the end of an episode,
+        # else r plus the discounted max over the successor's available actions
+        pushed = [Transition(np.full(2, float(j)), j % 11, float(j), np.full(2, j + 0.5),
+                             j % 2 == 0, np.arange(11) != j % 11) for j in k]
+        np.testing.assert_allclose(batch.y, [td_target(tr, target, 0.9) for tr in pushed],
+                                   rtol=1e-12, atol=0)
+        assert batch.y[k % 2 == 0].tolist() == k[k % 2 == 0].tolist()
 
     def test_sample_forced_duplicates_below_batch(self):
         mem = ReplayMemory(capacity=10, state_dim=2, n_actions=4)
         _push_rows(mem, 1)
-        batch = mem.sample(4, rng_for(0, "r"))
-        assert batch.r.tolist() == [0.0] * 4
+        assert mem.draw(4, rng_for(0, "r")).tolist() == [0] * 4
 
     def test_sample_without_replacement_at_capacity(self):
         mem = ReplayMemory(capacity=10, state_dim=2, n_actions=4)
         _push_rows(mem, 6)
-        batch = mem.sample(6, rng_for(0, "r"))
-        assert sorted(batch.r.tolist()) == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+        assert sorted(mem.draw(6, rng_for(0, "r")).tolist()) == [0, 1, 2, 3, 4, 5]
 
     def test_sample_uniformity(self):
         mem = ReplayMemory(capacity=10, state_dim=2, n_actions=4)
@@ -121,17 +125,38 @@ class TestReplayMemory:
         counts = np.zeros(10)
         draws = 100_000
         for _ in range(draws):
-            counts[int(mem.sample(1, rng).r[0])] += 1
+            counts[int(mem.draw(1, rng)[0])] += 1
         np.testing.assert_allclose(counts / draws, 0.1, atol=0.01)
 
     def test_sample_reproducible_and_empty_error(self):
         mem = ReplayMemory(capacity=5, state_dim=2, n_actions=4)
         with pytest.raises(ValueError, match="empty"):
-            mem.sample(1, rng_for(0, "x"))
+            mem.draw(1, rng_for(0, "x"))
         _push_rows(mem, 5)
-        a = mem.sample(3, rng_for(7, "s")).r.tolist()
-        b = mem.sample(3, rng_for(7, "s")).r.tolist()
+        a = mem.draw(3, rng_for(7, "s")).tolist()
+        b = mem.draw(3, rng_for(7, "s")).tolist()
         assert a == b
+
+    def test_a_slot_push_overwrites_is_computed_again(self):
+        # a full ring of two rows, both holding their bootstrap value under
+        # sync 0; the push that overwrites slot 0 clears its stamp, so the next
+        # sample under the same sync computes the new row's value
+        mem = ReplayMemory(capacity=2, state_dim=2, n_actions=3)
+        target = qnet.make_target(qnet.qnet_init([2, 4, 3], seed=1))
+        mask = np.ones(3, dtype=bool)
+        rows = [Transition(np.full(2, float(k)), k, 1.0 + k, np.full(2, k - 1.5), False, mask)
+                for k in range(3)]
+        for tr in rows[:2]:
+            mem.push(*tr)
+        first = mem.sample(2, _InOrder(), target.net, 0, 0.9)
+        assert mem.state()["stamp"].tolist() == [0, 0]
+        mem.push(*rows[2])
+        assert mem.state()["stamp"].tolist() == [-1, 0]
+        second = mem.sample(2, _InOrder(), target.net, 0, 0.9)
+        assert mem.state()["stamp"].tolist() == [0, 0]
+        np.testing.assert_allclose(second.y, [td_target(rows[2], target, 0.9),
+                                              td_target(rows[1], target, 0.9)], rtol=1e-12)
+        assert second.y[1] == first.y[1] and second.y[0] != first.y[0]
 
     def test_stress_size_never_exceeds_capacity(self):
         mem = ReplayMemory(capacity=1000, state_dim=2, n_actions=4)
@@ -161,12 +186,13 @@ class TestReplayMemory:
         finally:
             tracemalloc.stop()
         row_bytes = sum(col[0].nbytes for key, col in mem.state().items() if key != "next")
-        assert row_bytes == cfg.horizon * (4 + 8) + 8 + 8 + 1 + (n + 7) // 8
+        # pairs, action, reward, done, packed mask, bootstrap value and its stamp
+        assert row_bytes == cfg.horizon * (4 + 8) + 8 + 8 + 1 + (n + 7) // 8 + 8 + 4
         assert row_bytes <= 1536
         assert held <= 1.1 * 1000 * row_bytes
-        batch = mem.sample(1, rng)
-        np.testing.assert_array_equal(batch.mask_next[0], mask)
-        np.testing.assert_array_equal(batch.s.dense(n)[0], s)
+        bits = mem.state()["mask_bits"][0]
+        assert np.unpackbits(bits, count=n).view(bool).tolist() == mask.tolist()
+        np.testing.assert_array_equal(mem.states([0]).dense(n)[0], s)
 
 
 @settings(max_examples=200, deadline=None)
@@ -186,21 +212,22 @@ def test_raw_rows_rebuild_exactly(data):
         actions.append(data.draw(st.integers(0, n - 1)))
         mem.push(raw_pairs(states[k], horizon), actions[k], float(k), None, False,
                  np.ones(n, dtype=bool))
-    batch = mem.sample(rows, rng_for(0, "rebuild"))
-    k = batch.r.astype(np.int64)
-    assert batch.s.items.shape == batch.s_next.items.shape == (rows, horizon + 1)
-    assert np.array_equal(batch.s.dense(n), states[k])
+    k = mem.draw(rows, rng_for(0, "rebuild"))
+    s, s_next = mem.states(k), mem.successors(k)
+    a, r = mem.state()["a"][k], mem.state()["r"][k]
+    assert s.items.shape == s_next.items.shape == (rows, horizon + 1)
+    assert np.array_equal(s.dense(n), states[k])
     expected_next = states[k]
-    expected_next[np.arange(rows), np.array(actions)[k]] = batch.r
-    assert np.array_equal(batch.s_next.dense(n), expected_next)
-    assert np.array_equal(batch.a, np.array(actions)[k])
+    expected_next[np.arange(rows), np.array(actions)[k]] = r
+    assert np.array_equal(s_next.dense(n), expected_next)
+    assert np.array_equal(a, np.array(actions)[k])
     # both are in the one canonical form that acting reads a raw state in
-    for pairs, dense in ((batch.s, states[k]), (batch.s_next, expected_next)):
+    for pairs, dense in ((s, states[k]), (s_next, expected_next)):
         canonical = raw_pairs(dense, horizon)
         assert np.array_equal(pairs.items, canonical.items)
         assert np.array_equal(pairs.values, canonical.values)
     # each successor is the one put of its stored state that play makes
-    assert _bits(batch.s_next) == _bits(put_pairs(batch.s, batch.a, batch.r, n))
+    assert _bits(s_next) == _bits(put_pairs(s, a, r, n))
 
 
 def _bits(pairs):
@@ -247,8 +274,8 @@ def test_raw_rows_at_the_catalog_ends_and_over_the_horizon():
     s = np.array([5.0, 0.0, 0.0, 0.0, 1.0])
     mem.push(raw_pairs(s, 2), 2, 0.0, None, True, np.ones(5, bool))
     assert mem.state()["s_items"].tolist() == [[0, 4]]
-    batch = mem.sample(1, rng_for(0, "ends"))
-    assert np.array_equal(batch.s.dense(5)[0], s) and np.array_equal(batch.s_next.dense(5)[0], s)
+    assert np.array_equal(mem.states([0]).dense(5)[0], s)
+    assert np.array_equal(mem.successors([0]).dense(5)[0], s)
 
 
 @pytest.fixture
@@ -316,7 +343,9 @@ def test_trainer_and_greedy_policy_share_one_state(small_setup, raw_state):
     trainer = make_trainer(ds, split, None if raw_state else model, cfg)
     trace = []
     trainer.run(trace=trace)
-    batch = trainer.memory.sample(len(trace), _InOrder())
+    rows = np.arange(len(trace))
+    s, s_next = trainer.memory.states(rows), trainer.memory.successors(rows)
+    a, r = trainer.memory.state()["a"], trainer.memory.state()["r"]
     policy = GreedyQPolicy(trainer.net, mf_model=model, raw_state=raw_state, horizon=cfg.horizon)
 
     def row(states, k):
@@ -332,10 +361,53 @@ def test_trainer_and_greedy_policy_share_one_state(small_setup, raw_state):
                 assert (policy.state.items == ds.n).all() and not policy.state.values.any()
             else:  # or from the zero vector
                 assert not policy.state.any()
-        assert batch.a[k] == action and batch.r[k] == reward
-        assert row(batch.s, k) == row(policy.state, 0)
+        assert a[k] == action and r[k] == reward
+        assert row(s, k) == row(policy.state, 0)
         policy.observe(np.array([action]), np.array([reward]))
-        assert row(batch.s_next, k) == row(policy.state, 0)
+        assert row(s_next, k) == row(policy.state, 0)
+
+
+@pytest.mark.parametrize("raw_state", [False, True])
+def test_every_trained_target_is_the_td_target_under_the_current_target(
+        small_setup, monkeypatch, raw_state):
+    # each y that train_step receives is r + gamma * max over the successor's
+    # available actions of the target as it is at that step, whether the
+    # replay computed the value at this step or kept it from an earlier one
+    ds, split, model = small_setup
+    cfg = TrainConfig(episodes=8, horizon=4, hidden_sizes=(8,), task=TaskMode.TASK_II,
+                      sync_period=4, batch_size=6, replay_capacity=20, epsilon=0.5, seed=7)
+    trainer = make_trainer(ds, split, None if raw_state else model, cfg)
+    draw, train_step = ReplayMemory.draw, qnet.train_step
+    steps = []
+
+    def recording_draw(memory, batch, rng):
+        idx = draw(memory, batch, rng)
+        rows = {key: col.copy() for key, col in replay_rows(memory).items()}
+        steps.append({"idx": idx, "rows": rows, "sync": trainer.sync_count})
+        return idx
+
+    def recording_train_step(net, batch, lr):
+        steps[-1].update(y=batch.y.copy(), target=qnet.make_target(trainer.target.net))
+        return train_step(net, batch, lr)
+
+    monkeypatch.setattr(ReplayMemory, "draw", recording_draw)
+    monkeypatch.setattr(qnet, "train_step", recording_train_step)
+    trainer.run()
+    assert len(steps) == 8 * 4 and trainer.sync_count == 8
+    served = recomputed = 0
+    for step in steps:
+        rows, idx = step["rows"], step["idx"]
+        masks = np.unpackbits(rows["mask_bits"], axis=1, count=ds.n).view(bool)
+        expected = [td_target(Transition(rows["s"][k], rows["a"][k], rows["r"][k],
+                                         rows["s_next"][k], rows["done"][k], masks[k]),
+                              step["target"], cfg.gamma) for k in idx]
+        np.testing.assert_allclose(step["y"], expected, rtol=1e-12, atol=0)
+        live = ~rows["done"][idx]
+        served += (live & (rows["stamp"][idx] == step["sync"])).sum()
+        recomputed += (live & (rows["stamp"][idx] >= 0) & (rows["stamp"][idx] < step["sync"])).sum()
+    # values kept within a sync period, and values computed before a sync and
+    # computed again after it, are both among the checked rows
+    assert served > 0 and recomputed > 0
 
 
 def test_training_is_deterministic(small_setup):
@@ -349,18 +421,25 @@ def test_training_is_deterministic(small_setup):
 
 def test_trainer_save_restore_continues_exactly(tmp_path, small_setup):
     ds, split, model = small_setup
-    cfg = TrainConfig(episodes=6, horizon=3, hidden_sizes=(8,), task=TaskMode.TASK_II, seed=2)
+    # 9 steps to the save: two syncs, then one step of the third period, so
+    # the saved replay holds bootstrap values that the resumed run reuses
+    cfg = TrainConfig(episodes=6, horizon=3, hidden_sizes=(8,), task=TaskMode.TASK_II,
+                      sync_period=4, seed=2)
     for mf_model in (model, None):  # the latent and the raw replay layout
         straight = make_trainer(ds, split, mf_model, cfg)
         straight.run()
 
         first = make_trainer(ds, split, mf_model, cfg)
         first.run(until_episode=3)
+        assert (first.sync_count, first.target.staleness) == (2, 1)
+        assert (first.memory.state()["stamp"] == first.sync_count).any()
         path = tmp_path / "state.npz"
         first.save(path)
         resumed = make_trainer(ds, split, mf_model, cfg)
         resumed.restore(path)
         assert resumed.episode == 3
+        for key, col in first.memory.state().items():
+            assert resumed.memory.state()[key].tobytes() == col.tobytes()
         resumed.run()
 
         assert (
@@ -369,6 +448,8 @@ def test_trainer_save_restore_continues_exactly(tmp_path, small_setup):
         )
         assert resumed.logs == straight.logs
         assert resumed.train_steps == straight.train_steps
+        for key, col in straight.memory.state().items():
+            assert resumed.memory.state()[key].tobytes() == col.tobytes()
 
 
 def test_failed_save_keeps_previous_state(tmp_path, monkeypatch, small_setup):
@@ -463,6 +544,56 @@ def test_restore_rejects_states_that_do_not_fit(tmp_path, small_setup):
     wider = make_trainer(ds, split, model, replace(cfg, hidden_sizes=(9,)))
     with pytest.raises(ValidationError, match="parameters"):
         wider.restore(good)
+
+
+def _with(array, row, value):
+    array = array.copy()
+    array[row] = value
+    return array
+
+
+@pytest.mark.parametrize("raw_state", [False, True])
+@pytest.mark.parametrize("case", [
+    # (changed arrays, given the saved stamp, bootstrap values, done flags and
+    # sync count; the message)
+    (lambda stamp, values, done, sync: {"replay_stamp": stamp.astype(np.int64)}, "'stamp'"),
+    (lambda stamp, values, done, sync: {"replay_next_value": values[:, None]}, "'next_value'"),
+    (lambda stamp, values, done, sync: {"replay_next_value": values.astype(np.float32)},
+     "'next_value'"),
+    (lambda stamp, values, done, sync: {"replay_stamp": _with(stamp, 0, sync + 1)},
+     "stamp outside -1..2"),
+    (lambda stamp, values, done, sync: {"replay_stamp": _with(stamp, 0, -2)}, "stamp outside"),
+    (lambda stamp, values, done, sync: {
+        "replay_next_value": _with(values, np.flatnonzero((stamp >= 0) & ~done)[0], np.nan)},
+     "not finite"),
+    (lambda stamp, values, done, sync: {"replay_next_value": _with(values, done, 1.5)},
+     "not 0 on a terminal row"),
+    # a state saved before the replay kept its rows' bootstrap values
+    (lambda stamp, values, done, sync: {"replay_stamp": None, "replay_next_value": None},
+     "replay format changed: replay rows now keep their bootstrap value.*train afresh"),
+], ids=["stamp-dtype", "value-shape", "value-dtype", "stamp-after-sync", "stamp-below-1",
+        "value-not-finite", "value-on-terminal-row", "earlier-layout"])
+def test_restore_refuses_a_bad_bootstrap_column(tmp_path, small_setup, raw_state, case):
+    ds, split, model = small_setup
+    cfg = TrainConfig(episodes=3, horizon=3, hidden_sizes=(8,), task=TaskMode.TASK_II,
+                      sync_period=4, batch_size=4, seed=2)
+    model = None if raw_state else model
+    trainer = make_trainer(ds, split, model, cfg)
+    trainer.run()
+    assert trainer.sync_count == 2
+    good = tmp_path / "state.npz"
+    trainer.save(good)
+    with np.load(good) as data:
+        stamp, values, done = data["replay_stamp"], data["replay_next_value"], data["replay_done"]
+    assert stamp.dtype == np.int32 and values.dtype == np.float64
+    changes, message = case
+    bad = _rewrite_state(good, tmp_path / "bad.npz", **changes(stamp, values, done, 2))
+    with pytest.raises(ValidationError, match=message) as err:
+        make_trainer(ds, split, model, cfg).restore(bad)
+    assert str(bad) in str(err.value)
+    # the state as saved loads, a stamp of the current sync count included
+    assert (stamp == 2).any()
+    make_trainer(ds, split, model, cfg).restore(good)
 
 
 def test_restore_rejects_malformed_raw_pairs(tmp_path, small_setup):
@@ -580,6 +711,27 @@ def test_restore_refuses_a_state_saved_by_a_different_run(tmp_path, small_setup)
                          meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8))
     with pytest.raises(ValidationError, match="no run record"):
         make_trainer(ds, split, model, cfg).restore(bad)
+
+
+def test_restore_refuses_counters_that_do_not_follow_from_the_train_steps(tmp_path, small_setup):
+    # the sync count bounds the replay's stamps, so it must be the one the
+    # train steps make: 9 steps at a sync period of 4 are 2 syncs and 1 step
+    ds, split, model = small_setup
+    cfg = TrainConfig(episodes=3, horizon=3, hidden_sizes=(8,), task=TaskMode.TASK_II,
+                      sync_period=4, seed=2)
+    trainer = make_trainer(ds, split, model, cfg)
+    trainer.run()
+    good = tmp_path / "state.npz"
+    trainer.save(good)
+    with np.load(good) as data:
+        meta = json.loads(data["meta"].tobytes())
+    assert (meta["train_steps"], meta["sync_count"], meta["staleness"]) == (9, 2, 1)
+    for changes in ({"sync_count": 3}, {"staleness": 5}, {"train_steps": 13},
+                    {"train_steps": -3, "sync_count": -1, "staleness": 1}):
+        bad = _rewrite_state(good, tmp_path / "bad.npz", meta=np.frombuffer(
+            json.dumps({**meta, **changes}).encode(), dtype=np.uint8))
+        with pytest.raises(ValidationError, match="do not follow from"):
+            make_trainer(ds, split, model, cfg).restore(bad)
 
 def test_target_staleness_never_exceeds_sync_period(small_setup):
     ds, split, model = small_setup

@@ -278,6 +278,25 @@ def test_train_resume_of_a_dqn_state_with_dense_replay_exits_2(workspace, capsys
     assert str(state) in err and "replay format changed" in err
 
 
+@pytest.mark.parametrize("method", ["cfrl", "dqn"])
+def test_train_resume_of_a_state_without_bootstrap_values_exits_2(workspace, capsys, method):
+    # earlier versions kept no bootstrap value or stamp in the replay rows
+    tmp_path, data, cfg_path = workspace
+    if method == "cfrl":
+        assert main(["pretrain", "--config", str(cfg_path)]) == 0
+    assert main(["train", "--config", str(cfg_path), "--method", method]) == 0
+    state = tmp_path / "out" / f"{method}_task2_split0_state.npz"
+    with np.load(state) as saved:
+        arrays = {key: saved[key] for key in saved.files
+                  if key not in ("replay_next_value", "replay_stamp")}
+    with open(state, "wb") as fh:
+        np.savez(fh, **arrays)
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg_path), "--method", method, "--resume"]) == 2
+    err = capsys.readouterr().err
+    assert str(state) in err and "replay format changed" in err and "train afresh" in err
+
+
 def test_old_binary_snapshot_as_data_exits_2(workspace, capsys):
     tmp_path, data, cfg_path = workspace
     old = tmp_path / "dataset.snap"

@@ -1,0 +1,51 @@
+"""tools/drift.py finds a change of one ulp and none between equal outputs."""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from cfrl import qnet
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+import drift  # noqa: E402
+
+
+def _outputs(tmp_path, name):
+    out = tmp_path / name
+    out.mkdir()
+    (out / "cfrl_task2_split0_trace.csv").write_text(
+        "episode,user,t,action,reward,done\n0,3,0,7,4.0,False\n0,3,1,2,0.0,True\n")
+    (out / "report.csv").write_text(
+        "method,task,dataset,split,score\ncfrl,task2,u,0,1.25\ndqn,task2,u,0,0.5\n")
+    return out
+
+
+def test_a_planted_one_ulp_change_in_an_output_weight_is_drift(tmp_path):
+    net = qnet.qnet_init([4, 6, 9], seed=3)
+    base, head, same = (_outputs(tmp_path, name) for name in ("base", "head", "same"))
+    qnet.save_qnet(net, base / "cfrl_task2_split0.ckpt")
+    qnet.save_qnet(net, same / "cfrl_task2_split0.ckpt")
+    w = net.weights[-1]
+    w[5, 2] = np.nextafter(w[5, 2], np.inf)
+    qnet.save_qnet(net, head / "cfrl_task2_split0.ckpt")
+
+    lines, drifted = drift.compare_checkpoints(base, head)
+    assert drifted == 1
+    ulp = np.spacing(abs(qnet.load_qnet(base / "cfrl_task2_split0.ckpt").weights[-1][5, 2]))
+    assert f"1 of {net.param_count} differ, max abs {ulp:.3g}" in "\n".join(lines)
+    # the tree against itself: no drift anywhere
+    for compare in (drift.compare_checkpoints, drift.compare_traces, drift.compare_cells):
+        assert compare(base, same)[1] == 0
+
+
+def test_trace_and_cell_changes_are_drift(tmp_path):
+    base, head = _outputs(tmp_path, "base"), _outputs(tmp_path, "head")
+    (head / "cfrl_task2_split0_trace.csv").write_text(
+        "episode,user,t,action,reward,done\n0,3,0,7,4.0,False\n0,3,1,5,0.0,True\n")
+    (head / "report.csv").write_text(
+        "method,task,dataset,split,score\ncfrl,task2,u,0,1.25\ndqn,task2,u,0,0.75\n")
+    lines, drifted = drift.compare_traces(base, head)
+    assert drifted == 1 and "first at episode 0 user 3 step 1" in lines[0]
+    lines, drifted = drift.compare_cells(base, head)
+    assert drifted == 1 and "method=dqn" in lines[0] and "delta 0.25" in lines[0]

@@ -114,9 +114,9 @@ def test_td_target_empty_mask_is_an_error():
                     mask_next=np.zeros(2, dtype=bool))
     with pytest.raises(ValueError, match="no available"):
         td_target(tr, target, 0.9)
-    # train_step refuses the same transition
+    # so does the batched bootstrap value of the same successor
     with pytest.raises(ValueError, match="no available"):
-        qnet.train_step(net, target, stack([tr]), 0.9, 0.1)
+        qnet.bootstrap_values(target.net, tr.s_next[None], tr.mask_next[None])
 
 
 def test_td_target_matches_value_iteration_backups():
@@ -185,7 +185,7 @@ def test_train_step_gradient_matches_finite_differences(activation, seed):
 
     before = qnet.flatten_params(net)
     lr = 1e-3
-    qnet.train_step(net, target, stack(batch), gamma=0.9, lr=lr)
+    qnet.train_step(net, stack(batch, target, 0.9), lr=lr)
     applied = (before - qnet.flatten_params(net)) / lr
 
     probe = net.copy()
@@ -213,7 +213,7 @@ def test_train_step_matches_dense_reference(hidden, activation):
     for step in range(20):
         batch = _random_batch(rng, net, size=8)  # 8 actions over 5 outputs: repeats
         assert len({tr.a for tr in batch}) < len(batch)
-        loss = qnet.train_step(net, target, stack(batch), gamma=0.9, lr=0.05)
+        loss = qnet.train_step(net, stack(batch, target, 0.9), lr=0.05)
         ref_loss = dense_train_step(reference, target, batch, gamma=0.9, lr=0.05)
         assert loss == pytest.approx(ref_loss, rel=1e-12)
         np.testing.assert_allclose(
@@ -254,12 +254,17 @@ def test_pairs_forward_and_update_match_the_dense_reference(data):
         mask = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
         mask[a] = True
         batch.append(Transition(s, a, r, s_next, data.draw(st.booleans()), mask))
-    dense = stack(batch)
-    pairs = qnet.Batch(raw_pairs(dense.s, horizon), dense.a, dense.r,
-                       raw_pairs(dense.s_next, horizon), dense.done, dense.mask_next)
+    dense = stack(batch, target, 0.9)
+    pairs = qnet.Batch(raw_pairs(dense.s, horizon), dense.a, dense.y)
     assert pairs.s.items[0, :2].tolist() == [0, n - 1] and pairs.s.items[0, -1] == n
+    s_next = np.stack([tr.s_next for tr in batch])
+    masks = np.stack([tr.mask_next for tr in batch])
+    np.testing.assert_allclose(
+        qnet.bootstrap_values(target.net, raw_pairs(s_next, horizon), masks),
+        [np.max(qnet.forward(target.net, tr.s_next)[tr.mask_next]) for tr in batch],
+        rtol=1e-12, atol=1e-15)
 
-    for sparse, states in ((pairs.s, dense.s), (pairs.s_next, dense.s_next)):
+    for sparse, states in ((pairs.s, dense.s), (raw_pairs(s_next, horizon), s_next)):
         np.testing.assert_allclose(qnet.forward_batch(net, sparse),
                                    qnet.forward_batch(net, states), rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(qnet.forward(net, sparse), qnet.forward(net, states),
@@ -269,7 +274,7 @@ def test_pairs_forward_and_update_match_the_dense_reference(data):
                 == qnet.forward(qnet.input_major(net), sparse).tobytes())
 
     reference, before = net.copy(), net.weights[0].copy()
-    loss = qnet.train_step(net, target, pairs, gamma=0.9, lr=0.05)
+    loss = qnet.train_step(net, pairs, lr=0.05)
     ref_loss = dense_train_step(reference, target, batch, gamma=0.9, lr=0.05)
     assert loss == pytest.approx(ref_loss, rel=1e-12, abs=1e-15)
     untouched = ~dense.s.any(axis=0)
@@ -282,11 +287,9 @@ def test_pairs_forward_and_update_match_the_dense_reference(data):
 def test_train_step_rejects_an_empty_batch():
     net = qnet.qnet_init([3, 4, 5], seed=1)
     target = qnet.make_target(net)
-    empty = qnet.Batch(s=np.zeros((0, 3)), a=np.zeros(0, dtype=np.int64), r=np.zeros(0),
-                       s_next=np.zeros((0, 3)), done=np.zeros(0, dtype=bool),
-                       mask_next=np.zeros((0, 5), dtype=bool))
+    empty = qnet.Batch(s=np.zeros((0, 3)), a=np.zeros(0, dtype=np.int64), y=np.zeros(0))
     with pytest.raises(ValueError, match="empty"):
-        qnet.train_step(net, target, empty, 0.9, 0.1)
+        qnet.train_step(net, empty, 0.1)
 
 
 def test_train_step_zero_residual_leaves_parameters_unchanged():
@@ -304,7 +307,7 @@ def test_train_step_zero_residual_leaves_parameters_unchanged():
         for k in range(4)
     ]
     before = qnet.flatten_params(net)
-    loss = qnet.train_step(net, target, stack(batch), gamma=0.9, lr=0.1)
+    loss = qnet.train_step(net, stack(batch, target, 0.9), lr=0.1)
     assert loss == pytest.approx(0.0, abs=1e-25)
     np.testing.assert_array_equal(before, qnet.flatten_params(net))
 
@@ -315,7 +318,7 @@ def test_train_step_converges_on_fixed_transition():
     tr = Transition(s=np.array([0.3, -1.2]), a=1, r=4.0, s_next=np.zeros(2), done=True,
                     mask_next=np.ones(3, dtype=bool))
     for _ in range(3000):
-        qnet.train_step(net, target, stack([tr]), gamma=0.9, lr=0.05)
+        qnet.train_step(net, stack([tr], target, 0.9), lr=0.05)
     assert abs(4.0 - qnet.forward(net, tr.s)[1]) < 1e-3
 
 
@@ -326,7 +329,7 @@ def test_train_step_only_touches_taken_action_outputs():
                     mask_next=np.ones(3, dtype=bool))
     before_w = net.weights[0].copy()
     before_b = net.biases[0].copy()
-    qnet.train_step(net, target, stack([tr]), gamma=0.9, lr=0.01)
+    qnet.train_step(net, stack([tr], target, 0.9), lr=0.01)
     assert not np.array_equal(net.weights[0][0], before_w[0])
     np.testing.assert_array_equal(net.weights[0][1:], before_w[1:])
     np.testing.assert_array_equal(net.biases[0][1:], before_b[1:])
@@ -338,21 +341,21 @@ def test_train_step_divergence_error():
     tr = Transition(s=np.array([1.0, 1.0]), a=0, r=np.inf, s_next=np.zeros(2), done=True,
                     mask_next=np.ones(3, dtype=bool))
     with pytest.raises(DivergenceError):
-        qnet.train_step(net, target, stack([tr]), gamma=0.9, lr=0.1)
+        qnet.train_step(net, stack([tr], target, 0.9), lr=0.1)
 
 
 def test_train_step_divergence_error_from_a_taken_output_row():
     net = qnet.qnet_init([2, 4, 3], seed=0)
     target = qnet.make_target(net)
     net.weights[-1][1] = np.inf
-    # terminal transitions skip the target forward, so only Q(s, a) sees the inf
+    # terminal transitions' targets are their rewards, so only Q(s, a) sees the inf
     batch = [
         Transition(s=np.array([0.5, -1.0]), a=a, r=1.0, s_next=np.zeros(2), done=True,
                    mask_next=np.ones(3, dtype=bool))
         for a in (0, 1)
     ]
     with pytest.raises(DivergenceError):
-        qnet.train_step(net, target, stack(batch), gamma=0.9, lr=0.1)
+        qnet.train_step(net, stack(batch, target, 0.9), lr=0.1)
 
 
 @pytest.mark.parametrize("hidden", [(), (6,), (6, 5)])
@@ -373,8 +376,8 @@ def test_sync_target_copies_and_resets_staleness():
     tr = Transition(s=rng.normal(size=3), a=1, r=2.0, s_next=rng.normal(size=3), done=False,
                     mask_next=np.ones(4, dtype=bool))
     for _ in range(5):
-        qnet.train_step(net, target, stack([tr]), gamma=0.9, lr=0.01)
-    assert target.staleness == 5
+        qnet.train_step(net, stack([tr], target, 0.9), lr=0.01)
+        target.staleness += 1   # as the trainer counts its steps
     s = rng.normal(size=3)
     assert not np.array_equal(qnet.forward(net, s), qnet.forward(target.net, s))
     qnet.sync_target(net, target)
@@ -420,12 +423,12 @@ def test_batched_targets_agree_with_single_path():
     net = qnet.qnet_init([4, 6, 5], seed=9)
     target = qnet.make_target(net)
     batch = _random_batch(rng, net, size=12)
-    y_single = _batch_targets(net, target, batch, gamma=0.7)
-    # recover the batched-path targets from the loss identity
-    q = qnet.forward_batch(net, np.stack([tr.s for tr in batch]))
-    qa = q[np.arange(len(batch)), [tr.a for tr in batch]]
-    loss = qnet.train_step(net.copy(), qnet.make_target(net), stack(batch), gamma=0.7, lr=0.0)
-    assert loss == pytest.approx(float(np.mean((y_single - qa) ** 2)), abs=1e-12)
+    live = [tr for tr in batch if not tr.done]
+    assert 0 < len(live) < len(batch)
+    values = qnet.bootstrap_values(target.net, np.stack([tr.s_next for tr in live]),
+                                   np.stack([tr.mask_next for tr in live]))
+    np.testing.assert_allclose([tr.r + 0.7 * v for tr, v in zip(live, values)],
+                               [td_target(tr, target, 0.7) for tr in live], rtol=1e-12)
 
 
 def test_training_trajectory_is_deterministic():
@@ -435,7 +438,7 @@ def test_training_trajectory_is_deterministic():
         target = qnet.make_target(net)
         for step in range(50):
             batch = _random_batch(rng, net, size=4)
-            qnet.train_step(net, target, stack(batch), gamma=0.9, lr=0.01)
+            qnet.train_step(net, stack(batch, target, 0.9), lr=0.01)
             if (step + 1) % 10 == 0:
                 qnet.sync_target(net, target)
         return qnet.flatten_params(net)

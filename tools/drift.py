@@ -1,0 +1,188 @@
+"""Rounding drift of the working tree's outputs against a base tree's.
+
+    python3 tools/drift.py --base-src ../base/src [--size full|tiny]
+
+Run it from the root of a cfrl checkout. `--base-src` is the `src`
+directory of the tree to compare with (a second checkout of the parent
+commit, say); `--base-src src` compares the tree with itself. On each tree
+it runs, at seed 0 and on the corpus and config of perfbench/run.py's
+`make_inputs` (replica 0):
+
+  train-cfrl     ingest, pretrain, `train --method cfrl --trace`, eval
+  train-dqn-raw  ingest, `train --method dqn --trace`, eval
+  grid           ingest, benchmark
+
+and prints, per workload:
+
+  - for every checkpoint (`*.ckpt`) and each of its arrays, the largest
+    absolute and relative change of a parameter;
+  - for every training trace, the first step at which the two traces
+    differ (episode, user, step, action, reward or done), and how many
+    steps do;
+  - every eval and `report.csv` cell whose score differs, with its delta.
+
+Exit status: 0 when every output is the same bit for bit, 1 when any of
+them drifts, 2 when a command fails or an output is missing.
+
+Acceptance rule for a declared rounding change (fixed when this tool was
+added; it never loosens):
+
+  - no cell moves by more than the base tree's seed-to-seed standard
+    deviation of that cell (perfbench's replicas give the spread);
+  - `eval_reward` stays within its BENCHMARK.json bound;
+  - acceptance criteria 6-10 (tests/test_acceptance.py) pass unchanged.
+
+A change that claims to be byte-identical must show no drift at all.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import math
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("train-cfrl", "train-dqn-raw", "grid")
+
+
+def compare_checkpoints(base: Path, head: Path) -> tuple:
+    """(report lines, drifted values) over the checkpoints of two out
+    directories: per array, the largest absolute and relative change."""
+    lines, drifted = [], 0
+    names = sorted({p.name for p in base.glob("*.ckpt")} | {p.name for p in head.glob("*.ckpt")})
+    for name in names:
+        if not (base / name).exists() or not (head / name).exists():
+            raise FileNotFoundError(f"checkpoint {name} is written by one tree only")
+        with np.load(base / name) as old, np.load(head / name) as new:
+            for key in old.files:
+                a, b = old[key], new[key]
+                if a.shape != b.shape or a.dtype != b.dtype:
+                    lines.append(f"  {name}[{key}]: {a.dtype}{a.shape} -> {b.dtype}{b.shape}")
+                    drifted += max(a.size, b.size)
+                    continue
+                changed = a.tobytes() != b.tobytes()
+                a, b = a.astype(np.float64), b.astype(np.float64)
+                delta = np.abs(b - a)
+                rel = np.divide(delta, np.abs(a), out=np.where(delta > 0, np.inf, 0.0),
+                                where=a != 0)
+                count = max(int(np.count_nonzero(delta != 0)), 1) if changed else 0
+                drifted += count
+                lines.append(f"  {name}[{key}]: {count} of {a.size} differ, max abs "
+                             f"{float(delta.max(initial=0.0)):.3g}, max rel "
+                             f"{float(rel.max(initial=0.0)):.3g}")
+    return lines, drifted
+
+
+def _rows(path: Path) -> list:
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
+def compare_traces(base: Path, head: Path) -> tuple:
+    """(report lines, differing steps) over the training traces."""
+    lines, drifted = [], 0
+    for path in sorted(base.glob("*_trace.csv")):
+        old, new = _rows(path), _rows(head / path.name)
+        differ = [k for k, (a, b) in enumerate(zip(old, new)) if a != b]
+        differ += list(range(min(len(old), len(new)), max(len(old), len(new))))
+        drifted += len(differ)
+        if not differ:
+            lines.append(f"  {path.name}: identical, {len(old)} steps")
+            continue
+        k = differ[0]
+        at = old[k] if k < len(old) else new[k]
+        lines.append(f"  {path.name}: {len(differ)} of {max(len(old), len(new))} steps differ; "
+                     f"first at episode {at['episode']} user {at['user']} step {at['t']}: "
+                     f"{old[k] if k < len(old) else '-'} -> {new[k] if k < len(new) else '-'}")
+    return lines, drifted
+
+
+def _score(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
+
+
+def _cells(path: Path) -> dict:
+    """A CSV's scores, keyed by each row's other columns."""
+    return {tuple((k, v) for k, v in row.items() if k != "score"): row["score"]
+            for row in _rows(path)}
+
+
+def compare_cells(base: Path, head: Path) -> tuple:
+    """(report lines, differing cells) over the eval CSVs and report.csv:
+    each row is a cell keyed by its columns other than score."""
+    lines, drifted = [], 0
+    for path in sorted([*base.glob("eval_*.csv"), *base.glob("report.csv")]):
+        old, new = _cells(path), _cells(head / path.name)
+        same = 0
+        for key in sorted(old.keys() | new.keys()):
+            a, b = old.get(key, "-"), new.get(key, "-")
+            if a == b:
+                same += 1
+                continue
+            drifted += 1
+            cell = " ".join(f"{k}={v}" for k, v in key)
+            lines.append(f"  {path.name} {cell}: {a} -> {b} (delta {_score(b) - _score(a):.3g})")
+        lines.append(f"  {path.name}: {same} of {len(old.keys() | new.keys())} cells identical")
+    return lines, drifted
+
+
+def run_tree(make_inputs, src: Path, workload: str, size: str, work: Path) -> Path:
+    """Run a workload's seed-0 replica 0 (perfbench's make_inputs) on the
+    tree whose package is in `src`; returns its out directory."""
+    inputs = make_inputs(workload, 0, size, work)
+    replica = inputs["replicas"][0]
+    measured = replica["measured"] + (["--trace"] if replica["measured"][0] == "train" else [])
+    env = dict(os.environ, PYTHONPATH=str(src.resolve()))
+    for argv in [*replica["setup"], measured, *replica["evals"]]:
+        done = subprocess.run([sys.executable, "-m", "cfrl.cli", *argv], env=env,
+                              capture_output=True, text=True)
+        if done.returncode != 0:
+            raise RuntimeError(f"cfrl {argv[0]} on {src} exited {done.returncode}:\n"
+                               f"{done.stderr[-2000:]}")
+    return replica["out"]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base-src", required=True, type=Path,
+                        help="the src directory of the tree to compare with")
+    parser.add_argument("--size", choices=("full", "tiny"), default="full")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import run as perfbench  # pins BLAS to one thread for every child
+
+    total = 0
+    try:
+        with tempfile.TemporaryDirectory(prefix="cfrl-drift-") as tmp:
+            for workload in WORKLOADS:
+                outs = []
+                for tree in ("base", "head"):
+                    work = Path(tmp) / tree / workload
+                    work.mkdir(parents=True)
+                    src = args.base_src if tree == "base" else ROOT / "src"
+                    outs.append(run_tree(perfbench.make_inputs, src, workload, args.size, work))
+                print(f"{workload}:")
+                for compare in (compare_checkpoints, compare_traces, compare_cells):
+                    lines, drifted = compare(*outs)
+                    total += drifted
+                    for line in lines:
+                        print(line)
+    except (RuntimeError, OSError, KeyError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    print(f"drift: {total} differing values" if total else "drift: none")
+    return 1 if total else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
