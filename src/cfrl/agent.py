@@ -5,17 +5,19 @@ and observes one (item, reward) per user. Evaluation plays a split's test
 users as one block; the Q-learner trains on blocks of one user.
 
 The Q-learner acts epsilon-greedily on its own state, which state_kind
-starts and advances from each (item, reward): the latent user vector, or the
-raw state as its canonical qnet.Pairs, which put_pairs advances in play and
-in the replay alike. Every observed step goes into a bounded replay memory
-(arrays, one column per transition field) and is followed by one minibatch
-TD update, with the target network re-synced every fixed number of updates.
-The replay samples a minibatch as one qnet.Batch of (s, a, y): each row
-keeps its bootstrap value, the target's max over the successor's available
-actions, and computes it (the TD update's one n-wide product) only when
-the row is sampled for the first time after its push or after a target
-sync. The same policy trains both the latent-state agent and the
-raw-rating-vector variant.
+starts and advances from each (item, reward): the latent user vector, which
+an online MF step advances, or the raw state as its canonical qnet.Pairs,
+which put_pairs advances. Every observed step goes into a bounded replay
+memory (arrays, one column per transition field) and is followed by one
+minibatch TD update, with the target network, a plain copy of the network,
+re-synced every fixed number of updates. The replay keeps each row's state
+but not its successor, which it derives with the same state update as play,
+so a state advances in one place. It samples a minibatch as one qnet.Batch
+of (s, a, y): each row keeps its bootstrap value, the target's max over the
+successor's available actions, and computes it (the TD update's one n-wide
+product) only when the row is sampled for the first time after its push or
+after a target sync. The same policy trains both the latent-state agent and
+the raw-rating-vector variant.
 """
 
 from __future__ import annotations
@@ -39,13 +41,17 @@ class ReplayMemory:
     """Bounded FIFO buffer of transitions; oldest entries are evicted first.
 
     Transitions are stored column by column in arrays (struct of arrays):
-    states, actions, rewards, successor states, terminal flags, the
-    successor availability masks packed eight actions to a byte, and each
-    row's bootstrap value with the target sync it was computed under. Slot k
-    holds the k-th pushed transition until the buffer is full; after that
-    each push overwrites the oldest slot. The arrays grow geometrically with
-    the rows filled, up to the capacity, so a large capacity costs nothing
-    until used.
+    states, actions, rewards, terminal flags, the successor availability
+    masks packed eight actions to a byte, and each row's bootstrap value with
+    the target sync it was computed under. Slot k holds the k-th pushed
+    transition until the buffer is full; after that each push overwrites the
+    oldest slot. The arrays grow geometrically with the rows filled, up to
+    the capacity, so a large capacity costs nothing until used.
+
+    A row keeps no successor state. The memory is built from the learner's
+    (start, update) of state_kind, and successors derives a row's successor
+    as update(state, a, r): the step that advanced the learner's state in
+    play, so the successor is that state bit for bit.
 
     The bootstrap value v(s') of a non-terminal row, the max of the target
     network over the successor's available actions, only changes when the
@@ -56,40 +62,39 @@ class ReplayMemory:
     each row once. A terminal row's value is never computed: it stays the 0
     that push writes.
 
-    With `raw_horizon` set, states are raw states: canonical qnet.Pairs
-    (see put_pairs), raw_horizon + 1 wide, of which at most raw_horizon are
-    pairs. A row then keeps its state's first raw_horizon pairs, items
-    ascending and padded with item n and reward 0, in the columns s_items and
-    s_rewards, and no successor: successors rebuilds it as put_pairs of its
-    state with (a, r). At n = 1,586 items and T = 40 a row takes 708 bytes
-    in place of 25.6 KB.
+    The layout follows from `start`. A latent start, a (1, d) array, keeps
+    each state as d floats; at d = 16 and n = 1,586 items a row takes 356
+    bytes. A raw start, canonical qnet.Pairs T + 1 wide (see put_pairs),
+    keeps a state's first T pairs, items ascending and padded with item n
+    (n_actions) and reward 0, in the columns s_items and s_rewards: the
+    last pair of a state that play pushes is always padding. At n = 1,586
+    and T = 40 a row takes 708 bytes in place of 25.6 KB.
     """
 
     _MIN_ROWS = 64
 
-    def __init__(self, capacity: int, state_dim: int, n_actions: int,
-                 raw_horizon: int | None = None):
+    def __init__(self, capacity: int, n_actions: int, start, update):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self.state_dim = state_dim
         self.n_actions = n_actions
-        self.raw_horizon = raw_horizon
-        dense = ((state_dim,), np.float64)
+        self.start = start
+        self.update = update
+        self.raw = isinstance(start, qnet.Pairs)
+        if self.raw:
+            width = start.items.shape[1] - 1
+            layout = {"s_items": ((width,), np.int32), "s_rewards": ((width,), np.float64)}
+        else:
+            layout = {"s": ((start.shape[1],), np.float64)}
         self._shapes = {
-            "s": dense,
+            **layout,
             "a": ((), np.int64),
             "r": ((), np.float64),
-            "s_next": dense,
             "done": ((), bool),
             "mask_bits": (((n_actions + 7) // 8,), np.uint8),
             "next_value": ((), np.float64),
             "stamp": ((), np.int32),
         }
-        if raw_horizon is not None:
-            del self._shapes["s"], self._shapes["s_next"]
-            self._shapes = {"s_items": ((raw_horizon,), np.int32),
-                            "s_rewards": ((raw_horizon,), np.float64), **self._shapes}
         self._cols = {k: np.empty((0, *shape), dtype) for k, (shape, dtype) in self._shapes.items()}
         self._size = 0
         self._next = 0
@@ -104,19 +109,17 @@ class ReplayMemory:
             grown[: self._size] = col[: self._size]
             self._cols[key] = grown
 
-    def push(self, s, a: int, r: float, s_next, done: bool, mask_next) -> None:
-        """Store one transition; mask_next is the successor's bool availability.
-
-        A raw-layout memory keeps the pairs of s as given and does not read
-        s_next, which successors rebuilds.
+    def push(self, s, a: int, r: float, done: bool, mask_next) -> None:
+        """Store one transition from state s (one row, an array or
+        qnet.Pairs); mask_next is the successor's bool availability.
 
         Raises:
             ValueError: a raw state's last pair is not padding: it holds more
                 pairs than the horizon.
         """
-        if self.raw_horizon is not None and s.items[-1] != self.state_dim:
-            raise ValueError(f"raw state holds {int((s.items < self.state_dim).sum())} pairs, "
-                             f"over the horizon {self.raw_horizon}")
+        if self.raw and s.items[-1] != self.n_actions:
+            raise ValueError(f"raw state holds {int((s.items < self.n_actions).sum())} pairs, "
+                             f"over the horizon {s.items.shape[0] - 1}")
         if self._size < self.capacity:
             slot = self._size
             if slot == self._cols["a"].shape[0]:
@@ -126,12 +129,11 @@ class ReplayMemory:
             slot = self._next
             self._next = (self._next + 1) % self.capacity
         cols = self._cols
-        if self.raw_horizon is None:
-            cols["s"][slot] = s
-            cols["s_next"][slot] = s_next
+        if self.raw:
+            cols["s_items"][slot] = s.items[:-1]
+            cols["s_rewards"][slot] = s.values[:-1]
         else:
-            cols["s_items"][slot] = s.items[: self.raw_horizon]
-            cols["s_rewards"][slot] = s.values[: self.raw_horizon]
+            cols["s"][slot] = s
         cols["a"][slot] = a
         cols["r"][slot] = r
         cols["done"][slot] = done
@@ -175,24 +177,21 @@ class ReplayMemory:
         return qnet.Batch(s=self.states(idx), a=cols["a"][idx], y=y)
 
     def states(self, idx):
-        """The states of rows idx: an array, or qnet.Pairs raw_horizon + 1
-        wide."""
-        if self.raw_horizon is None:
-            return self._cols["s"][idx]
-        n, width = self.state_dim, self.raw_horizon + 1
-        items = np.full((len(idx), width), n, dtype=np.int64)
-        rewards = np.zeros((len(idx), width))
-        items[:, :-1] = self._cols["s_items"][idx]
-        rewards[:, :-1] = self._cols["s_rewards"][idx]
+        """The states of rows idx, in the form of start: an array, or
+        qnet.Pairs T + 1 wide."""
+        cols = self._cols
+        if not self.raw:
+            return cols["s"][idx]
+        shape = (len(idx), self.start.items.shape[1])
+        items, rewards = np.full(shape, self.n_actions, dtype=np.int64), np.zeros(shape)
+        items[:, :-1] = cols["s_items"][idx]
+        rewards[:, :-1] = cols["s_rewards"][idx]
         return qnet.Pairs(items, rewards)
 
     def successors(self, idx):
-        """The successor states of rows idx, in the form of states: a raw
-        successor is put_pairs of its state with (a, r)."""
-        if self.raw_horizon is None:
-            return self._cols["s_next"][idx]
-        return put_pairs(self.states(idx), self._cols["a"][idx], self._cols["r"][idx],
-                         self.state_dim)
+        """The successor states of rows idx, in the form of states: each
+        row's state advanced by update with its action and reward."""
+        return self.update(self.states(idx), self._cols["a"][idx], self._cols["r"][idx])
 
     def state(self) -> dict:
         """The filled rows of every column (views, not copies), plus "next":
@@ -208,13 +207,14 @@ class ReplayMemory:
         Raises:
             ValidationError: an array is missing or does not fit this memory's
                 widths, dtypes, capacity or action count, a stamp is outside
-                -1..sync, a non-terminal row with a stamp holds a bootstrap
-                value that is not finite, a terminal row's is not 0, or a raw
-                row's pairs are not in the form push writes: items inside 0..n,
-                those below n (the state's items) strictly ascending, each
-                with a nonzero reward, and after them only padding (item n,
-                reward 0). The pairs' order sets the rounding of the first
-                layer, so another order of the same pairs is refused too.
+                -1..sync, a state or reward is not finite, a non-terminal row
+                with a stamp holds a bootstrap value that is not finite, a
+                terminal row's is not 0, or a raw row's pairs are not in the
+                form push writes: items inside 0..n, those below n (the
+                state's items) strictly ascending, each with a nonzero
+                reward, and after them only padding (item n, reward 0). The
+                pairs' order sets the rounding of the first layer, so
+                another order of the same pairs is refused too.
         """
         columns = dict(state)
         next_slot = columns.pop("next", None)
@@ -237,6 +237,9 @@ class ReplayMemory:
             raise ValidationError(f"replay next slot {next_slot} is invalid for {rows} rows")
         if rows and not ((columns["a"] >= 0) & (columns["a"] < self.n_actions)).all():
             raise ValidationError(f"replay action outside 0..{self.n_actions - 1}")
+        for key in ("s", "s_rewards", "r"):
+            if key in columns and not np.isfinite(columns[key]).all():
+                raise ValidationError(f"replay column {key!r} holds a value that is not finite")
         stamp, values, done = columns["stamp"], columns["next_value"], columns["done"]
         if ((stamp < -1) | (stamp > sync)).any():
             raise ValidationError(f"replay stamp outside -1..{sync} (the target's sync count)")
@@ -245,8 +248,8 @@ class ReplayMemory:
                                   "non-terminal row")
         if (values[done] != 0).any():
             raise ValidationError("replay bootstrap value is not 0 on a terminal row")
-        if self.raw_horizon is not None:
-            items, rewards, n = columns["s_items"], columns["s_rewards"], self.state_dim
+        if self.raw:
+            items, rewards, n = columns["s_items"], columns["s_rewards"], self.n_actions
             pad = items == n
             if ((items < 0) | (items > n)).any():
                 raise ValidationError(f"replay state item outside 0..{n} ({n} pads a row)")
@@ -393,10 +396,11 @@ class StatePolicy(Policy):
 
 
 class QTrainer(StatePolicy):
-    """The learning Q-policy and the resumable state of its training run
-    (network, target, replay, RNGs). It plays one user at a time, a block of
-    one. A qnet.Pairs start is the raw state of state_kind, which the replay
-    keeps as pairs; an array start is a dense state of its width."""
+    """The learning Q-policy and the resumable state of its training run:
+    network, target (a plain copy of it), replay, RNGs, train steps and
+    episode logs; the episode and sync counts follow from the last two. It
+    plays one user at a time, a block of one, from a start state of
+    state_kind (the raw state's Pairs, or a dense state of its width)."""
 
     def __init__(self, env, users, start, update, cfg: TrainConfig):
         cfg.validate()
@@ -412,17 +416,22 @@ class QTrainer(StatePolicy):
         self.net = qnet.qnet_init(sizes, seed=cfg.seed, activation=cfg.activation)
         if raw:
             self.net = qnet.input_major(self.net)
-        self.target = qnet.make_target(self.net)
-        self.memory = ReplayMemory(cfg.replay_capacity, input_dim, env.n,
-                                   cfg.horizon if raw else None)
+        self.target = self.net.copy()
+        self.memory = ReplayMemory(cfg.replay_capacity, env.n, start, update)
         self.user_rng = rng_for(cfg.seed, "episode-users")
         self.action_rng = rng_for(cfg.seed, "epsilon-greedy")
         self.replay_rng = rng_for(cfg.seed, "replay-sample")
-        self.episode = 0
         self.train_steps = 0
-        self.sync_count = 0
         self.logs = []
         self.losses = []    # TD losses of the current episode
+
+    @property
+    def episode(self) -> int:
+        return len(self.logs)
+
+    @property
+    def sync_count(self) -> int:
+        return self.train_steps // self.cfg.sync_period
 
     def begin_episode(self, users) -> None:
         if len(users) != 1:
@@ -437,15 +446,13 @@ class QTrainer(StatePolicy):
     def observe(self, items, rewards, avail=None, done: bool = False) -> None:
         cfg, s = self.cfg, self.state[0]
         super().observe(items, rewards)
-        self.memory.push(s, items[0], rewards[0], self.state[0], done, avail[0])
-        batch = self.memory.sample(cfg.batch_size, self.replay_rng, self.target.net,
+        self.memory.push(s, items[0], rewards[0], done, avail[0])
+        batch = self.memory.sample(cfg.batch_size, self.replay_rng, self.target,
                                    self.sync_count, cfg.gamma)
         self.losses.append(qnet.train_step(self.net, batch, cfg.q_lr))
-        self.target.staleness += 1
         self.train_steps += 1
         if self.train_steps % cfg.sync_period == 0:
             qnet.sync_target(self.net, self.target)
-            self.sync_count += 1
 
     def run(self, until_episode: int | None = None, trace: list | None = None) -> list:
         """Advance training to the requested episode count (default: all).
@@ -468,7 +475,6 @@ class QTrainer(StatePolicy):
                     sync_count=self.sync_count,
                 )
             )
-            self.episode += 1
         return self.logs
 
     def save(self, path) -> None:
@@ -478,10 +484,7 @@ class QTrainer(StatePolicy):
         replaces it, so a save that fails part-way leaves the previous state.
         """
         meta = {
-            "episode": self.episode,
             "train_steps": self.train_steps,
-            "sync_count": self.sync_count,
-            "staleness": self.target.staleness,
             "user_rng": self.user_rng.bit_generator.state,
             "action_rng": self.action_rng.bit_generator.state,
             "replay_rng": self.replay_rng.bit_generator.state,
@@ -490,7 +493,7 @@ class QTrainer(StatePolicy):
         }
         arrays = {
             "net": qnet.flatten_params(self.net),
-            "target": qnet.flatten_params(self.target.net),
+            "target": qnet.flatten_params(self.target),
             "meta": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
         }
         for key, array in self.memory.state().items():
@@ -512,21 +515,23 @@ class QTrainer(StatePolicy):
     def restore(self, path) -> None:
         """Continue from a save(). A file that cannot be read, does not fit
         this trainer (network, action count, replay capacity), was saved by
-        a different run (see run_record) or whose sync count and target
-        staleness do not follow from its train steps raises ValidationError."""
+        a different run (see run_record), holds network parameters, replay
+        states or rewards that are not finite, a negative train step count
+        or episode logs not numbered 0..k-1 raises ValidationError."""
         replay = [f"replay_{key}" for key in self.memory.state()]
-        earlier = {} if self.memory.raw_horizon is None else {"replay_s": (
-            "the replay format changed: raw-state replay rows are now (item, reward) pairs, "
-            "and a dqn trainer state saved by an earlier version is not read; train afresh")}
-        earlier["replay_stamp"] = (
-            "the replay format changed: replay rows now keep their bootstrap value, "
-            "and a trainer state saved by an earlier version is not read; train afresh")
+        changes = {"replay_s": "raw-state replay rows are now (item, reward) pairs",
+                   "replay_s_next": "replay rows no longer store their successor state",
+                   "replay_stamp": "replay rows now keep their bootstrap value"}
+        if not self.memory.raw:
+            del changes["replay_s"]
+        earlier = {key: f"the replay format changed: {change}, and a trainer state saved by an "
+                        "earlier version is not read; train afresh" for key, change in changes.items()}
         arrays = load_npz(path, "trainer state", ("net", "target", "meta", *replay), earlier)
         try:
             params = [arrays.pop(key) for key in ("net", "target")]
             meta = json.loads(arrays.pop("meta").tobytes().decode())
             logs = [EpisodeLog(**row) for row in meta["logs"]]
-            counters = [int(meta[key]) for key in ("episode", "train_steps", "sync_count", "staleness")]
+            train_steps = int(meta["train_steps"])
             rng_states = [meta[key] for key in ("user_rng", "action_rng", "replay_rng")]
         except (ValueError, KeyError, TypeError) as exc:
             raise ValidationError(f"{path}: unreadable trainer state ({exc})") from None
@@ -536,6 +541,8 @@ class QTrainer(StatePolicy):
                     f"{path}: network parameters are {flat.dtype}{flat.shape}, "
                     f"expected float64{(self.net.param_count,)}"
                 )
+            if not np.isfinite(flat).all():
+                raise ValidationError(f"{path}: network parameters are not finite")
         saved = meta.get("run")
         if not isinstance(saved, dict):
             raise ValidationError(f"{path}: no run record; the state was saved by an earlier version")
@@ -543,15 +550,14 @@ class QTrainer(StatePolicy):
                         if saved.get(k) != self.run_record.get(k))
         if differ:
             raise ValidationError(f"{path}: saved by a different run: {', '.join(differ)} differ")
-        train_steps, sync_count, staleness = counters[1:]
-        if train_steps < 0 or (sync_count, staleness) != divmod(train_steps, self.cfg.sync_period):
-            raise ValidationError(
-                f"{path}: sync count {sync_count} and staleness {staleness} do not follow from "
-                f"{train_steps} train steps at sync_period {self.cfg.sync_period}")
-        memory = ReplayMemory(self.cfg.replay_capacity, self.net.input_dim, self.env.n,
-                              self.memory.raw_horizon)
+        if train_steps < 0:
+            raise ValidationError(f"{path}: negative train step count {train_steps}")
+        if [log.episode for log in logs] != list(range(len(logs))):
+            raise ValidationError(f"{path}: the episode logs are not numbered 0..{len(logs) - 1}")
+        memory = ReplayMemory(self.cfg.replay_capacity, self.env.n, self.start, self.update)
         try:
-            memory.load({key[len("replay_"):]: array for key, array in arrays.items()}, sync_count)
+            memory.load({key[len("replay_"):]: array for key, array in arrays.items()},
+                        train_steps // self.cfg.sync_period)
         except ValidationError as exc:
             raise ValidationError(f"{path}: {exc}") from None
         try:
@@ -560,9 +566,9 @@ class QTrainer(StatePolicy):
         except (ValueError, TypeError, KeyError) as exc:
             raise ValidationError(f"{path}: invalid RNG state ({exc})") from None
         qnet.assign_params(self.net, params[0])
-        qnet.assign_params(self.target.net, params[1])
+        qnet.assign_params(self.target, params[1])
         self.memory = memory
-        self.episode, self.train_steps, self.sync_count, self.target.staleness = counters
+        self.train_steps = train_steps
         self.logs = logs
 
 

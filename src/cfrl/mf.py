@@ -287,7 +287,8 @@ def save_mf(model: MfModel, path, manifest: dict | None = None) -> None:
 
 
 def load_mf(path) -> MfModel:
-    """Read a save_mf checkpoint; anything else raises ValidationError."""
+    """Read a save_mf checkpoint; anything else, or a value that is not
+    finite, raises ValidationError."""
     arrays = load_npz(path, "factor-model checkpoint", ("U", "V", "reg", "lr"))
     U, V, reg, lr = (arrays[key] for key in ("U", "V", "reg", "lr"))
     if any(x.dtype != np.float64 for x in (U, V, reg, lr)) or not (
@@ -295,4 +296,6 @@ def load_mf(path) -> MfModel:
         shapes = [f"{x.dtype}{x.shape}" for x in (U, V, reg, lr)]
         raise ValidationError(f"{path}: U, V, reg, lr are {shapes}, "
                               f"expected float64 (d, m), (d, n), (), ()")
+    if not all(np.isfinite(x).all() for x in (U, V, reg, lr)):
+        raise ValidationError(f"{path}: U, V, reg or lr holds a value that is not finite")
     return MfModel(U=U, V=V, d=U.shape[0], reg=float(reg), lr=float(lr))

@@ -4,8 +4,10 @@ The network maps a state vector to one value per action. Updates follow the
 semi-gradient rule w += lr * mean[(y - Q(s,a)) * grad Q(s,a)] over a
 minibatch of (s, a, y). The caller builds each target y = r + gamma * v(s'),
 or r at the end of an episode, where the bootstrap value v(s') is the max of
-a periodically synced frozen copy's values over the actions still available
-in the successor state (bootstrap_values, over a block of successors).
+the target's values over the actions still available in the successor state
+(bootstrap_values, over a block of successors). The target is a plain
+QNetwork, a frozen copy of the network that sync_target refreshes
+periodically.
 
 The error reaches only the output unit of each taken action, so train_step
 takes Q(s, a) as a row dot with each of the B taken rows of the output layer
@@ -78,14 +80,6 @@ class QNetwork:
             biases=[b.copy() for b in self.biases],
             activation=self.activation,
         )
-
-
-@dataclass
-class TargetNetwork:
-    """Frozen parameter snapshot used for bootstrap targets."""
-
-    net: QNetwork
-    staleness: int = 0
 
 
 def qnet_init(layer_sizes, seed: int = 0, activation: str = "tanh") -> QNetwork:
@@ -308,23 +302,17 @@ def train_step(net: QNetwork, batch: Batch, lr: float) -> float:
     return loss
 
 
-def make_target(net: QNetwork) -> TargetNetwork:
-    return TargetNetwork(net=net.copy(), staleness=0)
-
-
-def sync_target(net: QNetwork, target: TargetNetwork) -> TargetNetwork:
-    """Copy the live parameters into the target snapshot and reset staleness."""
-    if target.net.layer_sizes != net.layer_sizes or target.net.activation != net.activation:
+def sync_target(net: QNetwork, target: QNetwork) -> None:
+    """Copy the live parameters into the target, a frozen copy of net."""
+    if target.layer_sizes != net.layer_sizes or target.activation != net.activation:
         raise ValidationError(
-            f"architecture mismatch: {target.net.layer_sizes}/{target.net.activation} "
+            f"architecture mismatch: {target.layer_sizes}/{target.activation} "
             f"vs {net.layer_sizes}/{net.activation}"
         )
-    for tw, w in zip(target.net.weights, net.weights):
+    for tw, w in zip(target.weights, net.weights):
         tw[:] = w
-    for tb, b in zip(target.net.biases, net.biases):
+    for tb, b in zip(target.biases, net.biases):
         tb[:] = b
-    target.staleness = 0
-    return target
 
 
 def flatten_params(net: QNetwork) -> np.ndarray:
@@ -358,7 +346,8 @@ def save_qnet(net: QNetwork, path, manifest: dict | None = None) -> None:
 
 
 def load_qnet(path) -> QNetwork:
-    """Read a save_qnet checkpoint; anything else raises ValidationError."""
+    """Read a save_qnet checkpoint; anything else, or parameters that are
+    not finite, raises ValidationError."""
     arrays = load_npz(path, "Q-network checkpoint", ("layer_sizes", "activation", "params"))
     sizes, code, flat = arrays["layer_sizes"], arrays["activation"], arrays["params"]
     if sizes.dtype != np.int64 or sizes.ndim != 1 or sizes.size < 2 or sizes.min() < 1:
@@ -374,6 +363,8 @@ def load_qnet(path) -> QNetwork:
         raise ValidationError(
             f"{path}: parameters are {flat.dtype}{flat.shape}, layer sizes {sizes} "
             f"need float64{(count,)}")
+    if not np.isfinite(flat).all():
+        raise ValidationError(f"{path}: parameters are not finite")
     net = QNetwork(
         layer_sizes=sizes,
         weights=[np.empty((fan_out, fan_in)) for fan_in, fan_out in zip(sizes[:-1], sizes[1:])],

@@ -33,7 +33,7 @@ class Transition(NamedTuple):
     mask_next: np.ndarray
 
 
-def stack(transitions, target: qnet.TargetNetwork, gamma: float) -> qnet.Batch:
+def stack(transitions, target: qnet.QNetwork, gamma: float) -> qnet.Batch:
     """The transitions as one qnet.Batch, a row each, with each target y
     the td_target of its transition."""
     return qnet.Batch(
@@ -48,11 +48,14 @@ def replay_rows(memory) -> dict:
 
     A raw-layout memory keeps each state as (item, reward) pairs; here each
     row is rebuilt pair by pair, and its successor is the state with the
-    taken action's reward written in."""
+    taken action's reward written in. A latent row's successor is the
+    memory's state update applied to that row alone, as play applies it."""
     rows = dict(memory.state())
-    if memory.raw_horizon is None:
+    if not memory.raw:
+        rows["s_next"] = np.array([memory.update(rows["s"][[k]], rows["a"][[k]], rows["r"][[k]])[0]
+                                   for k in range(len(rows["a"]))]).reshape(rows["s"].shape)
         return rows
-    n = memory.state_dim
+    n = memory.n_actions
     s = np.zeros((len(rows["a"]), n))
     for k, (items, rewards) in enumerate(zip(rows.pop("s_items"), rows.pop("s_rewards"))):
         for item, reward in zip(items, rewards):
@@ -96,7 +99,7 @@ def raw_pairs(states, horizon: int) -> qnet.Pairs:
     return qnet.Pairs(items.reshape(*x.shape[:-1], width), rewards.reshape(*x.shape[:-1], width))
 
 
-def td_target(transition: Transition, target: qnet.TargetNetwork, gamma: float) -> float:
+def td_target(transition: Transition, target: qnet.QNetwork, gamma: float) -> float:
     """Bootstrap target y = r + gamma * max over the successor's available
     actions of the frozen network, or r at the end of an episode."""
     if not (0.0 <= gamma <= 1.0):
@@ -105,7 +108,7 @@ def td_target(transition: Transition, target: qnet.TargetNetwork, gamma: float) 
         return float(transition.r)
     if not transition.mask_next.any():
         raise ValueError("non-terminal transition with no available next actions")
-    q_next = qnet.forward(target.net, transition.s_next)
+    q_next = qnet.forward(target, transition.s_next)
     return float(transition.r + gamma * np.max(q_next[transition.mask_next]))
 
 

@@ -199,7 +199,7 @@ def test_criterion_06_gradient_suite():
     for trial in range(100):
         sizes = [int(rng.integers(2, 5)), int(rng.integers(3, 6)), int(rng.integers(2, 5))]
         net = qnet.qnet_init(sizes, seed=trial, activation="tanh")
-        target = qnet.make_target(net)
+        target = net.copy()
         n = net.output_dim
         batch = []
         for _ in range(4):
@@ -334,7 +334,7 @@ def _warm_step_setup(hidden: int, d: int, n: int):
     batch, after 30 warm-up TD steps."""
     rng = np.random.default_rng(55)
     net = qnet.qnet_init([d, hidden, n], seed=1)
-    target = qnet.make_target(net)
+    target = net.copy()
     rows = (rng.normal(size=(32, d)), rng.integers(n, size=32), rng.uniform(0, 5, size=32),
             rng.normal(size=(32, d)), np.ones((32, n), dtype=bool))
     for _ in range(30):  # warmup
@@ -347,7 +347,7 @@ def _td_step(net, target, rows):
     its bootstrap value: the target's n-wide values over the successors,
     then train_step."""
     s, a, r, s_next, masks = rows
-    y = r + 0.9 * qnet.bootstrap_values(target.net, s_next, masks)
+    y = r + 0.9 * qnet.bootstrap_values(target, s_next, masks)
     qnet.train_step(net, qnet.Batch(s, a, y), lr=1e-4)
 
 

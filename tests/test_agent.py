@@ -33,12 +33,16 @@ from oracles import Transition, raw_pairs, raw_update, replay_rows, td_target
 from toy_mdp import ChainEnv, LIVE_STATES, encode, update, value_iteration
 
 
+def _dense(capacity, n_actions):
+    """A memory of 2-wide dense states whose successor is the state plus 0.5."""
+    return ReplayMemory(capacity, n_actions, np.zeros((1, 2)), lambda s, a, r: s + 0.5)
+
+
 def _push_rows(mem, count, start=0):
     """Push transitions whose reward is their push number, so a row names itself."""
     for k in range(start, start + count):
         mask = np.arange(mem.n_actions) != k % mem.n_actions
-        mem.push(np.full(2, float(k)), k % mem.n_actions, float(k), np.full(2, k + 0.5),
-                 k % 2 == 0, mask)
+        mem.push(np.full(2, float(k)), k % mem.n_actions, float(k), k % 2 == 0, mask)
 
 
 class TestSelectAction:
@@ -82,7 +86,7 @@ class TestSelectAction:
 
 class TestReplayMemory:
     def test_fifo_eviction(self):
-        mem = ReplayMemory(capacity=2, state_dim=2, n_actions=4)
+        mem = _dense(2, 4)
         _push_rows(mem, 3)
         assert len(mem) == 2
         # the third push overwrote slot 0, the oldest transition
@@ -91,10 +95,10 @@ class TestReplayMemory:
         assert mem.state()["r"].tolist() == [2.0, 3.0]
 
     def test_sample_returns_the_pushed_rows(self):
-        mem = ReplayMemory(capacity=10, state_dim=2, n_actions=11)
+        mem = _dense(10, 11)
         _push_rows(mem, 10)
-        target = qnet.make_target(qnet.qnet_init([2, 5, 11], seed=3))
-        batch = mem.sample(10, rng_for(0, "r"), target.net, 0, 0.9)
+        target = qnet.qnet_init([2, 5, 11], seed=3)
+        batch = mem.sample(10, rng_for(0, "r"), target, 0, 0.9)
         k = batch.s[:, 0].astype(np.int64)
         assert sorted(k.tolist()) == list(range(10))
         np.testing.assert_array_equal(batch.s, np.repeat(k[:, None], 2, axis=1).astype(float))
@@ -109,17 +113,17 @@ class TestReplayMemory:
         assert batch.y[k % 2 == 0].tolist() == k[k % 2 == 0].tolist()
 
     def test_sample_forced_duplicates_below_batch(self):
-        mem = ReplayMemory(capacity=10, state_dim=2, n_actions=4)
+        mem = _dense(10, 4)
         _push_rows(mem, 1)
         assert mem.draw(4, rng_for(0, "r")).tolist() == [0] * 4
 
     def test_sample_without_replacement_at_capacity(self):
-        mem = ReplayMemory(capacity=10, state_dim=2, n_actions=4)
+        mem = _dense(10, 4)
         _push_rows(mem, 6)
         assert sorted(mem.draw(6, rng_for(0, "r")).tolist()) == [0, 1, 2, 3, 4, 5]
 
     def test_sample_uniformity(self):
-        mem = ReplayMemory(capacity=10, state_dim=2, n_actions=4)
+        mem = _dense(10, 4)
         _push_rows(mem, 10)
         rng = rng_for(1, "uniform")
         counts = np.zeros(10)
@@ -129,7 +133,7 @@ class TestReplayMemory:
         np.testing.assert_allclose(counts / draws, 0.1, atol=0.01)
 
     def test_sample_reproducible_and_empty_error(self):
-        mem = ReplayMemory(capacity=5, state_dim=2, n_actions=4)
+        mem = _dense(5, 4)
         with pytest.raises(ValueError, match="empty"):
             mem.draw(1, rng_for(0, "x"))
         _push_rows(mem, 5)
@@ -141,28 +145,28 @@ class TestReplayMemory:
         # a full ring of two rows, both holding their bootstrap value under
         # sync 0; the push that overwrites slot 0 clears its stamp, so the next
         # sample under the same sync computes the new row's value
-        mem = ReplayMemory(capacity=2, state_dim=2, n_actions=3)
-        target = qnet.make_target(qnet.qnet_init([2, 4, 3], seed=1))
+        mem = _dense(2, 3)
+        target = qnet.qnet_init([2, 4, 3], seed=1)
         mask = np.ones(3, dtype=bool)
-        rows = [Transition(np.full(2, float(k)), k, 1.0 + k, np.full(2, k - 1.5), False, mask)
+        rows = [Transition(np.full(2, float(k)), k, 1.0 + k, np.full(2, k + 0.5), False, mask)
                 for k in range(3)]
         for tr in rows[:2]:
-            mem.push(*tr)
-        first = mem.sample(2, _InOrder(), target.net, 0, 0.9)
+            mem.push(tr.s, tr.a, tr.r, tr.done, tr.mask_next)
+        first = mem.sample(2, _InOrder(), target, 0, 0.9)
         assert mem.state()["stamp"].tolist() == [0, 0]
-        mem.push(*rows[2])
+        mem.push(rows[2].s, rows[2].a, rows[2].r, rows[2].done, rows[2].mask_next)
         assert mem.state()["stamp"].tolist() == [-1, 0]
-        second = mem.sample(2, _InOrder(), target.net, 0, 0.9)
+        second = mem.sample(2, _InOrder(), target, 0, 0.9)
         assert mem.state()["stamp"].tolist() == [0, 0]
         np.testing.assert_allclose(second.y, [td_target(rows[2], target, 0.9),
                                               td_target(rows[1], target, 0.9)], rtol=1e-12)
         assert second.y[1] == first.y[1] and second.y[0] != first.y[0]
 
     def test_stress_size_never_exceeds_capacity(self):
-        mem = ReplayMemory(capacity=1000, state_dim=2, n_actions=4)
+        mem = _dense(1000, 4)
         s, mask = np.zeros(2), np.ones(4, dtype=bool)
         for k in range(1_000_000):
-            mem.push(s, 0, 1.0, s, True, mask)
+            mem.push(s, 0, 1.0, True, mask)
             if k % 100_000 == 0:
                 assert len(mem) <= 1000
         assert len(mem) == 1000
@@ -172,8 +176,7 @@ class TestReplayMemory:
         # raw-state rows at the default capacity of 100,000 and horizon of 40:
         # (item, reward) pairs in place of two 1,586-wide float64 states
         n, cfg = 1586, TrainConfig(episodes=1)
-        mem = ReplayMemory(cfg.replay_capacity, state_dim=n, n_actions=n,
-                           raw_horizon=cfg.horizon)
+        mem = ReplayMemory(cfg.replay_capacity, n, *state_kind(None, n, cfg.horizon))
         rng = np.random.default_rng(0)
         s, mask = np.zeros(n), rng.random(n) < 0.5
         s[rng.choice(n, cfg.horizon, replace=False)] = rng.integers(1, 6, cfg.horizon)
@@ -181,7 +184,7 @@ class TestReplayMemory:
         tracemalloc.start()
         try:
             for k in range(1000):
-                mem.push(pairs, k, 1.0, None, False, mask)
+                mem.push(pairs, k, 1.0, False, mask)
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -194,6 +197,26 @@ class TestReplayMemory:
         assert np.unpackbits(bits, count=n).view(bool).tolist() == mask.tolist()
         np.testing.assert_array_equal(mem.states([0]).dense(n)[0], s)
 
+    def test_latent_rows_keep_no_successor(self):
+        # latent rows at d = 16 and n = 1,586: the state, and no successor,
+        # which successors derives with the learner's online MF step
+        d, n = 16, 1586
+        rng = np.random.default_rng(0)
+        model = mf.MfModel(U=np.zeros((d, 1)), V=rng.normal(size=(d, n)), d=d, reg=0.01, lr=0.02)
+        start, update = state_kind(model, n, 40)
+        mem = ReplayMemory(TrainConfig(episodes=1).replay_capacity, n, start, update)
+        s, mask = rng.normal(size=d), rng.random(n) < 0.5
+        for k in range(100):
+            mem.push(s + k, k, 1.0 + k % 5, False, mask)
+        row_bytes = sum(col[0].nbytes for key, col in mem.state().items() if key != "next")
+        # state, action, reward, done, packed mask, bootstrap value and its stamp
+        assert row_bytes == d * 8 + 8 + 8 + 1 + (n + 7) // 8 + 8 + 4 == 356
+        assert sorted(mem.state()) == ["a", "done", "mask_bits", "next", "next_value", "r", "s",
+                                       "stamp"]
+        rows = np.arange(100)
+        expected = mf.online_update(model, s + rows[:, None], rows, 1.0 + rows % 5)
+        assert mem.successors(rows).tobytes() == expected.tobytes()
+
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
@@ -203,14 +226,14 @@ def test_raw_rows_rebuild_exactly(data):
     n = data.draw(st.integers(1, 40), label="n")
     horizon = data.draw(st.integers(0, n), label="horizon")
     rows = data.draw(st.integers(1, 6), label="rows")
-    mem = ReplayMemory(rows, state_dim=n, n_actions=n, raw_horizon=horizon)
+    mem = ReplayMemory(rows, n, *state_kind(None, n, horizon))
     states, actions = np.zeros((rows, n)), []
     for k in range(rows):
         items = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=horizon))
         states[k, items] = data.draw(st.lists(st.sampled_from([0.0, 1.0, 2.5, 5.0]),
                                               min_size=len(items), max_size=len(items)))
         actions.append(data.draw(st.integers(0, n - 1)))
-        mem.push(raw_pairs(states[k], horizon), actions[k], float(k), None, False,
+        mem.push(raw_pairs(states[k], horizon), actions[k], float(k), False,
                  np.ones(n, dtype=bool))
     k = mem.draw(rows, rng_for(0, "rebuild"))
     s, s_next = mem.states(k), mem.successors(k)
@@ -265,14 +288,14 @@ def test_put_pairs_is_the_dense_raw_state_bit_for_bit(data):
 
 
 def test_raw_rows_at_the_catalog_ends_and_over_the_horizon():
-    mem = ReplayMemory(4, state_dim=5, n_actions=5, raw_horizon=2)
+    mem = ReplayMemory(4, 5, *state_kind(None, 5, 2))
     over = qnet.Pairs(np.array([0, 2, 4]), np.array([1.0, 2.0, 3.0]))   # horizon + 1 pairs
     with pytest.raises(ValueError, match="3 pairs, over the horizon 2"):
-        mem.push(over, 1, 4.0, None, False, np.ones(5, bool))
+        mem.push(over, 1, 4.0, False, np.ones(5, bool))
     assert len(mem) == 0
     # items 0 and n - 1 fill the row; a zero reward at item 2 needs no pair
     s = np.array([5.0, 0.0, 0.0, 0.0, 1.0])
-    mem.push(raw_pairs(s, 2), 2, 0.0, None, True, np.ones(5, bool))
+    mem.push(raw_pairs(s, 2), 2, 0.0, True, np.ones(5, bool))
     assert mem.state()["s_items"].tolist() == [[0, 4]]
     assert np.array_equal(mem.states([0]).dense(5)[0], s)
     assert np.array_equal(mem.successors([0]).dense(5)[0], s)
@@ -387,7 +410,7 @@ def test_every_trained_target_is_the_td_target_under_the_current_target(
         return idx
 
     def recording_train_step(net, batch, lr):
-        steps[-1].update(y=batch.y.copy(), target=qnet.make_target(trainer.target.net))
+        steps[-1].update(y=batch.y.copy(), target=trainer.target.copy())
         return train_step(net, batch, lr)
 
     monkeypatch.setattr(ReplayMemory, "draw", recording_draw)
@@ -431,7 +454,7 @@ def test_trainer_save_restore_continues_exactly(tmp_path, small_setup):
 
         first = make_trainer(ds, split, mf_model, cfg)
         first.run(until_episode=3)
-        assert (first.sync_count, first.target.staleness) == (2, 1)
+        assert (first.train_steps, first.sync_count) == (9, 2)
         assert (first.memory.state()["stamp"] == first.sync_count).any()
         path = tmp_path / "state.npz"
         first.save(path)
@@ -713,9 +736,10 @@ def test_restore_refuses_a_state_saved_by_a_different_run(tmp_path, small_setup)
         make_trainer(ds, split, model, cfg).restore(bad)
 
 
-def test_restore_refuses_counters_that_do_not_follow_from_the_train_steps(tmp_path, small_setup):
-    # the sync count bounds the replay's stamps, so it must be the one the
-    # train steps make: 9 steps at a sync period of 4 are 2 syncs and 1 step
+def test_restore_refuses_a_negative_step_count_or_misnumbered_logs(tmp_path, small_setup):
+    # a state keeps the train steps and the logs and nothing that follows
+    # from them: the episode count is the number of logs, so they must be
+    # numbered 0..k-1, and the sync count is train_steps // sync_period
     ds, split, model = small_setup
     cfg = TrainConfig(episodes=3, horizon=3, hidden_sizes=(8,), task=TaskMode.TASK_II,
                       sync_period=4, seed=2)
@@ -725,23 +749,128 @@ def test_restore_refuses_counters_that_do_not_follow_from_the_train_steps(tmp_pa
     trainer.save(good)
     with np.load(good) as data:
         meta = json.loads(data["meta"].tobytes())
-    assert (meta["train_steps"], meta["sync_count"], meta["staleness"]) == (9, 2, 1)
-    for changes in ({"sync_count": 3}, {"staleness": 5}, {"train_steps": 13},
-                    {"train_steps": -3, "sync_count": -1, "staleness": 1}):
+    assert sorted(meta) == ["action_rng", "logs", "replay_rng", "run", "train_steps", "user_rng"]
+    assert meta["train_steps"] == 9 and [log["episode"] for log in meta["logs"]] == [0, 1, 2]
+
+    def numbered(*episodes):
+        return [{**log, "episode": e} for log, e in zip(meta["logs"], episodes)]
+
+    for changes, message in (({"train_steps": -3}, "negative train step count -3"),
+                             ({"logs": numbered(1, 2, 3)}, r"not numbered 0\.\.2"),
+                             ({"logs": numbered(0, 2, 1)}, "not numbered"),
+                             ({"logs": numbered(0, 1, 1)}, "not numbered")):
         bad = _rewrite_state(good, tmp_path / "bad.npz", meta=np.frombuffer(
             json.dumps({**meta, **changes}).encode(), dtype=np.uint8))
-        with pytest.raises(ValidationError, match="do not follow from"):
+        with pytest.raises(ValidationError, match=message) as err:
             make_trainer(ds, split, model, cfg).restore(bad)
+        assert str(bad) in str(err.value)
 
-def test_target_staleness_never_exceeds_sync_period(small_setup):
+
+def test_target_is_the_net_right_after_each_sync(small_setup, monkeypatch):
+    # the sync count is derived, train_steps // sync_period: the target is
+    # synced that many times, each time to the net as it is then, and stays
+    # as the last sync left it until the next
     ds, split, model = small_setup
     cfg = TrainConfig(episodes=5, horizon=4, hidden_sizes=(8,), task=TaskMode.TASK_II,
                       sync_period=7, batch_size=4, seed=6)
     trainer = make_trainer(ds, split, model, cfg)
+    sync_target, synced = qnet.sync_target, [qnet.flatten_params(trainer.target)]
+    assert synced[0].tobytes() == qnet.flatten_params(trainer.net).tobytes()
+
+    def recording_sync(net, target):
+        sync_target(net, target)
+        assert target is trainer.target and net is trainer.net
+        assert qnet.flatten_params(target).tobytes() == qnet.flatten_params(net).tobytes()
+        synced.append(qnet.flatten_params(target))
+
+    monkeypatch.setattr(qnet, "sync_target", recording_sync)
     while trainer.episode < cfg.episodes:
         trainer.run(until_episode=trainer.episode + 1)
-        assert trainer.target.staleness <= cfg.sync_period
-    assert trainer.train_steps == 5 * 4
+        assert trainer.sync_count == trainer.train_steps // cfg.sync_period == len(synced) - 1
+        assert qnet.flatten_params(trainer.target).tobytes() == synced[-1].tobytes()
+    assert trainer.train_steps == 5 * 4 and trainer.sync_count == 2
+    assert [log.sync_count for log in trainer.logs] == [4 * (k + 1) // 7 for k in range(5)]
+
+
+def test_restore_ignores_the_counters_an_earlier_state_held(tmp_path, small_setup):
+    # a dqn state saved before the counters were derived holds the same
+    # replay columns and three more meta keys (episode, sync_count and
+    # staleness); it resumes and finishes bit for bit as the run that was
+    # not interrupted
+    ds, split, _ = small_setup
+    cfg = TrainConfig(episodes=6, horizon=3, hidden_sizes=(8,), task=TaskMode.TASK_II,
+                      sync_period=4, seed=2)
+    straight = make_trainer(ds, split, None, cfg)
+    straight.run()
+    first = make_trainer(ds, split, None, cfg)
+    first.run(until_episode=3)
+    path = tmp_path / "state.npz"
+    first.save(path)
+    with np.load(path) as data:
+        meta = json.loads(data["meta"].tobytes())
+    sync_count, staleness = divmod(meta["train_steps"], cfg.sync_period)
+    meta.update(episode=3, sync_count=sync_count, staleness=staleness)
+    _rewrite_state(path, path, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8))
+    resumed = make_trainer(ds, split, None, cfg)
+    resumed.restore(path)
+    assert (resumed.episode, resumed.train_steps, resumed.sync_count) == (3, 9, 2)
+    resumed.run()
+    assert qnet.flatten_params(resumed.net).tobytes() == qnet.flatten_params(straight.net).tobytes()
+    assert (qnet.flatten_params(resumed.target).tobytes()
+            == qnet.flatten_params(straight.target).tobytes())
+    assert resumed.logs == straight.logs
+    for key, col in straight.memory.state().items():
+        assert resumed.memory.state()[key].tobytes() == col.tobytes()
+
+
+def test_restore_refuses_a_latent_state_that_stores_successors(tmp_path, small_setup):
+    # a cfrl state saved before the replay derived its successors holds a
+    # replay_s_next column
+    ds, split, model = small_setup
+    cfg = TrainConfig(episodes=2, horizon=3, hidden_sizes=(8,), task=TaskMode.TASK_II,
+                      batch_size=4, seed=2)
+    trainer = make_trainer(ds, split, model, cfg)
+    trainer.run()
+    good = tmp_path / "state.npz"
+    trainer.save(good)
+    rows = replay_rows(trainer.memory)
+    bad = _rewrite_state(good, tmp_path / "old.npz", replay_s_next=rows["s_next"])
+    with pytest.raises(ValidationError, match="no longer store their successor state.*"
+                                              "train afresh") as err:
+        make_trainer(ds, split, model, cfg).restore(bad)
+    assert str(bad) in str(err.value)
+
+
+@pytest.mark.parametrize("raw_state, key, value", [
+    (False, "replay_r", np.inf),
+    (False, "replay_s", np.inf),
+    (False, "replay_s", np.nan),
+    (True, "replay_r", -np.inf),
+    (True, "replay_s_rewards", np.nan),
+    (False, "net", np.nan),
+    (True, "target", np.inf),
+], ids=["latent-reward", "latent-state-inf", "latent-state-nan", "raw-reward", "raw-pair-reward",
+        "net", "target"])
+def test_restore_refuses_values_that_are_not_finite(tmp_path, small_setup, raw_state, key, value):
+    # a damaged state is refused as such, not left to surface later as a
+    # TD loss or an online MF step that is no longer finite
+    ds, split, model = small_setup
+    model = None if raw_state else model
+    # task1 pays a rating at every step, so every raw row holds pairs
+    cfg = TrainConfig(episodes=2, horizon=3, hidden_sizes=(8,), task=TaskMode.TASK_I,
+                      batch_size=4, seed=2)
+    trainer = make_trainer(ds, split, model, cfg)
+    trainer.run()
+    good = tmp_path / "state.npz"
+    trainer.save(good)
+    with np.load(good) as data:
+        array = data[key].copy()
+    # the second row of a state or pairs column: a real pair in a raw row
+    array.reshape(len(array), -1)[1, 0] = value
+    bad = _rewrite_state(good, tmp_path / "bad.npz", **{key: array})
+    with pytest.raises(ValidationError, match="not finite") as err:
+        make_trainer(ds, split, model, cfg).restore(bad)
+    assert str(bad) in str(err.value)
 
 
 def test_eligible_train_users_filters_short_profiles():

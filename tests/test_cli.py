@@ -297,6 +297,58 @@ def test_train_resume_of_a_state_without_bootstrap_values_exits_2(workspace, cap
     assert str(state) in err and "replay format changed" in err and "train afresh" in err
 
 
+def test_train_resume_of_a_cfrl_state_with_stored_successors_exits_2(workspace, capsys):
+    # earlier versions kept each latent replay row's successor as a column
+    tmp_path, data, cfg_path = workspace
+    assert main(["pretrain", "--config", str(cfg_path)]) == 0
+    assert main(["train", "--config", str(cfg_path), "--method", "cfrl"]) == 0
+    state = tmp_path / "out" / "cfrl_task2_split0_state.npz"
+    with np.load(state) as saved:
+        arrays = {key: saved[key] for key in saved.files}
+    arrays["replay_s_next"] = arrays["replay_s"] + 0.5
+    with open(state, "wb") as fh:
+        np.savez(fh, **arrays)
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg_path), "--method", "cfrl", "--resume"]) == 2
+    err = capsys.readouterr().err
+    assert str(state) in err and "no longer store their successor state" in err
+
+
+@pytest.mark.parametrize("method", ["cfrl", "dqn"])
+def test_train_resume_of_a_state_with_a_reward_that_is_not_finite_exits_2(
+        workspace, capsys, method):
+    # a damaged state, not a diverging run (which exits 1)
+    tmp_path, data, cfg_path = workspace
+    if method == "cfrl":
+        assert main(["pretrain", "--config", str(cfg_path)]) == 0
+    assert main(["train", "--config", str(cfg_path), "--method", method]) == 0
+    state = tmp_path / "out" / f"{method}_task2_split0_state.npz"
+    with np.load(state) as saved:
+        arrays = {key: saved[key] for key in saved.files}
+    arrays["replay_r"][0] = np.inf
+    with open(state, "wb") as fh:
+        np.savez(fh, **arrays)
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg_path), "--method", method, "--resume"]) == 2
+    err = capsys.readouterr().err
+    assert str(state) in err and "'r' holds a value that is not finite" in err
+
+
+def test_eval_of_a_checkpoint_with_nan_parameters_exits_2(workspace, capsys):
+    tmp_path, data, cfg_path = workspace
+    assert main(["train", "--config", str(cfg_path), "--method", "dqn"]) == 0
+    ckpt = tmp_path / "out" / "dqn_task2_split0.ckpt"
+    with np.load(ckpt) as saved:
+        arrays = {key: saved[key] for key in saved.files}
+    arrays["params"][3] = np.nan
+    with open(ckpt, "wb") as fh:
+        np.savez(fh, **arrays)
+    capsys.readouterr()
+    assert main(["eval", "--config", str(cfg_path), "--method", "dqn", "--task", "task2"]) == 2
+    err = capsys.readouterr().err
+    assert str(ckpt) in err and "not finite" in err
+
+
 def test_old_binary_snapshot_as_data_exits_2(workspace, capsys):
     tmp_path, data, cfg_path = workspace
     old = tmp_path / "dataset.snap"

@@ -405,3 +405,15 @@ def test_checkpoint_load_is_exact(tmp_path):
     bad.write_bytes(good + b"\x00")
     with pytest.raises(ValidationError, match="trailing"):
         mf.load_mf(bad)
+
+
+@pytest.mark.parametrize("key", ["U", "V"])
+def test_checkpoint_with_factors_that_are_not_finite_is_refused(tmp_path, key):
+    ds = make_dataset({0: {0: 5, 1: 1}, 1: {0: 4, 1: 2}, 2: {2: 3}})
+    model = mf.pretrain(ds, {0, 1}, d=2, reg=0.01, lr=0.01, epochs=1, seed=9)
+    getattr(model, key)[1, 0] = np.inf
+    path = tmp_path / "mf.ckpt"
+    mf.save_mf(model, path)
+    with pytest.raises(ValidationError, match="not finite") as err:
+        mf.load_mf(path)
+    assert str(path) in str(err.value)

@@ -82,8 +82,8 @@ def _trainer_state(tmp, raw=False):
     def contents(t):
         replay = {key: (col.dtype, col.shape, col.tobytes()) for key, col in t.memory.state().items()}
         rngs = [rng.bit_generator.state for rng in (t.user_rng, t.action_rng, t.replay_rng)]
-        return (qnet.flatten_params(t.net).tobytes(), qnet.flatten_params(t.target.net).tobytes(),
-                replay, rngs, t.episode, t.train_steps, t.sync_count, t.target.staleness, t.logs)
+        return (qnet.flatten_params(t.net).tobytes(), qnet.flatten_params(t.target).tobytes(),
+                replay, rngs, t.train_steps, t.logs)
 
     return path, load, contents
 

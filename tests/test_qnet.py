@@ -98,7 +98,7 @@ def _value_iteration(transitions, gamma, n_states, n_actions, sweeps=200):
 
 def test_td_target_terminal_and_zero_gamma():
     net = qnet.qnet_init([2, 2], seed=0)
-    target = qnet.make_target(net)
+    target = net.copy()
     done_tr = Transition(s=np.zeros(2), a=0, r=3.0, s_next=np.zeros(2), done=True,
                          mask_next=np.ones(2, dtype=bool))
     assert td_target(done_tr, target, 0.9) == 3.0
@@ -109,14 +109,14 @@ def test_td_target_terminal_and_zero_gamma():
 
 def test_td_target_empty_mask_is_an_error():
     net = qnet.qnet_init([2, 2], seed=0)
-    target = qnet.make_target(net)
+    target = net.copy()
     tr = Transition(s=np.zeros(2), a=0, r=1.0, s_next=np.zeros(2), done=False,
                     mask_next=np.zeros(2, dtype=bool))
     with pytest.raises(ValueError, match="no available"):
         td_target(tr, target, 0.9)
     # so does the batched bootstrap value of the same successor
     with pytest.raises(ValueError, match="no available"):
-        qnet.bootstrap_values(target.net, tr.s_next[None], tr.mask_next[None])
+        qnet.bootstrap_values(target, tr.s_next[None], tr.mask_next[None])
 
 
 def test_td_target_matches_value_iteration_backups():
@@ -131,7 +131,7 @@ def test_td_target_matches_value_iteration_backups():
     net = qnet.qnet_init([2, 2], seed=0)
     net.weights[0][:] = q_star.T
     net.biases[0][:] = 0.0
-    target = qnet.make_target(net)
+    target = net.copy()
     for s in range(2):
         for a in range(2):
             s2, r, terminal = transitions[s][a]
@@ -179,7 +179,7 @@ def _half_mse(net, batch, y):
 def test_train_step_gradient_matches_finite_differences(activation, seed):
     rng = np.random.default_rng(1000 + seed)
     net = qnet.qnet_init([3, 4, 5], seed=seed, activation=activation)
-    target = qnet.make_target(net)
+    target = net.copy()
     batch = _random_batch(rng, net)
     y = _batch_targets(net, target, batch, gamma=0.9)
 
@@ -208,7 +208,7 @@ def test_train_step_gradient_matches_finite_differences(activation, seed):
 def test_train_step_matches_dense_reference(hidden, activation):
     rng = np.random.default_rng(len(hidden))
     net = qnet.qnet_init([4, *hidden, 5], seed=3, activation=activation)
-    target = qnet.make_target(qnet.qnet_init([4, *hidden, 5], seed=4, activation=activation))
+    target = qnet.qnet_init([4, *hidden, 5], seed=4, activation=activation)
     reference = net.copy()
     for step in range(20):
         batch = _random_batch(rng, net, size=8)  # 8 actions over 5 outputs: repeats
@@ -235,7 +235,7 @@ def test_pairs_forward_and_update_match_the_dense_reference(data):
     net = qnet.qnet_init([n, *hidden, n], seed=data.draw(st.integers(0, 99)), activation=activation)
     if data.draw(st.booleans(), label="input-major W0"):
         net = qnet.input_major(net)
-    target = qnet.make_target(qnet.qnet_init([n, *hidden, n], seed=100, activation=activation))
+    target = qnet.qnet_init([n, *hidden, n], seed=100, activation=activation)
     rewards = st.sampled_from([1.0, 2.0, 5.0, 0.25, -1.5])
     batch = []
     for row in range(size):
@@ -260,8 +260,8 @@ def test_pairs_forward_and_update_match_the_dense_reference(data):
     s_next = np.stack([tr.s_next for tr in batch])
     masks = np.stack([tr.mask_next for tr in batch])
     np.testing.assert_allclose(
-        qnet.bootstrap_values(target.net, raw_pairs(s_next, horizon), masks),
-        [np.max(qnet.forward(target.net, tr.s_next)[tr.mask_next]) for tr in batch],
+        qnet.bootstrap_values(target, raw_pairs(s_next, horizon), masks),
+        [np.max(qnet.forward(target, tr.s_next)[tr.mask_next]) for tr in batch],
         rtol=1e-12, atol=1e-15)
 
     for sparse, states in ((pairs.s, dense.s), (raw_pairs(s_next, horizon), s_next)):
@@ -286,7 +286,7 @@ def test_pairs_forward_and_update_match_the_dense_reference(data):
 
 def test_train_step_rejects_an_empty_batch():
     net = qnet.qnet_init([3, 4, 5], seed=1)
-    target = qnet.make_target(net)
+    target = net.copy()
     empty = qnet.Batch(s=np.zeros((0, 3)), a=np.zeros(0, dtype=np.int64), y=np.zeros(0))
     with pytest.raises(ValueError, match="empty"):
         qnet.train_step(net, empty, 0.1)
@@ -295,7 +295,7 @@ def test_train_step_rejects_an_empty_batch():
 def test_train_step_zero_residual_leaves_parameters_unchanged():
     rng = np.random.default_rng(5)
     net = qnet.qnet_init([3, 6, 4], seed=5)
-    target = qnet.make_target(net)
+    target = net.copy()
     states = rng.normal(size=(4, 3))
     actions = rng.integers(4, size=4)
     # terminal transitions whose r equals the Q(s, a) that training computes,
@@ -314,7 +314,7 @@ def test_train_step_zero_residual_leaves_parameters_unchanged():
 
 def test_train_step_converges_on_fixed_transition():
     net = qnet.qnet_init([2, 8, 3], seed=7)
-    target = qnet.make_target(net)
+    target = net.copy()
     tr = Transition(s=np.array([0.3, -1.2]), a=1, r=4.0, s_next=np.zeros(2), done=True,
                     mask_next=np.ones(3, dtype=bool))
     for _ in range(3000):
@@ -324,7 +324,7 @@ def test_train_step_converges_on_fixed_transition():
 
 def test_train_step_only_touches_taken_action_outputs():
     net = qnet.qnet_init([2, 3], seed=11)  # linear: output rows are per-action
-    target = qnet.make_target(net)
+    target = net.copy()
     tr = Transition(s=np.array([1.0, 2.0]), a=0, r=3.0, s_next=np.zeros(2), done=True,
                     mask_next=np.ones(3, dtype=bool))
     before_w = net.weights[0].copy()
@@ -337,7 +337,7 @@ def test_train_step_only_touches_taken_action_outputs():
 
 def test_train_step_divergence_error():
     net = qnet.qnet_init([2, 3], seed=0)
-    target = qnet.make_target(net)
+    target = net.copy()
     tr = Transition(s=np.array([1.0, 1.0]), a=0, r=np.inf, s_next=np.zeros(2), done=True,
                     mask_next=np.ones(3, dtype=bool))
     with pytest.raises(DivergenceError):
@@ -346,7 +346,7 @@ def test_train_step_divergence_error():
 
 def test_train_step_divergence_error_from_a_taken_output_row():
     net = qnet.qnet_init([2, 4, 3], seed=0)
-    target = qnet.make_target(net)
+    target = net.copy()
     net.weights[-1][1] = np.inf
     # terminal transitions' targets are their rewards, so only Q(s, a) sees the inf
     batch = [
@@ -369,25 +369,29 @@ def test_q_taken_agrees_with_forward_batch(hidden, activation):
     np.testing.assert_allclose(q_taken(net, states, actions), expected, rtol=1e-13)
 
 
-def test_sync_target_copies_and_resets_staleness():
+def test_sync_target_copies_the_parameters():
     net = qnet.qnet_init([3, 5, 4], seed=2)
-    target = qnet.make_target(net)
+    target = net.copy()
     rng = np.random.default_rng(0)
     tr = Transition(s=rng.normal(size=3), a=1, r=2.0, s_next=rng.normal(size=3), done=False,
                     mask_next=np.ones(4, dtype=bool))
     for _ in range(5):
         qnet.train_step(net, stack([tr], target, 0.9), lr=0.01)
-        target.staleness += 1   # as the trainer counts its steps
     s = rng.normal(size=3)
-    assert not np.array_equal(qnet.forward(net, s), qnet.forward(target.net, s))
-    qnet.sync_target(net, target)
-    assert target.staleness == 0
-    np.testing.assert_array_equal(qnet.forward(net, s), qnet.forward(target.net, s))
+    assert not np.array_equal(qnet.forward(net, s), qnet.forward(target, s))
+    arrays = [*target.weights, *target.biases]
+    assert qnet.sync_target(net, target) is None
+    assert qnet.flatten_params(target).tobytes() == qnet.flatten_params(net).tobytes()
+    np.testing.assert_array_equal(qnet.forward(net, s), qnet.forward(target, s))
+    # the target keeps its own arrays: training the net leaves it as synced
+    assert all(a is b for a, b in zip(arrays, [*target.weights, *target.biases]))
+    qnet.train_step(net, stack([tr], target, 0.9), lr=0.01)
+    assert not np.array_equal(qnet.forward(net, s), qnet.forward(target, s))
 
 
 def test_sync_target_architecture_mismatch():
     net = qnet.qnet_init([3, 5, 4], seed=2)
-    other = qnet.make_target(qnet.qnet_init([3, 6, 4], seed=2))
+    other = qnet.qnet_init([3, 6, 4], seed=2)
     with pytest.raises(ValidationError, match="architecture mismatch"):
         qnet.sync_target(net, other)
 
@@ -421,11 +425,11 @@ def test_masked_argmax_respects_mask_and_ties():
 def test_batched_targets_agree_with_single_path():
     rng = np.random.default_rng(9)
     net = qnet.qnet_init([4, 6, 5], seed=9)
-    target = qnet.make_target(net)
+    target = net.copy()
     batch = _random_batch(rng, net, size=12)
     live = [tr for tr in batch if not tr.done]
     assert 0 < len(live) < len(batch)
-    values = qnet.bootstrap_values(target.net, np.stack([tr.s_next for tr in live]),
+    values = qnet.bootstrap_values(target, np.stack([tr.s_next for tr in live]),
                                    np.stack([tr.mask_next for tr in live]))
     np.testing.assert_allclose([tr.r + 0.7 * v for tr, v in zip(live, values)],
                                [td_target(tr, target, 0.7) for tr in live], rtol=1e-12)
@@ -435,7 +439,7 @@ def test_training_trajectory_is_deterministic():
     def run():
         rng = np.random.default_rng(21)
         net = qnet.qnet_init([3, 7, 4], seed=21)
-        target = qnet.make_target(net)
+        target = net.copy()
         for step in range(50):
             batch = _random_batch(rng, net, size=4)
             qnet.train_step(net, stack(batch, target, 0.9), lr=0.01)
@@ -491,3 +495,18 @@ def test_checkpoint_load_is_exact(tmp_path):
             dst.writestr(name, raw)
     with pytest.raises(ValidationError, match="truncated"):
         qnet.load_qnet(bad)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_checkpoint_with_parameters_that_are_not_finite_is_refused(tmp_path, value):
+    # argmax reads NaN as the largest value, so such a network would pick
+    # item 0 at every step instead of failing
+    net = qnet.qnet_init([3, 4, 5], seed=2)
+    params = qnet.flatten_params(net)
+    params[7] = value
+    qnet.assign_params(net, params)
+    path = tmp_path / "net.ckpt"
+    qnet.save_qnet(net, path)
+    with pytest.raises(ValidationError, match="not finite") as err:
+        qnet.load_qnet(path)
+    assert str(path) in str(err.value)
