@@ -17,7 +17,9 @@ of (s, a, y): each row keeps its bootstrap value, the target's max over the
 successor's available actions, and computes it (the TD update's one n-wide
 product) only when the row is sampled for the first time after its push or
 after a target sync. The same policy trains both the latent-state agent and
-the raw-rating-vector variant.
+the raw-rating-vector variant. The trainer keeps one record of the episodes
+it has played, and its step, sync and episode counts, its training log and
+its trace all derive from that record.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from . import mf, qnet
-from .env import InteractiveEnv, TaskMode, run_episode, user_steps
+from .env import InteractiveEnv, TaskMode, run_episode
 from .errors import ValidationError
 from .persist import atomic_text, load_npz, save_npz
 from .seeding import rng_for
@@ -218,16 +220,7 @@ class ReplayMemory:
         """
         columns = dict(state)
         next_slot = columns.pop("next", None)
-        if set(columns) != set(self._shapes):
-            raise ValidationError(f"replay columns {sorted(columns)} != {sorted(self._shapes)}")
-        rows = columns["a"].shape[0] if columns["a"].ndim == 1 else -1
-        for key, (shape, dtype) in self._shapes.items():
-            col = columns[key]
-            if col.dtype != dtype or col.shape != (rows, *shape):
-                raise ValidationError(
-                    f"replay column {key!r} is {col.dtype}{col.shape}, "
-                    f"expected {np.dtype(dtype)}{(rows, *shape)}"
-                )
+        rows = check_columns(columns, self._shapes, "replay")
         if rows > self.capacity:
             raise ValidationError(f"replay holds {rows} rows, over the capacity {self.capacity}")
         if (
@@ -267,6 +260,23 @@ class ReplayMemory:
         self._next = int(next_slot[0])
 
 
+def check_columns(columns: dict, shapes: dict, kind: str) -> int:
+    """The row count that the arrays `columns` share. `shapes` maps each key
+    to (its shape after the rows, its dtype), and the first key's array sets
+    the row count. Raises ValidationError, naming the columns as `kind`, for
+    a missing or extra key or an array of another dtype or shape."""
+    if set(columns) != set(shapes):
+        raise ValidationError(f"{kind} columns {sorted(columns)} != {sorted(shapes)}")
+    first = next(iter(shapes))
+    rows = columns[first].shape[0] if columns[first].ndim == len(shapes[first][0]) + 1 else -1
+    for key, (shape, dtype) in shapes.items():
+        col = columns[key]
+        if col.dtype != dtype or col.shape != (rows, *shape):
+            raise ValidationError(f"{kind} column {key!r} is {col.dtype}{col.shape}, "
+                                  f"expected {np.dtype(dtype)}{(rows, *shape)}")
+    return rows
+
+
 @dataclass
 class TrainConfig:
     """Hyperparameters of one training run."""
@@ -297,16 +307,6 @@ class TrainConfig:
             raise ValueError("q_lr, sync_period and batch_size must be positive")
         if self.replay_capacity < 1:
             raise ValueError("replay_capacity must be >= 1")
-
-
-@dataclass
-class EpisodeLog:
-    episode: int
-    user: int
-    reward_sum: float
-    mean_td_loss: float
-    epsilon: float
-    sync_count: int
 
 
 def select_action(net, state, mask, epsilon: float, rng) -> int:
@@ -395,12 +395,21 @@ class StatePolicy(Policy):
         self.state = self.update(self.state, items, rewards)
 
 
+# The columns of a trainer's episode record, (shape after the rows, dtype):
+# one row per episode, and one per step of all episodes in play order.
+EPISODE_COLUMNS = {"user": ((), np.int64), "end": ((), np.int64), "loss": ((), np.float64)}
+STEP_COLUMNS = {"item": ((), np.int32), "reward": ((), np.float64)}
+
+
 class QTrainer(StatePolicy):
     """The learning Q-policy and the resumable state of its training run:
-    network, target (a plain copy of it), replay, RNGs, train steps and
-    episode logs; the episode and sync counts follow from the last two. It
-    plays one user at a time, a block of one, from a start state of
-    state_kind (the raw state's Pairs, or a dense state of its width)."""
+    network, target (a plain copy of it), replay, RNGs and the record of the
+    episodes it has played. The record holds, per episode, its user, the
+    end of its steps among all steps and its mean TD loss, and per step its
+    item and reward; the train step, sync and episode counts, the training
+    log and the trace all derive from it. It plays one user at a time, a
+    block of one, from a start state of state_kind (the raw state's Pairs,
+    or a dense state of its width)."""
 
     def __init__(self, env, users, start, update, cfg: TrainConfig):
         cfg.validate()
@@ -421,13 +430,22 @@ class QTrainer(StatePolicy):
         self.user_rng = rng_for(cfg.seed, "episode-users")
         self.action_rng = rng_for(cfg.seed, "epsilon-greedy")
         self.replay_rng = rng_for(cfg.seed, "replay-sample")
-        self.train_steps = 0
-        self.logs = []
+        self.episode = 0    # episodes in the record
+        self.record = self._allocate(cfg.episodes)
         self.losses = []    # TD losses of the current episode
 
+    def _allocate(self, episodes: int) -> dict:
+        """Record columns for `episodes` episodes of up to the horizon's steps.
+        np.empty commits memory only as rows are written, so a column sized
+        for the whole run costs what the episodes played so far fill."""
+        steps = episodes * self.env.horizon
+        return {**{key: np.empty(episodes, dtype) for key, (_, dtype) in EPISODE_COLUMNS.items()},
+                **{key: np.empty(steps, dtype) for key, (_, dtype) in STEP_COLUMNS.items()}}
+
     @property
-    def episode(self) -> int:
-        return len(self.logs)
+    def train_steps(self) -> int:
+        """The last recorded episode's end plus the current episode's steps."""
+        return (int(self.record["end"][self.episode - 1]) if self.episode else 0) + len(self.losses)
 
     @property
     def sync_count(self) -> int:
@@ -437,45 +455,44 @@ class QTrainer(StatePolicy):
         if len(users) != 1:
             raise ValueError(f"a Q-learner trains on one user at a time, not {len(users)}")
         super().begin_episode(users)
-        self.losses = []
 
     def act(self, avail: np.ndarray) -> np.ndarray:
         return np.array([select_action(self.net, self.state[0], avail[0], self.cfg.epsilon,
                                        self.action_rng)])
 
     def observe(self, items, rewards, avail=None, done: bool = False) -> None:
-        cfg, s = self.cfg, self.state[0]
+        cfg, s, step = self.cfg, self.state[0], self.train_steps
         super().observe(items, rewards)
+        self.record["item"][step], self.record["reward"][step] = items[0], rewards[0]
         self.memory.push(s, items[0], rewards[0], done, avail[0])
         batch = self.memory.sample(cfg.batch_size, self.replay_rng, self.target,
                                    self.sync_count, cfg.gamma)
         self.losses.append(qnet.train_step(self.net, batch, cfg.q_lr))
-        self.train_steps += 1
         if self.train_steps % cfg.sync_period == 0:
             qnet.sync_target(self.net, self.target)
 
-    def run(self, until_episode: int | None = None, trace: list | None = None) -> list:
-        """Advance training to the requested episode count (default: all).
-
-        Returns the full per-episode log list accumulated so far.
-        """
+    def run(self, until_episode: int | None = None) -> None:
+        """Advance training to the requested episode count (default: all),
+        recording each episode as it ends."""
         stop = self.cfg.episodes if until_episode is None else min(until_episode, self.cfg.episodes)
+        record = self.record
         while self.episode < stop:
             user = self.users[int(self.user_rng.integers(len(self.users)))]
-            steps = user_steps(run_episode(self.env, [user], self), 0)
-            if trace is not None:
-                trace.extend((self.episode, user, t, *step) for t, step in enumerate(steps))
-            self.logs.append(
-                EpisodeLog(
-                    episode=self.episode,
-                    user=user,
-                    reward_sum=sum((reward for _, reward, _ in steps), 0.0),
-                    mean_td_loss=float(np.mean(self.losses)) if self.losses else 0.0,
-                    epsilon=self.cfg.epsilon,
-                    sync_count=self.sync_count,
-                )
-            )
-        return self.logs
+            run_episode(self.env, [user], self)
+            e = self.episode
+            record["user"][e], record["end"][e] = user, self.train_steps
+            record["loss"][e] = float(np.mean(self.losses)) if self.losses else 0.0
+            self.episode, self.losses = e + 1, []
+
+    def episodes(self):
+        """Each recorded episode as (episode, user, end, mean TD loss, items,
+        rewards), its items and rewards as lists."""
+        record, start = self.record, 0
+        for e in range(self.episode):
+            end = int(record["end"][e])
+            yield (e, int(record["user"][e]), end, float(record["loss"][e]),
+                   record["item"][start:end].tolist(), record["reward"][start:end].tolist())
+            start = end
 
     def save(self, path) -> None:
         """Full-state checkpoint: exact continuation on load.
@@ -484,11 +501,9 @@ class QTrainer(StatePolicy):
         replaces it, so a save that fails part-way leaves the previous state.
         """
         meta = {
-            "train_steps": self.train_steps,
             "user_rng": self.user_rng.bit_generator.state,
             "action_rng": self.action_rng.bit_generator.state,
             "replay_rng": self.replay_rng.bit_generator.state,
-            "logs": [vars(log) for log in self.logs],
             "run": self.run_record,
         }
         arrays = {
@@ -496,6 +511,10 @@ class QTrainer(StatePolicy):
             "target": qnet.flatten_params(self.target),
             "meta": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
         }
+        for key in EPISODE_COLUMNS:
+            arrays[f"record_{key}"] = self.record[key][: self.episode]
+        for key in STEP_COLUMNS:
+            arrays[f"record_{key}"] = self.record[key][: self.train_steps]
         for key, array in self.memory.state().items():
             arrays[f"replay_{key}"] = array
         save_npz(path, arrays)
@@ -512,26 +531,62 @@ class QTrainer(StatePolicy):
         del record["episodes"]
         return record
 
+    def _check_record(self, record: dict) -> int:
+        """The episode count of a saved record.
+
+        Raises:
+            ValidationError: a column is missing or has another dtype or
+                shape, an episode ends before the one before it or runs over
+                the horizon, the last episode does not end at the step
+                count, a user is not one of the run's training users, an
+                item is outside 0..n-1, or a reward or loss is not finite.
+        """
+        episodes = check_columns({key: record[key] for key in EPISODE_COLUMNS}, EPISODE_COLUMNS,
+                                 "episode record")
+        steps = check_columns({key: record[key] for key in STEP_COLUMNS}, STEP_COLUMNS,
+                              "episode record")
+        ends, horizon = record["end"], self.env.horizon
+        lengths = np.diff(ends, prepend=0)
+        if (lengths < 0).any():
+            raise ValidationError("episode record: an episode ends before the one before it")
+        if (lengths > horizon).any():
+            raise ValidationError(f"episode record: an episode runs over the horizon {horizon}")
+        if (int(ends[-1]) if episodes else 0) != steps:
+            raise ValidationError(f"episode record: the last episode does not end at the "
+                                  f"record's {steps} steps")
+        if not np.isin(record["user"], self.users).all():
+            raise ValidationError("episode record: a user is not one of the run's training users")
+        if ((record["item"] < 0) | (record["item"] >= self.env.n)).any():
+            raise ValidationError(f"episode record: item outside 0..{self.env.n - 1}")
+        for key in ("reward", "loss"):
+            if not np.isfinite(record[key]).all():
+                raise ValidationError(f"episode record: a {key} is not finite")
+        return episodes
+
     def restore(self, path) -> None:
         """Continue from a save(). A file that cannot be read, does not fit
         this trainer (network, action count, replay capacity), was saved by
         a different run (see run_record), holds network parameters, replay
-        states or rewards that are not finite, a negative train step count
-        or episode logs not numbered 0..k-1 raises ValidationError."""
+        states or rewards that are not finite, or an episode record that
+        _check_record refuses raises ValidationError. So does a state saved
+        by an earlier version, which holds no episode record."""
         replay = [f"replay_{key}" for key in self.memory.state()]
-        changes = {"replay_s": "raw-state replay rows are now (item, reward) pairs",
-                   "replay_s_next": "replay rows no longer store their successor state",
-                   "replay_stamp": "replay rows now keep their bootstrap value"}
+        record_keys = [f"record_{key}" for key in (*EPISODE_COLUMNS, *STEP_COLUMNS)]
+        fmt = "the replay format changed: "
+        changes = {"replay_s": fmt + "raw-state replay rows are now (item, reward) pairs",
+                   "replay_s_next": fmt + "replay rows no longer store their successor state",
+                   "replay_stamp": fmt + "replay rows now keep their bootstrap value",
+                   "record_end": "the state now records its episodes in place of a step count "
+                                 "and logs"}
         if not self.memory.raw:
             del changes["replay_s"]
-        earlier = {key: f"the replay format changed: {change}, and a trainer state saved by an "
-                        "earlier version is not read; train afresh" for key, change in changes.items()}
-        arrays = load_npz(path, "trainer state", ("net", "target", "meta", *replay), earlier)
+        earlier = {key: f"{change}, and a trainer state saved by an earlier version is not read; "
+                        "train afresh" for key, change in changes.items()}
+        arrays = load_npz(path, "trainer state",
+                          ("net", "target", "meta", *record_keys, *replay), earlier)
         try:
             params = [arrays.pop(key) for key in ("net", "target")]
             meta = json.loads(arrays.pop("meta").tobytes().decode())
-            logs = [EpisodeLog(**row) for row in meta["logs"]]
-            train_steps = int(meta["train_steps"])
             rng_states = [meta[key] for key in ("user_rng", "action_rng", "replay_rng")]
         except (ValueError, KeyError, TypeError) as exc:
             raise ValidationError(f"{path}: unreadable trainer state ({exc})") from None
@@ -550,14 +605,12 @@ class QTrainer(StatePolicy):
                         if saved.get(k) != self.run_record.get(k))
         if differ:
             raise ValidationError(f"{path}: saved by a different run: {', '.join(differ)} differ")
-        if train_steps < 0:
-            raise ValidationError(f"{path}: negative train step count {train_steps}")
-        if [log.episode for log in logs] != list(range(len(logs))):
-            raise ValidationError(f"{path}: the episode logs are not numbered 0..{len(logs) - 1}")
+        saved_record = {key[len("record_"):]: arrays.pop(key) for key in record_keys}
         memory = ReplayMemory(self.cfg.replay_capacity, self.env.n, self.start, self.update)
         try:
+            episodes = self._check_record(saved_record)
             memory.load({key[len("replay_"):]: array for key, array in arrays.items()},
-                        train_steps // self.cfg.sync_period)
+                        len(saved_record["item"]) // self.cfg.sync_period)
         except ValidationError as exc:
             raise ValidationError(f"{path}: {exc}") from None
         try:
@@ -568,8 +621,11 @@ class QTrainer(StatePolicy):
         qnet.assign_params(self.net, params[0])
         qnet.assign_params(self.target, params[1])
         self.memory = memory
-        self.train_steps = train_steps
-        self.logs = logs
+        # a resume may ask for fewer episodes than the state holds
+        self.record = self._allocate(max(self.cfg.episodes, episodes))
+        for key, col in saved_record.items():
+            self.record[key][: len(col)] = col
+        self.episode, self.losses = episodes, []
 
 
 def eligible_train_users(ds, users, task: TaskMode, horizon: int) -> list:
@@ -588,12 +644,26 @@ def make_trainer(ds, split, mf_model: mf.MfModel | None, cfg: TrainConfig) -> QT
     return QTrainer(environment, users, *state_kind(mf_model, ds.n, cfg.horizon), cfg)
 
 
-def write_training_log(path, logs) -> None:
+def write_training_log(path, trainer: QTrainer) -> None:
+    """One row per episode in the trainer's record: its number, user, reward
+    sum and mean TD loss, the run's epsilon, and the target's sync count at
+    the episode's end."""
+    cfg = trainer.cfg
     with atomic_text(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["episode", "user", "reward_sum", "mean_td_loss", "epsilon", "sync_count"])
-        for log in logs:
-            writer.writerow(
-                [log.episode, log.user, repr(log.reward_sum), repr(log.mean_td_loss),
-                 repr(log.epsilon), log.sync_count]
-            )
+        for episode, user, end, loss, _, rewards in trainer.episodes():
+            writer.writerow([episode, user, repr(sum(rewards, 0.0)), repr(loss),
+                             repr(cfg.epsilon), end // cfg.sync_period])
+
+
+def write_trace(path, trainer: QTrainer) -> None:
+    """One row per step in the trainer's record: (episode, user, t, action,
+    reward, done), where done marks an episode's last step."""
+    with atomic_text(path, newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["episode", "user", "t", "action", "reward", "done"])
+        for episode, user, _, _, items, rewards in trainer.episodes():
+            last = len(items) - 1
+            writer.writerows((episode, user, t, item, reward, t == last)
+                             for t, (item, reward) in enumerate(zip(items, rewards)))

@@ -16,7 +16,6 @@ import numpy as np
 
 from . import agent, dataset, evaluate, mf
 from .config import RunConfig, load_config, task_mode, write_resolved
-from .env import write_trace
 from .errors import CfrlError, DivergenceError, ParseError, ValidationError
 from .methods import METHODS, SplitContext
 from .persist import atomic_text
@@ -171,7 +170,6 @@ def cmd_train(args) -> int:
             raise FileNotFoundError(f"--resume given but {state_path} does not exist")
         trainer.restore(state_path)
         print(f"resumed at episode {trainer.episode}")
-    trace_rows: list | None = [] if args.trace else None
     log_path = out / f"{stem}_train_log.csv"
     diverged = None
     try:
@@ -180,14 +178,15 @@ def cmd_train(args) -> int:
                 target = min(train_cfg.episodes, trainer.episode + cfg.checkpoint_every)
             else:
                 target = train_cfg.episodes
-            trainer.run(until_episode=target, trace=trace_rows)
+            trainer.run(until_episode=target)
             trainer.save(state_path)
     except DivergenceError as exc:
         diverged = exc
-    # the log and trace hold every completed episode, also those before a divergence
-    agent.write_training_log(log_path, trainer.logs)
-    if trace_rows is not None:
-        write_trace(out / f"{stem}_trace.csv", trace_rows)
+    # the log and trace derive from the trainer's record: every completed
+    # episode, also those before a resume or a divergence
+    agent.write_training_log(log_path, trainer)
+    if args.trace:
+        agent.write_trace(out / f"{stem}_trace.csv", trainer)
     if diverged is not None:
         kept = (
             f"last-good state kept at {state_path}"

@@ -14,14 +14,12 @@ training as in evaluation, for the environment's horizon.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import IllegalActionError, ValidationError
-from .persist import atomic_text
 
 
 class TaskMode(Enum):
@@ -133,18 +131,3 @@ def run_episode(environment, users, policy) -> list:
         if done:
             break
     return steps
-
-
-def user_steps(steps, row: int) -> list:
-    """One row's (action, reward, done) steps of a run_episode result, as
-    Python int, float and bool."""
-    return [(int(actions[row]), float(rewards[row]), done) for actions, rewards, done in steps]
-
-
-def write_trace(path, rows) -> None:
-    """Append-free dump of per-step rows (episode, user, t, action, reward, done)."""
-    with atomic_text(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["episode", "user", "t", "action", "reward", "done"])
-        for row in rows:
-            writer.writerow(row)

@@ -19,26 +19,22 @@ import numpy as np
 
 from . import mf
 from .agent import TrainConfig
-from .env import InteractiveEnv, TaskMode, run_episode, user_steps
+from .env import InteractiveEnv, TaskMode, run_episode
 from .errors import ValidationError
 from .methods import METHODS, SplitContext
 from .persist import atomic_text
 from .seeding import derive_seed
 
 
-def evaluate_policy(policy, ds, split, task: TaskMode, horizon: int,
-                    trace: list | None = None) -> np.ndarray:
+def evaluate_policy(policy, ds, split, task: TaskMode, horizon: int) -> np.ndarray:
     """One greedy episode per test user; returns each user's mean reward.
 
     The test users, in ascending index order, play one episode as one block;
     run_episode resets the policy for it via begin_episode, so shared models
-    are never mutated. Trace rows run user by user.
+    are never mutated.
     """
     users = sorted(split.test_users)
     steps = run_episode(InteractiveEnv(ds, task, horizon), users, policy)
-    if trace is not None:
-        for idx, user in enumerate(users):
-            trace.extend((idx, user, t, *step) for t, step in enumerate(user_steps(steps, idx)))
     totals = np.zeros(len(users))
     for _, rewards, _ in steps:
         totals += rewards

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from cfrl import mf, qnet
 from cfrl.agent import (
-    EpisodeLog,
     QTrainer,
     ReplayMemory,
     TrainConfig,
@@ -19,17 +18,18 @@ from cfrl.agent import (
     put_pairs,
     select_action,
     state_kind,
+    write_trace,
     write_training_log,
 )
 from cfrl.baselines import GreedyQPolicy
 from cfrl.dataset import RatingDataset, Split
 from cfrl.env import TaskMode
 from cfrl.errors import ValidationError
-from cfrl.evaluate import evaluate_policy
 from cfrl.seeding import rng_for
 
 from conftest import PLANTED_ITEM, make_dataset, planted_profiles, profile, synthetic_profiles
 from oracles import Transition, raw_pairs, raw_update, replay_rows, td_target
+from rollouts import traced_eval
 from toy_mdp import ChainEnv, LIVE_STATES, encode, update, value_iteration
 
 
@@ -313,35 +313,50 @@ def test_train_cfrl_zero_episodes_returns_untouched_net(small_setup):
     ds, split, model = small_setup
     cfg = TrainConfig(episodes=0, horizon=3, hidden_sizes=(8,), task=TaskMode.TASK_II, seed=5)
     trainer = make_trainer(ds, split, model, cfg)
-    logs = trainer.run()
+    trainer.run()
     fresh = qnet.qnet_init((model.d, 8, ds.n), seed=5)
     np.testing.assert_array_equal(qnet.flatten_params(trainer.net), qnet.flatten_params(fresh))
-    assert logs == []
+    assert list(trainer.episodes()) == [] and trainer.train_steps == 0
 
 
-def test_training_log_shape_and_sync_cadence(small_setup):
+def _read_csv(path) -> list:
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
+def _trace(trainer) -> list:
+    """The trainer's recorded steps as (episode, user, t, item, reward) rows."""
+    return [(episode, user, t, item, reward)
+            for episode, user, _, _, items, rewards in trainer.episodes()
+            for t, (item, reward) in enumerate(zip(items, rewards))]
+
+
+def test_training_log_shape_and_sync_cadence(tmp_path, small_setup):
     ds, split, model = small_setup
     cfg = TrainConfig(
         episodes=6, horizon=4, hidden_sizes=(8,), task=TaskMode.TASK_II,
         sync_period=5, batch_size=4, seed=1,
     )
-    logs = make_trainer(ds, split, model, cfg).run()
+    trainer = make_trainer(ds, split, model, cfg)
+    trainer.run()
+    write_training_log(tmp_path / "log.csv", trainer)
+    logs = _read_csv(tmp_path / "log.csv")
     assert len(logs) == 6
-    assert [log.episode for log in logs] == list(range(6))
+    assert [int(log["episode"]) for log in logs] == list(range(6))
     # 24 train steps at L=5 -> floor(24/5) syncs, recorded cumulatively
-    assert logs[-1].sync_count == (6 * 4) // 5
+    assert int(logs[-1]["sync_count"]) == (6 * 4) // 5 == trainer.sync_count
     for prev, cur in zip(logs, logs[1:]):
-        assert cur.sync_count - prev.sync_count in (0, 1)
-    assert all(log.epsilon == cfg.epsilon for log in logs)
+        assert int(cur["sync_count"]) - int(prev["sync_count"]) in (0, 1)
+    assert all(float(log["epsilon"]) == cfg.epsilon for log in logs)
 
 
 def test_training_trace_has_no_repeats_within_episode(small_setup):
     ds, split, model = small_setup
     cfg = TrainConfig(episodes=5, horizon=6, hidden_sizes=(8,), task=TaskMode.TASK_II, seed=3)
-    trace = []
-    make_trainer(ds, split, model, cfg).run(trace=trace)
+    trainer = make_trainer(ds, split, model, cfg)
+    trainer.run()
     by_episode = {}
-    for ep, user, t, action, reward, done in trace:
+    for ep, user, t, action, reward in _trace(trainer):
         by_episode.setdefault(ep, []).append(action)
     assert len(by_episode) == 5
     for actions in by_episode.values():
@@ -364,8 +379,8 @@ def test_trainer_and_greedy_policy_share_one_state(small_setup, raw_state):
     cfg = TrainConfig(episodes=3, horizon=5, hidden_sizes=(8,), task=TaskMode.TASK_II,
                       epsilon=0.5, seed=4)
     trainer = make_trainer(ds, split, None if raw_state else model, cfg)
-    trace = []
-    trainer.run(trace=trace)
+    trainer.run()
+    trace = _trace(trainer)
     rows = np.arange(len(trace))
     s, s_next = trainer.memory.states(rows), trainer.memory.successors(rows)
     a, r = trainer.memory.state()["a"], trainer.memory.state()["r"]
@@ -377,7 +392,7 @@ def test_trainer_and_greedy_policy_share_one_state(small_setup, raw_state):
         return states.items[k].tobytes() + states.values[k].tobytes()
 
     assert len(trace) == 3 * 5
-    for k, (_, user, t, action, reward, _) in enumerate(trace):
+    for k, (_, user, t, action, reward) in enumerate(trace):
         if t == 0:
             policy.begin_episode([user])
             if raw_state:  # every episode starts from no pairs, all padding
@@ -437,9 +452,10 @@ def test_training_is_deterministic(small_setup):
     ds, split, model = small_setup
     cfg = TrainConfig(episodes=4, horizon=3, hidden_sizes=(8,), task=TaskMode.TASK_II, seed=9)
     first, second = make_trainer(ds, split, model, cfg), make_trainer(ds, split, model, cfg)
-    logs1, logs2 = first.run(), second.run()
+    first.run()
+    second.run()
     assert qnet.flatten_params(first.net).tobytes() == qnet.flatten_params(second.net).tobytes()
-    assert logs1 == logs2
+    assert list(first.episodes()) == list(second.episodes())
 
 
 def test_trainer_save_restore_continues_exactly(tmp_path, small_setup):
@@ -469,7 +485,7 @@ def test_trainer_save_restore_continues_exactly(tmp_path, small_setup):
             qnet.flatten_params(resumed.net).tobytes()
             == qnet.flatten_params(straight.net).tobytes()
         )
-        assert resumed.logs == straight.logs
+        assert list(resumed.episodes()) == list(straight.episodes())
         assert resumed.train_steps == straight.train_steps
         for key, col in straight.memory.state().items():
             assert resumed.memory.state()[key].tobytes() == col.tobytes()
@@ -510,7 +526,7 @@ def test_failed_save_keeps_previous_state(tmp_path, monkeypatch, small_setup):
         qnet.flatten_params(resumed.net).tobytes()
         == qnet.flatten_params(straight.net).tobytes()
     )
-    assert resumed.logs == straight.logs
+    assert list(resumed.episodes()) == list(straight.episodes())
 
 
 def _rewrite_state(src, dst, **changes):
@@ -736,10 +752,28 @@ def test_restore_refuses_a_state_saved_by_a_different_run(tmp_path, small_setup)
         make_trainer(ds, split, model, cfg).restore(bad)
 
 
-def test_restore_refuses_a_negative_step_count_or_misnumbered_logs(tmp_path, small_setup):
-    # a state keeps the train steps and the logs and nothing that follows
-    # from them: the episode count is the number of logs, so they must be
-    # numbered 0..k-1, and the sync count is train_steps // sync_period
+@pytest.mark.parametrize("case", [
+    # (changed arrays, given the saved record and the item count; the message)
+    (lambda rec, n: {"record_item": rec["item"].astype(np.int64)}, "'item'"),
+    (lambda rec, n: {"record_loss": rec["loss"][:-1]}, "'loss'"),
+    (lambda rec, n: {"record_end": rec["end"][:, None]}, "'end'"),
+    (lambda rec, n: {"record_user": None}, "unreadable trainer state"),
+    (lambda rec, n: {"record_end": np.array([3, 2, 9])}, "ends before the one before it"),
+    (lambda rec, n: {"record_end": np.array([0, 6, 9])}, "runs over the horizon 3"),
+    (lambda rec, n: {"record_end": np.array([3, 6, 8])}, "does not end at the record's 9 steps"),
+    (lambda rec, n: {"record_item": rec["item"][:-1], "record_reward": rec["reward"][:-1]},
+     "does not end at the record's 8 steps"),
+    (lambda rec, n: {"record_user": _with(rec["user"], 1, 9)}, "run's training users"),
+    (lambda rec, n: {"record_item": _with(rec["item"], 4, n)}, "item outside 0..14"),
+    (lambda rec, n: {"record_item": _with(rec["item"], 4, -1)}, "item outside"),
+    (lambda rec, n: {"record_reward": _with(rec["reward"], 4, np.nan)}, "a reward is not finite"),
+    (lambda rec, n: {"record_loss": _with(rec["loss"], 2, np.inf)}, "a loss is not finite"),
+], ids=["item-dtype", "loss-length", "end-shape", "user-missing", "ends-decrease",
+        "over-horizon", "last-end", "step-count", "user", "item-above", "item-below",
+        "reward", "loss"])
+def test_restore_refuses_a_bad_episode_record(tmp_path, small_setup, case):
+    # the record is the one source of the step, sync and episode counts, the
+    # log and the trace; a record that no run could have written is refused
     ds, split, model = small_setup
     cfg = TrainConfig(episodes=3, horizon=3, hidden_sizes=(8,), task=TaskMode.TASK_II,
                       sync_period=4, seed=2)
@@ -748,22 +782,91 @@ def test_restore_refuses_a_negative_step_count_or_misnumbered_logs(tmp_path, sma
     good = tmp_path / "state.npz"
     trainer.save(good)
     with np.load(good) as data:
+        record = {key[len("record_"):]: data[key] for key in data.files
+                  if key.startswith("record_")}
+    assert record["end"].tolist() == [3, 6, 9] and len(record["item"]) == 9
+    assert 9 in split.test_users
+    changes, message = case
+    bad = _rewrite_state(good, tmp_path / "bad.npz", **changes(record, ds.n))
+    with pytest.raises(ValidationError, match=message) as err:
+        make_trainer(ds, split, model, cfg).restore(bad)
+    assert str(bad) in str(err.value)
+    make_trainer(ds, split, model, cfg).restore(good)
+
+
+@pytest.mark.parametrize("raw_state", [False, True])
+def test_restore_refuses_a_state_without_an_episode_record(tmp_path, small_setup, raw_state):
+    # a state saved before the record existed kept a step count and logs in
+    # its meta instead, which no longer derive anything
+    ds, split, model = small_setup
+    model = None if raw_state else model
+    cfg = TrainConfig(episodes=2, horizon=3, hidden_sizes=(8,), task=TaskMode.TASK_II, seed=2)
+    trainer = make_trainer(ds, split, model, cfg)
+    trainer.run()
+    good = tmp_path / "state.npz"
+    trainer.save(good)
+    with np.load(good) as data:
         meta = json.loads(data["meta"].tobytes())
-    assert sorted(meta) == ["action_rng", "logs", "replay_rng", "run", "train_steps", "user_rng"]
-    assert meta["train_steps"] == 9 and [log["episode"] for log in meta["logs"]] == [0, 1, 2]
+        keys = [key for key in data.files if key.startswith("record_")]
+    logs = [{"episode": e, "user": user, "reward_sum": sum(rewards, 0.0), "mean_td_loss": loss,
+             "epsilon": cfg.epsilon, "sync_count": end // cfg.sync_period}
+            for e, user, end, loss, _, rewards in trainer.episodes()]
+    meta.update(train_steps=trainer.train_steps, logs=logs)
+    bad = _rewrite_state(good, tmp_path / "old.npz", **dict.fromkeys(keys),
+                         meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8))
+    with pytest.raises(ValidationError, match="records its episodes.*train afresh") as err:
+        make_trainer(ds, split, model, cfg).restore(bad)
+    assert str(bad) in str(err.value)
 
-    def numbered(*episodes):
-        return [{**log, "episode": e} for log, e in zip(meta["logs"], episodes)]
 
-    for changes, message in (({"train_steps": -3}, "negative train step count -3"),
-                             ({"logs": numbered(1, 2, 3)}, r"not numbered 0\.\.2"),
-                             ({"logs": numbered(0, 2, 1)}, "not numbered"),
-                             ({"logs": numbered(0, 1, 1)}, "not numbered")):
-        bad = _rewrite_state(good, tmp_path / "bad.npz", meta=np.frombuffer(
-            json.dumps({**meta, **changes}).encode(), dtype=np.uint8))
-        with pytest.raises(ValidationError, match=message) as err:
-            make_trainer(ds, split, model, cfg).restore(bad)
-        assert str(bad) in str(err.value)
+def test_record_fits_a_resume_that_asks_for_fewer_episodes(tmp_path, small_setup):
+    # the record's columns are sized for the run's episodes, or for the
+    # saved ones when a resume asks for fewer
+    ds, split, model = small_setup
+    cfg = TrainConfig(episodes=4, horizon=3, hidden_sizes=(8,), task=TaskMode.TASK_II, seed=2)
+    trainer = make_trainer(ds, split, model, cfg)
+    trainer.run()
+    path = tmp_path / "state.npz"
+    trainer.save(path)
+    shorter = make_trainer(ds, split, model, replace(cfg, episodes=2))
+    shorter.restore(path)
+    shorter.run()
+    assert (shorter.episode, shorter.train_steps) == (4, 12)
+    assert list(shorter.episodes()) == list(trainer.episodes())
+    shorter.save(tmp_path / "again.npz")
+    assert (tmp_path / "again.npz").read_bytes() == path.read_bytes()
+
+
+def test_record_of_a_default_run_takes_12_bytes_a_step(tmp_path, small_setup):
+    # a default run, 20,000 episodes of 40 steps: 12 bytes a step (an int32
+    # item, a float64 reward) and 24 an episode, in memory and in the state
+    ds, split, model = small_setup
+    cfg = TrainConfig(episodes=20_000, horizon=40, hidden_sizes=(8,), task=TaskMode.TASK_II,
+                      seed=0)
+    tracemalloc.start()
+    try:
+        trainer = make_trainer(ds, split, model, cfg)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = 20_000 * 24 + 800_000 * 12
+    assert sum(col.nbytes for col in trainer.record.values()) == size <= held <= 11e6
+    # a record filled to the end is saved as it is held, and loads
+    rng = np.random.default_rng(0)
+    record = trainer.record
+    record["user"][:], record["end"][:] = 3, 40 * np.arange(1, 20_001)
+    record["loss"][:], record["item"][:] = rng.random(20_000), rng.integers(ds.n, size=800_000)
+    record["reward"][:] = rng.integers(6, size=800_000)
+    trainer.episode = 20_000
+    path = tmp_path / "state.npz"
+    trainer.save(path)
+    with np.load(path) as data:
+        assert sum(data[key].nbytes for key in data.files if key.startswith("record_")) == size
+    resumed = make_trainer(ds, split, model, cfg)
+    resumed.restore(path)
+    assert resumed.train_steps == 800_000
+    for key, col in record.items():
+        assert resumed.record[key].tobytes() == col.tobytes()
 
 
 def test_target_is_the_net_right_after_each_sync(small_setup, monkeypatch):
@@ -789,38 +892,8 @@ def test_target_is_the_net_right_after_each_sync(small_setup, monkeypatch):
         assert trainer.sync_count == trainer.train_steps // cfg.sync_period == len(synced) - 1
         assert qnet.flatten_params(trainer.target).tobytes() == synced[-1].tobytes()
     assert trainer.train_steps == 5 * 4 and trainer.sync_count == 2
-    assert [log.sync_count for log in trainer.logs] == [4 * (k + 1) // 7 for k in range(5)]
-
-
-def test_restore_ignores_the_counters_an_earlier_state_held(tmp_path, small_setup):
-    # a dqn state saved before the counters were derived holds the same
-    # replay columns and three more meta keys (episode, sync_count and
-    # staleness); it resumes and finishes bit for bit as the run that was
-    # not interrupted
-    ds, split, _ = small_setup
-    cfg = TrainConfig(episodes=6, horizon=3, hidden_sizes=(8,), task=TaskMode.TASK_II,
-                      sync_period=4, seed=2)
-    straight = make_trainer(ds, split, None, cfg)
-    straight.run()
-    first = make_trainer(ds, split, None, cfg)
-    first.run(until_episode=3)
-    path = tmp_path / "state.npz"
-    first.save(path)
-    with np.load(path) as data:
-        meta = json.loads(data["meta"].tobytes())
-    sync_count, staleness = divmod(meta["train_steps"], cfg.sync_period)
-    meta.update(episode=3, sync_count=sync_count, staleness=staleness)
-    _rewrite_state(path, path, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8))
-    resumed = make_trainer(ds, split, None, cfg)
-    resumed.restore(path)
-    assert (resumed.episode, resumed.train_steps, resumed.sync_count) == (3, 9, 2)
-    resumed.run()
-    assert qnet.flatten_params(resumed.net).tobytes() == qnet.flatten_params(straight.net).tobytes()
-    assert (qnet.flatten_params(resumed.target).tobytes()
-            == qnet.flatten_params(straight.target).tobytes())
-    assert resumed.logs == straight.logs
-    for key, col in straight.memory.state().items():
-        assert resumed.memory.state()[key].tobytes() == col.tobytes()
+    assert [end // cfg.sync_period for _, _, end, *_ in trainer.episodes()] == [
+        4 * (k + 1) // 7 for k in range(5)]
 
 
 def test_restore_refuses_a_latent_state_that_stores_successors(tmp_path, small_setup):
@@ -883,9 +956,8 @@ def test_eligible_train_users_filters_short_profiles():
 def _greedy_rollout(net, ds, model, user, horizon):
     """(score, rewards, actions) of one frozen latent-state Q-network episode."""
     split = Split(train_users=frozenset(), test_users=frozenset({user}), seed=0)
-    trace = []
-    scores = evaluate_policy(GreedyQPolicy(net, mf_model=model), ds, split, TaskMode.TASK_II,
-                             horizon, trace=trace)
+    scores, trace = traced_eval(GreedyQPolicy(net, mf_model=model), ds, split, TaskMode.TASK_II,
+                                horizon)
     return float(scores[0]), [row[4] for row in trace], [row[3] for row in trace]
 
 
@@ -904,16 +976,50 @@ def test_run_episode_greedy_contracts(small_setup):
     assert _greedy_rollout(net, ds, model, 8, 4) == (score, rewards, actions)
 
 
-def test_training_log_round_trip(tmp_path):
-    logs = [
-        EpisodeLog(episode=0, user=3, reward_sum=12.5, mean_td_loss=0.75, epsilon=0.1, sync_count=0),
-        EpisodeLog(episode=1, user=5, reward_sum=9.0, mean_td_loss=0.5, epsilon=0.1, sync_count=1),
-    ]
+def test_training_log_round_trip(tmp_path, small_setup, monkeypatch):
+    # each row holds its episode's number, user and reward sum, the mean of
+    # the TD losses train_step returned in it, the run's epsilon and the
+    # target's sync count at the episode's end
+    ds, split, model = small_setup
+    cfg = TrainConfig(episodes=3, horizon=3, hidden_sizes=(8,), task=TaskMode.TASK_II,
+                      sync_period=4, epsilon=0.25, seed=5)
+    trainer = make_trainer(ds, split, model, cfg)
+    train_step, losses = qnet.train_step, []
+
+    def recording_train_step(net, batch, lr):
+        losses.append(train_step(net, batch, lr))
+        return losses[-1]
+
+    monkeypatch.setattr(qnet, "train_step", recording_train_step)
+    trainer.run()
     path = tmp_path / "log.csv"
-    write_training_log(path, logs)
+    write_training_log(path, trainer)
+    rewards = trainer.memory.state()["r"].tolist()
+    users = [user for _, user, *_ in trainer.episodes()]
+    assert _read_csv(path) == [
+        {"episode": str(e), "user": str(users[e]),
+         "reward_sum": repr(sum(rewards[3 * e:3 * e + 3], 0.0)),
+         "mean_td_loss": repr(float(np.mean(losses[3 * e:3 * e + 3]))), "epsilon": "0.25",
+         "sync_count": str(3 * (e + 1) // 4)} for e in range(3)]
+
+
+def test_trace_round_trip(tmp_path, small_setup):
+    # one row per step, in play order, as the replay saw it pushed: the
+    # action, the reward and done, which marks an episode's last step
+    ds, split, model = small_setup
+    cfg = TrainConfig(episodes=3, horizon=4, hidden_sizes=(8,), task=TaskMode.TASK_II, seed=5)
+    trainer = make_trainer(ds, split, model, cfg)
+    trainer.run()
+    path = tmp_path / "trace.csv"
+    write_trace(path, trainer)
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
-    assert rows == [{key: str(value) for key, value in vars(log).items()} for log in logs]
+        lines = list(csv.reader(fh))
+    replay = trainer.memory.state()
+    users = [user for _, user, *_ in trainer.episodes()]
+    assert lines == [["episode", "user", "t", "action", "reward", "done"], *[
+        [str(k // 4), str(users[k // 4]), str(k % 4), str(replay["a"][k]),
+         repr(replay["r"][k].item()), str(replay["done"][k])] for k in range(12)]]
+    assert [line[5] for line in lines[1:]] == ["False", "False", "False", "True"] * 3
 
 
 def test_planted_optimum_learned_by_cfrl():
@@ -926,8 +1032,8 @@ def test_planted_optimum_learned_by_cfrl():
         hidden_sizes=(16,), task=TaskMode.TASK_II, seed=0,
     )
     trainer = make_trainer(ds, split, model, cfg)
-    logs = trainer.run()
-    assert len(logs) == 400
+    trainer.run()
+    assert trainer.episode == 400
     state = np.zeros(model.d)
     first_pick = int(np.argmax(qnet.forward(trainer.net, state)))
     assert first_pick == PLANTED_ITEM

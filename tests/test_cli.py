@@ -221,31 +221,56 @@ def test_train_log_rewards_replayable_from_trace(workspace):
 
 
 def test_train_resume_matches_uninterrupted_run(workspace):
+    # a run of 5 episodes, and the same run stopped after 3 and resumed to
+    # 5, each with --trace, write the same checkpoint, manifest, training
+    # log and trace, byte for byte: all of them derive from the trainer's
+    # record, which the state carries across the resume
     tmp_path, data, cfg_path = workspace
-    # full run in one go
-    straight_cfg = tmp_path / "straight.ini"
-    straight_cfg.write_text(
-        cfg_path.read_text().replace("episodes = 3", "episodes = 5")
-        .replace(str(tmp_path / "out"), str(tmp_path / "straight")),
-        encoding="utf-8",
-    )
-    assert main(["pretrain", "--config", str(straight_cfg)]) == 0
-    assert main(["train", "--config", str(straight_cfg), "--method", "cfrl"]) == 0
+    text = cfg_path.read_text()
+    straight_cfg, resumed_cfg = tmp_path / "straight.ini", tmp_path / "resumed.ini"
+    straight_cfg.write_text(text.replace("episodes = 3", "episodes = 5")
+                            .replace(str(tmp_path / "out"), str(tmp_path / "straight")),
+                            encoding="utf-8")
+    resumed_cfg.write_text(text.replace("episodes = 3", "episodes = 5"), encoding="utf-8")
+    for config in (straight_cfg, cfg_path):
+        assert main(["pretrain", "--config", str(config)]) == 0
+    for method in ("cfrl", "dqn"):
+        assert main(["train", "--config", str(straight_cfg), "--method", method, "--trace"]) == 0
+        assert main(["train", "--config", str(cfg_path), "--method", method, "--trace"]) == 0
+        assert main(["train", "--config", str(resumed_cfg), "--method", method,
+                     "--resume", "--trace"]) == 0
+        stem = f"{method}_task2_split0"
+        for name in (f"{stem}.ckpt", f"{stem}.ckpt.manifest.json", f"{stem}_train_log.csv",
+                     f"{stem}_trace.csv"):
+            resumed = (tmp_path / "out" / name).read_bytes()
+            assert resumed == (tmp_path / "straight" / name).read_bytes(), name
+        logs = _read_csv(tmp_path / "out" / f"{stem}_train_log.csv")
+        assert [int(log["episode"]) for log in logs] == list(range(5))
+        trace = _read_csv(tmp_path / "out" / f"{stem}_trace.csv")
+        assert [(int(row["episode"]), int(row["t"])) for row in trace] == [
+            (e, t) for e in range(5) for t in range(4)]
+        assert [row["done"] for row in trace] == ["False", "False", "False", "True"] * 5
 
-    # same run interrupted after 3 episodes, then resumed to 5
+
+def test_train_resume_refuses_a_state_without_an_episode_record(workspace, capsys):
+    # a trainer state saved before the record existed kept its step count
+    # and logs in its meta; --resume refuses it and names the file
+    tmp_path, data, cfg_path = workspace
     assert main(["pretrain", "--config", str(cfg_path)]) == 0
     assert main(["train", "--config", str(cfg_path), "--method", "cfrl"]) == 0
-    resumed_cfg = tmp_path / "resumed.ini"
-    resumed_cfg.write_text(
-        cfg_path.read_text().replace("episodes = 3", "episodes = 5"), encoding="utf-8"
-    )
-    assert main(["train", "--config", str(resumed_cfg), "--method", "cfrl", "--resume"]) == 0
-
-    straight = (tmp_path / "straight" / "cfrl_task2_split0.ckpt").read_bytes()
-    resumed = (tmp_path / "out" / "cfrl_task2_split0.ckpt").read_bytes()
-    assert straight == resumed
+    state = tmp_path / "out" / "cfrl_task2_split0_state.npz"
+    with np.load(state) as saved:
+        arrays = {key: saved[key] for key in saved.files if not key.startswith("record_")}
+    meta = json.loads(arrays["meta"].tobytes())
     logs = _read_csv(tmp_path / "out" / "cfrl_task2_split0_train_log.csv")
-    assert [int(log["episode"]) for log in logs] == list(range(5))
+    meta.update(train_steps=3 * 4, logs=[{**log, "episode": int(log["episode"])} for log in logs])
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    with open(state, "wb") as fh:
+        np.savez(fh, **arrays)
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg_path), "--method", "cfrl", "--resume"]) == 2
+    err = capsys.readouterr().err
+    assert str(state) in err and "train afresh" in err
 
 
 def test_train_resume_from_truncated_state_exits_2(workspace, capsys):

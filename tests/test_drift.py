@@ -16,9 +16,14 @@ def _outputs(tmp_path, name):
     out.mkdir()
     (out / "cfrl_task2_split0_trace.csv").write_text(
         "episode,user,t,action,reward,done\n0,3,0,7,4.0,False\n0,3,1,2,0.0,True\n")
+    (out / "cfrl_task2_split0_train_log.csv").write_text(_LOG)
     (out / "report.csv").write_text(
         "method,task,dataset,split,score\ncfrl,task2,u,0,1.25\ndqn,task2,u,0,0.5\n")
     return out
+
+
+_LOG = ("episode,user,reward_sum,mean_td_loss,epsilon,sync_count\n"
+        "0,3,4.0,0.5,0.1,0\n1,5,2.0,0.25,0.1,1\n")
 
 
 def test_a_planted_one_ulp_change_in_an_output_weight_is_drift(tmp_path):
@@ -35,7 +40,8 @@ def test_a_planted_one_ulp_change_in_an_output_weight_is_drift(tmp_path):
     ulp = np.spacing(abs(qnet.load_qnet(base / "cfrl_task2_split0.ckpt").weights[-1][5, 2]))
     assert f"1 of {net.param_count} differ, max abs {ulp:.3g}" in "\n".join(lines)
     # the tree against itself: no drift anywhere
-    for compare in (drift.compare_checkpoints, drift.compare_traces, drift.compare_cells):
+    for compare in (drift.compare_checkpoints, drift.compare_traces, drift.compare_train_logs,
+                    drift.compare_cells):
         assert compare(base, same)[1] == 0
 
 
@@ -49,3 +55,17 @@ def test_trace_and_cell_changes_are_drift(tmp_path):
     assert drifted == 1 and "first at episode 0 user 3 step 1" in lines[0]
     lines, drifted = drift.compare_cells(base, head)
     assert drifted == 1 and "method=dqn" in lines[0] and "delta 0.25" in lines[0]
+
+
+def test_train_log_changes_are_drift(tmp_path):
+    base, head, longer = (_outputs(tmp_path, name) for name in ("base", "head", "longer"))
+    # a planted one-ulp change of one episode's mean TD loss
+    loss = repr(float(np.nextafter(0.25, 1.0)))
+    (head / "cfrl_task2_split0_train_log.csv").write_text(_LOG.replace("0.25", loss))
+    lines, drifted = drift.compare_train_logs(base, head)
+    assert drifted == 1
+    assert f"first at episode 1 column mean_td_loss: 0.25 -> {loss}" in lines[0]
+    # an episode only one log holds differs in each of its six columns
+    (longer / "cfrl_task2_split0_train_log.csv").write_text(_LOG + "2,3,1.0,0.5,0.1,1\n")
+    lines, drifted = drift.compare_train_logs(base, longer)
+    assert drifted == 6 and "first at episode 2 column episode: - -> 2" in lines[0]

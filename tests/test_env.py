@@ -1,5 +1,3 @@
-import csv
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,10 +5,11 @@ from hypothesis import strategies as st
 
 from cfrl import mf, qnet
 from cfrl.agent import Policy, put_pairs, state_kind, state_update
-from cfrl.env import InteractiveEnv, TaskMode, run_episode, user_steps, write_trace
+from cfrl.env import InteractiveEnv, TaskMode, run_episode
 from cfrl.errors import IllegalActionError, ValidationError
 
 from conftest import make_dataset, profile, synthetic_profiles
+from rollouts import user_steps
 from toy_mdp import ChainEnv
 
 
@@ -286,16 +285,6 @@ def test_no_repeat_property(user, pyrandom):
         taken.append(action)
     assert len(taken) == len(set(taken))
     assert set(taken).isdisjoint(np.flatnonzero(state.avail[0]).tolist())
-
-
-def test_trace_round_trip(tmp_path):
-    rows = [(0, 3, 0, 7, 4.0, False), (0, 3, 1, 2, 0.0, True)]
-    path = tmp_path / "trace.csv"
-    write_trace(path, rows)
-    with open(path, newline="", encoding="utf-8") as fh:
-        lines = list(csv.reader(fh))
-    assert lines == [["episode", "user", "t", "action", "reward", "done"],
-                     *[[str(value) for value in row] for row in rows]]
 
 
 class RecordingPolicy(Policy):

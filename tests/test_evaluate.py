@@ -21,6 +21,7 @@ from cfrl.evaluate import (
 from cfrl.methods import METHODS, SplitContext
 
 from conftest import make_dataset, synthetic_profiles
+from rollouts import traced_eval
 
 
 def test_constant_reward_environment_scores_exactly():
@@ -48,10 +49,7 @@ def test_evaluation_is_repeatable_and_does_not_mutate_models():
 def test_aggregation_identity_from_raw_trace():
     ds = make_dataset(synthetic_profiles(n_users=8, n_items=12, per_user=6, seed=3))
     split = Split(train_users=frozenset(range(6)), test_users=frozenset({6, 7}), seed=0)
-    trace = []
-    scores = evaluate_policy(
-        RandomPolicy(seed=1), ds, split, TaskMode.TASK_II, horizon=5, trace=trace,
-    )
+    scores, trace = traced_eval(RandomPolicy(seed=1), ds, split, TaskMode.TASK_II, horizon=5)
     by_user = {}
     for _, user, _, _, reward, _ in trace:
         by_user.setdefault(user, []).append(reward)
@@ -415,14 +413,12 @@ def test_lockstep_evaluation_matches_each_user_alone(lockstep_setup, method, tas
     spec = METHODS[method]
     policy = spec.policy(ctx, artifacts.get((method, task)))
     horizon = 8
-    trace = []
-    scores = evaluate_policy(policy, ctx.ds, ctx.split, task, horizon, trace=trace)
+    scores, trace = traced_eval(policy, ctx.ds, ctx.split, task, horizon)
     users = sorted(ctx.split.test_users)
     assert scores.shape == (len(users),) and len(trace) == len(users) * horizon
     for idx, user in enumerate(users):
         alone = Split(train_users=ctx.split.train_users, test_users=frozenset({user}), seed=0)
-        alone_trace = []
-        (alone_score,) = evaluate_policy(policy, ctx.ds, alone, task, horizon, trace=alone_trace)
+        (alone_score,), alone_trace = traced_eval(policy, ctx.ds, alone, task, horizon)
         assert scores[idx].tobytes() == alone_score.tobytes()
         rows = [row for row in trace if row[1] == user]
         assert [row[0] for row in rows] == [idx] * horizon

@@ -13,10 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfrl import dataset, mf, persist, qnet
-from cfrl.agent import EpisodeLog, TrainConfig, make_trainer, write_training_log
+from cfrl.agent import TrainConfig, make_trainer, write_trace, write_training_log
 from cfrl.baselines import LinUcbModel
 from cfrl.dataset import Split
-from cfrl.env import TaskMode, write_trace
+from cfrl.env import TaskMode
 from cfrl.errors import ValidationError
 from cfrl.methods import METHODS, SplitContext
 
@@ -83,7 +83,7 @@ def _trainer_state(tmp, raw=False):
         replay = {key: (col.dtype, col.shape, col.tobytes()) for key, col in t.memory.state().items()}
         rngs = [rng.bit_generator.state for rng in (t.user_rng, t.action_rng, t.replay_rng)]
         return (qnet.flatten_params(t.net).tobytes(), qnet.flatten_params(t.target).tobytes(),
-                replay, rngs, t.train_steps, t.logs)
+                replay, rngs, t.train_steps, list(t.episodes()))
 
     return path, load, contents
 
@@ -166,23 +166,25 @@ def test_failed_manifest_write_keeps_previous_sidecar(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("writer", ["trace", "training_log"])
-def test_failed_text_write_keeps_the_previous_file(tmp_path, writer):
-    rows = {
-        "trace": [(0, 3, 0, 7, 4.0, False), (0, 3, 1, 2, 0.0, True)],
-        "training_log": [EpisodeLog(episode=0, user=3, reward_sum=4.0, mean_td_loss=0.5,
-                                    epsilon=0.1, sync_count=0)],
-    }[writer]
+def test_failed_text_write_keeps_the_previous_file(tmp_path, monkeypatch, writer):
+    ds = make_dataset(synthetic_profiles(n_users=6, n_items=5, per_user=4, seed=3))
+    split = Split(train_users=frozenset(range(5)), test_users=frozenset({5}), seed=0)
+    trainer = make_trainer(ds, split, None, TrainConfig(
+        episodes=2, horizon=2, hidden_sizes=(2,), task=TaskMode.TASK_II, batch_size=2, seed=1))
+    trainer.run()
     write = {"trace": write_trace, "training_log": write_training_log}[writer]
     path = tmp_path / f"{writer}.csv"
-    write(path, rows)
+    write(path, trainer)
     before = path.read_bytes()
+    episodes = trainer.episodes
 
-    def rows_then_disk_full():
-        yield rows[0]
+    def episode_then_disk_full():
+        yield next(episodes())
         raise OSError("disk full")
 
+    monkeypatch.setattr(trainer, "episodes", episode_then_disk_full)
     with pytest.raises(OSError, match="disk full"):
-        write(path, rows_then_disk_full())
+        write(path, trainer)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
     with persist.atomic_text(path, newline="") as fh:

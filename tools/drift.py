@@ -19,6 +19,8 @@ and prints, per workload:
   - for every training trace, the first step at which the two traces
     differ (episode, user, step, action, reward or done), and how many
     steps do;
+  - for every training log, the first episode and column at which the two
+    logs differ, and how many values do;
   - every eval and `report.csv` cell whose score differs, with its delta.
 
 Exit status: 0 when every output is the same bit for bit, 1 when any of
@@ -104,6 +106,27 @@ def compare_traces(base: Path, head: Path) -> tuple:
     return lines, drifted
 
 
+def compare_train_logs(base: Path, head: Path) -> tuple:
+    """(report lines, differing values) over the training logs; a row only
+    one log holds differs in every column."""
+    lines, drifted = [], 0
+    for path in sorted(base.glob("*_train_log.csv")):
+        old, new = _rows(path), _rows(head / path.name)
+        differ = []
+        for k in range(max(len(old), len(new))):
+            a, b = old[k] if k < len(old) else {}, new[k] if k < len(new) else {}
+            differ += [(k, key, a.get(key, "-"), b.get(key, "-"))
+                       for key in dict.fromkeys([*a, *b]) if a.get(key) != b.get(key)]
+        drifted += len(differ)
+        if not differ:
+            lines.append(f"  {path.name}: identical, {len(old)} episodes")
+            continue
+        k, key, a, b = differ[0]
+        lines.append(f"  {path.name}: {len(differ)} values differ; first at episode {k} "
+                     f"column {key}: {a} -> {b}")
+    return lines, drifted
+
+
 def _score(text: str) -> float:
     try:
         return float(text)
@@ -172,7 +195,8 @@ def main(argv=None) -> int:
                     src = args.base_src if tree == "base" else ROOT / "src"
                     outs.append(run_tree(perfbench.make_inputs, src, workload, args.size, work))
                 print(f"{workload}:")
-                for compare in (compare_checkpoints, compare_traces, compare_cells):
+                for compare in (compare_checkpoints, compare_traces, compare_train_logs,
+                                compare_cells):
                     lines, drifted = compare(*outs)
                     total += drifted
                     for line in lines:
