@@ -70,7 +70,10 @@ class ReplayMemory:
     keeps a state's first T pairs, items ascending and padded with item n
     (n_actions) and reward 0, in the columns s_items and s_rewards: the
     last pair of a state that play pushes is always padding. At n = 1,586
-    and T = 40 a row takes 708 bytes in place of 25.6 KB.
+    and T = 40 a row takes 708 bytes in place of 25.6 KB. A sampled batch's
+    states are these T pairs as they are stored, which train_step reads as
+    one qnet.Columns matrix; successors pads them to start's width first,
+    as put_pairs needs.
     """
 
     _MIN_ROWS = 64
@@ -176,7 +179,11 @@ class ReplayMemory:
         # overflow here is the divergence signal, caught by train_step
         with np.errstate(over="ignore", invalid="ignore"):
             y = cols["r"][idx] + gamma * cols["next_value"][idx]
-        return qnet.Batch(s=self.states(idx), a=cols["a"][idx], y=y)
+        if self.raw:
+            s = qnet.Pairs(cols["s_items"][idx], cols["s_rewards"][idx])
+        else:
+            s = cols["s"][idx]
+        return qnet.Batch(s=s, a=cols["a"][idx], y=y)
 
     def states(self, idx):
         """The states of rows idx, in the form of start: an array, or
@@ -214,9 +221,9 @@ class ReplayMemory:
                 terminal row's is not 0, or a raw row's pairs are not in the
                 form push writes: items inside 0..n, those below n (the
                 state's items) strictly ascending, each with a nonzero
-                reward, and after them only padding (item n, reward 0). The
-                pairs' order sets the rounding of the first layer, so
-                another order of the same pairs is refused too.
+                reward, and after them only padding (item n, reward 0).
+                Another order of the same pairs is not that form and is
+                refused too.
         """
         columns = dict(state)
         next_slot = columns.pop("next", None)
@@ -315,11 +322,12 @@ def select_action(net, state, mask, epsilon: float, rng) -> int:
     if mask.dtype != bool or mask.shape != (net.output_dim,):
         raise ValueError(f"mask {mask.dtype}{mask.shape} is not a bool vector over "
                          f"{net.output_dim} actions")
-    if not mask.any():
-        raise ValueError("empty availability mask")
     if epsilon > 0 and rng.random() < epsilon:
         avail = np.flatnonzero(mask)
+        if not avail.size:
+            raise ValueError("empty availability mask")
         return int(avail[rng.integers(avail.size)])
+    # masked_argmax refuses an empty mask
     return int(qnet.masked_argmax(qnet.forward(net, state), mask))
 
 
@@ -355,8 +363,9 @@ def state_kind(mf_model: mf.MfModel | None, n: int, horizon: int) -> tuple:
     state_update. With none it is the raw state: the canonical qnet.Pairs of
     the rewards observed so far, horizon + 1 wide (a state of T rewards and
     the one its successor adds), all padding at the start and advanced by
-    put_pairs. Acting, the replay and evaluation all read a raw state in
-    this one form, so they compute one function of it."""
+    put_pairs. Acting, the replay and evaluation all keep a raw state in
+    this one form; acting and evaluation read it row by row, and training
+    reads a minibatch of it as one qnet.Columns matrix."""
     if mf_model is None:
         start = qnet.Pairs(np.full((1, horizon + 1), n, dtype=np.int64), np.zeros((1, horizon + 1)))
         return start, lambda states, items, rewards: put_pairs(states, items, rewards, n)

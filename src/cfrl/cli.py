@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import agent, dataset, evaluate, mf
+from . import agent, dataset, mf
 from .config import RunConfig, load_config, task_mode, write_resolved
 from .errors import CfrlError, DivergenceError, ParseError, ValidationError
 from .methods import METHODS, SplitContext
@@ -214,6 +214,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from . import evaluate      # loads multiprocessing, which the other commands do not use
+
     cfg = _resolve_config(args)
     ds = _load_dataset(cfg)
     split = _split(cfg, ds, args.split)
@@ -238,6 +240,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
+    from . import evaluate
+
     cfg = _resolve_config(args)
     if args.methods is not None:
         cfg.methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())

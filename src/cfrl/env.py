@@ -89,7 +89,7 @@ class InteractiveEnv:
             first = f" for user {users[0]}" if users.size else ""
             raise IllegalActionError(f"episode{first} is already done")
         actions = np.asarray(actions)
-        if actions.shape != users.shape or not np.issubdtype(actions.dtype, np.integer):
+        if actions.shape != users.shape or actions.dtype.kind not in "iu":
             raise IllegalActionError(
                 f"actions {actions.dtype}{actions.shape} are not one item index per user "
                 f"of the block of {users.size}"

@@ -20,13 +20,16 @@ same entry of forward_batch's matrix product, by about an ulp.
 
 A sparse input, such as the raw rating vector with at most T nonzeros among
 n inputs, can be given as Pairs: each row's nonzero (item, value) pairs,
-padded to a common width of about T. Its first layer is one 1-row product
-per row over the gathered columns of W0 (T of n), and train_step updates
-only the columns of W0 that the batch touches, with the dense update's
-values. The product's rounding depends on the pairs' order and width, so a
-caller keeps every row in one canonical form (items ascending, padding at
-the end) at one width, as agent.put_pairs keeps the raw state; it differs
-from the dense product by about an ulp.
+padded to a common width of about T. Acting and evaluation (forward) run one
+1-row product per row over the gathered columns of W0 (T of n). Its rounding
+depends on the pairs' order and width, so a caller keeps every row in one
+canonical form (items ascending, padding at the end) at one width, as
+agent.put_pairs keeps the raw state. Training (train_step, and forward_batch
+under bootstrap_values) turns a batch of Pairs into Columns, a dense (B, k)
+matrix over the k inputs the batch touches, and runs one (B, k) @ (k, H)
+product per batch; train_step updates just those k columns of W0, with the
+dense update's values. Each of the three products rounds differently from
+the others, by about an ulp.
 """
 
 from __future__ import annotations
@@ -119,13 +122,44 @@ class Pairs:
         np.put_along_axis(x, self.items, self.values, axis=-1)
         return x[..., :input_dim]
 
+    def columns(self, input_dim: int) -> "Columns":
+        """A (B, T) block of rows, of any width, as Columns over the items
+        they hold; the padding is dropped. The items' positions come from a
+        bool mask over the inputs and a position map, not a sort."""
+        items = self.items.astype(np.intp, copy=False)     # index with it once, not per use
+        touched = np.zeros(input_dim + 1, dtype=bool)
+        touched[items] = True
+        touched[input_dim] = True           # the padding's column, dropped below
+        cols = np.flatnonzero(touched)
+        position = np.empty(input_dim + 1, dtype=np.intp)
+        position[cols] = np.arange(cols.size)
+        x = np.zeros((len(items), cols.size))
+        x[np.arange(len(items))[:, None], position[items]] = self.values
+        return Columns(x[:, :-1], cols[:-1])
+
+
+@dataclass(frozen=True)
+class Columns:
+    """A batch of sparse input rows as a dense matrix over the k inputs the
+    batch touches: x[b, j] is row b's value of input cols[j]. Every other
+    input is 0 in every row, so the first layer's pre-activation is
+    x @ W0.T[cols] and its weight gradient is 0 off those k columns."""
+
+    x: np.ndarray           # (B, k) float64 input values
+    cols: np.ndarray        # (k,) input indices, ascending
+
 
 def input_major(net: QNetwork) -> QNetwork:
     """The network with its first layer stored column-major (Fortran order;
     its shape stays (H, n)), sharing every other array. One input's weights
     are then a contiguous row of W0.T, which is what a Pairs row gathers and
     what train_step updates for each input a batch touches. Every value, and
-    so every output and checkpoint, is the same as the given network's."""
+    so every output and checkpoint, is the same as the given network's. A
+    network with no hidden layer is returned as it is: it reads Pairs as
+    dense rows, and its one layer is the output layer, which train_step
+    updates by rows."""
+    if len(net.weights) == 1:
+        return net
     return QNetwork(layer_sizes=net.layer_sizes,
                     weights=[np.asfortranarray(net.weights[0]), *net.weights[1:]],
                     biases=list(net.biases), activation=net.activation)
@@ -167,7 +201,7 @@ def forward(net: QNetwork, states) -> np.ndarray:
 
 def forward_batch(net: QNetwork, states) -> np.ndarray:
     """Action values for a (batch, input_dim) matrix of states, or for a
-    (batch, T) Pairs."""
+    (batch, T) Pairs, through one matrix product per layer."""
     q = _hidden_layers(net, states)[-1] @ net.weights[-1].T
     q += net.biases[-1]
     return q
@@ -175,12 +209,15 @@ def forward_batch(net: QNetwork, states) -> np.ndarray:
 
 def _hidden_layers(net: QNetwork, states) -> list:
     """The input and every hidden layer's output; the last feeds the action
-    values. Pairs stay the input of a first hidden layer; a network with no
-    hidden layer reads them as dense rows."""
+    values. Pairs reach a first hidden layer as their Columns; a network with
+    no hidden layer reads them as dense rows."""
     if isinstance(states, Pairs) and len(net.weights) == 1:
         states = states.dense(net.input_dim)
     if isinstance(states, Pairs):
-        outputs = [states, _act(net.activation, _first_layer(net, states)[:, 0, :])]
+        x = states.columns(net.input_dim)
+        z = x.x @ net.weights[0].T[x.cols]
+        z += net.biases[0]
+        outputs = [x, _act(net.activation, z)]
     else:
         x = np.asarray(states, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != net.input_dim:
@@ -193,23 +230,21 @@ def _hidden_layers(net: QNetwork, states) -> list:
     return outputs
 
 
-def _descend_touched(w: np.ndarray, lr: float, delta: np.ndarray, x: Pairs) -> None:
-    """w -= lr * delta.T @ X for the dense rows X of the pairs x, over the
-    input columns x touches: the gradient of every other column is zero. The
-    touched columns' gradient is the same matrix product on X's touched
-    columns alone, so they get the dense update's values bit for bit."""
-    n = w.shape[1]
-    touched = np.zeros(n + 1, dtype=bool)
-    touched[x.items] = True
-    touched[n] = True                       # the padding's column, dropped below
-    cols = np.flatnonzero(touched)
-    x_touched = np.zeros((len(x.items), cols.size))
-    x_touched[np.arange(len(x.items))[:, None], (np.cumsum(touched) - 1)[x.items]] = x.values
-    w.T[cols[:-1]] -= (lr * (delta.T @ x_touched[:, :-1])).T
+def _subtract_rows(w: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+    """w[rows[b]] -= values[b] for each b in turn, bit for bit what
+    np.subtract.at(w, rows, values) does (a row taken twice gets both
+    updates, in order), as one scatter over w's flat view, which is faster
+    than the 2-D call.
 
-
-def _gathered_q(net: QNetwork, last_hidden: np.ndarray, actions) -> np.ndarray:
-    return np.einsum("ij,ij->i", last_hidden, net.weights[-1][actions]) + net.biases[-1][actions]
+    Raises:
+        ValueError: w is not C-contiguous; its flat form would be a copy,
+            and the update would be lost.
+    """
+    if not w.flags.c_contiguous:
+        raise ValueError("rows are subtracted in place only from a C-contiguous array")
+    width = w.shape[1]
+    np.subtract.at(w.reshape(-1), (rows[:, None] * width + np.arange(width)).ravel(),
+                   values.ravel())
 
 
 def masked_argmax(values: np.ndarray, mask: np.ndarray):
@@ -254,11 +289,12 @@ def train_step(net: QNetwork, batch: Batch, lr: float) -> float:
     """One averaged semi-gradient step towards the targets of a Batch.
 
     Only the output unit of each taken action receives an error signal, so
-    Q(s, a) is the row dot of _gathered_q and the output layer is updated on
-    the B taken rows alone (a scatter-subtract; rows taken twice accumulate
-    both updates). The hidden layers, which every output depends on, are
-    updated densely, except that a first layer reading Pairs is updated on
-    the input columns the batch touches; no product is n-wide.
+    Q(s, a) is the last hidden layer's row dot with each taken row of the
+    output layer, and the output layer is updated on the B taken rows alone
+    (a scatter-subtract; rows taken twice accumulate both updates). The
+    hidden layers, which every output depends on, are updated densely,
+    except that a first layer reading Pairs is updated on the columns of
+    their Columns, the inputs the batch touches; no product is n-wide.
 
     Returns:
         Mean squared TD error of the batch before the parameter update.
@@ -275,24 +311,26 @@ def train_step(net: QNetwork, batch: Batch, lr: float) -> float:
     # overflow here is the divergence signal, caught by the finiteness check
     with np.errstate(over="ignore", invalid="ignore"):
         hidden = _hidden_layers(net, batch.s)
-        residual = batch.y - _gathered_q(net, hidden[-1], actions)
-        loss = float(np.mean(residual**2))
+        last = len(net.weights) - 1
+        w_out, b_out = net.weights[last], net.biases[last]
+        w_taken = w_out[actions]    # the weights before the update
+        residual = batch.y - (np.einsum("ij,ij->i", hidden[last], w_taken) + b_out[actions])
+        loss = float(np.add.reduce(residual * residual) / batch_size)
         if not np.isfinite(loss):
             raise DivergenceError("TD loss became non-finite; lower the learning rate")
 
         # error at each taken output unit; every other output's error is zero
         d = -residual / batch_size
-        last = len(net.weights) - 1
-        w_out = net.weights[last]
-        # gradient at the last hidden layer's output, from the weights before the update
-        delta = d[:, None] * w_out[actions]
-        np.subtract.at(w_out, actions, lr * (d[:, None] * hidden[last]))
-        np.subtract.at(net.biases[last], actions, lr * d)
+        # gradient at the last hidden layer's output
+        delta = d[:, None] * w_taken
+        _subtract_rows(w_out, actions, lr * (d[:, None] * hidden[last]))
+        np.subtract.at(b_out, actions, lr * d)
         for l in range(last - 1, -1, -1):
             delta = delta * _act_deriv_from_output(net.activation, hidden[l + 1])
             grad_b = delta.sum(axis=0)
-            if isinstance(hidden[l], Pairs):
-                _descend_touched(net.weights[l], lr, delta, hidden[l])
+            if isinstance(hidden[l], Columns):
+                x = hidden[l]
+                net.weights[l].T[x.cols] -= (lr * (delta.T @ x.x)).T
             else:
                 grad_w = delta.T @ hidden[l]
                 if l > 0:

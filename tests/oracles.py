@@ -7,7 +7,9 @@ raw_pairs are the raw (dqn) state written densely, as an (n,) vector of the
 rewards observed so far, and its canonical pairs. Transition and stack
 write minibatches down row by row for qnet.train_step, which takes one
 qnet.Batch; td_target is each row's target, one transition at a time, and
-dense_train_step is that update over dense states.
+dense_train_step is that update over dense states. descend_touched is the
+first layer's update on Pairs as a touched-column product built from an
+(n + 1)-wide mask, which train_step's update must equal bit for bit.
 load_ratings is the ratings reader as one loop over the file's lines.
 """
 
@@ -139,10 +141,26 @@ def dense_train_step(net, target, batch, gamma, lr):
     return float(np.mean(residual**2))
 
 
+def descend_touched(w: np.ndarray, lr: float, delta: np.ndarray, x: qnet.Pairs) -> None:
+    """w -= lr * delta.T @ X for the dense rows X of the canonical pairs x,
+    over the input columns x touches: the columns are marked in an
+    (n + 1)-wide mask, the padding's column among them, and each pair finds
+    its column of X by a cumulative sum of the mask."""
+    n = w.shape[1]
+    touched = np.zeros(n + 1, dtype=bool)
+    touched[x.items] = True
+    touched[n] = True                       # the padding's column, dropped below
+    cols = np.flatnonzero(touched)
+    x_touched = np.zeros((len(x.items), cols.size))
+    x_touched[np.arange(len(x.items))[:, None], (np.cumsum(touched) - 1)[x.items]] = x.values
+    w.T[cols[:-1]] -= (lr * (delta.T @ x_touched[:, :-1])).T
+
+
 def q_taken(net: qnet.QNetwork, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
     """Q(s, a) of each state's taken action, computed as train_step computes
     it: the last hidden layer's row dot with each taken output row."""
-    return qnet._gathered_q(net, qnet._hidden_layers(net, states)[-1], actions)
+    hidden = qnet._hidden_layers(net, states)[-1]
+    return np.einsum("ij,ij->i", hidden, net.weights[-1][actions]) + net.biases[-1][actions]
 
 
 def rating_grads(u_vec, v_vec, rating, reg):

@@ -648,3 +648,13 @@ def test_a_benchmark_with_popular_impact_and_p_values_loads_no_scipy(workspace):
     (p_row,) = [line for line in (out_dir / "report.txt").read_text().splitlines()
                 if line.startswith("p-value")]
     assert 0.0 <= float(p_row.split()[1]) <= 1.0
+
+
+def test_importing_the_cli_loads_no_evaluation_or_process_pool():
+    # ingest, pretrain and train use neither; eval and benchmark import them
+    code = ("import sys, cfrl.cli; "
+            "print(sorted(m for m in ('cfrl.evaluate', 'concurrent.futures.process') "
+            "if m in sys.modules))")
+    out = _python("-c", code)
+    out.check_returncode()
+    assert out.stdout.splitlines()[-1] == "[]"

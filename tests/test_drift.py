@@ -1,9 +1,12 @@
-"""tools/drift.py finds a change of one ulp and none between equal outputs."""
+"""tools/drift.py finds a change of one ulp and none between equal outputs, and
+extracts the base tree of a git revision itself."""
 
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from cfrl import qnet
 
@@ -69,3 +72,38 @@ def test_train_log_changes_are_drift(tmp_path):
     (longer / "cfrl_task2_split0_train_log.csv").write_text(_LOG + "2,3,1.0,0.5,0.1,1\n")
     lines, drifted = drift.compare_train_logs(base, longer)
     assert drifted == 6 and "first at episode 2 column episode: - -> 2" in lines[0]
+
+
+def _git(repo, *args):
+    subprocess.run(["git", "-C", str(repo), "-c", "user.name=drift", "-c",
+                    "user.email=drift@example.com", "-c", "commit.gpgsign=false", *args],
+                   check=True, capture_output=True)
+
+
+def test_base_rev_is_the_committed_src_of_the_revision(tmp_path):
+    repo, dest = tmp_path / "repo", tmp_path / "base"
+    module = repo / "src" / "cfrl" / "mark.py"
+    module.parent.mkdir(parents=True)
+    dest.mkdir()
+    module.write_text("VALUE = 1\n")
+    (repo / "README").write_text("outside src\n")
+    _git(repo, "init", "-q")
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-q", "-m", "first")
+    # an uncommitted change is what --base HEAD compares against HEAD
+    module.write_text("VALUE = 2\n")
+
+    src = drift.extract_src(repo, "HEAD", dest)
+    assert src == dest / "src"
+    assert (src / "cfrl" / "mark.py").read_text() == "VALUE = 1\n"
+    assert sorted(p.name for p in dest.iterdir()) == ["src"]
+    with pytest.raises(RuntimeError, match="exited 128"):
+        drift.extract_src(repo, "no-such-revision", dest)
+
+
+@pytest.mark.parametrize("argv", [[], ["--base", "HEAD", "--base-src", "src"]])
+def test_exactly_one_base_option_is_required(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        drift.main([*argv, "--size", "tiny"])
+    assert exit_info.value.code == 2
+    assert "--base" in capsys.readouterr().err

@@ -11,7 +11,8 @@ from cfrl import qnet
 from cfrl.errors import DivergenceError, ValidationError
 from cfrl.persist import manifest_path, save_npz
 
-from oracles import Transition, dense_train_step, q_taken, raw_pairs, stack, td_target
+from oracles import (Transition, dense_train_step, descend_touched, q_taken, raw_pairs, stack,
+                     td_target)
 
 
 def test_parameter_count_closed_form():
@@ -224,9 +225,10 @@ def test_train_step_matches_dense_reference(hidden, activation):
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_pairs_forward_and_update_match_the_dense_reference(data):
-    # raw states as Pairs: the first layer gathers the pairs' columns and the
-    # update touches only those columns; item 0 and item n - 1 are genuine
-    # items of rows that also hold padding, and rows share items
+    # raw states as Pairs: forward gathers each row's columns of W0, while
+    # training reads the batch as one matrix over the columns it touches and
+    # updates only those; item 0 and item n - 1 are genuine items of rows
+    # that also hold padding, and rows share items
     n = data.draw(st.integers(2, 24), label="n")
     horizon = data.draw(st.integers(2, 6), label="horizon")
     hidden = data.draw(st.sampled_from([(3,), (6,), (5, 4)]), label="hidden")
@@ -257,6 +259,14 @@ def test_pairs_forward_and_update_match_the_dense_reference(data):
     dense = stack(batch, target, 0.9)
     pairs = qnet.Batch(raw_pairs(dense.s, horizon), dense.a, dense.y)
     assert pairs.s.items[0, :2].tolist() == [0, n - 1] and pairs.s.items[0, -1] == n
+    # the batch matrix holds each row's values at the touched inputs, from
+    # the pairs at either width (the replay's T or play's T + 1)
+    columns = pairs.s.columns(n)
+    assert columns.cols.tolist() == np.flatnonzero(dense.s.any(axis=0)).tolist()
+    assert columns.x.tobytes() == dense.s[:, columns.cols].tobytes()
+    narrow = qnet.Pairs(pairs.s.items[:, :-1], pairs.s.values[:, :-1]).columns(n)
+    assert (narrow.x.tobytes(), narrow.cols.tobytes()) == (columns.x.tobytes(),
+                                                           columns.cols.tobytes())
     s_next = np.stack([tr.s_next for tr in batch])
     masks = np.stack([tr.mask_next for tr in batch])
     np.testing.assert_allclose(
@@ -282,6 +292,110 @@ def test_pairs_forward_and_update_match_the_dense_reference(data):
             == reference.weights[0][:, untouched].tobytes())
     np.testing.assert_allclose(qnet.flatten_params(net), qnet.flatten_params(reference),
                                rtol=1e-12, atol=1e-15)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_the_first_layer_update_on_pairs_is_the_touched_column_product(data):
+    # train_step updates W0 on the batch's Columns with, bit for bit, the
+    # touched-column product of descend_touched, in either layout of W0;
+    # item 0 and item n - 1 share the batch, and rows share items
+    n = data.draw(st.integers(2, 40), label="n")
+    width = data.draw(st.integers(2, 8), label="width")
+    activation = data.draw(st.sampled_from(["tanh", "relu"]), label="activation")
+    size = data.draw(st.integers(1, 8), label="batch")
+    net = qnet.qnet_init([n, data.draw(st.integers(1, 9), label="H"), n],
+                         seed=data.draw(st.integers(0, 99)), activation=activation)
+    if data.draw(st.booleans(), label="input-major W0"):
+        net = qnet.input_major(net)
+    rng = np.random.default_rng(data.draw(st.integers(0, 99), label="values"))
+    states = np.zeros((size, n))
+    for row in range(size):
+        items = data.draw(st.lists(st.integers(0, n - 1), max_size=width - 1), label="items")
+        states[row, [0, n - 1] if row == 0 else items] = rng.uniform(0.5, 5.0)
+    batch = qnet.Batch(raw_pairs(states, width - 1), rng.integers(n, size=size),
+                       rng.normal(size=size))
+    reference = net.copy()
+    lr = 0.05
+    qnet.train_step(net, batch, lr)
+
+    # the error at the first hidden layer, computed as train_step computes it
+    hidden = qnet._hidden_layers(reference, batch.s)
+    w_taken = reference.weights[1][batch.a]
+    residual = batch.y - (np.einsum("ij,ij->i", hidden[1], w_taken)
+                          + reference.biases[1][batch.a])
+    delta = ((-residual / size)[:, None] * w_taken
+             * qnet._act_deriv_from_output(activation, hidden[1]))
+    descend_touched(reference.weights[0], lr, delta, batch.s)
+    reference.biases[0] -= lr * delta.sum(axis=0)
+    assert net.weights[0].flags.f_contiguous == reference.weights[0].flags.f_contiguous
+    assert net.weights[0].tobytes(order="A") == reference.weights[0].tobytes(order="A")
+    assert net.biases[0].tobytes() == reference.biases[0].tobytes()
+
+
+@pytest.mark.parametrize("input_major", [False, True])
+def test_a_batch_of_empty_states_reads_the_first_bias_and_leaves_w0_alone(input_major):
+    # early on task2 every sampled state can be empty: the batch touches no
+    # input, its matrix has no column, and each hidden row is act(b0)
+    n, horizon = 9, 4
+    net = qnet.qnet_init([n, 6, n], seed=4)
+    if input_major:
+        net = qnet.input_major(net)
+    rng = np.random.default_rng(4)
+    net.biases[0][:] = rng.normal(size=6)
+    pairs = raw_pairs(np.zeros((5, n)), horizon)
+    columns = pairs.columns(n)
+    assert columns.x.shape == (5, 0) and columns.cols.size == 0
+    hidden = qnet._hidden_layers(net, pairs)
+    assert hidden[1].tobytes() == np.tile(np.tanh(net.biases[0]), (5, 1)).tobytes()
+    np.testing.assert_allclose(qnet.forward_batch(net, pairs), qnet.forward(net, pairs),
+                               rtol=1e-12, atol=1e-15)
+    w0, b0 = net.weights[0].copy(), net.biases[0].copy()
+    loss = qnet.train_step(net, qnet.Batch(pairs, rng.integers(n, size=5), rng.normal(size=5)),
+                           lr=0.1)
+    assert np.isfinite(loss)
+    assert net.weights[0].tobytes() == w0.tobytes()
+    assert net.biases[0].tobytes() != b0.tobytes()
+
+
+def test_a_network_with_no_hidden_layer_reads_pairs_densely():
+    # its one layer is the output layer: input_major leaves it row-major,
+    # and a Pairs batch trains it as its dense rows do, bit for bit
+    n = 6
+    net = qnet.qnet_init([n, n], seed=1)
+    assert qnet.input_major(net) is net
+    rng = np.random.default_rng(1)
+    states = np.where(rng.random((4, n)) < 0.4, rng.uniform(1, 5, size=(4, n)), 0.0)
+    actions, y = rng.integers(n, size=4), rng.normal(size=4)
+    dense = net.copy()
+    assert (qnet.train_step(net, qnet.Batch(raw_pairs(states, n), actions, y), 0.1)
+            == qnet.train_step(dense, qnet.Batch(states, actions, y), 0.1))
+    assert qnet.flatten_params(net).tobytes() == qnet.flatten_params(dense).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_subtract_rows_is_the_2d_scatter_bit_for_bit(data):
+    # more rows in the batch than in w, so some row is taken more than once;
+    # values of mixed magnitude make the order of the repeats visible
+    rows_n = data.draw(st.integers(1, 6), label="rows")
+    width = data.draw(st.integers(1, 9), label="width")
+    rows = np.array(data.draw(st.lists(st.integers(0, rows_n - 1), min_size=rows_n + 1,
+                                       max_size=40), label="taken"))
+    rng = np.random.default_rng(data.draw(st.integers(0, 999), label="values"))
+    w = rng.normal(size=(rows_n, width))
+    values = rng.normal(size=(rows.size, width)) * 10.0 ** rng.integers(-12, 12, size=(rows.size, 1))
+    expected = w.copy()
+    np.subtract.at(expected, rows, values)
+    qnet._subtract_rows(w, rows, values)
+    assert w.tobytes() == expected.tobytes()
+
+
+def test_subtract_rows_refuses_an_array_whose_flat_form_is_a_copy():
+    w = np.asfortranarray(np.ones((3, 4)))
+    with pytest.raises(ValueError, match="C-contiguous"):
+        qnet._subtract_rows(w, np.array([0, 2]), np.ones((2, 4)))
+    assert (w == 1).all()
 
 
 def test_train_step_rejects_an_empty_batch():

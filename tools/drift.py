@@ -1,12 +1,16 @@
 """Rounding drift of the working tree's outputs against a base tree's.
 
+    python3 tools/drift.py --base REV [--size full|tiny]
     python3 tools/drift.py --base-src ../base/src [--size full|tiny]
 
-Run it from the root of a cfrl checkout. `--base-src` is the `src`
-directory of the tree to compare with (a second checkout of the parent
-commit, say); `--base-src src` compares the tree with itself. On each tree
-it runs, at seed 0 and on the corpus and config of perfbench/run.py's
-`make_inputs` (replica 0):
+Run it from the root of a cfrl checkout, with exactly one of the two base
+options. `--base REV` compares the working tree, committed or not, with a
+git revision of this repository, whose `src` the tool extracts itself (with
+`git archive`, into a temporary directory): `--base HEAD` shows what an
+uncommitted change does. `--base-src` is the `src` directory of any tree to
+compare with (a second checkout, say); `--base-src src` compares the tree
+with itself. On each tree it runs, at seed 0 and on the corpus and config
+of perfbench/run.py's `make_inputs` (replica 0):
 
   train-cfrl     ingest, pretrain, `train --method cfrl --trace`, eval
   train-dqn-raw  ingest, `train --method dqn --trace`, eval
@@ -175,10 +179,32 @@ def run_tree(make_inputs, src: Path, workload: str, size: str, work: Path) -> Pa
     return replica["out"]
 
 
+def extract_src(repo: Path, rev: str, dest: Path) -> Path:
+    """The `src` directory of revision `rev` of the git repository `repo`,
+    extracted with git archive under `dest`.
+
+    Raises:
+        RuntimeError: git cannot archive `rev` (an unknown revision, say), or
+            tar cannot extract it.
+    """
+    tar = dest / "base.tar"
+    for argv in (["git", "-C", str(repo), "archive", "--output", str(tar), rev, "src"],
+                 ["tar", "-xf", str(tar), "-C", str(dest)]):
+        done = subprocess.run(argv, capture_output=True, text=True)
+        if done.returncode != 0:
+            raise RuntimeError(f"{' '.join(argv)} exited {done.returncode}: "
+                               f"{done.stderr.strip()}")
+    tar.unlink()
+    return dest / "src"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--base-src", required=True, type=Path,
-                        help="the src directory of the tree to compare with")
+    base = parser.add_mutually_exclusive_group(required=True)
+    base.add_argument("--base", metavar="REV",
+                      help="a git revision of this repository to compare with")
+    base.add_argument("--base-src", type=Path,
+                      help="the src directory of the tree to compare with")
     parser.add_argument("--size", choices=("full", "tiny"), default="full")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(ROOT / "perfbench"))
@@ -187,12 +213,13 @@ def main(argv=None) -> int:
     total = 0
     try:
         with tempfile.TemporaryDirectory(prefix="cfrl-drift-") as tmp:
+            base_src = args.base_src or extract_src(ROOT, args.base, Path(tmp))
             for workload in WORKLOADS:
                 outs = []
                 for tree in ("base", "head"):
                     work = Path(tmp) / tree / workload
                     work.mkdir(parents=True)
-                    src = args.base_src if tree == "base" else ROOT / "src"
+                    src = base_src if tree == "base" else ROOT / "src"
                     outs.append(run_tree(perfbench.make_inputs, src, workload, args.size, work))
                 print(f"{workload}:")
                 for compare in (compare_checkpoints, compare_traces, compare_train_logs,
