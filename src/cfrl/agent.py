@@ -7,19 +7,20 @@ users as one block; the Q-learner trains on blocks of one user.
 The Q-learner acts epsilon-greedily on its own state, which state_kind
 starts and advances from each (item, reward): the latent user vector, which
 an online MF step advances, or the raw state as its canonical qnet.Pairs,
-which put_pairs advances. Every observed step goes into a bounded replay
-memory (arrays, one column per transition field) and is followed by one
-minibatch TD update, with the target network, a plain copy of the network,
-re-synced every fixed number of updates. The replay keeps each row's state
-but not its successor, which it derives with the same state update as play,
-so a state advances in one place. It samples a minibatch as one qnet.Batch
-of (s, a, y): each row keeps its bootstrap value, the target's max over the
-successor's available actions, and computes it (the TD update's one n-wide
-product) only when the row is sampled for the first time after its push or
-after a target sync. The same policy trains both the latent-state agent and
-the raw-rating-vector variant. The trainer keeps one record of the episodes
-it has played, and its step, sync and episode counts, its training log and
-its trace all derive from that record.
+which put_pairs advances. Every observed step goes into the trainer's record
+of the episodes it has played and into a bounded replay memory, a window
+over the record's last steps, and is followed by one minibatch TD update,
+with the target network, a plain copy of the network, re-synced every fixed
+number of updates. A replay row reads its action and reward, and a raw row
+its state, from the record, and no row keeps its successor, which the
+replay derives with the same state update as play, so a state advances in
+one place. It samples a minibatch as one qnet.Batch of (s, a, y): each row
+keeps its bootstrap value, the target's max over the successor's available
+actions, and computes it (the TD update's one n-wide product) only when the
+row is sampled for the first time after its push or after a target sync.
+The same policy trains both the latent-state agent and the raw-rating-vector
+variant. The trainer's step, sync and episode counts, its training log and
+its trace all derive from its record.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from . import mf, qnet
 from .env import InteractiveEnv, TaskMode, run_episode
@@ -40,20 +42,22 @@ from .seeding import rng_for
 
 
 class ReplayMemory:
-    """Bounded FIFO buffer of transitions; oldest entries are evicted first.
+    """Bounded FIFO window over the last `capacity` steps of a trainer's
+    record, which holds every step's action and reward in play order.
 
-    Transitions are stored column by column in arrays (struct of arrays):
-    states, actions, rewards, terminal flags, the successor availability
-    masks packed eight actions to a byte, and each row's bootstrap value with
-    the target sync it was computed under. Slot k holds the k-th pushed
-    transition until the buffer is full; after that each push overwrites the
-    oldest slot. The arrays grow geometrically with the rows filled, up to
-    the capacity, so a large capacity costs nothing until used.
+    A row keeps, in arrays, only what the record cannot give: the state
+    (latent rows) or the step's place in its episode (raw rows), the
+    terminal flag, the successor's availability mask packed eight actions to
+    a byte, and its bootstrap value with the target sync it was computed
+    under. After S pushes, slot j holds the record's step S - 1 -
+    ((S - 1 - j) mod capacity), and the next push overwrites slot S mod
+    capacity. The arrays grow geometrically with the rows filled, up to the
+    capacity, so a large capacity costs nothing until used.
 
     A row keeps no successor state. The memory is built from the learner's
-    (start, update) of state_kind, and successors derives a row's successor
-    as update(state, a, r): the step that advanced the learner's state in
-    play, so the successor is that state bit for bit.
+    (start, update) of state_kind, and sample derives a row's successor as
+    update(state, a, r): the step that advanced the learner's state in play,
+    so the successor is that state bit for bit.
 
     The bootstrap value v(s') of a non-terminal row, the max of the target
     network over the successor's available actions, only changes when the
@@ -65,82 +69,73 @@ class ReplayMemory:
     that push writes.
 
     The layout follows from `start`. A latent start, a (1, d) array, keeps
-    each state as d floats; at d = 16 and n = 1,586 items a row takes 356
+    each state as d floats; at d = 16 and n = 1,586 items a row takes 340
     bytes. A raw start, canonical qnet.Pairs T + 1 wide (see put_pairs),
-    keeps a state's first T pairs, items ascending and padded with item n
-    (n_actions) and reward 0, in the columns s_items and s_rewards: the
-    last pair of a state that play pushes is always padding. At n = 1,586
-    and T = 40 a row takes 708 bytes in place of 25.6 KB. A sampled batch's
-    states are these T pairs as they are stored, which train_step reads as
-    one qnet.Columns matrix; successors pads them to start's width first,
-    as put_pairs needs.
+    keeps the step t of its episode, and rows reads its state from the
+    record's steps before t in that episode (at n = 1,586 a row takes 216
+    bytes in place of 25.6 KB). The pairs stay in play order: qnet.Columns,
+    which train_step and the target read, is the same for any order, and
+    put_pairs advances them to the canonical successor.
     """
 
     _MIN_ROWS = 64
 
-    def __init__(self, capacity: int, n_actions: int, start, update):
+    def __init__(self, capacity: int, n_actions: int, start, update, record: dict):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self.n_actions = n_actions
         self.start = start
         self.update = update
+        self.record = record    # the trainer's step columns: "item" and "reward", in play order
         self.raw = isinstance(start, qnet.Pairs)
         if self.raw:
-            width = start.items.shape[1] - 1
-            layout = {"s_items": ((width,), np.int32), "s_rewards": ((width,), np.float64)}
-        else:
-            layout = {"s": ((start.shape[1],), np.float64)}
+            # a raw row's state is read from the window of the T steps from
+            # its episode's start, which the record holds room for, as
+            # views of the record (row k: steps k..k+T-1); _after[t] marks
+            # the steps from t on, which are not the state's
+            horizon = start.items.shape[1] - 1
+            self._windows = [as_strided(col, (max(len(col) - horizon + 1, 0), horizon),
+                                        col.strides * 2, writeable=False)
+                             for col in (record["item"], record["reward"])]
+            self._after = ~np.tri(horizon, k=-1, dtype=bool)
+        layout = {"t": ((), np.int32)} if self.raw else {"s": ((start.shape[1],), np.float64)}
         self._shapes = {
             **layout,
-            "a": ((), np.int64),
-            "r": ((), np.float64),
             "done": ((), bool),
             "mask_bits": (((n_actions + 7) // 8,), np.uint8),
             "next_value": ((), np.float64),
             "stamp": ((), np.int32),
         }
         self._cols = {k: np.empty((0, *shape), dtype) for k, (shape, dtype) in self._shapes.items()}
-        self._size = 0
-        self._next = 0
+        self.pushes = 0
 
     def __len__(self) -> int:
-        return self._size
+        return min(self.pushes, self.capacity)
 
     def _grow(self) -> None:
-        rows = min(self.capacity, max(self._MIN_ROWS, 2 * self._size))
+        """More rows, while the pushes have not filled the capacity."""
+        rows = min(self.capacity, max(self._MIN_ROWS, 2 * self.pushes))
         for key, col in self._cols.items():
             grown = np.empty((rows, *col.shape[1:]), col.dtype)
-            grown[: self._size] = col[: self._size]
+            grown[: self.pushes] = col[: self.pushes]
             self._cols[key] = grown
 
-    def push(self, s, a: int, r: float, done: bool, mask_next) -> None:
-        """Store one transition from state s (one row, an array or
-        qnet.Pairs); mask_next is the successor's bool availability.
-
-        Raises:
-            ValueError: a raw state's last pair is not padding: it holds more
-                pairs than the horizon.
-        """
-        if self.raw and s.items[-1] != self.n_actions:
-            raise ValueError(f"raw state holds {int((s.items < self.n_actions).sum())} pairs, "
-                             f"over the horizon {s.items.shape[0] - 1}")
-        if self._size < self.capacity:
-            slot = self._size
-            if slot == self._cols["a"].shape[0]:
-                self._grow()
-            self._size += 1
-        else:
-            slot = self._next
-            self._next = (self._next + 1) % self.capacity
+    def push(self, s, t: int, done: bool, mask_next) -> None:
+        """Store the transition of the record's next step, whose action and
+        reward the record holds before the row is sampled: from state s, one
+        row (a latent row keeps it), step t of its episode (a raw row keeps
+        it and rebuilds s from the record); mask_next is the successor's
+        bool availability."""
+        slot = self.pushes % self.capacity
+        if slot == self._cols["done"].shape[0]:
+            self._grow()
+        self.pushes += 1
         cols = self._cols
         if self.raw:
-            cols["s_items"][slot] = s.items[:-1]
-            cols["s_rewards"][slot] = s.values[:-1]
+            cols["t"][slot] = t
         else:
             cols["s"][slot] = s
-        cols["a"][slot] = a
-        cols["r"][slot] = r
         cols["done"][slot] = done
         cols["mask_bits"][slot] = np.packbits(mask_next)
         cols["next_value"][slot] = 0.0
@@ -149,11 +144,12 @@ class ReplayMemory:
     def draw(self, batch: int, rng: np.random.Generator) -> np.ndarray:
         """The slots of a uniform minibatch; with replacement only while the
         buffer is smaller than the batch."""
-        if not self._size:
+        size = len(self)
+        if not size:
             raise ValueError("cannot sample from an empty replay memory")
-        if self._size < batch:
-            return rng.integers(0, self._size, size=batch)
-        return rng.choice(self._size, size=batch, replace=False)
+        if size < batch:
+            return rng.integers(0, size, size=batch)
+        return rng.choice(size, size=batch, replace=False)
 
     def sample(self, batch: int, rng: np.random.Generator, target: qnet.QNetwork,
                sync: int, gamma: float) -> qnet.Batch:
@@ -167,80 +163,66 @@ class ReplayMemory:
         """
         idx = self.draw(batch, rng)
         cols = self._cols
-        stale = idx[(cols["stamp"][idx] != sync) & ~cols["done"][idx]]
-        if self._size < batch:      # drawn with replacement: a row may repeat
-            stale = np.unique(stale)
-        if stale.size:
+        s, a, r = self.rows(idx)
+        at = np.flatnonzero((cols["stamp"][idx] != sync) & ~cols["done"][idx])
+        if len(self) < batch:       # drawn with replacement: a row may repeat
+            at = at[np.unique(idx[at], return_index=True)[1]]
+        if at.size:
+            stale = idx[at]
             masks = np.unpackbits(cols["mask_bits"][stale], axis=1, count=self.n_actions)
-            cols["next_value"][stale] = qnet.bootstrap_values(target, self.successors(stale),
-                                                              masks.view(bool))
+            # the successor is the state advanced by the step that advanced
+            # it in play, so a state advances in one place
+            successors = self.update(s[at], a[at], r[at])
+            cols["next_value"][stale] = qnet.bootstrap_values(target, successors, masks.view(bool))
             cols["stamp"][stale] = sync
         # a terminal row keeps the 0.0 that push wrote, so its y is r + 0.0 = r;
         # overflow here is the divergence signal, caught by train_step
         with np.errstate(over="ignore", invalid="ignore"):
-            y = cols["r"][idx] + gamma * cols["next_value"][idx]
-        if self.raw:
-            s = qnet.Pairs(cols["s_items"][idx], cols["s_rewards"][idx])
-        else:
-            s = cols["s"][idx]
-        return qnet.Batch(s=s, a=cols["a"][idx], y=y)
+            y = r + gamma * cols["next_value"][idx]
+        return qnet.Batch(s=s, a=a, y=y)
 
-    def states(self, idx):
-        """The states of rows idx, in the form of start: an array, or
-        qnet.Pairs T + 1 wide."""
-        cols = self._cols
+    def rows(self, idx) -> tuple:
+        """The states, actions (int64) and rewards of rows idx. A state is
+        an array, or for a raw start qnet.Pairs T wide: each row's steps
+        before its own in its episode as (item, reward) pairs in play order,
+        with padding (item n, reward 0) in place of a reward of 0 and after
+        those steps."""
+        steps = ring_steps(idx, self.pushes, self.capacity)
+        a, r = self.record["item"][steps].astype(np.int64), self.record["reward"][steps]
         if not self.raw:
-            return cols["s"][idx]
-        shape = (len(idx), self.start.items.shape[1])
-        items, rewards = np.full(shape, self.n_actions, dtype=np.int64), np.zeros(shape)
-        items[:, :-1] = cols["s_items"][idx]
-        rewards[:, :-1] = cols["s_rewards"][idx]
-        return qnet.Pairs(items, rewards)
-
-    def successors(self, idx):
-        """The successor states of rows idx, in the form of states: each
-        row's state advanced by update with its action and reward."""
-        return self.update(self.states(idx), self._cols["a"][idx], self._cols["r"][idx])
+            return self._cols["s"][idx], a, r
+        t = self._cols["t"][idx]
+        first = steps - t
+        items, rewards = self._windows[0][first], self._windows[1][first]
+        np.putmask(rewards, self._after[t], 0.0)
+        np.putmask(items, rewards == 0, self.n_actions)
+        return qnet.Pairs(items, rewards), a, r
 
     def state(self) -> dict:
-        """The filled rows of every column (views, not copies), plus "next":
-        the slot the next push overwrites once the buffer is full."""
-        state = {key: col[: self._size] for key, col in self._cols.items()}
-        state["next"] = np.array([self._next], dtype=np.int64)
-        return state
+        """The filled rows of every column (views, not copies)."""
+        return {key: col[: len(self)] for key, col in self._cols.items()}
 
-    def load(self, state: dict, sync: int) -> None:
-        """Replace the contents with a state() as saved by a trainer that had
-        synced its target `sync` times.
+    def load(self, state: dict, ends, sync: int) -> None:
+        """Replace the contents with a state() as saved by a trainer whose
+        record held the episode `ends` (the last one its step count) and that
+        had synced its target `sync` times.
 
         Raises:
             ValidationError: an array is missing or does not fit this memory's
-                widths, dtypes, capacity or action count, a stamp is outside
-                -1..sync, a state or reward is not finite, a non-terminal row
-                with a stamp holds a bootstrap value that is not finite, a
-                terminal row's is not 0, or a raw row's pairs are not in the
-                form push writes: items inside 0..n, those below n (the
-                state's items) strictly ascending, each with a nonzero
-                reward, and after them only padding (item n, reward 0).
-                Another order of the same pairs is not that form and is
-                refused too.
+                widths or dtypes, the rows are not the record's steps up to
+                the capacity, a raw row's step in its episode is not the
+                record's, a stamp is outside -1..sync, a state is not finite,
+                a non-terminal row with a stamp holds a bootstrap value that
+                is not finite, or a terminal row's is not 0.
         """
-        columns = dict(state)
-        next_slot = columns.pop("next", None)
-        rows = check_columns(columns, self._shapes, "replay")
-        if rows > self.capacity:
-            raise ValidationError(f"replay holds {rows} rows, over the capacity {self.capacity}")
-        if (
-            next_slot is None or next_slot.dtype != np.int64 or next_slot.shape != (1,)
-            or not 0 <= next_slot[0] < (self.capacity if rows == self.capacity else 1)
-        ):
-            raise ValidationError(f"replay next slot {next_slot} is invalid for {rows} rows")
-        if rows and not ((columns["a"] >= 0) & (columns["a"] < self.n_actions)).all():
-            raise ValidationError(f"replay action outside 0..{self.n_actions - 1}")
-        for key in ("s", "s_rewards", "r"):
-            if key in columns and not np.isfinite(columns[key]).all():
-                raise ValidationError(f"replay column {key!r} holds a value that is not finite")
-        stamp, values, done = columns["stamp"], columns["next_value"], columns["done"]
+        rows = check_columns(state, self._shapes, "replay")
+        pushes = int(ends[-1]) if len(ends) else 0
+        if rows != min(pushes, self.capacity):
+            raise ValidationError(f"replay holds {rows} rows, not the record's {pushes} steps "
+                                  f"up to the capacity {self.capacity}")
+        if "s" in state and not np.isfinite(state["s"]).all():
+            raise ValidationError("replay column 's' holds a value that is not finite")
+        stamp, values, done = state["stamp"], state["next_value"], state["done"]
         if ((stamp < -1) | (stamp > sync)).any():
             raise ValidationError(f"replay stamp outside -1..{sync} (the target's sync count)")
         if not np.isfinite(values[(stamp >= 0) & ~done]).all():
@@ -249,22 +231,21 @@ class ReplayMemory:
         if (values[done] != 0).any():
             raise ValidationError("replay bootstrap value is not 0 on a terminal row")
         if self.raw:
-            items, rewards, n = columns["s_items"], columns["s_rewards"], self.n_actions
-            pad = items == n
-            if ((items < 0) | (items > n)).any():
-                raise ValidationError(f"replay state item outside 0..{n} ({n} pads a row)")
-            if (pad[:, :-1] & ~pad[:, 1:]).any():
-                raise ValidationError(f"replay state has an item after its padding (item {n})")
-            if ((items[:, 1:] <= items[:, :-1]) & ~pad[:, 1:]).any():
-                raise ValidationError("replay state items are not strictly ascending: "
-                                      "a row repeats an item or lists its items out of order")
-            if (rewards[~pad] == 0).any():
-                raise ValidationError("replay state holds an item with reward 0")
-            if (rewards[pad] != 0).any():
-                raise ValidationError(f"replay state padding (item {n}) holds a nonzero reward")
-        self._cols = {key: np.require(col, requirements="CW") for key, col in columns.items()}
-        self._size = rows
-        self._next = int(next_slot[0])
+            steps = ring_steps(np.arange(rows), pushes, self.capacity)
+            starts = np.concatenate(([0], ends))[np.searchsorted(ends, steps, side="right")]
+            if (state["t"] != steps - starts).any():
+                raise ValidationError("replay row's step in its episode is not the episode "
+                                      "record's")
+        self._cols = {key: np.require(col, requirements="CW") for key, col in state.items()}
+        self.pushes = pushes
+
+
+def ring_steps(slots, pushes: int, capacity: int) -> np.ndarray:
+    """The record steps that the slots of a replay of `capacity` rows hold
+    after `pushes` pushes: slot j holds the last of the steps j,
+    j + capacity, ... below `pushes`."""
+    last = pushes - 1
+    return last - (last - np.asarray(slots)) % capacity
 
 
 def check_columns(columns: dict, shapes: dict, kind: str) -> int:
@@ -338,8 +319,9 @@ def put_pairs(states: qnet.Pairs, items, rewards, n: int) -> qnet.Pairs:
     to the width; the first layer's rounding depends on the pairs' order.
     Each row drops its item's pair, if it has one, puts (item, reward) into
     its last slot, which must be padding, unless the reward is 0, and is
-    sorted stably by item, so that the padding goes back to the end.
-    Returns new arrays."""
+    sorted stably by item, so that the padding goes back to the end; so a
+    row whose pairs come in another order, as the replay reads them, gives
+    the same canonical row. Returns new arrays."""
     width = states.items.shape[1]
     held = states.items == items[:, None]
     next_items = np.where(held, n, states.items)
@@ -424,6 +406,9 @@ class QTrainer(StatePolicy):
         cfg.validate()
         super().__init__(start, update)
         raw = isinstance(start, qnet.Pairs)
+        if raw and start.items.shape[1] != env.horizon + 1:
+            raise ValueError(f"a raw start of {start.items.shape[1]} pairs does not fit the "
+                             f"environment's horizon of {env.horizon} steps")
         input_dim = env.n if raw else start.shape[1]
         self.env = env
         self.users = sorted(users)
@@ -435,12 +420,12 @@ class QTrainer(StatePolicy):
         if raw:
             self.net = qnet.input_major(self.net)
         self.target = self.net.copy()
-        self.memory = ReplayMemory(cfg.replay_capacity, env.n, start, update)
         self.user_rng = rng_for(cfg.seed, "episode-users")
         self.action_rng = rng_for(cfg.seed, "epsilon-greedy")
         self.replay_rng = rng_for(cfg.seed, "replay-sample")
         self.episode = 0    # episodes in the record
         self.record = self._allocate(cfg.episodes)
+        self.memory = ReplayMemory(cfg.replay_capacity, env.n, start, update, self.record)
         self.losses = []    # TD losses of the current episode
 
     def _allocate(self, episodes: int) -> dict:
@@ -473,7 +458,7 @@ class QTrainer(StatePolicy):
         cfg, s, step = self.cfg, self.state[0], self.train_steps
         super().observe(items, rewards)
         self.record["item"][step], self.record["reward"][step] = items[0], rewards[0]
-        self.memory.push(s, items[0], rewards[0], done, avail[0])
+        self.memory.push(s, len(self.losses), done, avail[0])
         batch = self.memory.sample(cfg.batch_size, self.replay_rng, self.target,
                                    self.sync_count, cfg.gamma)
         self.losses.append(qnet.train_step(self.net, batch, cfg.q_lr))
@@ -548,7 +533,9 @@ class QTrainer(StatePolicy):
                 shape, an episode ends before the one before it or runs over
                 the horizon, the last episode does not end at the step
                 count, a user is not one of the run's training users, an
-                item is outside 0..n-1, or a reward or loss is not finite.
+                item is outside 0..n-1, an episode of a raw learner repeats
+                an item (its state holds one pair an item), or a reward or
+                loss is not finite.
         """
         episodes = check_columns({key: record[key] for key in EPISODE_COLUMNS}, EPISODE_COLUMNS,
                                  "episode record")
@@ -567,6 +554,11 @@ class QTrainer(StatePolicy):
             raise ValidationError("episode record: a user is not one of the run's training users")
         if ((record["item"] < 0) | (record["item"] >= self.env.n)).any():
             raise ValidationError(f"episode record: item outside 0..{self.env.n - 1}")
+        if self.memory.raw:
+            pairs = np.repeat(np.arange(episodes), lengths) * self.env.n + record["item"]
+            if np.unique(pairs).size != steps:
+                raise ValidationError("episode record: an episode repeats an item, which a raw "
+                                      "state holds once")
         for key in ("reward", "loss"):
             if not np.isfinite(record[key]).all():
                 raise ValidationError(f"episode record: a {key} is not finite")
@@ -575,22 +567,17 @@ class QTrainer(StatePolicy):
     def restore(self, path) -> None:
         """Continue from a save(). A file that cannot be read, does not fit
         this trainer (network, action count, replay capacity), was saved by
-        a different run (see run_record), holds network parameters, replay
-        states or rewards that are not finite, or an episode record that
-        _check_record refuses raises ValidationError. So does a state saved
-        by an earlier version, which holds no episode record."""
+        a different run (see run_record), holds network parameters or
+        replay states that are not finite, an episode record that
+        _check_record refuses or a replay that ReplayMemory.load refuses
+        raises ValidationError. So does a state saved by an earlier
+        version, whose replay holds its rows' actions (replay_a)."""
         replay = [f"replay_{key}" for key in self.memory.state()]
         record_keys = [f"record_{key}" for key in (*EPISODE_COLUMNS, *STEP_COLUMNS)]
-        fmt = "the replay format changed: "
-        changes = {"replay_s": fmt + "raw-state replay rows are now (item, reward) pairs",
-                   "replay_s_next": fmt + "replay rows no longer store their successor state",
-                   "replay_stamp": fmt + "replay rows now keep their bootstrap value",
-                   "record_end": "the state now records its episodes in place of a step count "
-                                 "and logs"}
-        if not self.memory.raw:
-            del changes["replay_s"]
-        earlier = {key: f"{change}, and a trainer state saved by an earlier version is not read; "
-                        "train afresh" for key, change in changes.items()}
+        # every earlier layout holds replay_a
+        earlier = {"replay_a": "the replay format changed: replay rows now read their action, "
+                               "reward and raw state from the episode record, and a trainer "
+                               "state saved by an earlier version is not read; train afresh"}
         arrays = load_npz(path, "trainer state",
                           ("net", "target", "meta", *record_keys, *replay), earlier)
         try:
@@ -615,11 +602,16 @@ class QTrainer(StatePolicy):
         if differ:
             raise ValidationError(f"{path}: saved by a different run: {', '.join(differ)} differ")
         saved_record = {key[len("record_"):]: arrays.pop(key) for key in record_keys}
-        memory = ReplayMemory(self.cfg.replay_capacity, self.env.n, self.start, self.update)
         try:
             episodes = self._check_record(saved_record)
+            # a resume may ask for fewer episodes than the state holds
+            record = self._allocate(max(self.cfg.episodes, episodes))
+            for key, col in saved_record.items():
+                record[key][: len(col)] = col
+            memory = ReplayMemory(self.cfg.replay_capacity, self.env.n, self.start, self.update,
+                                  record)
             memory.load({key[len("replay_"):]: array for key, array in arrays.items()},
-                        len(saved_record["item"]) // self.cfg.sync_period)
+                        saved_record["end"], len(saved_record["item"]) // self.cfg.sync_period)
         except ValidationError as exc:
             raise ValidationError(f"{path}: {exc}") from None
         try:
@@ -629,11 +621,7 @@ class QTrainer(StatePolicy):
             raise ValidationError(f"{path}: invalid RNG state ({exc})") from None
         qnet.assign_params(self.net, params[0])
         qnet.assign_params(self.target, params[1])
-        self.memory = memory
-        # a resume may ask for fewer episodes than the state holds
-        self.record = self._allocate(max(self.cfg.episodes, episodes))
-        for key, col in saved_record.items():
-            self.record[key][: len(col)] = col
+        self.memory, self.record = memory, record
         self.episode, self.losses = episodes, []
 
 

@@ -22,14 +22,16 @@ A sparse input, such as the raw rating vector with at most T nonzeros among
 n inputs, can be given as Pairs: each row's nonzero (item, value) pairs,
 padded to a common width of about T. Acting and evaluation (forward) run one
 1-row product per row over the gathered columns of W0 (T of n). Its rounding
-depends on the pairs' order and width, so a caller keeps every row in one
-canonical form (items ascending, padding at the end) at one width, as
-agent.put_pairs keeps the raw state. Training (train_step, and forward_batch
-under bootstrap_values) turns a batch of Pairs into Columns, a dense (B, k)
-matrix over the k inputs the batch touches, and runs one (B, k) @ (k, H)
-product per batch; train_step updates just those k columns of W0, with the
-dense update's values. Each of the three products rounds differently from
-the others, by about an ulp.
+depends on the pairs' order and width, so the rows that forward reads are
+kept in one canonical form (items ascending, padding at the end) at one
+width, as agent.put_pairs keeps the raw state. Training (train_step, and
+forward_batch under bootstrap_values) turns a batch of Pairs into Columns, a
+dense (B, k) matrix over the k inputs the batch touches, and runs one
+(B, k) @ (k, H) product per batch; train_step updates just those k columns
+of W0, with the dense update's values. Columns are the same for any order of
+a row's pairs and any width, so the replay hands train_step its rows in play
+order. Each of the three products rounds differently from the others, by
+about an ulp.
 """
 
 from __future__ import annotations
@@ -106,8 +108,10 @@ def qnet_init(layer_sizes, seed: int = 0, activation: str = "tanh") -> QNetwork:
 @dataclass(frozen=True)
 class Pairs:
     """Sparse input rows: each row's nonzero inputs as (item, value) pairs,
-    items ascending, then padding (item input_dim, value 0) up to the common
-    width. One row is a (T,) pair of arrays, a block of rows (U, T)."""
+    and padding (item input_dim, value 0) up to the common width. forward
+    reads rows in the canonical form, items ascending and the padding at the
+    end; columns reads them in any order. One row is a (T,) pair of arrays,
+    a block of rows (U, T)."""
 
     items: np.ndarray       # (..., T) int input indices
     values: np.ndarray      # (..., T) float64 input values
@@ -125,7 +129,10 @@ class Pairs:
     def columns(self, input_dim: int) -> "Columns":
         """A (B, T) block of rows, of any width, as Columns over the items
         they hold; the padding is dropped. The items' positions come from a
-        bool mask over the inputs and a position map, not a sort."""
+        bool mask over the inputs and a position map, not a sort, so x and
+        cols are byte for byte the same for any order of a row's pairs and
+        any placement of its padding, as long as a row holds each item at
+        most once."""
         items = self.items.astype(np.intp, copy=False)     # index with it once, not per use
         touched = np.zeros(input_dim + 1, dtype=bool)
         touched[items] = True

@@ -46,26 +46,34 @@ def stack(transitions, target: qnet.QNetwork, gamma: float) -> qnet.Batch:
 
 
 def replay_rows(memory) -> dict:
-    """memory.state() with dense "s" and "s_next" columns in either layout.
+    """memory.state() with each row's action "a" and reward "r" and its
+    dense "s" and "s_next", in either layout.
 
-    A raw-layout memory keeps each state as (item, reward) pairs; here each
-    row is rebuilt pair by pair, and its successor is the state with the
-    taken action's reward written in. A latent row's successor is the
-    memory's state update applied to that row alone, as play applies it."""
+    Each row's step is found by replaying the pushes into the ring, slot by
+    slot. A raw-layout row's state is rebuilt from the record one step at a
+    time, from the first step of its episode (its step t back), with
+    raw_update; its successor adds the row's own step. A latent row's
+    successor is the memory's state update applied to that row alone, as
+    play applies it."""
     rows = dict(memory.state())
+    step_of = {}
+    for step in range(memory.pushes):
+        step_of[step % memory.capacity] = step
+    steps = np.array([step_of[k] for k in range(len(rows["done"]))], dtype=np.int64)
+    items, rewards = memory.record["item"], memory.record["reward"]
+    a, r = items[steps].astype(np.int64), rewards[steps]
     if not memory.raw:
-        rows["s_next"] = np.array([memory.update(rows["s"][[k]], rows["a"][[k]], rows["r"][[k]])[0]
-                                   for k in range(len(rows["a"]))]).reshape(rows["s"].shape)
-        return rows
+        s = rows["s"]
+        s_next = np.array([memory.update(s[[k]], a[[k]], r[[k]])[0]
+                           for k in range(len(steps))]).reshape(s.shape)
+        return {**rows, "a": a, "r": r, "s_next": s_next}
     n = memory.n_actions
-    s = np.zeros((len(rows["a"]), n))
-    for k, (items, rewards) in enumerate(zip(rows.pop("s_items"), rows.pop("s_rewards"))):
-        for item, reward in zip(items, rewards):
-            if item < n:
-                s[k, item] = reward
-    s_next = s.copy()
-    s_next[np.arange(len(s)), rows["a"]] = rows["r"]
-    return {**rows, "s": s, "s_next": s_next}
+    s = np.zeros((len(steps), n))
+    for k, (step, t) in enumerate(zip(steps, rows.pop("t"))):
+        for g in range(step - t, step):
+            s[[k]] = raw_update(s[[k]], items[[g]], rewards[[g]])
+    s_next = raw_update(s, a, r)
+    return {**rows, "a": a, "r": r, "s": s, "s_next": s_next}
 
 
 def raw_update(states, items, rewards) -> np.ndarray:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from cfrl import mf, qnet
 from cfrl.agent import (
+    STEP_COLUMNS,
     QTrainer,
     ReplayMemory,
     TrainConfig,
@@ -33,16 +34,35 @@ from rollouts import traced_eval
 from toy_mdp import ChainEnv, LIVE_STATES, encode, update, value_iteration
 
 
-def _dense(capacity, n_actions):
-    """A memory of 2-wide dense states whose successor is the state plus 0.5."""
-    return ReplayMemory(capacity, n_actions, np.zeros((1, 2)), lambda s, a, r: s + 0.5)
+def _record(steps):
+    """Empty step columns of an episode record for `steps` steps."""
+    return {key: np.empty(steps, dtype) for key, (_, dtype) in STEP_COLUMNS.items()}
+
+
+def _successors(mem, idx):
+    """The successors of rows idx as sample derives them: each state
+    advanced by the learner's update with the row's action and reward."""
+    return mem.update(*mem.rows(idx))
+
+
+def _dense(capacity, n_actions, steps=64):
+    """A memory of 2-wide dense states whose successor is the state plus 0.5,
+    over a record of `steps` steps."""
+    return ReplayMemory(capacity, n_actions, np.zeros((1, 2)), lambda s, a, r: s + 0.5,
+                        _record(steps))
+
+
+def _push(mem, s, t, a, r, done, mask_next):
+    """Record the next step's action and reward, as the trainer does, and push it."""
+    mem.record["item"][mem.pushes], mem.record["reward"][mem.pushes] = a, r
+    mem.push(s, t, done, mask_next)
 
 
 def _push_rows(mem, count, start=0):
     """Push transitions whose reward is their push number, so a row names itself."""
     for k in range(start, start + count):
         mask = np.arange(mem.n_actions) != k % mem.n_actions
-        mem.push(np.full(2, float(k)), k % mem.n_actions, float(k), k % 2 == 0, mask)
+        _push(mem, np.full(2, float(k)), 0, k % mem.n_actions, float(k), k % 2 == 0, mask)
 
 
 class TestSelectAction:
@@ -90,9 +110,9 @@ class TestReplayMemory:
         _push_rows(mem, 3)
         assert len(mem) == 2
         # the third push overwrote slot 0, the oldest transition
-        assert mem.state()["r"].tolist() == [2.0, 1.0]
+        assert mem.rows([0, 1])[2].tolist() == [2.0, 1.0]
         _push_rows(mem, 1, start=3)
-        assert mem.state()["r"].tolist() == [2.0, 3.0]
+        assert mem.rows([0, 1])[2].tolist() == [2.0, 3.0]
 
     def test_sample_returns_the_pushed_rows(self):
         mem = _dense(10, 11)
@@ -103,7 +123,7 @@ class TestReplayMemory:
         assert sorted(k.tolist()) == list(range(10))
         np.testing.assert_array_equal(batch.s, np.repeat(k[:, None], 2, axis=1).astype(float))
         np.testing.assert_array_equal(batch.a, k % 11)
-        np.testing.assert_array_equal(mem.successors(k), batch.s + 0.5)
+        np.testing.assert_array_equal(_successors(mem, k), batch.s + 0.5)
         # y is the pushed transition's target: r at the end of an episode,
         # else r plus the discounted max over the successor's available actions
         pushed = [Transition(np.full(2, float(j)), j % 11, float(j), np.full(2, j + 0.5),
@@ -151,10 +171,10 @@ class TestReplayMemory:
         rows = [Transition(np.full(2, float(k)), k, 1.0 + k, np.full(2, k + 0.5), False, mask)
                 for k in range(3)]
         for tr in rows[:2]:
-            mem.push(tr.s, tr.a, tr.r, tr.done, tr.mask_next)
+            _push(mem, tr.s, 0, tr.a, tr.r, tr.done, tr.mask_next)
         first = mem.sample(2, _InOrder(), target, 0, 0.9)
         assert mem.state()["stamp"].tolist() == [0, 0]
-        mem.push(rows[2].s, rows[2].a, rows[2].r, rows[2].done, rows[2].mask_next)
+        _push(mem, rows[2].s, 0, rows[2].a, rows[2].r, rows[2].done, rows[2].mask_next)
         assert mem.state()["stamp"].tolist() == [-1, 0]
         second = mem.sample(2, _InOrder(), target, 0, 0.9)
         assert mem.state()["stamp"].tolist() == [0, 0]
@@ -166,91 +186,128 @@ class TestReplayMemory:
         mem = _dense(1000, 4)
         s, mask = np.zeros(2), np.ones(4, dtype=bool)
         for k in range(1_000_000):
-            mem.push(s, 0, 1.0, True, mask)
+            mem.push(s, 0, True, mask)
             if k % 100_000 == 0:
                 assert len(mem) <= 1000
         assert len(mem) == 1000
-        assert all(col.shape[0] == 1000 for key, col in mem.state().items() if key != "next")
+        assert all(col.shape[0] == 1000 for col in mem.state().values())
 
     def test_memory_grows_with_rows_filled_not_capacity(self):
         # raw-state rows at the default capacity of 100,000 and horizon of 40:
-        # (item, reward) pairs in place of two 1,586-wide float64 states
+        # the step in the episode, which reads the state's (item, reward)
+        # pairs from the record, in place of two 1,586-wide float64 states
         n, cfg = 1586, TrainConfig(episodes=1)
-        mem = ReplayMemory(cfg.replay_capacity, n, *state_kind(None, n, cfg.horizon))
+        mem = ReplayMemory(cfg.replay_capacity, n, *state_kind(None, n, cfg.horizon),
+                           _record(1000))
         rng = np.random.default_rng(0)
-        s, mask = np.zeros(n), rng.random(n) < 0.5
-        s[rng.choice(n, cfg.horizon, replace=False)] = rng.integers(1, 6, cfg.horizon)
-        pairs = raw_pairs(s, cfg.horizon)
+        episodes = 1000 // cfg.horizon
+        items = np.concatenate([rng.choice(n, cfg.horizon, replace=False)
+                                for _ in range(episodes)])
+        rewards = rng.integers(1, 6, 1000).astype(float)
+        mask = rng.random(n) < 0.5
         tracemalloc.start()
         try:
             for k in range(1000):
-                mem.push(pairs, k, 1.0, False, mask)
+                _push(mem, None, k % cfg.horizon, items[k], rewards[k], False, mask)
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        row_bytes = sum(col[0].nbytes for key, col in mem.state().items() if key != "next")
-        # pairs, action, reward, done, packed mask, bootstrap value and its stamp
-        assert row_bytes == cfg.horizon * (4 + 8) + 8 + 8 + 1 + (n + 7) // 8 + 8 + 4
-        assert row_bytes <= 1536
+        row_bytes = sum(col[0].nbytes for col in mem.state().values())
+        # step in the episode, done, packed mask, bootstrap value and its stamp
+        assert row_bytes == 4 + 1 + (n + 7) // 8 + 8 + 4 == 216
         assert held <= 1.1 * 1000 * row_bytes
         bits = mem.state()["mask_bits"][0]
         assert np.unpackbits(bits, count=n).view(bool).tolist() == mask.tolist()
-        np.testing.assert_array_equal(mem.states([0]).dense(n)[0], s)
+        # the last step of the second episode starts from the 39 before it
+        s = np.zeros(n)
+        s[items[40:79]] = rewards[40:79]
+        np.testing.assert_array_equal(mem.rows([79])[0].dense(n)[0], s)
 
     def test_latent_rows_keep_no_successor(self):
         # latent rows at d = 16 and n = 1,586: the state, and no successor,
-        # which successors derives with the learner's online MF step
+        # which sample derives with the learner's online MF step
         d, n = 16, 1586
         rng = np.random.default_rng(0)
         model = mf.MfModel(U=np.zeros((d, 1)), V=rng.normal(size=(d, n)), d=d, reg=0.01, lr=0.02)
         start, update = state_kind(model, n, 40)
-        mem = ReplayMemory(TrainConfig(episodes=1).replay_capacity, n, start, update)
+        mem = ReplayMemory(TrainConfig(episodes=1).replay_capacity, n, start, update,
+                           _record(100))
         s, mask = rng.normal(size=d), rng.random(n) < 0.5
         for k in range(100):
-            mem.push(s + k, k, 1.0 + k % 5, False, mask)
-        row_bytes = sum(col[0].nbytes for key, col in mem.state().items() if key != "next")
-        # state, action, reward, done, packed mask, bootstrap value and its stamp
-        assert row_bytes == d * 8 + 8 + 8 + 1 + (n + 7) // 8 + 8 + 4 == 356
-        assert sorted(mem.state()) == ["a", "done", "mask_bits", "next", "next_value", "r", "s",
-                                       "stamp"]
+            _push(mem, s + k, k % 40, k, 1.0 + k % 5, False, mask)
+        row_bytes = sum(col[0].nbytes for col in mem.state().values())
+        # state, done, packed mask, bootstrap value and its stamp; the action
+        # and reward are the record's
+        assert row_bytes == d * 8 + 1 + (n + 7) // 8 + 8 + 4 == 340
+        assert sorted(mem.state()) == ["done", "mask_bits", "next_value", "s", "stamp"]
         rows = np.arange(100)
         expected = mf.online_update(model, s + rows[:, None], rows, 1.0 + rows % 5)
-        assert mem.successors(rows).tobytes() == expected.tobytes()
+        assert _successors(mem, rows).tobytes() == expected.tobytes()
 
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_raw_rows_rebuild_exactly(data):
-    # every state a raw learner can hold: at most T nonzeros from a zero start,
-    # items at both ends of the catalogue, rewards of 0 among them
+    # every state a raw learner can hold, read from the record: at most T
+    # steps of an episode, distinct items at both ends of the catalogue,
+    # rewards of 0 among them, in a ring that may have wrapped
     n = data.draw(st.integers(1, 40), label="n")
-    horizon = data.draw(st.integers(0, n), label="horizon")
-    rows = data.draw(st.integers(1, 6), label="rows")
-    mem = ReplayMemory(rows, n, *state_kind(None, n, horizon))
-    states, actions = np.zeros((rows, n)), []
-    for k in range(rows):
-        items = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=horizon))
-        states[k, items] = data.draw(st.lists(st.sampled_from([0.0, 1.0, 2.5, 5.0]),
-                                              min_size=len(items), max_size=len(items)))
-        actions.append(data.draw(st.integers(0, n - 1)))
-        mem.push(raw_pairs(states[k], horizon), actions[k], float(k), False,
-                 np.ones(n, dtype=bool))
-    k = mem.draw(rows, rng_for(0, "rebuild"))
-    s, s_next = mem.states(k), mem.successors(k)
-    a, r = mem.state()["a"][k], mem.state()["r"][k]
-    assert s.items.shape == s_next.items.shape == (rows, horizon + 1)
-    assert np.array_equal(s.dense(n), states[k])
-    expected_next = states[k]
-    expected_next[np.arange(rows), np.array(actions)[k]] = r
-    assert np.array_equal(s_next.dense(n), expected_next)
-    assert np.array_equal(a, np.array(actions)[k])
-    # both are in the one canonical form that acting reads a raw state in
-    for pairs, dense in ((s, states[k]), (s_next, expected_next)):
-        canonical = raw_pairs(dense, horizon)
-        assert np.array_equal(pairs.items, canonical.items)
-        assert np.array_equal(pairs.values, canonical.values)
-    # each successor is the one put of its stored state that play makes
-    assert _bits(s_next) == _bits(put_pairs(s, a, r, n))
+    horizon = data.draw(st.integers(1, n), label="horizon")
+    capacity = data.draw(st.integers(1, 8), label="capacity")
+    lengths = data.draw(st.lists(st.integers(0, horizon), min_size=1, max_size=4), label="lengths")
+    # the record holds room for an episode's horizon of steps from its start
+    mem = ReplayMemory(capacity, n, *state_kind(None, n, horizon),
+                       _record(sum(lengths) + horizon))
+    states, nexts, played = [], [], []
+    for length in lengths:
+        items = data.draw(st.lists(st.one_of(st.sampled_from([0, n - 1]), st.integers(0, n - 1)),
+                                   unique=True, min_size=length, max_size=length))
+        rewards = data.draw(st.lists(st.sampled_from([0.0, 1.0, 2.5, 5.0]),
+                                     min_size=length, max_size=length))
+        dense = np.zeros((1, n))
+        for t, (item, reward) in enumerate(zip(items, rewards)):
+            states.append(dense)
+            played.append([(i, r) if r != 0 else (n, 0.0) for i, r in zip(items[:t], rewards[:t])])
+            dense = raw_update(dense, np.array([item]), np.array([reward]))
+            nexts.append(dense)
+            _push(mem, None, t, item, reward, False, np.ones(n, dtype=bool))
+    if not len(mem):
+        return
+    k = np.arange(len(mem))
+    steps = np.array([max(s for s in range(mem.pushes) if s % capacity == j) for j in k])
+    s, a, r = mem.rows(k)
+    s_next = mem.update(s, a, r)
+    dense, dense_next = np.concatenate(states)[steps], np.concatenate(nexts)[steps]
+    assert s.items.shape == s_next.items.shape == (len(k), horizon)
+    assert np.array_equal(s.dense(n), dense) and np.array_equal(s_next.dense(n), dense_next)
+    assert a.dtype == np.int64
+    assert np.array_equal(a, mem.record["item"][steps])
+    assert np.array_equal(r, mem.record["reward"][steps])
+    # a state holds its episode's steps in play order, each step with a
+    # reward of 0 and each after them as padding
+    for row, step in zip(range(len(k)), steps):
+        pairs = played[step]
+        assert list(zip(s.items[row].tolist(), s.values[row].tolist())) == [
+            *pairs, *[(n, 0.0)] * (horizon - len(pairs))]
+    # which reads as the same Columns as the canonical state that acting
+    # holds, and put_pairs advances to the canonical successor, as it
+    # advances the canonical state, bit for bit
+    canonical = raw_pairs(dense, horizon)
+    for got, want in ((s.columns(n), canonical.columns(n)),
+                      (s_next.columns(n), raw_pairs(dense_next, horizon).columns(n))):
+        assert got.cols.tobytes() == want.cols.tobytes() and got.x.tobytes() == want.x.tobytes()
+    assert _same_pairs(s_next, raw_pairs(dense_next, horizon - 1))
+    assert _same_pairs(put_pairs(canonical, a, r, n)[:, :horizon], s_next)
+    # a sampled batch holds these states and the record's actions
+    batch = mem.sample(len(k), _InOrder(), qnet.qnet_init([n, 3, n], seed=0), 0, 0.9)
+    assert _same_pairs(batch.s, s) and np.array_equal(batch.a, a)
+
+
+def _same_pairs(got, want):
+    """Two Pairs blocks hold the same items and, bit for bit, the same values."""
+    return (np.array_equal(got.items, want.items)
+            and got.values.dtype == want.values.dtype
+            and got.values.tobytes() == want.values.tobytes())
 
 
 def _bits(pairs):
@@ -288,17 +345,19 @@ def test_put_pairs_is_the_dense_raw_state_bit_for_bit(data):
 
 
 def test_raw_rows_at_the_catalog_ends_and_over_the_horizon():
-    mem = ReplayMemory(4, 5, *state_kind(None, 5, 2))
-    over = qnet.Pairs(np.array([0, 2, 4]), np.array([1.0, 2.0, 3.0]))   # horizon + 1 pairs
-    with pytest.raises(ValueError, match="3 pairs, over the horizon 2"):
-        mem.push(over, 1, 4.0, False, np.ones(5, bool))
-    assert len(mem) == 0
-    # items 0 and n - 1 fill the row; a zero reward at item 2 needs no pair
-    s = np.array([5.0, 0.0, 0.0, 0.0, 1.0])
-    mem.push(raw_pairs(s, 2), 2, 0.0, True, np.ones(5, bool))
-    assert mem.state()["s_items"].tolist() == [[0, 4]]
-    assert np.array_equal(mem.states([0]).dense(5)[0], s)
-    assert np.array_equal(mem.successors([0]).dense(5)[0], s)
+    # a raw start narrower than the environment's horizon cannot hold its states
+    with pytest.raises(ValueError, match="3 pairs does not fit the environment's horizon of 3"):
+        QTrainer(ChainEnv(horizon=3), [0], *state_kind(None, 3, 2),
+                 TrainConfig(episodes=1, horizon=3, hidden_sizes=(4,)))
+    mem = ReplayMemory(4, 5, *state_kind(None, 5, 2), _record(4))
+    # items 0 and n - 1 fill the successor; a zero reward at item 2 needs no pair
+    for t, (item, reward) in enumerate([(0, 5.0), (4, 1.0)]):
+        _push(mem, None, t, item, reward, t == 1, np.ones(5, bool))
+    _push(mem, None, 0, 2, 0.0, False, np.ones(5, bool))
+    assert mem.rows([1])[0].items.tolist() == [[0, 5]]
+    assert _successors(mem, [1]).items.tolist() == [[0, 4]]
+    assert np.array_equal(_successors(mem, [1]).dense(5)[0], [5.0, 0.0, 0.0, 0.0, 1.0])
+    assert not mem.rows([2])[0].dense(5).any() and not _successors(mem, [2]).dense(5).any()
 
 
 @pytest.fixture
@@ -382,14 +441,16 @@ def test_trainer_and_greedy_policy_share_one_state(small_setup, raw_state):
     trainer.run()
     trace = _trace(trainer)
     rows = np.arange(len(trace))
-    s, s_next = trainer.memory.states(rows), trainer.memory.successors(rows)
-    a, r = trainer.memory.state()["a"], trainer.memory.state()["r"]
+    s, a, r = trainer.memory.rows(rows)
+    s_next = trainer.memory.update(s, a, r)
     policy = GreedyQPolicy(trainer.net, mf_model=model, raw_state=raw_state, horizon=cfg.horizon)
 
     def row(states, k):
+        # a raw state's pairs, in any order, as the Columns training reads
         if not raw_state:
             return states[k].tobytes()
-        return states.items[k].tobytes() + states.values[k].tobytes()
+        columns = states[[k]].columns(ds.n)
+        return columns.cols.tobytes() + columns.x.tobytes()
 
     assert len(trace) == 3 * 5
     for k, (_, user, t, action, reward) in enumerate(trace):
@@ -552,8 +613,10 @@ def test_restore_rejects_states_that_do_not_fit(tmp_path, small_setup):
     good = tmp_path / "state.npz"
     trainer.save(good)
     with np.load(good) as data:
-        s, a, bits = data["replay_s"], data["replay_a"], data["replay_mask_bits"]
+        replay = {key: data[key] for key in data.files if key.startswith("replay_")}
+        s, bits, done = replay["replay_s"], replay["replay_mask_bits"], replay["replay_done"]
         net = data["net"]
+    assert len(done) == 6
     bad = tmp_path / "bad.npz"
     cases = [  # (changed arrays, None for the file cut 40 bytes short; message)
         (None, "not a zip"),
@@ -563,9 +626,9 @@ def test_restore_rejects_states_that_do_not_fit(tmp_path, small_setup):
         ({"net": net.astype(np.float32)}, "parameters"),
         ({"replay_s": s[:, :-1]}, "'s'"),
         ({"replay_mask_bits": bits[:, :-1]}, "'mask_bits'"),
-        ({"replay_a": a[:-1]}, "replay column"),
-        ({"replay_a": a + ds.n}, "action outside"),
-        ({"replay_next": np.array([1], dtype=np.int64)}, "next slot"),
+        ({"replay_done": done[:-1]}, "replay column"),
+        # every column one row short: not the record's 6 steps
+        ({key: col[:-1] for key, col in replay.items()}, "5 rows, not the record's 6 steps"),
         ({"meta": np.frombuffer(b"{not json", dtype=np.uint8)}, "unreadable"),
     ]
     for changes, message in cases:
@@ -577,7 +640,7 @@ def test_restore_rejects_states_that_do_not_fit(tmp_path, small_setup):
         with pytest.raises(ValidationError, match=message):
             fresh.restore(bad)
     # a smaller replay capacity cannot hold the saved rows
-    small = make_trainer(ds, split, model, replace(cfg, replay_capacity=len(a) - 1))
+    small = make_trainer(ds, split, model, replace(cfg, replay_capacity=len(done) - 1))
     with pytest.raises(ValidationError, match="capacity"):
         small.restore(good)
     wider = make_trainer(ds, split, model, replace(cfg, hidden_sizes=(9,)))
@@ -607,9 +670,12 @@ def _with(array, row, value):
      "not finite"),
     (lambda stamp, values, done, sync: {"replay_next_value": _with(values, done, 1.5)},
      "not 0 on a terminal row"),
-    # a state saved before the replay kept its rows' bootstrap values
-    (lambda stamp, values, done, sync: {"replay_stamp": None, "replay_next_value": None},
-     "replay format changed: replay rows now keep their bootstrap value.*train afresh"),
+    # a state saved before the replay kept its rows' bootstrap values; it
+    # held each row's action and reward, as every earlier layout did
+    (lambda stamp, values, done, sync: {"replay_stamp": None, "replay_next_value": None,
+                                        "replay_a": np.zeros(len(done), np.int64),
+                                        "replay_r": np.zeros(len(done))},
+     "replay format changed.*train afresh"),
 ], ids=["stamp-dtype", "value-shape", "value-dtype", "stamp-after-sync", "stamp-below-1",
         "value-not-finite", "value-on-terminal-row", "earlier-layout"])
 def test_restore_refuses_a_bad_bootstrap_column(tmp_path, small_setup, raw_state, case):
@@ -636,6 +702,9 @@ def test_restore_refuses_a_bad_bootstrap_column(tmp_path, small_setup, raw_state
 
 
 def test_restore_rejects_malformed_raw_pairs(tmp_path, small_setup):
+    # a raw row's pairs come from the record: a row whose step in its
+    # episode is not the record's, or an episode that repeats an item, would
+    # build pairs that play never held, and is refused
     ds, split, _ = small_setup
     n = ds.n
     # task1 pays a rating at every step, so every step adds a pair
@@ -646,73 +715,62 @@ def test_restore_rejects_malformed_raw_pairs(tmp_path, small_setup):
     good = tmp_path / "state.npz"
     trainer.save(good)
     with np.load(good) as data:
-        items, rewards = data["replay_s_items"], data["replay_s_rewards"]
-    assert items.shape == rewards.shape == (6, 3) and items.dtype == np.int32
-    # the third step of the first episode starts from two pairs and one pad
-    assert (items[2] < n).sum() == 2 and items[2, 2] == n and rewards[2, 2] == 0.0
-
-    def changed(array, row, col, value):
-        array = array.copy()
-        array[row, col] = value
-        return array
-
+        t, items = data["replay_t"], data["record_item"]
+    assert t.tolist() == [0, 1, 2] * 2 and t.dtype == np.int32
     dense = replay_rows(trainer.memory)
+    # the third step of the first episode starts from two pairs
+    assert np.count_nonzero(dense["s"][2]) == 2
     bad = tmp_path / "bad.npz"
     cases = [
-        ({"replay_s_items": changed(items, 2, 0, n + 1)}, f"item outside 0..{n}"),
-        ({"replay_s_items": changed(items, 2, 0, -1)}, "item outside"),
-        ({"replay_s_items": changed(items, 2, 1, items[2, 0])}, "repeats an item"),
-        # the pairs' order sets the rounding: one form only, as push writes it
-        ({"replay_s_items": changed(changed(items, 2, 0, items[2, 1]), 2, 1, items[2, 0]),
-          "replay_s_rewards": changed(changed(rewards, 2, 0, rewards[2, 1]), 2, 1, rewards[2, 0])},
-         "out of order"),
-        ({"replay_s_items": changed(changed(items, 2, 1, n), 2, 2, items[2, 1]),
-          "replay_s_rewards": changed(changed(rewards, 2, 1, 0.0), 2, 2, rewards[2, 1])},
-         "after its padding"),
-        ({"replay_s_rewards": changed(rewards, 2, 0, 0.0)}, "item with reward 0"),
-        ({"replay_s_rewards": changed(rewards, 2, 2, 1.0)}, "padding"),
-        ({"replay_s_items": np.pad(items, ((0, 0), (0, 1)), constant_values=n),
-          "replay_s_rewards": np.pad(rewards, ((0, 0), (0, 1)))}, "'s_items'"),
-        ({"replay_s_items": items.astype(np.int64)}, "'s_items'"),
-        # a raw state saved before the replay kept (item, reward) pairs
-        ({"replay_s_items": None, "replay_s_rewards": None,
-          "replay_s": dense["s"], "replay_s_next": dense["s_next"]}, "replay format changed"),
+        ({"replay_t": _with(t, 2, 1)}, "step in its episode is not the episode record's"),
+        ({"replay_t": _with(t, 3, 3)}, "step in its episode"),
+        ({"replay_t": t.astype(np.int64)}, "'t'"),
+        # a raw state saved before the replay read its pairs from the record
+        ({"replay_t": None, "replay_s_items": np.full((6, 3), n, np.int32),
+          "replay_s_rewards": np.zeros((6, 3)), "replay_a": items.astype(np.int64),
+          "replay_r": dense["r"]}, "replay format changed.*train afresh"),
     ]
     for changes, message in cases:
         _rewrite_state(good, bad, **changes)
         with pytest.raises(ValidationError, match=message) as err:
             make_trainer(ds, split, None, cfg).restore(bad)
         assert str(bad) in str(err.value)
-    # the same pairs in another order are refused; the state as saved loads
-    _rewrite_state(good, bad, replay_s_items=items[:, ::-1], replay_s_rewards=rewards[:, ::-1])
-    with pytest.raises(ValidationError, match="after its padding"):
-        make_trainer(ds, split, None, cfg).restore(bad)
+    # the same item in two episodes is no repeat (see
+    # test_restore_refuses_a_bad_episode_record); the state as saved loads
+    _rewrite_state(good, bad, record_item=_with(items, 3, items[0]))
+    make_trainer(ds, split, None, cfg).restore(bad)
     restored = make_trainer(ds, split, None, cfg)
     restored.restore(good)
-    for key in ("s", "s_next"):
+    for key in ("s", "s_next", "a", "r"):
         np.testing.assert_array_equal(replay_rows(restored.memory)[key], dense[key])
 
 
 def test_restore_of_a_full_ring_keeps_evicting_in_order(tmp_path, small_setup):
+    # a capacity of 5 is no multiple of the horizon of 3, so the resumed
+    # ring's slots hold steps of different episodes at different offsets
     ds, split, model = small_setup
     cfg = TrainConfig(episodes=4, horizon=3, hidden_sizes=(8,), task=TaskMode.TASK_II,
                       batch_size=4, replay_capacity=5, seed=2)
-    straight = make_trainer(ds, split, model, cfg)
-    straight.run()
-    first = make_trainer(ds, split, model, cfg)
-    first.run(until_episode=2)
-    path = tmp_path / "state.npz"
-    first.save(path)
-    resumed = make_trainer(ds, split, model, cfg)
-    resumed.restore(path)
-    assert len(resumed.memory) == 5 and resumed.memory.state()["next"].tolist() == [1]
-    resumed.run()
-    for key, col in straight.memory.state().items():
-        np.testing.assert_array_equal(resumed.memory.state()[key], col)
-    assert (
-        qnet.flatten_params(resumed.net).tobytes()
-        == qnet.flatten_params(straight.net).tobytes()
-    )
+    for mf_model in (model, None):  # the latent and the raw replay layout
+        straight = make_trainer(ds, split, mf_model, cfg)
+        straight.run()
+        first = make_trainer(ds, split, mf_model, cfg)
+        first.run(until_episode=2)
+        path = tmp_path / "state.npz"
+        first.save(path)
+        resumed = make_trainer(ds, split, mf_model, cfg)
+        resumed.restore(path)
+        # six pushes: the next one overwrites slot 1
+        assert len(resumed.memory) == 5 and resumed.memory.pushes == 6
+        resumed.run()
+        for key, col in straight.memory.state().items():
+            np.testing.assert_array_equal(resumed.memory.state()[key], col)
+        for key, col in replay_rows(straight.memory).items():
+            np.testing.assert_array_equal(replay_rows(resumed.memory)[key], col)
+        assert (
+            qnet.flatten_params(resumed.net).tobytes()
+            == qnet.flatten_params(straight.net).tobytes()
+        )
 
 
 
@@ -768,13 +826,19 @@ def test_restore_refuses_a_state_saved_by_a_different_run(tmp_path, small_setup)
     (lambda rec, n: {"record_item": _with(rec["item"], 4, -1)}, "item outside"),
     (lambda rec, n: {"record_reward": _with(rec["reward"], 4, np.nan)}, "a reward is not finite"),
     (lambda rec, n: {"record_loss": _with(rec["loss"], 2, np.inf)}, "a loss is not finite"),
+    # a raw learner's replay builds its states from the record, one pair an
+    # item; a third element marks a case for the raw learner
+    (lambda rec, n: {"record_item": _with(rec["item"], 2, rec["item"][0])},
+     "an episode repeats an item", "raw"),
 ], ids=["item-dtype", "loss-length", "end-shape", "user-missing", "ends-decrease",
         "over-horizon", "last-end", "step-count", "user", "item-above", "item-below",
-        "reward", "loss"])
+        "reward", "loss", "raw-repeat"])
 def test_restore_refuses_a_bad_episode_record(tmp_path, small_setup, case):
     # the record is the one source of the step, sync and episode counts, the
     # log and the trace; a record that no run could have written is refused
     ds, split, model = small_setup
+    changes, message, *raw = case
+    model = None if raw else model
     cfg = TrainConfig(episodes=3, horizon=3, hidden_sizes=(8,), task=TaskMode.TASK_II,
                       sync_period=4, seed=2)
     trainer = make_trainer(ds, split, model, cfg)
@@ -786,7 +850,6 @@ def test_restore_refuses_a_bad_episode_record(tmp_path, small_setup, case):
                   if key.startswith("record_")}
     assert record["end"].tolist() == [3, 6, 9] and len(record["item"]) == 9
     assert 9 in split.test_users
-    changes, message = case
     bad = _rewrite_state(good, tmp_path / "bad.npz", **changes(record, ds.n))
     with pytest.raises(ValidationError, match=message) as err:
         make_trainer(ds, split, model, cfg).restore(bad)
@@ -812,9 +875,10 @@ def test_restore_refuses_a_state_without_an_episode_record(tmp_path, small_setup
              "epsilon": cfg.epsilon, "sync_count": end // cfg.sync_period}
             for e, user, end, loss, _, rewards in trainer.episodes()]
     meta.update(train_steps=trainer.train_steps, logs=logs)
-    bad = _rewrite_state(good, tmp_path / "old.npz", **dict.fromkeys(keys),
+    _, a, r = trainer.memory.rows(np.arange(len(trainer.memory)))
+    bad = _rewrite_state(good, tmp_path / "old.npz", **dict.fromkeys(keys), replay_a=a, replay_r=r,
                          meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8))
-    with pytest.raises(ValidationError, match="records its episodes.*train afresh") as err:
+    with pytest.raises(ValidationError, match="replay format changed.*train afresh") as err:
         make_trainer(ds, split, model, cfg).restore(bad)
     assert str(bad) in str(err.value)
 
@@ -842,7 +906,7 @@ def test_record_of_a_default_run_takes_12_bytes_a_step(tmp_path, small_setup):
     # item, a float64 reward) and 24 an episode, in memory and in the state
     ds, split, model = small_setup
     cfg = TrainConfig(episodes=20_000, horizon=40, hidden_sizes=(8,), task=TaskMode.TASK_II,
-                      seed=0)
+                      replay_capacity=8, seed=0)
     tracemalloc.start()
     try:
         trainer = make_trainer(ds, split, model, cfg)
@@ -858,6 +922,10 @@ def test_record_of_a_default_run_takes_12_bytes_a_step(tmp_path, small_setup):
     record["loss"][:], record["item"][:] = rng.random(20_000), rng.integers(ds.n, size=800_000)
     record["reward"][:] = rng.integers(6, size=800_000)
     trainer.episode = 20_000
+    # a full replay of 8 rows holds the record's last 8 steps
+    for _ in range(8):
+        trainer.memory.push(np.zeros(model.d), 0, False, np.ones(ds.n, dtype=bool))
+    trainer.memory.pushes = 800_000
     path = tmp_path / "state.npz"
     trainer.save(path)
     with np.load(path) as data:
@@ -907,23 +975,21 @@ def test_restore_refuses_a_latent_state_that_stores_successors(tmp_path, small_s
     good = tmp_path / "state.npz"
     trainer.save(good)
     rows = replay_rows(trainer.memory)
-    bad = _rewrite_state(good, tmp_path / "old.npz", replay_s_next=rows["s_next"])
-    with pytest.raises(ValidationError, match="no longer store their successor state.*"
-                                              "train afresh") as err:
+    bad = _rewrite_state(good, tmp_path / "old.npz", replay_s_next=rows["s_next"],
+                         replay_a=rows["a"], replay_r=rows["r"])
+    with pytest.raises(ValidationError, match="replay format changed.*train afresh") as err:
         make_trainer(ds, split, model, cfg).restore(bad)
     assert str(bad) in str(err.value)
 
 
 @pytest.mark.parametrize("raw_state, key, value", [
-    (False, "replay_r", np.inf),
+    (False, "record_reward", np.inf),
     (False, "replay_s", np.inf),
     (False, "replay_s", np.nan),
-    (True, "replay_r", -np.inf),
-    (True, "replay_s_rewards", np.nan),
+    (True, "record_reward", -np.inf),
     (False, "net", np.nan),
     (True, "target", np.inf),
-], ids=["latent-reward", "latent-state-inf", "latent-state-nan", "raw-reward", "raw-pair-reward",
-        "net", "target"])
+], ids=["latent-reward", "latent-state-inf", "latent-state-nan", "raw-reward", "net", "target"])
 def test_restore_refuses_values_that_are_not_finite(tmp_path, small_setup, raw_state, key, value):
     # a damaged state is refused as such, not left to surface later as a
     # TD loss or an online MF step that is no longer finite
@@ -938,7 +1004,8 @@ def test_restore_refuses_values_that_are_not_finite(tmp_path, small_setup, raw_s
     trainer.save(good)
     with np.load(good) as data:
         array = data[key].copy()
-    # the second row of a state or pairs column: a real pair in a raw row
+    # the second row of a state column, or the second step's reward, which
+    # the third step's raw state holds as a pair
     array.reshape(len(array), -1)[1, 0] = value
     bad = _rewrite_state(good, tmp_path / "bad.npz", **{key: array})
     with pytest.raises(ValidationError, match="not finite") as err:
@@ -994,7 +1061,7 @@ def test_training_log_round_trip(tmp_path, small_setup, monkeypatch):
     trainer.run()
     path = tmp_path / "log.csv"
     write_training_log(path, trainer)
-    rewards = trainer.memory.state()["r"].tolist()
+    rewards = trainer.memory.rows(np.arange(9))[2].tolist()
     users = [user for _, user, *_ in trainer.episodes()]
     assert _read_csv(path) == [
         {"episode": str(e), "user": str(users[e]),
@@ -1014,11 +1081,11 @@ def test_trace_round_trip(tmp_path, small_setup):
     write_trace(path, trainer)
     with open(path, newline="", encoding="utf-8") as fh:
         lines = list(csv.reader(fh))
-    replay = trainer.memory.state()
+    (_, a, r), done = trainer.memory.rows(np.arange(12)), trainer.memory.state()["done"]
     users = [user for _, user, *_ in trainer.episodes()]
     assert lines == [["episode", "user", "t", "action", "reward", "done"], *[
-        [str(k // 4), str(users[k // 4]), str(k % 4), str(replay["a"][k]),
-         repr(replay["r"][k].item()), str(replay["done"][k])] for k in range(12)]]
+        [str(k // 4), str(users[k // 4]), str(k % 4), str(a[k]),
+         repr(r[k].item()), str(done[k])] for k in range(12)]]
     assert [line[5] for line in lines[1:]] == ["False", "False", "False", "True"] * 3
 
 

@@ -31,6 +31,14 @@ def _read_csv(path) -> list:
         return list(csv.DictReader(fh))
 
 
+def _with_replay_actions(arrays) -> dict:
+    """A trainer state's arrays with the replay columns of each row's action
+    and reward that every earlier layout held (a replay that never wrapped
+    holds the record's steps in order)."""
+    return {**arrays, "replay_a": arrays["record_item"].astype(np.int64),
+            "replay_r": arrays["record_reward"]}
+
+
 @pytest.fixture
 def workspace(tmp_path):
     """Ratings file plus a small config pointing at it."""
@@ -260,7 +268,8 @@ def test_train_resume_refuses_a_state_without_an_episode_record(workspace, capsy
     assert main(["train", "--config", str(cfg_path), "--method", "cfrl"]) == 0
     state = tmp_path / "out" / "cfrl_task2_split0_state.npz"
     with np.load(state) as saved:
-        arrays = {key: saved[key] for key in saved.files if not key.startswith("record_")}
+        arrays = _with_replay_actions({key: saved[key] for key in saved.files})
+    arrays = {key: array for key, array in arrays.items() if not key.startswith("record_")}
     meta = json.loads(arrays["meta"].tobytes())
     logs = _read_csv(tmp_path / "out" / "cfrl_task2_split0_train_log.csv")
     meta.update(train_steps=3 * 4, logs=[{**log, "episode": int(log["episode"])} for log in logs])
@@ -291,9 +300,9 @@ def test_train_resume_of_a_dqn_state_with_dense_replay_exits_2(workspace, capsys
     assert main(["train", "--config", str(cfg_path), "--method", "dqn"]) == 0
     state = tmp_path / "out" / "dqn_task2_split0_state.npz"
     with np.load(state) as saved:
-        arrays = {key: saved[key] for key in saved.files}
+        arrays = _with_replay_actions({key: saved[key] for key in saved.files})
     rows = len(arrays["replay_a"])
-    del arrays["replay_s_items"], arrays["replay_s_rewards"]
+    del arrays["replay_t"]
     arrays["replay_s"] = arrays["replay_s_next"] = np.zeros((rows, 30))
     with open(state, "wb") as fh:
         np.savez(fh, **arrays)
@@ -312,8 +321,8 @@ def test_train_resume_of_a_state_without_bootstrap_values_exits_2(workspace, cap
     assert main(["train", "--config", str(cfg_path), "--method", method]) == 0
     state = tmp_path / "out" / f"{method}_task2_split0_state.npz"
     with np.load(state) as saved:
-        arrays = {key: saved[key] for key in saved.files
-                  if key not in ("replay_next_value", "replay_stamp")}
+        arrays = _with_replay_actions({key: saved[key] for key in saved.files
+                                       if key not in ("replay_next_value", "replay_stamp")})
     with open(state, "wb") as fh:
         np.savez(fh, **arrays)
     capsys.readouterr()
@@ -329,14 +338,14 @@ def test_train_resume_of_a_cfrl_state_with_stored_successors_exits_2(workspace, 
     assert main(["train", "--config", str(cfg_path), "--method", "cfrl"]) == 0
     state = tmp_path / "out" / "cfrl_task2_split0_state.npz"
     with np.load(state) as saved:
-        arrays = {key: saved[key] for key in saved.files}
+        arrays = _with_replay_actions({key: saved[key] for key in saved.files})
     arrays["replay_s_next"] = arrays["replay_s"] + 0.5
     with open(state, "wb") as fh:
         np.savez(fh, **arrays)
     capsys.readouterr()
     assert main(["train", "--config", str(cfg_path), "--method", "cfrl", "--resume"]) == 2
     err = capsys.readouterr().err
-    assert str(state) in err and "no longer store their successor state" in err
+    assert str(state) in err and "replay format changed" in err and "train afresh" in err
 
 
 @pytest.mark.parametrize("method", ["cfrl", "dqn"])
@@ -350,13 +359,13 @@ def test_train_resume_of_a_state_with_a_reward_that_is_not_finite_exits_2(
     state = tmp_path / "out" / f"{method}_task2_split0_state.npz"
     with np.load(state) as saved:
         arrays = {key: saved[key] for key in saved.files}
-    arrays["replay_r"][0] = np.inf
+    arrays["record_reward"][0] = np.inf
     with open(state, "wb") as fh:
         np.savez(fh, **arrays)
     capsys.readouterr()
     assert main(["train", "--config", str(cfg_path), "--method", method, "--resume"]) == 2
     err = capsys.readouterr().err
-    assert str(state) in err and "'r' holds a value that is not finite" in err
+    assert str(state) in err and "a reward is not finite" in err
 
 
 def test_eval_of_a_checkpoint_with_nan_parameters_exits_2(workspace, capsys):

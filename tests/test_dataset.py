@@ -347,19 +347,21 @@ def ratings_files(draw):
         kind = draw(st.sampled_from(_FAULTS))
         at = draw(st.integers(0, len(lines) - 1))
         fields, seps, end = lines[at]
+        # a line an earlier "count" fault cut to 3 fields has no field 3 and
+        # no third separator
         if kind == "field":
-            fields[draw(st.integers(0, 3))] = draw(st.sampled_from(_ODD_FIELDS))
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(_ODD_FIELDS))
         elif kind == "digits":
             width = draw(st.sampled_from([1, 18, 19, 25]))
             digits = st.text("0123456789", min_size=width, max_size=width)
-            fields[draw(st.integers(0, 3))] = draw(digits)
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(digits)
         elif kind == "separator":
-            seps[draw(st.integers(0, 2))] = draw(st.sampled_from(_ODD_SEPARATORS))
+            seps[draw(st.integers(0, len(seps) - 1))] = draw(st.sampled_from(_ODD_SEPARATORS))
         elif kind == "end":
             lines[at] = (fields, seps, draw(st.sampled_from(_ODD_ENDS)))
         elif kind == "count":   # 3 or 5 fields
             if draw(st.booleans()):
-                del fields[draw(st.integers(0, 3))]
+                del fields[draw(st.integers(0, len(fields) - 1))]
             else:
                 fields.append(fields[-1])
             seps[:] = [sep] * (len(fields) - 1)

@@ -22,7 +22,17 @@ def _outputs(tmp_path, name):
     (out / "cfrl_task2_split0_train_log.csv").write_text(_LOG)
     (out / "report.csv").write_text(
         "method,task,dataset,split,score\ncfrl,task2,u,0,1.25\ndqn,task2,u,0,0.5\n")
+    _write_state(out / "cfrl_task2_split0_state.npz", _STATE)
     return out
+
+
+_STATE = {"record_reward": np.array([4.0, 0.0, 2.5]), "record_item": np.array([7, 2, 5], np.int32),
+          "replay_stamp": np.array([-1, 0, 0], np.int32)}
+
+
+def _write_state(path, arrays):
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
 
 
 _LOG = ("episode,user,reward_sum,mean_td_loss,epsilon,sync_count\n"
@@ -43,9 +53,26 @@ def test_a_planted_one_ulp_change_in_an_output_weight_is_drift(tmp_path):
     ulp = np.spacing(abs(qnet.load_qnet(base / "cfrl_task2_split0.ckpt").weights[-1][5, 2]))
     assert f"1 of {net.param_count} differ, max abs {ulp:.3g}" in "\n".join(lines)
     # the tree against itself: no drift anywhere
-    for compare in (drift.compare_checkpoints, drift.compare_traces, drift.compare_train_logs,
-                    drift.compare_cells):
+    for compare in (drift.compare_checkpoints, drift.compare_states, drift.compare_traces,
+                    drift.compare_train_logs, drift.compare_cells):
         assert compare(base, same)[1] == 0
+
+
+def test_a_planted_one_ulp_change_in_a_trainer_state_is_drift(tmp_path):
+    base, head = _outputs(tmp_path, "base"), _outputs(tmp_path, "head")
+    reward = _STATE["record_reward"].copy()
+    reward[2] = np.nextafter(reward[2], np.inf)
+    # a changed layout: the head state drops one array and adds another
+    layout = {key: col for key, col in _STATE.items() if key != "replay_stamp"}
+    _write_state(head / "cfrl_task2_split0_state.npz",
+                 {**layout, "record_reward": reward, "replay_t": np.zeros(3, np.int32)})
+    lines, drifted = drift.compare_states(base, head)
+    assert drifted == 1
+    assert "  cfrl_task2_split0_state.npz[record_reward]: 1 of 3 differ" in lines
+    assert "  cfrl_task2_split0_state.npz[record_item]: 0 of 3 differ" in lines
+    assert ("  cfrl_task2_split0_state.npz: only the base state holds replay_stamp (not drift)"
+            in lines)
+    assert "  cfrl_task2_split0_state.npz: only the head state holds replay_t (not drift)" in lines
 
 
 def test_trace_and_cell_changes_are_drift(tmp_path):

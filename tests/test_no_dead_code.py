@@ -5,8 +5,8 @@ oracles in tests/oracles.py do. This test parses the package's modules and
 fails on a top-level function or class, or a public method, whose name is
 never used in the package's code outside its own definition. A use is a
 name or an attribute with that identifier (a call, a lookup, a base class);
-the re-exports of `cfrl/__init__.py`, imports, comments and docstrings are
-not uses.
+imports, comments and docstrings are not uses. `cfrl/__init__.py` holds only
+the package docstring and is not read.
 """
 
 import ast

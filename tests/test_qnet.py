@@ -294,6 +294,41 @@ def test_pairs_forward_and_update_match_the_dense_reference(data):
                                rtol=1e-12, atol=1e-15)
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_columns_do_not_depend_on_the_order_or_padding_of_a_rows_pairs(data):
+    # the replay hands train_step a batch's raw states in play order, not
+    # canonical: any permutation of each row's pairs, with its padding
+    # anywhere and at any width, gives the same Columns byte for byte;
+    # items 0 and n - 1, pairs with value 0 and empty rows included
+    n = data.draw(st.integers(1, 20), label="n")
+    rows = data.draw(st.integers(1, 5), label="rows")
+    item_lists = [data.draw(st.lists(st.one_of(st.sampled_from([0, n - 1]), st.integers(0, n - 1)),
+                                     unique=True, max_size=n), label="items")
+                  for _ in range(rows)]
+    values = st.sampled_from([0.0, 1.0, 2.5, 5.0, -1.5])
+    pairs = [[(item, data.draw(values)) for item in items] for items in item_lists]
+    longest = max(len(row) for row in pairs)
+
+    def block(row_pairs, width, order):
+        items, vals = np.full((rows, width), n, dtype=np.int64), np.zeros((rows, width))
+        for b, (row, slots) in enumerate(zip(row_pairs, order)):
+            for (item, value), slot in zip(row, slots):
+                items[b, slot], vals[b, slot] = item, value
+        return qnet.Pairs(items, vals)
+
+    canonical = block([sorted(row) for row in pairs], longest + 1,
+                      [range(len(row)) for row in pairs])
+    width = data.draw(st.integers(max(longest, 1), longest + 3), label="width")
+    shuffled = [data.draw(st.permutations(row), label="order") for row in pairs]
+    slots = [data.draw(st.permutations(range(width)), label="slots") for _ in pairs]
+    played = block(shuffled, width, slots)
+    a, b = canonical.columns(n), played.columns(n)
+    assert a.cols.dtype == b.cols.dtype and a.cols.tobytes() == b.cols.tobytes()
+    assert a.x.dtype == b.x.dtype and a.x.shape == b.x.shape and a.x.tobytes() == b.x.tobytes()
+    assert a.cols.tolist() == sorted({item for row in pairs for item, _ in row})
+
+
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_the_first_layer_update_on_pairs_is_the_touched_column_product(data):

@@ -20,6 +20,9 @@ and prints, per workload:
 
   - for every checkpoint (`*.ckpt`) and each of its arrays, the largest
     absolute and relative change of a parameter;
+  - for every trainer state (`*_state.npz`), how many values of each array
+    that both trees' states hold by name differ bit for bit; the arrays
+    only one state holds (a changed layout) are listed, not counted;
   - for every training trace, the first step at which the two traces
     differ (episode, user, step, action, reward or done), and how many
     steps do;
@@ -83,6 +86,37 @@ def compare_checkpoints(base: Path, head: Path) -> tuple:
                 lines.append(f"  {name}[{key}]: {count} of {a.size} differ, max abs "
                              f"{float(delta.max(initial=0.0)):.3g}, max rel "
                              f"{float(rel.max(initial=0.0)):.3g}")
+    return lines, drifted
+
+
+def compare_states(base: Path, head: Path) -> tuple:
+    """(report lines, drifted values) over the trainer states of two out
+    directories: per array both hold by name, the values whose bits
+    differ; the arrays only one holds are named as information."""
+    lines, drifted = [], 0
+    names = sorted({p.name for p in base.glob("*_state.npz")}
+                   | {p.name for p in head.glob("*_state.npz")})
+    for name in names:
+        if not (base / name).exists() or not (head / name).exists():
+            raise FileNotFoundError(f"trainer state {name} is written by one tree only")
+        with np.load(base / name) as old, np.load(head / name) as new:
+            for key in sorted(set(old.files) & set(new.files)):
+                a, b = old[key], new[key]
+                if a.shape != b.shape or a.dtype != b.dtype:
+                    lines.append(f"  {name}[{key}]: {a.dtype}{a.shape} -> {b.dtype}{b.shape}")
+                    drifted += max(a.size, b.size)
+                    continue
+                bits = (a.size, a.dtype.itemsize)
+                count = int(np.count_nonzero(
+                    (a.reshape(-1).view(np.uint8).reshape(bits)
+                     != b.reshape(-1).view(np.uint8).reshape(bits)).any(axis=1)))
+                drifted += count
+                lines.append(f"  {name}[{key}]: {count} of {a.size} differ")
+            for tree, only in (("base", set(old.files) - set(new.files)),
+                               ("head", set(new.files) - set(old.files))):
+                if only:
+                    lines.append(f"  {name}: only the {tree} state holds {', '.join(sorted(only))}"
+                                 " (not drift)")
     return lines, drifted
 
 
@@ -222,8 +256,8 @@ def main(argv=None) -> int:
                     src = base_src if tree == "base" else ROOT / "src"
                     outs.append(run_tree(perfbench.make_inputs, src, workload, args.size, work))
                 print(f"{workload}:")
-                for compare in (compare_checkpoints, compare_traces, compare_train_logs,
-                                compare_cells):
+                for compare in (compare_checkpoints, compare_states, compare_traces,
+                                compare_train_logs, compare_cells):
                     lines, drifted = compare(*outs)
                     total += drifted
                     for line in lines:
