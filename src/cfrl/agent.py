@@ -51,8 +51,9 @@ class ReplayMemory:
     a byte, and its bootstrap value with the target sync it was computed
     under. After S pushes, slot j holds the record's step S - 1 -
     ((S - 1 - j) mod capacity), and the next push overwrites slot S mod
-    capacity. The arrays grow geometrically with the rows filled, up to the
-    capacity, so a large capacity costs nothing until used.
+    capacity. Each array is allocated once, with min(capacity, record
+    steps) rows, as many as the window can hold; like the record's, its
+    memory is committed only as the rows are written.
 
     A row keeps no successor state. The memory is built from the learner's
     (start, update) of state_kind, and sample derives a row's successor as
@@ -77,8 +78,6 @@ class ReplayMemory:
     which train_step and the target read, is the same for any order, and
     put_pairs advances them to the canonical successor.
     """
-
-    _MIN_ROWS = 64
 
     def __init__(self, capacity: int, n_actions: int, start, update, record: dict):
         if capacity < 1:
@@ -107,19 +106,12 @@ class ReplayMemory:
             "next_value": ((), np.float64),
             "stamp": ((), np.int32),
         }
-        self._cols = {k: np.empty((0, *shape), dtype) for k, (shape, dtype) in self._shapes.items()}
+        rows = min(capacity, len(record["item"]))
+        self._cols = {k: np.empty((rows, *shape), dtype) for k, (shape, dtype) in self._shapes.items()}
         self.pushes = 0
 
     def __len__(self) -> int:
         return min(self.pushes, self.capacity)
-
-    def _grow(self) -> None:
-        """More rows, while the pushes have not filled the capacity."""
-        rows = min(self.capacity, max(self._MIN_ROWS, 2 * self.pushes))
-        for key, col in self._cols.items():
-            grown = np.empty((rows, *col.shape[1:]), col.dtype)
-            grown[: self.pushes] = col[: self.pushes]
-            self._cols[key] = grown
 
     def push(self, s, t: int, done: bool, mask_next) -> None:
         """Store the transition of the record's next step, whose action and
@@ -128,8 +120,6 @@ class ReplayMemory:
         it and rebuilds s from the record); mask_next is the successor's
         bool availability."""
         slot = self.pushes % self.capacity
-        if slot == self._cols["done"].shape[0]:
-            self._grow()
         self.pushes += 1
         cols = self._cols
         if self.raw:
@@ -205,7 +195,9 @@ class ReplayMemory:
     def load(self, state: dict, ends, sync: int) -> None:
         """Replace the contents with a state() as saved by a trainer whose
         record held the episode `ends` (the last one its step count) and that
-        had synced its target `sync` times.
+        had synced its target `sync` times. The saved rows are written into
+        this memory's columns, and each saved column leaves `state` as it is
+        copied, so it is freed unless the caller holds it.
 
         Raises:
             ValidationError: an array is missing or does not fit this memory's
@@ -236,7 +228,9 @@ class ReplayMemory:
             if (state["t"] != steps - starts).any():
                 raise ValidationError("replay row's step in its episode is not the episode "
                                       "record's")
-        self._cols = {key: np.require(col, requirements="CW") for key, col in state.items()}
+        del stamp, values, done
+        for key, col in self._cols.items():
+            col[:rows] = state.pop(key)
         self.pushes = pushes
 
 
@@ -610,7 +604,8 @@ class QTrainer(StatePolicy):
                 record[key][: len(col)] = col
             memory = ReplayMemory(self.cfg.replay_capacity, self.env.n, self.start, self.update,
                                   record)
-            memory.load({key[len("replay_"):]: array for key, array in arrays.items()},
+            # the saved columns leave `arrays`, so load frees each once copied
+            memory.load({key[len("replay_"):]: arrays.pop(key) for key in replay},
                         saved_record["end"], len(saved_record["item"]) // self.cfg.sync_period)
         except ValidationError as exc:
             raise ValidationError(f"{path}: {exc}") from None

@@ -222,7 +222,6 @@ class GreedyQPolicy(StatePolicy):
             raise ValueError("raw-state policy needs the horizon, which sets its pairs' width")
         super().__init__(*state_kind(None if raw_state else mf_model, net.input_dim, horizon))
         self.net = qnet.input_major(net) if raw_state else net
-        self.raw_state = raw_state
 
     def act(self, avail: np.ndarray) -> np.ndarray:
         return qnet.masked_argmax(qnet.forward(self.net, self.state), avail)

@@ -231,11 +231,9 @@ class ComparisonReport:
         for method in self.methods:
             row = method.ljust(width)
             for task in self.tasks:
-                value = self.cells.get((method, task))
+                value = self.cells[(method, task)]
                 if isinstance(value, EvalResult):
                     text = f"{value.mean:.3f}±{value.std:.3f}{marks.get((method, task), '')}"
-                elif value is None:
-                    text = "-"
                 else:
                     text = "FAILED"
                 row += text.ljust(col)

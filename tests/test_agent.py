@@ -183,7 +183,9 @@ class TestReplayMemory:
         assert second.y[1] == first.y[1] and second.y[0] != first.y[0]
 
     def test_stress_size_never_exceeds_capacity(self):
-        mem = _dense(1000, 4)
+        # the record has room for every push, as a trainer's does; it is never
+        # written, so its memory is never committed
+        mem = _dense(1000, 4, steps=1_000_000)
         s, mask = np.zeros(2), np.ones(4, dtype=bool)
         for k in range(1_000_000):
             mem.push(s, 0, True, mask)
@@ -192,21 +194,22 @@ class TestReplayMemory:
         assert len(mem) == 1000
         assert all(col.shape[0] == 1000 for col in mem.state().values())
 
-    def test_memory_grows_with_rows_filled_not_capacity(self):
+    def test_memory_is_sized_by_its_record_not_its_capacity(self):
         # raw-state rows at the default capacity of 100,000 and horizon of 40:
         # the step in the episode, which reads the state's (item, reward)
-        # pairs from the record, in place of two 1,586-wide float64 states
+        # pairs from the record, in place of two 1,586-wide float64 states;
+        # a record of 1,000 steps gives the replay 1,000 rows
         n, cfg = 1586, TrainConfig(episodes=1)
-        mem = ReplayMemory(cfg.replay_capacity, n, *state_kind(None, n, cfg.horizon),
-                           _record(1000))
         rng = np.random.default_rng(0)
         episodes = 1000 // cfg.horizon
         items = np.concatenate([rng.choice(n, cfg.horizon, replace=False)
                                 for _ in range(episodes)])
         rewards = rng.integers(1, 6, 1000).astype(float)
         mask = rng.random(n) < 0.5
+        record = _record(1000)
         tracemalloc.start()
         try:
+            mem = ReplayMemory(cfg.replay_capacity, n, *state_kind(None, n, cfg.horizon), record)
             for k in range(1000):
                 _push(mem, None, k % cfg.horizon, items[k], rewards[k], False, mask)
             held, _ = tracemalloc.get_traced_memory()
@@ -222,6 +225,29 @@ class TestReplayMemory:
         s = np.zeros(n)
         s[items[40:79]] = rewards[40:79]
         np.testing.assert_array_equal(mem.rows([79])[0].dense(n)[0], s)
+
+    @pytest.mark.parametrize("latent", [False, True])
+    def test_filling_to_capacity_peaks_at_what_it_holds(self, latent):
+        # 5,000 rows over a 5,000-step record at n = 1,586 and T = 40, raw or
+        # latent (d = 16): the columns are allocated once, so no step of the
+        # fill holds a second copy of them
+        n, d, horizon, rows = 1586, 16, 40, 5000
+        rng = np.random.default_rng(0)
+        model = mf.MfModel(U=np.zeros((d, 1)), V=rng.normal(size=(d, n)), d=d, reg=0.01, lr=0.02)
+        items = np.concatenate([rng.choice(n, horizon, replace=False)
+                                for _ in range(rows // horizon)])
+        s, mask = rng.normal(size=d), rng.random(n) < 0.5
+        tracemalloc.start()
+        try:
+            mem = ReplayMemory(rows, n, *state_kind(model if latent else None, n, horizon),
+                               _record(rows))
+            for k in range(rows):
+                _push(mem, s, k % horizon, items[k], 1.0 + k % 5, False, mask)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(mem) == rows
+        assert peak <= 1.01 * held
 
     def test_latent_rows_keep_no_successor(self):
         # latent rows at d = 16 and n = 1,586: the state, and no successor,
