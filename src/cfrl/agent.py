@@ -8,19 +8,13 @@ The Q-learner acts epsilon-greedily on its own state, which state_kind
 starts and advances from each (item, reward): the latent user vector, which
 an online MF step advances, or the raw state as its canonical qnet.Pairs,
 which put_pairs advances. Every observed step goes into the trainer's record
-of the episodes it has played and into a bounded replay memory, a window
-over the record's last steps, and is followed by one minibatch TD update,
-with the target network, a plain copy of the network, re-synced every fixed
-number of updates. A replay row reads its action and reward, and a raw row
-its state, from the record, and no row keeps its successor, which the
-replay derives with the same state update as play, so a state advances in
-one place. It samples a minibatch as one qnet.Batch of (s, a, y): each row
-keeps its bootstrap value, the target's max over the successor's available
-actions, and computes it (the TD update's one n-wide product) only when the
-row is sampled for the first time after its push or after a target sync.
-The same policy trains both the latent-state agent and the raw-rating-vector
-variant. The trainer's step, sync and episode counts, its training log and
-its trace all derive from its record.
+of the episodes it has played, from which its step, sync and episode counts,
+its training log and its trace derive, and into a bounded replay memory, a
+window over the record's last steps; one minibatch TD update follows, with
+the target network, a plain copy of the network, re-synced every fixed
+number of updates. The same policy trains both the latent-state agent and
+the raw-rating-vector variant. A restored record must replay through the
+environment (InteractiveEnv.check_episodes).
 """
 
 from __future__ import annotations
@@ -43,69 +37,50 @@ from .seeding import rng_for
 
 class ReplayMemory:
     """Bounded FIFO window over the last `capacity` steps of a trainer's
-    record, which holds every step's action and reward in play order.
+    record: after S pushes, slot j holds record step S - 1 - ((S - 1 - j) mod
+    capacity), and the next push overwrites slot S mod capacity. Its columns
+    are allocated once, with min(capacity, record steps) rows, and like the
+    record's are committed only as rows are written.
 
-    A row keeps, in arrays, only what the record cannot give: the state
-    (latent rows) or the step's place in its episode (raw rows), the
-    terminal flag, the successor's availability mask packed eight actions to
-    a byte, and its bootstrap value with the target sync it was computed
-    under. After S pushes, slot j holds the record's step S - 1 -
-    ((S - 1 - j) mod capacity), and the next push overwrites slot S mod
-    capacity. Each array is allocated once, with min(capacity, record
-    steps) rows, as many as the window can hold; like the record's, its
-    memory is committed only as the rows are written.
+    A row keeps only what the record cannot give: the state (latent rows, d
+    floats: 145 bytes a row at d = 16), its episode, the terminal flag, and
+    its bootstrap value with the target sync it was computed under (17 bytes
+    a raw row). The record gives the row's action and reward, and its
+    episode's user and first step, so the step t in it. A raw state is read
+    from the record's steps before t in the episode, as Pairs in play order:
+    qnet.Columns, which train_step and the target read, is the same for any
+    order. The successor is update(state, a, r), the learner's (start,
+    update) of state_kind, as the step advanced the state in play, and its
+    availability is the environment's rule (env.available) for the user once
+    the episode's items through t were taken: both bit for bit as in play.
 
-    A row keeps no successor state. The memory is built from the learner's
-    (start, update) of state_kind, and sample derives a row's successor as
-    update(state, a, r): the step that advanced the learner's state in play,
-    so the successor is that state bit for bit.
-
-    The bootstrap value v(s') of a non-terminal row, the max of the target
-    network over the successor's available actions, only changes when the
-    target is synced. So a row keeps it in next_value, stamped with the
-    trainer's sync count at the time (push writes -1: not yet computed), and
-    sample computes it only for the sampled rows whose stamp is not the
-    current sync count, in one forward_batch of the target over those rows,
-    each row once. A terminal row's value is never computed: it stays the 0
+    The bootstrap value v(s'), the target's max over the successor's
+    available actions, changes only at a target sync. So a row keeps it,
+    stamped with the sync count (push writes -1), and sample computes it, in
+    one forward_batch over those rows, only for the sampled non-terminal rows
+    whose stamp is not the current sync count; a terminal row keeps the 0
     that push writes.
-
-    The layout follows from `start`. A latent start, a (1, d) array, keeps
-    each state as d floats; at d = 16 and n = 1,586 items a row takes 340
-    bytes. A raw start, canonical qnet.Pairs T + 1 wide (see put_pairs),
-    keeps the step t of its episode, and rows reads its state from the
-    record's steps before t in that episode (at n = 1,586 a row takes 216
-    bytes in place of 25.6 KB). The pairs stay in play order: qnet.Columns,
-    which train_step and the target read, is the same for any order, and
-    put_pairs advances them to the canonical successor.
     """
 
-    def __init__(self, capacity: int, n_actions: int, start, update, record: dict):
+    def __init__(self, capacity: int, env, start, update, record: dict):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self.n_actions = n_actions
-        self.start = start
+        self.env = env
         self.update = update
-        self.record = record    # the trainer's step columns: "item" and "reward", in play order
+        self.record = record    # the trainer's episode record, in play order
         self.raw = isinstance(start, qnet.Pairs)
-        if self.raw:
-            # a raw row's state is read from the window of the T steps from
-            # its episode's start, which the record holds room for, as
-            # views of the record (row k: steps k..k+T-1); _after[t] marks
-            # the steps from t on, which are not the state's
-            horizon = start.items.shape[1] - 1
-            self._windows = [as_strided(col, (max(len(col) - horizon + 1, 0), horizon),
-                                        col.strides * 2, writeable=False)
-                             for col in (record["item"], record["reward"])]
-            self._after = ~np.tri(horizon, k=-1, dtype=bool)
-        layout = {"t": ((), np.int32)} if self.raw else {"s": ((start.shape[1],), np.float64)}
-        self._shapes = {
-            **layout,
-            "done": ((), bool),
-            "mask_bits": (((n_actions + 7) // 8,), np.uint8),
-            "next_value": ((), np.float64),
-            "stamp": ((), np.int32),
-        }
+        # an episode's steps are read from the window of the T record steps
+        # from its start, a view (row k: steps k..k+T-1) that the record holds
+        # room for; _first[j] marks a window's first j steps
+        horizon = env.horizon
+        self._windows = [as_strided(col, (max(len(col) - horizon + 1, 0), horizon),
+                                    col.strides * 2, writeable=False)
+                         for col in (record["item"], record["reward"])]
+        self._first = np.arange(horizon) < np.arange(horizon + 1)[:, None]
+        layout = {} if self.raw else {"s": ((start.shape[1],), np.float64)}
+        self._shapes = {**layout, "episode": ((), np.int32), "done": ((), bool),
+                        "next_value": ((), np.float64), "stamp": ((), np.int32)}
         rows = min(capacity, len(record["item"]))
         self._cols = {k: np.empty((rows, *shape), dtype) for k, (shape, dtype) in self._shapes.items()}
         self.pushes = 0
@@ -113,21 +88,16 @@ class ReplayMemory:
     def __len__(self) -> int:
         return min(self.pushes, self.capacity)
 
-    def push(self, s, t: int, done: bool, mask_next) -> None:
-        """Store the transition of the record's next step, whose action and
-        reward the record holds before the row is sampled: from state s, one
-        row (a latent row keeps it), step t of its episode (a raw row keeps
-        it and rebuilds s from the record); mask_next is the successor's
-        bool availability."""
+    def push(self, s, episode: int, done: bool) -> None:
+        """Store the transition from state s (one row) of the record's next
+        step, in its episode `episode`, whose user the record holds."""
         slot = self.pushes % self.capacity
         self.pushes += 1
         cols = self._cols
-        if self.raw:
-            cols["t"][slot] = t
-        else:
+        if not self.raw:
             cols["s"][slot] = s
+        cols["episode"][slot] = episode
         cols["done"][slot] = done
-        cols["mask_bits"][slot] = np.packbits(mask_next)
         cols["next_value"][slot] = 0.0
         cols["stamp"][slot] = -1
 
@@ -153,17 +123,18 @@ class ReplayMemory:
         """
         idx = self.draw(batch, rng)
         cols = self._cols
-        s, a, r = self.rows(idx)
+        steps = ring_steps(idx, self.pushes, self.capacity)
+        s, a, r = self.rows(idx, steps)
         at = np.flatnonzero((cols["stamp"][idx] != sync) & ~cols["done"][idx])
         if len(self) < batch:       # drawn with replacement: a row may repeat
             at = at[np.unique(idx[at], return_index=True)[1]]
         if at.size:
             stale = idx[at]
-            masks = np.unpackbits(cols["mask_bits"][stale], axis=1, count=self.n_actions)
             # the successor is the state advanced by the step that advanced
             # it in play, so a state advances in one place
             successors = self.update(s[at], a[at], r[at])
-            cols["next_value"][stale] = qnet.bootstrap_values(target, successors, masks.view(bool))
+            avail = self.successor_avail(stale, steps[at])
+            cols["next_value"][stale] = qnet.bootstrap_values(target, successors, avail)
             cols["stamp"][stale] = sync
         # a terminal row keeps the 0.0 that push wrote, so its y is r + 0.0 = r;
         # overflow here is the divergence signal, caught by train_step
@@ -171,22 +142,36 @@ class ReplayMemory:
             y = r + gamma * cols["next_value"][idx]
         return qnet.Batch(s=s, a=a, y=y)
 
-    def rows(self, idx) -> tuple:
-        """The states, actions (int64) and rewards of rows idx. A state is
-        an array, or for a raw start qnet.Pairs T wide: each row's steps
-        before its own in its episode as (item, reward) pairs in play order,
-        with padding (item n, reward 0) in place of a reward of 0 and after
-        those steps."""
-        steps = ring_steps(idx, self.pushes, self.capacity)
+    def _episodes(self, idx) -> tuple:
+        """The episodes of rows idx and the first record steps of those episodes."""
+        episodes = self._cols["episode"][idx]
+        return episodes, np.where(episodes > 0, self.record["end"][episodes - 1], 0)
+
+    def rows(self, idx, steps=None) -> tuple:
+        """The states, actions (int64) and rewards of rows idx, at record
+        `steps` if given. A state is an array, or for a raw start qnet.Pairs
+        T wide: each row's steps before its own in its episode as (item,
+        reward) pairs in play order, with padding (item n, reward 0) in place
+        of a reward of 0 and after those steps."""
+        steps = ring_steps(idx, self.pushes, self.capacity) if steps is None else steps
         a, r = self.record["item"][steps].astype(np.int64), self.record["reward"][steps]
         if not self.raw:
             return self._cols["s"][idx], a, r
-        t = self._cols["t"][idx]
-        first = steps - t
+        first = self._episodes(idx)[1]
         items, rewards = self._windows[0][first], self._windows[1][first]
-        np.putmask(rewards, self._after[t], 0.0)
-        np.putmask(items, rewards == 0, self.n_actions)
+        np.putmask(rewards, ~self._first[steps - first], 0.0)
+        np.putmask(items, rewards == 0, self.env.n)
         return qnet.Pairs(items, rewards), a, r
+
+    def successor_avail(self, idx, steps) -> np.ndarray:
+        """The environment's (k, n) availability at the successors of rows idx,
+        at record `steps`: each row's user's once its episode's items through
+        its step were taken."""
+        episodes, first = self._episodes(idx)
+        items = self._windows[0][first]
+        # the steps after the row's are padded with the episode's first item
+        taken = np.where(self._first[1:][steps - first], items, items[:, :1])
+        return self.env.available(self.record["user"][episodes], taken)
 
     def state(self) -> dict:
         """The filled rows of every column (views, not copies)."""
@@ -202,10 +187,10 @@ class ReplayMemory:
         Raises:
             ValidationError: an array is missing or does not fit this memory's
                 widths or dtypes, the rows are not the record's steps up to
-                the capacity, a raw row's step in its episode is not the
-                record's, a stamp is outside -1..sync, a state is not finite,
-                a non-terminal row with a stamp holds a bootstrap value that
-                is not finite, or a terminal row's is not 0.
+                the capacity, a row's episode is not the record's, a stamp is
+                outside -1..sync, a state is not finite, a non-terminal row
+                with a stamp holds a bootstrap value that is not finite, or a
+                terminal row's is not 0.
         """
         rows = check_columns(state, self._shapes, "replay")
         pushes = int(ends[-1]) if len(ends) else 0
@@ -222,12 +207,9 @@ class ReplayMemory:
                                   "non-terminal row")
         if (values[done] != 0).any():
             raise ValidationError("replay bootstrap value is not 0 on a terminal row")
-        if self.raw:
-            steps = ring_steps(np.arange(rows), pushes, self.capacity)
-            starts = np.concatenate(([0], ends))[np.searchsorted(ends, steps, side="right")]
-            if (state["t"] != steps - starts).any():
-                raise ValidationError("replay row's step in its episode is not the episode "
-                                      "record's")
+        steps = ring_steps(np.arange(rows), pushes, self.capacity)
+        if (state["episode"] != np.searchsorted(ends, steps, side="right")).any():
+            raise ValidationError("replay row's episode is not the episode record's")
         del stamp, values, done
         for key, col in self._cols.items():
             col[:rows] = state.pop(key)
@@ -351,7 +333,7 @@ def state_kind(mf_model: mf.MfModel | None, n: int, horizon: int) -> tuple:
 class Policy:
     """Episodic policy over a block of U users: begin_episode(users), then per
     step act((U, n) avail) -> (U,) items and observe((U,) items, (U,) rewards,
-    (U, n) avail, done)."""
+    done)."""
 
     def begin_episode(self, users) -> None:
         pass
@@ -359,7 +341,7 @@ class Policy:
     def act(self, avail: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def observe(self, items, rewards, avail=None, done: bool = False) -> None:
+    def observe(self, items, rewards, done: bool = False) -> None:
         pass
 
 
@@ -376,7 +358,7 @@ class StatePolicy(Policy):
     def begin_episode(self, users) -> None:
         self.state = self.start[[0] * len(users)]
 
-    def observe(self, items, rewards, avail=None, done: bool = False) -> None:
+    def observe(self, items, rewards, done: bool = False) -> None:
         self.state = self.update(self.state, items, rewards)
 
 
@@ -389,12 +371,9 @@ STEP_COLUMNS = {"item": ((), np.int32), "reward": ((), np.float64)}
 class QTrainer(StatePolicy):
     """The learning Q-policy and the resumable state of its training run:
     network, target (a plain copy of it), replay, RNGs and the record of the
-    episodes it has played. The record holds, per episode, its user, the
-    end of its steps among all steps and its mean TD loss, and per step its
-    item and reward; the train step, sync and episode counts, the training
-    log and the trace all derive from it. It plays one user at a time, a
-    block of one, from a start state of state_kind (the raw state's Pairs,
-    or a dense state of its width)."""
+    episodes it has played (per episode its user, the end of its steps and
+    its mean TD loss; per step its item and reward). It plays one user at a
+    time, a block of one, from a start state of state_kind."""
 
     def __init__(self, env, users, start, update, cfg: TrainConfig):
         cfg.validate()
@@ -419,7 +398,7 @@ class QTrainer(StatePolicy):
         self.replay_rng = rng_for(cfg.seed, "replay-sample")
         self.episode = 0    # episodes in the record
         self.record = self._allocate(cfg.episodes)
-        self.memory = ReplayMemory(cfg.replay_capacity, env.n, start, update, self.record)
+        self.memory = ReplayMemory(cfg.replay_capacity, env, start, update, self.record)
         self.losses = []    # TD losses of the current episode
 
     def _allocate(self, episodes: int) -> dict:
@@ -448,11 +427,11 @@ class QTrainer(StatePolicy):
         return np.array([select_action(self.net, self.state[0], avail[0], self.cfg.epsilon,
                                        self.action_rng)])
 
-    def observe(self, items, rewards, avail=None, done: bool = False) -> None:
+    def observe(self, items, rewards, done: bool = False) -> None:
         cfg, s, step = self.cfg, self.state[0], self.train_steps
         super().observe(items, rewards)
         self.record["item"][step], self.record["reward"][step] = items[0], rewards[0]
-        self.memory.push(s, len(self.losses), done, avail[0])
+        self.memory.push(s, self.episode, done)
         batch = self.memory.sample(cfg.batch_size, self.replay_rng, self.target,
                                    self.sync_count, cfg.gamma)
         self.losses.append(qnet.train_step(self.net, batch, cfg.q_lr))
@@ -461,14 +440,15 @@ class QTrainer(StatePolicy):
 
     def run(self, until_episode: int | None = None) -> None:
         """Advance training to the requested episode count (default: all),
-        recording each episode as it ends."""
+        recording each episode's user as it starts and its end and loss as it ends."""
         stop = self.cfg.episodes if until_episode is None else min(until_episode, self.cfg.episodes)
         record = self.record
         while self.episode < stop:
-            user = self.users[int(self.user_rng.integers(len(self.users)))]
-            run_episode(self.env, [user], self)
             e = self.episode
-            record["user"][e], record["end"][e] = user, self.train_steps
+            user = self.users[int(self.user_rng.integers(len(self.users)))]
+            record["user"][e] = user
+            run_episode(self.env, [user], self)
+            record["end"][e] = self.train_steps
             record["loss"][e] = float(np.mean(self.losses)) if self.losses else 0.0
             self.episode, self.losses = e + 1, []
 
@@ -520,42 +500,29 @@ class QTrainer(StatePolicy):
         return record
 
     def _check_record(self, record: dict) -> int:
-        """The episode count of a saved record.
-
-        Raises:
-            ValidationError: a column is missing or has another dtype or
-                shape, an episode ends before the one before it or runs over
-                the horizon, the last episode does not end at the step
-                count, a user is not one of the run's training users, an
-                item is outside 0..n-1, an episode of a raw learner repeats
-                an item (its state holds one pair an item), or a reward or
-                loss is not finite.
-        """
+        """The episode count of a saved record. Raises ValidationError for a
+        missing column or one of another dtype or shape, ends that decrease
+        or do not reach the step count, a user outside the run's training
+        users, a loss that is not finite, or episodes that do not replay
+        through the environment (InteractiveEnv.check_episodes)."""
         episodes = check_columns({key: record[key] for key in EPISODE_COLUMNS}, EPISODE_COLUMNS,
                                  "episode record")
         steps = check_columns({key: record[key] for key in STEP_COLUMNS}, STEP_COLUMNS,
                               "episode record")
-        ends, horizon = record["end"], self.env.horizon
-        lengths = np.diff(ends, prepend=0)
-        if (lengths < 0).any():
+        ends = record["end"]
+        if (np.diff(ends, prepend=0) < 0).any():
             raise ValidationError("episode record: an episode ends before the one before it")
-        if (lengths > horizon).any():
-            raise ValidationError(f"episode record: an episode runs over the horizon {horizon}")
         if (int(ends[-1]) if episodes else 0) != steps:
             raise ValidationError(f"episode record: the last episode does not end at the "
                                   f"record's {steps} steps")
         if not np.isin(record["user"], self.users).all():
             raise ValidationError("episode record: a user is not one of the run's training users")
-        if ((record["item"] < 0) | (record["item"] >= self.env.n)).any():
-            raise ValidationError(f"episode record: item outside 0..{self.env.n - 1}")
-        if self.memory.raw:
-            pairs = np.repeat(np.arange(episodes), lengths) * self.env.n + record["item"]
-            if np.unique(pairs).size != steps:
-                raise ValidationError("episode record: an episode repeats an item, which a raw "
-                                      "state holds once")
-        for key in ("reward", "loss"):
-            if not np.isfinite(record[key]).all():
-                raise ValidationError(f"episode record: a {key} is not finite")
+        if not np.isfinite(record["loss"]).all():
+            raise ValidationError("episode record: a loss is not finite")
+        try:
+            self.env.check_episodes(record["user"], ends, record["item"], record["reward"])
+        except ValidationError as exc:
+            raise ValidationError(f"episode record: {exc}") from None
         return episodes
 
     def restore(self, path) -> None:
@@ -565,13 +532,16 @@ class QTrainer(StatePolicy):
         replay states that are not finite, an episode record that
         _check_record refuses or a replay that ReplayMemory.load refuses
         raises ValidationError. So does a state saved by an earlier
-        version, whose replay holds its rows' actions (replay_a)."""
+        version, whose replay holds its rows' successor masks
+        (replay_mask_bits) or their actions (replay_a)."""
         replay = [f"replay_{key}" for key in self.memory.state()]
         record_keys = [f"record_{key}" for key in (*EPISODE_COLUMNS, *STEP_COLUMNS)]
-        # every earlier layout holds replay_a
-        earlier = {"replay_a": "the replay format changed: replay rows now read their action, "
-                               "reward and raw state from the episode record, and a trainer "
-                               "state saved by an earlier version is not read; train afresh"}
+        # every earlier layout holds replay_mask_bits, or replay_a before that
+        earlier = dict.fromkeys(("replay_mask_bits", "replay_a"),
+                                "the replay format changed: replay rows now read their action, "
+                                "reward, raw state and successor availability from the episode "
+                                "record and the environment, and a trainer state saved by an "
+                                "earlier version is not read; train afresh")
         arrays = load_npz(path, "trainer state",
                           ("net", "target", "meta", *record_keys, *replay), earlier)
         try:
@@ -602,7 +572,7 @@ class QTrainer(StatePolicy):
             record = self._allocate(max(self.cfg.episodes, episodes))
             for key, col in saved_record.items():
                 record[key][: len(col)] = col
-            memory = ReplayMemory(self.cfg.replay_capacity, self.env.n, self.start, self.update,
+            memory = ReplayMemory(self.cfg.replay_capacity, self.env, self.start, self.update,
                                   record)
             # the saved columns leave `arrays`, so load frees each once copied
             memory.load({key[len("replay_"):]: arrays.pop(key) for key in replay},

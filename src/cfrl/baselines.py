@@ -177,7 +177,7 @@ class LinUcbPolicy(StatePolicy):
     def act(self, avail: np.ndarray) -> np.ndarray:
         return qnet.masked_argmax(self.scores(), avail)
 
-    def observe(self, items, rewards, avail=None, done: bool = False) -> None:
+    def observe(self, items, rewards, done: bool = False) -> None:
         if not self.frozen:
             (item,), (reward,), (state,) = items, rewards, self.state
             d = self.mf_model.d

@@ -10,12 +10,17 @@ users: each policy keeps its own state from the (item, reward) feedback.
 States are plain values; every step returns a fresh state so mid-episode
 snapshots can be replayed. run_episode plays every rollout of a policy, in
 training as in evaluation, for the environment's horizon.
+
+The environment alone says which items a user may still be shown and what
+each pays: the replay derives availability from it, and check_episodes
+refuses a saved record of episodes that its reset and step would not play.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -70,11 +75,29 @@ class InteractiveEnv:
         for row, (start, end) in enumerate(zip(starts.tolist(), ends.tolist())):
             ratings[row, self.ds.items[start:end]] = self.ds.ratings[start:end]
         ratings.flags.writeable = False
-        if self.task is TaskMode.TASK_I:
-            avail = ratings > 0
-        else:
-            avail = np.ones((users.size, self.n), dtype=bool)
+        avail = self.available(users, np.empty((users.size, 0), dtype=np.int64))
         return EnvState(users=users, t=0, avail=avail, ratings=ratings)
+
+    def available(self, users, taken) -> np.ndarray:
+        """The one statement of which items a user may be shown: the (U, n)
+        bool availability of each of the (U,) array `users` once its row of
+        `taken`, a (U, w) block of items (w >= 0; a row may repeat one to
+        pad), was recommended: the task's catalog (task1: the user's rated
+        items) minus those items."""
+        if self.task is TaskMode.TASK_I:
+            avail = np.unpackbits(self._catalogs[users], axis=1, count=self.n).view(bool)
+        else:
+            avail = np.ones((len(users), self.n), dtype=bool)
+        # one scatter over the flat view: each row's items offset by its row
+        avail.reshape(-1)[taken + np.arange(0, avail.size, self.n)[:, None]] = False
+        return avail
+
+    @cached_property
+    def _catalogs(self) -> np.ndarray:
+        """Each user's task1 catalog, their rated items, packed eight to a byte."""
+        rated = np.zeros((self.ds.m, self.n), dtype=bool)
+        rated[np.repeat(np.arange(self.ds.m), np.diff(self.ds.indptr)), self.ds.items] = True
+        return np.packbits(rated, axis=1)
 
     def step(self, state: EnvState, actions):
         """Take one action per row; returns ((U,) rewards, next state, done).
@@ -82,7 +105,8 @@ class InteractiveEnv:
         Reward is the logged rating, or 0 when the full-catalog task hits an
         unrated item; a method that keeps a state sees that 0 as its
         feedback, so a miss acts as negative feedback. Every row is at the
-        same step, so done is one flag for the block.
+        same step, so done is one flag for the block. An unavailable item
+        raises IllegalActionError with the first such row.
         """
         users = state.users
         if state.t >= self.horizon:
@@ -98,16 +122,57 @@ class InteractiveEnv:
         legal = (actions >= 0) & (actions < self.n)
         legal[legal] = state.avail[rows[legal], actions[legal]]
         if not legal.all():
-            row = np.flatnonzero(~legal)[0]
-            raise IllegalActionError(
-                f"item {actions[row]} is not available at step {state.t} for user {users[row]}"
-            )
+            row = int(np.flatnonzero(~legal)[0])
+            raise IllegalActionError(f"item {actions[row]} is not available at step {state.t} "
+                                     f"for user {users[row]}", row=row)
         rewards = state.ratings[rows, actions]
         avail = state.avail.copy()
         avail[rows, actions] = False
         t = state.t + 1
         next_state = EnvState(users=users, t=t, avail=avail, ratings=state.ratings)
         return rewards, next_state, t == self.horizon
+
+    def check_episodes(self, users, ends, items, rewards, block: int = 250) -> None:
+        """Replay a record of episodes through reset and step, `block`
+        episodes in lockstep, and refuse one that this environment could not
+        have played. Episode e is user users[e]'s and holds the steps from
+        ends[e - 1] (0 for the first) to ends[e] of items and rewards; ends
+        must not decrease. The environment ends every episode at its horizon.
+
+        Raises:
+            ValidationError: naming the episode, and the step where it
+                applies: an episode runs over the horizon or ends before it,
+                reset refuses its user, step refuses one of its items (see
+                step), or a reward is not the one step pays.
+        """
+        lengths = np.diff(ends, prepend=0)
+        for wrong, what in ((lengths > self.horizon, "runs over"),
+                            (lengths < self.horizon, "ends before")):
+            if wrong.any():
+                e = int(np.flatnonzero(wrong)[0])
+                raise ValidationError(f"episode {e} of {lengths[e]} steps {what} the horizon "
+                                      f"{self.horizon}, where the environment ends it")
+        items = items.reshape(len(users), self.horizon)
+        rewards = rewards.reshape(len(users), self.horizon)
+        for first in range(0, len(users), block):
+            state = self.reset(users[first:first + block])
+            for t in range(self.horizon):
+                try:
+                    paid, state, _ = self.step(state, items[first:first + block, t])
+                except IllegalActionError as exc:
+                    e, item = first + exc.row, int(items[first + exc.row, t])
+                    catalog = self.available(users[[e]], np.empty((1, 0), dtype=np.int64))[0]
+                    why = (f"item outside 0..{self.n - 1}" if not 0 <= item < self.n else
+                           "the episode repeats an item" if catalog[item] else
+                           "the user has not rated it")
+                    raise ValidationError(f"episode {e}: {exc}: {why}") from None
+                wrong = np.flatnonzero(paid != rewards[first:first + block, t])
+                if wrong.size:
+                    row = int(wrong[0])
+                    got = float(rewards[first + row, t])
+                    what = (f"a reward is not finite ({got!r})" if not np.isfinite(got) else
+                            f"reward {got!r} is not the {float(paid[row])!r} that step pays")
+                    raise ValidationError(f"episode {first + row} step {t}: {what}")
 
 
 def run_episode(environment, users, policy) -> list:
@@ -116,9 +181,9 @@ def run_episode(environment, users, policy) -> list:
 
     After the reset and policy.begin_episode(users), each step
     policy.act((U, n) avail) picks an item per user, the environment pays
-    the rewards, and policy.observe(items, rewards, avail after the step,
-    done) sees them before the next act. The episode ends at done or after
-    environment.horizon steps.
+    the rewards, and policy.observe(items, rewards, done) sees them before
+    the next act. The episode ends at done or after environment.horizon
+    steps.
     """
     state = environment.reset(users)
     policy.begin_episode(users)
@@ -126,7 +191,7 @@ def run_episode(environment, users, policy) -> list:
     for _ in range(environment.horizon):
         actions = policy.act(state.avail)
         rewards, state, done = environment.step(state, actions)
-        policy.observe(actions, rewards, state.avail, done)
+        policy.observe(actions, rewards, done)
         steps.append((actions, rewards, done))
         if done:
             break

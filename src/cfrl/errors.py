@@ -19,7 +19,11 @@ class ValidationError(CfrlError):
 
 
 class IllegalActionError(CfrlError):
-    """An action outside the current availability mask was taken."""
+    """An action outside the current availability mask was taken (by `row`)."""
+
+    def __init__(self, message, row=None):
+        super().__init__(message)
+        self.row = row
 
 
 class DivergenceError(CfrlError):

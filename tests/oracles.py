@@ -46,34 +46,45 @@ def stack(transitions, target: qnet.QNetwork, gamma: float) -> qnet.Batch:
 
 
 def replay_rows(memory) -> dict:
-    """memory.state() with each row's action "a" and reward "r" and its
-    dense "s" and "s_next", in either layout.
+    """memory.state() with each row's action "a" and reward "r", its dense
+    "s" and "s_next", and "mask_next", the availability at its successor,
+    in either layout.
 
     Each row's step is found by replaying the pushes into the ring, slot by
-    slot. A raw-layout row's state is rebuilt from the record one step at a
-    time, from the first step of its episode (its step t back), with
-    raw_update; its successor adds the row's own step. A latent row's
-    successor is the memory's state update applied to that row alone, as
-    play applies it."""
+    slot, and its episode's first step and user are the record's. A
+    raw-layout row's state is rebuilt from the record one step at a time,
+    from the first step of its episode, with raw_update; its successor adds
+    the row's own step. A latent row's successor is the memory's state
+    update applied to that row alone, as play applies it. A row's mask_next
+    is the avail of the state that the memory's environment reaches by
+    reset and step through the row's episode up to the row's own step."""
     rows = dict(memory.state())
     step_of = {}
     for step in range(memory.pushes):
         step_of[step % memory.capacity] = step
     steps = np.array([step_of[k] for k in range(len(rows["done"]))], dtype=np.int64)
-    items, rewards = memory.record["item"], memory.record["reward"]
+    record, env = memory.record, memory.env
+    items, rewards = record["item"], record["reward"]
+    firsts = [int(record["end"][e - 1]) if e else 0 for e in rows["episode"]]
+    masks = []
+    for step, first, episode in zip(steps, firsts, rows["episode"]):
+        state = env.reset([int(record["user"][episode])])
+        for g in range(first, step + 1):
+            _, state, _ = env.step(state, items[[g]])
+        masks.append(state.avail[0])
     a, r = items[steps].astype(np.int64), rewards[steps]
+    rows.update(a=a, r=r, mask_next=np.array(masks).reshape(len(steps), env.n))
     if not memory.raw:
         s = rows["s"]
         s_next = np.array([memory.update(s[[k]], a[[k]], r[[k]])[0]
                            for k in range(len(steps))]).reshape(s.shape)
-        return {**rows, "a": a, "r": r, "s_next": s_next}
-    n = memory.n_actions
-    s = np.zeros((len(steps), n))
-    for k, (step, t) in enumerate(zip(steps, rows.pop("t"))):
-        for g in range(step - t, step):
+        return {**rows, "s_next": s_next}
+    s = np.zeros((len(steps), env.n))
+    for k, (step, first) in enumerate(zip(steps, firsts)):
+        for g in range(first, step):
             s[[k]] = raw_update(s[[k]], items[[g]], rewards[[g]])
     s_next = raw_update(s, a, r)
-    return {**rows, "a": a, "r": r, "s": s, "s_next": s_next}
+    return {**rows, "s": s, "s_next": s_next}
 
 
 def raw_update(states, items, rewards) -> np.ndarray:

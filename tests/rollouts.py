@@ -29,9 +29,9 @@ class _Recording(Policy):
     def act(self, avail):
         return self.policy.act(avail)
 
-    def observe(self, items, rewards, avail=None, done: bool = False) -> None:
+    def observe(self, items, rewards, done: bool = False) -> None:
         self.steps.append((items, rewards, done))
-        self.policy.observe(items, rewards, avail, done)
+        self.policy.observe(items, rewards, done)
 
 
 def traced_eval(policy, ds, split, task, horizon: int) -> tuple:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from cfrl import mf, qnet
 from cfrl.agent import (
+    EPISODE_COLUMNS,
     STEP_COLUMNS,
     QTrainer,
     ReplayMemory,
@@ -17,6 +18,7 @@ from cfrl.agent import (
     eligible_train_users,
     make_trainer,
     put_pairs,
+    ring_steps,
     select_action,
     state_kind,
     write_trace,
@@ -24,7 +26,7 @@ from cfrl.agent import (
 )
 from cfrl.baselines import GreedyQPolicy
 from cfrl.dataset import RatingDataset, Split
-from cfrl.env import TaskMode
+from cfrl.env import InteractiveEnv, TaskMode
 from cfrl.errors import ValidationError
 from cfrl.seeding import rng_for
 
@@ -35,8 +37,17 @@ from toy_mdp import ChainEnv, LIVE_STATES, encode, update, value_iteration
 
 
 def _record(steps):
-    """Empty step columns of an episode record for `steps` steps."""
-    return {key: np.empty(steps, dtype) for key, (_, dtype) in STEP_COLUMNS.items()}
+    """Empty columns of an episode record for `steps` steps and as many
+    episodes."""
+    return {key: np.empty(steps, dtype)
+            for key, (_, dtype) in {**EPISODE_COLUMNS, **STEP_COLUMNS}.items()}
+
+
+def _env(n, horizon=1):
+    """The full-catalog environment over n items of a dataset whose one
+    user, user 0, rated them all; a replay's rows derive their successors'
+    availability from it."""
+    return InteractiveEnv(make_dataset({0: dict.fromkeys(range(n), 1)}), TaskMode.TASK_II, horizon)
 
 
 def _successors(mem, idx):
@@ -47,22 +58,27 @@ def _successors(mem, idx):
 
 def _dense(capacity, n_actions, steps=64):
     """A memory of 2-wide dense states whose successor is the state plus 0.5,
-    over a record of `steps` steps."""
-    return ReplayMemory(capacity, n_actions, np.zeros((1, 2)), lambda s, a, r: s + 0.5,
+    over a record of `steps` steps, in the full-catalog task over n_actions
+    items with a horizon of 1."""
+    return ReplayMemory(capacity, _env(n_actions), np.zeros((1, 2)), lambda s, a, r: s + 0.5,
                         _record(steps))
 
 
-def _push(mem, s, t, a, r, done, mask_next):
-    """Record the next step's action and reward, as the trainer does, and push it."""
-    mem.record["item"][mem.pushes], mem.record["reward"][mem.pushes] = a, r
-    mem.push(s, t, done, mask_next)
+def _push(mem, s, episode, a, r, done):
+    """Record the next step's action and reward, as the trainer does, as a
+    step of user 0's episode `episode`, which ends with it for now, and push
+    it."""
+    record, step = mem.record, mem.pushes
+    record["user"][episode], record["end"][episode] = 0, step + 1
+    record["item"][step], record["reward"][step] = a, r
+    mem.push(s, episode, done)
 
 
 def _push_rows(mem, count, start=0):
-    """Push transitions whose reward is their push number, so a row names itself."""
+    """Push one-step episodes whose reward is their push number, so a row
+    names itself; its successor may take every item but its own."""
     for k in range(start, start + count):
-        mask = np.arange(mem.n_actions) != k % mem.n_actions
-        _push(mem, np.full(2, float(k)), 0, k % mem.n_actions, float(k), k % 2 == 0, mask)
+        _push(mem, np.full(2, float(k)), k, k % mem.env.n, float(k), k % 2 == 0)
 
 
 class TestSelectAction:
@@ -167,14 +183,13 @@ class TestReplayMemory:
         # sample under the same sync computes the new row's value
         mem = _dense(2, 3)
         target = qnet.qnet_init([2, 4, 3], seed=1)
-        mask = np.ones(3, dtype=bool)
-        rows = [Transition(np.full(2, float(k)), k, 1.0 + k, np.full(2, k + 0.5), False, mask)
-                for k in range(3)]
-        for tr in rows[:2]:
-            _push(mem, tr.s, 0, tr.a, tr.r, tr.done, tr.mask_next)
+        rows = [Transition(np.full(2, float(k)), k, 1.0 + k, np.full(2, k + 0.5), False,
+                           np.arange(3) != k) for k in range(3)]
+        for k, tr in enumerate(rows[:2]):
+            _push(mem, tr.s, k, tr.a, tr.r, tr.done)
         first = mem.sample(2, _InOrder(), target, 0, 0.9)
         assert mem.state()["stamp"].tolist() == [0, 0]
-        _push(mem, rows[2].s, 0, rows[2].a, rows[2].r, rows[2].done, rows[2].mask_next)
+        _push(mem, rows[2].s, 2, rows[2].a, rows[2].r, rows[2].done)
         assert mem.state()["stamp"].tolist() == [-1, 0]
         second = mem.sample(2, _InOrder(), target, 0, 0.9)
         assert mem.state()["stamp"].tolist() == [0, 0]
@@ -186,9 +201,9 @@ class TestReplayMemory:
         # the record has room for every push, as a trainer's does; it is never
         # written, so its memory is never committed
         mem = _dense(1000, 4, steps=1_000_000)
-        s, mask = np.zeros(2), np.ones(4, dtype=bool)
+        s = np.zeros(2)
         for k in range(1_000_000):
-            mem.push(s, 0, True, mask)
+            mem.push(s, 0, True)
             if k % 100_000 == 0:
                 assert len(mem) <= 1000
         assert len(mem) == 1000
@@ -196,53 +211,56 @@ class TestReplayMemory:
 
     def test_memory_is_sized_by_its_record_not_its_capacity(self):
         # raw-state rows at the default capacity of 100,000 and horizon of 40:
-        # the step in the episode, which reads the state's (item, reward)
-        # pairs from the record, in place of two 1,586-wide float64 states;
-        # a record of 1,000 steps gives the replay 1,000 rows
-        n, cfg = 1586, TrainConfig(episodes=1)
+        # the episode, which reads the state's (item, reward) pairs and the
+        # successor's availability from the record, in place of two
+        # 1,586-wide float64 states and a mask; a record of 10,000 steps
+        # gives the replay 10,000 rows (a row is small enough now that at
+        # 1,000 the memory's fixed 5.5 KB would pass for rows)
+        n, cfg, steps = 1586, TrainConfig(episodes=1), 10_000
         rng = np.random.default_rng(0)
-        episodes = 1000 // cfg.horizon
+        episodes = steps // cfg.horizon
         items = np.concatenate([rng.choice(n, cfg.horizon, replace=False)
                                 for _ in range(episodes)])
-        rewards = rng.integers(1, 6, 1000).astype(float)
-        mask = rng.random(n) < 0.5
-        record = _record(1000)
+        rewards = rng.integers(1, 6, steps).astype(float)
+        record, env = _record(steps), _env(n, cfg.horizon)
         tracemalloc.start()
         try:
-            mem = ReplayMemory(cfg.replay_capacity, n, *state_kind(None, n, cfg.horizon), record)
-            for k in range(1000):
-                _push(mem, None, k % cfg.horizon, items[k], rewards[k], False, mask)
+            mem = ReplayMemory(cfg.replay_capacity, env, *state_kind(None, n, cfg.horizon), record)
+            for k in range(steps):
+                _push(mem, None, k // cfg.horizon, items[k], rewards[k], False)
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         row_bytes = sum(col[0].nbytes for col in mem.state().values())
-        # step in the episode, done, packed mask, bootstrap value and its stamp
-        assert row_bytes == 4 + 1 + (n + 7) // 8 + 8 + 4 == 216
-        assert held <= 1.1 * 1000 * row_bytes
-        bits = mem.state()["mask_bits"][0]
-        assert np.unpackbits(bits, count=n).view(bool).tolist() == mask.tolist()
-        # the last step of the second episode starts from the 39 before it
+        # episode, done, bootstrap value and its stamp
+        assert row_bytes == 4 + 1 + 8 + 4 == 17
+        assert held <= 1.1 * steps * row_bytes
+        # the successor of the last step of the second episode may take
+        # every item but the episode's 40
+        assert np.flatnonzero(~mem.successor_avail([79], [79])[0]).tolist() == sorted(items[40:80])
+        # which starts from the 39 before it
         s = np.zeros(n)
         s[items[40:79]] = rewards[40:79]
         np.testing.assert_array_equal(mem.rows([79])[0].dense(n)[0], s)
 
     @pytest.mark.parametrize("latent", [False, True])
     def test_filling_to_capacity_peaks_at_what_it_holds(self, latent):
-        # 5,000 rows over a 5,000-step record at n = 1,586 and T = 40, raw or
-        # latent (d = 16): the columns are allocated once, so no step of the
-        # fill holds a second copy of them
-        n, d, horizon, rows = 1586, 16, 40, 5000
+        # 50,000 rows over a 50,000-step record at n = 1,586 and T = 40, raw
+        # or latent (d = 16): the columns are allocated once, so no step of
+        # the fill holds a second copy of them (at 17 bytes a raw row, 1% of
+        # 5,000 rows is less than the memory object's own attribute dict)
+        n, d, horizon, rows = 1586, 16, 40, 50_000
         rng = np.random.default_rng(0)
         model = mf.MfModel(U=np.zeros((d, 1)), V=rng.normal(size=(d, n)), d=d, reg=0.01, lr=0.02)
         items = np.concatenate([rng.choice(n, horizon, replace=False)
                                 for _ in range(rows // horizon)])
-        s, mask = rng.normal(size=d), rng.random(n) < 0.5
+        s, record, env = rng.normal(size=d), _record(rows), _env(n, horizon)
         tracemalloc.start()
         try:
-            mem = ReplayMemory(rows, n, *state_kind(model if latent else None, n, horizon),
-                               _record(rows))
+            mem = ReplayMemory(rows, env, *state_kind(model if latent else None, n, horizon),
+                               record)
             for k in range(rows):
-                _push(mem, s, k % horizon, items[k], 1.0 + k % 5, False, mask)
+                _push(mem, s, k // horizon, items[k], 1.0 + k % 5, False)
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -256,16 +274,16 @@ class TestReplayMemory:
         rng = np.random.default_rng(0)
         model = mf.MfModel(U=np.zeros((d, 1)), V=rng.normal(size=(d, n)), d=d, reg=0.01, lr=0.02)
         start, update = state_kind(model, n, 40)
-        mem = ReplayMemory(TrainConfig(episodes=1).replay_capacity, n, start, update,
+        mem = ReplayMemory(TrainConfig(episodes=1).replay_capacity, _env(n, 40), start, update,
                            _record(100))
-        s, mask = rng.normal(size=d), rng.random(n) < 0.5
+        s = rng.normal(size=d)
         for k in range(100):
-            _push(mem, s + k, k % 40, k, 1.0 + k % 5, False, mask)
+            _push(mem, s + k, k // 40, k, 1.0 + k % 5, False)
         row_bytes = sum(col[0].nbytes for col in mem.state().values())
-        # state, done, packed mask, bootstrap value and its stamp; the action
-        # and reward are the record's
-        assert row_bytes == d * 8 + 1 + (n + 7) // 8 + 8 + 4 == 340
-        assert sorted(mem.state()) == ["done", "mask_bits", "next_value", "s", "stamp"]
+        # state, episode, done, bootstrap value and its stamp; the action,
+        # the reward and the successor's availability come from the record
+        assert row_bytes == d * 8 + 4 + 1 + 8 + 4 == 145
+        assert sorted(mem.state()) == ["done", "episode", "next_value", "s", "stamp"]
         rows = np.arange(100)
         expected = mf.online_update(model, s + rows[:, None], rows, 1.0 + rows % 5)
         assert _successors(mem, rows).tobytes() == expected.tobytes()
@@ -281,11 +299,12 @@ def test_raw_rows_rebuild_exactly(data):
     horizon = data.draw(st.integers(1, n), label="horizon")
     capacity = data.draw(st.integers(1, 8), label="capacity")
     lengths = data.draw(st.lists(st.integers(0, horizon), min_size=1, max_size=4), label="lengths")
-    # the record holds room for an episode's horizon of steps from its start
-    mem = ReplayMemory(capacity, n, *state_kind(None, n, horizon),
+    # the record holds room for an episode's horizon of steps from its start;
+    # an episode of no steps leaves no trace in it
+    mem = ReplayMemory(capacity, _env(n, horizon), *state_kind(None, n, horizon),
                        _record(sum(lengths) + horizon))
     states, nexts, played = [], [], []
-    for length in lengths:
+    for episode, length in enumerate(length for length in lengths if length):
         items = data.draw(st.lists(st.one_of(st.sampled_from([0, n - 1]), st.integers(0, n - 1)),
                                    unique=True, min_size=length, max_size=length))
         rewards = data.draw(st.lists(st.sampled_from([0.0, 1.0, 2.5, 5.0]),
@@ -296,7 +315,8 @@ def test_raw_rows_rebuild_exactly(data):
             played.append([(i, r) if r != 0 else (n, 0.0) for i, r in zip(items[:t], rewards[:t])])
             dense = raw_update(dense, np.array([item]), np.array([reward]))
             nexts.append(dense)
-            _push(mem, None, t, item, reward, False, np.ones(n, dtype=bool))
+            # the environment ends an episode at its horizon
+            _push(mem, None, episode, item, reward, t == horizon - 1)
     if not len(mem):
         return
     k = np.arange(len(mem))
@@ -375,11 +395,11 @@ def test_raw_rows_at_the_catalog_ends_and_over_the_horizon():
     with pytest.raises(ValueError, match="3 pairs does not fit the environment's horizon of 3"):
         QTrainer(ChainEnv(horizon=3), [0], *state_kind(None, 3, 2),
                  TrainConfig(episodes=1, horizon=3, hidden_sizes=(4,)))
-    mem = ReplayMemory(4, 5, *state_kind(None, 5, 2), _record(4))
+    mem = ReplayMemory(4, _env(5, 2), *state_kind(None, 5, 2), _record(4))
     # items 0 and n - 1 fill the successor; a zero reward at item 2 needs no pair
     for t, (item, reward) in enumerate([(0, 5.0), (4, 1.0)]):
-        _push(mem, None, t, item, reward, t == 1, np.ones(5, bool))
-    _push(mem, None, 0, 2, 0.0, False, np.ones(5, bool))
+        _push(mem, None, 0, item, reward, t == 1)
+    _push(mem, None, 1, 2, 0.0, False)
     assert mem.rows([1])[0].items.tolist() == [[0, 5]]
     assert _successors(mem, [1]).items.tolist() == [[0, 4]]
     assert np.array_equal(_successors(mem, [1]).dense(5)[0], [5.0, 0.0, 0.0, 0.0, 1.0])
@@ -455,6 +475,62 @@ class _InOrder:
         return np.arange(rows)[:size]
 
 
+@pytest.mark.parametrize("task", list(TaskMode))
+@pytest.mark.parametrize("raw_state", [False, True])
+def test_replay_derives_the_availability_that_play_had(small_setup, monkeypatch, task,
+                                                        raw_state):
+    # the environment's avail after each step of a run, as play held it, is
+    # bit for bit the availability the replay derives for the successor of
+    # that step's row, from the row's user and its episode's items; the ring
+    # has wrapped, so its rows hold the record's last steps out of order
+    ds, split, model = small_setup
+    cfg = TrainConfig(episodes=7, horizon=3, hidden_sizes=(8,), task=task, batch_size=4,
+                      replay_capacity=8, epsilon=0.5, seed=3)
+    trainer = make_trainer(ds, split, None if raw_state else model, cfg)
+    step, played = trainer.env.step, []
+
+    def recording_step(state, actions):
+        rewards, state, done = step(state, actions)
+        played.append(state.avail[0].copy())
+        return rewards, state, done
+
+    monkeypatch.setattr(trainer.env, "step", recording_step)
+    trainer.run()
+    memory = trainer.memory
+    assert memory.pushes == len(played) == 21 and len(memory) == 8
+    slots = np.arange(len(memory))
+    steps = ring_steps(slots, memory.pushes, memory.capacity)
+    derived, expected = memory.successor_avail(slots, steps), np.array(played)[steps]
+    assert derived.dtype == expected.dtype == bool
+    assert derived.shape == expected.shape and derived.tobytes() == expected.tobytes()
+    # task1's catalog is the user's rated items; task2's is every item
+    assert (expected.sum(axis=1) < ds.n - cfg.horizon).all() == (task is TaskMode.TASK_I)
+
+
+_RUN_SPLIT = Split(train_users=frozenset(range(8)), test_users=frozenset({8, 9}), seed=0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(task=st.sampled_from(list(TaskMode)), horizon=st.integers(0, 4),
+       episodes=st.integers(0, 6), raw_state=st.booleans(), seed=st.integers(0, 1000),
+       block=st.integers(1, 4))
+def test_check_episodes_accepts_every_record_a_run_writes(task, horizon, episodes, raw_state,
+                                                          seed, block):
+    # whatever the run, its record replays through the environment, in
+    # blocks of any size
+    ds = make_dataset(synthetic_profiles(n_users=10, n_items=15, per_user=8, seed=4))
+    model = mf.MfModel(U=np.zeros((4, ds.m)), V=np.random.default_rng(seed).normal(size=(4, ds.n)),
+                       d=4, reg=0.01, lr=0.02)
+    cfg = TrainConfig(episodes=episodes, horizon=horizon, hidden_sizes=(4,), task=task,
+                      batch_size=3, replay_capacity=5, epsilon=0.5, seed=seed)
+    trainer = make_trainer(ds, _RUN_SPLIT, None if raw_state else model, cfg)
+    trainer.run()
+    record, steps = trainer.record, trainer.train_steps
+    assert steps == episodes * horizon
+    trainer.env.check_episodes(record["user"][:episodes], record["end"][:episodes],
+                               record["item"][:steps], record["reward"][:steps], block=block)
+
+
 @pytest.mark.parametrize("raw_state", [False, True])
 def test_trainer_and_greedy_policy_share_one_state(small_setup, raw_state):
     # the minibatch rows the trainer learns from are, bit for bit, what the
@@ -522,9 +598,8 @@ def test_every_trained_target_is_the_td_target_under_the_current_target(
     served = recomputed = 0
     for step in steps:
         rows, idx = step["rows"], step["idx"]
-        masks = np.unpackbits(rows["mask_bits"], axis=1, count=ds.n).view(bool)
         expected = [td_target(Transition(rows["s"][k], rows["a"][k], rows["r"][k],
-                                         rows["s_next"][k], rows["done"][k], masks[k]),
+                                         rows["s_next"][k], rows["done"][k], rows["mask_next"][k]),
                               step["target"], cfg.gamma) for k in idx]
         np.testing.assert_allclose(step["y"], expected, rtol=1e-12, atol=0)
         live = ~rows["done"][idx]
@@ -640,7 +715,7 @@ def test_restore_rejects_states_that_do_not_fit(tmp_path, small_setup):
     trainer.save(good)
     with np.load(good) as data:
         replay = {key: data[key] for key in data.files if key.startswith("replay_")}
-        s, bits, done = replay["replay_s"], replay["replay_mask_bits"], replay["replay_done"]
+        s, episode, done = replay["replay_s"], replay["replay_episode"], replay["replay_done"]
         net = data["net"]
     assert len(done) == 6
     bad = tmp_path / "bad.npz"
@@ -651,7 +726,7 @@ def test_restore_rejects_states_that_do_not_fit(tmp_path, small_setup):
         ({"net": net[:-1]}, "parameters"),
         ({"net": net.astype(np.float32)}, "parameters"),
         ({"replay_s": s[:, :-1]}, "'s'"),
-        ({"replay_mask_bits": bits[:, :-1]}, "'mask_bits'"),
+        ({"replay_episode": episode[:, None]}, "'episode'"),
         ({"replay_done": done[:-1]}, "replay column"),
         # every column one row short: not the record's 6 steps
         ({key: col[:-1] for key, col in replay.items()}, "5 rows, not the record's 6 steps"),
@@ -728,9 +803,9 @@ def test_restore_refuses_a_bad_bootstrap_column(tmp_path, small_setup, raw_state
 
 
 def test_restore_rejects_malformed_raw_pairs(tmp_path, small_setup):
-    # a raw row's pairs come from the record: a row whose step in its
-    # episode is not the record's, or an episode that repeats an item, would
-    # build pairs that play never held, and is refused
+    # a raw row's pairs come from the record: a row whose episode is not the
+    # record's, or an episode that repeats an item, would build pairs that
+    # play never held, and is refused
     ds, split, _ = small_setup
     n = ds.n
     # task1 pays a rating at every step, so every step adds a pair
@@ -741,18 +816,19 @@ def test_restore_rejects_malformed_raw_pairs(tmp_path, small_setup):
     good = tmp_path / "state.npz"
     trainer.save(good)
     with np.load(good) as data:
-        t, items = data["replay_t"], data["record_item"]
-    assert t.tolist() == [0, 1, 2] * 2 and t.dtype == np.int32
+        episode, users, items, rewards = (data[f"{key}"] for key in (
+            "replay_episode", "record_user", "record_item", "record_reward"))
+    assert episode.tolist() == [0, 0, 0, 1, 1, 1] and episode.dtype == np.int32
     dense = replay_rows(trainer.memory)
     # the third step of the first episode starts from two pairs
     assert np.count_nonzero(dense["s"][2]) == 2
     bad = tmp_path / "bad.npz"
     cases = [
-        ({"replay_t": _with(t, 2, 1)}, "step in its episode is not the episode record's"),
-        ({"replay_t": _with(t, 3, 3)}, "step in its episode"),
-        ({"replay_t": t.astype(np.int64)}, "'t'"),
+        ({"replay_episode": _with(episode, 2, 1)}, "row's episode is not the episode record's"),
+        ({"replay_episode": _with(episode, 3, 0)}, "row's episode"),
+        ({"replay_episode": episode.astype(np.int64)}, "'episode'"),
         # a raw state saved before the replay read its pairs from the record
-        ({"replay_t": None, "replay_s_items": np.full((6, 3), n, np.int32),
+        ({"replay_episode": None, "replay_s_items": np.full((6, 3), n, np.int32),
           "replay_s_rewards": np.zeros((6, 3)), "replay_a": items.astype(np.int64),
           "replay_r": dense["r"]}, "replay format changed.*train afresh"),
     ]
@@ -761,9 +837,12 @@ def test_restore_rejects_malformed_raw_pairs(tmp_path, small_setup):
         with pytest.raises(ValidationError, match=message) as err:
             make_trainer(ds, split, None, cfg).restore(bad)
         assert str(bad) in str(err.value)
-    # the same item in two episodes is no repeat (see
-    # test_restore_refuses_a_bad_episode_record); the state as saved loads
-    _rewrite_state(good, bad, record_item=_with(items, 3, items[0]))
+    # the same items in two episodes are no repeat (see
+    # test_restore_refuses_a_bad_episode_record): the first episode played
+    # twice loads, and so does the state as saved
+    twice = {key: np.concatenate([col[:3]] * 2) for key, col in
+             (("record_item", items), ("record_reward", rewards))}
+    _rewrite_state(good, bad, record_user=users[[0, 0]], **twice)
     make_trainer(ds, split, None, cfg).restore(bad)
     restored = make_trainer(ds, split, None, cfg)
     restored.restore(good)
@@ -836,37 +915,64 @@ def test_restore_refuses_a_state_saved_by_a_different_run(tmp_path, small_setup)
         make_trainer(ds, split, model, cfg).restore(bad)
 
 
+def _misrated(record):
+    """A saved record's rewards with the first logged rating r, paid at a
+    rated item, recorded as r % 5 + 1, another rating."""
+    rated = int(np.flatnonzero(record["reward"])[0])
+    return _with(record["reward"], rated, record["reward"][rated] % 5 + 1)
+
+
+def _unrated(record, ds):
+    """The items that the user of a saved record's first episode never rated."""
+    return sorted(set(range(ds.n)) - set(profile(ds, int(record["user"][0]))))
+
+
 @pytest.mark.parametrize("case", [
-    # (changed arrays, given the saved record and the item count; the message)
-    (lambda rec, n: {"record_item": rec["item"].astype(np.int64)}, "'item'"),
-    (lambda rec, n: {"record_loss": rec["loss"][:-1]}, "'loss'"),
-    (lambda rec, n: {"record_end": rec["end"][:, None]}, "'end'"),
-    (lambda rec, n: {"record_user": None}, "unreadable trainer state"),
-    (lambda rec, n: {"record_end": np.array([3, 2, 9])}, "ends before the one before it"),
-    (lambda rec, n: {"record_end": np.array([0, 6, 9])}, "runs over the horizon 3"),
-    (lambda rec, n: {"record_end": np.array([3, 6, 8])}, "does not end at the record's 9 steps"),
-    (lambda rec, n: {"record_item": rec["item"][:-1], "record_reward": rec["reward"][:-1]},
+    # (changed arrays, given the saved record and the dataset; the message)
+    (lambda rec, ds: {"record_item": rec["item"].astype(np.int64)}, "'item'"),
+    (lambda rec, ds: {"record_loss": rec["loss"][:-1]}, "'loss'"),
+    (lambda rec, ds: {"record_end": rec["end"][:, None]}, "'end'"),
+    (lambda rec, ds: {"record_user": None}, "unreadable trainer state"),
+    (lambda rec, ds: {"record_end": np.array([3, 2, 9])}, "ends before the one before it"),
+    (lambda rec, ds: {"record_end": np.array([0, 6, 9])}, "runs over the horizon 3"),
+    (lambda rec, ds: {"record_end": np.array([3, 6, 8])}, "does not end at the record's 9 steps"),
+    (lambda rec, ds: {"record_item": rec["item"][:-1], "record_reward": rec["reward"][:-1]},
      "does not end at the record's 8 steps"),
-    (lambda rec, n: {"record_user": _with(rec["user"], 1, 9)}, "run's training users"),
-    (lambda rec, n: {"record_item": _with(rec["item"], 4, n)}, "item outside 0..14"),
-    (lambda rec, n: {"record_item": _with(rec["item"], 4, -1)}, "item outside"),
-    (lambda rec, n: {"record_reward": _with(rec["reward"], 4, np.nan)}, "a reward is not finite"),
-    (lambda rec, n: {"record_loss": _with(rec["loss"], 2, np.inf)}, "a loss is not finite"),
+    (lambda rec, ds: {"record_user": _with(rec["user"], 1, 9)}, "run's training users"),
+    (lambda rec, ds: {"record_item": _with(rec["item"], 4, ds.n)}, "item outside 0..14"),
+    (lambda rec, ds: {"record_item": _with(rec["item"], 4, -1)}, "item outside"),
+    (lambda rec, ds: {"record_reward": _with(rec["reward"], 4, np.nan)}, "a reward is not finite"),
+    (lambda rec, ds: {"record_loss": _with(rec["loss"], 2, np.inf)}, "a loss is not finite"),
     # a raw learner's replay builds its states from the record, one pair an
-    # item; a third element marks a case for the raw learner
-    (lambda rec, n: {"record_item": _with(rec["item"], 2, rec["item"][0])},
-     "an episode repeats an item", "raw"),
+    # item; further elements name the learner and the task (default latent
+    # and task2)
+    (lambda rec, ds: {"record_item": _with(rec["item"], 2, rec["item"][0])},
+     "episode 0: item .* repeats an item", "raw"),
+    # records that no play of the environment could have written: a logged
+    # rating recorded as another, on either task; an item the user never
+    # rated, in the catalog of rated items; a repeated item in a latent
+    # episode
+    (lambda rec, ds: {"record_reward": _misrated(rec)},
+     r"reward \d\.0 is not the \d\.0 that step pays", "raw", "task1"),
+    (lambda rec, ds: {"record_reward": _misrated(rec)},
+     r"reward \d\.0 is not the \d\.0 that step pays", "raw"),
+    (lambda rec, ds: {"record_item": _with(rec["item"], 1, _unrated(rec, ds)[0]),
+                      "record_reward": _with(rec["reward"], 1, 0.0)},
+     "episode 0: item .* at step 1 .* the user has not rated it", "raw", "task1"),
+    (lambda rec, ds: {"record_item": _with(rec["item"], 5, rec["item"][3])},
+     "episode 1: item .* at step 2 .* repeats an item"),
 ], ids=["item-dtype", "loss-length", "end-shape", "user-missing", "ends-decrease",
         "over-horizon", "last-end", "step-count", "user", "item-above", "item-below",
-        "reward", "loss", "raw-repeat"])
+        "reward", "loss", "raw-repeat", "raw-task1-reward", "raw-task2-reward",
+        "raw-task1-unrated", "latent-repeat"])
 def test_restore_refuses_a_bad_episode_record(tmp_path, small_setup, case):
     # the record is the one source of the step, sync and episode counts, the
     # log and the trace; a record that no run could have written is refused
     ds, split, model = small_setup
-    changes, message, *raw = case
-    model = None if raw else model
-    cfg = TrainConfig(episodes=3, horizon=3, hidden_sizes=(8,), task=TaskMode.TASK_II,
-                      sync_period=4, seed=2)
+    changes, message, *options = case
+    model = None if "raw" in options else model
+    task = TaskMode.TASK_I if "task1" in options else TaskMode.TASK_II
+    cfg = TrainConfig(episodes=3, horizon=3, hidden_sizes=(8,), task=task, sync_period=4, seed=2)
     trainer = make_trainer(ds, split, model, cfg)
     trainer.run()
     good = tmp_path / "state.npz"
@@ -876,7 +982,7 @@ def test_restore_refuses_a_bad_episode_record(tmp_path, small_setup, case):
                   if key.startswith("record_")}
     assert record["end"].tolist() == [3, 6, 9] and len(record["item"]) == 9
     assert 9 in split.test_users
-    bad = _rewrite_state(good, tmp_path / "bad.npz", **changes(record, ds.n))
+    bad = _rewrite_state(good, tmp_path / "bad.npz", **changes(record, ds))
     with pytest.raises(ValidationError, match=message) as err:
         make_trainer(ds, split, model, cfg).restore(bad)
     assert str(bad) in str(err.value)
@@ -929,8 +1035,11 @@ def test_record_fits_a_resume_that_asks_for_fewer_episodes(tmp_path, small_setup
 
 def test_record_of_a_default_run_takes_12_bytes_a_step(tmp_path, small_setup):
     # a default run, 20,000 episodes of 40 steps: 12 bytes a step (an int32
-    # item, a float64 reward) and 24 an episode, in memory and in the state
-    ds, split, model = small_setup
+    # item, a float64 reward) and 24 an episode, in memory and in the state;
+    # a catalog of 50 items holds an episode of 40
+    _, split, _ = small_setup
+    ds = make_dataset(synthetic_profiles(n_users=10, n_items=50, per_user=8, seed=4))
+    model = mf.pretrain(ds, split.train_users, d=4, reg=0.01, lr=0.02, epochs=1, seed=0)
     cfg = TrainConfig(episodes=20_000, horizon=40, hidden_sizes=(8,), task=TaskMode.TASK_II,
                       replay_capacity=8, seed=0)
     tracemalloc.start()
@@ -941,16 +1050,18 @@ def test_record_of_a_default_run_takes_12_bytes_a_step(tmp_path, small_setup):
         tracemalloc.stop()
     size = 20_000 * 24 + 800_000 * 12
     assert sum(col.nbytes for col in trainer.record.values()) == size <= held <= 11e6
-    # a record filled to the end is saved as it is held, and loads
+    # a record filled to the end, user 3 taking the same 40 items in every
+    # episode, is saved as it is held, and loads
     rng = np.random.default_rng(0)
+    items = rng.permutation(ds.n)[:40]
     record = trainer.record
     record["user"][:], record["end"][:] = 3, 40 * np.arange(1, 20_001)
-    record["loss"][:], record["item"][:] = rng.random(20_000), rng.integers(ds.n, size=800_000)
-    record["reward"][:] = rng.integers(6, size=800_000)
+    record["loss"][:], record["item"][:] = rng.random(20_000), np.tile(items, 20_000)
+    record["reward"][:] = np.tile(trainer.env.reset([3]).ratings[0, items], 20_000)
     trainer.episode = 20_000
     # a full replay of 8 rows holds the record's last 8 steps
     for _ in range(8):
-        trainer.memory.push(np.zeros(model.d), 0, False, np.ones(ds.n, dtype=bool))
+        trainer.memory.push(np.zeros(model.d), 19_999, False)
     trainer.memory.pushes = 800_000
     path = tmp_path / "state.npz"
     trainer.save(path)

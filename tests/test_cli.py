@@ -302,7 +302,7 @@ def test_train_resume_of_a_dqn_state_with_dense_replay_exits_2(workspace, capsys
     with np.load(state) as saved:
         arrays = _with_replay_actions({key: saved[key] for key in saved.files})
     rows = len(arrays["replay_a"])
-    del arrays["replay_t"]
+    del arrays["replay_episode"]
     arrays["replay_s"] = arrays["replay_s_next"] = np.zeros((rows, 30))
     with open(state, "wb") as fh:
         np.savez(fh, **arrays)
@@ -366,6 +366,49 @@ def test_train_resume_of_a_state_with_a_reward_that_is_not_finite_exits_2(
     assert main(["train", "--config", str(cfg_path), "--method", method, "--resume"]) == 2
     err = capsys.readouterr().err
     assert str(state) in err and "a reward is not finite" in err
+
+
+def test_train_resume_of_a_state_with_a_reward_that_step_does_not_pay_exits_2(workspace, capsys):
+    # a logged rating recorded as another: a valid archive whose record no
+    # play of the environment could have written
+    tmp_path, data, cfg_path = workspace
+    assert main(["train", "--config", str(cfg_path), "--method", "dqn"]) == 0
+    state = tmp_path / "out" / "dqn_task2_split0_state.npz"
+    with np.load(state) as saved:
+        arrays = {key: saved[key] for key in saved.files}
+    rewards = arrays["record_reward"]
+    rated = np.flatnonzero(rewards)[0]
+    logged, rewards[rated] = rewards[rated], rewards[rated] % 5 + 1
+    with open(state, "wb") as fh:
+        np.savez(fh, **arrays)
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg_path), "--method", "dqn", "--resume"]) == 2
+    err = capsys.readouterr().err
+    assert str(state) in err
+    assert f"reward {float(rewards[rated])!r} is not the {float(logged)!r} that step pays" in err
+
+
+@pytest.mark.parametrize("method", ["cfrl", "dqn"])
+def test_train_resume_of_a_state_whose_replay_stores_successor_masks_exits_2(
+        workspace, capsys, method):
+    # the layout before the environment derived a successor's availability:
+    # each row kept its step in its episode and the mask packed to bits
+    tmp_path, data, cfg_path = workspace
+    if method == "cfrl":
+        assert main(["pretrain", "--config", str(cfg_path)]) == 0
+    assert main(["train", "--config", str(cfg_path), "--method", method]) == 0
+    state = tmp_path / "out" / f"{method}_task2_split0_state.npz"
+    with np.load(state) as saved:
+        arrays = {key: saved[key] for key in saved.files}
+    rows = len(arrays.pop("replay_episode"))
+    arrays["replay_t"] = np.tile(np.arange(4, dtype=np.int32), rows // 4)
+    arrays["replay_mask_bits"] = np.full((rows, 4), 255, np.uint8)
+    with open(state, "wb") as fh:
+        np.savez(fh, **arrays)
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg_path), "--method", method, "--resume"]) == 2
+    err = capsys.readouterr().err
+    assert str(state) in err and "replay format changed" in err and "train afresh" in err
 
 
 def test_eval_of_a_checkpoint_with_nan_parameters_exits_2(workspace, capsys):

@@ -26,33 +26,28 @@ def ds():
 
 
 class ScriptedPolicy(Policy):
-    """Plays a fixed (U,) action array per step and records every mask it
-    is shown after a step."""
+    """Plays a fixed (U,) action array per step."""
 
     def __init__(self, script):
         self.script = [np.asarray(actions) for actions in script]
-        self.avail_after = []
+        self.acts = 0
 
     def act(self, avail):
-        return self.script[len(self.avail_after)]
-
-    def observe(self, items, rewards, avail=None, done=False):
-        self.avail_after.append(avail.copy())
+        self.acts += 1
+        return self.script[self.acts - 1]
 
 
 class RowRandomPolicy(Policy):
     """Uniform pick among each row's available items from one shared RNG;
-    records every mask it is shown after a step."""
+    records every mask it is shown."""
 
     def __init__(self, seed):
         self.rng = np.random.default_rng(seed)
-        self.avail_after = []
+        self.avail_shown = []
 
     def act(self, avail):
+        self.avail_shown.append(avail.copy())
         return np.array([int(self.rng.choice(np.flatnonzero(row))) for row in avail])
-
-    def observe(self, items, rewards, avail=None, done=False):
-        self.avail_after.append(avail.copy())
 
 
 def test_reset_task2_exposes_all_items(ds):
@@ -150,7 +145,7 @@ def test_mask_shrinks_by_one_each_step(ds):
     actions = [a for a, _, _ in user_steps(run_episode(env, [3], policy), 0)]
     assert len(actions) == 6
     for k in range(6):
-        assert int(policy.avail_after[k].sum()) == initial - (k + 1)
+        assert int(policy.avail_shown[k].sum()) == initial - k
         assert len(actions[: k + 1]) == k + 1
         assert len(set(actions[: k + 1])) == k + 1  # no repeats
 
@@ -168,10 +163,10 @@ def test_block_rows_keep_the_invariants_of_single_episodes(ds):
         rated = profile(ds, user)
         taken = []
         for k, (action, reward, _) in enumerate(user_steps(steps, row)):
+            mask = policy.avail_shown[k][row]
+            assert int(mask.sum()) == int(initial[row].sum()) - k
+            assert mask[action] and not mask[taken].any() and mask.sum() + len(taken) == ds.n
             taken.append(action)
-            mask = policy.avail_after[k][row]
-            assert int(mask.sum()) == int(initial[row].sum()) - (k + 1)
-            assert not mask[action] and mask.sum() + len(taken) == ds.n
             assert reward == float(rated.get(action, 0))
             if action not in rated:
                 assert reward == 0.0
@@ -300,8 +295,8 @@ class RecordingPolicy(Policy):
         self.calls.append(("act", avail.tolist()))
         return np.array([int(np.flatnonzero(row)[0]) for row in avail])
 
-    def observe(self, items, rewards, avail=None, done=False):
-        self.calls.append(("observe", items.tolist(), rewards.tolist(), avail.tolist(), done))
+    def observe(self, items, rewards, done=False):
+        self.calls.append(("observe", items.tolist(), rewards.tolist(), done))
 
 
 def test_run_episode_stops_at_done_before_the_horizon():
@@ -312,8 +307,8 @@ def test_run_episode_stops_at_done_before_the_horizon():
     ones = [[True] * 3]
     assert policy.calls == [
         ("begin", [0]),
-        ("act", ones), ("observe", [0], [1.0], ones, False),
-        ("act", ones), ("observe", [0], [3.0], ones, True),
+        ("act", ones), ("observe", [0], [1.0], False),
+        ("act", ones), ("observe", [0], [3.0], True),
     ]
 
 
@@ -335,7 +330,7 @@ def test_run_episode_drives_the_policy_through_the_environment(ds):
     for item in range(3):
         expected.append(("act", [list(avail)]))
         avail[item] = False
-        expected.append(("observe", [item], [rewards[item]], [list(avail)], item == 2))
+        expected.append(("observe", [item], [rewards[item]], item == 2))
     assert policy.calls == expected
 
 
@@ -355,3 +350,42 @@ def test_run_episode_at_horizon_zero_plays_no_step(ds):
     policy = RecordingPolicy()
     assert run_episode(InteractiveEnv(ds, TaskMode.TASK_II, horizon=0), [2], policy) == []
     assert policy.calls == [("begin", [2])]
+
+
+@pytest.mark.parametrize("task", list(TaskMode))
+def test_available_is_the_state_that_play_reaches(ds, task):
+    # the task's catalog minus the items taken: what reset and step hold,
+    # whatever item pads a row's taken items
+    env = InteractiveEnv(ds, task, horizon=3)
+    users = [0, 3, 3]
+    state, taken = env.reset(users), np.empty((3, 0), dtype=np.int64)
+    assert env.available(users, taken).tobytes() == state.avail.tobytes()
+    for t in range(3):
+        actions = np.array([np.flatnonzero(row)[-1 - t % 2] for row in state.avail])
+        _, state, _ = env.step(state, actions)
+        taken = np.column_stack([taken, actions])
+        for padded in (taken, np.column_stack([taken, taken[:, :1], taken[:, -1:]])):
+            avail = env.available(users, padded)
+            assert avail.dtype == bool and avail.tobytes() == state.avail.tobytes()
+
+
+def test_check_episodes_names_the_episode_in_any_block(ds):
+    # five task1 episodes of two steps, replayed two at a time: each user
+    # takes their two lowest rated items
+    env = InteractiveEnv(ds, TaskMode.TASK_I, horizon=2)
+    users = np.arange(5)
+    items = np.array([sorted(profile(ds, u))[:2] for u in users], dtype=np.int32).ravel()
+    rewards = np.array([profile(ds, u)[i] for u, i in zip(np.repeat(users, 2), items)], float)
+    ends = 2 * np.arange(1, 6)
+    env.check_episodes(users, ends, items, rewards, block=2)
+    with pytest.raises(ValidationError, match="episode 3: item .* at step 1 for user 3: "
+                                              "the episode repeats an item"):
+        env.check_episodes(users, ends, np.where(np.arange(10) == 7, items[6], items), rewards,
+                           block=2)
+    with pytest.raises(ValidationError, match=r"episode 4 step 1: reward \d\.5 is not the \d\.0 "
+                                              "that step pays"):
+        env.check_episodes(users, ends, items, rewards + 0.5 * (np.arange(10) == 9), block=2)
+    with pytest.raises(ValidationError, match="episode 2 of 1 steps ends before the horizon 2"):
+        env.check_episodes(users, np.array([2, 4, 5, 7, 9]), items, rewards, block=2)
+    with pytest.raises(ValidationError, match="episode 1 of 3 steps runs over the horizon 2"):
+        env.check_episodes(users, np.array([2, 5, 6, 8, 10]), items, rewards, block=2)

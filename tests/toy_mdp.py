@@ -65,11 +65,15 @@ class ChainEnv:
 
     def reset(self, users) -> ChainState:
         assert len(users) == 1
-        return ChainState(0, np.ones((1, N_ACTIONS), dtype=bool))
+        return ChainState(0, self.available(users, np.empty((1, 0), dtype=np.int64)))
+
+    def available(self, users, taken) -> np.ndarray:
+        """Every action, whatever was taken: the toy's availability rule."""
+        return np.ones((len(users), N_ACTIONS), dtype=bool)
 
     def step(self, state: ChainState, actions):
         s2, reward, terminal = TRANSITIONS[state.s][int(actions[0])]
-        return np.array([reward]), ChainState(s2, np.ones((1, N_ACTIONS), dtype=bool)), bool(terminal)
+        return np.array([reward]), ChainState(s2, self.available([0], actions[:, None])), bool(terminal)
 
 
 def value_iteration(gamma: float, sweeps: int = 500) -> np.ndarray:
