@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from . import mf, qnet
 from .env import InteractiveEnv, TaskMode, run_episode
@@ -70,14 +69,6 @@ class ReplayMemory:
         self.update = update
         self.record = record    # the trainer's episode record, in play order
         self.raw = isinstance(start, qnet.Pairs)
-        # an episode's steps are read from the window of the T record steps
-        # from its start, a view (row k: steps k..k+T-1) that the record holds
-        # room for; _first[j] marks a window's first j steps
-        horizon = env.horizon
-        self._windows = [as_strided(col, (max(len(col) - horizon + 1, 0), horizon),
-                                    col.strides * 2, writeable=False)
-                         for col in (record["item"], record["reward"])]
-        self._first = np.arange(horizon) < np.arange(horizon + 1)[:, None]
         layout = {} if self.raw else {"s": ((start.shape[1],), np.float64)}
         self._shapes = {**layout, "episode": ((), np.int32), "done": ((), bool),
                         "next_value": ((), np.float64), "stamp": ((), np.int32)}
@@ -123,8 +114,8 @@ class ReplayMemory:
         """
         idx = self.draw(batch, rng)
         cols = self._cols
-        steps = ring_steps(idx, self.pushes, self.capacity)
-        s, a, r = self.rows(idx, steps)
+        steps, episodes, through = self.locate(idx)
+        s, a, r = self.rows(idx, steps, through)
         at = np.flatnonzero((cols["stamp"][idx] != sync) & ~cols["done"][idx])
         if len(self) < batch:       # drawn with replacement: a row may repeat
             at = at[np.unique(idx[at], return_index=True)[1]]
@@ -133,7 +124,7 @@ class ReplayMemory:
             # the successor is the state advanced by the step that advanced
             # it in play, so a state advances in one place
             successors = self.update(s[at], a[at], r[at])
-            avail = self.successor_avail(stale, steps[at])
+            avail = self.successor_avail(episodes[at], through[at])
             cols["next_value"][stale] = qnet.bootstrap_values(target, successors, avail)
             cols["stamp"][stale] = sync
         # a terminal row keeps the 0.0 that push wrote, so its y is r + 0.0 = r;
@@ -142,36 +133,34 @@ class ReplayMemory:
             y = r + gamma * cols["next_value"][idx]
         return qnet.Batch(s=s, a=a, y=y)
 
-    def _episodes(self, idx) -> tuple:
-        """The episodes of rows idx and the first record steps of those episodes."""
+    def locate(self, idx) -> tuple:
+        """The record steps that rows idx hold, their episodes, and each
+        row's T record steps of its episode through its own, the last
+        repeated after it."""
         episodes = self._cols["episode"][idx]
-        return episodes, np.where(episodes > 0, self.record["end"][episodes - 1], 0)
+        first = np.where(episodes > 0, self.record["end"][episodes - 1], 0)
+        steps = ring_steps(idx, self.pushes, self.capacity)
+        return steps, episodes, np.minimum(first[:, None] + np.arange(self.env.horizon), steps[:, None])
 
-    def rows(self, idx, steps=None) -> tuple:
-        """The states, actions (int64) and rewards of rows idx, at record
-        `steps` if given. A state is an array, or for a raw start qnet.Pairs
-        T wide: each row's steps before its own in its episode as (item,
-        reward) pairs in play order, with padding (item n, reward 0) in place
-        of a reward of 0 and after those steps."""
-        steps = ring_steps(idx, self.pushes, self.capacity) if steps is None else steps
+    def rows(self, idx, steps, through) -> tuple:
+        """The states, actions (int64) and rewards of rows idx, which hold
+        record `steps`, with `through` their episodes' steps (see locate). A
+        state is an array, or for a raw start qnet.Pairs T wide: each row's
+        steps before its own in its episode as (item, reward) pairs in play
+        order, with padding (item n, reward 0) in place of a reward of 0 and
+        after those steps."""
         a, r = self.record["item"][steps].astype(np.int64), self.record["reward"][steps]
         if not self.raw:
             return self._cols["s"][idx], a, r
-        first = self._episodes(idx)[1]
-        items, rewards = self._windows[0][first], self._windows[1][first]
-        np.putmask(rewards, ~self._first[steps - first], 0.0)
+        items, rewards = self.record["item"][through], self.record["reward"][through]
+        np.putmask(rewards, through == steps[:, None], 0.0)
         np.putmask(items, rewards == 0, self.env.n)
         return qnet.Pairs(items, rewards), a, r
 
-    def successor_avail(self, idx, steps) -> np.ndarray:
-        """The environment's (k, n) availability at the successors of rows idx,
-        at record `steps`: each row's user's once its episode's items through
-        its step were taken."""
-        episodes, first = self._episodes(idx)
-        items = self._windows[0][first]
-        # the steps after the row's are padded with the episode's first item
-        taken = np.where(self._first[1:][steps - first], items, items[:, :1])
-        return self.env.available(self.record["user"][episodes], taken)
+    def successor_avail(self, episodes, through) -> np.ndarray:
+        """The environment's (k, n) availability at the successors of rows of
+        `episodes` that took the items at record steps `through` (see locate)."""
+        return self.env.available(self.record["user"][episodes], self.record["item"][through])
 
     def state(self) -> dict:
         """The filled rows of every column (views, not copies)."""

@@ -2,12 +2,14 @@ import csv
 import json
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cfrl import env as env_module
 from cfrl import mf, qnet
 from cfrl.agent import (
     EPISODE_COLUMNS,
@@ -50,10 +52,22 @@ def _env(n, horizon=1):
     return InteractiveEnv(make_dataset({0: dict.fromkeys(range(n), 1)}), TaskMode.TASK_II, horizon)
 
 
+def _rows(mem, idx):
+    """The states, actions and rewards of rows idx, as sample reads them."""
+    steps, _, through = mem.locate(np.asarray(idx))
+    return mem.rows(idx, steps, through)
+
+
+def _successor_avail(mem, idx):
+    """The availability at the successors of rows idx, as sample derives it."""
+    _, episodes, through = mem.locate(np.asarray(idx))
+    return mem.successor_avail(episodes, through)
+
+
 def _successors(mem, idx):
     """The successors of rows idx as sample derives them: each state
     advanced by the learner's update with the row's action and reward."""
-    return mem.update(*mem.rows(idx))
+    return mem.update(*_rows(mem, idx))
 
 
 def _dense(capacity, n_actions, steps=64):
@@ -126,9 +140,9 @@ class TestReplayMemory:
         _push_rows(mem, 3)
         assert len(mem) == 2
         # the third push overwrote slot 0, the oldest transition
-        assert mem.rows([0, 1])[2].tolist() == [2.0, 1.0]
+        assert _rows(mem, [0, 1])[2].tolist() == [2.0, 1.0]
         _push_rows(mem, 1, start=3)
-        assert mem.rows([0, 1])[2].tolist() == [2.0, 3.0]
+        assert _rows(mem, [0, 1])[2].tolist() == [2.0, 3.0]
 
     def test_sample_returns_the_pushed_rows(self):
         mem = _dense(10, 11)
@@ -237,11 +251,11 @@ class TestReplayMemory:
         assert held <= 1.1 * steps * row_bytes
         # the successor of the last step of the second episode may take
         # every item but the episode's 40
-        assert np.flatnonzero(~mem.successor_avail([79], [79])[0]).tolist() == sorted(items[40:80])
+        assert np.flatnonzero(~_successor_avail(mem, [79])[0]).tolist() == sorted(items[40:80])
         # which starts from the 39 before it
         s = np.zeros(n)
         s[items[40:79]] = rewards[40:79]
-        np.testing.assert_array_equal(mem.rows([79])[0].dense(n)[0], s)
+        np.testing.assert_array_equal(_rows(mem, [79])[0].dense(n)[0], s)
 
     @pytest.mark.parametrize("latent", [False, True])
     def test_filling_to_capacity_peaks_at_what_it_holds(self, latent):
@@ -321,7 +335,7 @@ def test_raw_rows_rebuild_exactly(data):
         return
     k = np.arange(len(mem))
     steps = np.array([max(s for s in range(mem.pushes) if s % capacity == j) for j in k])
-    s, a, r = mem.rows(k)
+    s, a, r = _rows(mem, k)
     s_next = mem.update(s, a, r)
     dense, dense_next = np.concatenate(states)[steps], np.concatenate(nexts)[steps]
     assert s.items.shape == s_next.items.shape == (len(k), horizon)
@@ -400,10 +414,10 @@ def test_raw_rows_at_the_catalog_ends_and_over_the_horizon():
     for t, (item, reward) in enumerate([(0, 5.0), (4, 1.0)]):
         _push(mem, None, 0, item, reward, t == 1)
     _push(mem, None, 1, 2, 0.0, False)
-    assert mem.rows([1])[0].items.tolist() == [[0, 5]]
+    assert _rows(mem, [1])[0].items.tolist() == [[0, 5]]
     assert _successors(mem, [1]).items.tolist() == [[0, 4]]
     assert np.array_equal(_successors(mem, [1]).dense(5)[0], [5.0, 0.0, 0.0, 0.0, 1.0])
-    assert not mem.rows([2])[0].dense(5).any() and not _successors(mem, [2]).dense(5).any()
+    assert not _rows(mem, [2])[0].dense(5).any() and not _successors(mem, [2]).dense(5).any()
 
 
 @pytest.fixture
@@ -500,7 +514,7 @@ def test_replay_derives_the_availability_that_play_had(small_setup, monkeypatch,
     assert memory.pushes == len(played) == 21 and len(memory) == 8
     slots = np.arange(len(memory))
     steps = ring_steps(slots, memory.pushes, memory.capacity)
-    derived, expected = memory.successor_avail(slots, steps), np.array(played)[steps]
+    derived, expected = _successor_avail(memory, slots), np.array(played)[steps]
     assert derived.dtype == expected.dtype == bool
     assert derived.shape == expected.shape and derived.tobytes() == expected.tobytes()
     # task1's catalog is the user's rated items; task2's is every item
@@ -527,8 +541,9 @@ def test_check_episodes_accepts_every_record_a_run_writes(task, horizon, episode
     trainer.run()
     record, steps = trainer.record, trainer.train_steps
     assert steps == episodes * horizon
-    trainer.env.check_episodes(record["user"][:episodes], record["end"][:episodes],
-                               record["item"][:steps], record["reward"][:steps], block=block)
+    with mock.patch.object(env_module, "_CHECK_BLOCK", block):
+        trainer.env.check_episodes(record["user"][:episodes], record["end"][:episodes],
+                                   record["item"][:steps], record["reward"][:steps])
 
 
 @pytest.mark.parametrize("raw_state", [False, True])
@@ -543,7 +558,7 @@ def test_trainer_and_greedy_policy_share_one_state(small_setup, raw_state):
     trainer.run()
     trace = _trace(trainer)
     rows = np.arange(len(trace))
-    s, a, r = trainer.memory.rows(rows)
+    s, a, r = _rows(trainer.memory, rows)
     s_next = trainer.memory.update(s, a, r)
     policy = GreedyQPolicy(trainer.net, mf_model=model, raw_state=raw_state, horizon=cfg.horizon)
 
@@ -1007,7 +1022,7 @@ def test_restore_refuses_a_state_without_an_episode_record(tmp_path, small_setup
              "epsilon": cfg.epsilon, "sync_count": end // cfg.sync_period}
             for e, user, end, loss, _, rewards in trainer.episodes()]
     meta.update(train_steps=trainer.train_steps, logs=logs)
-    _, a, r = trainer.memory.rows(np.arange(len(trainer.memory)))
+    _, a, r = _rows(trainer.memory, np.arange(len(trainer.memory)))
     bad = _rewrite_state(good, tmp_path / "old.npz", **dict.fromkeys(keys), replay_a=a, replay_r=r,
                          meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8))
     with pytest.raises(ValidationError, match="replay format changed.*train afresh") as err:
@@ -1198,7 +1213,7 @@ def test_training_log_round_trip(tmp_path, small_setup, monkeypatch):
     trainer.run()
     path = tmp_path / "log.csv"
     write_training_log(path, trainer)
-    rewards = trainer.memory.rows(np.arange(9))[2].tolist()
+    rewards = _rows(trainer.memory, np.arange(9))[2].tolist()
     users = [user for _, user, *_ in trainer.episodes()]
     assert _read_csv(path) == [
         {"episode": str(e), "user": str(users[e]),
@@ -1218,7 +1233,7 @@ def test_trace_round_trip(tmp_path, small_setup):
     write_trace(path, trainer)
     with open(path, newline="", encoding="utf-8") as fh:
         lines = list(csv.reader(fh))
-    (_, a, r), done = trainer.memory.rows(np.arange(12)), trainer.memory.state()["done"]
+    (_, a, r), done = _rows(trainer.memory, np.arange(12)), trainer.memory.state()["done"]
     users = [user for _, user, *_ in trainer.episodes()]
     assert lines == [["episode", "user", "t", "action", "reward", "done"], *[
         [str(k // 4), str(users[k // 4]), str(k % 4), str(a[k]),

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cfrl import env as env_module
 from cfrl import mf, qnet
 from cfrl.agent import Policy, put_pairs, state_kind, state_update
 from cfrl.env import InteractiveEnv, TaskMode, run_episode
@@ -369,23 +370,23 @@ def test_available_is_the_state_that_play_reaches(ds, task):
             assert avail.dtype == bool and avail.tobytes() == state.avail.tobytes()
 
 
-def test_check_episodes_names_the_episode_in_any_block(ds):
+def test_check_episodes_names_the_episode_in_any_block(ds, monkeypatch):
     # five task1 episodes of two steps, replayed two at a time: each user
     # takes their two lowest rated items
+    monkeypatch.setattr(env_module, "_CHECK_BLOCK", 2)
     env = InteractiveEnv(ds, TaskMode.TASK_I, horizon=2)
     users = np.arange(5)
     items = np.array([sorted(profile(ds, u))[:2] for u in users], dtype=np.int32).ravel()
     rewards = np.array([profile(ds, u)[i] for u, i in zip(np.repeat(users, 2), items)], float)
     ends = 2 * np.arange(1, 6)
-    env.check_episodes(users, ends, items, rewards, block=2)
+    env.check_episodes(users, ends, items, rewards)
     with pytest.raises(ValidationError, match="episode 3: item .* at step 1 for user 3: "
                                               "the episode repeats an item"):
-        env.check_episodes(users, ends, np.where(np.arange(10) == 7, items[6], items), rewards,
-                           block=2)
+        env.check_episodes(users, ends, np.where(np.arange(10) == 7, items[6], items), rewards)
     with pytest.raises(ValidationError, match=r"episode 4 step 1: reward \d\.5 is not the \d\.0 "
                                               "that step pays"):
-        env.check_episodes(users, ends, items, rewards + 0.5 * (np.arange(10) == 9), block=2)
+        env.check_episodes(users, ends, items, rewards + 0.5 * (np.arange(10) == 9))
     with pytest.raises(ValidationError, match="episode 2 of 1 steps ends before the horizon 2"):
-        env.check_episodes(users, np.array([2, 4, 5, 7, 9]), items, rewards, block=2)
+        env.check_episodes(users, np.array([2, 4, 5, 7, 9]), items, rewards)
     with pytest.raises(ValidationError, match="episode 1 of 3 steps runs over the horizon 2"):
-        env.check_episodes(users, np.array([2, 5, 6, 8, 10]), items, rewards, block=2)
+        env.check_episodes(users, np.array([2, 5, 6, 8, 10]), items, rewards)
