@@ -8,7 +8,8 @@ The Q-learner acts epsilon-greedily on its own state, which state_kind
 starts and advances from each (item, reward): the latent user vector, which
 an online MF step advances, or the raw state as its canonical qnet.Pairs,
 which put_pairs advances. Every observed step goes into the trainer's record
-of the episodes it has played, from which its step, sync and episode counts,
+of the episodes it has played (per episode its user, where it ends and
+whether the environment ended it), from which its step and episode counts,
 its training log and its trace derive, and into a bounded replay memory, a
 window over the record's last steps; one minibatch TD update follows, with
 the target network, a plain copy of the network, re-synced every fixed
@@ -42,23 +43,24 @@ class ReplayMemory:
     record's are committed only as rows are written.
 
     A row keeps only what the record cannot give: the state (latent rows, d
-    floats: 145 bytes a row at d = 16), its episode, the terminal flag, and
-    its bootstrap value with the target sync it was computed under (17 bytes
-    a raw row). The record gives the row's action and reward, and its
-    episode's user and first step, so the step t in it. A raw state is read
-    from the record's steps before t in the episode, as Pairs in play order:
-    qnet.Columns, which train_step and the target read, is the same for any
-    order. The successor is update(state, a, r), the learner's (start,
-    update) of state_kind, as the step advanced the state in play, and its
-    availability is the environment's rule (env.available) for the user once
-    the episode's items through t were taken: both bit for bit as in play.
+    floats: 137 bytes a row at d = 16) and its bootstrap value with a fresh
+    flag (9 bytes a raw row). The record gives the row's action and reward,
+    its episode (the first that ends past the row's step), that episode's
+    user and first step, and whether the row is terminal: the last step of
+    an episode that the environment ended, not a time limit. A raw state is
+    read from the record's steps before the row's in the episode, as Pairs
+    in play order: qnet.Columns, which train_step and the target read, is
+    the same for any order. The successor is update(state, a, r), the
+    learner's (start, update) of state_kind, as the step advanced the state
+    in play, and its availability is the environment's rule (env.available)
+    for the user once the episode's items through the row's step were
+    taken: both bit for bit as in play.
 
     The bootstrap value v(s'), the target's max over the successor's
-    available actions, changes only at a target sync. So a row keeps it,
-    stamped with the sync count (push writes -1), and sample computes it, in
-    one forward_batch over those rows, only for the sampled non-terminal rows
-    whose stamp is not the current sync count; a terminal row keeps the 0
-    that push writes.
+    available actions, changes only at a target sync, which clears every
+    fresh flag (expire_values). sample computes it, in one forward_batch,
+    for the sampled rows that are neither terminal nor fresh, and marks
+    them fresh; a terminal row bootstraps 0.
     """
 
     def __init__(self, capacity: int, env, start, update, record: dict):
@@ -70,8 +72,7 @@ class ReplayMemory:
         self.record = record    # the trainer's episode record, in play order
         self.raw = isinstance(start, qnet.Pairs)
         layout = {} if self.raw else {"s": ((start.shape[1],), np.float64)}
-        self._shapes = {**layout, "episode": ((), np.int32), "done": ((), bool),
-                        "next_value": ((), np.float64), "stamp": ((), np.int32)}
+        self._shapes = {**layout, "next_value": ((), np.float64), "fresh": ((), bool)}
         rows = min(capacity, len(record["item"]))
         self._cols = {k: np.empty((rows, *shape), dtype) for k, (shape, dtype) in self._shapes.items()}
         self.pushes = 0
@@ -79,18 +80,19 @@ class ReplayMemory:
     def __len__(self) -> int:
         return min(self.pushes, self.capacity)
 
-    def push(self, s, episode: int, done: bool) -> None:
-        """Store the transition from state s (one row) of the record's next
-        step, in its episode `episode`, whose user the record holds."""
+    def push(self, s) -> None:
+        """Store the transition from state s (one row) of the record's next step."""
         slot = self.pushes % self.capacity
         self.pushes += 1
         cols = self._cols
         if not self.raw:
             cols["s"][slot] = s
-        cols["episode"][slot] = episode
-        cols["done"][slot] = done
         cols["next_value"][slot] = 0.0
-        cols["stamp"][slot] = -1
+        cols["fresh"][slot] = False
+
+    def expire_values(self) -> None:
+        """Mark every row's bootstrap value stale, after a target sync."""
+        self._cols["fresh"][: len(self)] = False
 
     def draw(self, batch: int, rng: np.random.Generator) -> np.ndarray:
         """The slots of a uniform minibatch; with replacement only while the
@@ -103,20 +105,20 @@ class ReplayMemory:
         return rng.choice(size, size=batch, replace=False)
 
     def sample(self, batch: int, rng: np.random.Generator, target: qnet.QNetwork,
-               sync: int, gamma: float) -> qnet.Batch:
-        """A uniform minibatch (see draw) as states, actions and TD targets
-        y = r + gamma * v(s'), or r at the end of an episode. The bootstrap
-        values v(s') are those of the frozen `target`, synced `sync` times;
-        the rows that do not hold theirs under that sync get it first.
+               gamma: float, episodes: int) -> qnet.Batch:
+        """A uniform minibatch (see draw), over a record of `episodes`
+        episodes, the one in play included, as states, actions and TD targets
+        y = r + gamma * v(s'), or r at a terminal row, with v(s') the frozen
+        `target`'s; the rows whose value is not fresh get it first.
 
         Raises:
             ValueError: a non-terminal row's successor has no available action.
         """
         idx = self.draw(batch, rng)
         cols = self._cols
-        steps, episodes, through = self.locate(idx)
+        steps, eps, terminal, through = self.locate(idx, episodes)
         s, a, r = self.rows(idx, steps, through)
-        at = np.flatnonzero((cols["stamp"][idx] != sync) & ~cols["done"][idx])
+        at = np.flatnonzero(~(terminal | cols["fresh"][idx]))
         if len(self) < batch:       # drawn with replacement: a row may repeat
             at = at[np.unique(idx[at], return_index=True)[1]]
         if at.size:
@@ -124,23 +126,24 @@ class ReplayMemory:
             # the successor is the state advanced by the step that advanced
             # it in play, so a state advances in one place
             successors = self.update(s[at], a[at], r[at])
-            avail = self.successor_avail(episodes[at], through[at])
+            avail = self.successor_avail(eps[at], through[at])
             cols["next_value"][stale] = qnet.bootstrap_values(target, successors, avail)
-            cols["stamp"][stale] = sync
-        # a terminal row keeps the 0.0 that push wrote, so its y is r + 0.0 = r;
+            cols["fresh"][stale] = True
         # overflow here is the divergence signal, caught by train_step
         with np.errstate(over="ignore", invalid="ignore"):
-            y = r + gamma * cols["next_value"][idx]
+            y = r + gamma * np.where(terminal, 0.0, cols["next_value"][idx])
         return qnet.Batch(s=s, a=a, y=y)
 
-    def locate(self, idx) -> tuple:
-        """The record steps that rows idx hold, their episodes, and each
-        row's T record steps of its episode through its own, the last
-        repeated after it."""
-        episodes = self._cols["episode"][idx]
-        first = np.where(episodes > 0, self.record["end"][episodes - 1], 0)
+    def locate(self, idx, episodes: int) -> tuple:
+        """The record steps that rows idx hold, their episodes in a record of
+        `episodes` episodes, whether each row is terminal, and each row's T
+        record steps of its episode through its own, the last repeated."""
+        ends = self.record["end"][:episodes]
         steps = ring_steps(idx, self.pushes, self.capacity)
-        return steps, episodes, np.minimum(first[:, None] + np.arange(self.env.horizon), steps[:, None])
+        eps = np.searchsorted(ends, steps, side="right")
+        first = np.where(eps > 0, ends[eps - 1], 0)
+        return (steps, eps, self.record["done"][eps] & (steps == ends[eps] - 1),
+                np.minimum(first[:, None] + np.arange(self.env.horizon), steps[:, None]))
 
     def rows(self, idx, steps, through) -> tuple:
         """The states, actions (int64) and rewards of rows idx, which hold
@@ -166,20 +169,17 @@ class ReplayMemory:
         """The filled rows of every column (views, not copies)."""
         return {key: col[: len(self)] for key, col in self._cols.items()}
 
-    def load(self, state: dict, ends, sync: int) -> None:
+    def load(self, state: dict, ends) -> None:
         """Replace the contents with a state() as saved by a trainer whose
-        record held the episode `ends` (the last one its step count) and that
-        had synced its target `sync` times. The saved rows are written into
-        this memory's columns, and each saved column leaves `state` as it is
-        copied, so it is freed unless the caller holds it.
+        record held the episode `ends` (the last one its step count). Each
+        saved column leaves `state` as it is copied into this memory's, so it
+        is freed unless the caller holds it.
 
         Raises:
             ValidationError: an array is missing or does not fit this memory's
                 widths or dtypes, the rows are not the record's steps up to
-                the capacity, a row's episode is not the record's, a stamp is
-                outside -1..sync, a state is not finite, a non-terminal row
-                with a stamp holds a bootstrap value that is not finite, or a
-                terminal row's is not 0.
+                the capacity, a state is not finite, or a fresh row holds a
+                bootstrap value that is not finite.
         """
         rows = check_columns(state, self._shapes, "replay")
         pushes = int(ends[-1]) if len(ends) else 0
@@ -188,18 +188,8 @@ class ReplayMemory:
                                   f"up to the capacity {self.capacity}")
         if "s" in state and not np.isfinite(state["s"]).all():
             raise ValidationError("replay column 's' holds a value that is not finite")
-        stamp, values, done = state["stamp"], state["next_value"], state["done"]
-        if ((stamp < -1) | (stamp > sync)).any():
-            raise ValidationError(f"replay stamp outside -1..{sync} (the target's sync count)")
-        if not np.isfinite(values[(stamp >= 0) & ~done]).all():
-            raise ValidationError("replay bootstrap value is not finite on a stamped, "
-                                  "non-terminal row")
-        if (values[done] != 0).any():
-            raise ValidationError("replay bootstrap value is not 0 on a terminal row")
-        steps = ring_steps(np.arange(rows), pushes, self.capacity)
-        if (state["episode"] != np.searchsorted(ends, steps, side="right")).any():
-            raise ValidationError("replay row's episode is not the episode record's")
-        del stamp, values, done
+        if not np.isfinite(state["next_value"][state["fresh"]]).all():
+            raise ValidationError("replay bootstrap value is not finite on a fresh row")
         for key, col in self._cols.items():
             col[:rows] = state.pop(key)
         self.pushes = pushes
@@ -282,15 +272,14 @@ def put_pairs(states: qnet.Pairs, items, rewards, n: int) -> qnet.Pairs:
     rewards[u] for items[u]. A raw state is kept canonical: its nonzero
     (item, reward) pairs, items ascending, then padding (item n, reward 0)
     to the width; the first layer's rounding depends on the pairs' order.
-    Each row drops its item's pair, if it has one, puts (item, reward) into
-    its last slot, which must be padding, unless the reward is 0, and is
-    sorted stably by item, so that the padding goes back to the end; so a
-    row whose pairs come in another order, as the replay reads them, gives
-    the same canonical row. Returns new arrays."""
+    Each row puts (item, reward) into its last slot, which must be padding,
+    unless the reward is 0, and is sorted stably by item, so that the
+    padding goes back to the end; so a row whose pairs come in another
+    order, as the replay reads them, gives the same canonical row. No row
+    may hold its item already: an episode takes each item once. Returns new
+    arrays."""
     width = states.items.shape[1]
-    held = states.items == items[:, None]
-    next_items = np.where(held, n, states.items)
-    next_rewards = np.where(held, 0.0, states.values)
+    next_items, next_rewards = states.items.copy(), states.values.copy()
     next_items[:, -1] = np.where(rewards != 0, items, n)
     next_rewards[:, -1] = rewards
     order = np.argsort(next_items, axis=1, kind="stable")
@@ -352,17 +341,20 @@ class StatePolicy(Policy):
 
 
 # The columns of a trainer's episode record, (shape after the rows, dtype):
-# one row per episode, and one per step of all episodes in play order.
-EPISODE_COLUMNS = {"user": ((), np.int64), "end": ((), np.int64), "loss": ((), np.float64)}
+# one row per episode (done: the environment ended it), and one per step of
+# all episodes in play order.
+EPISODE_COLUMNS = {"user": ((), np.int64), "end": ((), np.int64), "done": ((), bool),
+                   "loss": ((), np.float64)}
 STEP_COLUMNS = {"item": ((), np.int32), "reward": ((), np.float64)}
 
 
 class QTrainer(StatePolicy):
     """The learning Q-policy and the resumable state of its training run:
     network, target (a plain copy of it), replay, RNGs and the record of the
-    episodes it has played (per episode its user, the end of its steps and
-    its mean TD loss; per step its item and reward). It plays one user at a
-    time, a block of one, from a start state of state_kind."""
+    episodes it has played (per episode its user, the end of its steps,
+    whether the environment ended it and its mean TD loss; per step its item
+    and reward), the episode in play included. It plays one user at a time,
+    a block of one, from a start state of state_kind."""
 
     def __init__(self, env, users, start, update, cfg: TrainConfig):
         cfg.validate()
@@ -403,10 +395,6 @@ class QTrainer(StatePolicy):
         """The last recorded episode's end plus the current episode's steps."""
         return (int(self.record["end"][self.episode - 1]) if self.episode else 0) + len(self.losses)
 
-    @property
-    def sync_count(self) -> int:
-        return self.train_steps // self.cfg.sync_period
-
     def begin_episode(self, users) -> None:
         if len(users) != 1:
             raise ValueError(f"a Q-learner trains on one user at a time, not {len(users)}")
@@ -417,27 +405,27 @@ class QTrainer(StatePolicy):
                                        self.action_rng)])
 
     def observe(self, items, rewards, done: bool = False) -> None:
-        cfg, s, step = self.cfg, self.state[0], self.train_steps
+        cfg, s, step, e = self.cfg, self.state[0], self.train_steps, self.episode
         super().observe(items, rewards)
         self.record["item"][step], self.record["reward"][step] = items[0], rewards[0]
-        self.memory.push(s, self.episode, done)
-        batch = self.memory.sample(cfg.batch_size, self.replay_rng, self.target,
-                                   self.sync_count, cfg.gamma)
+        self.record["end"][e], self.record["done"][e] = step + 1, done
+        self.memory.push(s)
+        batch = self.memory.sample(cfg.batch_size, self.replay_rng, self.target, cfg.gamma, e + 1)
         self.losses.append(qnet.train_step(self.net, batch, cfg.q_lr))
         if self.train_steps % cfg.sync_period == 0:
             qnet.sync_target(self.net, self.target)
+            self.memory.expire_values()
 
     def run(self, until_episode: int | None = None) -> None:
         """Advance training to the requested episode count (default: all),
-        recording each episode's user as it starts and its end and loss as it ends."""
+        recording each episode's user as it starts and its loss as it ends."""
         stop = self.cfg.episodes if until_episode is None else min(until_episode, self.cfg.episodes)
         record = self.record
         while self.episode < stop:
             e = self.episode
             user = self.users[int(self.user_rng.integers(len(self.users)))]
-            record["user"][e] = user
+            record["user"][e], record["end"][e], record["done"][e] = user, self.train_steps, False
             run_episode(self.env, [user], self)
-            record["end"][e] = self.train_steps
             record["loss"][e] = float(np.mean(self.losses)) if self.losses else 0.0
             self.episode, self.losses = e + 1, []
 
@@ -509,7 +497,8 @@ class QTrainer(StatePolicy):
         if not np.isfinite(record["loss"]).all():
             raise ValidationError("episode record: a loss is not finite")
         try:
-            self.env.check_episodes(record["user"], ends, record["item"], record["reward"])
+            self.env.check_episodes(record["user"], ends, record["item"], record["reward"],
+                                    record["done"])
         except ValidationError as exc:
             raise ValidationError(f"episode record: {exc}") from None
         return episodes
@@ -520,17 +509,17 @@ class QTrainer(StatePolicy):
         a different run (see run_record), holds network parameters or
         replay states that are not finite, an episode record that
         _check_record refuses or a replay that ReplayMemory.load refuses
-        raises ValidationError. So does a state saved by an earlier
-        version, whose replay holds its rows' successor masks
-        (replay_mask_bits) or their actions (replay_a)."""
+        raises ValidationError. So does a state saved by an earlier version,
+        whose replay holds replay_stamp, replay_mask_bits or replay_a."""
         replay = [f"replay_{key}" for key in self.memory.state()]
         record_keys = [f"record_{key}" for key in (*EPISODE_COLUMNS, *STEP_COLUMNS)]
-        # every earlier layout holds replay_mask_bits, or replay_a before that
-        earlier = dict.fromkeys(("replay_mask_bits", "replay_a"),
+        # every earlier layout holds replay_stamp, replay_mask_bits or replay_a
+        earlier = dict.fromkeys(("replay_stamp", "replay_mask_bits", "replay_a"),
                                 "the replay format changed: replay rows now read their action, "
-                                "reward, raw state and successor availability from the episode "
-                                "record and the environment, and a trainer state saved by an "
-                                "earlier version is not read; train afresh")
+                                "reward, raw state, episode, terminal flag and successor "
+                                "availability from the episode record and the environment, and "
+                                "a trainer state saved by an earlier version is not read; "
+                                "train afresh")
         arrays = load_npz(path, "trainer state",
                           ("net", "target", "meta", *record_keys, *replay), earlier)
         try:
@@ -565,7 +554,7 @@ class QTrainer(StatePolicy):
                                   record)
             # the saved columns leave `arrays`, so load frees each once copied
             memory.load({key[len("replay_"):]: arrays.pop(key) for key in replay},
-                        saved_record["end"], len(saved_record["item"]) // self.cfg.sync_period)
+                        saved_record["end"])
         except ValidationError as exc:
             raise ValidationError(f"{path}: {exc}") from None
         try:

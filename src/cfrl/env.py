@@ -137,18 +137,20 @@ class InteractiveEnv:
         next_state = EnvState(users=users, t=t, avail=avail, ratings=state.ratings)
         return rewards, next_state, t == self.horizon
 
-    def check_episodes(self, users, ends, items, rewards) -> None:
+    def check_episodes(self, users, ends, items, rewards, done) -> None:
         """Replay a record of episodes through reset and step, _CHECK_BLOCK
         episodes in lockstep, and refuse one that this environment could not
         have played. Episode e is user users[e]'s and holds the steps from
         ends[e - 1] (0 for the first) to ends[e] of items and rewards; ends
-        must not decrease. The environment ends every episode at its horizon.
+        must not decrease, and done[e] is step's done at its last step (False
+        for none). The environment ends every episode at its horizon.
 
         Raises:
             ValidationError: naming the episode, and the step where it
                 applies: an episode runs over the horizon or ends before it,
                 reset refuses its user, step refuses one of its items (see
-                step), or a reward is not the one step pays.
+                step), a reward is not the one step pays, or its done flag
+                is not the one step returned.
         """
         lengths = np.diff(ends, prepend=0)
         for wrong, what in ((lengths > self.horizon, "runs over"),
@@ -161,10 +163,10 @@ class InteractiveEnv:
         rewards = rewards.reshape(len(users), self.horizon)
         block = _CHECK_BLOCK
         for first in range(0, len(users), block):
-            state = self.reset(users[first:first + block])
+            state, ended = self.reset(users[first:first + block]), False
             for t in range(self.horizon):
                 try:
-                    paid, state, _ = self.step(state, items[first:first + block, t])
+                    paid, state, ended = self.step(state, items[first:first + block, t])
                 except IllegalActionError as exc:
                     e, item = first + exc.row, int(items[first + exc.row, t])
                     catalog = self.available(users[[e]], np.empty((1, 0), dtype=np.int64))[0]
@@ -179,6 +181,11 @@ class InteractiveEnv:
                     what = (f"a reward is not finite ({got!r})" if not np.isfinite(got) else
                             f"reward {got!r} is not the {float(paid[row])!r} that step pays")
                     raise ValidationError(f"episode {first + row} step {t}: {what}")
+            wrong = np.flatnonzero(done[first:first + block] != ended)
+            if wrong.size:
+                e = first + int(wrong[0])
+                raise ValidationError(f"episode {e}: done is {bool(done[e])}, but the environment "
+                                      f"{'ended' if ended else 'did not end'} it at its last step")
 
 
 def run_episode(environment, users, policy) -> list:

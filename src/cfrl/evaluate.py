@@ -322,13 +322,16 @@ def benchmark(
     """Run the full methods-by-tasks grid over all splits.
 
     Per-split work is independent and seeded by split index, so results do
-    not depend on the degree of parallelism. Cell failures are recorded in
+    not depend on the degree of parallelism: `jobs` (at least 1) caps the
+    worker processes, at most one a split. Cell failures are recorded in
     the report instead of aborting the run.
     """
     methods = tuple(methods)
     tasks = tuple(tasks)
     if not methods:
         raise ValueError("no methods requested")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, not {jobs}")
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise ValidationError(f"unknown methods {unknown}; known: {tuple(METHODS)}")
@@ -342,7 +345,7 @@ def benchmark(
         for s, split in enumerate(splits)
     ]
     if jobs > 1 and len(contexts) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(contexts))) as pool:
             split_results = list(pool.map(run_split, contexts))
     else:
         split_results = [run_split(ctx) for ctx in contexts]

@@ -45,13 +45,16 @@ def stack(transitions, target: qnet.QNetwork, gamma: float) -> qnet.Batch:
     )
 
 
-def replay_rows(memory) -> dict:
-    """memory.state() with each row's action "a" and reward "r", its dense
-    "s" and "s_next", and "mask_next", the availability at its successor,
-    in either layout.
+def replay_rows(memory, episodes: int) -> dict:
+    """memory.state() with each row's record "step", its "episode" and
+    "terminal" flag, its action "a" and reward "r", its dense "s" and
+    "s_next", and "mask_next", the availability at its successor, in either
+    layout, over a record of `episodes` episodes.
 
     Each row's step is found by replaying the pushes into the ring, slot by
-    slot, and its episode's first step and user are the record's. A
+    slot, and its episode by walking the record's episodes to the first
+    that ends past the step; the row is terminal if it is that episode's
+    last step and the record says the environment ended the episode. A
     raw-layout row's state is rebuilt from the record one step at a time,
     from the first step of its episode, with raw_update; its successor adds
     the row's own step. A latent row's successor is the memory's state
@@ -62,18 +65,22 @@ def replay_rows(memory) -> dict:
     step_of = {}
     for step in range(memory.pushes):
         step_of[step % memory.capacity] = step
-    steps = np.array([step_of[k] for k in range(len(rows["done"]))], dtype=np.int64)
+    steps = np.array([step_of[k] for k in range(len(memory))], dtype=np.int64)
     record, env = memory.record, memory.env
     items, rewards = record["item"], record["reward"]
-    firsts = [int(record["end"][e - 1]) if e else 0 for e in rows["episode"]]
+    ends = [int(end) for end in record["end"][:episodes]]
+    of = [next(e for e in range(episodes) if ends[e] > step) for step in steps]
+    firsts = [ends[e - 1] if e else 0 for e in of]
+    terminal = [bool(record["done"][e]) and step == ends[e] - 1 for e, step in zip(of, steps)]
     masks = []
-    for step, first, episode in zip(steps, firsts, rows["episode"]):
+    for step, first, episode in zip(steps, firsts, of):
         state = env.reset([int(record["user"][episode])])
         for g in range(first, step + 1):
             _, state, _ = env.step(state, items[[g]])
         masks.append(state.avail[0])
     a, r = items[steps].astype(np.int64), rewards[steps]
-    rows.update(a=a, r=r, mask_next=np.array(masks).reshape(len(steps), env.n))
+    rows.update(step=steps, episode=np.array(of, dtype=np.int64), terminal=np.array(terminal, bool),
+                a=a, r=r, mask_next=np.array(masks).reshape(len(steps), env.n))
     if not memory.raw:
         s = rows["s"]
         s_next = np.array([memory.update(s[[k]], a[[k]], r[[k]])[0]

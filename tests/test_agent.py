@@ -40,9 +40,17 @@ from toy_mdp import ChainEnv, LIVE_STATES, encode, update, value_iteration
 
 def _record(steps):
     """Empty columns of an episode record for `steps` steps and as many
-    episodes."""
-    return {key: np.empty(steps, dtype)
-            for key, (_, dtype) in {**EPISODE_COLUMNS, **STEP_COLUMNS}.items()}
+    episodes, each episode ending past every step until _push writes its
+    end; so a replay over it may read all its episodes (see _episodes)."""
+    record = {key: np.empty(steps, dtype)
+              for key, (_, dtype) in {**EPISODE_COLUMNS, **STEP_COLUMNS}.items()}
+    record["end"][:] = np.iinfo(np.int64).max
+    return record
+
+
+def _episodes(mem):
+    """The episode count to read a replay over a _record with: all of it."""
+    return len(mem.record["end"])
 
 
 def _env(n, horizon=1):
@@ -52,22 +60,28 @@ def _env(n, horizon=1):
     return InteractiveEnv(make_dataset({0: dict.fromkeys(range(n), 1)}), TaskMode.TASK_II, horizon)
 
 
-def _rows(mem, idx):
-    """The states, actions and rewards of rows idx, as sample reads them."""
-    steps, _, through = mem.locate(np.asarray(idx))
+def _rows(mem, idx, episodes=None):
+    """The states, actions and rewards of rows idx, as sample reads them
+    from a record of `episodes` episodes (default: _episodes)."""
+    steps, _, _, through = mem.locate(np.asarray(idx), episodes or _episodes(mem))
     return mem.rows(idx, steps, through)
 
 
-def _successor_avail(mem, idx):
+def _successor_avail(mem, idx, episodes=None):
     """The availability at the successors of rows idx, as sample derives it."""
-    _, episodes, through = mem.locate(np.asarray(idx))
-    return mem.successor_avail(episodes, through)
+    _, eps, _, through = mem.locate(np.asarray(idx), episodes or _episodes(mem))
+    return mem.successor_avail(eps, through)
 
 
 def _successors(mem, idx):
     """The successors of rows idx as sample derives them: each state
     advanced by the learner's update with the row's action and reward."""
     return mem.update(*_rows(mem, idx))
+
+
+def _sample(mem, batch, rng, target):
+    """sample at gamma 0.9 over the whole of a _record."""
+    return mem.sample(batch, rng, target, 0.9, _episodes(mem))
 
 
 def _dense(capacity, n_actions, steps=64):
@@ -80,12 +94,12 @@ def _dense(capacity, n_actions, steps=64):
 
 def _push(mem, s, episode, a, r, done):
     """Record the next step's action and reward, as the trainer does, as a
-    step of user 0's episode `episode`, which ends with it for now, and push
-    it."""
+    step of user 0's episode `episode`, which ends with it for now, ended by
+    the environment if `done`, and push it."""
     record, step = mem.record, mem.pushes
-    record["user"][episode], record["end"][episode] = 0, step + 1
+    record["user"][episode], record["end"][episode], record["done"][episode] = 0, step + 1, done
     record["item"][step], record["reward"][step] = a, r
-    mem.push(s, episode, done)
+    mem.push(s)
 
 
 def _push_rows(mem, count, start=0):
@@ -148,7 +162,7 @@ class TestReplayMemory:
         mem = _dense(10, 11)
         _push_rows(mem, 10)
         target = qnet.qnet_init([2, 5, 11], seed=3)
-        batch = mem.sample(10, rng_for(0, "r"), target, 0, 0.9)
+        batch = _sample(mem, 10, rng_for(0, "r"), target)
         k = batch.s[:, 0].astype(np.int64)
         assert sorted(k.tolist()) == list(range(10))
         np.testing.assert_array_equal(batch.s, np.repeat(k[:, None], 2, axis=1).astype(float))
@@ -192,32 +206,43 @@ class TestReplayMemory:
         assert a == b
 
     def test_a_slot_push_overwrites_is_computed_again(self):
-        # a full ring of two rows, both holding their bootstrap value under
-        # sync 0; the push that overwrites slot 0 clears its stamp, so the next
-        # sample under the same sync computes the new row's value
+        # a full ring of two rows, both holding a fresh bootstrap value; the
+        # push that overwrites slot 0 writes its row stale, so the next sample
+        # computes the new row's value and keeps the other's; a target sync
+        # expires both, and the sample after it computes both again under
+        # the synced target
         mem = _dense(2, 3)
         target = qnet.qnet_init([2, 4, 3], seed=1)
         rows = [Transition(np.full(2, float(k)), k, 1.0 + k, np.full(2, k + 0.5), False,
                            np.arange(3) != k) for k in range(3)]
         for k, tr in enumerate(rows[:2]):
             _push(mem, tr.s, k, tr.a, tr.r, tr.done)
-        first = mem.sample(2, _InOrder(), target, 0, 0.9)
-        assert mem.state()["stamp"].tolist() == [0, 0]
+        assert mem.state()["fresh"].tolist() == [False, False]
+        first = _sample(mem, 2, _InOrder(), target)
+        assert mem.state()["fresh"].tolist() == [True, True]
         _push(mem, rows[2].s, 2, rows[2].a, rows[2].r, rows[2].done)
-        assert mem.state()["stamp"].tolist() == [-1, 0]
-        second = mem.sample(2, _InOrder(), target, 0, 0.9)
-        assert mem.state()["stamp"].tolist() == [0, 0]
+        assert mem.state()["fresh"].tolist() == [False, True]
+        second = _sample(mem, 2, _InOrder(), target)
+        assert mem.state()["fresh"].tolist() == [True, True]
         np.testing.assert_allclose(second.y, [td_target(rows[2], target, 0.9),
                                               td_target(rows[1], target, 0.9)], rtol=1e-12)
         assert second.y[1] == first.y[1] and second.y[0] != first.y[0]
+        synced = qnet.qnet_init([2, 4, 3], seed=2)
+        mem.expire_values()
+        assert mem.state()["fresh"].tolist() == [False, False]
+        third = _sample(mem, 2, _InOrder(), synced)
+        assert mem.state()["fresh"].tolist() == [True, True]
+        np.testing.assert_allclose(third.y, [td_target(rows[2], synced, 0.9),
+                                             td_target(rows[1], synced, 0.9)], rtol=1e-12)
+        assert (third.y != second.y).all()
 
     def test_stress_size_never_exceeds_capacity(self):
-        # the record has room for every push, as a trainer's does; it is never
-        # written, so its memory is never committed
+        # the record has room for every push, as a trainer's does; its steps
+        # are never written, so their memory is never committed
         mem = _dense(1000, 4, steps=1_000_000)
         s = np.zeros(2)
         for k in range(1_000_000):
-            mem.push(s, 0, True)
+            mem.push(s)
             if k % 100_000 == 0:
                 assert len(mem) <= 1000
         assert len(mem) == 1000
@@ -225,8 +250,9 @@ class TestReplayMemory:
 
     def test_memory_is_sized_by_its_record_not_its_capacity(self):
         # raw-state rows at the default capacity of 100,000 and horizon of 40:
-        # the episode, which reads the state's (item, reward) pairs and the
-        # successor's availability from the record, in place of two
+        # a cached bootstrap value, with the record giving the episode, the
+        # state's (item, reward) pairs and the successor's availability, in
+        # place of two
         # 1,586-wide float64 states and a mask; a record of 10,000 steps
         # gives the replay 10,000 rows (a row is small enough now that at
         # 1,000 the memory's fixed 5.5 KB would pass for rows)
@@ -246,8 +272,8 @@ class TestReplayMemory:
         finally:
             tracemalloc.stop()
         row_bytes = sum(col[0].nbytes for col in mem.state().values())
-        # episode, done, bootstrap value and its stamp
-        assert row_bytes == 4 + 1 + 8 + 4 == 17
+        # bootstrap value and its fresh flag
+        assert row_bytes == 8 + 1 == 9
         assert held <= 1.1 * steps * row_bytes
         # the successor of the last step of the second episode may take
         # every item but the episode's 40
@@ -261,8 +287,8 @@ class TestReplayMemory:
     def test_filling_to_capacity_peaks_at_what_it_holds(self, latent):
         # 50,000 rows over a 50,000-step record at n = 1,586 and T = 40, raw
         # or latent (d = 16): the columns are allocated once, so no step of
-        # the fill holds a second copy of them (at 17 bytes a raw row, 1% of
-        # 5,000 rows is less than the memory object's own attribute dict)
+        # the fill holds a second copy of them (1% of the fill, at 9 bytes a
+        # raw row, is 4.5 KB)
         n, d, horizon, rows = 1586, 16, 40, 50_000
         rng = np.random.default_rng(0)
         model = mf.MfModel(U=np.zeros((d, 1)), V=rng.normal(size=(d, n)), d=d, reg=0.01, lr=0.02)
@@ -294,10 +320,11 @@ class TestReplayMemory:
         for k in range(100):
             _push(mem, s + k, k // 40, k, 1.0 + k % 5, False)
         row_bytes = sum(col[0].nbytes for col in mem.state().values())
-        # state, episode, done, bootstrap value and its stamp; the action,
-        # the reward and the successor's availability come from the record
-        assert row_bytes == d * 8 + 4 + 1 + 8 + 4 == 145
-        assert sorted(mem.state()) == ["done", "episode", "next_value", "s", "stamp"]
+        # state, bootstrap value and its fresh flag; the episode, the
+        # terminal flag, the action, the reward and the successor's
+        # availability come from the record
+        assert row_bytes == d * 8 + 8 + 1 == 137
+        assert sorted(mem.state()) == ["fresh", "next_value", "s"]
         rows = np.arange(100)
         expected = mf.online_update(model, s + rows[:, None], rows, 1.0 + rows % 5)
         assert _successors(mem, rows).tobytes() == expected.tobytes()
@@ -359,7 +386,7 @@ def test_raw_rows_rebuild_exactly(data):
     assert _same_pairs(s_next, raw_pairs(dense_next, horizon - 1))
     assert _same_pairs(put_pairs(canonical, a, r, n)[:, :horizon], s_next)
     # a sampled batch holds these states and the record's actions
-    batch = mem.sample(len(k), _InOrder(), qnet.qnet_init([n, 3, n], seed=0), 0, 0.9)
+    batch = _sample(mem, len(k), _InOrder(), qnet.qnet_init([n, 3, n], seed=0))
     assert _same_pairs(batch.s, s) and np.array_equal(batch.a, a)
 
 
@@ -378,23 +405,27 @@ def _bits(pairs):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_put_pairs_is_the_dense_raw_state_bit_for_bit(data):
-    # from the all-padding start, putting any (item, reward) sequence gives
-    # the oracle's canonical pairs of the dense state: zero rewards, repeated
-    # items, items 0 and n - 1 and horizon 0 included, and U rows advanced
-    # together give each row's pairs advanced alone
+    # from the all-padding start, putting any (item, reward) sequence of
+    # distinct items, as an episode takes them, gives the oracle's canonical
+    # pairs of the dense state: zero rewards, items 0 and n - 1 and horizon 0
+    # included, and U rows advanced together give each row's pairs advanced
+    # alone
     n = data.draw(st.integers(1, 30), label="n")
     horizon = data.draw(st.integers(0, 8), label="horizon")
     users = data.draw(st.integers(1, 4), label="users")
-    items = st.lists(st.one_of(st.sampled_from([0, n - 1]), st.integers(0, n - 1)),
-                     min_size=users, max_size=users)
+    # up to horizon puts in play, then the one a replay successor adds
+    steps = data.draw(st.integers(0, min(horizon + 1, n)), label="steps")
+    taken = np.array([data.draw(st.lists(st.one_of(st.sampled_from([0, n - 1]),
+                                                   st.integers(0, n - 1)),
+                                         unique=True, min_size=steps, max_size=steps),
+                                label="items") for _ in range(users)], dtype=np.int64)
     rewards = st.lists(st.sampled_from([0.0, 1.0, 2.5, 5.0, -1.5]),
                        min_size=users, max_size=users)
     start, put = state_kind(None, n, horizon)
     block, dense, alone = start[[0] * users], np.zeros((users, n)), [start] * users
     assert _bits(block) == _bits(raw_pairs(dense, horizon))
-    # up to horizon puts in play, then the one a replay successor adds
-    for _ in range(data.draw(st.integers(0, horizon + 1), label="steps")):
-        step_items = np.array(data.draw(items, label="items"))
+    for step in range(steps):
+        step_items = taken[:, step]
         step_rewards = np.array(data.draw(rewards, label="rewards"))
         block = put(block, step_items, step_rewards)
         dense = raw_update(dense, step_items, step_rewards)
@@ -463,7 +494,7 @@ def test_training_log_shape_and_sync_cadence(tmp_path, small_setup):
     assert len(logs) == 6
     assert [int(log["episode"]) for log in logs] == list(range(6))
     # 24 train steps at L=5 -> floor(24/5) syncs, recorded cumulatively
-    assert int(logs[-1]["sync_count"]) == (6 * 4) // 5 == trainer.sync_count
+    assert int(logs[-1]["sync_count"]) == (6 * 4) // 5 == trainer.train_steps // cfg.sync_period
     for prev, cur in zip(logs, logs[1:]):
         assert int(cur["sync_count"]) - int(prev["sync_count"]) in (0, 1)
     assert all(float(log["epsilon"]) == cfg.epsilon for log in logs)
@@ -521,6 +552,139 @@ def test_replay_derives_the_availability_that_play_had(small_setup, monkeypatch,
     assert (expected.sum(axis=1) < ds.n - cfg.horizon).all() == (task is TaskMode.TASK_I)
 
 
+@pytest.mark.parametrize("learner", ["cfrl-task1", "cfrl-task2", "dqn-task1", "dqn-task2", "chain"])
+def test_derived_episodes_and_terminal_flags_are_the_played_ones(small_setup, monkeypatch,
+                                                                  learner):
+    # every sampled row's episode, and whether it is terminal (the step at
+    # which the environment's step returned done), derived from the record,
+    # are what play had: the ring has wrapped, the toy chain's episodes end
+    # before its horizon, and a terminal row is sampled in the same observe
+    # that pushed it
+    if learner == "chain":
+        cfg = TrainConfig(episodes=40, horizon=10, hidden_sizes=(), batch_size=4,
+                          replay_capacity=7, epsilon=0.6, seed=0)
+        trainer = QTrainer(ChainEnv(horizon=10), [0], start=np.zeros((1, 3)), update=update,
+                           cfg=cfg)
+    else:
+        ds, split, model = small_setup
+        method, task = learner.split("-")
+        cfg = TrainConfig(episodes=12, horizon=3, hidden_sizes=(8,), task=TaskMode(task),
+                          batch_size=4, replay_capacity=7, epsilon=0.5, seed=3)
+        trainer = make_trainer(ds, split, model if method == "cfrl" else None, cfg)
+    step, locate, played, seen = trainer.env.step, ReplayMemory.locate, [], []
+
+    def recording_step(state, actions):
+        rewards, state, done = step(state, actions)
+        played.append((trainer.episode, done))
+        return rewards, state, done
+
+    def recording_locate(memory, idx, episodes):
+        found = locate(memory, idx, episodes)
+        seen.append((memory.pushes, found))
+        return found
+
+    monkeypatch.setattr(trainer.env, "step", recording_step)
+    monkeypatch.setattr(ReplayMemory, "locate", recording_locate)
+    trainer.run()
+    assert len(seen) == len(played) == trainer.train_steps > 2 * cfg.replay_capacity
+    episode, done = (np.array(col) for col in zip(*played))
+    assert done.any() and (learner != "chain" or len(played) < cfg.episodes * cfg.horizon)
+    just_pushed = 0
+    for pushes, (steps, eps, terminal, _) in seen:
+        assert (steps < pushes).all()
+        assert eps.tolist() == episode[steps].tolist()
+        assert terminal.dtype == bool and terminal.tolist() == done[steps].tolist()
+        just_pushed += (terminal & (steps == pushes - 1)).sum()
+    assert just_pushed > 0
+
+
+def test_an_episode_cut_at_the_horizon_bootstraps_from_the_target(monkeypatch):
+    # the toy chain at a horizon of 1: from the start, actions 0 and 2 lead
+    # on to state 1, so the horizon cuts the episode and its done is False,
+    # and its one row bootstraps from the target; action 1 ends it, and that
+    # row's target is its reward alone
+    cfg = TrainConfig(episodes=30, horizon=1, gamma=0.9, epsilon=1.0, hidden_sizes=(),
+                      batch_size=4, replay_capacity=50, seed=0)
+    trainer = QTrainer(ChainEnv(horizon=1), [0], start=np.zeros((1, 3)), update=update, cfg=cfg)
+    draw, train_step, steps = ReplayMemory.draw, qnet.train_step, []
+
+    def recording_draw(memory, batch, rng):
+        steps.append({"idx": draw(memory, batch, rng)})
+        return steps[-1]["idx"]
+
+    def recording_train_step(net, batch, lr):
+        steps[-1].update(y=batch.y.copy(), target=trainer.target.copy())
+        return train_step(net, batch, lr)
+
+    monkeypatch.setattr(ReplayMemory, "draw", recording_draw)
+    monkeypatch.setattr(qnet, "train_step", recording_train_step)
+    trainer.run()
+    record = trainer.record
+    items, rewards, done = record["item"][:30], record["reward"][:30], record["done"][:30]
+    assert record["end"][:30].tolist() == list(range(1, 31))
+    assert done.tolist() == (items == 1).tolist() and 0 < done.sum() < 30
+    rows = [Transition(np.zeros(3), int(item), float(reward), encode(1), bool(ended),
+                       np.ones(3, bool)) for item, reward, ended in zip(items, rewards, done)]
+    cut = 0
+    for step in steps:
+        # the ring never wraps: slot k holds step k
+        np.testing.assert_allclose(step["y"], [td_target(rows[k], step["target"], cfg.gamma)
+                                               for k in step["idx"]], rtol=1e-12, atol=0)
+        ended = done[step["idx"]]
+        assert step["y"][ended].tolist() == rewards[step["idx"]][ended].tolist()
+        cut += (~ended).sum()
+    assert cut > 0
+
+
+@pytest.mark.parametrize("raw_state", [False, True])
+def test_fresh_flags_clear_at_each_sync_and_nowhere_else(small_setup, monkeypatch, raw_state):
+    # between syncs a row's fresh flag is only set, by the sample that
+    # computes its value, or written False by the push that overwrites its
+    # slot; a sync clears every flag; every sampled row that is not terminal
+    # is fresh after its sample
+    ds, split, model = small_setup
+    cfg = TrainConfig(episodes=8, horizon=3, hidden_sizes=(8,), task=TaskMode.TASK_II,
+                      sync_period=5, batch_size=3, replay_capacity=7, epsilon=0.5, seed=2)
+    trainer = make_trainer(ds, split, None if raw_state else model, cfg)
+    memory, sync_target, draw = trainer.memory, qnet.sync_target, ReplayMemory.draw
+    observe, syncs, draws = trainer.observe, [], []
+    cleared = 0
+
+    def recording_sync(net, target):
+        syncs.append(trainer.train_steps)
+        sync_target(net, target)
+
+    def recording_draw(memory, batch, rng):
+        draws.append(draw(memory, batch, rng))
+        return draws[-1]
+
+    def checking_observe(items, rewards, done=False):
+        nonlocal cleared
+        kept = np.zeros(min(memory.pushes + 1, memory.capacity), bool)
+        kept[: len(memory)] = memory.state()["fresh"]
+        kept[memory.pushes % memory.capacity] = False
+        synced = len(syncs)
+        observe(items, rewards, done)
+        fresh = memory.state()["fresh"]
+        if len(syncs) > synced:
+            assert not fresh.any()
+            cleared += kept.sum()
+            return
+        drawn = np.zeros(len(fresh), bool)
+        drawn[draws[-1]] = True
+        terminal = np.zeros(len(fresh), bool)
+        terminal[draws[-1]] = memory.locate(draws[-1], trainer.episode + 1)[2]
+        assert not (kept & ~fresh).any()
+        assert not (fresh & ~kept & ~drawn).any()
+        assert (fresh | ~drawn | terminal).all()
+
+    monkeypatch.setattr(qnet, "sync_target", recording_sync)
+    monkeypatch.setattr(ReplayMemory, "draw", recording_draw)
+    monkeypatch.setattr(trainer, "observe", checking_observe)
+    trainer.run()
+    assert syncs == [5, 10, 15, 20] and cleared > 0
+
+
 _RUN_SPLIT = Split(train_users=frozenset(range(8)), test_users=frozenset({8, 9}), seed=0)
 
 
@@ -543,7 +707,8 @@ def test_check_episodes_accepts_every_record_a_run_writes(task, horizon, episode
     assert steps == episodes * horizon
     with mock.patch.object(env_module, "_CHECK_BLOCK", block):
         trainer.env.check_episodes(record["user"][:episodes], record["end"][:episodes],
-                                   record["item"][:steps], record["reward"][:steps])
+                                   record["item"][:steps], record["reward"][:steps],
+                                   record["done"][:episodes])
 
 
 @pytest.mark.parametrize("raw_state", [False, True])
@@ -558,7 +723,7 @@ def test_trainer_and_greedy_policy_share_one_state(small_setup, raw_state):
     trainer.run()
     trace = _trace(trainer)
     rows = np.arange(len(trace))
-    s, a, r = _rows(trainer.memory, rows)
+    s, a, r = _rows(trainer.memory, rows, trainer.episode)
     s_next = trainer.memory.update(s, a, r)
     policy = GreedyQPolicy(trainer.net, mf_model=model, raw_state=raw_state, horizon=cfg.horizon)
 
@@ -598,8 +763,9 @@ def test_every_trained_target_is_the_td_target_under_the_current_target(
 
     def recording_draw(memory, batch, rng):
         idx = draw(memory, batch, rng)
-        rows = {key: col.copy() for key, col in replay_rows(memory).items()}
-        steps.append({"idx": idx, "rows": rows, "sync": trainer.sync_count})
+        # the episode in play is in the record
+        rows = {key: col.copy() for key, col in replay_rows(memory, trainer.episode + 1).items()}
+        steps.append({"idx": idx, "rows": rows})
         return idx
 
     def recording_train_step(net, batch, lr):
@@ -609,17 +775,19 @@ def test_every_trained_target_is_the_td_target_under_the_current_target(
     monkeypatch.setattr(ReplayMemory, "draw", recording_draw)
     monkeypatch.setattr(qnet, "train_step", recording_train_step)
     trainer.run()
-    assert len(steps) == 8 * 4 and trainer.sync_count == 8
+    assert len(steps) == 8 * 4 and trainer.train_steps // cfg.sync_period == 8
     served = recomputed = 0
+    sampled = set()     # the record steps sampled so far
     for step in steps:
         rows, idx = step["rows"], step["idx"]
-        expected = [td_target(Transition(rows["s"][k], rows["a"][k], rows["r"][k],
-                                         rows["s_next"][k], rows["done"][k], rows["mask_next"][k]),
+        expected = [td_target(Transition(rows["s"][k], rows["a"][k], rows["r"][k], rows["s_next"][k],
+                                         rows["terminal"][k], rows["mask_next"][k]),
                               step["target"], cfg.gamma) for k in idx]
         np.testing.assert_allclose(step["y"], expected, rtol=1e-12, atol=0)
-        live = ~rows["done"][idx]
-        served += (live & (rows["stamp"][idx] == step["sync"])).sum()
-        recomputed += (live & (rows["stamp"][idx] >= 0) & (rows["stamp"][idx] < step["sync"])).sum()
+        live, fresh = ~rows["terminal"][idx], rows["fresh"][idx]
+        served += (live & fresh).sum()
+        recomputed += (live & ~fresh & np.isin(rows["step"][idx], list(sampled))).sum()
+        sampled.update(rows["step"][idx].tolist())
     # values kept within a sync period, and values computed before a sync and
     # computed again after it, are both among the checked rows
     assert served > 0 and recomputed > 0
@@ -647,8 +815,8 @@ def test_trainer_save_restore_continues_exactly(tmp_path, small_setup):
 
         first = make_trainer(ds, split, mf_model, cfg)
         first.run(until_episode=3)
-        assert (first.train_steps, first.sync_count) == (9, 2)
-        assert (first.memory.state()["stamp"] == first.sync_count).any()
+        assert first.train_steps == 9
+        assert first.memory.state()["fresh"].any()
         path = tmp_path / "state.npz"
         first.save(path)
         resumed = make_trainer(ds, split, mf_model, cfg)
@@ -730,19 +898,19 @@ def test_restore_rejects_states_that_do_not_fit(tmp_path, small_setup):
     trainer.save(good)
     with np.load(good) as data:
         replay = {key: data[key] for key in data.files if key.startswith("replay_")}
-        s, episode, done = replay["replay_s"], replay["replay_episode"], replay["replay_done"]
+        s, fresh = replay["replay_s"], replay["replay_fresh"]
         net = data["net"]
-    assert len(done) == 6
+    assert len(fresh) == 6
     bad = tmp_path / "bad.npz"
     cases = [  # (changed arrays, None for the file cut 40 bytes short; message)
         (None, "not a zip"),
         ({"net": None}, "unreadable"),
-        ({"replay_done": None}, "unreadable"),
+        ({"replay_fresh": None}, "unreadable"),
         ({"net": net[:-1]}, "parameters"),
         ({"net": net.astype(np.float32)}, "parameters"),
         ({"replay_s": s[:, :-1]}, "'s'"),
-        ({"replay_episode": episode[:, None]}, "'episode'"),
-        ({"replay_done": done[:-1]}, "replay column"),
+        ({"replay_fresh": fresh[:, None]}, "'fresh'"),
+        ({"replay_fresh": fresh[:-1]}, "replay column"),
         # every column one row short: not the record's 6 steps
         ({key: col[:-1] for key, col in replay.items()}, "5 rows, not the record's 6 steps"),
         ({"meta": np.frombuffer(b"{not json", dtype=np.uint8)}, "unreadable"),
@@ -752,11 +920,10 @@ def test_restore_rejects_states_that_do_not_fit(tmp_path, small_setup):
             bad.write_bytes(good.read_bytes()[:-40])
         else:
             _rewrite_state(good, bad, **changes)
-        fresh = make_trainer(ds, split, model, cfg)
         with pytest.raises(ValidationError, match=message):
-            fresh.restore(bad)
+            make_trainer(ds, split, model, cfg).restore(bad)
     # a smaller replay capacity cannot hold the saved rows
-    small = make_trainer(ds, split, model, replace(cfg, replay_capacity=len(done) - 1))
+    small = make_trainer(ds, split, model, replace(cfg, replay_capacity=len(fresh) - 1))
     with pytest.raises(ValidationError, match="capacity"):
         small.restore(good)
     wider = make_trainer(ds, split, model, replace(cfg, hidden_sizes=(9,)))
@@ -772,28 +939,34 @@ def _with(array, row, value):
 
 @pytest.mark.parametrize("raw_state", [False, True])
 @pytest.mark.parametrize("case", [
-    # (changed arrays, given the saved stamp, bootstrap values, done flags and
-    # sync count; the message)
-    (lambda stamp, values, done, sync: {"replay_stamp": stamp.astype(np.int64)}, "'stamp'"),
-    (lambda stamp, values, done, sync: {"replay_next_value": values[:, None]}, "'next_value'"),
-    (lambda stamp, values, done, sync: {"replay_next_value": values.astype(np.float32)},
-     "'next_value'"),
-    (lambda stamp, values, done, sync: {"replay_stamp": _with(stamp, 0, sync + 1)},
-     "stamp outside -1..2"),
-    (lambda stamp, values, done, sync: {"replay_stamp": _with(stamp, 0, -2)}, "stamp outside"),
-    (lambda stamp, values, done, sync: {
-        "replay_next_value": _with(values, np.flatnonzero((stamp >= 0) & ~done)[0], np.nan)},
-     "not finite"),
-    (lambda stamp, values, done, sync: {"replay_next_value": _with(values, done, 1.5)},
-     "not 0 on a terminal row"),
+    # (changed arrays, given the saved fresh flags and bootstrap values; the
+    # message)
+    (lambda fresh, values: {"replay_fresh": fresh.astype(np.uint8)}, "'fresh'"),
+    (lambda fresh, values: {"replay_next_value": values[:, None]}, "'next_value'"),
+    (lambda fresh, values: {"replay_next_value": values.astype(np.float32)}, "'next_value'"),
+    (lambda fresh, values: {"replay_next_value": _with(values, np.flatnonzero(fresh)[0], np.nan)},
+     "not finite on a fresh row"),
+    # load does not know which rows are terminal: a fresh flag on one, row 2
+    # (the first episode's last step), is checked like any other
+    (lambda fresh, values: {"replay_fresh": _with(fresh, 2, True),
+                            "replay_next_value": _with(values, 2, np.inf)},
+     "not finite on a fresh row"),
     # a state saved before the replay kept its rows' bootstrap values; it
     # held each row's action and reward, as every earlier layout did
-    (lambda stamp, values, done, sync: {"replay_stamp": None, "replay_next_value": None,
-                                        "replay_a": np.zeros(len(done), np.int64),
-                                        "replay_r": np.zeros(len(done))},
+    (lambda fresh, values: {"replay_fresh": None, "replay_next_value": None,
+                            "replay_a": np.zeros(len(fresh), np.int64),
+                            "replay_r": np.zeros(len(fresh))},
      "replay format changed.*train afresh"),
-], ids=["stamp-dtype", "value-shape", "value-dtype", "stamp-after-sync", "stamp-below-1",
-        "value-not-finite", "value-on-terminal-row", "earlier-layout"])
+    # the layout before the record said whether the environment ended an
+    # episode: each row kept its episode, its terminal flag and the sync
+    # count its value was computed under
+    (lambda fresh, values: {"replay_fresh": None, "record_done": None,
+                            "replay_episode": np.repeat(np.arange(3, dtype=np.int32), 3),
+                            "replay_done": np.arange(9) % 3 == 2,
+                            "replay_stamp": np.where(fresh, 2, -1).astype(np.int32)},
+     "replay format changed.*episode, terminal flag.*train afresh"),
+], ids=["fresh-dtype", "value-shape", "value-dtype", "value-not-finite", "value-on-terminal-row",
+        "earlier-layout", "stamped-layout"])
 def test_restore_refuses_a_bad_bootstrap_column(tmp_path, small_setup, raw_state, case):
     ds, split, model = small_setup
     cfg = TrainConfig(episodes=3, horizon=3, hidden_sizes=(8,), task=TaskMode.TASK_II,
@@ -801,26 +974,27 @@ def test_restore_refuses_a_bad_bootstrap_column(tmp_path, small_setup, raw_state
     model = None if raw_state else model
     trainer = make_trainer(ds, split, model, cfg)
     trainer.run()
-    assert trainer.sync_count == 2
+    assert trainer.train_steps == 9
     good = tmp_path / "state.npz"
     trainer.save(good)
     with np.load(good) as data:
-        stamp, values, done = data["replay_stamp"], data["replay_next_value"], data["replay_done"]
-    assert stamp.dtype == np.int32 and values.dtype == np.float64
+        fresh, values = data["replay_fresh"], data["replay_next_value"]
+    assert fresh.dtype == bool and values.dtype == np.float64
     changes, message = case
-    bad = _rewrite_state(good, tmp_path / "bad.npz", **changes(stamp, values, done, 2))
+    bad = _rewrite_state(good, tmp_path / "bad.npz", **changes(fresh, values))
     with pytest.raises(ValidationError, match=message) as err:
         make_trainer(ds, split, model, cfg).restore(bad)
     assert str(bad) in str(err.value)
-    # the state as saved loads, a stamp of the current sync count included
-    assert (stamp == 2).any()
+    # the state as saved loads, with values kept since the last sync (at
+    # step 8) among its rows
+    assert fresh.any() and not fresh[2::3].any()
     make_trainer(ds, split, model, cfg).restore(good)
 
 
 def test_restore_rejects_malformed_raw_pairs(tmp_path, small_setup):
-    # a raw row's pairs come from the record: a row whose episode is not the
-    # record's, or an episode that repeats an item, would build pairs that
-    # play never held, and is refused
+    # a raw row's pairs come from the record, its episode's steps before its
+    # own: an episode that repeats an item would build pairs that play never
+    # held, and is refused
     ds, split, _ = small_setup
     n = ds.n
     # task1 pays a rating at every step, so every step adds a pair
@@ -831,19 +1005,15 @@ def test_restore_rejects_malformed_raw_pairs(tmp_path, small_setup):
     good = tmp_path / "state.npz"
     trainer.save(good)
     with np.load(good) as data:
-        episode, users, items, rewards = (data[f"{key}"] for key in (
-            "replay_episode", "record_user", "record_item", "record_reward"))
-    assert episode.tolist() == [0, 0, 0, 1, 1, 1] and episode.dtype == np.int32
-    dense = replay_rows(trainer.memory)
+        users, items, rewards = (data[key] for key in ("record_user", "record_item", "record_reward"))
+    assert trainer.memory.locate(np.arange(6), 2)[1].tolist() == [0, 0, 0, 1, 1, 1]
+    dense = replay_rows(trainer.memory, 2)
     # the third step of the first episode starts from two pairs
     assert np.count_nonzero(dense["s"][2]) == 2
     bad = tmp_path / "bad.npz"
     cases = [
-        ({"replay_episode": _with(episode, 2, 1)}, "row's episode is not the episode record's"),
-        ({"replay_episode": _with(episode, 3, 0)}, "row's episode"),
-        ({"replay_episode": episode.astype(np.int64)}, "'episode'"),
         # a raw state saved before the replay read its pairs from the record
-        ({"replay_episode": None, "replay_s_items": np.full((6, 3), n, np.int32),
+        ({"replay_s_items": np.full((6, 3), n, np.int32),
           "replay_s_rewards": np.zeros((6, 3)), "replay_a": items.astype(np.int64),
           "replay_r": dense["r"]}, "replay format changed.*train afresh"),
     ]
@@ -862,7 +1032,7 @@ def test_restore_rejects_malformed_raw_pairs(tmp_path, small_setup):
     restored = make_trainer(ds, split, None, cfg)
     restored.restore(good)
     for key in ("s", "s_next", "a", "r"):
-        np.testing.assert_array_equal(replay_rows(restored.memory)[key], dense[key])
+        np.testing.assert_array_equal(replay_rows(restored.memory, 2)[key], dense[key])
 
 
 def test_restore_of_a_full_ring_keeps_evicting_in_order(tmp_path, small_setup):
@@ -885,8 +1055,8 @@ def test_restore_of_a_full_ring_keeps_evicting_in_order(tmp_path, small_setup):
         resumed.run()
         for key, col in straight.memory.state().items():
             np.testing.assert_array_equal(resumed.memory.state()[key], col)
-        for key, col in replay_rows(straight.memory).items():
-            np.testing.assert_array_equal(replay_rows(resumed.memory)[key], col)
+        for key, col in replay_rows(straight.memory, 4).items():
+            np.testing.assert_array_equal(replay_rows(resumed.memory, 4)[key], col)
         assert (
             qnet.flatten_params(resumed.net).tobytes()
             == qnet.flatten_params(straight.net).tobytes()
@@ -958,6 +1128,10 @@ def _unrated(record, ds):
     (lambda rec, ds: {"record_item": _with(rec["item"], 4, -1)}, "item outside"),
     (lambda rec, ds: {"record_reward": _with(rec["reward"], 4, np.nan)}, "a reward is not finite"),
     (lambda rec, ds: {"record_loss": _with(rec["loss"], 2, np.inf)}, "a loss is not finite"),
+    (lambda rec, ds: {"record_done": rec["done"].astype(np.uint8)}, "'done'"),
+    # the environment ends every episode at its horizon
+    (lambda rec, ds: {"record_done": _with(rec["done"], 1, False)},
+     "episode 1: done is False, but the environment ended it at its last step"),
     # a raw learner's replay builds its states from the record, one pair an
     # item; further elements name the learner and the task (default latent
     # and task2)
@@ -978,7 +1152,7 @@ def _unrated(record, ds):
      "episode 1: item .* at step 2 .* repeats an item"),
 ], ids=["item-dtype", "loss-length", "end-shape", "user-missing", "ends-decrease",
         "over-horizon", "last-end", "step-count", "user", "item-above", "item-below",
-        "reward", "loss", "raw-repeat", "raw-task1-reward", "raw-task2-reward",
+        "reward", "loss", "done-dtype", "done", "raw-repeat", "raw-task1-reward", "raw-task2-reward",
         "raw-task1-unrated", "latent-repeat"])
 def test_restore_refuses_a_bad_episode_record(tmp_path, small_setup, case):
     # the record is the one source of the step, sync and episode counts, the
@@ -1022,7 +1196,7 @@ def test_restore_refuses_a_state_without_an_episode_record(tmp_path, small_setup
              "epsilon": cfg.epsilon, "sync_count": end // cfg.sync_period}
             for e, user, end, loss, _, rewards in trainer.episodes()]
     meta.update(train_steps=trainer.train_steps, logs=logs)
-    _, a, r = _rows(trainer.memory, np.arange(len(trainer.memory)))
+    _, a, r = _rows(trainer.memory, np.arange(len(trainer.memory)), trainer.episode)
     bad = _rewrite_state(good, tmp_path / "old.npz", **dict.fromkeys(keys), replay_a=a, replay_r=r,
                          meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8))
     with pytest.raises(ValidationError, match="replay format changed.*train afresh") as err:
@@ -1050,7 +1224,7 @@ def test_record_fits_a_resume_that_asks_for_fewer_episodes(tmp_path, small_setup
 
 def test_record_of_a_default_run_takes_12_bytes_a_step(tmp_path, small_setup):
     # a default run, 20,000 episodes of 40 steps: 12 bytes a step (an int32
-    # item, a float64 reward) and 24 an episode, in memory and in the state;
+    # item, a float64 reward) and 25 an episode, in memory and in the state;
     # a catalog of 50 items holds an episode of 40
     _, split, _ = small_setup
     ds = make_dataset(synthetic_profiles(n_users=10, n_items=50, per_user=8, seed=4))
@@ -1063,20 +1237,20 @@ def test_record_of_a_default_run_takes_12_bytes_a_step(tmp_path, small_setup):
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    size = 20_000 * 24 + 800_000 * 12
+    size = 20_000 * 25 + 800_000 * 12
     assert sum(col.nbytes for col in trainer.record.values()) == size <= held <= 11e6
     # a record filled to the end, user 3 taking the same 40 items in every
     # episode, is saved as it is held, and loads
     rng = np.random.default_rng(0)
     items = rng.permutation(ds.n)[:40]
     record = trainer.record
-    record["user"][:], record["end"][:] = 3, 40 * np.arange(1, 20_001)
+    record["user"][:], record["end"][:], record["done"][:] = 3, 40 * np.arange(1, 20_001), True
     record["loss"][:], record["item"][:] = rng.random(20_000), np.tile(items, 20_000)
     record["reward"][:] = np.tile(trainer.env.reset([3]).ratings[0, items], 20_000)
     trainer.episode = 20_000
     # a full replay of 8 rows holds the record's last 8 steps
     for _ in range(8):
-        trainer.memory.push(np.zeros(model.d), 19_999, False)
+        trainer.memory.push(np.zeros(model.d))
     trainer.memory.pushes = 800_000
     path = tmp_path / "state.npz"
     trainer.save(path)
@@ -1109,9 +1283,9 @@ def test_target_is_the_net_right_after_each_sync(small_setup, monkeypatch):
     monkeypatch.setattr(qnet, "sync_target", recording_sync)
     while trainer.episode < cfg.episodes:
         trainer.run(until_episode=trainer.episode + 1)
-        assert trainer.sync_count == trainer.train_steps // cfg.sync_period == len(synced) - 1
+        assert trainer.train_steps // cfg.sync_period == len(synced) - 1
         assert qnet.flatten_params(trainer.target).tobytes() == synced[-1].tobytes()
-    assert trainer.train_steps == 5 * 4 and trainer.sync_count == 2
+    assert trainer.train_steps == 5 * 4 and len(synced) - 1 == 2
     assert [end // cfg.sync_period for _, _, end, *_ in trainer.episodes()] == [
         4 * (k + 1) // 7 for k in range(5)]
 
@@ -1126,7 +1300,7 @@ def test_restore_refuses_a_latent_state_that_stores_successors(tmp_path, small_s
     trainer.run()
     good = tmp_path / "state.npz"
     trainer.save(good)
-    rows = replay_rows(trainer.memory)
+    rows = replay_rows(trainer.memory, trainer.episode)
     bad = _rewrite_state(good, tmp_path / "old.npz", replay_s_next=rows["s_next"],
                          replay_a=rows["a"], replay_r=rows["r"])
     with pytest.raises(ValidationError, match="replay format changed.*train afresh") as err:
@@ -1213,7 +1387,7 @@ def test_training_log_round_trip(tmp_path, small_setup, monkeypatch):
     trainer.run()
     path = tmp_path / "log.csv"
     write_training_log(path, trainer)
-    rewards = _rows(trainer.memory, np.arange(9))[2].tolist()
+    rewards = _rows(trainer.memory, np.arange(9), trainer.episode)[2].tolist()
     users = [user for _, user, *_ in trainer.episodes()]
     assert _read_csv(path) == [
         {"episode": str(e), "user": str(users[e]),
@@ -1223,8 +1397,9 @@ def test_training_log_round_trip(tmp_path, small_setup, monkeypatch):
 
 
 def test_trace_round_trip(tmp_path, small_setup):
-    # one row per step, in play order, as the replay saw it pushed: the
-    # action, the reward and done, which marks an episode's last step
+    # one row per step, in play order, as the replay reads it: the action,
+    # the reward and done, which marks an episode's last step, the terminal
+    # row of an episode that the environment ended at its horizon
     ds, split, model = small_setup
     cfg = TrainConfig(episodes=3, horizon=4, hidden_sizes=(8,), task=TaskMode.TASK_II, seed=5)
     trainer = make_trainer(ds, split, model, cfg)
@@ -1233,7 +1408,8 @@ def test_trace_round_trip(tmp_path, small_setup):
     write_trace(path, trainer)
     with open(path, newline="", encoding="utf-8") as fh:
         lines = list(csv.reader(fh))
-    (_, a, r), done = _rows(trainer.memory, np.arange(12)), trainer.memory.state()["done"]
+    (_, a, r), done = (_rows(trainer.memory, np.arange(12), trainer.episode),
+                       trainer.memory.locate(np.arange(12), trainer.episode)[2])
     users = [user for _, user, *_ in trainer.episodes()]
     assert lines == [["episode", "user", "t", "action", "reward", "done"], *[
         [str(k // 4), str(users[k // 4]), str(k % 4), str(a[k]),

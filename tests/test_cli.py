@@ -302,7 +302,6 @@ def test_train_resume_of_a_dqn_state_with_dense_replay_exits_2(workspace, capsys
     with np.load(state) as saved:
         arrays = _with_replay_actions({key: saved[key] for key in saved.files})
     rows = len(arrays["replay_a"])
-    del arrays["replay_episode"]
     arrays["replay_s"] = arrays["replay_s_next"] = np.zeros((rows, 30))
     with open(state, "wb") as fh:
         np.savez(fh, **arrays)
@@ -314,7 +313,7 @@ def test_train_resume_of_a_dqn_state_with_dense_replay_exits_2(workspace, capsys
 
 @pytest.mark.parametrize("method", ["cfrl", "dqn"])
 def test_train_resume_of_a_state_without_bootstrap_values_exits_2(workspace, capsys, method):
-    # earlier versions kept no bootstrap value or stamp in the replay rows
+    # earlier versions kept no bootstrap value in the replay rows
     tmp_path, data, cfg_path = workspace
     if method == "cfrl":
         assert main(["pretrain", "--config", str(cfg_path)]) == 0
@@ -322,7 +321,7 @@ def test_train_resume_of_a_state_without_bootstrap_values_exits_2(workspace, cap
     state = tmp_path / "out" / f"{method}_task2_split0_state.npz"
     with np.load(state) as saved:
         arrays = _with_replay_actions({key: saved[key] for key in saved.files
-                                       if key not in ("replay_next_value", "replay_stamp")})
+                                       if key not in ("replay_next_value", "replay_fresh")})
     with open(state, "wb") as fh:
         np.savez(fh, **arrays)
     capsys.readouterr()
@@ -400,9 +399,33 @@ def test_train_resume_of_a_state_whose_replay_stores_successor_masks_exits_2(
     state = tmp_path / "out" / f"{method}_task2_split0_state.npz"
     with np.load(state) as saved:
         arrays = {key: saved[key] for key in saved.files}
-    rows = len(arrays.pop("replay_episode"))
+    rows = len(arrays["replay_next_value"])
     arrays["replay_t"] = np.tile(np.arange(4, dtype=np.int32), rows // 4)
     arrays["replay_mask_bits"] = np.full((rows, 4), 255, np.uint8)
+    with open(state, "wb") as fh:
+        np.savez(fh, **arrays)
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg_path), "--method", method, "--resume"]) == 2
+    err = capsys.readouterr().err
+    assert str(state) in err and "replay format changed" in err and "train afresh" in err
+
+
+@pytest.mark.parametrize("method", ["cfrl", "dqn"])
+def test_train_resume_of_a_state_whose_replay_stores_episodes_and_stamps_exits_2(
+        workspace, capsys, method):
+    # the layout before the record said whether the environment ended an
+    # episode: each replay row kept its episode, its terminal flag and the
+    # sync count its bootstrap value was computed under
+    tmp_path, data, cfg_path = workspace
+    if method == "cfrl":
+        assert main(["pretrain", "--config", str(cfg_path)]) == 0
+    assert main(["train", "--config", str(cfg_path), "--method", method]) == 0
+    state = tmp_path / "out" / f"{method}_task2_split0_state.npz"
+    with np.load(state) as saved:
+        arrays = {key: saved[key] for key in saved.files if key not in ("record_done", "replay_fresh")}
+    rows = len(arrays["replay_next_value"])
+    arrays.update(replay_episode=np.repeat(np.arange(rows // 4, dtype=np.int32), 4),
+                  replay_done=np.arange(rows) % 4 == 3, replay_stamp=np.full(rows, -1, np.int32))
     with open(state, "wb") as fh:
         np.savez(fh, **arrays)
     capsys.readouterr()
@@ -673,6 +696,21 @@ def test_benchmark_empty_methods_is_usage_error(workspace, capsys):
     tmp_path, data, cfg_path = workspace
     assert main(["benchmark", "--config", str(cfg_path), "--methods", ""]) == 2
     assert "methods" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_benchmark_with_fewer_than_one_job_is_usage_error(workspace, capsys, where, jobs):
+    tmp_path, data, cfg_path = workspace
+    if where == "flag":
+        argv = ["--config", str(cfg_path), "--jobs", str(jobs)]
+    else:
+        config = tmp_path / "jobs.ini"
+        config.write_text(cfg_path.read_text() + f"jobs = {jobs}\n", encoding="utf-8")
+        argv = ["--config", str(config)]
+    assert main(["benchmark", *argv, "--methods", "random", "--out", str(tmp_path / "j")]) == 2
+    assert f"jobs must be >= 1, not {jobs}" in capsys.readouterr().err
+    assert not (tmp_path / "j" / "report.csv").exists()
 
 
 def test_benchmark_runs_from_snapshot(workspace):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfrl import env as env_module
-from cfrl import mf, qnet
+from cfrl import mf
 from cfrl.agent import Policy, put_pairs, state_kind, state_update
 from cfrl.env import InteractiveEnv, TaskMode, run_episode
 from cfrl.errors import IllegalActionError, ValidationError
@@ -117,9 +117,10 @@ def test_step_task2_unrated_pays_zero(ds):
     state = env.reset([user])
     rewards, nxt, _ = env.step(state, np.array([unrated[0]]))
     assert rewards[0] == 0.0
-    # a raw state that held the item holds no pair for it after the 0
-    held = qnet.Pairs(np.array([[unrated[0], ds.n]]), np.array([[1.0, 0.0]]))
-    assert put_pairs(held, np.array([unrated[0]]), rewards, ds.n).dense(ds.n)[0, unrated[0]] == 0.0
+    # a raw state advanced on the 0 holds no pair for the item: all padding
+    start, _ = state_kind(None, ds.n, 3)
+    after = put_pairs(start, np.array([unrated[0]]), rewards, ds.n)
+    assert (after.items == ds.n).all() and not after.values.any()
     # a genuine zero is distinguishable from never-asked: the episode's
     # actions hold the item, and it is no longer available
     steps = run_episode(env, [user], ScriptedPolicy([[unrated[0]], [unrated[1]], [unrated[2]]]))
@@ -378,15 +379,27 @@ def test_check_episodes_names_the_episode_in_any_block(ds, monkeypatch):
     users = np.arange(5)
     items = np.array([sorted(profile(ds, u))[:2] for u in users], dtype=np.int32).ravel()
     rewards = np.array([profile(ds, u)[i] for u, i in zip(np.repeat(users, 2), items)], float)
-    ends = 2 * np.arange(1, 6)
-    env.check_episodes(users, ends, items, rewards)
+    ends, done = 2 * np.arange(1, 6), np.ones(5, bool)
+    env.check_episodes(users, ends, items, rewards, done)
     with pytest.raises(ValidationError, match="episode 3: item .* at step 1 for user 3: "
                                               "the episode repeats an item"):
-        env.check_episodes(users, ends, np.where(np.arange(10) == 7, items[6], items), rewards)
+        env.check_episodes(users, ends, np.where(np.arange(10) == 7, items[6], items), rewards,
+                           done)
     with pytest.raises(ValidationError, match=r"episode 4 step 1: reward \d\.5 is not the \d\.0 "
                                               "that step pays"):
-        env.check_episodes(users, ends, items, rewards + 0.5 * (np.arange(10) == 9))
+        env.check_episodes(users, ends, items, rewards + 0.5 * (np.arange(10) == 9), done)
     with pytest.raises(ValidationError, match="episode 2 of 1 steps ends before the horizon 2"):
-        env.check_episodes(users, np.array([2, 4, 5, 7, 9]), items, rewards)
+        env.check_episodes(users, np.array([2, 4, 5, 7, 9]), items, rewards, done)
     with pytest.raises(ValidationError, match="episode 1 of 3 steps runs over the horizon 2"):
-        env.check_episodes(users, np.array([2, 5, 6, 8, 10]), items, rewards)
+        env.check_episodes(users, np.array([2, 5, 6, 8, 10]), items, rewards, done)
+    # the environment ends every episode at its horizon
+    with pytest.raises(ValidationError, match="episode 3: done is False, but the environment "
+                                              "ended it at its last step"):
+        env.check_episodes(users, ends, items, rewards, np.arange(5) != 3)
+    # an episode of no steps is not ended by the environment
+    empty = InteractiveEnv(ds, TaskMode.TASK_I, horizon=0)
+    no_steps = np.empty(0, np.int32), np.empty(0)
+    empty.check_episodes(users, np.zeros(5, np.int64), *no_steps, np.zeros(5, bool))
+    with pytest.raises(ValidationError, match="episode 0: done is True, but the environment "
+                                              "did not end it"):
+        empty.check_episodes(users, np.zeros(5, np.int64), *no_steps, done)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cfrl import baselines, mf
+from cfrl import evaluate as evaluate_module
 from cfrl.agent import TrainConfig
 from cfrl.baselines import OnlineMfPolicy, RandomPolicy
 from cfrl.dataset import Split, make_splits
@@ -345,6 +346,43 @@ def test_benchmark_parallel_equals_serial(bench_ds):
     serial = benchmark(bench_ds, splits, methods, tasks, seed=1, horizon=5, jobs=1)
     parallel = benchmark(bench_ds, splits, methods, tasks, seed=1, horizon=5, jobs=3)
     assert serial.csv_rows() == parallel.csv_rows()
+
+
+def test_benchmark_starts_at_most_one_worker_a_split(bench_ds, monkeypatch):
+    # a stand-in pool, which runs the splits in this process, records the
+    # worker count that each benchmark asks for; no process is started
+    asked = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(evaluate_module, "ProcessPoolExecutor", RecordingPool)
+    splits = make_splits(bench_ds, n_splits=2, test_fraction=0.2, min_ratings=10, seed=5)
+
+    def run(jobs, chosen=splits):
+        return benchmark(bench_ds, chosen, ("random",), (TaskMode.TASK_I,), seed=1, horizon=5,
+                         jobs=jobs)
+
+    serial = run(jobs=1).csv_rows()
+    for jobs in (2, 3, 64):
+        assert run(jobs=jobs).csv_rows() == serial
+    assert asked == [2, 2, 2]
+    # one split needs no pool
+    assert run(64, splits[:1]).csv_rows() == serial[:2] and asked == [2, 2, 2]
+    for jobs in (0, -3):
+        with pytest.raises(ValueError, match=f"jobs must be >= 1, not {jobs}"):
+            run(jobs=jobs)
+    assert asked == [2, 2, 2]
 
 
 def test_benchmark_records_cell_failures_without_aborting(bench_ds, tmp_path):

@@ -12,9 +12,15 @@ compare with (a second checkout, say); `--base-src src` compares the tree
 with itself. On each tree it runs, at seed 0 and on the corpus and config
 of perfbench/run.py's `make_inputs` (replica 0):
 
-  train-cfrl     ingest, pretrain, `train --method cfrl --trace`, eval
-  train-dqn-raw  ingest, `train --method dqn --trace`, eval
-  grid           ingest, benchmark
+  train-cfrl       ingest, pretrain, `train --method cfrl --trace`, eval
+  train-dqn-raw    ingest, `train --method dqn --trace`, eval
+  grid             ingest, benchmark
+  wrap-and-resume  train-cfrl and train-dqn-raw with a replay of a quarter
+                   of the run's steps, so that it wraps, and a sync period
+                   of 37 steps, no multiple of the horizon: `train` for
+                   half the episodes, then `train --resume --trace` for the
+                   rest (the config is edited in the tool's own work
+                   directory)
 
 and prints, per workload:
 
@@ -58,7 +64,9 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("train-cfrl", "train-dqn-raw", "grid")
+WORKLOADS = ("train-cfrl", "train-dqn-raw", "grid", "wrap-and-resume")
+RESUMED = ("train-cfrl", "train-dqn-raw")   # the train workloads that wrap-and-resume runs
+SYNC_PERIOD = 37                            # wrap-and-resume's [agent] sync_period
 
 
 def compare_checkpoints(base: Path, head: Path) -> tuple:
@@ -197,19 +205,55 @@ def compare_cells(base: Path, head: Path) -> tuple:
     return lines, drifted
 
 
-def run_tree(make_inputs, src: Path, workload: str, size: str, work: Path) -> Path:
-    """Run a workload's seed-0 replica 0 (perfbench's make_inputs) on the
-    tree whose package is in `src`; returns its out directory."""
-    inputs = make_inputs(workload, 0, size, work)
-    replica = inputs["replicas"][0]
-    measured = replica["measured"] + (["--trace"] if replica["measured"][0] == "train" else [])
+def run_cli(src: Path, commands) -> None:
+    """Run each cfrl command (an argv list) on the package in `src`.
+
+    Raises:
+        RuntimeError: a command exits other than 0.
+    """
     env = dict(os.environ, PYTHONPATH=str(src.resolve()))
-    for argv in [*replica["setup"], measured, *replica["evals"]]:
+    for argv in commands:
         done = subprocess.run([sys.executable, "-m", "cfrl.cli", *argv], env=env,
                               capture_output=True, text=True)
         if done.returncode != 0:
             raise RuntimeError(f"cfrl {argv[0]} on {src} exited {done.returncode}:\n"
                                f"{done.stderr[-2000:]}")
+
+
+def run_tree(make_inputs, src: Path, workload: str, size: str, work: Path) -> list:
+    """Run a workload's seed-0 replica 0 (perfbench's make_inputs) on the
+    tree whose package is in `src`; returns its out directories."""
+    if workload == "wrap-and-resume":
+        return [run_resumed(make_inputs, src, name, size, work / name) for name in RESUMED]
+    replica = make_inputs(workload, 0, size, work)["replicas"][0]
+    measured = replica["measured"] + (["--trace"] if replica["measured"][0] == "train" else [])
+    run_cli(src, [*replica["setup"], measured, *replica["evals"]])
+    return [replica["out"]]
+
+
+def _edit(text: str, old: str, new: str) -> str:
+    """`text` with its one `old` replaced by `new`."""
+    if text.count(old) != 1:
+        raise RuntimeError(f"the workload config does not hold {old!r} once")
+    return text.replace(old, new)
+
+
+def run_resumed(make_inputs, src: Path, workload: str, size: str, work: Path) -> Path:
+    """Run a train workload's seed-0 replica 0 with a replay of a quarter of
+    its steps and a sync period of SYNC_PERIOD, for half its episodes and
+    then, resumed, for the rest; returns its out directory."""
+    work.mkdir()
+    inputs = make_inputs(workload, 0, size, work)
+    replica, episodes = inputs["replicas"][0], inputs["spec"]["episodes"]
+    ini = work / f"{workload}.ini"
+    config = _edit(ini.read_text(encoding="utf-8"), "[agent]\n",
+                   f"[agent]\nreplay_capacity = {inputs['train_steps'] // 4}\n"
+                   f"sync_period = {SYNC_PERIOD}\n")
+    ini.write_text(_edit(config, f"episodes = {episodes}\n", f"episodes = {episodes // 2}\n"),
+                   encoding="utf-8")
+    run_cli(src, [*replica["setup"], replica["measured"]])
+    ini.write_text(config, encoding="utf-8")
+    run_cli(src, [[*replica["measured"], "--resume", "--trace"], *replica["evals"]])
     return replica["out"]
 
 
@@ -256,12 +300,13 @@ def main(argv=None) -> int:
                     src = base_src if tree == "base" else ROOT / "src"
                     outs.append(run_tree(perfbench.make_inputs, src, workload, args.size, work))
                 print(f"{workload}:")
-                for compare in (compare_checkpoints, compare_states, compare_traces,
-                                compare_train_logs, compare_cells):
-                    lines, drifted = compare(*outs)
-                    total += drifted
-                    for line in lines:
-                        print(line)
+                for pair in zip(*outs):
+                    for compare in (compare_checkpoints, compare_states, compare_traces,
+                                    compare_train_logs, compare_cells):
+                        lines, drifted = compare(*pair)
+                        total += drifted
+                        for line in lines:
+                            print(line)
     except (RuntimeError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
