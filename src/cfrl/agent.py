@@ -50,11 +50,13 @@ class ReplayMemory:
     an episode that the environment ended, not a time limit. A raw state is
     read from the record's steps before the row's in the episode, as Pairs
     in play order: qnet.Columns, which train_step and the target read, is
-    the same for any order. The successor is update(state, a, r), the
+    the same for any order. A latent successor is update(state, a, r), the
     learner's (start, update) of state_kind, as the step advanced the state
-    in play, and its availability is the environment's rule (env.available)
-    for the user once the episode's items through the row's step were
-    taken: both bit for bit as in play.
+    in play. A raw successor is already in the record, which play wrote: the
+    episode's steps through the row's own, read in the same gather as the
+    state, so no state is advanced twice. Its availability is the
+    environment's rule (env.available) for the user once the episode's items
+    through the row's step were taken: all bit for bit as in play.
 
     The bootstrap value v(s'), the target's max over the successor's
     available actions, changes only at a target sync, which clears every
@@ -116,17 +118,14 @@ class ReplayMemory:
         """
         idx = self.draw(batch, rng)
         cols = self._cols
-        steps, eps, terminal, through = self.locate(idx, episodes)
-        s, a, r = self.rows(idx, steps, through)
-        at = np.flatnonzero(~(terminal | cols["fresh"][idx]))
+        steps, eps, terminal = self.locate(idx, episodes)
+        at = (~(terminal | cols["fresh"][idx])).nonzero()[0]
         if len(self) < batch:       # drawn with replacement: a row may repeat
             at = at[np.unique(idx[at], return_index=True)[1]]
+        s, a, r, successors, taken = self.rows(idx, steps, eps, at)
         if at.size:
             stale = idx[at]
-            # the successor is the state advanced by the step that advanced
-            # it in play, so a state advances in one place
-            successors = self.update(s[at], a[at], r[at])
-            avail = self.successor_avail(eps[at], through[at])
+            avail = self.env.available(self.record["user"][eps[at]], taken)
             cols["next_value"][stale] = qnet.bootstrap_values(target, successors, avail)
             cols["fresh"][stale] = True
         # overflow here is the divergence signal, caught by train_step
@@ -136,34 +135,48 @@ class ReplayMemory:
 
     def locate(self, idx, episodes: int) -> tuple:
         """The record steps that rows idx hold, their episodes in a record of
-        `episodes` episodes, whether each row is terminal, and each row's T
-        record steps of its episode through its own, the last repeated."""
+        `episodes` episodes, and whether each row is terminal."""
         ends = self.record["end"][:episodes]
         steps = ring_steps(idx, self.pushes, self.capacity)
-        eps = np.searchsorted(ends, steps, side="right")
-        first = np.where(eps > 0, ends[eps - 1], 0)
-        return (steps, eps, self.record["done"][eps] & (steps == ends[eps] - 1),
-                np.minimum(first[:, None] + np.arange(self.env.horizon), steps[:, None]))
+        eps = ends.searchsorted(steps, side="right")
+        return steps, eps, self.record["done"][eps] & (steps == ends[eps] - 1)
 
-    def rows(self, idx, steps, through) -> tuple:
+    def window(self, steps, eps) -> np.ndarray:
+        """Each row's T record steps of its episode `eps` through its own
+        step, the last repeated: (k, T)."""
+        first = np.where(eps > 0, self.record["end"][eps - 1], 0)
+        return np.minimum(first[:, None] + np.arange(self.env.horizon), steps[:, None])
+
+    def rows(self, idx, steps, eps, at) -> tuple:
         """The states, actions (int64) and rewards of rows idx, which hold
-        record `steps`, with `through` their episodes' steps (see locate). A
-        state is an array, or for a raw start qnet.Pairs T wide: each row's
-        steps before its own in its episode as (item, reward) pairs in play
-        order, with padding (item n, reward 0) in place of a reward of 0 and
-        after those steps."""
-        a, r = self.record["item"][steps].astype(np.int64), self.record["reward"][steps]
+        record `steps` of episodes `eps` (see locate), and the successors of
+        rows idx[at] with the items their episodes took through their steps
+        (see window). A state is an array, or for a raw start qnet.Pairs T
+        wide: each row's steps before its own in its episode as (item,
+        reward) pairs in play order, with padding (item n, reward 0) in
+        place of a reward of 0 and after those steps. A latent successor is
+        update(state, a, r), the learner's state update, as the step
+        advanced the state in play. A raw successor is the same window
+        through the row's own step, which repeats that step's pair at its
+        tail: qnet.Columns, which the target reads, is the same for any
+        order of a row's pairs and for equal repeats, so it is put_pairs'
+        successor bit for bit."""
+        record = self.record
+        a, r = record["item"][steps].astype(np.int64), record["reward"][steps]
         if not self.raw:
-            return self._cols["s"][idx], a, r
-        items, rewards = self.record["item"][through], self.record["reward"][through]
-        np.putmask(rewards, through == steps[:, None], 0.0)
-        np.putmask(items, rewards == 0, self.env.n)
-        return qnet.Pairs(items, rewards), a, r
-
-    def successor_avail(self, episodes, through) -> np.ndarray:
-        """The environment's (k, n) availability at the successors of rows of
-        `episodes` that took the items at record steps `through` (see locate)."""
-        return self.env.available(self.record["user"][episodes], self.record["item"][through])
+            s = self._cols["s"][idx]
+            if not at.size:
+                return s, a, r, None, None
+            return (s, a, r, self.update(s[at], a[at], r[at]),
+                    record["item"][self.window(steps[at], eps[at])])
+        through = self.window(steps, eps)
+        taken, rewards = record["item"][through], record["reward"][through]
+        items = np.where(rewards == 0, self.env.n, taken)
+        successors = qnet.Pairs(items[at], rewards[at])
+        own = through == steps[:, None]
+        np.putmask(rewards, own, 0.0)
+        np.putmask(items, own, self.env.n)
+        return qnet.Pairs(items, rewards), a, r, successors, taken[at]
 
     def state(self) -> dict:
         """The filled rows of every column (views, not copies)."""
@@ -382,13 +395,20 @@ class QTrainer(StatePolicy):
         self.memory = ReplayMemory(cfg.replay_capacity, env, start, update, self.record)
         self.losses = []    # TD losses of the current episode
 
-    def _allocate(self, episodes: int) -> dict:
+    def _allocate(self, episodes: int, saved: dict | None = None) -> dict:
         """Record columns for `episodes` episodes of up to the horizon's steps.
         np.empty commits memory only as rows are written, so a column sized
-        for the whole run costs what the episodes played so far fill."""
-        steps = episodes * self.env.horizon
-        return {**{key: np.empty(episodes, dtype) for key, (_, dtype) in EPISODE_COLUMNS.items()},
-                **{key: np.empty(steps, dtype) for key, (_, dtype) in STEP_COLUMNS.items()}}
+        for the whole run costs what the episodes played so far fill. Each
+        column of a `saved` record is popped from it and copied in as its
+        column is allocated, so that it is freed before the next is."""
+        record = {}
+        for key, (_, dtype) in {**EPISODE_COLUMNS, **STEP_COLUMNS}.items():
+            record[key] = np.empty(episodes * (self.env.horizon if key in STEP_COLUMNS else 1),
+                                   dtype)
+            if saved is not None:
+                rows = len(saved[key])
+                record[key][:rows] = saved.pop(key)
+        return record
 
     @property
     def train_steps(self) -> int:
@@ -412,7 +432,7 @@ class QTrainer(StatePolicy):
         self.memory.push(s)
         batch = self.memory.sample(cfg.batch_size, self.replay_rng, self.target, cfg.gamma, e + 1)
         self.losses.append(qnet.train_step(self.net, batch, cfg.q_lr))
-        if self.train_steps % cfg.sync_period == 0:
+        if (step + 1) % cfg.sync_period == 0:
             qnet.sync_target(self.net, self.target)
             self.memory.expire_values()
 
@@ -547,14 +567,12 @@ class QTrainer(StatePolicy):
         try:
             episodes = self._check_record(saved_record)
             # a resume may ask for fewer episodes than the state holds
-            record = self._allocate(max(self.cfg.episodes, episodes))
-            for key, col in saved_record.items():
-                record[key][: len(col)] = col
+            record = self._allocate(max(self.cfg.episodes, episodes), saved_record)
             memory = ReplayMemory(self.cfg.replay_capacity, self.env, self.start, self.update,
                                   record)
             # the saved columns leave `arrays`, so load frees each once copied
             memory.load({key[len("replay_"):]: arrays.pop(key) for key in replay},
-                        saved_record["end"])
+                        record["end"][:episodes])
         except ValidationError as exc:
             raise ValidationError(f"{path}: {exc}") from None
         try:

@@ -49,6 +49,8 @@ class RatingDataset:
     @classmethod
     def from_arrays(cls, users, items, ratings) -> "RatingDataset":
         """The matrix of (user id, item id, rating) triples, given in any order.
+        Triples in strictly ascending (user, item) order, as a snapshot holds
+        them, are taken as they come; any other order is sorted first.
 
         Raises:
             ValidationError: no triples, a value that is not an integer, a
@@ -62,7 +64,8 @@ class RatingDataset:
                 k = changed[0]
                 raise ValidationError(f"{what} {values[k].item()!r} at position {k} "
                                       f"is not a 64-bit integer")
-        users, items, ratings = (a.astype(np.int64, copy=False) for a in (users, items, ratings))
+        users, items = (a.astype(np.int64, copy=False) for a in (users, items))
+        ratings = ratings.astype(np.int64)      # a copy: the matrix's own, made read-only
         if not users.size:
             raise ValidationError("no records")
         bad = np.flatnonzero((ratings < 1) | (ratings > 5))
@@ -71,17 +74,20 @@ class RatingDataset:
             raise ValidationError(
                 f"rating {ratings[k]} for user {users[k]}, item {items[k]} outside 1..5"
             )
-        user_ids, rows = np.unique(users, return_inverse=True)
         item_ids, cols = np.unique(items, return_inverse=True)
-        order = np.lexsort((cols, rows))
-        rows, cols, ratings = rows[order], cols[order], ratings[order]
-        dup = np.flatnonzero((np.diff(rows) == 0) & (np.diff(cols) == 0))
+        # compared, not subtracted: a difference of two int64 ids can wrap
+        same_user = users[1:] == users[:-1]
+        if not ((users[1:] > users[:-1]) | (same_user & (items[1:] > items[:-1]))).all():
+            order = np.lexsort((items, users))
+            users, cols, ratings = users[order], cols[order], ratings[order]
+            same_user = users[1:] == users[:-1]
+        # sorted, a repeated pair is a neighbour of itself
+        dup = np.flatnonzero(same_user & (cols[1:] == cols[:-1]))
         if dup.size:
             k = dup[0]
-            raise ValidationError(
-                f"duplicate rating for user {user_ids[rows[k]]}, item {item_ids[cols[k]]}"
-            )
-        indptr = np.searchsorted(rows, np.arange(user_ids.size + 1))
+            raise ValidationError(f"duplicate rating for user {users[k]}, item {item_ids[cols[k]]}")
+        first = np.flatnonzero(np.concatenate(([True], ~same_user)))    # each user's first triple
+        user_ids, indptr = users[first], np.append(first, users.size)
         arrays = (user_ids, item_ids, indptr, cols, ratings)
         for array in arrays:
             array.flags.writeable = False

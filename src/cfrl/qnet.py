@@ -28,10 +28,12 @@ width, as agent.put_pairs keeps the raw state. Training (train_step, and
 forward_batch under bootstrap_values) turns a batch of Pairs into Columns, a
 dense (B, k) matrix over the k inputs the batch touches, and runs one
 (B, k) @ (k, H) product per batch; train_step updates just those k columns
-of W0, with the dense update's values. Columns are the same for any order of
-a row's pairs and any width, so the replay hands train_step its rows in play
-order. Each of the three products rounds differently from the others, by
-about an ulp.
+of W0, with the dense update's values, reusing the k rows of W0.T that its
+forward gathered. Columns are the same for any order of a row's pairs, any
+width and any pair repeated whole, so the replay hands train_step its rows in
+play order, and reads a successor as its episode's window of the record
+through the row's own step. Each of the three products rounds differently
+from the others, by about an ulp.
 """
 
 from __future__ import annotations
@@ -132,17 +134,18 @@ class Pairs:
         bool mask over the inputs and a position map, not a sort, so x and
         cols are byte for byte the same for any order of a row's pairs and
         any placement of its padding, as long as a row holds each item at
-        most once."""
+        most once or repeats its pair whole (the same value written again)."""
         items = self.items.astype(np.intp, copy=False)     # index with it once, not per use
         touched = np.zeros(input_dim + 1, dtype=bool)
         touched[items] = True
         touched[input_dim] = True           # the padding's column, dropped below
-        cols = np.flatnonzero(touched)
+        cols = touched.nonzero()[0]
         position = np.empty(input_dim + 1, dtype=np.intp)
         position[cols] = np.arange(cols.size)
-        x = np.zeros((len(items), cols.size))
-        x[np.arange(len(items))[:, None], position[items]] = self.values
-        return Columns(x[:, :-1], cols[:-1])
+        # one scatter over the flat matrix: each row's positions offset by its row
+        x = np.zeros(len(items) * cols.size)
+        x[position[items] + np.arange(0, x.size, cols.size)[:, None]] = self.values
+        return Columns(x.reshape(len(items), cols.size)[:, :-1], cols[:-1])
 
 
 @dataclass(frozen=True)
@@ -178,7 +181,7 @@ def _first_layer(net: QNetwork, states: Pairs) -> np.ndarray:
     row, so a row's values do not depend on its block. A padding item gathers
     the last column (clipped) and adds 0 times it."""
     w, b = net.weights[0], net.biases[0]
-    z = states.values[..., None, :] @ np.take(w.T, states.items, axis=0, mode="clip")
+    z = states.values[..., None, :] @ w.T.take(states.items, axis=0, mode="clip")
     z += b
     return z
 
@@ -209,20 +212,23 @@ def forward(net: QNetwork, states) -> np.ndarray:
 def forward_batch(net: QNetwork, states) -> np.ndarray:
     """Action values for a (batch, input_dim) matrix of states, or for a
     (batch, T) Pairs, through one matrix product per layer."""
-    q = _hidden_layers(net, states)[-1] @ net.weights[-1].T
+    q = _hidden_layers(net, states)[0][-1] @ net.weights[-1].T
     q += net.biases[-1]
     return q
 
 
-def _hidden_layers(net: QNetwork, states) -> list:
-    """The input and every hidden layer's output; the last feeds the action
-    values. Pairs reach a first hidden layer as their Columns; a network with
-    no hidden layer reads them as dense rows."""
+def _hidden_layers(net: QNetwork, states) -> tuple:
+    """The input and every hidden layer's output, the last feeding the action
+    values, and the rows W0.T[cols] that Columns gathered from the first
+    layer (None for dense states). Pairs reach a first hidden layer as their
+    Columns; a network with no hidden layer reads them as dense rows."""
     if isinstance(states, Pairs) and len(net.weights) == 1:
         states = states.dense(net.input_dim)
+    gathered = None
     if isinstance(states, Pairs):
         x = states.columns(net.input_dim)
-        z = x.x @ net.weights[0].T[x.cols]
+        gathered = net.weights[0].T[x.cols]
+        z = x.x @ gathered
         z += net.biases[0]
         outputs = [x, _act(net.activation, z)]
     else:
@@ -234,7 +240,7 @@ def _hidden_layers(net: QNetwork, states) -> list:
         z = outputs[-1] @ w.T
         z += b
         outputs.append(_act(net.activation, z))
-    return outputs
+    return outputs, gathered
 
 
 def _subtract_rows(w: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
@@ -317,7 +323,7 @@ def train_step(net: QNetwork, batch: Batch, lr: float) -> float:
 
     # overflow here is the divergence signal, caught by the finiteness check
     with np.errstate(over="ignore", invalid="ignore"):
-        hidden = _hidden_layers(net, batch.s)
+        hidden, gathered = _hidden_layers(net, batch.s)
         last = len(net.weights) - 1
         w_out, b_out = net.weights[last], net.biases[last]
         w_taken = w_out[actions]    # the weights before the update
@@ -336,8 +342,11 @@ def train_step(net: QNetwork, batch: Batch, lr: float) -> float:
             delta = delta * _act_deriv_from_output(net.activation, hidden[l + 1])
             grad_b = delta.sum(axis=0)
             if isinstance(hidden[l], Columns):
+                # the forward's gathered rows of W0.T, which no update has
+                # touched since, serve the update's read
                 x = hidden[l]
-                net.weights[l].T[x.cols] -= (lr * (delta.T @ x.x)).T
+                gathered -= (lr * (delta.T @ x.x)).T
+                net.weights[l].T[x.cols] = gathered
             else:
                 grad_w = delta.T @ hidden[l]
                 if l > 0:

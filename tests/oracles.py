@@ -185,7 +185,7 @@ def descend_touched(w: np.ndarray, lr: float, delta: np.ndarray, x: qnet.Pairs) 
 def q_taken(net: qnet.QNetwork, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
     """Q(s, a) of each state's taken action, computed as train_step computes
     it: the last hidden layer's row dot with each taken output row."""
-    hidden = qnet._hidden_layers(net, states)[-1]
+    hidden = qnet._hidden_layers(net, states)[0][-1]
     return np.einsum("ij,ij->i", hidden, net.weights[-1][actions]) + net.biases[-1][actions]
 
 

@@ -60,23 +60,33 @@ def _env(n, horizon=1):
     return InteractiveEnv(make_dataset({0: dict.fromkeys(range(n), 1)}), TaskMode.TASK_II, horizon)
 
 
+def _read(mem, idx, episodes=None):
+    """What sample reads for rows idx, each taken as stale, from a record of
+    `episodes` episodes (default: _episodes): (states, actions, rewards,
+    successors, the items taken through each row's step), and the rows'
+    episodes."""
+    idx = np.asarray(idx)
+    steps, eps, _ = mem.locate(idx, episodes or _episodes(mem))
+    return mem.rows(idx, steps, eps, np.arange(idx.size)), eps
+
+
 def _rows(mem, idx, episodes=None):
-    """The states, actions and rewards of rows idx, as sample reads them
-    from a record of `episodes` episodes (default: _episodes)."""
-    steps, _, _, through = mem.locate(np.asarray(idx), episodes or _episodes(mem))
-    return mem.rows(idx, steps, through)
+    """The states, actions and rewards of rows idx, as sample reads them."""
+    return _read(mem, idx, episodes)[0][:3]
 
 
 def _successor_avail(mem, idx, episodes=None):
-    """The availability at the successors of rows idx, as sample derives it."""
-    _, eps, _, through = mem.locate(np.asarray(idx), episodes or _episodes(mem))
-    return mem.successor_avail(eps, through)
+    """The availability at the successors of rows idx, from the items that
+    sample hands the bootstrap, in the environment's dense form."""
+    (*_, taken), eps = _read(mem, idx, episodes)
+    return mem.env.available(mem.record["user"][eps], taken)
 
 
 def _successors(mem, idx):
-    """The successors of rows idx as sample derives them: each state
-    advanced by the learner's update with the row's action and reward."""
-    return mem.update(*_rows(mem, idx))
+    """The successors of rows idx as sample derives them: a latent state
+    advanced by the learner's update with the row's action and reward, a
+    raw one read from the record."""
+    return _read(mem, idx)[0][3]
 
 
 def _sample(mem, batch, rng, target):
@@ -385,6 +395,11 @@ def test_raw_rows_rebuild_exactly(data):
         assert got.cols.tobytes() == want.cols.tobytes() and got.x.tobytes() == want.x.tobytes()
     assert _same_pairs(s_next, raw_pairs(dense_next, horizon - 1))
     assert _same_pairs(put_pairs(canonical, a, r, n)[:, :horizon], s_next)
+    # the successor that sample reads from the record, each row's window
+    # through its own step, reads as put_pairs' successor's Columns
+    window = _successors(mem, k)
+    got, want = window.columns(n), s_next.columns(n)
+    assert got.cols.tobytes() == want.cols.tobytes() and got.x.tobytes() == want.x.tobytes()
     # a sampled batch holds these states and the record's actions
     batch = _sample(mem, len(k), _InOrder(), qnet.qnet_init([n, 3, n], seed=0))
     assert _same_pairs(batch.s, s) and np.array_equal(batch.a, a)
@@ -449,6 +464,25 @@ def test_raw_rows_at_the_catalog_ends_and_over_the_horizon():
     assert _successors(mem, [1]).items.tolist() == [[0, 4]]
     assert np.array_equal(_successors(mem, [1]).dense(5)[0], [5.0, 0.0, 0.0, 0.0, 1.0])
     assert not _rows(mem, [2])[0].dense(5).any() and not _successors(mem, [2]).dense(5).any()
+
+
+def test_a_raw_replay_reads_its_successors_and_never_advances_a_state(small_setup):
+    # a stale raw row's successor is its episode's window through its own
+    # step, read from the record: training runs, and gives the same network,
+    # with the replay's state update refused
+    ds, split, _ = small_setup
+    cfg = TrainConfig(episodes=6, horizon=3, hidden_sizes=(8,), task=TaskMode.TASK_II,
+                      batch_size=4, replay_capacity=8, seed=3)
+    straight = make_trainer(ds, split, None, cfg)
+    straight.run()
+    trainer = make_trainer(ds, split, None, cfg)
+
+    def refused(*args):
+        raise AssertionError("the replay advanced a raw state")
+
+    trainer.memory.update = refused
+    trainer.run()
+    assert qnet.flatten_params(trainer.net).tobytes() == qnet.flatten_params(straight.net).tobytes()
 
 
 @pytest.fixture
@@ -590,7 +624,7 @@ def test_derived_episodes_and_terminal_flags_are_the_played_ones(small_setup, mo
     episode, done = (np.array(col) for col in zip(*played))
     assert done.any() and (learner != "chain" or len(played) < cfg.episodes * cfg.horizon)
     just_pushed = 0
-    for pushes, (steps, eps, terminal, _) in seen:
+    for pushes, (steps, eps, terminal) in seen:
         assert (steps < pushes).all()
         assert eps.tolist() == episode[steps].tolist()
         assert terminal.dtype == bool and terminal.tolist() == done[steps].tolist()
@@ -1257,7 +1291,17 @@ def test_record_of_a_default_run_takes_12_bytes_a_step(tmp_path, small_setup):
     with np.load(path) as data:
         assert sum(data[key].nbytes for key in data.files if key.startswith("record_")) == size
     resumed = make_trainer(ds, split, model, cfg)
-    resumed.restore(path)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        resumed.restore(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the saved record and its copy are held at once one column at a time:
+    # the restore peaks at most the largest column, the rewards, above the
+    # saved record and its copy's first columns, not at two records
+    assert peak - before <= size + 800_000 * 8 + 1e6 < 2 * size
     assert resumed.train_steps == 800_000
     for key, col in record.items():
         assert resumed.record[key].tobytes() == col.tobytes()

@@ -278,6 +278,24 @@ def test_from_arrays_refuses_exactly_what_the_reference_refuses(records):
 
 @given(rating_records(faults=False))
 def test_from_arrays_rows_match_the_reference(records):
+    _assert_rows_match_the_reference(records)
+
+
+INT64 = np.iinfo(np.int64)
+
+
+@pytest.mark.parametrize("records", [
+    [(INT64.max, 0, 1), (INT64.min, 0, 2)],     # users whose difference wraps to +1
+    [(0, 5, 1), (0, INT64.min, 2)],             # items likewise, under one user
+    [(INT64.min, INT64.max, 3), (INT64.max, INT64.min, 4), (0, 0, 5), (0, INT64.max, 1)],
+])
+def test_ids_at_the_ends_of_int64_are_ordered_by_value(records):
+    _assert_rows_match_the_reference(records)
+    digest = _from_records(sorted(records)).digest()
+    assert _from_records(records).digest() == _from_records(records[::-1]).digest() == digest
+
+
+def _assert_rows_match_the_reference(records):
     user_ids, item_ids, rows = _reference_rows(records)
     ds = _from_records(records)
     assert (ds.m, ds.n, ds.rating_count) == (len(user_ids), len(item_ids), len(records))
@@ -301,6 +319,27 @@ def test_from_arrays_summaries_match_the_reference(records, min_ratings, data):
     train = data.draw(st.sets(st.integers(0, ds.m - 1)), label="train")
     counts = Counter(i for u in train for i in rows[u])
     assert popularity_counts(ds, train).tolist() == [float(counts[i]) for i in range(ds.n)]
+
+
+@given(rating_records())
+def test_ascending_triples_skip_the_sort_and_build_the_same_matrix(records):
+    # the same triples, in strictly ascending (user, item) order and in the
+    # drawn order, give equal digests or are both refused; only triples that
+    # pass the value checks and are not strictly ascending are sorted
+    ascending = sorted(records)
+    strict = all(a[:2] < b[:2] for a, b in zip(ascending, ascending[1:]))
+    digests = []
+    for order in (records, ascending):
+        with mock.patch.object(dataset.np, "lexsort", wraps=np.lexsort) as lexsort:
+            try:
+                digests.append(_from_records(order).digest())
+            except ValidationError:
+                digests.append(None)
+        checked = bool(order) and all(1 <= r <= 5 for *_, r in order)
+        in_order = strict and list(order) == ascending
+        assert lexsort.called == (checked and not in_order)
+    assert digests[0] == digests[1]
+    assert (digests[0] is None) == (_reference_rows(records) is None)
 
 
 @given(rating_records(faults=False))

@@ -355,7 +355,7 @@ def test_the_first_layer_update_on_pairs_is_the_touched_column_product(data):
     qnet.train_step(net, batch, lr)
 
     # the error at the first hidden layer, computed as train_step computes it
-    hidden = qnet._hidden_layers(reference, batch.s)
+    hidden, _ = qnet._hidden_layers(reference, batch.s)
     w_taken = reference.weights[1][batch.a]
     residual = batch.y - (np.einsum("ij,ij->i", hidden[1], w_taken)
                           + reference.biases[1][batch.a])
@@ -381,7 +381,7 @@ def test_a_batch_of_empty_states_reads_the_first_bias_and_leaves_w0_alone(input_
     pairs = raw_pairs(np.zeros((5, n)), horizon)
     columns = pairs.columns(n)
     assert columns.x.shape == (5, 0) and columns.cols.size == 0
-    hidden = qnet._hidden_layers(net, pairs)
+    hidden, _ = qnet._hidden_layers(net, pairs)
     assert hidden[1].tobytes() == np.tile(np.tanh(net.biases[0]), (5, 1)).tobytes()
     np.testing.assert_allclose(qnet.forward_batch(net, pairs), qnet.forward(net, pairs),
                                rtol=1e-12, atol=1e-15)
@@ -569,6 +569,27 @@ def test_masked_argmax_respects_mask_and_ties():
     masks[4] = False
     with pytest.raises(ValueError, match="empty"):
         qnet.masked_argmax(vals, masks)
+
+
+def test_masked_argmax_refuses_an_empty_row_anywhere_in_a_block():
+    # an empty row at any place in a block is refused, alone or in the
+    # block, and a row whose available values are all -inf still picks
+    rng = np.random.default_rng(3)
+    vals = rng.normal(size=(5, 7))
+    masks = rng.random((5, 7)) < 0.5
+    masks[:, 3] = True
+    for row in range(5):
+        empty = masks.copy()
+        empty[row] = False
+        with pytest.raises(ValueError, match="empty"):
+            qnet.masked_argmax(vals, empty)
+        with pytest.raises(ValueError, match="empty"):
+            qnet.masked_argmax(vals[0], empty[row])
+    vals[2] = -np.inf
+    masks[2, 0] = False
+    expected = np.argmax(np.where(masks, vals, -np.inf), axis=-1)
+    assert qnet.masked_argmax(vals, masks).tolist() == expected.tolist()
+    assert qnet.masked_argmax(vals[2], masks[2]) == expected[2] == 0
 
 
 def test_batched_targets_agree_with_single_path():
