@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mf, qnet
-from .agent import (Policy, StatePolicy, TrainConfig, eligible_train_users, state_kind,
-                    state_update)
+from .agent import Policy, StatePolicy, TrainConfig, eligible_train_users, state_update
 from .env import InteractiveEnv, run_episode
 from .seeding import rng_for
 
@@ -210,18 +209,13 @@ def train_linucb(ds, split, mf_model: mf.MfModel, cfg: TrainConfig,
 
 
 class GreedyQPolicy(StatePolicy):
-    """Frozen Q-network acting greedily on the state kind it was trained on
-    (agent.state_kind): the latent user vector, or the raw state's canonical
-    pairs at the episodes' horizon."""
+    """Frozen Q-network acting greedily on the state kind it was trained on,
+    agent.state_kind's (start, update): the latent user vector, or the raw
+    state's canonical qnet.Pairs, whose network it holds input-major."""
 
-    def __init__(self, net: qnet.QNetwork, mf_model: mf.MfModel | None = None,
-                 raw_state: bool = False, horizon: int | None = None):
-        if not raw_state and mf_model is None:
-            raise ValueError("latent-state policy needs the MF model")
-        if raw_state and horizon is None:
-            raise ValueError("raw-state policy needs the horizon, which sets its pairs' width")
-        super().__init__(*state_kind(None if raw_state else mf_model, net.input_dim, horizon))
-        self.net = qnet.input_major(net) if raw_state else net
+    def __init__(self, net: qnet.QNetwork, start, update):
+        super().__init__(start, update)
+        self.net = qnet.input_major(net) if isinstance(start, qnet.Pairs) else net
 
     def act(self, avail: np.ndarray) -> np.ndarray:
         return qnet.masked_argmax(qnet.forward(self.net, self.state), avail)

@@ -139,8 +139,7 @@ def _context(cfg: RunConfig, ds, split, split_index: int, out: Path, method: str
                 f"{path}: factors for {model.m} x {model.n} users x items do not fit the "
                 f"data's {ds.m} x {ds.n}; run `cfrl pretrain --split {split_index}` on this data"
             )
-    return SplitContext(ds=ds, split=split, index=split_index, seed=cfg.seed, mf_model=model,
-                        linucb_alpha=cfg.linucb_alpha, horizon=cfg.horizon)
+    return SplitContext(ds, split, split_index, cfg, model)
 
 
 def cmd_train(args) -> int:
@@ -226,7 +225,8 @@ def cmd_eval(args) -> int:
     ctx = _context(cfg, ds, split, args.split, out, args.method)
     stem = _artifact_stem(args.method, task, args.split)
     artifact = spec.load(ctx, out / f"{stem}{spec.suffix}") if spec.trains else None
-    scores = evaluate.evaluate_policy(spec.policy(ctx, artifact), ds, split, task, cfg.horizon)
+    scores = evaluate.evaluate_policy(spec.policy(ctx, artifact), ds, split, task,
+                                      cfg.agent.horizon)
     path = out / f"eval_{stem}.csv"
     with atomic_text(path) as fh:
         fh.write("user,score\n")
@@ -248,24 +248,7 @@ def cmd_benchmark(args) -> int:
     if not cfg.methods:
         raise ValueError("empty methods list")
     ds = _load_dataset(cfg)
-    splits = _splits(cfg, ds)
-    tasks = tuple(task_mode(t) for t in cfg.eval_tasks)
-    # an unknown name is left for evaluate.benchmark to report
-    trains = any(METHODS[m].trains for m in cfg.methods if m in METHODS)
-    train_cfg = cfg.train_config() if trains else None
-    report = evaluate.benchmark(
-        ds, splits, cfg.methods, tasks,
-        dataset_name=cfg.dataset_name,
-        seed=cfg.seed,
-        horizon=cfg.horizon,
-        mf_dim=cfg.mf_dim,
-        mf_reg=cfg.mf_reg,
-        mf_lr=cfg.mf_lr,
-        mf_epochs=cfg.mf_epochs,
-        train_cfg=train_cfg,
-        linucb_alpha=cfg.linucb_alpha,
-        jobs=cfg.jobs,
-    )
+    report = evaluate.benchmark(ds, _splits(cfg, ds), cfg)
     out = Path(cfg.out)
     evaluate.write_report(report, out)
     write_resolved(cfg, out)

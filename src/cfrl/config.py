@@ -1,15 +1,18 @@
 """Run configuration: one INI file drives ingestion, training and evaluation.
 
-Flags override file values; every command writes the fully resolved config
-next to its outputs so a run is reproducible from that file plus the raw
-dataset. All randomness flows from the single [run] seed through labeled
-sub-seeds (see seeding.derive_seed).
+RunConfig is the one place that states a run's settings and their defaults;
+its `[agent]` section is an agent.TrainConfig, whose own defaults stand except
+for the episode budget. Every layer below reads its settings from the
+RunConfig it is given. Flags override file values; every command writes the
+fully resolved config next to its outputs so a run is reproducible from that
+file plus the raw dataset. All randomness flows from the single [run] seed
+through labeled sub-seeds (see seeding.derive_seed).
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .agent import TrainConfig
@@ -48,43 +51,20 @@ class RunConfig:
     mf_reg: float = 0.01
     mf_lr: float = 0.01
     mf_epochs: int = 30
-    # [agent]
-    episodes: int = 20000
-    horizon: int = 40
-    gamma: float = 0.9
-    epsilon: float = 0.1
-    q_lr: float = 0.001
-    sync_period: int = 500
-    batch_size: int = 32
-    replay_capacity: int = 100000
-    hidden: tuple = (64,)
-    activation: str = "tanh"
-    task: str = "task1"
-    checkpoint_every: int = 0
+    # [agent]: its seed is the [run] seed (train_config), or one derived from it per grid cell
+    agent: TrainConfig = field(default_factory=lambda: TrainConfig(episodes=20000))
+    checkpoint_every: int = 0   # read by `cfrl train` alone
     # [eval]
-    eval_tasks: tuple = ("task1", "task2")
+    eval_tasks: tuple = (TaskMode.TASK_I, TaskMode.TASK_II)
     methods: tuple = tuple(METHODS)
     linucb_alpha: float = 1.0
     jobs: int = 1
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            episodes=self.episodes,
-            horizon=self.horizon,
-            gamma=self.gamma,
-            epsilon=self.epsilon,
-            q_lr=self.q_lr,
-            sync_period=self.sync_period,
-            batch_size=self.batch_size,
-            replay_capacity=self.replay_capacity,
-            hidden_sizes=tuple(self.hidden),
-            activation=self.activation,
-            task=task_mode(self.task),
-            seed=self.seed,
-        )
+        return replace(self.agent, seed=self.seed)
 
 
-# section -> {file key: dataclass field}
+# section -> {file key: RunConfig field, or agent.<TrainConfig field>}
 _LAYOUT = {
     "run": {"seed": "seed", "out": "out"},
     "data": {"path": "data_path", "format": "data_format", "name": "dataset_name"},
@@ -95,17 +75,17 @@ _LAYOUT = {
     },
     "mf": {"dim": "mf_dim", "reg": "mf_reg", "lr": "mf_lr", "epochs": "mf_epochs"},
     "agent": {
-        "episodes": "episodes",
-        "horizon": "horizon",
-        "gamma": "gamma",
-        "epsilon": "epsilon",
-        "q_lr": "q_lr",
-        "sync_period": "sync_period",
-        "batch_size": "batch_size",
-        "replay_capacity": "replay_capacity",
-        "hidden": "hidden",
-        "activation": "activation",
-        "task": "task",
+        "episodes": "agent.episodes",
+        "horizon": "agent.horizon",
+        "gamma": "agent.gamma",
+        "epsilon": "agent.epsilon",
+        "q_lr": "agent.q_lr",
+        "sync_period": "agent.sync_period",
+        "batch_size": "agent.batch_size",
+        "replay_capacity": "agent.replay_capacity",
+        "hidden": "agent.hidden_sizes",
+        "activation": "agent.activation",
+        "task": "agent.task",
         "checkpoint_every": "checkpoint_every",
     },
     "eval": {
@@ -116,27 +96,36 @@ _LAYOUT = {
     },
 }
 
-_TUPLE_FIELDS = {"hidden", "eval_tasks", "methods"}
+
+def _owner(cfg: RunConfig, path: str) -> tuple:
+    """(object, attribute) that a _LAYOUT field path names in `cfg`."""
+    head, _, name = path.rpartition(".")
+    return (getattr(cfg, head) if head else cfg), name
 
 
-def _parse_value(field_name: str, text: str, py_type):
+def _parse_value(text: str, like):
+    """`text` read as a value of the type of `like`, the field's default; a
+    tuple's items are comma-separated, and a task is parsed by task_mode."""
     text = text.strip()
-    if field_name == "hidden":
-        return tuple(int(x) for x in text.split(",") if x.strip())
-    if field_name in _TUPLE_FIELDS:
-        return tuple(x.strip() for x in text.split(",") if x.strip())
-    if py_type is int:
-        return int(text)
-    if py_type is float:
-        return float(text)
-    return text
+    if isinstance(like, tuple):
+        return tuple(_parse_value(x, like[0]) for x in text.split(",") if x.strip())
+    if isinstance(like, TaskMode):
+        return task_mode(text)
+    return type(like)(text)
+
+
+def _format_value(value) -> str:
+    if isinstance(value, tuple):
+        return ",".join(_format_value(v) for v in value)
+    return str(value.value if isinstance(value, TaskMode) else value)
 
 
 def load_config(path) -> RunConfig:
     """Read an INI config; unknown keys are an error, missing keys default.
-    A file that is not valid INI, or a value that does not parse, raises a
-    ValueError naming the file (and the key), and so does a [DEFAULT]
-    section, which configparser would otherwise merge into every section."""
+    A file that is not valid INI, or a value that does not parse (an unknown
+    task name among them), raises a ValueError naming the file (and the
+    section and key), and so does a [DEFAULT] section, which configparser
+    would otherwise merge into every section."""
     # no header names the empty section, so [DEFAULT] reads as an unknown section
     parser = configparser.ConfigParser(interpolation=None, default_section="")
     with open(path, "r", encoding="utf-8") as fh:
@@ -146,16 +135,15 @@ def load_config(path) -> RunConfig:
             message = " ".join(str(exc).split())   # configparser's spans several lines
             raise ValueError(f"{path}: not a valid INI config: {message}") from None
     cfg = RunConfig()
-    types = {f.name: type(getattr(cfg, f.name)) for f in fields(cfg)}
     for section in parser.sections():
         if section not in _LAYOUT:
             raise ValueError(f"{path}: unknown config section [{section}]")
         for key, text in parser.items(section):
             if key not in _LAYOUT[section]:
                 raise ValueError(f"{path}: unknown key {key!r} in section [{section}]")
-            field_name = _LAYOUT[section][key]
+            owner, name = _owner(cfg, _LAYOUT[section][key])
             try:
-                setattr(cfg, field_name, _parse_value(field_name, text, types[field_name]))
+                setattr(owner, name, _parse_value(text, getattr(owner, name)))
             except ValueError as exc:
                 raise ValueError(f"{path}: [{section}] {key}: {exc}") from None
     return cfg
@@ -165,11 +153,8 @@ def dump_config(cfg: RunConfig) -> str:
     lines = []
     for section, mapping in _LAYOUT.items():
         lines.append(f"[{section}]")
-        for key, field_name in mapping.items():
-            value = getattr(cfg, field_name)
-            if isinstance(value, tuple):
-                value = ",".join(str(v) for v in value)
-            lines.append(f"{key} = {value}")
+        for key, path in mapping.items():
+            lines.append(f"{key} = {_format_value(getattr(*_owner(cfg, path)))}")
         lines.append("")
     return "\n".join(lines)
 

@@ -334,8 +334,9 @@ def load_snapshot(path) -> RatingDataset:
     if rec.dtype != np.int64 or rec.ndim != 2 or rec.shape[1] != 3:
         raise ValidationError(f"{path}: records are {rec.dtype}{rec.shape}, expected int64 (count, 3)")
     users, items, ratings = rec.T
-    du, di = np.diff(users), np.diff(items)
-    if ((du < 0) | ((du == 0) & (di < 0))).any():
+    # compared, not subtracted: a difference of two int64 ids can wrap
+    same_user = users[1:] == users[:-1]
+    if ((users[1:] < users[:-1]) | (same_user & (items[1:] < items[:-1]))).any():
         raise ValidationError(f"{path}: records are not in ascending (user, item) order")
     try:
         return RatingDataset.from_arrays(users, items, ratings)

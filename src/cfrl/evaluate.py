@@ -13,12 +13,10 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
 from . import mf
-from .agent import TrainConfig
 from .env import InteractiveEnv, TaskMode, run_episode
 from .errors import ValidationError
 from .methods import METHODS, SplitContext
@@ -265,90 +263,57 @@ class ComparisonReport:
         return rows
 
 
-def _run_split(ctx: SplitContext, methods: tuple, tasks: tuple, horizon: int, mf_params: dict,
-               train_cfg: TrainConfig | None) -> dict:
+def _run_split(ctx: SplitContext) -> dict:
     """Scores (or error strings) for every (method, task) cell of one split."""
-    out = {}
-    if any(METHODS[m].needs_mf for m in methods):
-        seed = derive_seed(ctx.seed, f"mf:{ctx.index}")
-        ctx = replace(ctx, mf_model=mf.pretrain(ctx.ds, ctx.split.train_users, seed=seed, **mf_params))
+    cfg, out = ctx.cfg, {}
+    if any(METHODS[m].needs_mf for m in cfg.methods):
+        ctx = replace(ctx, mf_model=mf.pretrain(
+            ctx.ds, ctx.split.train_users, d=cfg.mf_dim, reg=cfg.mf_reg, lr=cfg.mf_lr,
+            epochs=cfg.mf_epochs, seed=derive_seed(cfg.seed, f"mf:{ctx.index}")))
     untrained = {}  # an untrained method's policy ignores the task and resets per episode
-    for task in tasks:
-        for method in methods:
+    for task in cfg.eval_tasks:
+        for method in cfg.methods:
             try:
                 spec = METHODS[method]
                 if spec.trains:
-                    cfg = _train_cfg_for(ctx, train_cfg, horizon, method, task)
-                    policy = spec.policy(ctx, spec.fit(ctx, cfg))
+                    seed = derive_seed(cfg.seed, f"{method}:{task.value}:{ctx.index}")
+                    artifact = spec.fit(ctx, replace(cfg.agent, task=task, seed=seed))
+                    policy = spec.policy(ctx, artifact)
                 elif method in untrained:
                     policy = untrained[method]
                 else:
                     policy = untrained[method] = spec.policy(ctx, None)
-                scores = evaluate_policy(policy, ctx.ds, ctx.split, task, horizon)
+                scores = evaluate_policy(policy, ctx.ds, ctx.split, task, cfg.agent.horizon)
                 out[(method, task.value)] = float(np.mean(scores))
             except Exception as exc:  # cell failures must not kill the grid
                 out[(method, task.value)] = f"error: {type(exc).__name__}: {exc}"
     return out
 
 
-def _train_cfg_for(ctx: SplitContext, train_cfg: TrainConfig | None, horizon: int, method: str,
-                   task: TaskMode) -> TrainConfig:
-    if train_cfg is None:
-        raise ValidationError(f"method {method!r} needs a training budget (train config)")
-    return replace(
-        train_cfg,
-        task=task,
-        horizon=horizon,
-        seed=derive_seed(ctx.seed, f"{method}:{task.value}:{ctx.index}"),
-    )
+def benchmark(ds, splits, cfg) -> ComparisonReport:
+    """Run the config's methods-by-tasks grid over all splits.
 
-
-def benchmark(
-    ds,
-    splits,
-    methods,
-    tasks,
-    dataset_name: str = "dataset",
-    seed: int = 0,
-    horizon: int = 40,
-    mf_dim: int = 16,
-    mf_reg: float = 0.01,
-    mf_lr: float = 0.01,
-    mf_epochs: int = 30,
-    train_cfg: TrainConfig | None = None,
-    linucb_alpha: float = 1.0,
-    jobs: int = 1,
-) -> ComparisonReport:
-    """Run the full methods-by-tasks grid over all splits.
-
-    Per-split work is independent and seeded by split index, so results do
-    not depend on the degree of parallelism: `jobs` (at least 1) caps the
-    worker processes, at most one a split. Cell failures are recorded in
-    the report instead of aborting the run.
+    `cfg` is the run's config.RunConfig: its [eval] methods, tasks and jobs,
+    its [mf] and [agent] settings, and the seed every per-split and per-cell
+    seed derives from. Per-split work is independent and seeded by split
+    index, so results do not depend on the degree of parallelism: `jobs` (at
+    least 1) caps the worker processes, at most one a split. Cell failures
+    are recorded in the report instead of aborting the run.
     """
-    methods = tuple(methods)
-    tasks = tuple(tasks)
+    methods, tasks = tuple(cfg.methods), tuple(cfg.eval_tasks)
     if not methods:
         raise ValueError("no methods requested")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, not {jobs}")
+    if cfg.jobs < 1:
+        raise ValueError(f"jobs must be >= 1, not {cfg.jobs}")
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise ValidationError(f"unknown methods {unknown}; known: {tuple(METHODS)}")
-    run_split = partial(
-        _run_split, methods=methods, tasks=tasks, horizon=horizon, train_cfg=train_cfg,
-        mf_params=dict(d=mf_dim, reg=mf_reg, lr=mf_lr, epochs=mf_epochs),
-    )
-    contexts = [
-        SplitContext(ds=ds, split=split, index=s, seed=seed, linucb_alpha=linucb_alpha,
-                     horizon=horizon)
-        for s, split in enumerate(splits)
-    ]
-    if jobs > 1 and len(contexts) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(contexts))) as pool:
-            split_results = list(pool.map(run_split, contexts))
+    contexts = [SplitContext(ds, split, s, cfg) for s, split in enumerate(splits)]
+    if cfg.jobs > 1 and len(contexts) > 1:
+        with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(contexts))) as pool:
+            split_results = list(pool.map(_run_split, contexts))
     else:
-        split_results = [run_split(ctx) for ctx in contexts]
+        split_results = [_run_split(ctx) for ctx in contexts]
 
     cells = {}
     for method in methods:
@@ -364,11 +329,11 @@ def benchmark(
                 cells[(method, task)] = "; ".join(errors)
             else:
                 cells[(method, task)] = EvalResult(
-                    method=method, task=task, dataset=dataset_name, split_scores=scores
+                    method=method, task=task, dataset=cfg.dataset_name, split_scores=scores
                 )
     return ComparisonReport(
-        dataset=dataset_name, methods=list(methods), tasks=list(tasks),
-        cells=cells, horizon=horizon,
+        dataset=cfg.dataset_name, methods=list(methods), tasks=list(tasks),
+        cells=cells, horizon=cfg.agent.horizon,
     )
 
 

@@ -5,9 +5,11 @@ per method. An entry turns the split (and its trained artifact) into a
 policy, which keeps its own state; the environment it is evaluated in needs
 no model. A Q-learner's fit is its trainer run to the end, so `cfrl train`
 (with or without `--resume`) and the grid train it through one
-agent.make_trainer. Entries look their builders up on the `agent`,
-`baselines` and `qnet` modules each time they run, so a builder rebound there
-is the one every path calls.
+agent.make_trainer. A split's context carries the run's config.RunConfig,
+the one place its settings are stated, and the entries read the seed, the
+[agent] settings and LinUCB's alpha from it. Entries look their builders up
+on the `agent`, `baselines` and `qnet` modules each time they run, so a
+builder rebound there is the one every path calls.
 """
 
 from __future__ import annotations
@@ -29,10 +31,8 @@ class SplitContext:
     ds: object
     split: object
     index: int                   # split index, part of the per-split seeds
-    seed: int                    # the run's top-level seed
+    cfg: object                  # the run's config.RunConfig
     mf_model: object = None      # pretrained factors, when some method needs them
-    linucb_alpha: float = 1.0
-    horizon: int | None = None   # episode length, when the raw-state dqn policy is built
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,8 @@ def _load_linucb(ctx, path) -> baselines.LinUcbModel:
 
 def _q_learner(raw_state: bool) -> MethodSpec:
     """A greedy Q-network over the raw rating vector (dqn) or the latent state
-    (cfrl); fit is its trainer run to the end."""
+    (cfrl); fit is its trainer run to the end. The greedy policy acts on the
+    state kind that agent.make_trainer trains on."""
 
     def trainer(ctx, cfg) -> agent.QTrainer:
         return agent.make_trainer(ctx.ds, ctx.split, None if raw_state else ctx.mf_model, cfg)
@@ -96,8 +97,8 @@ def _q_learner(raw_state: bool) -> MethodSpec:
 
     return MethodSpec(
         needs_mf=not raw_state,
-        policy=lambda ctx, net: baselines.GreedyQPolicy(net, ctx.mf_model, raw_state=raw_state,
-                                                        horizon=ctx.horizon),
+        policy=lambda ctx, net: baselines.GreedyQPolicy(net, *agent.state_kind(
+            None if raw_state else ctx.mf_model, ctx.ds.n, ctx.cfg.agent.horizon)),
         fit=fit,
         save=lambda net, path, manifest=None: qnet.save_qnet(net, path, manifest=manifest),
         load=load,
@@ -108,7 +109,7 @@ def _q_learner(raw_state: bool) -> MethodSpec:
 
 METHODS = {
     "random": MethodSpec(False, lambda ctx, _: baselines.RandomPolicy(
-        seed=derive_seed(ctx.seed, f"random:{ctx.index}"))),
+        seed=derive_seed(ctx.cfg.seed, f"random:{ctx.index}"))),
     "popular": MethodSpec(False, lambda ctx, _: baselines.popular_policy(
         ctx.ds, ctx.split.train_users)),
     "impact": MethodSpec(False, lambda ctx, _: baselines.impact_policy(
@@ -118,7 +119,7 @@ METHODS = {
         True,
         lambda ctx, ucb: baselines.LinUcbPolicy(ucb, ctx.mf_model, frozen=True),
         fit=lambda ctx, cfg: baselines.train_linucb(
-            ctx.ds, ctx.split, ctx.mf_model, cfg, alpha_ucb=ctx.linucb_alpha),
+            ctx.ds, ctx.split, ctx.mf_model, cfg, alpha_ucb=ctx.cfg.linucb_alpha),
         save=lambda ucb, path, manifest=None: persist.save_npz(
             path, {"A": ucb.A, "b": ucb.b, "alpha_ucb": np.array([ucb.alpha_ucb])}),
         load=_load_linucb,

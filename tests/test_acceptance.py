@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from cfrl import mf, qnet
-from cfrl.agent import QTrainer, TrainConfig, make_trainer, state_update
+from cfrl.agent import QTrainer, TrainConfig, make_trainer, state_kind, state_update
 from cfrl.baselines import (
     GreedyQPolicy,
     OnlineMfPolicy,
@@ -151,10 +151,11 @@ def test_criterion_05_cfrl_beats_raw_dqn_at_desk_scale(ml100k_ds, ml100k_splits)
     dqn_net = _trained(make_trainer(ml100k_ds, split, None, dqn_cfg))
 
     cfrl_scores = evaluate_policy(
-        GreedyQPolicy(cfrl_net, mf_model=model), ml100k_ds, split, TaskMode.TASK_II, HORIZON,
+        GreedyQPolicy(cfrl_net, *state_kind(model, ml100k_ds.n, HORIZON)), ml100k_ds, split,
+        TaskMode.TASK_II, HORIZON,
     )
     dqn_scores = evaluate_policy(
-        GreedyQPolicy(dqn_net, raw_state=True, horizon=HORIZON), ml100k_ds, split,
+        GreedyQPolicy(dqn_net, *state_kind(None, ml100k_ds.n, HORIZON)), ml100k_ds, split,
         TaskMode.TASK_II, HORIZON,
     )
     cfrl_mean = float(np.mean(cfrl_scores))

@@ -759,7 +759,8 @@ def test_trainer_and_greedy_policy_share_one_state(small_setup, raw_state):
     rows = np.arange(len(trace))
     s, a, r = _rows(trainer.memory, rows, trainer.episode)
     s_next = trainer.memory.update(s, a, r)
-    policy = GreedyQPolicy(trainer.net, mf_model=model, raw_state=raw_state, horizon=cfg.horizon)
+    policy = GreedyQPolicy(trainer.net,
+                           *state_kind(None if raw_state else model, ds.n, cfg.horizon))
 
     def row(states, k):
         # a raw state's pairs, in any order, as the Columns training reads
@@ -1393,8 +1394,8 @@ def test_eligible_train_users_filters_short_profiles():
 def _greedy_rollout(net, ds, model, user, horizon):
     """(score, rewards, actions) of one frozen latent-state Q-network episode."""
     split = Split(train_users=frozenset(), test_users=frozenset({user}), seed=0)
-    scores, trace = traced_eval(GreedyQPolicy(net, mf_model=model), ds, split, TaskMode.TASK_II,
-                                horizon)
+    policy = GreedyQPolicy(net, *state_kind(model, ds.n, horizon))
+    scores, trace = traced_eval(policy, ds, split, TaskMode.TASK_II, horizon)
     return float(scores[0]), [row[4] for row in trace], [row[3] for row in trace]
 
 

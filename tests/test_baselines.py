@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfrl import baselines, mf, qnet
-from cfrl.agent import TrainConfig, make_trainer
+from cfrl.agent import TrainConfig, make_trainer, state_kind
 from cfrl.baselines import (
     GreedyQPolicy,
     LinUcbModel,
@@ -19,6 +19,7 @@ from cfrl.baselines import (
     popularity_counts,
     train_linucb,
 )
+from cfrl.config import RunConfig
 from cfrl.dataset import Split
 from cfrl.env import TaskMode
 from cfrl.errors import ValidationError
@@ -254,14 +255,14 @@ class TestLinUcb:
         ucb.A += 1.0
         path = tmp_path / "ucb.npz"
         spec.save(ucb, path)
-        ctx = SplitContext(ds=ds, split=None, index=0, seed=0, mf_model=model)
+        ctx = SplitContext(ds, None, 0, RunConfig(), model)
         back = spec.load(ctx, path)
         np.testing.assert_array_equal(back.A, ucb.A)
         np.testing.assert_array_equal(back.b, ucb.b)
         assert back.alpha_ucb == 0.5
         narrow = mf.MfModel(U=model.U[:-1], V=model.V[:-1], d=model.d - 1, reg=0.0, lr=0.0)
         with pytest.raises(ValidationError, match="factor width"):
-            spec.load(SplitContext(ds=ds, split=None, index=0, seed=0, mf_model=narrow), path)
+            spec.load(SplitContext(ds, None, 0, RunConfig(), narrow), path)
         path.write_bytes(path.read_bytes()[:-9])
         with pytest.raises(ValidationError):
             spec.load(ctx, path)
@@ -351,7 +352,7 @@ class TestLinUcb:
         monkeypatch.undo()
         assert [p.name for p in tmp_path.iterdir()] == ["ucb.npz"]
         assert path.read_bytes() == before
-        back = spec.load(SplitContext(ds=ds, split=None, index=0, seed=0, mf_model=model), path)
+        back = spec.load(SplitContext(ds, None, 0, RunConfig(), model), path)
         np.testing.assert_array_equal(back.A, ucb.A)
         assert back.alpha_ucb == 0.5
 
@@ -371,7 +372,7 @@ class TestLinUcb:
             A[0, 1] += 1e-3  # Cholesky reads one triangle only
         path = tmp_path / "ucb.npz"
         np.savez(path, A=A, b=b, alpha_ucb=alpha)
-        ctx = SplitContext(ds=ds, split=None, index=0, seed=0, mf_model=model)
+        ctx = SplitContext(ds, None, 0, RunConfig(), model)
         with pytest.raises(ValidationError, match="not finite|positive definite"):
             METHODS["linucb"].load(ctx, path)
 
@@ -379,19 +380,12 @@ class TestLinUcb:
 class TestGreedyQPolicy:
     def test_raw_state_tracking(self):
         net = qnet.qnet_init([6, 6], seed=0)
-        policy = GreedyQPolicy(net, raw_state=True, horizon=3)
+        policy = GreedyQPolicy(net, *state_kind(None, 6, 3))
         policy.begin_episode([0])
         policy.observe(np.array([2]), np.array([4.0]))
         assert policy.state.dense(6)[0, 2] == 4.0
         policy.begin_episode([1])
         assert (policy.state.items == 6).all() and not policy.state.values.any()
-
-    def test_cf_policy_needs_model(self):
-        net = qnet.qnet_init([4, 6], seed=0)
-        with pytest.raises(ValueError, match="MF model"):
-            GreedyQPolicy(net, mf_model=None, raw_state=False)
-        with pytest.raises(ValueError, match="horizon"):
-            GreedyQPolicy(net, raw_state=True)
 
 
 @settings(max_examples=60, deadline=None)
@@ -430,7 +424,7 @@ def test_raw_state_values_do_not_depend_on_the_block(data):
             seen.append(forward(net, states))
             return seen[-1]
 
-        policy = GreedyQPolicy(net, raw_state=True, horizon=horizon)
+        policy = GreedyQPolicy(net, *state_kind(None, n, horizon))
         forward = qnet.forward
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(qnet, "forward", spy)
@@ -478,8 +472,8 @@ def test_every_policy_acts_inside_the_mask(ds, model):
         impact_policy(ds, set(range(10))),
         OnlineMfPolicy(model),
         LinUcbPolicy(LinUcbModel.fresh(model.d), model, frozen=True),
-        GreedyQPolicy(net_cf, mf_model=model),
-        GreedyQPolicy(net_raw, raw_state=True, horizon=40),
+        GreedyQPolicy(net_cf, *state_kind(model, ds.n, 40)),
+        GreedyQPolicy(net_raw, *state_kind(None, ds.n, 40)),
     ]
     rows = np.arange(3)
     for policy in policies:

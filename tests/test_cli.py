@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 
 from cfrl import mf
+from cfrl.agent import TrainConfig
 from cfrl.cli import main
 from cfrl.config import RunConfig, dump_config, load_config
 from cfrl.dataset import load_ratings, make_splits
+from cfrl.env import TaskMode
 
 from conftest import synthetic_profiles, write_ratings_file
 
@@ -88,11 +90,82 @@ methods = random,popular
 
 
 def test_config_round_trip(tmp_path):
-    cfg = RunConfig(seed=11, hidden=(32, 16), methods=("random", "mf"))
+    agent = TrainConfig(episodes=20000, hidden_sizes=(32, 16), task=TaskMode.TASK_II, gamma=0.5)
+    cfg = RunConfig(seed=11, agent=agent, methods=("random", "mf"),
+                    eval_tasks=(TaskMode.TASK_II,))
     path = tmp_path / "cfg.ini"
     path.write_text(dump_config(cfg), encoding="utf-8")
     back = load_config(path)
     assert back == cfg
+    assert "hidden = 32,16\n" in dump_config(back) and "task = task2\n" in dump_config(back)
+
+
+# every default a run takes, as the resolved config states it; a default that
+# moves between RunConfig and TrainConfig must not change it (an empty path
+# is written with the space after its '=')
+DEFAULT_CONFIG = """[run]
+seed = 0
+out = runs/latest
+
+[data]
+path =\x20
+format = tab
+name = dataset
+
+[split]
+count = 10
+test_fraction = 0.1
+min_ratings = 100
+
+[mf]
+dim = 16
+reg = 0.01
+lr = 0.01
+epochs = 30
+
+[agent]
+episodes = 20000
+horizon = 40
+gamma = 0.9
+epsilon = 0.1
+q_lr = 0.001
+sync_period = 500
+batch_size = 32
+replay_capacity = 100000
+hidden = 64
+activation = tanh
+task = task1
+checkpoint_every = 0
+
+[eval]
+tasks = task1,task2
+methods = random,popular,impact,mf,linucb,dqn,cfrl
+linucb_alpha = 1.0
+jobs = 1
+"""
+
+
+def test_every_default_is_pinned(tmp_path):
+    assert dump_config(RunConfig()) == DEFAULT_CONFIG
+    path = tmp_path / "empty.ini"
+    path.write_text("", encoding="utf-8")
+    assert load_config(path) == RunConfig()
+    assert RunConfig().train_config() == TrainConfig(episodes=20000, seed=0)
+
+
+@pytest.mark.parametrize("command", ["ingest", "pretrain", "train", "eval", "benchmark"])
+@pytest.mark.parametrize("section, key", [("agent", "task"), ("eval", "tasks")])
+def test_a_bad_task_name_fails_every_command_at_load(workspace, capsys, command, section, key):
+    tmp_path, _, cfg_path = workspace
+    text = cfg_path.read_text(encoding="utf-8")
+    old = {"task": "task = task2\n", "tasks": "tasks = task1\n"}[key]
+    bad = tmp_path / "bad.ini"
+    bad.write_text(text.replace(old, f"{key} = task3\n"), encoding="utf-8")
+    argv = [command, "--config", str(bad)] + (["--method", "random"] if command == "eval" else [])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: [{section}] {key}: unknown task 'task3'")
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_rejects_unknown_keys(tmp_path):

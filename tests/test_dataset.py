@@ -289,10 +289,20 @@ INT64 = np.iinfo(np.int64)
     [(0, 5, 1), (0, INT64.min, 2)],             # items likewise, under one user
     [(INT64.min, INT64.max, 3), (INT64.max, INT64.min, 4), (0, 0, 5), (0, INT64.max, 1)],
 ])
-def test_ids_at_the_ends_of_int64_are_ordered_by_value(records):
+def test_ids_at_the_ends_of_int64_are_ordered_by_value(records, tmp_path):
     _assert_rows_match_the_reference(records)
     digest = _from_records(sorted(records)).digest()
     assert _from_records(records).digest() == _from_records(records[::-1]).digest() == digest
+    # a snapshot's order check compares the ids too: the matrix round-trips,
+    # and its records reversed are refused
+    ds = _from_records(records)
+    path = tmp_path / "ds.snap"
+    save_snapshot(ds, path)
+    assert_same_matrix(load_snapshot(path), ds)
+    reversed_path = _edited_snapshot(tmp_path, ds, lambda rec: rec.__setitem__(
+        slice(None), rec[::-1].copy()))
+    with pytest.raises(ValidationError, match="order"):
+        load_snapshot(reversed_path)
 
 
 def _assert_rows_match_the_reference(records):

@@ -1,5 +1,5 @@
-"""tools/drift.py finds a change of one ulp and none between equal outputs, and
-extracts the base tree of a git revision itself."""
+"""tools/drift.py finds a change of one ulp, or of one byte in a text output, and
+none between equal outputs, and extracts the base tree of a git revision itself."""
 
 import subprocess
 import sys
@@ -99,6 +99,42 @@ def test_train_log_changes_are_drift(tmp_path):
     (longer / "cfrl_task2_split0_train_log.csv").write_text(_LOG + "2,3,1.0,0.5,0.1,1\n")
     lines, drifted = drift.compare_train_logs(base, longer)
     assert drifted == 6 and "first at episode 2 column episode: - -> 2" in lines[0]
+
+
+def _text_outputs(work):
+    """An out directory under `work`, with a resolved config that names it
+    and a manifest sidecar."""
+    out = work / "out0"
+    out.mkdir(parents=True)
+    (out / "config.resolved.ini").write_text(
+        f"[run]\nseed = 0\nout = {out}\n\n[data]\npath = {out / 'dataset.snap'}\n")
+    (out / "cfrl_task2_split0.ckpt.manifest.json").write_text(
+        '{\n  "gamma": 0.9,\n  "seed": 4\n}\n')
+    return out
+
+
+def test_text_outputs_are_compared_byte_for_byte_but_for_the_work_directory(tmp_path):
+    base, head, same = (_text_outputs(tmp_path / tree) for tree in ("base", "head", "same"))
+    # each config names its own work directory, which reads as the placeholder
+    lines, drifted = drift.compare_texts(base, same)
+    assert drifted == 0
+    assert lines == ["  cfrl_task2_split0.ckpt.manifest.json: identical, 4 lines",
+                     "  config.resolved.ini: identical, 6 lines"]
+    # planted: a manifest value, and a config line outside the work directory
+    manifest = head / "cfrl_task2_split0.ckpt.manifest.json"
+    manifest.write_text(manifest.read_text().replace("0.9,", "0.95,"))
+    config = head / "config.resolved.ini"
+    config.write_text(config.read_text().replace("seed = 0", "seed = 1") + "\n")
+    lines, drifted = drift.compare_texts(base, head)
+    assert drifted == 1 + 2
+    assert lines == [
+        "  cfrl_task2_split0.ckpt.manifest.json: 1 lines differ; first at line 2: "
+        "'  \"gamma\": 0.9,\\n' -> '  \"gamma\": 0.95,\\n'",
+        "  config.resolved.ini: 2 lines differ; first at line 2: 'seed = 0\\n' -> 'seed = 1\\n'",
+    ]
+    (head / "config.resolved.ini").unlink()
+    with pytest.raises(FileNotFoundError, match="config.resolved.ini is written by one tree only"):
+        drift.compare_texts(base, head)
 
 
 def _git(repo, *args):

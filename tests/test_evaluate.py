@@ -7,6 +7,7 @@ from cfrl import baselines, mf
 from cfrl import evaluate as evaluate_module
 from cfrl.agent import TrainConfig
 from cfrl.baselines import OnlineMfPolicy, RandomPolicy
+from cfrl.config import RunConfig
 from cfrl.dataset import Split, make_splits
 from cfrl.env import TaskMode
 from cfrl.errors import ValidationError
@@ -298,14 +299,20 @@ def bench_ds():
     return make_dataset(synthetic_profiles(n_users=16, n_items=20, per_user=12, seed=9))
 
 
+def _grid(methods, tasks, horizon=5, **settings) -> RunConfig:
+    """A run config for the grid of `methods` by `tasks` at `horizon`, the
+    other settings the defaults unless given."""
+    return RunConfig(methods=methods, eval_tasks=tasks,
+                     agent=TrainConfig(episodes=20000, horizon=horizon), **settings)
+
+
 def test_benchmark_grid_structure_and_determinism(bench_ds, tmp_path):
     splits = make_splits(bench_ds, n_splits=3, test_fraction=0.2, min_ratings=10, seed=5)
     methods = ("random", "popular", "impact", "mf")
     tasks = (TaskMode.TASK_I, TaskMode.TASK_II)
-    kwargs = dict(
-        dataset_name="synth", seed=5, horizon=6, mf_dim=3, mf_epochs=4, jobs=1
-    )
-    report = benchmark(bench_ds, splits, methods, tasks, **kwargs)
+    cfg = _grid(methods, tasks, horizon=6, dataset_name="synth", seed=5, mf_dim=3, mf_epochs=4,
+                jobs=1)
+    report = benchmark(bench_ds, splits, cfg)
     assert report.methods == list(methods)
     assert report.tasks == list(tasks)
     assert not report.failed_cells()
@@ -315,7 +322,7 @@ def test_benchmark_grid_structure_and_determinism(bench_ds, tmp_path):
             assert isinstance(cell, EvalResult)
             assert len(cell.split_scores) == 3
             assert cell.mean == pytest.approx(float(np.mean(cell.split_scores)), abs=1e-12)
-    again = benchmark(bench_ds, splits, methods, tasks, **kwargs)
+    again = benchmark(bench_ds, splits, cfg)
     assert report.csv_rows() == again.csv_rows()
     write_report(report, tmp_path)
     assert (tmp_path / "report.txt").exists()
@@ -343,8 +350,8 @@ def test_benchmark_parallel_equals_serial(bench_ds):
     splits = make_splits(bench_ds, n_splits=3, test_fraction=0.2, min_ratings=10, seed=5)
     methods = ("random", "popular")
     tasks = (TaskMode.TASK_I,)
-    serial = benchmark(bench_ds, splits, methods, tasks, seed=1, horizon=5, jobs=1)
-    parallel = benchmark(bench_ds, splits, methods, tasks, seed=1, horizon=5, jobs=3)
+    serial = benchmark(bench_ds, splits, _grid(methods, tasks, seed=1, jobs=1))
+    parallel = benchmark(bench_ds, splits, _grid(methods, tasks, seed=1, jobs=3))
     assert serial.csv_rows() == parallel.csv_rows()
 
 
@@ -370,8 +377,8 @@ def test_benchmark_starts_at_most_one_worker_a_split(bench_ds, monkeypatch):
     splits = make_splits(bench_ds, n_splits=2, test_fraction=0.2, min_ratings=10, seed=5)
 
     def run(jobs, chosen=splits):
-        return benchmark(bench_ds, chosen, ("random",), (TaskMode.TASK_I,), seed=1, horizon=5,
-                         jobs=jobs)
+        cfg = _grid(("random",), (TaskMode.TASK_I,), seed=1, jobs=jobs)
+        return benchmark(bench_ds, chosen, cfg)
 
     serial = run(jobs=1).csv_rows()
     for jobs in (2, 3, 64):
@@ -385,13 +392,15 @@ def test_benchmark_starts_at_most_one_worker_a_split(bench_ds, monkeypatch):
     assert asked == [2, 2, 2]
 
 
-def test_benchmark_records_cell_failures_without_aborting(bench_ds, tmp_path):
+def test_benchmark_records_cell_failures_without_aborting(bench_ds, tmp_path, monkeypatch):
     splits = make_splits(bench_ds, n_splits=2, test_fraction=0.2, min_ratings=10, seed=5)
-    # linucb without a training budget must fail per-cell, not globally
-    report = benchmark(
-        bench_ds, splits, ("random", "linucb"), (TaskMode.TASK_I,),
-        seed=2, horizon=5, train_cfg=None,
-    )
+
+    def no_budget(*args, **kwargs):
+        raise ValidationError("no training budget")
+
+    # a linucb fit that raises must fail its cell, not the grid
+    monkeypatch.setattr(baselines, "train_linucb", no_budget)
+    report = benchmark(bench_ds, splits, _grid(("random", "linucb"), (TaskMode.TASK_I,), seed=2))
     assert isinstance(report.cells[("random", TaskMode.TASK_I)], EvalResult)
     failed = report.failed_cells()
     assert failed == [("linucb", TaskMode.TASK_I)]
@@ -406,8 +415,8 @@ def test_benchmark_builds_untrained_policies_once_per_split(bench_ds, monkeypatc
     calls = []
     scores = baselines.impact_scores
     monkeypatch.setattr(baselines, "impact_scores", lambda *a: calls.append(a) or scores(*a))
-    report = benchmark(bench_ds, splits, ("impact",), (TaskMode.TASK_I, TaskMode.TASK_II),
-                       seed=2, horizon=5)
+    report = benchmark(bench_ds, splits,
+                       _grid(("impact",), (TaskMode.TASK_I, TaskMode.TASK_II), seed=2))
     assert not report.failed_cells()
     assert len(calls) == len(splits)
 
@@ -415,9 +424,9 @@ def test_benchmark_builds_untrained_policies_once_per_split(bench_ds, monkeypatc
 def test_benchmark_rejects_empty_or_unknown_methods(bench_ds):
     splits = make_splits(bench_ds, n_splits=2, test_fraction=0.2, min_ratings=10, seed=5)
     with pytest.raises(ValueError, match="no methods"):
-        benchmark(bench_ds, splits, (), (TaskMode.TASK_I,))
+        benchmark(bench_ds, splits, _grid((), (TaskMode.TASK_I,)))
     with pytest.raises(ValidationError, match="unknown methods"):
-        benchmark(bench_ds, splits, ("poppular",), (TaskMode.TASK_I,))
+        benchmark(bench_ds, splits, _grid(("poppular",), (TaskMode.TASK_I,)))
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +440,8 @@ def lockstep_setup():
     ds = make_dataset(synthetic_profiles(n_users=18, n_items=24, per_user=10, seed=4))
     split = Split(train_users=frozenset(range(10)), test_users=frozenset(range(10, 18)), seed=0)
     model = mf.pretrain(ds, split.train_users, d=4, reg=0.01, lr=0.02, epochs=5, seed=1)
-    ctx = SplitContext(ds=ds, split=split, index=0, seed=3, mf_model=model, horizon=8)
+    ctx = SplitContext(ds, split, 0, RunConfig(seed=3, agent=TrainConfig(episodes=6, horizon=8)),
+                       model)
     artifacts = {}
     for task in (TaskMode.TASK_I, TaskMode.TASK_II):
         for method, spec in METHODS.items():

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from cfrl import dataset, mf, persist, qnet
 from cfrl.agent import TrainConfig, make_trainer, write_trace, write_training_log
 from cfrl.baselines import LinUcbModel
+from cfrl.config import RunConfig
 from cfrl.dataset import Split
 from cfrl.env import TaskMode
 from cfrl.errors import ValidationError
@@ -50,7 +51,7 @@ def _qnetwork(tmp):
 
 def _linucb(tmp):
     model = mf.MfModel(U=np.zeros((2, 3)), V=np.ones((2, 4)), d=2, reg=0.0, lr=0.0)
-    ctx = SplitContext(ds=None, split=None, index=0, seed=0, mf_model=model)
+    ctx = SplitContext(ds=None, split=None, index=0, cfg=RunConfig(), mf_model=model)
     ucb = LinUcbModel.fresh(2, alpha_ucb=0.5)
     ucb.A += 0.25
     ucb.b += 1.0

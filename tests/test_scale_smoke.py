@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from cfrl import mf
-from cfrl.agent import TrainConfig, make_trainer
+from cfrl.agent import TrainConfig, make_trainer, state_kind
 from cfrl.baselines import (
     GreedyQPolicy,
     OnlineMfPolicy,
@@ -103,7 +103,8 @@ def test_latent_state_enables_personalization():
     trainer = make_trainer(ds, split, eval_model, cfg)
     trainer.run()
     cfrl_score = float(np.mean(evaluate_policy(
-        GreedyQPolicy(trainer.net, mf_model=eval_model), ds, split, TaskMode.TASK_I, 10
+        GreedyQPolicy(trainer.net, *state_kind(eval_model, ds.n, 10)), ds, split, TaskMode.TASK_I,
+        10
     )))
     rand_score = float(np.mean(evaluate_policy(
         RandomPolicy(seed=9), ds, split, TaskMode.TASK_I, 10
@@ -124,7 +125,8 @@ def test_short_budget_cfrl_beats_random_at_scale(big_ds, big_splits, big_mf):
     trainer.run()
     assert trainer.episode == 400
     cfrl_score = float(np.mean(evaluate_policy(
-        GreedyQPolicy(trainer.net, mf_model=big_mf), big_ds, split, TaskMode.TASK_II, 10
+        GreedyQPolicy(trainer.net, *state_kind(big_mf, big_ds.n, 10)), big_ds, split,
+        TaskMode.TASK_II, 10
     )))
     rand_score = float(np.mean(evaluate_policy(
         RandomPolicy(seed=5), big_ds, split, TaskMode.TASK_II, 10

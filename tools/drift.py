@@ -34,7 +34,12 @@ and prints, per workload:
     steps do;
   - for every training log, the first episode and column at which the two
     logs differ, and how many values do;
-  - every eval and `report.csv` cell whose score differs, with its delta.
+  - every eval and `report.csv` cell whose score differs, with its delta;
+  - for the resolved config (`config.resolved.ini`) and every manifest
+    sidecar (`*.manifest.json`), the first line at which the two files
+    differ byte for byte, and how many lines do. Each tree's own work
+    directory, which the config's `out` and data `path` name, reads as
+    WORK in both trees first.
 
 Exit status: 0 when every output is the same bit for bit, 1 when any of
 them drifts, 2 when a command fails or an output is missing.
@@ -67,6 +72,7 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("train-cfrl", "train-dqn-raw", "grid", "wrap-and-resume")
 RESUMED = ("train-cfrl", "train-dqn-raw")   # the train workloads that wrap-and-resume runs
 SYNC_PERIOD = 37                            # wrap-and-resume's [agent] sync_period
+WORK = b"<work>"                            # a tree's own work directory in its text outputs
 
 
 def compare_checkpoints(base: Path, head: Path) -> tuple:
@@ -205,6 +211,35 @@ def compare_cells(base: Path, head: Path) -> tuple:
     return lines, drifted
 
 
+def _text_lines(out: Path, name: str) -> list:
+    """The lines, with their ends, of a text output of the out directory
+    `out`, its tree's work directory (out's parent) read as WORK."""
+    return (out / name).read_bytes().replace(os.fsencode(out.parent), WORK).splitlines(True)
+
+
+def compare_texts(base: Path, head: Path) -> tuple:
+    """(report lines, differing lines) over the resolved configs and the
+    manifest sidecars, compared byte for byte; a line only one file holds
+    differs too."""
+    lines, drifted = [], 0
+    names = sorted({p.name for out in (base, head)
+                    for p in [*out.glob("config.resolved.ini"), *out.glob("*.manifest.json")]})
+    for name in names:
+        if not (base / name).exists() or not (head / name).exists():
+            raise FileNotFoundError(f"{name} is written by one tree only")
+        old, new = _text_lines(base, name), _text_lines(head, name)
+        differ = [k for k in range(max(len(old), len(new))) if old[k:k + 1] != new[k:k + 1]]
+        drifted += len(differ)
+        if not differ:
+            lines.append(f"  {name}: identical, {len(old)} lines")
+            continue
+        k = differ[0]
+        a, b = (repr(text[k].decode(errors="replace")) if k < len(text) else "-"
+                for text in (old, new))
+        lines.append(f"  {name}: {len(differ)} lines differ; first at line {k + 1}: {a} -> {b}")
+    return lines, drifted
+
+
 def run_cli(src: Path, commands) -> None:
     """Run each cfrl command (an argv list) on the package in `src`.
 
@@ -302,7 +337,7 @@ def main(argv=None) -> int:
                 print(f"{workload}:")
                 for pair in zip(*outs):
                     for compare in (compare_checkpoints, compare_states, compare_traces,
-                                    compare_train_logs, compare_cells):
+                                    compare_train_logs, compare_cells, compare_texts):
                         lines, drifted = compare(*pair)
                         total += drifted
                         for line in lines:
