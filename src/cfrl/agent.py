@@ -259,8 +259,9 @@ class TrainConfig:
             raise ValueError("gamma must be in [0, 1]")
         if not (0.0 <= self.epsilon <= 1.0):
             raise ValueError("epsilon must be in [0, 1]")
-        if self.q_lr <= 0 or self.sync_period < 1 or self.batch_size < 1:
-            raise ValueError("q_lr, sync_period and batch_size must be positive")
+        for name in ("q_lr", "sync_period", "batch_size"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
         if self.replay_capacity < 1:
             raise ValueError("replay_capacity must be >= 1")
 
@@ -370,7 +371,7 @@ class QTrainer(StatePolicy):
     a block of one, from a start state of state_kind."""
 
     def __init__(self, env, users, start, update, cfg: TrainConfig):
-        cfg.validate()
+        self.episode_users = EpisodeUsers(users, cfg)
         super().__init__(start, update)
         raw = isinstance(start, qnet.Pairs)
         if raw and start.items.shape[1] != env.horizon + 1:
@@ -378,16 +379,12 @@ class QTrainer(StatePolicy):
                              f"environment's horizon of {env.horizon} steps")
         input_dim = env.n if raw else start.shape[1]
         self.env = env
-        self.users = sorted(users)
-        if not self.users and cfg.episodes > 0:
-            raise ValueError("no training users")
         self.cfg = cfg
         sizes = (input_dim, *cfg.hidden_sizes, env.n)
         self.net = qnet.qnet_init(sizes, seed=cfg.seed, activation=cfg.activation)
         if raw:
             self.net = qnet.input_major(self.net)
         self.target = self.net.copy()
-        self.user_rng = rng_for(cfg.seed, "episode-users")
         self.action_rng = rng_for(cfg.seed, "epsilon-greedy")
         self.replay_rng = rng_for(cfg.seed, "replay-sample")
         self.episode = 0    # episodes in the record
@@ -443,7 +440,7 @@ class QTrainer(StatePolicy):
         record = self.record
         while self.episode < stop:
             e = self.episode
-            user = self.users[int(self.user_rng.integers(len(self.users)))]
+            user = self.episode_users.draw()
             record["user"][e], record["end"][e], record["done"][e] = user, self.train_steps, False
             run_episode(self.env, [user], self)
             record["loss"][e] = float(np.mean(self.losses)) if self.losses else 0.0
@@ -466,7 +463,7 @@ class QTrainer(StatePolicy):
         replaces it, so a save that fails part-way leaves the previous state.
         """
         meta = {
-            "user_rng": self.user_rng.bit_generator.state,
+            "user_rng": self.episode_users.rng.bit_generator.state,
             "action_rng": self.action_rng.bit_generator.state,
             "replay_rng": self.replay_rng.bit_generator.state,
             "run": self.run_record,
@@ -489,10 +486,10 @@ class QTrainer(StatePolicy):
         """What a saved state must match to be resumed: the TrainConfig except
         its episode count, the dataset's (m, n) and digest, and a digest of
         the training users, which stands in for the split."""
-        ds = self.env.ds
+        ds, users = self.env.ds, np.array(self.episode_users.users, dtype=np.int64)
         record = {**vars(self.cfg), "hidden_sizes": list(self.cfg.hidden_sizes),
                   "task": self.cfg.task.value, "dataset": [ds.m, ds.n, ds.digest()],
-                  "train_users": hashlib.sha256(np.array(self.users, dtype=np.int64)).hexdigest()}
+                  "train_users": hashlib.sha256(users).hexdigest()}
         del record["episodes"]
         return record
 
@@ -512,7 +509,7 @@ class QTrainer(StatePolicy):
         if (int(ends[-1]) if episodes else 0) != steps:
             raise ValidationError(f"episode record: the last episode does not end at the "
                                   f"record's {steps} steps")
-        if not np.isin(record["user"], self.users).all():
+        if not np.isin(record["user"], self.episode_users.users).all():
             raise ValidationError("episode record: a user is not one of the run's training users")
         if not np.isfinite(record["loss"]).all():
             raise ValidationError("episode record: a loss is not finite")
@@ -576,7 +573,8 @@ class QTrainer(StatePolicy):
         except ValidationError as exc:
             raise ValidationError(f"{path}: {exc}") from None
         try:
-            for rng, state in zip((self.user_rng, self.action_rng, self.replay_rng), rng_states):
+            rngs = (self.episode_users.rng, self.action_rng, self.replay_rng)
+            for rng, state in zip(rngs, rng_states):
                 rng.bit_generator.state = state
         except (ValueError, TypeError, KeyError) as exc:
             raise ValidationError(f"{path}: invalid RNG state ({exc})") from None
@@ -586,20 +584,33 @@ class QTrainer(StatePolicy):
         self.episode, self.losses = episodes, []
 
 
-def eligible_train_users(ds, users, task: TaskMode, horizon: int) -> list:
-    """Users whose episodes can run the full horizon under the task's catalog."""
-    if task is TaskMode.TASK_II:
-        return sorted(users)
-    counts = np.diff(ds.indptr)
-    return sorted(u for u in users if counts[u] >= horizon)
+class EpisodeUsers:
+    """Who plays each episode of a training run of `cfg`, which is checked
+    here: one of `users`, sorted, drawn uniformly by the run's seeded
+    "episode-users" stream. A run that trains refuses an empty set."""
+
+    def __init__(self, users, cfg: TrainConfig):
+        cfg.validate()
+        self.users = sorted(users)
+        if not self.users and cfg.episodes > 0:
+            raise ValueError("no training users")
+        self.rng = rng_for(cfg.seed, "episode-users")
+
+    def draw(self) -> int:
+        return self.users[int(self.rng.integers(len(self.users)))]
+
+
+def training_env(ds, split, cfg: TrainConfig) -> tuple:
+    """The environment of cfg's task and horizon, and the split's training
+    users that can play a full episode in it: where every learner trains."""
+    env = InteractiveEnv(ds, cfg.task, cfg.horizon)
+    return env, env.playable(split.train_users)
 
 
 def make_trainer(ds, split, mf_model: mf.MfModel | None, cfg: TrainConfig) -> QTrainer:
     """Wire a trainer for the latent-state agent, or for the raw-vector
     variant when there is no factor model."""
-    environment = InteractiveEnv(ds, cfg.task, cfg.horizon)
-    users = eligible_train_users(ds, split.train_users, cfg.task, cfg.horizon)
-    return QTrainer(environment, users, *state_kind(mf_model, ds.n, cfg.horizon), cfg)
+    return QTrainer(*training_env(ds, split, cfg), *state_kind(mf_model, ds.n, cfg.horizon), cfg)
 
 
 def write_training_log(path, trainer: QTrainer) -> None:

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mf, qnet
-from .agent import Policy, StatePolicy, TrainConfig, eligible_train_users, state_update
-from .env import InteractiveEnv, run_episode
+from .agent import EpisodeUsers, Policy, StatePolicy, TrainConfig, state_update, training_env
+from .env import run_episode
 from .seeding import rng_for
 
 
@@ -125,7 +125,7 @@ class LinUcbModel:
     alpha_ucb: float
 
     @classmethod
-    def fresh(cls, d: int, alpha_ucb: float = 1.0) -> "LinUcbModel":
+    def fresh(cls, d: int, alpha_ucb: float) -> "LinUcbModel":
         return cls(A=np.eye(2 * d), b=np.zeros(2 * d), alpha_ucb=alpha_ucb)
 
 
@@ -192,19 +192,15 @@ class LinUcbPolicy(StatePolicy):
 
 
 def train_linucb(ds, split, mf_model: mf.MfModel, cfg: TrainConfig,
-                 alpha_ucb: float = 1.0) -> LinUcbModel:
+                 alpha_ucb: float) -> LinUcbModel:
     """Fit the ridge statistics with the same per-user episode scheme as the
     Q-learning agents; exploration comes from the confidence bonus itself."""
-    cfg.validate()
+    environment, users = training_env(ds, split, cfg)
+    episode_users = EpisodeUsers(users, cfg)
     model = LinUcbModel.fresh(mf_model.d, alpha_ucb)
     policy = LinUcbPolicy(model, mf_model, frozen=False)
-    environment = InteractiveEnv(ds, cfg.task, cfg.horizon)
-    users = eligible_train_users(ds, split.train_users, cfg.task, cfg.horizon)
-    if not users and cfg.episodes > 0:
-        raise ValueError("no training users")
-    user_rng = rng_for(cfg.seed, "episode-users")
     for _ in range(cfg.episodes):
-        run_episode(environment, [users[int(user_rng.integers(len(users)))]], policy)
+        run_episode(environment, [episode_users.draw()], policy)
     return model
 
 

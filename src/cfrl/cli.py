@@ -17,9 +17,8 @@ import numpy as np
 from . import agent, dataset, mf
 from .config import RunConfig, load_config, task_mode, write_resolved
 from .errors import CfrlError, DivergenceError, ParseError, ValidationError
-from .methods import METHODS, SplitContext
+from .methods import METHODS, SplitContext, pretrain_split
 from .persist import atomic_text
-from .seeding import derive_seed
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -28,42 +27,33 @@ EXIT_USAGE = 2
 
 def _resolve_config(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg.seed = args.seed
-    if getattr(args, "out", None) is not None:
+    if args.out is not None:
         cfg.out = args.out
     if getattr(args, "jobs", None) is not None:
         cfg.jobs = args.jobs
-    if getattr(args, "data", None):
+    if args.data:
         cfg.data_path = args.data
-    if getattr(args, "format", None):
+    if args.format:
         cfg.data_format = args.format
     return cfg
 
 
-def _load_dataset(cfg: RunConfig):
+def _load_dataset(cfg: RunConfig, snapshots: bool = True):
+    """The configured ratings file, or the snapshot there when `snapshots`."""
     if not cfg.data_path:
         raise ValueError("no dataset path configured; set [data] path or pass --data")
-    if dataset.is_snapshot(cfg.data_path):
+    if snapshots and dataset.is_snapshot(cfg.data_path):
         return dataset.load_snapshot(cfg.data_path)
     return dataset.load_ratings(cfg.data_path, cfg.data_format)
 
 
-def _splits(cfg: RunConfig, ds):
-    return dataset.make_splits(
-        ds,
-        n_splits=cfg.split_count,
-        test_fraction=cfg.test_fraction,
-        min_ratings=cfg.min_ratings,
-        seed=cfg.seed,
-    )
-
-
 def _split(cfg: RunConfig, ds, index: int):
     """Split `index`; an index outside 0..[split] count - 1 is a usage error."""
-    if not 0 <= index < cfg.split_count:
-        raise ValidationError(f"--split {index} is outside 0..{cfg.split_count - 1} ([split] count)")
-    return _splits(cfg, ds)[index]
+    if not 0 <= index < cfg.split.count:
+        raise ValidationError(f"--split {index} is outside 0..{cfg.split.count - 1} ([split] count)")
+    return dataset.make_splits(ds, cfg.split, cfg.seed)[index]
 
 
 def _mf_ckpt_path(out: Path, split_index: int) -> Path:
@@ -77,9 +67,7 @@ def _artifact_stem(method: str, task, split_index: int) -> str:
 
 def cmd_ingest(args) -> int:
     cfg = _resolve_config(args)
-    if not cfg.data_path:
-        raise ValueError("no dataset path configured; set [data] path or pass --data")
-    ds = dataset.load_ratings(cfg.data_path, cfg.data_format)
+    ds = _load_dataset(cfg, snapshots=False)
     stats = dataset.dataset_stats(ds)
     for key in ("m", "n", "rating_count", "mean_rating", "density"):
         print(f"{key} = {stats[key]}")
@@ -95,29 +83,14 @@ def cmd_ingest(args) -> int:
 def cmd_pretrain(args) -> int:
     cfg = _resolve_config(args)
     ds = _load_dataset(cfg)
-    split = _split(cfg, ds, args.split)
-    seed = derive_seed(cfg.seed, f"mf:{args.split}")
-    model = mf.pretrain(
-        ds, split.train_users, d=cfg.mf_dim, reg=cfg.mf_reg, lr=cfg.mf_lr,
-        epochs=cfg.mf_epochs, seed=seed,
-    )
+    model, seed = pretrain_split(SplitContext(ds, _split(cfg, ds, args.split), args.split, cfg))
     for epoch, rmse in enumerate(model.epoch_rmse):
         print(f"epoch {epoch:3d}  train_rmse {rmse:.6f}")
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     path = _mf_ckpt_path(out, args.split)
-    mf.save_mf(
-        model, path,
-        manifest={
-            "seed": seed,
-            "epochs": cfg.mf_epochs,
-            "dim": cfg.mf_dim,
-            "reg": cfg.mf_reg,
-            "lr": cfg.mf_lr,
-            "split": args.split,
-            "train_rmse": model.epoch_rmse[-1],
-        },
-    )
+    mf.save_mf(model, path, manifest={**vars(cfg.mf), "seed": seed, "split": args.split,
+                                      "train_rmse": model.epoch_rmse[-1]})
     print(f"checkpoint written to {path}")
     write_resolved(cfg, out)
     return EXIT_OK
@@ -248,7 +221,7 @@ def cmd_benchmark(args) -> int:
     if not cfg.methods:
         raise ValueError("empty methods list")
     ds = _load_dataset(cfg)
-    report = evaluate.benchmark(ds, _splits(cfg, ds), cfg)
+    report = evaluate.benchmark(ds, dataset.make_splits(ds, cfg.split, cfg.seed), cfg)
     out = Path(cfg.out)
     evaluate.write_report(report, out)
     write_resolved(cfg, out)
@@ -268,24 +241,20 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="INI configuration file")
         p.add_argument("--seed", type=int, help="override [run] seed")
         p.add_argument("--out", help="override [run] out directory")
+        p.add_argument("--data", help="ratings file path (a snapshot too, but for ingest)")
+        p.add_argument("--format", choices=sorted(dataset.FORMAT_SEPARATORS))
 
     p_ingest = sub.add_parser("ingest", help="parse a ratings file, print stats, write a snapshot")
     common(p_ingest)
-    p_ingest.add_argument("--data", help="ratings file path")
-    p_ingest.add_argument("--format", choices=sorted(dataset.FORMAT_SEPARATORS))
     p_ingest.set_defaults(func=cmd_ingest)
 
     p_pre = sub.add_parser("pretrain", help="pretrain the factor model for one split")
     common(p_pre)
-    p_pre.add_argument("--data", help="ratings file or snapshot path")
-    p_pre.add_argument("--format", choices=sorted(dataset.FORMAT_SEPARATORS))
     p_pre.add_argument("--split", type=int, default=0)
     p_pre.set_defaults(func=cmd_pretrain)
 
     p_train = sub.add_parser("train", help="train one learning method on one split")
     common(p_train)
-    p_train.add_argument("--data", help="ratings file or snapshot path")
-    p_train.add_argument("--format", choices=sorted(dataset.FORMAT_SEPARATORS))
     p_train.add_argument("--method", choices=[m for m, spec in METHODS.items() if spec.trains],
                          default="cfrl")
     p_train.add_argument("--split", type=int, default=0)
@@ -295,8 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="evaluate one method on one split")
     common(p_eval)
-    p_eval.add_argument("--data", help="ratings file or snapshot path")
-    p_eval.add_argument("--format", choices=sorted(dataset.FORMAT_SEPARATORS))
     p_eval.add_argument("--method", required=True, choices=tuple(METHODS))
     p_eval.add_argument("--task", default="task1")
     p_eval.add_argument("--split", type=int, default=0)
@@ -304,8 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("benchmark", help="run the full methods-by-tasks grid")
     common(p_bench)
-    p_bench.add_argument("--data", help="ratings file or snapshot path")
-    p_bench.add_argument("--format", choices=sorted(dataset.FORMAT_SEPARATORS))
     p_bench.add_argument("--methods", help="comma-separated method subset")
     p_bench.add_argument("--jobs", type=int, help="parallel split workers")
     p_bench.set_defaults(func=cmd_benchmark)

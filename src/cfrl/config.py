@@ -1,23 +1,28 @@
 """Run configuration: one INI file drives ingestion, training and evaluation.
 
-RunConfig is the one place that states a run's settings and their defaults;
-its `[agent]` section is an agent.TrainConfig, whose own defaults stand except
-for the episode budget. Every layer below reads its settings from the
-RunConfig it is given. Flags override file values; every command writes the
-fully resolved config next to its outputs so a run is reproducible from that
-file plus the raw dataset. All randomness flows from the single [run] seed
-through labeled sub-seeds (see seeding.derive_seed).
+RunConfig is the one place that states a run's settings and their defaults.
+Its `[split]`, `[mf]` and `[agent]` sections are the dataclasses their readers
+take: a dataset.SplitConfig (make_splits), an mf.MfConfig (mf.pretrain) and an
+agent.TrainConfig (the learners), whose own defaults stand except for the
+episode budget; each is checked by its `validate` when the file loads. Every
+layer below reads its settings from the RunConfig it is given. Flags override
+file values; every command writes the fully resolved config next to its
+outputs so a run is reproducible from that file plus the raw dataset. All
+randomness flows from the single [run] seed through labeled sub-seeds (see
+seeding.derive_seed).
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .agent import TrainConfig
+from .dataset import SplitConfig
 from .env import TaskMode
 from .methods import METHODS
+from .mf import MfConfig
 from .persist import atomic_text
 
 _TASK_NAMES = {
@@ -42,15 +47,8 @@ class RunConfig:
     data_path: str = ""
     data_format: str = "tab"
     dataset_name: str = "dataset"
-    # [split]
-    split_count: int = 10
-    test_fraction: float = 0.1
-    min_ratings: int = 100
-    # [mf]
-    mf_dim: int = 16
-    mf_reg: float = 0.01
-    mf_lr: float = 0.01
-    mf_epochs: int = 30
+    split: SplitConfig = field(default_factory=SplitConfig)
+    mf: MfConfig = field(default_factory=MfConfig)
     # [agent]: its seed is the [run] seed (train_config), or one derived from it per grid cell
     agent: TrainConfig = field(default_factory=lambda: TrainConfig(episodes=20000))
     checkpoint_every: int = 0   # read by `cfrl train` alone
@@ -64,16 +62,12 @@ class RunConfig:
         return replace(self.agent, seed=self.seed)
 
 
-# section -> {file key: RunConfig field, or agent.<TrainConfig field>}
+# section -> {file key: RunConfig field, or <section>.<field> of its dataclass}
 _LAYOUT = {
     "run": {"seed": "seed", "out": "out"},
     "data": {"path": "data_path", "format": "data_format", "name": "dataset_name"},
-    "split": {
-        "count": "split_count",
-        "test_fraction": "test_fraction",
-        "min_ratings": "min_ratings",
-    },
-    "mf": {"dim": "mf_dim", "reg": "mf_reg", "lr": "mf_lr", "epochs": "mf_epochs"},
+    "split": {f.name: f"split.{f.name}" for f in fields(SplitConfig)},
+    "mf": {f.name: f"mf.{f.name}" for f in fields(MfConfig)},
     "agent": {
         "episodes": "agent.episodes",
         "horizon": "agent.horizon",
@@ -122,10 +116,11 @@ def _format_value(value) -> str:
 
 def load_config(path) -> RunConfig:
     """Read an INI config; unknown keys are an error, missing keys default.
-    A file that is not valid INI, or a value that does not parse (an unknown
-    task name among them), raises a ValueError naming the file (and the
-    section and key), and so does a [DEFAULT] section, which configparser
-    would otherwise merge into every section."""
+    A file that is not valid INI, a value that does not parse (an unknown
+    task name among them) or a [split], [mf] or [agent] section that its
+    dataclass's `validate` refuses raises a ValueError naming the file (and
+    the section and key), and so does a [DEFAULT] section, which
+    configparser would otherwise merge into every section."""
     # no header names the empty section, so [DEFAULT] reads as an unknown section
     parser = configparser.ConfigParser(interpolation=None, default_section="")
     with open(path, "r", encoding="utf-8") as fh:
@@ -146,6 +141,11 @@ def load_config(path) -> RunConfig:
                 setattr(owner, name, _parse_value(text, getattr(owner, name)))
             except ValueError as exc:
                 raise ValueError(f"{path}: [{section}] {key}: {exc}") from None
+    for section in ("split", "mf", "agent"):
+        try:
+            getattr(cfg, section).validate()
+        except ValueError as exc:   # its message starts with the field's name
+            raise ValueError(f"{path}: [{section}] {exc}") from None
     return cfg
 
 

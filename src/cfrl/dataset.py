@@ -126,7 +126,23 @@ class Split:
 
     train_users: frozenset
     test_users: frozenset
-    seed: int
+
+
+@dataclass
+class SplitConfig:
+    """The [split] settings of a run, one field per key: how many splits,
+    the share of candidates each tests on, and the rating count a user must
+    exceed to be a candidate."""
+
+    count: int = 10
+    test_fraction: float = 0.1
+    min_ratings: int = 100
+
+    def validate(self) -> None:
+        if self.count < 1:
+            raise ValueError(f"count must be >= 1, got {self.count}")
+        if not (0.0 < self.test_fraction < 1.0):
+            raise ValueError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
 
 
 def parse_rating_line(line: str, sep: str) -> tuple:
@@ -278,34 +294,25 @@ def split_candidates(ds: RatingDataset, min_ratings: int) -> list:
     return np.flatnonzero(np.diff(ds.indptr) > min_ratings).tolist()
 
 
-def make_splits(
-    ds: RatingDataset,
-    n_splits: int = 10,
-    test_fraction: float = 0.10,
-    min_ratings: int = 100,
-    seed: int = 0,
-) -> list:
-    """Draw independent train/test splits over heavy-rater candidates.
+def make_splits(ds: RatingDataset, cfg: SplitConfig, seed: int) -> list:
+    """Draw cfg.count independent train/test splits over heavy-rater candidates.
 
     Per split, ceil(test_fraction * |candidates|) users with more than
     min_ratings ratings are sampled uniformly without replacement as the test
     set; everyone else (including non-candidates) trains. Deterministic in
     (seed, split index).
     """
-    if n_splits < 1:
-        raise ValueError("n_splits must be >= 1")
-    if not (0.0 < test_fraction < 1.0):
-        raise ValueError("test_fraction must be in (0, 1)")
-    candidates = split_candidates(ds, min_ratings)
+    cfg.validate()
+    candidates = split_candidates(ds, cfg.min_ratings)
     if not candidates:
-        raise ValidationError(f"no users with more than {min_ratings} ratings")
-    k = math.ceil(test_fraction * len(candidates))
+        raise ValidationError(f"no users with more than {cfg.min_ratings} ratings")
+    k = math.ceil(cfg.test_fraction * len(candidates))
     all_users = frozenset(range(ds.m))
     splits = []
-    for s in range(n_splits):
+    for s in range(cfg.count):
         rng = rng_for(seed, f"split:{s}")
         test = frozenset(rng.choice(candidates, size=k, replace=False).tolist())
-        splits.append(Split(train_users=all_users - test, test_users=test, seed=seed))
+        splits.append(Split(train_users=all_users - test, test_users=test))
     return splits
 
 

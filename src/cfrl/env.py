@@ -11,8 +11,9 @@ States are plain values; every step returns a fresh state so mid-episode
 snapshots can be replayed. run_episode plays every rollout of a policy, in
 training as in evaluation, for the environment's horizon.
 
-The environment alone says which items a user may still be shown and what
-each pays: the replay derives availability from it, and check_episodes
+The environment alone says which users can play a full episode, which items
+a user may still be shown and what each pays: the learners train on its
+playable users, the replay derives availability from it, and check_episodes
 refuses a saved record of episodes that its reset and step would not play.
 """
 
@@ -56,6 +57,9 @@ class InteractiveEnv:
         self.task = task
         self.horizon = horizon
         self.n = ds.n
+        # rated items a user needs to play a full episode: the horizon under
+        # task1, whose catalog is the user's rated items
+        self._min_rated = horizon if task is TaskMode.TASK_I else 0
 
     def reset(self, users) -> EnvState:
         """Fresh t=0 state of a block, one row per user: full availability
@@ -67,8 +71,8 @@ class InteractiveEnv:
         if outside.any():
             raise ValidationError(f"user index {users[outside][0]} out of range")
         starts, ends = self.ds.indptr[users], self.ds.indptr[users + 1]
-        if self.task is TaskMode.TASK_I:
-            short = np.flatnonzero(ends - starts < self.horizon)
+        if self._min_rated:
+            short = np.flatnonzero(ends - starts < self._min_rated)
             if short.size:
                 row = short[0]
                 raise ValidationError(
@@ -81,6 +85,11 @@ class InteractiveEnv:
         ratings.flags.writeable = False
         avail = self.available(users, np.empty((users.size, 0), dtype=np.int64))
         return EnvState(users=users, t=0, avail=avail, ratings=ratings)
+
+    def playable(self, users) -> list:
+        """The users, sorted, that can play a full episode: those reset accepts."""
+        counts = np.diff(self.ds.indptr)
+        return sorted(u for u in users if counts[u] >= self._min_rated)
 
     def available(self, users, taken) -> np.ndarray:
         """The one statement of which items a user may be shown: the (U, n)

@@ -16,10 +16,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import mf
 from .env import InteractiveEnv, TaskMode, run_episode
 from .errors import ValidationError
-from .methods import METHODS, SplitContext
+from .methods import METHODS, SplitContext, pretrain_split
 from .persist import atomic_text
 from .seeding import derive_seed
 
@@ -153,9 +152,8 @@ def paired_t_test(a, b) -> float:
 
 @dataclass
 class EvalResult:
-    method: str
-    task: TaskMode
-    dataset: str
+    """A cell's per-split scores; the report's cells key says whose."""
+
     split_scores: list
 
     @property
@@ -267,9 +265,7 @@ def _run_split(ctx: SplitContext) -> dict:
     """Scores (or error strings) for every (method, task) cell of one split."""
     cfg, out = ctx.cfg, {}
     if any(METHODS[m].needs_mf for m in cfg.methods):
-        ctx = replace(ctx, mf_model=mf.pretrain(
-            ctx.ds, ctx.split.train_users, d=cfg.mf_dim, reg=cfg.mf_reg, lr=cfg.mf_lr,
-            epochs=cfg.mf_epochs, seed=derive_seed(cfg.seed, f"mf:{ctx.index}")))
+        ctx = replace(ctx, mf_model=pretrain_split(ctx)[0])
     untrained = {}  # an untrained method's policy ignores the task and resets per episode
     for task in cfg.eval_tasks:
         for method in cfg.methods:
@@ -328,9 +324,7 @@ def benchmark(ds, splits, cfg) -> ComparisonReport:
             if errors:
                 cells[(method, task)] = "; ".join(errors)
             else:
-                cells[(method, task)] = EvalResult(
-                    method=method, task=task, dataset=cfg.dataset_name, split_scores=scores
-                )
+                cells[(method, task)] = EvalResult(scores)
     return ComparisonReport(
         dataset=cfg.dataset_name, methods=list(methods), tasks=list(tasks),
         cells=cells, horizon=cfg.agent.horizon,

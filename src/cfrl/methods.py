@@ -7,9 +7,11 @@ no model. A Q-learner's fit is its trainer run to the end, so `cfrl train`
 (with or without `--resume`) and the grid train it through one
 agent.make_trainer. A split's context carries the run's config.RunConfig,
 the one place its settings are stated, and the entries read the seed, the
-[agent] settings and LinUCB's alpha from it. Entries look their builders up
-on the `agent`, `baselines` and `qnet` modules each time they run, so a
-builder rebound there is the one every path calls.
+[agent] settings and LinUCB's alpha from it. The split's factor model, which
+`cfrl pretrain` saves and the grid trains in memory, comes from one
+pretrain_split. Entries look their builders up on the `agent`, `baselines`,
+`mf` and `qnet` modules each time they run, so a builder rebound there is the
+one every path calls.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import agent, baselines, persist, qnet
+from . import agent, baselines, mf, persist, qnet
 from .errors import ValidationError
 from .seeding import derive_seed
 
@@ -33,6 +35,14 @@ class SplitContext:
     index: int                   # split index, part of the per-split seeds
     cfg: object                  # the run's config.RunConfig
     mf_model: object = None      # pretrained factors, when some method needs them
+
+
+def pretrain_split(ctx: SplitContext) -> tuple:
+    """The split's factor model, fitted by mf.pretrain to its training users
+    with the [mf] settings, and the seed it was drawn with, which the split
+    index labels."""
+    seed = derive_seed(ctx.cfg.seed, f"mf:{ctx.index}")
+    return mf.pretrain(ctx.ds, ctx.split.train_users, ctx.cfg.mf, seed), seed
 
 
 @dataclass(frozen=True)
@@ -119,7 +129,7 @@ METHODS = {
         True,
         lambda ctx, ucb: baselines.LinUcbPolicy(ucb, ctx.mf_model, frozen=True),
         fit=lambda ctx, cfg: baselines.train_linucb(
-            ctx.ds, ctx.split, ctx.mf_model, cfg, alpha_ucb=ctx.cfg.linucb_alpha),
+            ctx.ds, ctx.split, ctx.mf_model, cfg, ctx.cfg.linucb_alpha),
         save=lambda ucb, path, manifest=None: persist.save_npz(
             path, {"A": ucb.A, "b": ucb.b, "alpha_ucb": np.array([ucb.alpha_ucb])}),
         load=_load_linucb,

@@ -57,15 +57,28 @@ class MfModel:
         return self.V.shape[1]
 
 
-def pretrain(
-    ds,
-    train_users,
-    d: int = 16,
-    reg: float = 0.01,
-    lr: float = 0.01,
-    epochs: int = 30,
-    seed: int = 0,
-) -> MfModel:
+@dataclass
+class MfConfig:
+    """The [mf] settings of a run, one field per key: the factor model's
+    width and the SGD pretrain's ridge weight, step size and epochs."""
+
+    dim: int = 16
+    reg: float = 0.01
+    lr: float = 0.01
+    epochs: int = 30
+
+    def validate(self) -> None:
+        if self.dim < 1:
+            raise ValueError(f"dim must be >= 1, got {self.dim}")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
+        if not (math.isfinite(self.reg) and self.reg >= 0):
+            raise ValueError(f"reg must be finite and >= 0, got {self.reg}")
+
+
+def pretrain(ds, train_users, cfg: MfConfig, seed: int) -> MfModel:
     """Fit factors to the ratings of the training users by epoch-wise SGD.
 
     Each epoch is one pass of per-rating SGD over a seeded shuffle of the
@@ -84,28 +97,20 @@ def pretrain(
     Args:
         ds: RatingDataset.
         train_users: user indices whose ratings are trained on.
-        d: latent dimensionality.
-        reg: ridge weight, finite and >= 0.
-        lr: SGD step size, finite and > 0.
-        epochs: passes over the shuffled training ratings, >= 1.
+        cfg: the latent width, the ridge weight, the SGD step size and
+            the passes over the shuffled training ratings.
         seed: controls init and shuffling.
 
     Returns:
         MfModel with per-epoch training RMSE in epoch_rmse.
 
     Raises:
-        ValueError: d or epochs below 1, lr or reg out of range.
+        ValueError: a setting out of range (see MfConfig.validate).
         DivergenceError: the loss went non-finite (lr too large).
         ValidationError: no training ratings.
     """
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if epochs < 1:
-        raise ValueError(f"epochs must be >= 1, got {epochs}")
-    if not (math.isfinite(lr) and lr > 0):
-        raise ValueError(f"lr must be finite and > 0, got {lr}")
-    if not (math.isfinite(reg) and reg >= 0):
-        raise ValueError(f"reg must be finite and >= 0, got {reg}")
+    cfg.validate()
+    d, reg, lr = cfg.dim, cfg.reg, cfg.lr
     users, items, ratings = _training_ratings(ds, train_users)
     if users.size == 0:
         raise ValidationError("no ratings for the given training users")
@@ -129,7 +134,7 @@ def pretrain(
     Ur = np.ascontiguousarray(U.T)
     Vr = np.ascontiguousarray(V.T)
     with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(epochs):
+        for epoch in range(cfg.epochs):
             order = shuffle_rng.permutation(users.size)
             _sgd_epoch(Ur, Vr, users[order], items[order], ratings[order],
                        reg_u, reg_i, 2.0 * lr)

@@ -20,9 +20,10 @@ from cfrl.baselines import (
     RandomPolicy,
     popular_policy,
 )
-from cfrl.dataset import Split, make_splits
+from cfrl.dataset import Split, SplitConfig, make_splits
 from cfrl.env import InteractiveEnv, TaskMode
 from cfrl.evaluate import evaluate_policy
+from cfrl.mf import MfConfig
 from cfrl.seeding import derive_seed
 
 from conftest import (
@@ -51,7 +52,8 @@ def _trained(trainer) -> qnet.QNetwork:
 
 @pytest.fixture(scope="module")
 def ml100k_splits(ml100k_ds):
-    return make_splits(ml100k_ds, n_splits=10, test_fraction=0.10, min_ratings=100, seed=SEED)
+    return make_splits(ml100k_ds, SplitConfig(count=10, test_fraction=0.10, min_ratings=100),
+                       seed=SEED)
 
 
 def _split_means(policy_factory, ds, splits, task):
@@ -110,10 +112,8 @@ def test_criterion_03_popular_task2(ml100k_ds, ml100k_splits):
 @pytest.fixture(scope="module")
 def ml100k_mf_models(ml100k_ds, ml100k_splits):
     return [
-        mf.pretrain(
-            ml100k_ds, split.train_users, d=16, reg=0.01, lr=0.01, epochs=30,
-            seed=derive_seed(SEED, f"mf:{s}"),
-        )
+        mf.pretrain(ml100k_ds, split.train_users, MfConfig(dim=16, reg=0.01, lr=0.01, epochs=30),
+                    seed=derive_seed(SEED, f"mf:{s}"))
         for s, split in enumerate(ml100k_splits)
     ]
 
@@ -133,10 +133,9 @@ def test_criterion_04_online_mf_task1(ml100k_ds, ml100k_splits, ml100k_mf_models
 def test_criterion_05_cfrl_beats_raw_dqn_at_desk_scale(ml100k_ds, ml100k_splits):
     episodes = int(os.environ.get("CFRL_ACCEPT_EPISODES", "20000"))
     split = ml100k_splits[0]
-    model = mf.pretrain(
-        ml100k_ds, split.train_users, d=16, reg=0.01, lr=0.01, epochs=30,
-        seed=derive_seed(SEED, "mf:0"),
-    )
+    model = mf.pretrain(ml100k_ds, split.train_users,
+                        MfConfig(dim=16, reg=0.01, lr=0.01, epochs=30),
+                        seed=derive_seed(SEED, "mf:0"))
     cfg = TrainConfig(
         episodes=episodes, horizon=HORIZON, gamma=0.9, epsilon=0.1, q_lr=0.001,
         sync_period=500, batch_size=32, replay_capacity=100_000,
@@ -312,8 +311,9 @@ def test_criterion_08_environment_invariants():
 def test_criterion_09_planted_optimum_both_agents():
     start = time.perf_counter()
     ds = make_dataset(planted_profiles())
-    split = Split(train_users=frozenset({0, 1, 2, 3}), test_users=frozenset({4}), seed=0)
-    model = mf.pretrain(ds, split.train_users, d=4, reg=0.01, lr=0.02, epochs=40, seed=1)
+    split = Split(train_users=frozenset({0, 1, 2, 3}), test_users=frozenset({4}))
+    model = mf.pretrain(ds, split.train_users, MfConfig(dim=4, reg=0.01, lr=0.02, epochs=40),
+                        seed=1)
     cfg = TrainConfig(
         episodes=400, horizon=4, gamma=0.9, epsilon=0.3, q_lr=0.01,
         sync_period=100, batch_size=16, replay_capacity=5000,

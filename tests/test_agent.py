@@ -17,7 +17,6 @@ from cfrl.agent import (
     QTrainer,
     ReplayMemory,
     TrainConfig,
-    eligible_train_users,
     make_trainer,
     put_pairs,
     ring_steps,
@@ -30,6 +29,7 @@ from cfrl.baselines import GreedyQPolicy
 from cfrl.dataset import RatingDataset, Split
 from cfrl.env import InteractiveEnv, TaskMode
 from cfrl.errors import ValidationError
+from cfrl.mf import MfConfig
 from cfrl.seeding import rng_for
 
 from conftest import PLANTED_ITEM, make_dataset, planted_profiles, profile, synthetic_profiles
@@ -488,8 +488,9 @@ def test_a_raw_replay_reads_its_successors_and_never_advances_a_state(small_setu
 @pytest.fixture
 def small_setup():
     ds = make_dataset(synthetic_profiles(n_users=10, n_items=15, per_user=8, seed=4))
-    split = Split(train_users=frozenset(range(8)), test_users=frozenset({8, 9}), seed=0)
-    model = mf.pretrain(ds, split.train_users, d=4, reg=0.01, lr=0.02, epochs=10, seed=0)
+    split = Split(train_users=frozenset(range(8)), test_users=frozenset({8, 9}))
+    model = mf.pretrain(ds, split.train_users, MfConfig(dim=4, reg=0.01, lr=0.02, epochs=10),
+                        seed=0)
     return ds, split, model
 
 
@@ -719,7 +720,7 @@ def test_fresh_flags_clear_at_each_sync_and_nowhere_else(small_setup, monkeypatc
     assert syncs == [5, 10, 15, 20] and cleared > 0
 
 
-_RUN_SPLIT = Split(train_users=frozenset(range(8)), test_users=frozenset({8, 9}), seed=0)
+_RUN_SPLIT = Split(train_users=frozenset(range(8)), test_users=frozenset({8, 9}))
 
 
 @settings(max_examples=40, deadline=None)
@@ -1263,7 +1264,7 @@ def test_record_of_a_default_run_takes_12_bytes_a_step(tmp_path, small_setup):
     # a catalog of 50 items holds an episode of 40
     _, split, _ = small_setup
     ds = make_dataset(synthetic_profiles(n_users=10, n_items=50, per_user=8, seed=4))
-    model = mf.pretrain(ds, split.train_users, d=4, reg=0.01, lr=0.02, epochs=1, seed=0)
+    model = mf.pretrain(ds, split.train_users, MfConfig(dim=4, reg=0.01, lr=0.02, epochs=1), seed=0)
     cfg = TrainConfig(episodes=20_000, horizon=40, hidden_sizes=(8,), task=TaskMode.TASK_II,
                       replay_capacity=8, seed=0)
     tracemalloc.start()
@@ -1387,13 +1388,13 @@ def test_restore_refuses_values_that_are_not_finite(tmp_path, small_setup, raw_s
 def test_eligible_train_users_filters_short_profiles():
     profiles = {0: {i: 3 for i in range(5)}, 1: {i: 3 for i in range(2)}}
     ds = make_dataset(profiles)
-    assert eligible_train_users(ds, {0, 1}, TaskMode.TASK_I, horizon=4) == [0]
-    assert eligible_train_users(ds, {0, 1}, TaskMode.TASK_II, horizon=4) == [0, 1]
+    assert InteractiveEnv(ds, TaskMode.TASK_I, horizon=4).playable({0, 1}) == [0]
+    assert InteractiveEnv(ds, TaskMode.TASK_II, horizon=4).playable({0, 1}) == [0, 1]
 
 
 def _greedy_rollout(net, ds, model, user, horizon):
     """(score, rewards, actions) of one frozen latent-state Q-network episode."""
-    split = Split(train_users=frozenset(), test_users=frozenset({user}), seed=0)
+    split = Split(train_users=frozenset(), test_users=frozenset({user}))
     policy = GreedyQPolicy(net, *state_kind(model, ds.n, horizon))
     scores, trace = traced_eval(policy, ds, split, TaskMode.TASK_II, horizon)
     return float(scores[0]), [row[4] for row in trace], [row[3] for row in trace]
@@ -1464,8 +1465,9 @@ def test_trace_round_trip(tmp_path, small_setup):
 
 def test_planted_optimum_learned_by_cfrl():
     ds = make_dataset(planted_profiles())
-    split = Split(train_users=frozenset({0, 1, 2, 3}), test_users=frozenset({4}), seed=0)
-    model = mf.pretrain(ds, split.train_users, d=4, reg=0.01, lr=0.02, epochs=40, seed=1)
+    split = Split(train_users=frozenset({0, 1, 2, 3}), test_users=frozenset({4}))
+    model = mf.pretrain(ds, split.train_users, MfConfig(dim=4, reg=0.01, lr=0.02, epochs=40),
+                        seed=1)
     cfg = TrainConfig(
         episodes=400, horizon=4, gamma=0.9, epsilon=0.3, q_lr=0.01,
         sync_period=100, batch_size=16, replay_capacity=5000,

@@ -24,6 +24,7 @@ from cfrl.dataset import Split
 from cfrl.env import TaskMode
 from cfrl.errors import ValidationError
 from cfrl.methods import METHODS, SplitContext
+from cfrl.mf import MfConfig
 from cfrl.evaluate import evaluate_policy
 
 from conftest import PLANTED_ITEM, make_dataset, planted_profiles, profile, synthetic_profiles
@@ -37,7 +38,7 @@ def ds():
 
 @pytest.fixture
 def model(ds):
-    return mf.pretrain(ds, set(range(10)), d=4, reg=0.01, lr=0.02, epochs=10, seed=0)
+    return mf.pretrain(ds, set(range(10)), MfConfig(dim=4, reg=0.01, lr=0.02, epochs=10), seed=0)
 
 
 class TestRandomPolicy:
@@ -67,7 +68,7 @@ class TestRandomPolicy:
 
     def test_exhaustive_task1_episode_pays_profile_mean(self, ds):
         # consuming every rated item makes the mean reward order-independent
-        split = Split(train_users=frozenset(range(10)), test_users=frozenset({10, 11}), seed=0)
+        split = Split(train_users=frozenset(range(10)), test_users=frozenset({10, 11}))
         scores = evaluate_policy(
             RandomPolicy(seed=3), ds, split, TaskMode.TASK_I, horizon=8
         )
@@ -268,7 +269,7 @@ class TestLinUcb:
             spec.load(ctx, path)
 
     def test_matrix_stays_symmetric_positive_definite(self, ds, model):
-        split = Split(train_users=frozenset(range(10)), test_users=frozenset({10, 11}), seed=0)
+        split = Split(train_users=frozenset(range(10)), test_users=frozenset({10, 11}))
         cfg = TrainConfig(episodes=10, horizon=5, task=TaskMode.TASK_II, seed=0)
         ucb = train_linucb(ds, split, model, cfg, alpha_ucb=1.0)
         np.testing.assert_allclose(ucb.A, ucb.A.T, atol=1e-9)
@@ -277,7 +278,7 @@ class TestLinUcb:
         assert not np.allclose(ucb.A, np.eye(2 * model.d))  # training actually updated it
 
     def test_frozen_scores_match_two_solve_reference(self, ds, model):
-        split = Split(train_users=frozenset(range(10)), test_users=frozenset({10, 11}), seed=0)
+        split = Split(train_users=frozenset(range(10)), test_users=frozenset({10, 11}))
         cfg = TrainConfig(episodes=30, horizon=5, task=TaskMode.TASK_II, seed=0)
         ucb = train_linucb(ds, split, model, cfg, alpha_ucb=0.7)
         policy = LinUcbPolicy(ucb, model, frozen=True)
@@ -299,15 +300,15 @@ class TestLinUcb:
             np.testing.assert_array_equal(together[row], policy.scores()[0])
 
     def test_learning_policy_plays_one_user_at_a_time(self, model):
-        policy = LinUcbPolicy(LinUcbModel.fresh(model.d), model, frozen=False)
+        policy = LinUcbPolicy(LinUcbModel.fresh(model.d, 1.0), model, frozen=False)
         with pytest.raises(ValueError, match="one user at a time, not 2"):
             policy.begin_episode([0, 1])
-        frozen = LinUcbPolicy(LinUcbModel.fresh(model.d), model, frozen=True)
+        frozen = LinUcbPolicy(LinUcbModel.fresh(model.d, 1.0), model, frozen=True)
         frozen.begin_episode([0, 1])
         assert frozen.state.shape == (2, model.d)
 
     def test_training_matches_two_solve_reference(self, ds, model, monkeypatch):
-        split = Split(train_users=frozenset(range(10)), test_users=frozenset({10, 11}), seed=0)
+        split = Split(train_users=frozenset(range(10)), test_users=frozenset({10, 11}))
         cfg = TrainConfig(episodes=40, horizon=6, task=TaskMode.TASK_II, seed=1)
         cached = train_linucb(ds, split, model, cfg, alpha_ucb=1.0)
         monkeypatch.setattr(baselines, "LinUcbPolicy", ReferenceLinUcbPolicy)
@@ -440,7 +441,7 @@ def test_raw_state_values_do_not_depend_on_the_block(data):
 
 
 def test_raw_dqn_input_width_is_item_count(ds):
-    split = Split(train_users=frozenset(range(10)), test_users=frozenset({10, 11}), seed=0)
+    split = Split(train_users=frozenset(range(10)), test_users=frozenset({10, 11}))
     cfg = TrainConfig(episodes=2, horizon=3, hidden_sizes=(8,), task=TaskMode.TASK_II, seed=0)
     trainer = make_trainer(ds, split, None, cfg)
     trainer.run()
@@ -450,7 +451,7 @@ def test_raw_dqn_input_width_is_item_count(ds):
 
 def test_raw_dqn_learns_planted_optimum():
     ds = make_dataset(planted_profiles())
-    split = Split(train_users=frozenset({0, 1, 2, 3}), test_users=frozenset({4}), seed=0)
+    split = Split(train_users=frozenset({0, 1, 2, 3}), test_users=frozenset({4}))
     cfg = TrainConfig(
         episodes=400, horizon=4, gamma=0.9, epsilon=0.3, q_lr=0.01,
         sync_period=100, batch_size=16, hidden_sizes=(16,),
@@ -471,7 +472,7 @@ def test_every_policy_acts_inside_the_mask(ds, model):
         popular_policy(ds, set(range(10))),
         impact_policy(ds, set(range(10))),
         OnlineMfPolicy(model),
-        LinUcbPolicy(LinUcbModel.fresh(model.d), model, frozen=True),
+        LinUcbPolicy(LinUcbModel.fresh(model.d, 1.0), model, frozen=True),
         GreedyQPolicy(net_cf, *state_kind(model, ds.n, 40)),
         GreedyQPolicy(net_raw, *state_kind(None, ds.n, 40)),
     ]

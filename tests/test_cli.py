@@ -232,25 +232,38 @@ def test_pretrain_writes_deterministic_checkpoint(workspace, capsys):
     assert bytes_a == bytes_b
 
 
+# id: (section, line of the workspace config, its out-of-range replacement, field)
+_OUT_OF_RANGE = {
+    "epochs-3": ("mf", "epochs = 4", "epochs = -3", "epochs"),
+    "lr-0.01": ("mf", "lr = 0.02", "lr = -0.01", "lr"),
+    "lr0": ("mf", "lr = 0.02", "lr = 0", "lr"),
+    "reg-5": ("mf", "reg = 0.01", "reg = -5", "reg"),
+    "dim0": ("mf", "dim = 3", "dim = 0", "dim"),
+    "gamma2": ("agent", "epsilon = 0.2", "epsilon = 0.2\ngamma = 2.0", "gamma"),
+    "test_fraction1.5": ("split", "test_fraction = 0.2", "test_fraction = 1.5", "test_fraction"),
+}
+_COMMANDS = ("ingest", "pretrain", "train", "eval", "benchmark")
+
+
 @pytest.mark.parametrize(
-    "old, new, key",
-    [
-        ("epochs = 4", "epochs = -3", "epochs"),
-        ("lr = 0.02", "lr = -0.01", "lr"),
-        ("lr = 0.02", "lr = 0", "lr"),
-        ("reg = 0.01", "reg = -5", "reg"),
-    ],
-    ids=["epochs-3", "lr-0.01", "lr0", "reg-5"],
+    "command, probe",
+    [(command, probe) for probe in _OUT_OF_RANGE for command in _COMMANDS],
+    # the test is named for pretrain, whose cases the probe alone names
+    ids=[probe if command == "pretrain" else f"{probe}-{command}"
+         for probe in _OUT_OF_RANGE for command in _COMMANDS],
 )
-def test_pretrain_out_of_range_mf_setting_exits_2(workspace, capsys, old, new, key):
+def test_pretrain_out_of_range_mf_setting_exits_2(workspace, capsys, command, probe):
+    # every command refuses the config as it loads, naming file, section and field
     tmp_path, data, cfg_path = workspace
+    section, old, new, key = _OUT_OF_RANGE[probe]
     text = cfg_path.read_text()
     assert text.count(old) == 1
     bad = tmp_path / "bad.ini"
     bad.write_text(text.replace(old, new), encoding="utf-8")
-    assert main(["pretrain", "--config", str(bad)]) == 2
-    assert key in capsys.readouterr().err
-    assert not (tmp_path / "out" / "mf_split0.ckpt").exists()
+    argv = [command, "--config", str(bad)] + (["--method", "random"] if command == "eval" else [])
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: [{section}] {key} ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_pretrain_manifest_rmse_matches_recomputation(workspace):
@@ -262,7 +275,7 @@ def test_pretrain_manifest_rmse_matches_recomputation(workspace):
     model = mf.load_mf(ckpt)
     cfg = load_config(cfg_path)
     ds = load_ratings(cfg.data_path, cfg.data_format)
-    splits = make_splits(ds, cfg.split_count, cfg.test_fraction, cfg.min_ratings, cfg.seed)
+    splits = make_splits(ds, cfg.split, cfg.seed)
     users, items, ratings = ds.triples()
     train = np.isin(users, list(splits[0].train_users))
     pred = np.sum(model.U[:, users[train]] * model.V[:, items[train]], axis=0)

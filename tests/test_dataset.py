@@ -16,6 +16,7 @@ from cfrl.baselines import popularity_counts
 from cfrl.dataset import (
     FORMAT_SEPARATORS,
     RatingDataset,
+    SplitConfig,
     dataset_stats,
     load_ratings,
     load_snapshot,
@@ -167,8 +168,9 @@ def test_stats_against_one_pass_count_oracle(synth_file, synth_ds):
 
 
 def test_make_splits_shape_and_determinism(synth_ds):
-    splits = make_splits(synth_ds, n_splits=4, test_fraction=0.25, min_ratings=20, seed=11)
-    again = make_splits(synth_ds, n_splits=4, test_fraction=0.25, min_ratings=20, seed=11)
+    splits = make_splits(synth_ds, SplitConfig(count=4, test_fraction=0.25, min_ratings=20),
+                         seed=11)
+    again = make_splits(synth_ds, SplitConfig(count=4, test_fraction=0.25, min_ratings=20), seed=11)
     assert len(splits) == 4
     candidates = set(split_candidates(synth_ds, 20))
     expected_size = math.ceil(0.25 * len(candidates))
@@ -180,7 +182,7 @@ def test_make_splits_shape_and_determinism(synth_ds):
         assert not (split.train_users & split.test_users)
         assert split.test_users == again[s].test_users
     # different seeds must not all coincide
-    other = make_splits(synth_ds, n_splits=4, test_fraction=0.25, min_ratings=20, seed=12)
+    other = make_splits(synth_ds, SplitConfig(count=4, test_fraction=0.25, min_ratings=20), seed=12)
     assert any(a.test_users != b.test_users for a, b in zip(splits, other))
 
 
@@ -195,14 +197,14 @@ def test_make_splits_strict_threshold():
 def test_make_splits_no_candidates():
     ds = make_dataset({1: {1: 3, 2: 4}})
     with pytest.raises(ValidationError, match="no users"):
-        make_splits(ds, n_splits=2, test_fraction=0.5, min_ratings=100, seed=0)
+        make_splits(ds, SplitConfig(count=2, test_fraction=0.5, min_ratings=100), seed=0)
 
 
 def test_make_splits_validates_arguments(synth_ds):
     with pytest.raises(ValueError):
-        make_splits(synth_ds, n_splits=0, test_fraction=0.1, min_ratings=5, seed=0)
+        make_splits(synth_ds, SplitConfig(count=0, test_fraction=0.1, min_ratings=5), seed=0)
     with pytest.raises(ValueError):
-        make_splits(synth_ds, n_splits=1, test_fraction=1.5, min_ratings=5, seed=0)
+        make_splits(synth_ds, SplitConfig(count=1, test_fraction=1.5, min_ratings=5), seed=0)
 
 
 def test_snapshot_round_trip(tmp_path, synth_ds):
@@ -551,7 +553,8 @@ def test_ml100k_candidates_match_brute_force_count(ml100k_ds):
     heavy = {u for u, c in counts.items() if c > 100}
     candidates = split_candidates(ml100k_ds, 100)
     assert {int(ml100k_ds.user_ids[u]) for u in candidates} == heavy
-    splits = make_splits(ml100k_ds, n_splits=10, test_fraction=0.10, min_ratings=100, seed=0)
+    splits = make_splits(ml100k_ds, SplitConfig(count=10, test_fraction=0.10, min_ratings=100),
+                         seed=0)
     assert len(splits) == 10
     for split in splits:
         assert len(split.test_users) == math.ceil(0.1 * len(heavy))

@@ -8,7 +8,7 @@ from cfrl import evaluate as evaluate_module
 from cfrl.agent import TrainConfig
 from cfrl.baselines import OnlineMfPolicy, RandomPolicy
 from cfrl.config import RunConfig
-from cfrl.dataset import Split, make_splits
+from cfrl.dataset import Split, SplitConfig, make_splits
 from cfrl.env import TaskMode
 from cfrl.errors import ValidationError
 from cfrl.evaluate import (
@@ -21,6 +21,7 @@ from cfrl.evaluate import (
     write_report,
 )
 from cfrl.methods import METHODS, SplitContext
+from cfrl.mf import MfConfig
 
 from conftest import make_dataset, synthetic_profiles
 from rollouts import traced_eval
@@ -29,7 +30,7 @@ from rollouts import traced_eval
 def test_constant_reward_environment_scores_exactly():
     # every logged rating is 2, so any policy earns exactly 2 per step
     ds = make_dataset({u: {i: 2 for i in range(6)} for u in range(3)})
-    split = Split(train_users=frozenset({0, 1}), test_users=frozenset({2}), seed=0)
+    split = Split(train_users=frozenset({0, 1}), test_users=frozenset({2}))
     scores = evaluate_policy(
         RandomPolicy(seed=0), ds, split, TaskMode.TASK_I, horizon=6
     )
@@ -38,8 +39,8 @@ def test_constant_reward_environment_scores_exactly():
 
 def test_evaluation_is_repeatable_and_does_not_mutate_models():
     ds = make_dataset(synthetic_profiles(n_users=10, n_items=14, per_user=8, seed=2))
-    split = Split(train_users=frozenset(range(8)), test_users=frozenset({8, 9}), seed=0)
-    model = mf.pretrain(ds, split.train_users, d=3, reg=0.01, lr=0.02, epochs=5, seed=0)
+    split = Split(train_users=frozenset(range(8)), test_users=frozenset({8, 9}))
+    model = mf.pretrain(ds, split.train_users, MfConfig(dim=3, reg=0.01, lr=0.02, epochs=5), seed=0)
     before_u, before_v = model.U.copy(), model.V.copy()
     first = evaluate_policy(OnlineMfPolicy(model), ds, split, TaskMode.TASK_I, 8)
     second = evaluate_policy(OnlineMfPolicy(model), ds, split, TaskMode.TASK_I, 8)
@@ -50,7 +51,7 @@ def test_evaluation_is_repeatable_and_does_not_mutate_models():
 
 def test_aggregation_identity_from_raw_trace():
     ds = make_dataset(synthetic_profiles(n_users=8, n_items=12, per_user=6, seed=3))
-    split = Split(train_users=frozenset(range(6)), test_users=frozenset({6, 7}), seed=0)
+    split = Split(train_users=frozenset(range(6)), test_users=frozenset({6, 7}))
     scores, trace = traced_eval(RandomPolicy(seed=1), ds, split, TaskMode.TASK_II, horizon=5)
     by_user = {}
     for _, user, _, _, reward, _ in trace:
@@ -245,9 +246,7 @@ def test_paired_t_test_validates_inputs():
 
 def _stub_report(means_by_method, task=TaskMode.TASK_II):
     cells = {
-        (name, task): EvalResult(
-            method=name, task=task, dataset="stub", split_scores=list(scores)
-        )
+        (name, task): EvalResult(split_scores=list(scores))
         for name, scores in means_by_method.items()
     }
     return ComparisonReport(
@@ -307,11 +306,11 @@ def _grid(methods, tasks, horizon=5, **settings) -> RunConfig:
 
 
 def test_benchmark_grid_structure_and_determinism(bench_ds, tmp_path):
-    splits = make_splits(bench_ds, n_splits=3, test_fraction=0.2, min_ratings=10, seed=5)
+    splits = make_splits(bench_ds, SplitConfig(count=3, test_fraction=0.2, min_ratings=10), seed=5)
     methods = ("random", "popular", "impact", "mf")
     tasks = (TaskMode.TASK_I, TaskMode.TASK_II)
-    cfg = _grid(methods, tasks, horizon=6, dataset_name="synth", seed=5, mf_dim=3, mf_epochs=4,
-                jobs=1)
+    cfg = _grid(methods, tasks, horizon=6, dataset_name="synth", seed=5,
+                mf=MfConfig(dim=3, epochs=4), jobs=1)
     report = benchmark(bench_ds, splits, cfg)
     assert report.methods == list(methods)
     assert report.tasks == list(tasks)
@@ -347,7 +346,7 @@ def test_failed_report_write_keeps_the_previous_csv(tmp_path):
 
 
 def test_benchmark_parallel_equals_serial(bench_ds):
-    splits = make_splits(bench_ds, n_splits=3, test_fraction=0.2, min_ratings=10, seed=5)
+    splits = make_splits(bench_ds, SplitConfig(count=3, test_fraction=0.2, min_ratings=10), seed=5)
     methods = ("random", "popular")
     tasks = (TaskMode.TASK_I,)
     serial = benchmark(bench_ds, splits, _grid(methods, tasks, seed=1, jobs=1))
@@ -374,7 +373,7 @@ def test_benchmark_starts_at_most_one_worker_a_split(bench_ds, monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(evaluate_module, "ProcessPoolExecutor", RecordingPool)
-    splits = make_splits(bench_ds, n_splits=2, test_fraction=0.2, min_ratings=10, seed=5)
+    splits = make_splits(bench_ds, SplitConfig(count=2, test_fraction=0.2, min_ratings=10), seed=5)
 
     def run(jobs, chosen=splits):
         cfg = _grid(("random",), (TaskMode.TASK_I,), seed=1, jobs=jobs)
@@ -393,7 +392,7 @@ def test_benchmark_starts_at_most_one_worker_a_split(bench_ds, monkeypatch):
 
 
 def test_benchmark_records_cell_failures_without_aborting(bench_ds, tmp_path, monkeypatch):
-    splits = make_splits(bench_ds, n_splits=2, test_fraction=0.2, min_ratings=10, seed=5)
+    splits = make_splits(bench_ds, SplitConfig(count=2, test_fraction=0.2, min_ratings=10), seed=5)
 
     def no_budget(*args, **kwargs):
         raise ValidationError("no training budget")
@@ -411,7 +410,7 @@ def test_benchmark_records_cell_failures_without_aborting(bench_ds, tmp_path, mo
 
 
 def test_benchmark_builds_untrained_policies_once_per_split(bench_ds, monkeypatch):
-    splits = make_splits(bench_ds, n_splits=2, test_fraction=0.2, min_ratings=10, seed=5)
+    splits = make_splits(bench_ds, SplitConfig(count=2, test_fraction=0.2, min_ratings=10), seed=5)
     calls = []
     scores = baselines.impact_scores
     monkeypatch.setattr(baselines, "impact_scores", lambda *a: calls.append(a) or scores(*a))
@@ -422,7 +421,7 @@ def test_benchmark_builds_untrained_policies_once_per_split(bench_ds, monkeypatc
 
 
 def test_benchmark_rejects_empty_or_unknown_methods(bench_ds):
-    splits = make_splits(bench_ds, n_splits=2, test_fraction=0.2, min_ratings=10, seed=5)
+    splits = make_splits(bench_ds, SplitConfig(count=2, test_fraction=0.2, min_ratings=10), seed=5)
     with pytest.raises(ValueError, match="no methods"):
         benchmark(bench_ds, splits, _grid((), (TaskMode.TASK_I,)))
     with pytest.raises(ValidationError, match="unknown methods"):
@@ -438,8 +437,8 @@ def test_benchmark_rejects_empty_or_unknown_methods(bench_ds):
 def lockstep_setup():
     """A split, its factor model and every trained method's artifact per task."""
     ds = make_dataset(synthetic_profiles(n_users=18, n_items=24, per_user=10, seed=4))
-    split = Split(train_users=frozenset(range(10)), test_users=frozenset(range(10, 18)), seed=0)
-    model = mf.pretrain(ds, split.train_users, d=4, reg=0.01, lr=0.02, epochs=5, seed=1)
+    split = Split(train_users=frozenset(range(10)), test_users=frozenset(range(10, 18)))
+    model = mf.pretrain(ds, split.train_users, MfConfig(dim=4, reg=0.01, lr=0.02, epochs=5), seed=1)
     ctx = SplitContext(ds, split, 0, RunConfig(seed=3, agent=TrainConfig(episodes=6, horizon=8)),
                        model)
     artifacts = {}
@@ -465,7 +464,7 @@ def test_lockstep_evaluation_matches_each_user_alone(lockstep_setup, method, tas
     users = sorted(ctx.split.test_users)
     assert scores.shape == (len(users),) and len(trace) == len(users) * horizon
     for idx, user in enumerate(users):
-        alone = Split(train_users=ctx.split.train_users, test_users=frozenset({user}), seed=0)
+        alone = Split(train_users=ctx.split.train_users, test_users=frozenset({user}))
         (alone_score,), alone_trace = traced_eval(policy, ctx.ds, alone, task, horizon)
         assert scores[idx].tobytes() == alone_score.tobytes()
         rows = [row for row in trace if row[1] == user]

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfrl import mf
-from cfrl.dataset import RatingDataset, make_splits
+from cfrl.dataset import RatingDataset, SplitConfig, make_splits
 from cfrl.errors import DivergenceError, ValidationError
+from cfrl.mf import MfConfig
 from cfrl.persist import manifest_path
 from cfrl.seeding import rng_for
 
@@ -89,7 +90,8 @@ def assert_matches_sequential(model, reference):
 def test_pretrain_equals_the_sequential_loop(d, seed, epochs):
     ds = make_dataset(synthetic_profiles(n_users=30, n_items=40, per_user=25, seed=seed))
     train_users = set(range(0, 30, 3)) | set(range(1, 30, 3))
-    model = mf.pretrain(ds, train_users, d=d, reg=0.05, lr=0.02, epochs=epochs, seed=seed)
+    model = mf.pretrain(ds, train_users, MfConfig(dim=d, reg=0.05, lr=0.02, epochs=epochs),
+                        seed=seed)
     reference = sequential_pretrain(ds, train_users, d=d, reg=0.05, lr=0.02, epochs=epochs,
                                     seed=seed)
     assert_matches_sequential(model, reference)
@@ -128,15 +130,15 @@ def test_schedule_rounds_are_conflict_free_and_keep_each_rows_order(m, n, data):
 )
 def test_pretrain_rejects_out_of_range_hyperparameters(bad):
     ds = make_dataset({0: {0: 5, 1: 1}, 1: {0: 4, 1: 2}})
-    params = dict(d=2, reg=0.01, lr=0.01, epochs=2, seed=0) | bad
+    params = dict(dim=2, reg=0.01, lr=0.01, epochs=2) | bad
     (key,) = bad
     with pytest.raises(ValueError, match=key):
-        mf.pretrain(ds, {0, 1}, **params)
+        mf.pretrain(ds, {0, 1}, MfConfig(**params), seed=0)
 
 
 def test_pretrain_fits_single_rating_exactly():
     ds = make_dataset({0: {0: 4}})
-    model = mf.pretrain(ds, {0}, d=2, reg=0.0, lr=0.05, epochs=400, seed=1)
+    model = mf.pretrain(ds, {0}, MfConfig(dim=2, reg=0.0, lr=0.05, epochs=400), seed=1)
     assert mf.predict_all(model, model.U[:, 0])[0] == pytest.approx(4.0, abs=1e-3)
 
 
@@ -145,7 +147,7 @@ def test_pretrain_matches_dense_gradient_descent_oracle():
     ds = make_dataset(profiles)
     entries = list(zip(*[a.tolist() for a in ds.triples()]))
     entries = [(int(u), int(i), float(r)) for u, i, r in entries]
-    model = mf.pretrain(ds, {0, 1, 2}, d=2, reg=0.01, lr=0.005, epochs=12000, seed=5)
+    model = mf.pretrain(ds, {0, 1, 2}, MfConfig(dim=2, reg=0.01, lr=0.005, epochs=12000), seed=5)
     sgd_loss = full_loss(model.U, model.V, entries, 0.01)
     oracle_loss = dense_gd_oracle(3, 3, entries, d=2, reg=0.01, lr=0.02, iters=30000, seed=99)
     assert sgd_loss == pytest.approx(oracle_loss, rel=1e-3)
@@ -156,14 +158,14 @@ def test_pretrain_reaches_exactly_factorizable_matrix():
     a, b = [1, 2], [1, 2, 1]
     profiles = {u: {i: a[u] * b[i] for i in range(3)} for u in range(2)}
     ds = make_dataset(profiles)
-    model = mf.pretrain(ds, {0, 1}, d=2, reg=0.0, lr=0.05, epochs=1000, seed=3)
+    model = mf.pretrain(ds, {0, 1}, MfConfig(dim=2, reg=0.0, lr=0.05, epochs=1000), seed=3)
     assert model.epoch_rmse[-1] < 1e-2
 
 
 def test_pretrain_reports_rmse_per_epoch_and_is_deterministic():
     ds = make_dataset({0: {0: 5, 1: 1}, 1: {0: 4, 1: 2}})
-    m1 = mf.pretrain(ds, {0, 1}, d=2, reg=0.01, lr=0.01, epochs=5, seed=2)
-    m2 = mf.pretrain(ds, {0, 1}, d=2, reg=0.01, lr=0.01, epochs=5, seed=2)
+    m1 = mf.pretrain(ds, {0, 1}, MfConfig(dim=2, reg=0.01, lr=0.01, epochs=5), seed=2)
+    m2 = mf.pretrain(ds, {0, 1}, MfConfig(dim=2, reg=0.01, lr=0.01, epochs=5), seed=2)
     assert len(m1.epoch_rmse) == 5
     assert m1.epoch_rmse == m2.epoch_rmse
     assert np.array_equal(m1.U, m2.U) and np.array_equal(m1.V, m2.V)
@@ -172,12 +174,12 @@ def test_pretrain_reports_rmse_per_epoch_and_is_deterministic():
 def test_pretrain_divergence_raises():
     ds = make_dataset({0: {0: 5, 1: 1}, 1: {0: 4, 1: 2}})
     with pytest.raises(DivergenceError, match="learning rate"):
-        mf.pretrain(ds, {0, 1}, d=2, reg=0.0, lr=50.0, epochs=50, seed=0)
+        mf.pretrain(ds, {0, 1}, MfConfig(dim=2, reg=0.0, lr=50.0, epochs=50), seed=0)
 
 
 def test_zero_state_predicts_zero_everywhere():
     ds = make_dataset({0: {0: 5, 1: 1}, 1: {0: 4, 1: 2}})
-    model = mf.pretrain(ds, {0, 1}, d=3, reg=0.01, lr=0.01, epochs=3, seed=0)
+    model = mf.pretrain(ds, {0, 1}, MfConfig(dim=3, reg=0.01, lr=0.01, epochs=3), seed=0)
     scores = mf.predict_all(model, np.zeros(3))
     assert scores.shape == (model.n,)
     for item in range(model.n):
@@ -341,7 +343,8 @@ def _als_reference(fit_ds, d, reg, sweeps, seed):
 
 @needs_ml100k
 def test_held_out_rmse_close_to_batch_reference(ml100k_ds):
-    split = make_splits(ml100k_ds, 10, 0.10, 100, seed=0)[0]
+    split = make_splits(ml100k_ds, SplitConfig(count=10, test_fraction=0.10, min_ratings=100),
+                        seed=0)[0]
     rng = np.random.default_rng(123)
     fit_records, held = [], []
     for u in sorted(split.train_users):
@@ -356,8 +359,9 @@ def test_held_out_rmse_close_to_batch_reference(ml100k_ds):
                 fit_records.append(ext)
     fit_ds = RatingDataset.from_arrays(*zip(*fit_records))
 
-    model = mf.pretrain(fit_ds, set(range(fit_ds.m)), d=16, reg=0.01, lr=0.01,
-                        epochs=30, seed=0)
+    model = mf.pretrain(fit_ds, set(range(fit_ds.m)),
+                        MfConfig(dim=16, reg=0.01, lr=0.01, epochs=30),
+                        seed=0)
     U_ref, V_ref = _als_reference(fit_ds, d=16, reg=0.01, sweeps=12, seed=7)
 
     def held_rmse(U, V):
@@ -379,7 +383,7 @@ def test_held_out_rmse_close_to_batch_reference(ml100k_ds):
 
 def test_checkpoint_round_trip(tmp_path):
     ds = make_dataset({0: {0: 5, 1: 1}, 1: {0: 4, 1: 2}})
-    model = mf.pretrain(ds, {0, 1}, d=2, reg=0.01, lr=0.01, epochs=4, seed=9)
+    model = mf.pretrain(ds, {0, 1}, MfConfig(dim=2, reg=0.01, lr=0.01, epochs=4), seed=9)
     path = tmp_path / "mf.ckpt"
     mf.save_mf(model, path, manifest={"seed": 9, "epochs": 4, "train_rmse": model.epoch_rmse[-1]})
     back = mf.load_mf(path)
@@ -393,7 +397,7 @@ def test_checkpoint_round_trip(tmp_path):
 
 def test_checkpoint_load_is_exact(tmp_path):
     ds = make_dataset({0: {0: 5, 1: 1}, 1: {0: 4, 1: 2}, 2: {2: 3}})
-    model = mf.pretrain(ds, {0, 1}, d=2, reg=0.01, lr=0.01, epochs=1, seed=9)
+    model = mf.pretrain(ds, {0, 1}, MfConfig(dim=2, reg=0.01, lr=0.01, epochs=1), seed=9)
     path = tmp_path / "mf.ckpt"
     mf.save_mf(model, path)
     good = path.read_bytes()
@@ -410,7 +414,7 @@ def test_checkpoint_load_is_exact(tmp_path):
 @pytest.mark.parametrize("key", ["U", "V"])
 def test_checkpoint_with_factors_that_are_not_finite_is_refused(tmp_path, key):
     ds = make_dataset({0: {0: 5, 1: 1}, 1: {0: 4, 1: 2}, 2: {2: 3}})
-    model = mf.pretrain(ds, {0, 1}, d=2, reg=0.01, lr=0.01, epochs=1, seed=9)
+    model = mf.pretrain(ds, {0, 1}, MfConfig(dim=2, reg=0.01, lr=0.01, epochs=1), seed=9)
     getattr(model, key)[1, 0] = np.inf
     path = tmp_path / "mf.ckpt"
     mf.save_mf(model, path)

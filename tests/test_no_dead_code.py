@@ -12,6 +12,15 @@ It also fails on an attribute that a package class assigns on `self` and
 that no package code reads: a read is an attribute load with that name, on
 any object. `errors.py` is exempt: the attributes of its exceptions are the
 interface their callers use.
+
+And it fails on a field of a package dataclass that no package code reads.
+A read is an attribute load of the field's name whose receiver is of the
+field's class. A receiver's class is known when it is `self` in a class's
+methods, a parameter annotated with a package dataclass, or a variable
+assigned a call of such a class or of a function annotated to return one. A
+receiver of no known class reads the field only where one dataclass alone
+has a field of that name; where several have one (a `seed`, say), only a
+receiver of a known class counts.
 """
 
 import ast
@@ -88,9 +97,89 @@ def unused_attributes(package: Path) -> list:
     return sorted(unused)
 
 
+def _dataclass_fields(modules: dict) -> dict:
+    """{class name: (its module's name, its field names)} of every dataclass
+    in the modules."""
+    found = {}
+    for stem, module in modules.items():
+        for cls in module.body:
+            if isinstance(cls, ast.ClassDef) and any(
+                    "dataclass" in _used_names(d) for d in cls.decorator_list):
+                found[cls.name] = stem, [item.target.id for item in cls.body
+                                         if isinstance(item, ast.AnnAssign)
+                                         and isinstance(item.target, ast.Name)]
+    return found
+
+
+def _class_named(annotation, classes) -> str | None:
+    """The one class of `classes` that an annotation names, if it names one."""
+    named = set(_used_names(annotation)) & classes if annotation is not None else set()
+    return named.pop() if len(named) == 1 else None
+
+
+def _callee(call: ast.Call) -> str | None:
+    """The name of the function or class a call calls, as it is spelled last."""
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
+def unread_fields(package: Path) -> list:
+    """Qualified names, as module.Class.field, of the dataclass fields in
+    `package` that no code of the package reads (see the module docstring)."""
+    modules = _modules(package)
+    fields = _dataclass_fields(modules)
+    classes = set(fields)
+    holders = Counter(name for _, names in fields.values() for name in set(names))
+    returns = {node.name: _class_named(node.returns, classes)
+               for module in modules.values() for node in ast.walk(module)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    returns.update((name, name) for name in classes)
+    read = set()
+
+    def visit(node, known: dict, cls: str | None) -> None:
+        if isinstance(node, ast.ClassDef):
+            for child in node.body:
+                visit(child, known, node.name)
+            return
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            known = dict(known)
+            params = [*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs]
+            for k, param in enumerate(params):
+                known.pop(param.arg, None)
+                typed = _class_named(param.annotation, classes)
+                if typed or (k == 0 and cls and param.arg == "self"):
+                    known[param.arg] = typed or cls
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Assign) and isinstance(sub.value, ast.Call):
+                    typed = returns.get(_callee(sub.value))
+                    for target in sub.targets:
+                        if typed and isinstance(target, ast.Name):
+                            known[target.id] = typed
+            cls = None
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and node.attr in holders):
+            receiver = known.get(node.value.id) if isinstance(node.value, ast.Name) else None
+            if receiver is not None:
+                read.add((receiver, node.attr))
+            elif holders[node.attr] == 1:
+                read.update((c, node.attr) for c, (_, names) in fields.items()
+                            if node.attr in names)
+        for child in ast.iter_child_nodes(node):
+            visit(child, known, cls)
+
+    for module in modules.values():
+        visit(module, {}, None)
+    return sorted(f"{stem}.{c}.{name}" for c, (stem, names) in fields.items()
+                  for name in names if (c, name) not in read)
+
+
 def test_every_definition_is_used_by_the_package():
     assert unused_definitions(PACKAGE) == []
 
 
 def test_every_attribute_assigned_on_self_is_read_by_the_package():
     assert unused_attributes(PACKAGE) == []
+
+
+def test_every_dataclass_field_is_read_by_the_package():
+    assert unread_fields(PACKAGE) == []

@@ -20,6 +20,7 @@ from cfrl.dataset import Split
 from cfrl.env import TaskMode
 from cfrl.errors import ValidationError
 from cfrl.methods import METHODS, SplitContext
+from cfrl.mf import MfConfig
 
 from conftest import make_dataset, synthetic_profiles
 
@@ -35,7 +36,7 @@ def _snapshot(tmp):
 
 def _factors(tmp):
     ds = make_dataset({0: {0: 5, 1: 1}, 1: {0: 4, 1: 2}, 2: {2: 3}})
-    model = mf.pretrain(ds, {0, 1}, d=2, reg=0.01, lr=0.01, epochs=1, seed=9)
+    model = mf.pretrain(ds, {0, 1}, MfConfig(dim=2, reg=0.01, lr=0.01, epochs=1), seed=9)
     path = tmp / "mf.ckpt"
     mf.save_mf(model, path)
     return path, mf.load_mf, lambda m: (
@@ -65,8 +66,8 @@ def _trainer_state(tmp, raw=False):
     """A latent-state trainer's state or, with `raw`, a raw-vector trainer's,
     whose replay keeps (item, reward) pairs; task1 pays a rating every step."""
     ds = make_dataset(synthetic_profiles(n_users=6, n_items=5, per_user=4, seed=3))
-    split = Split(train_users=frozenset(range(5)), test_users=frozenset({5}), seed=0)
-    model = None if raw else mf.pretrain(ds, split.train_users, d=2, epochs=1, seed=0)
+    split = Split(train_users=frozenset(range(5)), test_users=frozenset({5}))
+    model = None if raw else mf.pretrain(ds, split.train_users, MfConfig(dim=2, epochs=1), seed=0)
     cfg = TrainConfig(episodes=2, horizon=2, hidden_sizes=(2,),
                       task=TaskMode.TASK_I if raw else TaskMode.TASK_II,
                       batch_size=2, replay_capacity=8, seed=1)
@@ -82,7 +83,8 @@ def _trainer_state(tmp, raw=False):
 
     def contents(t):
         replay = {key: (col.dtype, col.shape, col.tobytes()) for key, col in t.memory.state().items()}
-        rngs = [rng.bit_generator.state for rng in (t.user_rng, t.action_rng, t.replay_rng)]
+        rngs = [rng.bit_generator.state
+                for rng in (t.episode_users.rng, t.action_rng, t.replay_rng)]
         return (qnet.flatten_params(t.net).tobytes(), qnet.flatten_params(t.target).tobytes(),
                 replay, rngs, t.train_steps, list(t.episodes()))
 
@@ -169,7 +171,7 @@ def test_failed_manifest_write_keeps_previous_sidecar(tmp_path, monkeypatch):
 @pytest.mark.parametrize("writer", ["trace", "training_log"])
 def test_failed_text_write_keeps_the_previous_file(tmp_path, monkeypatch, writer):
     ds = make_dataset(synthetic_profiles(n_users=6, n_items=5, per_user=4, seed=3))
-    split = Split(train_users=frozenset(range(5)), test_users=frozenset({5}), seed=0)
+    split = Split(train_users=frozenset(range(5)), test_users=frozenset({5}))
     trainer = make_trainer(ds, split, None, TrainConfig(
         episodes=2, horizon=2, hidden_sizes=(2,), task=TaskMode.TASK_II, batch_size=2, seed=1))
     trainer.run()

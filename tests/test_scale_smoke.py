@@ -20,9 +20,10 @@ from cfrl.baselines import (
     impact_policy,
     popular_policy,
 )
-from cfrl.dataset import Split, make_splits
+from cfrl.dataset import Split, SplitConfig, make_splits
 from cfrl.env import TaskMode
 from cfrl.evaluate import evaluate_policy
+from cfrl.mf import MfConfig
 from cfrl.seeding import derive_seed
 
 from conftest import make_dataset, ml100k_like_profiles, two_cluster_profiles
@@ -36,14 +37,14 @@ def big_ds():
 
 @pytest.fixture(scope="module")
 def big_splits(big_ds):
-    return make_splits(big_ds, n_splits=10, test_fraction=0.10, min_ratings=100, seed=0)
+    return make_splits(big_ds, SplitConfig(count=10, test_fraction=0.10, min_ratings=100), seed=0)
 
 
 @pytest.fixture(scope="module")
 def big_mf(big_ds, big_splits):
-    return mf.pretrain(
-        big_ds, big_splits[0].train_users, d=16, reg=0.01, lr=0.01, epochs=5, seed=0
-    )
+    return mf.pretrain(big_ds, big_splits[0].train_users,
+                       MfConfig(dim=16, reg=0.01, lr=0.01, epochs=5),
+                       seed=0)
 
 
 def test_random_ten_split_protocol_fits_time_budget(big_ds, big_splits):
@@ -92,8 +93,9 @@ def test_latent_state_enables_personalization():
     Needs a faster online state-update rate than the pretraining default so
     the state calibrates within short desk-scale episodes."""
     ds = make_dataset(two_cluster_profiles())
-    split = Split(train_users=frozenset(range(180)), test_users=frozenset(range(180, 200)), seed=0)
-    model = mf.pretrain(ds, split.train_users, d=8, reg=0.01, lr=0.01, epochs=15, seed=0)
+    split = Split(train_users=frozenset(range(180)), test_users=frozenset(range(180, 200)))
+    model = mf.pretrain(ds, split.train_users, MfConfig(dim=8, reg=0.01, lr=0.01, epochs=15),
+                        seed=0)
     cfg = TrainConfig(
         episodes=2000, horizon=10, gamma=0.9, epsilon=0.2, q_lr=0.002,
         sync_period=500, batch_size=32, replay_capacity=100_000,
@@ -152,7 +154,7 @@ def test_pretrain_epoch_at_least_three_times_faster_than_the_sequential_loop(big
     rounds_s, loop_s = [], []
     for _ in range(3):
         start = time.perf_counter()
-        model = mf.pretrain(*args, **params)
+        model = mf.pretrain(*args, MfConfig(dim=16, reg=0.01, lr=0.01, epochs=1), seed=0)
         rounds_s.append(time.perf_counter() - start)
         start = time.perf_counter()
         reference = sequential_pretrain(*args, **params)
