@@ -264,6 +264,11 @@ class TrainConfig:
                 raise ValueError(f"{name} must be positive")
         if self.replay_capacity < 1:
             raise ValueError("replay_capacity must be >= 1")
+        if any(size < 1 for size in self.hidden_sizes):
+            raise ValueError(f"hidden_sizes must each be >= 1, got {self.hidden_sizes}")
+        if self.activation not in qnet.ACTIVATION_CODES:
+            raise ValueError(f"activation must be one of {sorted(qnet.ACTIVATION_CODES)}, "
+                             f"got {self.activation!r}")
 
 
 def select_action(net, state, mask, epsilon: float, rng) -> int:

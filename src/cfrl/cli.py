@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import agent, dataset, mf
-from .config import RunConfig, load_config, task_mode, write_resolved
+from .config import RunConfig, load_config, reworded, task_mode, write_resolved
 from .errors import CfrlError, DivergenceError, ParseError, ValidationError
 from .methods import METHODS, SplitContext, pretrain_split
 from .persist import atomic_text
@@ -26,6 +26,8 @@ EXIT_USAGE = 2
 
 
 def _resolve_config(args) -> RunConfig:
+    """The config's values with the flags' overrides, checked again; a
+    refused value names its flag."""
     cfg = load_config(args.config) if args.config else RunConfig()
     if args.seed is not None:
         cfg.seed = args.seed
@@ -37,14 +39,20 @@ def _resolve_config(args) -> RunConfig:
         cfg.data_path = args.data
     if args.format:
         cfg.data_format = args.format
+    if getattr(args, "methods", None) is not None:
+        cfg.methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
+    try:
+        cfg.validate()
+    except (ValueError, ValidationError) as exc:   # the file's values passed load_config
+        raise reworded(exc, {"jobs": "--jobs", "methods": "--methods"}) from None
     return cfg
 
 
-def _load_dataset(cfg: RunConfig, snapshots: bool = True):
-    """The configured ratings file, or the snapshot there when `snapshots`."""
+def _load_dataset(cfg: RunConfig):
+    """The configured ratings file, or the snapshot there."""
     if not cfg.data_path:
         raise ValueError("no dataset path configured; set [data] path or pass --data")
-    if snapshots and dataset.is_snapshot(cfg.data_path):
+    if dataset.is_snapshot(cfg.data_path):
         return dataset.load_snapshot(cfg.data_path)
     return dataset.load_ratings(cfg.data_path, cfg.data_format)
 
@@ -67,7 +75,7 @@ def _artifact_stem(method: str, task, split_index: int) -> str:
 
 def cmd_ingest(args) -> int:
     cfg = _resolve_config(args)
-    ds = _load_dataset(cfg, snapshots=False)
+    ds = _load_dataset(cfg)
     stats = dataset.dataset_stats(ds)
     for key in ("m", "n", "rating_count", "mean_rating", "density"):
         print(f"{key} = {stats[key]}")
@@ -193,7 +201,7 @@ def cmd_eval(args) -> int:
     split = _split(cfg, ds, args.split)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    task = task_mode(args.task)
+    task = task_mode(args.task) if args.task else cfg.agent.task
     spec = METHODS[args.method]
     ctx = _context(cfg, ds, split, args.split, out, args.method)
     stem = _artifact_stem(args.method, task, args.split)
@@ -216,10 +224,6 @@ def cmd_benchmark(args) -> int:
     from . import evaluate
 
     cfg = _resolve_config(args)
-    if args.methods is not None:
-        cfg.methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-    if not cfg.methods:
-        raise ValueError("empty methods list")
     ds = _load_dataset(cfg)
     report = evaluate.benchmark(ds, dataset.make_splits(ds, cfg.split, cfg.seed), cfg)
     out = Path(cfg.out)
@@ -241,10 +245,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="INI configuration file")
         p.add_argument("--seed", type=int, help="override [run] seed")
         p.add_argument("--out", help="override [run] out directory")
-        p.add_argument("--data", help="ratings file path (a snapshot too, but for ingest)")
+        p.add_argument("--data", help="override [data] path: a ratings file or a snapshot")
         p.add_argument("--format", choices=sorted(dataset.FORMAT_SEPARATORS))
 
-    p_ingest = sub.add_parser("ingest", help="parse a ratings file, print stats, write a snapshot")
+    p_ingest = sub.add_parser("ingest",
+                              help="read a ratings file or snapshot, print stats, write a snapshot")
     common(p_ingest)
     p_ingest.set_defaults(func=cmd_ingest)
 
@@ -265,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate one method on one split")
     common(p_eval)
     p_eval.add_argument("--method", required=True, choices=tuple(METHODS))
-    p_eval.add_argument("--task", default="task1")
+    p_eval.add_argument("--task", help="task1 or task2 (default: [agent] task)")
     p_eval.add_argument("--split", type=int, default=0)
     p_eval.set_defaults(func=cmd_eval)
 

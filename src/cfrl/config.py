@@ -1,41 +1,40 @@
 """Run configuration: one INI file drives ingestion, training and evaluation.
 
-RunConfig is the one place that states a run's settings and their defaults.
-Its `[split]`, `[mf]` and `[agent]` sections are the dataclasses their readers
-take: a dataset.SplitConfig (make_splits), an mf.MfConfig (mf.pretrain) and an
-agent.TrainConfig (the learners), whose own defaults stand except for the
-episode budget; each is checked by its `validate` when the file loads. Every
-layer below reads its settings from the RunConfig it is given. Flags override
-file values; every command writes the fully resolved config next to its
-outputs so a run is reproducible from that file plus the raw dataset. All
-randomness flows from the single [run] seed through labeled sub-seeds (see
-seeding.derive_seed).
+RunConfig is the one place that states a run's settings, their defaults and
+their domains. Its `[split]`, `[mf]` and `[agent]` sections are the
+dataclasses their readers take: a dataset.SplitConfig (make_splits), an
+mf.MfConfig (mf.pretrain) and an agent.TrainConfig (the learners), whose own
+defaults stand except for the episode budget. RunConfig.validate checks them
+all; a refusal names the INI key, or the flag, of the value it refuses.
+Every layer below reads its settings from the RunConfig it is given.
+Flags override file values; every command writes the fully resolved config
+next to its outputs so a run is reproducible from that file plus the raw
+dataset. All randomness flows from the single [run] seed through labeled
+sub-seeds (see seeding.derive_seed).
 """
 
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .agent import TrainConfig
-from .dataset import SplitConfig
+from .dataset import FORMAT_SEPARATORS, SplitConfig
 from .env import TaskMode
+from .errors import ValidationError
 from .methods import METHODS
 from .mf import MfConfig
 from .persist import atomic_text
 
-_TASK_NAMES = {
-    "task1": TaskMode.TASK_I,
-    "task2": TaskMode.TASK_II,
-}
-
 
 def task_mode(name: str) -> TaskMode:
     try:
-        return _TASK_NAMES[name.strip().lower()]
-    except KeyError:
-        raise ValueError(f"unknown task {name!r}; expected one of {sorted(_TASK_NAMES)}") from None
+        return TaskMode(name.strip().lower())
+    except ValueError:
+        expected = sorted(task.value for task in TaskMode)
+        raise ValueError(f"unknown task {name!r}; expected one of {expected}") from None
 
 
 @dataclass
@@ -61,6 +60,36 @@ class RunConfig:
     def train_config(self) -> TrainConfig:
         return replace(self.agent, seed=self.seed)
 
+    def validate(self) -> None:
+        """Refuse a value outside its domain, each section's by its dataclass's
+        `validate`: a ValueError (ValidationError for an unknown method) whose
+        message starts with the field's _LAYOUT path, such as `agent.hidden_sizes`."""
+        for section in ("split", "mf", "agent"):
+            try:
+                getattr(self, section).validate()
+            except ValueError as exc:   # its message starts with the field's name
+                raise ValueError(f"{section}.{exc}") from None
+        if self.data_format not in FORMAT_SEPARATORS:
+            raise ValueError(f"data_format must be one of {sorted(FORMAT_SEPARATORS)}, "
+                             f"got {self.data_format!r}")
+        if not self.methods:
+            raise ValueError("methods is empty: no methods requested")
+        unknown = [m for m in self.methods if m not in METHODS]
+        if unknown:
+            raise ValidationError(f"methods has unknown methods {unknown}; "
+                                  f"known: {tuple(METHODS)}")
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be >= 1, not {self.jobs}")
+        if not (math.isfinite(self.linucb_alpha) and self.linucb_alpha >= 0):
+            raise ValueError(f"linucb_alpha must be finite and >= 0, got {self.linucb_alpha}")
+
+
+def reworded(exc: Exception, names: dict) -> Exception:
+    """A RunConfig.validate refusal, of the same type, whose message names
+    the refused field as `names` does (by its _LAYOUT path)."""
+    field_path, _, rest = str(exc).partition(" ")
+    return type(exc)(f"{names.get(field_path, field_path)} {rest}")
+
 
 # section -> {file key: RunConfig field, or <section>.<field> of its dataclass}
 _LAYOUT = {
@@ -69,17 +98,8 @@ _LAYOUT = {
     "split": {f.name: f"split.{f.name}" for f in fields(SplitConfig)},
     "mf": {f.name: f"mf.{f.name}" for f in fields(MfConfig)},
     "agent": {
-        "episodes": "agent.episodes",
-        "horizon": "agent.horizon",
-        "gamma": "agent.gamma",
-        "epsilon": "agent.epsilon",
-        "q_lr": "agent.q_lr",
-        "sync_period": "agent.sync_period",
-        "batch_size": "agent.batch_size",
-        "replay_capacity": "agent.replay_capacity",
-        "hidden": "agent.hidden_sizes",
-        "activation": "agent.activation",
-        "task": "agent.task",
+        **{("hidden" if f.name == "hidden_sizes" else f.name): f"agent.{f.name}"
+           for f in fields(TrainConfig) if f.name != "seed"},   # the seed is [run]'s
         "checkpoint_every": "checkpoint_every",
     },
     "eval": {
@@ -117,9 +137,9 @@ def _format_value(value) -> str:
 def load_config(path) -> RunConfig:
     """Read an INI config; unknown keys are an error, missing keys default.
     A file that is not valid INI, a value that does not parse (an unknown
-    task name among them) or a [split], [mf] or [agent] section that its
-    dataclass's `validate` refuses raises a ValueError naming the file (and
-    the section and key), and so does a [DEFAULT] section, which
+    task name among them) or a value that RunConfig.validate refuses raises
+    a ValueError (a ValidationError for an unknown method) naming the file
+    (and the section and key), and so does a [DEFAULT] section, which
     configparser would otherwise merge into every section."""
     # no header names the empty section, so [DEFAULT] reads as an unknown section
     parser = configparser.ConfigParser(interpolation=None, default_section="")
@@ -141,11 +161,12 @@ def load_config(path) -> RunConfig:
                 setattr(owner, name, _parse_value(text, getattr(owner, name)))
             except ValueError as exc:
                 raise ValueError(f"{path}: [{section}] {key}: {exc}") from None
-    for section in ("split", "mf", "agent"):
-        try:
-            getattr(cfg, section).validate()
-        except ValueError as exc:   # its message starts with the field's name
-            raise ValueError(f"{path}: [{section}] {exc}") from None
+    try:
+        cfg.validate()
+    except (ValueError, ValidationError) as exc:
+        raise reworded(exc, {field_path: f"{path}: [{section}] {key}"
+                             for section, keys in _LAYOUT.items()
+                             for key, field_path in keys.items()}) from None
     return cfg
 
 

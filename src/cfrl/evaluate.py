@@ -291,19 +291,14 @@ def benchmark(ds, splits, cfg) -> ComparisonReport:
 
     `cfg` is the run's config.RunConfig: its [eval] methods, tasks and jobs,
     its [mf] and [agent] settings, and the seed every per-split and per-cell
-    seed derives from. Per-split work is independent and seeded by split
-    index, so results do not depend on the degree of parallelism: `jobs` (at
-    least 1) caps the worker processes, at most one a split. Cell failures
-    are recorded in the report instead of aborting the run.
+    seed derives from, all checked by RunConfig.validate before any cell
+    runs. Per-split work is independent and seeded by split index, so
+    results do not depend on the degree of parallelism: `jobs` caps the
+    worker processes, at most one a split. Cell failures are recorded in the
+    report instead of aborting the run.
     """
+    cfg.validate()
     methods, tasks = tuple(cfg.methods), tuple(cfg.eval_tasks)
-    if not methods:
-        raise ValueError("no methods requested")
-    if cfg.jobs < 1:
-        raise ValueError(f"jobs must be >= 1, not {cfg.jobs}")
-    unknown = [m for m in methods if m not in METHODS]
-    if unknown:
-        raise ValidationError(f"unknown methods {unknown}; known: {tuple(METHODS)}")
     contexts = [SplitContext(ds, split, s, cfg) for s, split in enumerate(splits)]
     if cfg.jobs > 1 and len(contexts) > 1:
         with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(contexts))) as pool:

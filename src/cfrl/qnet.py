@@ -46,7 +46,7 @@ from .errors import DivergenceError, ValidationError
 from .persist import load_npz, save_npz, write_manifest
 from .seeding import rng_for
 
-_ACTIVATION_CODES = {"tanh": 0, "relu": 1}
+ACTIVATION_CODES = {"tanh": 0, "relu": 1}
 
 
 def _act(name: str, z: np.ndarray) -> np.ndarray:
@@ -96,7 +96,7 @@ def qnet_init(layer_sizes, seed: int = 0, activation: str = "tanh") -> QNetwork:
         raise ValueError(f"need at least input and output layers, got {sizes}")
     if any(s < 1 for s in sizes):
         raise ValueError(f"layer sizes must be >= 1, got {sizes}")
-    if activation not in _ACTIVATION_CODES:
+    if activation not in ACTIVATION_CODES:
         raise ValueError(f"unknown activation {activation!r}")
     rng = rng_for(seed, "qnet-init")
     weights, biases = [], []
@@ -392,7 +392,7 @@ def save_qnet(net: QNetwork, path, manifest: dict | None = None) -> None:
     """Write the checkpoint atomically and, if given, a JSON manifest sidecar."""
     save_npz(path, {
         "layer_sizes": np.array(net.layer_sizes, dtype=np.int64),
-        "activation": np.array(_ACTIVATION_CODES[net.activation], dtype=np.int64),
+        "activation": np.array(ACTIVATION_CODES[net.activation], dtype=np.int64),
         "params": flatten_params(net),
     })
     if manifest is not None:
@@ -408,7 +408,7 @@ def load_qnet(path) -> QNetwork:
         raise ValidationError(f"{path}: invalid layer sizes {sizes}")
     activation = None
     if code.dtype == np.int64 and code.shape == ():
-        activation = {v: k for k, v in _ACTIVATION_CODES.items()}.get(int(code))
+        activation = {v: k for k, v in ACTIVATION_CODES.items()}.get(int(code))
     if activation is None:
         raise ValidationError(f"{path}: unknown activation code {code}")
     sizes = tuple(sizes.tolist())

@@ -168,6 +168,17 @@ def test_a_bad_task_name_fails_every_command_at_load(workspace, capsys, command,
     assert not (tmp_path / "out").exists()
 
 
+def test_readme_example_config_loads(tmp_path):
+    # README's ```ini block is the documented example; a renamed key or a value
+    # that the config's checks refuse must fail here instead of in the docs
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (example,) = [block.split("```", 1)[0] for block in readme.split("```ini\n")[1:]]
+    path = tmp_path / "example.ini"
+    path.write_text(example, encoding="utf-8")
+    cfg = load_config(path)
+    assert dump_config(cfg) != dump_config(RunConfig())
+
+
 def test_config_rejects_unknown_keys(tmp_path):
     path = tmp_path / "cfg.ini"
     path.write_text("[agent]\nlearning_rate = 5\n", encoding="utf-8")
@@ -206,6 +217,17 @@ def test_ingest_prints_stats_and_writes_snapshot(workspace, capsys):
     assert (tmp_path / "out" / "config.resolved.ini").exists()
 
 
+def test_ingest_of_its_own_snapshot_writes_the_same_snapshot(workspace, capsys):
+    tmp_path, data, cfg = workspace
+    assert main(["ingest", "--config", str(cfg)]) == 0
+    stats = capsys.readouterr().out.splitlines()[:-1]   # the last line names the snapshot
+    snap = tmp_path / "out" / "dataset.snap"
+    assert main(["ingest", "--config", str(cfg), "--data", str(snap),
+                 "--out", str(tmp_path / "out2")]) == 0
+    assert capsys.readouterr().out.splitlines()[:-1] == stats
+    assert (tmp_path / "out2" / "dataset.snap").read_bytes() == snap.read_bytes()
+
+
 def test_missing_data_file_exits_2(tmp_path, capsys):
     missing = tmp_path / "nope.tsv"
     code = main(["ingest", "--data", str(missing), "--out", str(tmp_path / "o")])
@@ -232,7 +254,7 @@ def test_pretrain_writes_deterministic_checkpoint(workspace, capsys):
     assert bytes_a == bytes_b
 
 
-# id: (section, line of the workspace config, its out-of-range replacement, field)
+# id: (section, line of the workspace config, its out-of-range replacement, key)
 _OUT_OF_RANGE = {
     "epochs-3": ("mf", "epochs = 4", "epochs = -3", "epochs"),
     "lr-0.01": ("mf", "lr = 0.02", "lr = -0.01", "lr"),
@@ -241,6 +263,16 @@ _OUT_OF_RANGE = {
     "dim0": ("mf", "dim = 3", "dim = 0", "dim"),
     "gamma2": ("agent", "epsilon = 0.2", "epsilon = 0.2\ngamma = 2.0", "gamma"),
     "test_fraction1.5": ("split", "test_fraction = 0.2", "test_fraction = 1.5", "test_fraction"),
+    "hidden64,-3": ("agent", "hidden = 8", "hidden = 64,-3", "hidden"),
+    "hidden0": ("agent", "hidden = 8", "hidden = 0", "hidden"),
+    "activation-relu2": ("agent", "hidden = 8", "hidden = 8\nactivation = relu2", "activation"),
+    "format-xml": ("data", "format = tab", "format = xml", "format"),
+    "methods-poppular": ("eval", "methods = random,popular", "methods = poppular", "methods"),
+    "jobs0": ("eval", "methods = random,popular", "methods = random,popular\njobs = 0", "jobs"),
+    "linucb_alpha-nan": ("eval", "methods = random,popular",
+                         "methods = random,popular\nlinucb_alpha = nan", "linucb_alpha"),
+    "linucb_alpha-1": ("eval", "methods = random,popular",
+                       "methods = random,popular\nlinucb_alpha = -1", "linucb_alpha"),
 }
 _COMMANDS = ("ingest", "pretrain", "train", "eval", "benchmark")
 
@@ -664,6 +696,15 @@ def test_train_linucb_refuses_trainer_flags(workspace, capsys, flag):
     assert not (tmp_path / "out" / "linucb_task2_split0_trace.csv").exists()
 
 
+def test_eval_takes_the_task_that_train_trained(workspace, capsys):
+    # the workspace's [agent] task is task2, and no --task is given
+    tmp_path, data, cfg_path = workspace
+    assert main(["pretrain", "--config", str(cfg_path)]) == 0
+    assert main(["train", "--config", str(cfg_path), "--method", "cfrl"]) == 0
+    assert main(["eval", "--config", str(cfg_path), "--method", "cfrl"]) == 0
+    assert (tmp_path / "out" / "eval_cfrl_task2_split0.csv").exists()
+
+
 def test_eval_random_writes_scores(workspace, capsys):
     tmp_path, data, cfg_path = workspace
     assert main(["eval", "--config", str(cfg_path), "--method", "random",
@@ -784,19 +825,30 @@ def test_benchmark_empty_methods_is_usage_error(workspace, capsys):
     assert "methods" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("where", ["flag", "config"])
-@pytest.mark.parametrize("jobs", [0, -3])
-def test_benchmark_with_fewer_than_one_job_is_usage_error(workspace, capsys, where, jobs):
+_JOBS_CASES = [(jobs, where) for jobs in (0, -3) for where in ("flag", "config")]
+
+
+@pytest.mark.parametrize(
+    "where, key, value, refusal",
+    [(where, "jobs", jobs, f"jobs must be >= 1, not {jobs}") for jobs, where in _JOBS_CASES]
+    # a flag's value is checked as the file's are, and the message names the flag
+    + [("flag", "methods", "poppular", "error: --methods has unknown methods ['poppular']")],
+    ids=[f"{jobs}-{where}" for jobs, where in _JOBS_CASES] + ["methods-poppular-flag"],
+)
+def test_benchmark_with_fewer_than_one_job_is_usage_error(workspace, capsys, where, key, value,
+                                                          refusal):
     tmp_path, data, cfg_path = workspace
     if where == "flag":
-        argv = ["--config", str(cfg_path), "--jobs", str(jobs)]
+        argv = ["--config", str(cfg_path), f"--{key}", str(value)]
     else:
         config = tmp_path / "jobs.ini"
-        config.write_text(cfg_path.read_text() + f"jobs = {jobs}\n", encoding="utf-8")
+        config.write_text(cfg_path.read_text() + f"{key} = {value}\n", encoding="utf-8")
         argv = ["--config", str(config)]
-    assert main(["benchmark", *argv, "--methods", "random", "--out", str(tmp_path / "j")]) == 2
-    assert f"jobs must be >= 1, not {jobs}" in capsys.readouterr().err
-    assert not (tmp_path / "j" / "report.csv").exists()
+    # the last --methods given wins
+    assert main(["benchmark", "--methods", "random", *argv, "--out", str(tmp_path / "j")]) == 2
+    err = capsys.readouterr().err
+    assert refusal in err and (where == "config" or f"error: --{key} " in err)
+    assert not (tmp_path / "j").exists()
 
 
 def test_benchmark_runs_from_snapshot(workspace):
